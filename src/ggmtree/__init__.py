@@ -11,7 +11,6 @@ volume growth, homogeneity, reversibility, correlation bounds).
 from .errors import (
     Diverged,
     GGMError,
-    Inconclusive,
     MaxIterations,
     NonStochastic,
     NonSummable,

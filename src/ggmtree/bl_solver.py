@@ -3,10 +3,11 @@
 A q-periodic law a solves the tree recursion when a_k is proportional to
 (sum_m C[k, m] a_m)**d for the wrapped interaction matrix C, with the constant
 eliminated by the a_0 = 1 normalization. This module provides the residual of
-that equation, a damped fixed-point solver with multi-start branch search, the
-closed-form period-2 reduction for the SOS model on the binary tree, effective
-Ising/Potts temperatures for periods 2, 3, 4, the resulting critical
-temperatures, and the normalizability certificate.
+that equation, one batched damped iteration shared by the single-start solver
+and the multi-start branch search, the closed-form period-2 reduction for the
+SOS model on the binary tree, effective Ising/Potts temperatures for periods
+2, 3, 4, their closed-form critical temperatures, the log-grid scalar root
+scan, and the normalizability certificate.
 """
 from __future__ import annotations
 
@@ -14,17 +15,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     Diverged,
-    Inconclusive,
     MaxIterations,
     UnsupportedDegree,
     UnsupportedPeriod,
 )
 from .model import (
-    SOS,
     PeriodicBoundaryLaw,
     TransferOperator,
     interaction_matrix,
@@ -62,8 +60,11 @@ class SolveReport:
 
 def residual(law: PeriodicBoundaryLaw, op: TransferOperator, d: int) -> float:
     """Max-norm violation of the normalized boundary-law fixed point."""
-    a = law.as_array()
-    F = (interaction_matrix(op, law.q) @ a) ** d
+    return _residual_of(interaction_matrix(op, law.q), law.as_array(), d)
+
+
+def _residual_of(C: np.ndarray, a: np.ndarray, d: int) -> float:
+    F = (C @ a) ** d
     return float(np.max(np.abs(a - F / F[0])))
 
 
@@ -75,41 +76,62 @@ def _label(a: np.ndarray, atol: float = 1e-6) -> str:
     return BRANCH_OTHER
 
 
+def _damped(C: np.ndarray, d: int, rows: np.ndarray, damping: float,
+            max_iter: int, tol: float):
+    """Damped iteration on a batch of a_0 = 1 normalized starts, in place.
+
+    Returns per-row update counts and the diverged and budget-exhausted masks.
+    """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
+    n = len(rows)
+    active = np.ones(n, dtype=bool)
+    diverged = np.zeros(n, dtype=bool)
+    iters = np.zeros(n, dtype=int)
+    for _ in range(max_iter + 1):
+        if not active.any():
+            break
+        cur = rows[active]
+        F = (cur @ C.T) ** d
+        G = F / F[:, :1]
+        res = np.max(np.abs(cur - G), axis=1)
+        done = res <= tol
+        nxt = (1.0 - damping) * cur + damping * G
+        nxt /= nxt[:, :1]
+        bad = np.any((nxt <= _LOWER_GUARD) | (nxt >= _UPPER_GUARD), axis=1)
+        idx = np.flatnonzero(active)
+        rows[idx[~done]] = nxt[~done]
+        iters[idx[~done]] += 1
+        diverged[idx[bad & ~done]] = True
+        active[idx[done | bad]] = False
+    return iters, diverged, active
+
+
 def fixed_point_solve(op: TransferOperator, q: int, d: int,
                       init, damping: float = 0.7,
                       max_iter: int = 5000, tol: float = 1e-12) -> SolveReport:
     """Damped iteration a <- (1 - damping) a + damping F(a)/F_0(a).
 
     Raises ``Diverged`` when an entry leaves (1e-12, 1e12) and
-    ``MaxIterations`` (carrying the best iterate) when the budget runs out.
+    ``MaxIterations`` (carrying the last iterate and its residual) when the
+    budget runs out.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     C = interaction_matrix(op, q)
-    a = np.asarray(init, dtype=float).copy()
+    a = np.asarray(init, dtype=float)
     if a.shape != (q,) or np.any(a <= 0):
         raise ValueError("init must be a strictly positive q-vector")
-    a /= a[0]
-    best_a, best_res = a.copy(), _residual_of(C, a, d)
-    for it in range(max_iter + 1):
-        res = _residual_of(C, a, d)
-        if res < best_res:
-            best_a, best_res = a.copy(), res
-        if res <= tol:
-            return SolveReport(PeriodicBoundaryLaw.from_values(a), res, it, _label(a))
-        F = (C @ a) ** d
-        a = (1.0 - damping) * a + damping * F / F[0]
-        a /= a[0]
-        if np.any(a <= _LOWER_GUARD) or np.any(a >= _UPPER_GUARD):
-            raise Diverged(f"iterate left the admissible region after {it + 1} steps")
-    report = SolveReport(PeriodicBoundaryLaw.from_values(best_a), best_res,
-                         max_iter, _label(best_a))
-    raise MaxIterations(f"no convergence to {tol} in {max_iter} iterations", report)
-
-
-def _residual_of(C: np.ndarray, a: np.ndarray, d: int) -> float:
-    F = (C @ a) ** d
-    return float(np.max(np.abs(a - F / F[0])))
+    rows = (a / a[0])[None, :]
+    iters, diverged, running = _damped(C, d, rows, damping, max_iter, tol)
+    a, it = rows[0], int(iters[0])
+    if diverged[0]:
+        raise Diverged(f"iterate left the admissible region after {it} steps")
+    report = SolveReport(PeriodicBoundaryLaw.from_values(a), _residual_of(C, a, d),
+                         max_iter if running[0] else it, _label(a))
+    if running[0]:
+        raise MaxIterations(f"no convergence to {tol} in {max_iter} iterations", report)
+    return report
 
 
 def _default_inits(q: int, n_starts: int) -> np.ndarray:
@@ -140,26 +162,7 @@ def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
     """
     C = interaction_matrix(op, q)
     a = _default_inits(q, n_starts)
-    n = len(a)
-    active = np.ones(n, dtype=bool)
-    diverged = np.zeros(n, dtype=bool)
-    iters = np.zeros(n, dtype=int)
-    for _ in range(max_iter + 1):
-        if not active.any():
-            break
-        cur = a[active]
-        F = (cur @ C.T) ** d
-        G = F / F[:, :1]
-        res = np.max(np.abs(cur - G), axis=1)
-        done = res <= tol
-        nxt = (1.0 - damping) * cur + damping * G
-        nxt /= nxt[:, :1]
-        bad = np.any((nxt <= _LOWER_GUARD) | (nxt >= _UPPER_GUARD), axis=1)
-        idx = np.flatnonzero(active)
-        a[idx[~done]] = nxt[~done]
-        iters[idx[~done]] += 1
-        diverged[idx[bad & ~done]] = True
-        active[idx[done | bad]] = False
+    iters, diverged, active = _damped(C, d, a, damping, max_iter, tol)
     solutions: list[tuple[np.ndarray, float, int]] = []
     for row, it, bad, still in zip(a, iters, diverged, active):
         if bad or still:
@@ -226,9 +229,10 @@ def effective_beta(op: TransferOperator, q: int, variant: str = "generic") -> fl
 def critical_beta(q: int, d: int, family: str = "sos") -> float:
     """Onset of multiple q-periodic boundary laws for the SOS family.
 
-    Inverts the effective temperature at the known Ising threshold
-    atanh(1/d), or at log(1 + 2 sqrt(2)) for the 3-state Potts model on the
-    binary tree.
+    Setting the effective temperature to the Ising threshold atanh(1/d), or
+    to log(1 + 2 sqrt(2)) for the 3-state Potts model on the binary tree,
+    gives cosh(beta) = (d + 1)/(d - 1) for q = 2, 1 + sqrt(2) for q = 3 and
+    d/(d - 1) for q = 4 with the paired ansatz.
     """
     if family != "sos":
         raise ValueError("critical temperatures are implemented for the SOS family")
@@ -236,18 +240,32 @@ def critical_beta(q: int, d: int, family: str = "sos") -> float:
         raise UnsupportedPeriod(f"no critical temperature for q = {q}")
     if d < 2:
         raise UnsupportedDegree("need d >= 2")
-    if q == 3:
-        if d != 2:
-            raise UnsupportedDegree("the q = 3 threshold is known for d = 2 only")
-        target = math.log(1.0 + 2.0 * math.sqrt(2.0))
-    else:
-        target = math.atanh(1.0 / d)
-    variant = "q4_paired" if q == 4 else "generic"
+    if q == 2:
+        return math.acosh((d + 1.0) / (d - 1.0))
+    if q == 4:
+        return math.acosh(d / (d - 1.0))
+    if d != 2:
+        raise UnsupportedDegree("the q = 3 threshold is known for d = 2 only")
+    return math.acosh(1.0 + math.sqrt(2.0))
 
-    def gap(beta: float) -> float:
-        return effective_beta(SOS(beta), q, variant) - target
 
-    return float(brentq(gap, 1e-8, 60.0, xtol=1e-12, rtol=8.9e-16))
+def grid_roots(f, grid) -> list[float]:
+    """Roots of f: grid points where f is exactly zero, and each sign change
+    between neighbouring grid points bisected down to two adjacent floats."""
+    vals = [f(x) for x in grid]
+    roots: list[float] = []
+    for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if flo == 0.0:
+            roots.append(float(lo))
+        elif flo * fhi < 0.0:
+            lo, hi = float(lo), float(hi)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if (f(mid) < 0.0) == (flo < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(lo)
+    return roots
 
 
 def ising_type_solve(Qpp: float, Qpm: float, d: int) -> list[float]:
@@ -259,14 +277,8 @@ def ising_type_solve(Qpp: float, Qpm: float, d: int) -> list[float]:
     def f(a: float) -> float:
         return ((Qpm + a * Qpp) / (Qpp + a * Qpm)) ** d - a
 
-    grid = np.logspace(-12.0, 12.0, 4001)
-    vals = np.array([f(a) for a in grid])
-    roots = [1.0]  # a = 1 solves the symmetric equation identically
-    for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if flo == 0.0:
-            roots.append(float(lo))
-        elif flo * fhi < 0.0:
-            roots.append(float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)))
+    # a = 1 solves the symmetric equation identically
+    roots = [1.0] + grid_roots(f, np.logspace(-12.0, 12.0, 4001))
     out: list[float] = []
     for r in sorted(roots):
         if not any(abs(r - s) <= 1e-9 * max(1.0, s) for s in out):
@@ -274,23 +286,11 @@ def ising_type_solve(Qpp: float, Qpm: float, d: int) -> list[float]:
     return out
 
 
-def is_normalizable(law: PeriodicBoundaryLaw, op: TransferOperator, d: int,
-                    horizon: int = 200, analytic_shortcut: bool = True) -> bool:
-    """Certificate test for the single-site summability of a boundary law.
+def is_normalizable(law: PeriodicBoundaryLaw, op: TransferOperator, d: int) -> bool:
+    """Single-site summability of a boundary law: always False here.
 
     The summand at height w is (sum_j Q(w - j) l(j))**(d + 1). For a
-    q-periodic law it is q-periodic in w and bounded below, so the sum
-    diverges and the answer is False; the analytic shortcut returns that
-    directly. The numeric path inspects partial sums out to the horizon and
-    reports False when the summand stays above half its value at the origin
-    anywhere within the last period.
+    q-periodic law it is q-periodic in w and bounded below by a positive
+    constant, so the sum over w diverges.
     """
-    if analytic_shortcut:
-        return False
-    norms = interaction_matrix(op, law.q) @ law.as_array()
-    g = lambda w: float(norms[w % law.q] ** (d + 1))
-    ref = g(0)
-    last = range(max(horizon - law.q + 1, 1), horizon + 1)
-    if any(g(w) > 0.5 * ref for w in last) or any(g(-w) > 0.5 * ref for w in last):
-        return False
-    raise Inconclusive(f"no criterion triggered within horizon {horizon}")
+    return False

@@ -15,9 +15,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,15 +47,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(Exception):
     pass
-
-
-def _workers() -> int:
-    raw = os.environ.get("GGM_WORKERS", "")
-    try:
-        n = int(raw) if raw else min(4, os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"GGM_WORKERS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _load_model(path: str):
@@ -141,6 +130,8 @@ def cmd_solve_bl(args) -> int:
     if args.beta_min is not None or args.beta_max is not None:
         if args.beta_min is None or args.beta_max is None:
             raise ConfigError("--beta-min and --beta-max must be given together")
+        if args.beta_max < args.beta_min:
+            raise ConfigError("--beta-max must not be below --beta-min")
         if not hasattr(op, "beta"):
             raise ConfigError("beta sweeps need an sos or discrete_gaussian potential")
         count = int(round((args.beta_max - args.beta_min) / args.beta_step)) + 1
@@ -156,18 +147,12 @@ def cmd_solve_bl(args) -> int:
         "max_iter": args.max_iter,
         "tol": args.tol,
     }
-
-    def solve_at(beta):
+    rows = []
+    for beta in betas:
         local = op if beta is None else type(op)(beta)
-        return beta, bl_solver.find_branches(
+        reports = bl_solver.find_branches(
             local, q, d, n_starts=args.starts, damping=args.damping,
             max_iter=args.max_iter, tol=args.tol)
-
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        results = list(pool.map(solve_at, betas))
-    results.sort(key=lambda r: (r[0] is not None, r[0]))
-    rows = []
-    for beta, reports in results:
         for rep in reports:
             rows.append([beta if beta is not None else "", rep.branch_label,
                          *[float(v) for v in rep.solution.a],
@@ -360,6 +345,24 @@ def cmd_chain_dump(args) -> int:
 # parser
 
 
+def _checked(kind, accept, what: str):
+    """argparse type converting with ``kind`` and rejecting values outside
+    ``accept``, so bad numbers are configuration errors (exit 2)."""
+    def parse(text: str):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid <name> value"
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
+_DAMPING = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_COUNT = _checked(int, lambda v: v >= 0, "non-negative")
+_DEPTH = _checked(int, lambda v: v >= 1, "at least 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ggmtree",
@@ -382,10 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--beta-min", type=float, default=None)
     p.add_argument("--beta-max", type=float, default=None)
-    p.add_argument("--beta-step", type=float, default=0.05)
+    p.add_argument("--beta-step", type=_POSITIVE, default=0.05)
     p.add_argument("--starts", type=int, default=50)
-    p.add_argument("--damping", type=float, default=0.7)
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--damping", type=_DAMPING, default=0.7)
+    p.add_argument("--max-iter", type=_COUNT, default=5000)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_solve_bl)
 
@@ -403,14 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw configurations on a closed ball")
     add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_DEPTH, default=2)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run the invariant suite on a model")
     add_common(p)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_DEPTH, default=2)
     p.add_argument("--perturb", type=float, default=0.0)
     p.set_defaults(func=cmd_verify)
     p.set_defaults(tol=1e-9)

@@ -14,7 +14,7 @@ class Diverged(GGMError):
 
 
 class MaxIterations(GGMError):
-    """Iteration budget exhausted. Carries the best iterate seen."""
+    """Iteration budget exhausted. Carries the last iterate and its residual."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -59,7 +59,3 @@ class TailTooFat(GGMError):
 
 class PeriodMismatch(GGMError):
     """Two boundary laws with different periods cannot be compared."""
-
-
-class Inconclusive(GGMError):
-    """A certificate-style test triggered neither criterion by its horizon."""

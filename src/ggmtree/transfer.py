@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .bl_solver import grid_roots
 from .errors import NonSummable
 from .model import (
     LiftedPotts,
@@ -109,13 +109,7 @@ def potts_boundary_laws(q: int, beta_tilde: float, d: int) -> list[PeriodicBound
         return ((q - 1.0 + eb * a) / (eb + q - 2.0 + a)) ** d - a
 
     laws = [PeriodicBoundaryLaw.trivial(q)]
-    grid = np.logspace(-8.0, 8.0, 3001)
-    vals = np.array([f(a) for a in grid])
-    roots: list[float] = []
-    for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if flo * fhi < 0.0:
-            roots.append(float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)))
-    for r in roots:
+    for r in grid_roots(f, np.logspace(-8.0, 8.0, 3001)):
         if abs(r - 1.0) <= 1e-9:
             continue
         if any(abs(r - law.a[-1]) <= 1e-9 for law in laws[1:]):

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ggmtree
+from ggmtree import bl_solver, transfer
 from ggmtree import (
     SOS,
     MaxIterations,
@@ -18,10 +24,12 @@ from ggmtree import (
     fixed_point_solve,
     is_normalizable,
     ising_type_solve,
+    potts_boundary_laws,
     residual,
     wrapped_row,
 )
 from ggmtree.bl_solver import BRANCH_LOWER, BRANCH_TRIVIAL, BRANCH_UPPER
+from ggmtree.model import interaction_matrix
 
 
 class TestResidual:
@@ -95,6 +103,30 @@ class TestFixedPoint:
             fixed_point_solve(SOS(2.0), 2, 2, [1.0, 9.0], max_iter=3, tol=1e-14)
         assert err.value.report is not None
         assert err.value.report.residual < 1.0
+
+    def test_budget_exhaustion_reports_last_iterate(self):
+        C = interaction_matrix(SOS(2.0), 2)
+        a = np.array([1.0, 9.0])
+        for _ in range(4):  # max_iter = 3 allows four damped updates
+            F = (C @ a) ** 2
+            a = 0.3 * a + 0.7 * F / F[0]
+            a /= a[0]
+        with pytest.raises(MaxIterations) as err:
+            fixed_point_solve(SOS(2.0), 2, 2, [1.0, 9.0], max_iter=3, tol=1e-14)
+        rep = err.value.report
+        assert rep.solution.a[1] == pytest.approx(a[1], rel=1e-12)
+        assert rep.residual == residual(rep.solution, SOS(2.0), 2)
+
+    @pytest.mark.parametrize("solve", [
+        lambda: find_branches(SOS(2.0), 2, 2, damping=0.0),
+        lambda: find_branches(SOS(2.0), 2, 2, max_iter=-1),
+        lambda: fixed_point_solve(SOS(2.0), 2, 2, [1.0, 9.0], damping=1.5),
+        lambda: fixed_point_solve(SOS(2.0), 2, 2, [1.0, 9.0], max_iter=-1),
+    ], ids=["branches-damping-0", "branches-max-iter-neg", "solve-damping-1.5",
+            "solve-max-iter-neg"])
+    def test_bad_iteration_settings_raise(self, solve):
+        with pytest.raises(ValueError):
+            solve()
 
     def test_agreement_with_closed_form_across_betas(self):
         for beta in np.linspace(1.8, 3.0, 20):
@@ -174,6 +206,18 @@ class TestCriticalBeta:
             assert critical_beta(4, d) == pytest.approx(
                 math.acosh(d / (d - 1.0)), abs=1e-10)
 
+    @pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (2, 4), (2, 7), (2, 20),
+                                      (3, 2), (4, 2), (4, 3), (4, 5), (4, 20)])
+    def test_effective_temperature_hits_threshold(self, q, d):
+        variant = "q4_paired" if q == 4 else "generic"
+        target = math.log(1.0 + 2.0 * math.sqrt(2.0)) if q == 3 else math.atanh(1.0 / d)
+        got = effective_beta(SOS(critical_beta(q, d)), q, variant)
+        assert got == pytest.approx(target, rel=0.0, abs=1e-14)
+
+    def test_equal_closed_forms_are_equal_floats(self):
+        # both thresholds are cosh(beta) = 2
+        assert critical_beta(2, 3) == critical_beta(4, 2) == math.acosh(2.0)
+
     def test_unsupported_cases(self):
         with pytest.raises(UnsupportedPeriod):
             critical_beta(5, 2)
@@ -204,12 +248,73 @@ class TestIsingTypeSolve:
         assert len(ising_type_solve(ratio * 0.98, 1.0, 2)) == 1
 
 
+ISING_CASES = [(ratio, d) for ratio in (1.5, 2.9, 3.1, 5.0, 20.0, 1e3, 1e6)
+               for d in (2, 3, 4, 7)]
+POTTS_CASES = [(q, bt, d) for q in (3, 4, 5, 8) for bt in (0.5, 1.5, 2.5, 4.0, 6.0)
+               for d in (2, 3, 4)]
+
+
+def _ising_f(Qpp, Qpm, d):
+    return lambda a: ((Qpm + a * Qpp) / (Qpp + a * Qpm)) ** d - a
+
+
+def _potts_f(q, bt, d):
+    eb = float(np.exp(bt))
+    return lambda a: ((q - 1.0 + eb * a) / (eb + q - 2.0 + a)) ** d - a
+
+
+def _solved_roots():
+    """(f, roots) of the two scalar solvers on every case."""
+    out = [(_ising_f(ratio, 1.0, d), ising_type_solve(ratio, 1.0, d))
+           for ratio, d in ISING_CASES]
+    out += [(_potts_f(q, bt, d), [law.a[-1] for law in potts_boundary_laws(q, bt, d)[1:]])
+            for q, bt, d in POTTS_CASES]
+    return out
+
+
+class TestGridRoots:
+    def test_roots_bracketed_to_one_ulp(self):
+        for f, roots in _solved_roots():
+            for r in roots:
+                vals = [f(x) for x in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf))]
+                assert min(vals) <= 0.0 <= max(vals), r
+
+    def test_matches_brentq_scan(self, monkeypatch):
+        # the scan the library used while it depended on scipy
+        brentq = pytest.importorskip("scipy.optimize").brentq
+
+        def brentq_roots(f, grid):
+            vals = [f(x) for x in grid]
+            roots = []
+            for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+                if flo == 0.0:
+                    roots.append(float(lo))
+                elif flo * fhi < 0.0:
+                    roots.append(float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)))
+            return roots
+
+        new = [roots for _, roots in _solved_roots()]
+        monkeypatch.setattr(bl_solver, "grid_roots", brentq_roots)
+        monkeypatch.setattr(transfer, "grid_roots", brentq_roots)
+        old = [roots for _, roots in _solved_roots()]
+        for got, want in zip(new, old):
+            assert len(got) == len(want)
+            # both stop inside the rounding band around a root, which widens
+            # near double roots; brentq's absolute xtol = 1e-15 bounds small roots
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(ggmtree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ggmtree; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestNormalizability:
     def test_periodic_laws_never_normalizable(self, sos2, upper_law):
         assert is_normalizable(upper_law, sos2, 2) is False
         assert is_normalizable(PeriodicBoundaryLaw.trivial(3), sos2, 2) is False
-
-    def test_numeric_certificate_agrees(self, sos2, upper_law):
-        assert is_normalizable(upper_law, sos2, 2, analytic_shortcut=False) is False
-        assert is_normalizable(PeriodicBoundaryLaw.trivial(1), SOS(1.0), 2,
-                               analytic_shortcut=False) is False

@@ -62,18 +62,6 @@ class TestSolveBl:
         assert all(row["branch"] == "trivial" for row in rows)
         assert len(rows) == 3
 
-    def test_worker_count_does_not_change_output(self, model_file, tmp_path,
-                                                 monkeypatch):
-        outs = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("GGM_WORKERS", workers)
-            out = tmp_path / f"sweep_{workers}.csv"
-            assert main(["solve-bl", "--model", model_file, "--beta-min", "1.7",
-                         "--beta-max", "1.85", "--beta-step", "0.05",
-                         "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_malformed_json_exits_2_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"potential": {"kind": "sos",')
@@ -83,6 +71,22 @@ class TestSolveBl:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["solve-bl", "--model", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-bl", "--beta-min", "1.5", "--beta-max", "2.0", "--beta-step", "0"],
+    ["solve-bl", "--beta-min", "1.5", "--beta-max", "2.0", "--beta-step", "-0.05"],
+    ["solve-bl", "--beta-min", "2.0", "--beta-max", "1.5"],
+    ["solve-bl", "--damping", "0"],
+    ["solve-bl", "--damping", "1.5"],
+    ["solve-bl", "--max-iter", "-1"],
+    ["sample", "--n", "-1"],
+    ["sample", "--n", "5", "--depth", "0"],
+    ["verify", "--depth", "0"],
+], ids=" ".join)
+def test_bad_number_exits_2(model_file, argv):
+    command, *rest = argv
+    assert main([command, "--model", model_file, *rest]) == 2
 
 
 class TestCriticalBeta:
