@@ -43,7 +43,8 @@ class LayerKernel:
     s, renormalized to sum to one; the mass dropped by the truncation is kept
     in ``deficits``. ``norms`` are the exact one-step normalizers N(s) and
     ``circulant`` is the wrapped interaction matrix, both computed from full
-    sums so that no truncation error enters them.
+    sums so that no truncation error enters them. ``weights`` holds Q(z) for
+    z = -M .. M.
     """
 
     op: TransferOperator
@@ -53,6 +54,7 @@ class LayerKernel:
     rows: np.ndarray = field(repr=False)
     deficits: np.ndarray = field(repr=False)
     circulant: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @property
     def q(self) -> int:
@@ -100,7 +102,7 @@ def build_layer_kernel(op: TransferOperator, law: PeriodicBoundaryLaw,
             f"above the declared bound {window.tail_mass_bound:.3e}"
         )
     rows = rows / kept[:, None]
-    return LayerKernel(op, law, window, norms, rows, deficits, circ)
+    return LayerKernel(op, law, window, norms, rows, deficits, circ, weights)
 
 
 @dataclass(frozen=True, eq=False)

@@ -360,7 +360,7 @@ def _checked(kind, accept, what: str):
 _POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
 _DAMPING = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _COUNT = _checked(int, lambda v: v >= 0, "non-negative")
-_DEPTH = _checked(int, lambda v: v >= 1, "at least 1")
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", required=True, help="JSON model description")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--window", type=int, default=None,
+        p.add_argument("--window", type=_AT_LEAST_1, default=None,
                        help="increment cutoff (default: certified automatically)")
         p.add_argument("--branch", default="auto",
                        choices=["auto", "trivial", "upper", "lower", "other"])
@@ -386,10 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-min", type=float, default=None)
     p.add_argument("--beta-max", type=float, default=None)
     p.add_argument("--beta-step", type=_POSITIVE, default=0.05)
-    p.add_argument("--starts", type=int, default=50)
+    p.add_argument("--starts", type=_COUNT, default=50)
     p.add_argument("--damping", type=_DAMPING, default=0.7)
     p.add_argument("--max-iter", type=_COUNT, default=5000)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     p.set_defaults(func=cmd_solve_bl)
 
     p = sub.add_parser("critical-beta", help="onset of multiple boundary laws")
@@ -408,25 +408,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=_DEPTH, default=2)
+    p.add_argument("--depth", type=_AT_LEAST_1, default=2)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run the invariant suite on a model")
     add_common(p)
-    p.add_argument("--depth", type=_DEPTH, default=2)
+    p.add_argument("--depth", type=_AT_LEAST_1, default=2)
     p.add_argument("--perturb", type=float, default=0.0)
     p.set_defaults(func=cmd_verify)
     p.set_defaults(tol=1e-9)
 
     p = sub.add_parser("correlation", help="covariance decay along a path")
     add_common(p)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_AT_LEAST_1, default=10)
     p.set_defaults(func=cmd_correlation)
 
     p = sub.add_parser("counterexample", help="conditional drift of the 1-D mixture")
     p.add_argument("--eps0", type=float, required=True)
     p.add_argument("--eps1", type=float, required=True)
-    p.add_argument("--kmax", type=int, default=12)
+    p.add_argument("--kmax", type=_AT_LEAST_1, default=12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_counterexample)
 

@@ -7,22 +7,25 @@ by a partition sum). Mixing the pinned measure over the stationary layer
 distribution gives the homogeneous gradient measure; an alternative form sums
 the boundary-law weight over a global class shift instead.
 
-All normalizers are computed exactly by a depth-first pass that keeps one
-vector per vertex indexed by the mod-q layer, so no configuration enumeration
-is needed; enumeration helpers are provided for cross-checks and conditional
-computations on small volumes.
+All normalizers are computed exactly by one upward pass (``_upward``) that
+keeps one vector per vertex indexed by the mod-q layer. No verifier check
+visits integer configurations one at a time; each scans classes of them in
+numpy blocks of at most ``BLOCK`` rows, and its docstring says why the scan is
+exact. The dual-gap scans visit the q**edges residue vectors, the consistency
+check the q**|inner edges| residue classes of the inner increments, and the
+restricted conditional check the (2*cutoff+1)**|inner| heights of the inner
+vertices; the homogeneity check evaluates its configurations as one batch.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .chains import FuzzyChain, LayerKernel
-from .errors import PinInsideInner, VolumeTooLarge
+from .errors import OutOfWindow, PinInsideInner, VolumeTooLarge
 from .model import (
     FiniteTreeVolume,
     GradientConfiguration,
@@ -58,6 +61,8 @@ __all__ = [
     "two_bond_marginal",
 ]
 
+BLOCK = 2**14  # rows per block, so scans need O(BLOCK x vertices) memory
+
 
 @dataclass(frozen=True, eq=False)
 class PinnedMeasureSpec:
@@ -92,43 +97,56 @@ class GGMSpec:
 # the two pinned representations
 
 
-def _product_prob(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
-                  s: int, zeta) -> float:
+def _product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+                   s: int, Z) -> np.ndarray:
+    """Product-form probabilities of the rows of Z pinned to class s at
+    ``pin``: each edge walked away from the pin from layer t contributes
+    Q(z) a[(t + z) % q] / N(t), as ``LayerKernel.prob`` (not the window-
+    renormalized rows)."""
+    Z = np.asarray(Z, dtype=np.int64)
+    cutoff = kernel.window.cutoff
+    if Z.size and np.abs(Z).max() > cutoff:
+        raise OutOfWindow(f"|zeta| = {np.abs(Z).max()} exceeds cutoff {cutoff}")
     q = kernel.q
-    layer = [0] * volume.n_vertices
+    a = kernel.law.as_array()
+    layer = np.empty((volume.n_vertices, len(Z)), dtype=np.int64)
     layer[pin] = s % q
-    p = 1.0
+    p = np.ones(len(Z))
     for e, src, dst, sign in volume.orientation_from(pin):
-        z = sign * int(zeta[e])
-        p *= kernel.prob(layer[src], z)
-        layer[dst] = (layer[src] + z) % q
+        z = sign * Z[:, e]
+        t = layer[src]
+        layer[dst] = (t + z) % q
+        p = p * (kernel.weights[z + cutoff] * a[layer[dst]] / kernel.norms[t])
     return p
 
 
 def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration) -> float:
     """Probability of a full edge configuration as a product of kernel factors
     along the edges oriented away from the pin."""
-    return _product_prob(spec.kernel, spec.volume, spec.pin_vertex,
-                         spec.pin_class, zeta.increments)
+    return float(_product_probs(spec.kernel, spec.volume, spec.pin_vertex,
+                                spec.pin_class, [zeta.increments])[0])
 
 
-@lru_cache(maxsize=None)
+def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
+            leaf: Mapping[int, np.ndarray], edges=None) -> list[np.ndarray]:
+    """The pass from the leaves towards ``pin`` over mod-q layer vectors:
+    v starts from ``leaf[v]`` (else ones) and each edge, or each one in
+    ``edges``, multiplies ``matrix @ f[dst]`` into ``f[src]``. Then f[v] is the
+    weight of the part of the volume below v (away from the pin) by layer."""
+    q = len(matrix)
+    f = [leaf[v] if v in leaf else np.ones(q) for v in range(volume.n_vertices)]
+    for e, src, dst, sign in reversed(volume.orientation_from(pin)):
+        if edges is None or e in edges:
+            f[src] = f[src] * (matrix @ f[dst])
+    return f
+
+
 def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np.ndarray:
     """Partition sums of the boundary-law weight over all integer
-    configurations, as a vector over the pin class.
-
-    One pass away from the pin: each vertex carries a vector over its layer,
-    leaves start from the boundary-law values (or ones when interior), and an
-    edge contracts its child vector with the wrapped interaction matrix.
-    """
-    q = kernel.q
-    a = kernel.law.as_array()
-    C = kernel.circulant
-    f = [a.copy() if v in volume.boundary else np.ones(q)
-         for v in range(volume.n_vertices)]
-    for e, src, dst, sign in reversed(volume.orientation_from(pin)):
-        f[src] = f[src] * (C @ f[dst])
-    return f[pin]
+    configurations, as a vector over the pin class: the upward pass with the
+    wrapped interaction matrix, from the boundary-law values at the boundary."""
+    leaf = dict.fromkeys(volume.boundary, kernel.law.as_array())
+    return _upward(volume, pin, kernel.circulant, leaf)[pin]
 
 
 def _bl_weight(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
@@ -166,7 +184,7 @@ def ggm_prob(spec: GGMSpec, zeta: GradientConfiguration, pin: int | None = None)
     w = 0 if pin is None else pin
     alpha = spec.chain.alpha
     return float(sum(
-        alpha[s] * _product_prob(spec.kernel, spec.volume, w, s, zeta.increments)
+        alpha[s] * _product_probs(spec.kernel, spec.volume, w, s, [zeta.increments])[0]
         for s in range(spec.kernel.q)
     ))
 
@@ -200,14 +218,16 @@ def coupling_expectation(spec: GGMSpec, func: Callable[[GradientConfiguration, d
     alpha = spec.chain.alpha
     q = spec.kernel.q
     total = 0.0
-    for arr in windowed_configs(volume, spec.kernel.window, config_budget):
-        cfg = GradientConfiguration(volume, tuple(int(v) for v in arr))
-        for s in range(q):
-            p = alpha[s] * _product_prob(spec.kernel, volume, 0, s, arr)
-            if p == 0.0:
-                continue
-            labels = dict(enumerate(vertex_layers(volume, q, 0, s, arr)))
-            total += p * func(cfg, labels)
+    for Z in _window_blocks(volume, spec.kernel.window, config_budget):
+        probs = [alpha[s] * _product_probs(spec.kernel, volume, 0, s, Z) for s in range(q)]
+        for i, arr in enumerate(Z):
+            cfg = GradientConfiguration(volume, tuple(int(v) for v in arr))
+            for s in range(q):
+                p = probs[s][i]
+                if p == 0.0:
+                    continue
+                labels = dict(enumerate(vertex_layers(volume, q, 0, s, arr)))
+                total += p * func(cfg, labels)
     return float(total)
 
 
@@ -259,31 +279,46 @@ def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
 # enumeration helpers
 
 
+def _product_blocks(sizes: list[int]) -> Iterator[np.ndarray]:
+    """The tuples of ``itertools.product(*map(range, sizes))`` in its order,
+    as arrays of shape (len(sizes), rows) with at most BLOCK rows each."""
+    strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
+    strides = np.array(strides, dtype=np.int64)[:, None]
+    radix = np.array(sizes, dtype=np.int64)[:, None]
+    total = math.prod(sizes)
+    for start in range(0, total, BLOCK):
+        yield np.arange(start, min(start + BLOCK, total)) // strides % radix
+
+
+def _window_blocks(volume: FiniteTreeVolume, window: IncrementWindow,
+                   config_budget: int) -> Iterator[np.ndarray]:
+    """All increment assignments with every entry in the window, in
+    ``itertools.product`` order, as (rows, n_edges) blocks."""
+    width = 2 * window.cutoff + 1
+    count = width ** volume.n_edges
+    if count > config_budget:
+        raise VolumeTooLarge(f"{count} configurations exceed the budget {config_budget}")
+    for block in _product_blocks([width] * volume.n_edges):
+        yield block.T - window.cutoff
+
+
 def windowed_configs(volume: FiniteTreeVolume, window: IncrementWindow,
                      config_budget: int = 10**7) -> Iterator[np.ndarray]:
     """All increment assignments with every entry in the window."""
-    count = (2 * window.cutoff + 1) ** volume.n_edges
-    if count > config_budget:
-        raise VolumeTooLarge(f"{count} configurations exceed the budget {config_budget}")
-    rng = range(-window.cutoff, window.cutoff + 1)
-    for combo in itertools.product(rng, repeat=volume.n_edges):
-        yield np.array(combo, dtype=np.int64)
+    for block in _window_blocks(volume, window, config_budget):
+        yield from block
 
 
 def windowed_mass(spec: PinnedMeasureSpec) -> float:
     """Total product-form probability of the windowed configuration space,
     computed by the layer pass (equals one minus the truncated tail)."""
     kernel = spec.kernel
-    volume = spec.volume
     q = kernel.q
-    offs = kernel.offsets
     W = np.zeros((q, q))
     for t in range(q):
-        for z in offs:
+        for z in kernel.offsets:
             W[t, (t + int(z)) % q] += kernel.prob(t, int(z))
-    f = [np.ones(q) for _ in range(volume.n_vertices)]
-    for e, src, dst, sign in reversed(volume.orientation_from(spec.pin_vertex)):
-        f[src] = f[src] * (W @ f[dst])
+    f = _upward(spec.volume, spec.pin_vertex, W, {})
     return float(f[spec.pin_vertex][spec.pin_class])
 
 
@@ -375,20 +410,24 @@ def _interior_set(volume: FiniteTreeVolume, inner) -> set[int]:
     return set(ids)
 
 
-def _hanging_factors(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
-                     boundary_of_inner: Iterable[int]) -> dict[int, np.ndarray]:
-    """For each vertex on the inner boundary, the summed weight of the part of
-    the volume hanging below it (away from the pin), as a vector over its
-    layer. Equals the boundary law itself exactly when the law solves the
-    fixed-point equation."""
-    q = kernel.q
-    a = kernel.law.as_array()
-    C = kernel.circulant
-    f = [a.copy() if v in volume.boundary else np.ones(q)
-         for v in range(volume.n_vertices)]
-    for e, src, dst, sign in reversed(volume.orientation_from(pin)):
-        f[src] = f[src] * (C @ f[dst])
-    return {v: f[v] for v in boundary_of_inner}
+def _residue_layers(volume: FiniteTreeVolume, pin: int, q: int,
+                    edges) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of the residue vectors on ``edges`` (other edges have residue
+    0) in ``itertools.product`` order, shape (len(edges), rows), each with
+    the layers reached from class 0 at ``pin``, shape (n_vertices, rows)."""
+    column = {e: j for j, e in enumerate(edges)}
+    for R in _product_blocks([q] * len(edges)):
+        layers = np.zeros((volume.n_vertices, R.shape[1]), dtype=np.int64)
+        for e, src, dst, sign in volume.orientation_from(pin):
+            step = sign * R[column[e]] if e in column else 0
+            layers[dst] = (layers[src] + step) % q
+        yield R, layers
+
+
+def _max_q_per_residue(kernel: LayerKernel) -> np.ndarray:
+    best = np.zeros(kernel.q)
+    np.maximum.at(best, kernel.offsets % kernel.q, kernel.weights)
+    return best
 
 
 def check_consistency(spec: PinnedMeasureSpec, inner,
@@ -401,64 +440,53 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     object, in which case its interior is used); it must contain the pin.
     With ``mixture=True`` both sides are averaged over the stationary layer
     distribution of ``chain``.
+
+    Returns the largest difference over the windowed inner configurations by
+    scanning the q**|inner edges| residue classes of the inner increments
+    (``config_budget`` bounds that count). This is exact: both sides are the
+    product of the inner Q factors times factors of the inner-boundary
+    layers, which only see residues, so a class's largest difference is its
+    gap times the largest product, the product of per-edge maxima.
     """
     volume = spec.volume
     kernel = spec.kernel
     if not volume.full:
         raise ValueError("consistency checks need a closed regular volume")
     q = kernel.q
+    pin = spec.pin_vertex
     ids = _interior_set(volume, inner)
-    if spec.pin_vertex not in ids:
+    if pin not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
     inner_edges = volume.edges_touching(ids)
-    inner_edge_set = set(inner_edges)
     inner_boundary = volume.adjacent_outside(ids)
-    hang = _hanging_factors(kernel, volume, spec.pin_vertex, inner_boundary)
     a = kernel.law.as_array()
-    C = kernel.circulant
-    z_big = _bl_partition(kernel, volume, spec.pin_vertex)
-
-    # exact partition of the directly computed inner measure, by the same
-    # layer pass restricted to the inner edges
-    f = [a.copy() if v in inner_boundary else np.ones(q)
-         for v in range(volume.n_vertices)]
-    for e, src, dst, sign in reversed(volume.orientation_from(spec.pin_vertex)):
-        if e in inner_edge_set:
-            f[src] = f[src] * (C @ f[dst])
-    z_inner = f[spec.pin_vertex]
+    # the weight hanging below each inner-boundary vertex equals the boundary
+    # law itself exactly when the law solves the fixed-point equation
+    hang = _upward(volume, pin, kernel.circulant, dict.fromkeys(volume.boundary, a))
+    z_big = hang[pin]
+    z_inner = _upward(volume, pin, kernel.circulant, dict.fromkeys(inner_boundary, a),
+                      set(inner_edges))[pin]
 
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
     s_values = range(q) if mixture else [spec.pin_class]
-    s_weights = chain.alpha if mixture else None
 
-    count = (2 * kernel.window.cutoff + 1) ** len(inner_edges)
+    count = q ** len(inner_edges)
     if count > config_budget:
-        raise VolumeTooLarge(f"{count} inner configurations exceed {config_budget}")
+        raise VolumeTooLarge(f"{count} inner residue classes exceed {config_budget}")
 
-    rng = range(-kernel.window.cutoff, kernel.window.cutoff + 1)
-    combos = list(itertools.product(rng, repeat=len(inner_edges)))
-    layers_cache = []
-    qprod_cache = []
-    for combo in combos:
-        arr = np.zeros(volume.n_edges, dtype=np.int64)
-        for e, z in zip(inner_edges, combo):
-            arr[e] = z
-        heights = vertex_heights(volume, spec.pin_vertex, 0, arr)
-        layers_cache.append({v: int(heights[v]) for v in inner_boundary})
-        qprod_cache.append(float(np.prod([eval_q(kernel.op, z) for z in combo])))
-
+    maxq = _max_q_per_residue(kernel)
     worst = 0.0
-    for lay, qp in zip(layers_cache, qprod_cache):
-        marg = 0.0
-        direct = 0.0
+    for R, layers in _residue_layers(volume, pin, q, inner_edges):
+        qp = np.prod(maxq[R], axis=0)
+        marg = direct = 0.0
         for s in s_values:
-            w = 1.0 if s_weights is None else float(s_weights[s])
-            m = qp * float(np.prod([hang[v][(lay[v] + s) % q] for v in inner_boundary]))
-            p = qp * float(np.prod([a[(lay[v] + s) % q] for v in inner_boundary]))
-            marg += w * m / z_big[s]
-            direct += w * p / z_inner[s]
-        worst = max(worst, abs(marg - direct))
+            w = float(chain.alpha[s]) if mixture else 1.0
+            t = [(layers[v] + s) % q for v in inner_boundary]
+            m = np.prod([hang[v][tv] for v, tv in zip(inner_boundary, t)], axis=0)
+            marg = marg + w * (qp * m) / z_big[s]
+            direct = direct + w * (qp * np.prod(a[t], axis=0)) / z_inner[s]
+        worst = max(worst, float(np.max(np.abs(marg - direct))))
     return worst
 
 
@@ -467,29 +495,26 @@ def check_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
     """Evaluate the mixture probability with several pin vertices on identical
     configurations; returns the largest pairwise difference.
 
-    All windowed configurations are used when there are few enough, otherwise
-    a seeded sample.
+    All windowed configurations are used when there are at most
+    ``enumerate_budget``, otherwise a seeded sample plus the all-zero
+    configuration. Each pin evaluates the whole batch at once.
     """
     volume = spec.volume
     kernel = spec.kernel
-    pins = list(pins)
     total = (2 * kernel.window.cutoff + 1) ** volume.n_edges
     if total <= enumerate_budget:
-        configs = [arr for arr in windowed_configs(volume, kernel.window, enumerate_budget)]
+        configs = np.concatenate(list(_window_blocks(volume, kernel.window, total)))
     else:
         # typical configurations, so the compared probabilities carry mass
-        configs = list(sample_ggm_batch(spec, n_configs, seed))
-        configs.append(np.zeros(volume.n_edges, dtype=np.int64))
+        configs = np.vstack([sample_ggm_batch(spec, n_configs, seed),
+                             np.zeros((1, volume.n_edges), dtype=np.int64)])
     alpha = spec.chain.alpha
-    worst = 0.0
-    for arr in configs:
-        probs = [
-            float(sum(alpha[s] * _product_prob(kernel, volume, w, s, arr)
-                      for s in range(kernel.q)))
-            for w in pins
-        ]
-        worst = max(worst, max(probs) - min(probs))
-    return worst
+    probs = np.array([
+        sum(alpha[s] * _product_probs(kernel, volume, w, s, configs)
+            for s in range(kernel.q))
+        for w in pins
+    ])
+    return max(0.0, float(np.max(probs.max(axis=0) - probs.min(axis=0))))
 
 
 def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
@@ -505,6 +530,14 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     ``outside`` fixes increments on edges outside the sub-volume;
     ``reference`` chooses the inner configuration whose boundary-height class
     is conditioned on (default all zeros).
+
+    The scan visits the (2*cutoff+1)**|inner| choices of the increment on the
+    edge entering each inner vertex from the pin side (``config_budget``
+    bounds that count). It is exact: some inner-boundary vertex is tied to
+    the pin through outside edges, so the class is the set of windowed
+    configurations that keep the reference heights on every vertex outside
+    the sub-volume, and those choices fix the inner heights. The members are
+    kept in the ``itertools.product`` order of their inner increments.
     """
     volume = spec.volume
     kernel = spec.kernel
@@ -512,8 +545,6 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     if spec.pin_vertex in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
     inner_edges = volume.edges_touching(ids)
-    inner_boundary = sorted(volume.adjacent_outside(ids))
-    anchor = inner_boundary[0]
 
     base = np.zeros(volume.n_edges, dtype=np.int64)
     if outside is not None:
@@ -527,37 +558,36 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
                 raise ValueError("reference assignment must live on inner edges")
             base[e] = int(z)
 
-    def boundary_class(arr: np.ndarray) -> tuple[int, ...]:
-        h = vertex_heights(volume, spec.pin_vertex, 0, arr)
-        return tuple(int(h[v] - h[anchor]) for v in inner_boundary)
-
-    target = boundary_class(base)
-
-    count = (2 * kernel.window.cutoff + 1) ** len(inner_edges)
+    cutoff = kernel.window.cutoff
+    count = (2 * cutoff + 1) ** len(ids)
     if count > config_budget:
-        raise VolumeTooLarge(f"{count} inner configurations exceed {config_budget}")
+        raise VolumeTooLarge(f"{count} inner height choices exceed {config_budget}")
 
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
 
-    joint = []
-    bare = []
-    rng = range(-kernel.window.cutoff, kernel.window.cutoff + 1)
-    for combo in itertools.product(rng, repeat=len(inner_edges)):
-        arr = base.copy()
-        for e, z in zip(inner_edges, combo):
-            arr[e] = z
-        if boundary_class(arr) != target:
-            continue
-        if mixture:
-            p = sum(chain.alpha[s] * _product_prob(kernel, volume, spec.pin_vertex, s, arr)
+    orient = volume.orientation_from(spec.pin_vertex)
+    movers = [dst for e, src, dst, sign in orient if dst in ids]
+    fixed = vertex_heights(volume, spec.pin_vertex, 0, base)
+    kept = []
+    for T in _product_blocks([2 * cutoff + 1] * len(movers)):
+        step = dict(zip(movers, T - cutoff))
+        h = list(fixed)
+        Z = np.empty((T.shape[1], volume.n_edges), dtype=np.int64)
+        for e, src, dst, sign in orient:
+            if dst in step:
+                h[dst] = h[src] + step[dst]
+            Z[:, e] = sign * (h[dst] - h[src])
+        kept.append(Z[np.all(np.abs(Z[:, inner_edges]) <= cutoff, axis=1)])
+    Z = np.concatenate(kept)
+    Z = Z[np.lexsort(Z[:, inner_edges[::-1]].T)]
+
+    if mixture:
+        joint = sum(chain.alpha[s] * _product_probs(kernel, volume, spec.pin_vertex, s, Z)
                     for s in range(kernel.q))
-        else:
-            p = _product_prob(kernel, volume, spec.pin_vertex, spec.pin_class, arr)
-        joint.append(float(p))
-        bare.append(float(np.prod([eval_q(kernel.op, int(arr[e])) for e in inner_edges])))
-    joint = np.array(joint)
-    bare = np.array(bare)
+    else:
+        joint = _product_probs(kernel, volume, spec.pin_vertex, spec.pin_class, Z)
+    bare = np.prod(kernel.weights[Z[:, inner_edges] + cutoff], axis=1)
     if joint.sum() == 0.0:
         raise ValueError("conditioning event has zero probability")
     return float(np.max(np.abs(joint / joint.sum() - bare / bare.sum())))
@@ -567,22 +597,36 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
 # exact extremes of the representation gap
 
 
-def _residue_layers(volume: FiniteTreeVolume, pin: int, q: int,
-                    residues) -> list[int]:
-    layer = [0] * volume.n_vertices
-    for e, src, dst, sign in volume.orientation_from(pin):
-        layer[dst] = (layer[src] + sign * residues[e]) % q
-    return layer
-
-
-def _max_q_per_residue(kernel: LayerKernel) -> np.ndarray:
+def _dual_gap(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+              alpha: Mapping[int, float], classes, z: float,
+              residue_budget: int) -> float:
+    """Largest |sum_s alpha[s] * (product form from class s at the pin)
+    - sum_k (boundary-law factors from class k) / z| times the largest Q
+    product, over the q**edges residue vectors of the increments."""
+    if not volume.full:
+        raise ValueError("the boundary-law form needs a closed regular volume")
     q = kernel.q
-    best = np.zeros(q)
-    for z in kernel.offsets:
-        w = eval_q(kernel.op, int(z))
-        r = int(z) % q
-        best[r] = max(best[r], w)
-    return best
+    if q ** volume.n_edges > residue_budget:
+        raise VolumeTooLarge("residue scan exceeds its budget")
+    a = kernel.law.as_array()
+    orient = volume.orientation_from(pin)
+    order = [e for e, src, dst, sign in orient]
+    maxq = _max_q_per_residue(kernel)
+    boundary = sorted(volume.boundary)
+    worst = 0.0
+    for R, layers in _residue_layers(volume, pin, q, range(volume.n_edges)):
+        h1 = h2 = 0.0
+        for s, w in alpha.items():
+            t = (layers + s) % q
+            term = np.full(R.shape[1], w)
+            for e, src, dst, sign in orient:
+                term = term * (a[t[dst]] / kernel.norms[t[src]])
+            h1 = h1 + term
+        for k in classes:
+            h2 = h2 + np.prod(a[(layers[boundary] + k) % q], axis=0)
+        wmax = np.prod(maxq[R[order]], axis=0)
+        worst = max(worst, float(np.max(np.abs(h1 - h2 / z) * wmax)))
+    return worst
 
 
 def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) -> float:
@@ -592,75 +636,19 @@ def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) ->
     Both forms share the bare product of Q factors; the remaining parts depend
     on the increments only through their residues mod q. The maximum therefore
     splits as (residue-class gap) times (largest Q product within the class),
-    and scanning the q**edges residue vectors is exhaustive.
+    and scanning the q**edges residue vectors, in blocks, is exhaustive;
+    ``residue_budget`` bounds that count.
     """
-    volume = spec.volume
-    kernel = spec.kernel
-    if not volume.full:
-        raise ValueError("the boundary-law form needs a closed regular volume")
-    q = kernel.q
-    if q ** volume.n_edges > residue_budget:
-        raise VolumeTooLarge("residue scan exceeds its budget")
-    a = kernel.law.as_array()
-    norms = kernel.norms
-    maxq = _max_q_per_residue(kernel)
-    z_pin = _bl_partition(kernel, volume, spec.pin_vertex)[spec.pin_class]
-    orient = volume.orientation_from(spec.pin_vertex)
-    boundary = sorted(volume.boundary)
-    worst = 0.0
-    for residues in itertools.product(range(q), repeat=volume.n_edges):
-        layer = [0] * volume.n_vertices
-        layer[spec.pin_vertex] = spec.pin_class
-        h1 = 1.0
-        wmax = 1.0
-        for e, src, dst, sign in orient:
-            t = layer[src]
-            t2 = (t + sign * residues[e]) % q
-            h1 *= a[t2] / norms[t]
-            layer[dst] = t2
-            wmax *= maxq[residues[e]]
-        h2 = float(np.prod([a[layer[y]] for y in boundary])) / z_pin
-        worst = max(worst, abs(h1 - h2) * wmax)
-    return worst
+    s = spec.pin_class
+    z = _bl_partition(spec.kernel, spec.volume, spec.pin_vertex)[s]
+    return _dual_gap(spec.kernel, spec.volume, spec.pin_vertex, {s: 1.0}, [s], z,
+                     residue_budget)
 
 
 def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
     """Exact maximum of |mixture form - class-summed boundary-law form| over
-    every windowed configuration, by the same residue-class argument."""
-    volume = spec.volume
-    kernel = spec.kernel
-    if not volume.full:
-        raise ValueError("the boundary-law form needs a closed regular volume")
-    q = kernel.q
-    if q ** volume.n_edges > residue_budget:
-        raise VolumeTooLarge("residue scan exceeds its budget")
-    a = kernel.law.as_array()
-    norms = kernel.norms
-    alpha = spec.chain.alpha
-    maxq = _max_q_per_residue(kernel)
-    parts = _bl_partition(kernel, volume, 0)
-    z_alt = float(parts.sum())
-    orient = volume.orientation_from(0)
-    boundary = sorted(volume.boundary)
-    worst = 0.0
-    for residues in itertools.product(range(q), repeat=volume.n_edges):
-        base_layer = _residue_layers(volume, 0, q, residues)
-        wmax = float(np.prod([maxq[r] for r in residues]))
-        h1 = 0.0
-        for s in range(q):
-            term = alpha[s]
-            layer = [(t + s) % q for t in base_layer]
-            cur = [0] * volume.n_vertices
-            cur[0] = s
-            for e, src, dst, sign in orient:
-                t = cur[src]
-                t2 = (t + sign * residues[e]) % q
-                term *= a[t2] / norms[t]
-                cur[dst] = t2
-            h1 += term
-        h2 = sum(
-            float(np.prod([a[(base_layer[y] + k) % q] for y in boundary]))
-            for k in range(q)
-        ) / z_alt
-        worst = max(worst, abs(h1 - h2) * wmax)
-    return worst
+    every windowed configuration, by the same scan of the q**edges residue
+    vectors."""
+    z = float(_bl_partition(spec.kernel, spec.volume, 0).sum())
+    return _dual_gap(spec.kernel, spec.volume, 0, dict(enumerate(spec.chain.alpha)),
+                     range(spec.kernel.q), z, residue_budget)

@@ -83,10 +83,29 @@ class TestSolveBl:
     ["sample", "--n", "-1"],
     ["sample", "--n", "5", "--depth", "0"],
     ["verify", "--depth", "0"],
+    ["solve-bl", "--starts", "-1"],
+    ["solve-bl", "--tol", "-1"],
+    ["marginal", "--window", "0"],
+    ["sample", "--n", "5", "--window", "-1"],
+    ["verify", "--window", "0"],
+    ["correlation", "--window", "-1"],
+    ["chain", "dump", "--window", "0"],
+    ["correlation", "--n-max", "0"],
+    ["counterexample", "--eps0", "0.1", "--eps1", "0.05", "--kmax", "-2"],
 ], ids=" ".join)
-def test_bad_number_exits_2(model_file, argv):
-    command, *rest = argv
-    assert main([command, "--model", model_file, *rest]) == 2
+def test_bad_number_exits_2(model_file, argv, capsys):
+    k = next(i for i, a in enumerate(argv) if a.startswith("-"))
+    model = [] if argv[0] == "counterexample" else ["--model", model_file]
+    assert main([*argv[:k], *model, *argv[k:]]) == 2
+    # rejected for the bad number, not for some other argument
+    assert [a for a in argv if a.startswith("--")][-1] in capsys.readouterr().err
+
+
+def test_zero_starts_still_yield_the_trivial_law(model_file, tmp_path):
+    out = tmp_path / "starts0.csv"
+    assert main(["solve-bl", "--model", model_file, "--starts", "0", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [row["branch"] for row in rows] == ["trivial"]
 
 
 class TestCriticalBeta:
@@ -120,6 +139,16 @@ class TestVerify:
         assert not checks["restricted_conditional"]["pass"]
         assert checks["restricted_conditional"]["violation"] > 1e-3
         assert not checks["dual_representation_pinned"]["pass"]
+
+    @pytest.mark.parametrize("model, depth", [
+        ({"potential": {"kind": "sos", "beta": 0.3}, "q": 2, "d": 2}, "2"),  # cutoff 92
+        ({"potential": {"kind": "sos", "beta": 2.0}, "q": 4, "d": 5}, "1"),
+    ], ids=["sos-beta0.3-depth2", "q4-d5-depth1"])
+    def test_wide_windows_and_high_degree_pass(self, model, depth, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["verify", "--model", str(path), "--depth", depth,
+                     "--out", str(tmp_path / "verify.json")]) == 0
 
     def test_trivial_branch_passes_at_tight_tolerance(self, model_file, tmp_path):
         out = tmp_path / "verify_trivial.json"
