@@ -6,8 +6,9 @@ or JSON for structured reports. Every output embeds a schema version and the
 fully resolved configuration, and identical configurations with identical
 seeds produce byte-identical files.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure.
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(including invalid models and volumes over a scan budget), 3 numerical
+failure.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -25,8 +27,10 @@ from .errors import (
     GGMError,
     MaxIterations,
     NonSummable,
+    TailTooFat,
     UnsupportedDegree,
     UnsupportedPeriod,
+    VolumeTooLarge,
 )
 from .model import (
     IncrementWindow,
@@ -61,7 +65,7 @@ def _load_model(path: str):
         )
     try:
         return model_from_json(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, TailTooFat) as exc:
         raise ConfigError(f"invalid model in {path}: {exc}")
 
 
@@ -73,13 +77,14 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _csv_text(meta: dict, header: list[str], rows: list[list]) -> str:
+def _csv_text(meta: dict, header: list[str], rows: Iterable) -> str:
+    """CSV under a ``# meta`` line. Rows hold Python ints, floats and strings;
+    csv writes floats with ``str``, which for floats is their ``repr``."""
     buf = io.StringIO()
     buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -105,20 +110,34 @@ def _select_law(op, q, d, branch: str, tol: float) -> tuple[PeriodicBoundaryLaw,
                       f"{sorted(set(r.branch_label for r in reports))}")
 
 
-def _apply_perturbation(law: PeriodicBoundaryLaw, perturb: float) -> PeriodicBoundaryLaw:
-    if perturb == 0.0:
-        return law
-    if law.q < 2:
-        raise ConfigError("--perturb needs a period of at least 2")
-    a = list(law.a)
-    a[1] *= 1.0 + perturb
-    return PeriodicBoundaryLaw.from_values(a)
+def _setup(args, command: str, *keys: str, law_tol: float | None = None):
+    """The model pipeline shared by the model commands: load the model, select
+    the law (solved at ``law_tol``, default ``--tol``), multiply its entry 1 by
+    1 + ``--perturb`` where the command has that option, and build the window
+    (certified, or ``--window``). Returns them with the base config, to which
+    ``keys`` adds the command's own arguments."""
+    op, q, d = _load_model(args.model)
+    law, label = _select_law(op, q, d, args.branch, args.tol if law_tol is None else law_tol)
+    perturb = getattr(args, "perturb", 0.0)
+    if perturb != 0.0:
+        if q < 2:
+            raise ConfigError("--perturb needs a period of at least 2")
+        a = list(law.a)
+        a[1] *= 1.0 + perturb
+        law = PeriodicBoundaryLaw.from_values(a)
+    if args.window is None:
+        window = IncrementWindow.for_model(op, law)
+    else:
+        window = IncrementWindow.manual(op, args.window, law)
+    config = {"command": command, "model": model_to_json(op, q, d), "branch": args.branch,
+              "window": window.cutoff, "tol": args.tol}
+    config.update((key, getattr(args, key)) for key in keys)
+    return op, d, law, label, window, config
 
 
-def _window_for(op, law, cutoff: int | None) -> IncrementWindow:
-    if cutoff is None:
-        return IncrementWindow.for_model(op, law)
-    return IncrementWindow.manual(op, cutoff, law)
+def _kernel_and_chain(op, law, window):
+    kernel = chains.build_layer_kernel(op, law, window)
+    return kernel, chains.fuzzy_transform(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +157,9 @@ def cmd_solve_bl(args) -> int:
         betas = [args.beta_min + i * args.beta_step for i in range(count)]
     else:
         betas = [getattr(op, "beta", None)]
-    config = {
-        "command": "solve-bl",
-        "model": model_to_json(op, q, d),
-        "betas": betas,
-        "starts": args.starts,
-        "damping": args.damping,
-        "max_iter": args.max_iter,
-        "tol": args.tol,
-    }
+    config = {"command": "solve-bl", "model": model_to_json(op, q, d), "betas": betas,
+              "starts": args.starts, "damping": args.damping, "max_iter": args.max_iter,
+              "tol": args.tol}
     rows = []
     for beta in betas:
         local = op if beta is None else type(op)(beta)
@@ -172,18 +185,7 @@ def cmd_critical_beta(args) -> int:
 
 
 def cmd_marginal(args) -> int:
-    op, q, d = _load_model(args.model)
-    law, label = _select_law(op, q, d, args.branch, args.tol)
-    law = _apply_perturbation(law, args.perturb)
-    window = _window_for(op, law, args.window)
-    config = {
-        "command": "marginal",
-        "model": model_to_json(op, q, d),
-        "branch": args.branch,
-        "window": window.cutoff,
-        "tol": args.tol,
-        "perturb": args.perturb,
-    }
+    op, d, law, label, window, config = _setup(args, "marginal", "perturb")
     marg = measures.single_bond_marginal(op, law, window)
     payload = _meta(config) | {
         "branch_label": label,
@@ -195,49 +197,23 @@ def cmd_marginal(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    op, q, d = _load_model(args.model)
-    law, label = _select_law(op, q, d, args.branch, args.tol)
-    window = _window_for(op, law, args.window)
-    kernel = chains.build_layer_kernel(op, law, window)
-    chain = chains.fuzzy_transform(kernel)
+    op, d, law, label, window, config = _setup(args, "sample", "n", "seed", "depth")
+    kernel, chain = _kernel_and_chain(op, law, window)
     volume = cayley_ball(d, args.depth)
-    spec = measures.GGMSpec(kernel, chain, volume)
-    config = {
-        "command": "sample",
-        "model": model_to_json(op, q, d),
-        "branch": args.branch,
-        "n": args.n,
-        "seed": args.seed,
-        "depth": args.depth,
-        "window": window.cutoff,
-        "tol": args.tol,
-    }
-    batch = measures.sample_ggm_batch(spec, args.n, args.seed)
-    rows = []
-    for i in range(args.n):
-        for e, (x, y) in enumerate(volume.directed_edges):
-            rows.append([i, f"{x}>{y}", int(batch[i, e])])
+    batch = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
+                                      args.n, args.seed)
+    labels = [f"{x}>{y}" for x, y in volume.directed_edges]
+    rows = ((i, edge, z) for i, sample in enumerate(batch.tolist())
+            for edge, z in zip(labels, sample))
     _emit(_csv_text(_meta(config), ["sample", "edge", "increment"], rows), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    op, q, d = _load_model(args.model)
-    law, label = _select_law(op, q, d, args.branch, 1e-12)
-    law = _apply_perturbation(law, args.perturb)
-    window = _window_for(op, law, args.window)
-    kernel = chains.build_layer_kernel(op, law, window)
-    chain = chains.fuzzy_transform(kernel)
+    op, d, law, label, window, config = _setup(args, "verify", "depth", "perturb",
+                                               law_tol=1e-12)
+    kernel, chain = _kernel_and_chain(op, law, window)
     volume = cayley_ball(d, args.depth)
-    config = {
-        "command": "verify",
-        "model": model_to_json(op, q, d),
-        "branch": args.branch,
-        "depth": args.depth,
-        "window": window.cutoff,
-        "tol": args.tol,
-        "perturb": args.perturb,
-    }
     tol = args.tol
     pin = measures.PinnedMeasureSpec(kernel, volume, 0, 0)
     ggm = measures.GGMSpec(kernel, chain, volume)
@@ -273,19 +249,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_correlation(args) -> int:
-    op, q, d = _load_model(args.model)
-    law, label = _select_law(op, q, d, args.branch, args.tol)
-    window = _window_for(op, law, args.window)
-    kernel = chains.build_layer_kernel(op, law, window)
-    chain = chains.fuzzy_transform(kernel)
-    config = {
-        "command": "correlation",
-        "model": model_to_json(op, q, d),
-        "branch": args.branch,
-        "n_max": args.n_max,
-        "window": window.cutoff,
-        "tol": args.tol,
-    }
+    op, d, law, label, window, config = _setup(args, "correlation", "n_max")
+    kernel, chain = _kernel_and_chain(op, law, window)
     rows = []
     for n in range(1, args.n_max + 1):
         volume = path_volume(n + 2, d)
@@ -315,24 +280,14 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_chain_dump(args) -> int:
-    op, q, d = _load_model(args.model)
-    law, label = _select_law(op, q, d, args.branch, args.tol)
-    window = _window_for(op, law, args.window)
-    kernel = chains.build_layer_kernel(op, law, window)
-    chain = chains.fuzzy_transform(kernel)
-    config = {
-        "command": "chain dump",
-        "model": model_to_json(op, q, d),
-        "branch": args.branch,
-        "window": window.cutoff,
-        "tol": args.tol,
-    }
+    op, d, law, label, window, config = _setup(args, "chain dump")
+    kernel, chain = _kernel_and_chain(op, law, window)
     payload = _meta(config) | {
         "branch_label": label,
         "law": [float(v) for v in law.a],
         "kernel_rows": {
             str(s): {str(int(z)): float(p) for z, p in zip(window.offsets, kernel.rows[s])}
-            for s in range(q)
+            for s in range(kernel.q)
         },
         "fuzzy_matrix": [[float(v) for v in row] for row in chain.matrix],
         "alpha": [float(v) for v in chain.alpha],
@@ -447,8 +402,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, UnsupportedDegree, UnsupportedPeriod) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ConfigError, UnsupportedDegree, UnsupportedPeriod, VolumeTooLarge) as exc:
+        hint = "; lower --depth or the degree d" if isinstance(exc, VolumeTooLarge) else ""
+        print(f"configuration error: {exc}{hint}", file=sys.stderr)
         return EXIT_CONFIG
     except (Diverged, MaxIterations, NonSummable) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

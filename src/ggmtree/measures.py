@@ -333,7 +333,9 @@ def event_prob_pinned(kernel: LayerKernel, volume: FiniteTreeVolume,
     given increments, under the measure pinned to class s at ``anchor``.
 
     ``anchor`` must belong to the (connected) vertex set, so all layers along
-    the induced edges are determined inside it.
+    the induced edges are determined inside it. The edges are walked in
+    ``volume.orientation_from(anchor)`` order, restricted to those reached
+    from the anchor inside the set.
     """
     vs = set(vertices)
     if anchor not in vs:
@@ -341,21 +343,11 @@ def event_prob_pinned(kernel: LayerKernel, volume: FiniteTreeVolume,
     q = kernel.q
     layer = {anchor: s % q}
     p = 1.0
-    queue = [anchor]
-    seen = {anchor}
-    while queue:
-        src = queue.pop(0)
-        for dst in volume.neighbors(src):
-            if dst in seen or dst not in vs:
-                continue
-            seen.add(dst)
-            if (src, dst) in volume.edge_index:
-                z = int(zeta[(src, dst)])
-            else:
-                z = -int(zeta[(dst, src)])
+    for e, src, dst, sign in volume.orientation_from(anchor):
+        if src in layer and dst in vs:
+            z = sign * int(zeta[volume.directed_edges[e]])
             p *= kernel.prob(layer[src], z)
             layer[dst] = (layer[src] + z) % q
-            queue.append(dst)
     return p
 
 

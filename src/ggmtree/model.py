@@ -9,6 +9,7 @@ rooted subtree with a marked outer boundary layer.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -432,16 +433,16 @@ class FiniteTreeVolume:
         n = len(parents)
         if n == 0 or parents[0] is not None:
             raise ValueError("vertex 0 must be the root")
+        children: list[list[int]] = [[] for _ in range(n)]
         for i in range(1, n):
             p = parents[i]
             if p is None or not 0 <= p < i:
                 raise ValueError("parents must reference earlier vertices")
+            children[p].append(i)
         self.d = d
         self.n_vertices = n
         self.parents = tuple(parents)
-        self.children: tuple[tuple[int, ...], ...] = tuple(
-            tuple(i for i in range(1, n) if parents[i] == v) for v in range(n)
-        )
+        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
         self.directed_edges: tuple[tuple[int, int], ...] = tuple(
             (parents[i], i) for i in range(1, n)
         )
@@ -489,9 +490,9 @@ class FiniteTreeVolume:
         if w not in self._orientations:
             order = []
             seen = {w}
-            queue = [w]
+            queue = deque([w])
             while queue:
-                src = queue.pop(0)
+                src = queue.popleft()
                 for dst in self.neighbors(src):
                     if dst in seen:
                         continue
@@ -516,10 +517,6 @@ class FiniteTreeVolume:
             x, y = self.parents[x], self.parents[y]
             n += 2
         return n
-
-    def induced_edges(self, vertices: Iterable[int]) -> list[int]:
-        vs = set(vertices)
-        return [k for k, (x, y) in enumerate(self.directed_edges) if x in vs and y in vs]
 
     def edges_touching(self, vertices: Iterable[int]) -> list[int]:
         vs = set(vertices)

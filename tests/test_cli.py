@@ -4,6 +4,16 @@ import math
 
 import pytest
 
+from ggmtree import (
+    GGMSpec,
+    IncrementWindow,
+    SOS,
+    build_layer_kernel,
+    cayley_ball,
+    find_branches,
+    fuzzy_transform,
+    sample_ggm_batch,
+)
 from ggmtree.cli import main
 
 
@@ -101,6 +111,24 @@ def test_bad_number_exits_2(model_file, argv, capsys):
     assert [a for a in argv if a.startswith("--")][-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-bl", "--model", "M", "--beta-min", "1.7", "--beta-max", "1.8"],
+    ["critical-beta", "--q", "2", "--d", "3"],
+    ["marginal", "--model", "M", "--perturb", "0.2"],
+    ["sample", "--model", "M", "--n", "20", "--depth", "2", "--seed", "9"],
+    ["verify", "--model", "M", "--depth", "1"],
+    ["correlation", "--model", "M", "--n-max", "3"],
+    ["counterexample", "--eps0", "0.1", "--eps1", "0.05", "--kmax", "4"],
+    ["chain", "dump", "--model", "M", "--window", "4"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_rerun_is_byte_identical(model_file, argv, tmp_path):
+    argv = [model_file if a == "M" else a for a in argv]
+    outs = [tmp_path / "a.out", tmp_path / "b.out"]
+    for out in outs:
+        assert main([*argv, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_zero_starts_still_yield_the_trivial_law(model_file, tmp_path):
     out = tmp_path / "starts0.csv"
     assert main(["solve-bl", "--model", model_file, "--starts", "0", "--out", str(out)]) == 0
@@ -117,6 +145,15 @@ class TestCriticalBeta:
 
     def test_unsupported_period_is_config_error(self):
         assert main(["critical-beta", "--q", "9", "--d", "2"]) == 2
+
+
+def test_invalid_tail_beta_exits_2(tmp_path, capsys):
+    path = tmp_path / "fat_tail.json"
+    path.write_text(json.dumps({"potential": {"kind": "lifted_potts", "q": 3,
+                                              "beta_tilde": 2.0, "tail_beta": 0.1},
+                                "q": 3, "d": 2}))
+    assert main(["marginal", "--model", str(path)]) == 2
+    assert "minimal admissible tail_beta is about 1.17" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -150,6 +187,17 @@ class TestVerify:
         assert main(["verify", "--model", str(path), "--depth", depth,
                      "--out", str(tmp_path / "verify.json")]) == 0
 
+    @pytest.mark.parametrize("model, depth", [
+        ({"potential": {"kind": "sos", "beta": 2.0}, "q": 2, "d": 2}, "4"),  # 2^45
+        ({"potential": {"kind": "sos", "beta": 3.0}, "q": 6, "d": 2}, "2"),  # 6^9
+    ], ids=["depth4", "q6-depth2"])
+    def test_scan_budget_limit_exits_2(self, model, depth, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["verify", "--model", str(path), "--depth", depth]) == 2
+        err = capsys.readouterr().err
+        assert "budget" in err and "--depth" in err
+
     def test_trivial_branch_passes_at_tight_tolerance(self, model_file, tmp_path):
         out = tmp_path / "verify_trivial.json"
         assert main(["verify", "--model", model_file, "--branch", "trivial",
@@ -173,6 +221,21 @@ class TestSample:
         assert main(["sample", "--model", model_file, "--n", "50", "--seed", "2",
                      "--depth", "1", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_rows_are_the_batch_sample_major(self, model_file, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main(["sample", "--model", model_file, "--n", "3", "--depth", "1",
+                     "--seed", "5", "--branch", "upper", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        op = SOS(2.0)
+        law = next(r.solution for r in find_branches(op, 2, 2, tol=1e-10)
+                   if r.branch_label == "upper")
+        kernel = build_layer_kernel(op, law, IncrementWindow.for_model(op, law))
+        volume = cayley_ball(2, 1)
+        batch = sample_ggm_batch(GGMSpec(kernel, fuzzy_transform(kernel), volume), 3, 5)
+        assert [(r["sample"], r["edge"], r["increment"]) for r in rows] == [
+            (str(i), f"{x}>{y}", str(batch[i, e]))
+            for i in range(3) for e, (x, y) in enumerate(volume.directed_edges)]
 
     def test_zero_samples_header_only(self, model_file, tmp_path):
         out = tmp_path / "empty.csv"

@@ -36,6 +36,7 @@ from ggmtree import (
 from ggmtree.chains import tv_distance
 from ggmtree.measures import (
     event_prob_ggm,
+    event_prob_pinned,
     windowed_configs,
     windowed_mass,
 )
@@ -186,6 +187,16 @@ class TestMixtures:
             arr = rng.integers(-3, 4, size=ball2.n_edges)
             zeta = GradientConfiguration(ball2, tuple(map(int, arr)))
             assert abs(ggm_prob(spec, zeta) - alt_ggm_prob(small_kernel, ball2, zeta)) < 1e-10
+
+    def test_event_on_whole_ball_is_the_product_form(self, kernel, ball2):
+        # anchor 1 walks edge (0, 1) against its stored direction
+        increments = (2, 0, -1, 1, -3, 0, 1, -1, 2)
+        zeta = GradientConfiguration(ball2, increments)
+        by_edge = dict(zip(ball2.directed_edges, increments))
+        for s in range(kernel.q):
+            want = pinned_prob_product(PinnedMeasureSpec(kernel, ball2, 1, s), zeta)
+            assert event_prob_pinned(kernel, ball2, range(ball2.n_vertices), 1, s,
+                                     by_edge) == want
 
     def test_exact_maximum_mixture_gap(self, small_kernel, small_chain, ball2):
         spec = GGMSpec(small_kernel, small_chain, ball2)

@@ -213,6 +213,16 @@ class TestVolumes:
             assert len(order) == ball2.n_edges
             assert sorted(e for e, *_ in order) == list(range(ball2.n_edges))
 
+    def test_depth_12_ball_children_match_parents(self):
+        vol = cayley_ball(2, 12)
+        assert vol.n_vertices == 12286
+        assert len(vol.boundary) == 6144
+        assert vol.full
+        assert sum(map(len, vol.children)) == vol.n_vertices - 1
+        for v, kids in enumerate(vol.children):
+            assert list(kids) == sorted(kids)
+            assert all(vol.parents[c] == v for c in kids)
+
     def test_boundary_must_be_leaves(self):
         with pytest.raises(ValueError):
             cayley_ball(2, 2).__class__(2, [None, 0, 0, 0], boundary=[0])
