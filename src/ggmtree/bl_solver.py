@@ -2,12 +2,22 @@
 
 A q-periodic law a solves the tree recursion when a_k is proportional to
 (sum_m C[k, m] a_m)**d for the wrapped interaction matrix C, with the constant
-eliminated by the a_0 = 1 normalization. This module provides the residual of
-that equation, one batched damped iteration shared by the single-start solver
-and the multi-start branch search, the closed-form period-2 reduction for the
-SOS model on the binary tree, effective Ising/Potts temperatures for periods
-2, 3, 4, their closed-form critical temperatures, the log-grid scalar root
-scan, and the normalizability certificate.
+eliminated by the a_0 = 1 normalization. This module provides:
+
+- the residual of that equation;
+- one batched iteration loop, ``_damped``, behind both the single-start solver
+  and the multi-start branch search. It starts with a few damped updates,
+  then takes Newton steps on a - F(a)/F_0(a) (analytic (q-1) x (q-1)
+  Jacobian) wherever they lower the residual, and polishes each converged row
+  with Newton;
+- the branch search's closure under the cyclic shifts and the reflection of
+  C, and its merge rule, which folds the rows lying in one flat residual well
+  onto one branch;
+- the closed-form period-2 reduction for the SOS model on the binary tree;
+- effective Ising/Potts temperatures for periods 2, 3, 4 and their
+  closed-form critical temperatures;
+- the log-grid scalar root scan;
+- the normalizability certificate.
 """
 from __future__ import annotations
 
@@ -48,6 +58,13 @@ BRANCH_OTHER = "other"
 
 _LOWER_GUARD = 1e-12
 _UPPER_GUARD = 1e12
+# damped updates each row takes before Newton steps: they pull the far starts
+# (1e-4 and 1e4) towards a solution
+_WARMUP = 8
+# Newton steps taken by each row once its residual is at most tol
+_POLISH = 2
+# updates without the residual halving after which a row stops trying Newton
+_STALL = 20
 
 
 @dataclass(frozen=True)
@@ -60,12 +77,35 @@ class SolveReport:
 
 def residual(law: PeriodicBoundaryLaw, op: TransferOperator, d: int) -> float:
     """Max-norm violation of the normalized boundary-law fixed point."""
-    return _residual_of(interaction_matrix(op, law.q), law.as_array(), d)
+    a = law.as_array()[None, :]
+    return float(_fixed_point_map(interaction_matrix(op, law.q), d, a)[2][0])
 
 
-def _residual_of(C: np.ndarray, a: np.ndarray, d: int) -> float:
-    F = (C @ a) ** d
-    return float(np.max(np.abs(a - F / F[0])))
+def _fixed_point_map(C: np.ndarray, d: int, rows: np.ndarray):
+    """G(a) = F(a)/F_0(a) with F = (C a)**d for each row a, returned with the
+    sums S = C a and the residuals max |a - G(a)|."""
+    S = rows @ C.T
+    F = S ** d
+    G = F / F[:, :1]
+    return S, G, np.max(np.abs(rows - G), axis=1)
+
+
+def _newton(C: np.ndarray, d: int, rows: np.ndarray, S: np.ndarray,
+            G: np.ndarray) -> np.ndarray:
+    """One Newton step on a - G(a) in a_1 .. a_{q-1} for each row, with a_0 = 1
+    held. Rows whose Jacobian is singular, or whose step leaves the guards,
+    come back as NaN."""
+    q = C.shape[0]
+    # dG_k/da_j = d G_k (C[k, j]/S_k - C[0, j]/S_0)
+    J = np.eye(q - 1) - d * G[:, 1:, None] * (
+        C[1:, 1:] / S[:, 1:, None] - C[0, 1:] / S[:, :1, None])
+    singular = ~(np.abs(np.linalg.det(J)) > 0.0)
+    J[singular] = np.eye(q - 1)
+    out = rows.copy()
+    out[:, 1:] += np.linalg.solve(J, (G - rows)[:, 1:, None])[..., 0]
+    inside = np.all((out > _LOWER_GUARD) & (out < _UPPER_GUARD), axis=1)
+    out[singular | ~inside] = np.nan
+    return out
 
 
 def _label(a: np.ndarray, atol: float = 1e-6) -> str:
@@ -78,41 +118,85 @@ def _label(a: np.ndarray, atol: float = 1e-6) -> str:
 
 def _damped(C: np.ndarray, d: int, rows: np.ndarray, damping: float,
             max_iter: int, tol: float):
-    """Damped iteration on a batch of a_0 = 1 normalized starts, in place.
+    """Damped iteration finished by Newton, on a batch of a_0 = 1 normalized
+    starts, in place.
 
-    Returns per-row update counts and the diverged and budget-exhausted masks.
+    Each row first takes ``_WARMUP`` damped updates
+    a <- (1 - damping) a + damping G(a), which pull far starts towards a
+    solution. After that, each update is the Newton step on a - G(a) in
+    a_1 .. a_{q-1} (analytic Jacobian, solved for the whole batch) where that
+    step stays inside the guards and lowers the residual, and the damped
+    update elsewhere. Newton also lowers the residual towards a minimum that
+    is not a root (the ghost of a solution pair just past a fold), where it
+    would hold a row for the whole budget; so a row whose residual has not
+    halved within ``_STALL`` updates takes damped updates alone until it
+    does. A row stops once its residual is at most ``tol``, and then takes up
+    to ``_POLISH`` more Newton steps, each kept only if the residual does not
+    grow: next to a bifurcation the Jacobian is nearly singular, and a
+    residual of 1e-10 can still leave an error of about 1e-7 in the law.
+
+    Returns per-row update counts (damped and Newton updates before the row
+    reached ``tol``; polish steps are not counted) and the diverged and
+    budget-exhausted masks.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     n = len(rows)
-    active = np.ones(n, dtype=bool)
+    iters = np.full(n, max_iter + 1)
+    converged = np.zeros(n, dtype=bool)
     diverged = np.zeros(n, dtype=bool)
-    iters = np.zeros(n, dtype=int)
-    for _ in range(max_iter + 1):
-        if not active.any():
+    idx = np.arange(n)  # the rows still iterating, held in cur
+    cur = rows.copy()
+    ref = np.full(n, np.inf)  # residual at the row's last halving
+    since = np.zeros(n, dtype=int)  # and the update it happened at
+    for step in range(max_iter + 1):
+        if not idx.size:
             break
-        cur = rows[active]
-        F = (cur @ C.T) ** d
-        G = F / F[:, :1]
-        res = np.max(np.abs(cur - G), axis=1)
+        S, G, res = _fixed_point_map(C, d, cur)
         done = res <= tol
+        halved = res <= 0.5 * ref
+        ref = np.where(halved, res, ref)
+        since = np.where(halved, step, since)
         nxt = (1.0 - damping) * cur + damping * G
         nxt /= nxt[:, :1]
-        bad = np.any((nxt <= _LOWER_GUARD) | (nxt >= _UPPER_GUARD), axis=1)
-        idx = np.flatnonzero(active)
-        rows[idx[~done]] = nxt[~done]
-        iters[idx[~done]] += 1
-        diverged[idx[bad & ~done]] = True
-        active[idx[done | bad]] = False
-    return iters, diverged, active
+        if step >= _WARMUP:
+            live = np.flatnonzero(~done & (step - since < _STALL))
+            if live.size:
+                trial = _newton(C, d, cur[live], S[live], G[live])
+                better = _fixed_point_map(C, d, trial)[2] < res[live]
+                nxt[live[better]] = trial[better]
+        bad = ~done & np.any((nxt <= _LOWER_GUARD) | (nxt >= _UPPER_GUARD), axis=1)
+        stop = done | bad
+        if stop.any():
+            rows[idx[stop]] = np.where(done[:, None], cur, nxt)[stop]
+            iters[idx[stop]] = step + bad[stop]
+            converged[idx[done]] = True
+            diverged[idx[bad]] = True
+            keep = ~stop
+            idx, nxt, ref, since = idx[keep], nxt[keep], ref[keep], since[keep]
+        cur = nxt
+    rows[idx] = cur
+    conv = np.flatnonzero(converged)
+    for _ in range(_POLISH):
+        cur = rows[conv]
+        S, G, res = _fixed_point_map(C, d, cur)
+        trial = _newton(C, d, cur, S, G)
+        keep = _fixed_point_map(C, d, trial)[2] <= res
+        rows[conv[keep]] = trial[keep]
+    return iters, diverged, ~(converged | diverged)
 
 
 def fixed_point_solve(op: TransferOperator, q: int, d: int,
                       init, damping: float = 0.7,
                       max_iter: int = 5000, tol: float = 1e-12) -> SolveReport:
-    """Damped iteration a <- (1 - damping) a + damping F(a)/F_0(a).
+    """Solve from one start with the shared loop ``_damped``: ``_WARMUP``
+    damped updates a <- (1 - damping) a + damping F(a)/F_0(a), then Newton
+    steps where they lower the residual and damped updates elsewhere, and a
+    Newton polish once the residual is at most ``tol``. ``iterations`` counts
+    the damped and Newton updates taken before the residual reached ``tol``
+    (``max_iter`` when it never did), not the polish steps.
 
     Raises ``Diverged`` when an entry leaves (1e-12, 1e12) and
     ``MaxIterations`` (carrying the last iterate and its residual) when the
@@ -124,11 +208,12 @@ def fixed_point_solve(op: TransferOperator, q: int, d: int,
         raise ValueError("init must be a strictly positive q-vector")
     rows = (a / a[0])[None, :]
     iters, diverged, running = _damped(C, d, rows, damping, max_iter, tol)
-    a, it = rows[0], int(iters[0])
+    it = int(iters[0])
     if diverged[0]:
         raise Diverged(f"iterate left the admissible region after {it} steps")
-    report = SolveReport(PeriodicBoundaryLaw.from_values(a), _residual_of(C, a, d),
-                         max_iter if running[0] else it, _label(a))
+    report = SolveReport(PeriodicBoundaryLaw.from_values(rows[0]),
+                         float(_fixed_point_map(C, d, rows)[2][0]),
+                         max_iter if running[0] else it, _label(rows[0]))
     if running[0]:
         raise MaxIterations(f"no convergence to {tol} in {max_iter} iterations", report)
     return report
@@ -152,31 +237,67 @@ def _default_inits(q: int, n_starts: int) -> np.ndarray:
     return np.array(rows)
 
 
+def _orbits(rows: np.ndarray) -> np.ndarray:
+    """The 2q images a(k + s) and a(s - k) of each row, renormalized to
+    a_0 = 1, row by row (2q consecutive images per source row)."""
+    q = rows.shape[1]
+    k = np.arange(q)
+    perm = np.vstack([(k + s) % q for s in range(q)] + [(s - k) % q for s in range(q)])
+    images = rows[:, perm].reshape(-1, q)
+    return images / images[:, :1]
+
+
+def _distinct(C: np.ndarray, d: int, rows: np.ndarray, tol: float,
+              atol: float) -> list[int]:
+    """Indices of the rows that stand for distinct branches. In row order, a
+    row is dropped when it lies within ``atol`` of an earlier kept row, or
+    when the residual at their midpoint is at most ``tol``; the scan is one
+    array comparison per kept row."""
+    keep = []
+    left = np.arange(len(rows))
+    while left.size:
+        first, rest = left[0], left[1:]
+        keep.append(int(first))
+        near = np.max(np.abs(rows[rest] - rows[first]), axis=1) <= atol
+        mid = _fixed_point_map(C, d, 0.5 * (rows[rest] + rows[first]))[2]
+        left = rest[~(near | (mid <= tol))]
+    return keep
+
+
 def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
                   damping: float = 0.7, max_iter: int = 5000, tol: float = 1e-10,
                   dedup_atol: float = 1e-6) -> list[SolveReport]:
-    """Multi-start sweep; converged iterates are merged into distinct branches.
+    """Multi-start sweep; converged iterates and their symmetry images are
+    merged into distinct branches.
 
-    Starts run as one vectorized batch. Diverged starts are dropped silently;
-    the trivial solution is always part of the result.
+    The starts run as one batch through ``_damped``. Diverged and unconverged
+    starts are dropped silently; the trivial solution is always part of the
+    result. C is circulant and symmetric, so every cyclic shift a(k + s) of a
+    solution, and its reflection a(s - k), renormalized to a_0 = 1, solves
+    the same equation: these images join the converged rows (with the
+    ``iterations`` of their source), pass the same residual filter (at most
+    ``tol``) and are merged with them. Two rows count as one branch when they
+    lie within ``dedup_atol`` of each other or the residual at their midpoint
+    is at most ``tol``, which folds the rows Newton leaves in the flat
+    residual well at a critical point onto one; the first row in start order
+    stands for its branch, and its ``iterations`` are the damped and Newton
+    updates its start took (see ``_damped``). Reports are sorted by the law's
+    values.
     """
     C = interaction_matrix(op, q)
     a = _default_inits(q, n_starts)
     iters, diverged, active = _damped(C, d, a, damping, max_iter, tol)
-    solutions: list[tuple[np.ndarray, float, int]] = []
-    for row, it, bad, still in zip(a, iters, diverged, active):
-        if bad or still:
-            continue
-        res = _residual_of(C, row, d)
-        if res > tol:
-            continue
-        if any(np.max(np.abs(row - s[0])) <= dedup_atol for s in solutions):
-            continue
-        solutions.append((row, res, int(it)))
-    solutions.sort(key=lambda s: tuple(s[0]))
+    conv = ~(diverged | active)
+    rows = np.vstack([a[conv], _orbits(a[conv])])
+    its = np.concatenate([iters[conv], np.repeat(iters[conv], 2 * q)])
+    res = _fixed_point_map(C, d, rows)[2]
+    ok = res <= tol
+    rows, its, res = rows[ok], its[ok], res[ok]
+    keep = sorted(_distinct(C, d, rows, tol, dedup_atol), key=lambda i: tuple(rows[i]))
     return [
-        SolveReport(PeriodicBoundaryLaw.from_values(row), res, it, _label(row))
-        for row, res, it in solutions
+        SolveReport(PeriodicBoundaryLaw.from_values(rows[i]), float(res[i]), int(its[i]),
+                    _label(rows[i]))
+        for i in keep
     ]
 
 

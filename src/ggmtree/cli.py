@@ -101,7 +101,12 @@ def _select_law(op, q, d, branch: str, tol: float) -> tuple[PeriodicBoundaryLaw,
         return PeriodicBoundaryLaw.trivial(q), "trivial"
     reports = bl_solver.find_branches(op, q, d, tol=tol)
     if branch == "auto":
-        best = max(reports, key=lambda r: max(abs(v - 1.0) for v in r.solution.a))
+        # the members of a symmetry orbit tie in max |a - 1|, so a tie within
+        # a relative 1e-9 goes to the first law in sorted order, not to
+        # whichever rounding made larger
+        ordered = sorted(reports, key=lambda r: r.solution.a)
+        far = [max(abs(v - 1.0) for v in r.solution.a) for r in ordered]
+        best = next(r for r, f in zip(ordered, far) if f >= max(far) * (1.0 - 1e-9))
         return best.solution, best.branch_label
     for rep in reports:
         if rep.branch_label == branch:

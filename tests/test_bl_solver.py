@@ -141,6 +141,17 @@ class TestFixedPoint:
             assert laws[1].a[1] * laws[2].a[1] == pytest.approx(1.0, abs=1e-10)
 
 
+def _assert_orbits_closed(beta, q, d=2):
+    """Every cyclic shift a(k + s) and reflection a(s - k) of a reported law
+    matches a reported law within 1e-6 in max |log| difference."""
+    logs = np.log([rep.solution.a for rep in find_branches(SOS(beta), q, d)])
+    k = np.arange(q)
+    for law in logs:
+        for perm in [(k + s) % q for s in range(q)] + [(s - k) % q for s in range(q)]:
+            image = law[perm] - law[perm[0]]
+            assert np.min(np.max(np.abs(logs - image), axis=1)) <= 1e-6, (beta, q)
+
+
 class TestBranchSweep:
     def test_subcritical_finds_only_trivial(self):
         reports = find_branches(SOS(math.acosh(3.0) - 0.06), 2, 2)
@@ -155,6 +166,44 @@ class TestBranchSweep:
         reports = find_branches(SOS(2.5), 1, 2)
         assert len(reports) == 1
         assert reports[0].branch_label == BRANCH_TRIVIAL
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [1e-4, 2e-3])
+    def test_near_critical_finds_all_three_laws(self, d, eps):
+        op = SOS(critical_beta(2, d) + eps)
+        roots = ising_type_solve(*wrapped_row(op, 2), d)
+        reports = find_branches(op, 2, d)
+        assert len(roots) == len(reports) == 3
+        for rep in reports:
+            assert min(abs(rep.solution.a[1] - r) for r in roots) <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_critical_point_gives_one_row(self, d):
+        # the flat residual well around the trivial law folds onto one branch
+        assert len(find_branches(SOS(critical_beta(2, d)), 2, d)) == 1
+
+    def test_q2_sweep_matches_closed_form(self):
+        # the q=2, d=2 grids next to beta_c that the benchmark sweeps
+        for shift in (0.1, 0.5, 0.9):
+            for i in range(17):
+                beta = 1.74 + (shift + i) * 0.003
+                want = sorted(law.a[1] for law in closed_form_q2_sos(beta))
+                got = [rep.solution.a[1] for rep in find_branches(SOS(beta), 2, 2)]
+                assert len(got) == len(want), beta
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12), beta
+
+    @pytest.mark.parametrize("beta, q", [(3.0, 3), (2.0, 4), (2.5, 5)])
+    def test_symmetry_orbits_are_closed(self, beta, q):
+        _assert_orbits_closed(beta, q)
+
+    @pytest.mark.parametrize("shift", [0.1, 0.5, 0.9])
+    def test_q3_sweep_orbits_are_closed(self, shift):
+        for i in range(17):
+            _assert_orbits_closed(1.5 + (shift + i) * 0.12, 3)
+
+    def test_orbit_member_missed_by_damped_iteration(self):
+        laws = [rep.solution.a for rep in find_branches(SOS(3.0), 3, 2)]
+        assert any(a[1] == pytest.approx(81.2, abs=0.1) == a[2] for a in laws)
 
     @settings(max_examples=12, deadline=None)
     @given(beta=st.floats(1.85, 3.0), shift=st.integers(0, 4))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from ggmtree import (
     GGMSpec,
     IncrementWindow,
+    PeriodicBoundaryLaw,
     SOS,
     build_layer_kernel,
     cayley_ball,
@@ -14,6 +16,7 @@ from ggmtree import (
     fuzzy_transform,
     sample_ggm_batch,
 )
+from ggmtree import bl_solver, cli
 from ggmtree.cli import main
 
 
@@ -134,6 +137,25 @@ def test_zero_starts_still_yield_the_trivial_law(model_file, tmp_path):
     assert main(["solve-bl", "--model", model_file, "--starts", "0", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert [row["branch"] for row in rows] == ["trivial"]
+
+
+def test_auto_branch_ignores_report_order_and_rounding(monkeypatch):
+    # SOS beta=3, q=3: (1, 1, 324.9) and (1, 324.9, 1) tie in max |a - 1|
+    op = SOS(3.0)
+    reports = find_branches(op, 3, 2)
+    want, _ = cli._select_law(op, 3, 2, "auto", 1e-10)
+    far = [max(abs(v - 1.0) for v in rep.solution.a) for rep in reports]
+    tied = [k for k, f in enumerate(far) if f >= max(far) * (1.0 - 1e-9)]
+    assert len(tied) == 2
+    for k in tied:
+        a = reports[k].solution.a
+        noisy = PeriodicBoundaryLaw(3, (1.0, *(v * (1.0 + 1e-13) for v in a[1:])))
+        for permuted in (reports[::-1], reports[1:] + reports[:1]):
+            shown = [dataclasses.replace(rep, solution=noisy) if rep is reports[k] else rep
+                     for rep in permuted]
+            monkeypatch.setattr(bl_solver, "find_branches", lambda *_, **__: shown)
+            got, _ = cli._select_law(op, 3, 2, "auto", 1e-10)
+            assert got.a == pytest.approx(want.a, rel=1e-9)
 
 
 class TestCriticalBeta:
