@@ -48,7 +48,6 @@ from .bl_solver import (
     effective_beta,
     find_branches,
     fixed_point_solve,
-    is_normalizable,
     ising_type_solve,
     residual,
 )

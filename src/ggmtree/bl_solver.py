@@ -48,7 +48,6 @@ __all__ = [
     "effective_beta",
     "critical_beta",
     "ising_type_solve",
-    "is_normalizable",
 ]
 
 BRANCH_TRIVIAL = "trivial"
@@ -276,20 +275,29 @@ def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
     solution, and its reflection a(s - k), renormalized to a_0 = 1, solves
     the same equation: these images join the converged rows (with the
     ``iterations`` of their source), pass the same residual filter (at most
-    ``tol``) and are merged with them. Two rows count as one branch when they
-    lie within ``dedup_atol`` of each other or the residual at their midpoint
-    is at most ``tol``, which folds the rows Newton leaves in the flat
-    residual well at a critical point onto one; the first row in start order
-    stands for its branch, and its ``iterations`` are the damped and Newton
-    updates its start took (see ``_damped``). Reports are sorted by the law's
-    values.
+    ``tol``) and are merged with them. So do the laws ``find_branches`` finds
+    at each proper divisor p of q, tiled to period q: the q-wrapped sums of a
+    p-periodic law are its p-wrapped sums, so it solves the q-periodic
+    equation too. Two rows count as one branch when they lie within
+    ``dedup_atol`` of each other or the residual at their midpoint is at most
+    ``tol``, which folds the rows Newton leaves in the flat residual well at a
+    critical point onto one; the first row (starts, then their images, then
+    the tiled laws) stands for its branch, and its ``iterations`` are the
+    damped and Newton updates its start took (see ``_damped``). Reports are
+    sorted by the law's values.
     """
     C = interaction_matrix(op, q)
     a = _default_inits(q, n_starts)
     iters, diverged, active = _damped(C, d, a, damping, max_iter, tol)
     conv = ~(diverged | active)
-    rows = np.vstack([a[conv], _orbits(a[conv])])
-    its = np.concatenate([iters[conv], np.repeat(iters[conv], 2 * q)])
+    rows = [a[conv], _orbits(a[conv])]
+    its = [iters[conv], np.repeat(iters[conv], 2 * q)]
+    for p in range(2, q):
+        if q % p == 0:
+            for rep in find_branches(op, p, d, n_starts, damping, max_iter, tol, dedup_atol):
+                rows.append(np.tile(rep.solution.as_array(), q // p)[None])
+                its.append([rep.iterations])
+    rows, its = np.vstack(rows), np.concatenate(its)
     res = _fixed_point_map(C, d, rows)[2]
     ok = res <= tol
     rows, its, res = rows[ok], its[ok], res[ok]
@@ -405,13 +413,3 @@ def ising_type_solve(Qpp: float, Qpm: float, d: int) -> list[float]:
         if not any(abs(r - s) <= 1e-9 * max(1.0, s) for s in out):
             out.append(r)
     return out
-
-
-def is_normalizable(law: PeriodicBoundaryLaw, op: TransferOperator, d: int) -> bool:
-    """Single-site summability of a boundary law: always False here.
-
-    The summand at height w is (sum_j Q(w - j) l(j))**(d + 1). For a
-    q-periodic law it is q-periodic in w and bounded below by a positive
-    constant, so the sum over w diverges.
-    """
-    return False

@@ -31,7 +31,6 @@ __all__ = [
     "tv_distance",
     "mixing_profile",
     "second_eigenvalue_modulus",
-    "stationary_by_power_iteration",
 ]
 
 
@@ -175,17 +174,3 @@ def mixing_profile(chain: FuzzyChain, n_max: int) -> np.ndarray:
 def second_eigenvalue_modulus(matrix: np.ndarray) -> float:
     eig = np.sort(np.abs(np.linalg.eigvals(matrix)))
     return float(eig[-2]) if len(eig) > 1 else 0.0
-
-
-def stationary_by_power_iteration(matrix: np.ndarray, n_iter: int = 10_000,
-                                  tol: float = 1e-15) -> np.ndarray:
-    """Left fixed vector by repeated multiplication; test oracle for alpha."""
-    q = len(matrix)
-    pi = np.full(q, 1.0 / q)
-    for _ in range(n_iter):
-        nxt = pi @ matrix
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() <= tol:
-            return nxt
-        pi = nxt
-    return pi

@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
+CHUNK_ROWS = 2**16  # CSV rows per write of `sample`
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -70,11 +72,17 @@ def _load_model(path: str):
 
 
 def _emit(text: str, out: str | None) -> None:
+    _emit_chunks([text], out)
+
+
+def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks in order to ``out``, or to stdout, one at a time, so
+    the whole text is never held in memory."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _csv_text(meta: dict, header: list[str], rows: Iterable) -> str:
@@ -201,16 +209,44 @@ def cmd_marginal(args) -> int:
     return EXIT_OK
 
 
+def _sample_rows(batch: np.ndarray, labels: list[str]) -> Iterator[str]:
+    """The rows ``i,x>y,z`` of ``batch``, sample-major, as text chunks of
+    about ``CHUNK_ROWS`` rows. One table holds ``,x>y,`` per edge and one
+    ``z\n`` per increment between the smallest and largest in the batch; a
+    chunk is one join of the sample numbers and table entries, so no row is
+    built as a Python object of its own."""
+    n, edges = batch.shape
+    lo = int(batch.min(initial=0))
+    mids = np.array([f",{label}," for label in labels], dtype=object)
+    ends = np.array([f"{z}\n" for z in range(lo, int(batch.max(initial=0)) + 1)],
+                    dtype=object)
+    step = max(1, CHUNK_ROWS // edges)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        parts = np.empty((b - a, edges, 3), dtype=object)
+        parts[:, :, 0] = np.array([str(i) for i in range(a, b)], dtype=object)[:, None]
+        parts[:, :, 1] = mids
+        parts[:, :, 2] = ends[batch[a:b] - lo]
+        yield "".join(parts.ravel().tolist())
+
+
 def cmd_sample(args) -> int:
+    """Sample and write one CSV row per (sample, edge).
+
+    The rows are the bytes ``csv.writer`` wrote for the rows
+    ``(i, "x>y", z)``: csv writes ints with ``str``, and digits, ``-`` and
+    ``>`` never need quoting. ``_sample_rows`` encodes them from tables and
+    they are written a chunk at a time, so memory is the O(n * edges) batch
+    plus one chunk of text.
+    """
     op, d, law, label, window, config = _setup(args, "sample", "n", "seed", "depth")
     kernel, chain = _kernel_and_chain(op, law, window)
     volume = cayley_ball(d, args.depth)
     batch = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
                                       args.n, args.seed)
     labels = [f"{x}>{y}" for x, y in volume.directed_edges]
-    rows = ((i, edge, z) for i, sample in enumerate(batch.tolist())
-            for edge, z in zip(labels, sample))
-    _emit(_csv_text(_meta(config), ["sample", "edge", "increment"], rows), args.out)
+    head = _csv_text(_meta(config), ["sample", "edge", "increment"], [])
+    _emit_chunks(itertools.chain([head], _sample_rows(batch, labels)), args.out)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ vertices; the homogeneity check evaluates its configurations as one batch.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 BLOCK = 2**14  # rows per block, so scans need O(BLOCK x vertices) memory
+DRAW_BLOCK = 2**16  # uniforms per sampler draw, so a level needs O(DRAW_BLOCK) memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +242,13 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
 
     Counter-based generator keyed by the seed: the same (seed, n) always
     yields the same batch, independent of how the caller schedules work.
+    The class of vertex 0 is drawn from ``n`` uniforms, then the increments
+    of each edge, in the BFS order of ``orientation_from(0)``, from ``n``
+    more. The edges of one BFS level are drawn together, as (edges, n)
+    blocks of at most ``DRAW_BLOCK`` uniforms (but one edge at least). A
+    block takes its uniforms from the stream in the order in which one draw
+    per edge would take them, so the batch does not depend on the blocking,
+    bit for bit. The inverse-CDF lookup runs once per block and source layer.
     """
     volume = spec.volume
     kernel = spec.kernel
@@ -249,23 +258,30 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     if n == 0:
         return out
     alpha_cdf = np.cumsum(spec.chain.alpha)
-    layers = np.empty((n, volume.n_vertices), dtype=np.int64)
-    layers[:, 0] = np.minimum(
-        np.searchsorted(alpha_cdf, rng.random(n), side="right"), q - 1)
+    # a layer is a residue below q: the smallest integer type holding q - 1
+    layers = np.empty((volume.n_vertices, n), dtype=np.min_scalar_type(q - 1))
+    layers[0] = np.minimum(np.searchsorted(alpha_cdf, rng.random(n), side="right"), q - 1)
     cdf = kernel.sampling_cdf()
     offs = kernel.offsets
     top = len(offs) - 1
-    for e, src, dst, sign in volume.orientation_from(0):
-        u = rng.random(n)
-        z = np.empty(n, dtype=np.int64)
-        t_src = layers[:, src]
-        for t in range(q):
-            mask = t_src == t
-            if mask.any():
-                idx = np.minimum(np.searchsorted(cdf[t], u[mask], side="right"), top)
-                z[mask] = offs[idx]
-        out[:, e] = z
-        layers[:, dst] = (t_src + z) % q
+    per_draw = max(1, DRAW_BLOCK // n)  # edges
+    # away from the root every edge runs parent -> child (sign +1), and BFS
+    # visits the levels one after another
+    for _, steps in itertools.groupby(volume.orientation_from(0),
+                                      key=lambda step: volume.depth[step[2]]):
+        steps = np.array(list(steps), dtype=np.int64)
+        for start in range(0, len(steps), per_draw):
+            e, src, dst, _ = steps[start:start + per_draw].T
+            u = rng.random((len(e), n))
+            t_src = layers[src]
+            z = np.empty(t_src.shape, dtype=np.int64)
+            for t in range(q):
+                mask = t_src == t
+                if mask.any():
+                    idx = np.minimum(np.searchsorted(cdf[t], u[mask], side="right"), top)
+                    z[mask] = offs[idx]
+            out[:, e] = z.T
+            layers[dst] = (t_src + z) % q
     return out
 
 

@@ -1,22 +1,39 @@
-"""Brute-force oracles for the verifier scans in ``ggmtree.measures``.
+"""Brute-force oracles for ``ggmtree``, kept in the tests.
 
-These are the enumerating implementations the scans replaced, kept unchanged
-apart from the partition cache: ``check_consistency`` and
-``check_restricted_dlr`` visit every windowed inner configuration, and the
-dual-gap scans loop over the residue vectors one at a time in Python. They
-are slow, so tests run them on depth-1 and depth-2 volumes only.
+The verifier scans in ``ggmtree.measures`` are checked against the
+enumerating implementations they replaced, kept unchanged apart from the
+partition cache: ``check_consistency`` and ``check_restricted_dlr`` visit
+every windowed inner configuration, and the dual-gap scans loop over the
+residue vectors one at a time in Python. They are slow, so tests run them on
+depth-1 and depth-2 volumes only.
+
+``sample_ggm_batch`` is the per-edge sampler and ``sample_csv`` the
+``csv.writer`` output of ``ggmtree sample``, the references for the
+level-blocked sampler and the table-driven encoder. ``is_normalizable`` and
+``stationary_by_power_iteration`` are answers the library has no use for.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from ggmtree import cli
 from ggmtree.chains import FuzzyChain, LayerKernel
 from ggmtree.errors import PinInsideInner, VolumeTooLarge
 from ggmtree.measures import GGMSpec, PinnedMeasureSpec
-from ggmtree.model import FiniteTreeVolume, eval_q, vertex_heights
+from ggmtree.model import (
+    FiniteTreeVolume,
+    PeriodicBoundaryLaw,
+    TransferOperator,
+    cayley_ball,
+    eval_q,
+    vertex_heights,
+)
 
 
 def _product_prob(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
@@ -315,3 +332,76 @@ def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
         ) / z_alt
         worst = max(worst, abs(h1 - h2) * wmax)
     return worst
+
+
+def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
+    """The per-edge sampler: one ``rng.random(n)`` and one inverse-CDF lookup
+    per layer for each edge, in the BFS order of ``orientation_from(0)``."""
+    volume = spec.volume
+    kernel = spec.kernel
+    q = kernel.q
+    rng = np.random.default_rng(np.random.Philox(key=int(seed) & (2**64 - 1)))
+    out = np.empty((n, volume.n_edges), dtype=np.int64)
+    if n == 0:
+        return out
+    alpha_cdf = np.cumsum(spec.chain.alpha)
+    layers = np.empty((n, volume.n_vertices), dtype=np.int64)
+    layers[:, 0] = np.minimum(
+        np.searchsorted(alpha_cdf, rng.random(n), side="right"), q - 1)
+    cdf = kernel.sampling_cdf()
+    offs = kernel.offsets
+    top = len(offs) - 1
+    for e, src, dst, sign in volume.orientation_from(0):
+        u = rng.random(n)
+        z = np.empty(n, dtype=np.int64)
+        t_src = layers[:, src]
+        for t in range(q):
+            mask = t_src == t
+            if mask.any():
+                idx = np.minimum(np.searchsorted(cdf[t], u[mask], side="right"), top)
+                z[mask] = offs[idx]
+        out[:, e] = z
+        layers[:, dst] = (t_src + z) % q
+    return out
+
+
+def sample_csv(argv: list[str]) -> str:
+    """The text of ``ggmtree sample`` with these arguments as ``csv.writer``
+    wrote it, one row tuple per (sample, edge), from the per-edge sampler."""
+    args = cli.build_parser().parse_args(["sample", *argv])
+    op, d, law, label, window, config = cli._setup(args, "sample", "n", "seed", "depth")
+    kernel, chain = cli._kernel_and_chain(op, law, window)
+    volume = cayley_ball(d, args.depth)
+    batch = sample_ggm_batch(GGMSpec(kernel, chain, volume), args.n, args.seed)
+    labels = [f"{x}>{y}" for x, y in volume.directed_edges]
+    buf = io.StringIO()
+    buf.write("# " + json.dumps(cli._meta(config), sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["sample", "edge", "increment"])
+    writer.writerows((i, edge, z) for i, sample in enumerate(batch.tolist())
+                     for edge, z in zip(labels, sample))
+    return buf.getvalue()
+
+
+def is_normalizable(law: PeriodicBoundaryLaw, op: TransferOperator, d: int) -> bool:
+    """Single-site summability of a boundary law: always False here.
+
+    The summand at height w is (sum_j Q(w - j) l(j))**(d + 1). For a
+    q-periodic law it is q-periodic in w and bounded below by a positive
+    constant, so the sum over w diverges.
+    """
+    return False
+
+
+def stationary_by_power_iteration(matrix: np.ndarray, n_iter: int = 10_000,
+                                  tol: float = 1e-15) -> np.ndarray:
+    """Left fixed vector by repeated multiplication; the oracle for alpha."""
+    q = len(matrix)
+    pi = np.full(q, 1.0 / q)
+    for _ in range(n_iter):
+        nxt = pi @ matrix
+        nxt /= nxt.sum()
+        if np.abs(nxt - pi).max() <= tol:
+            return nxt
+        pi = nxt
+    return pi

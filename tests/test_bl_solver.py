@@ -22,7 +22,6 @@ from ggmtree import (
     effective_beta,
     find_branches,
     fixed_point_solve,
-    is_normalizable,
     ising_type_solve,
     potts_boundary_laws,
     residual,
@@ -30,6 +29,8 @@ from ggmtree import (
 )
 from ggmtree.bl_solver import BRANCH_LOWER, BRANCH_TRIVIAL, BRANCH_UPPER
 from ggmtree.model import interaction_matrix
+
+from brute_force import is_normalizable
 
 
 class TestResidual:
@@ -204,6 +205,20 @@ class TestBranchSweep:
     def test_orbit_member_missed_by_damped_iteration(self):
         laws = [rep.solution.a for rep in find_branches(SOS(3.0), 3, 2)]
         assert any(a[1] == pytest.approx(81.2, abs=0.1) == a[2] for a in laws)
+
+    def test_q4_finds_lifted_period_two_laws(self):
+        # among them (1, 5.446, 1, 5.446) and (1, 0.184, 1, 0.184)
+        laws = np.array([rep.solution.a for rep in find_branches(SOS(2.0), 4, 2)])
+        for law in closed_form_q2_sos(2.0):
+            tiled = np.tile(law.as_array(), 2)
+            assert np.abs(laws - tiled).max(axis=1).min() <= 1e-10, law.a
+
+    def test_q6_contains_tiled_divisor_laws(self):
+        laws = np.array([rep.solution.a for rep in find_branches(SOS(2.0), 6, 2)])
+        for p in (2, 3):
+            for rep in find_branches(SOS(2.0), p, 2):
+                tiled = np.tile(rep.solution.as_array(), 6 // p)
+                assert np.abs(laws - tiled).max(axis=1).min() <= 1e-10, (p, rep.solution.a)
 
     @settings(max_examples=12, deadline=None)
     @given(beta=st.floats(1.85, 3.0), shift=st.integers(0, 4))

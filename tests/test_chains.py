@@ -20,12 +20,10 @@ from ggmtree import (
     total_mass,
     wrapped_row,
 )
-from ggmtree.chains import (
-    second_eigenvalue_modulus,
-    stationary_by_power_iteration,
-    tv_distance,
-)
+from ggmtree.chains import second_eigenvalue_modulus, tv_distance
 from ggmtree.transfer import potts_boundary_laws
+
+from brute_force import stationary_by_power_iteration
 
 
 def brute_normalizer(op, law, layer, span=80):

@@ -19,6 +19,8 @@ from ggmtree import (
 from ggmtree import bl_solver, cli
 from ggmtree.cli import main
 
+import brute_force as bf
+
 
 @pytest.fixture()
 def model_file(tmp_path):
@@ -266,6 +268,51 @@ class TestSample:
         meta, rows = read_csv(out)
         assert rows == []
         assert meta["config"]["n"] == 0
+
+
+def _model(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+SOS_Q3 = {"potential": {"kind": "sos", "beta": 3.0}, "q": 3, "d": 2}
+# the lifted Potts window has cutoff 1
+POTTS_Q3 = {"potential": {"kind": "lifted_potts", "q": 3, "beta_tilde": 2.0}, "q": 3, "d": 2}
+# depth 2 has 9 edges, so ONE_CHUNK samples fill exactly one chunk of text
+ONE_CHUNK = cli.CHUNK_ROWS // 9
+
+
+class TestSampleEncoding:
+    """``sample`` writes the bytes of the ``csv.writer`` rows of the
+    per-edge sampler (``brute_force.sample_csv``)."""
+
+    @pytest.mark.parametrize("model, argv", [
+        (None, ["--n", "0"]),
+        (None, ["--n", "1"]),
+        (None, ["--n", "7", "--seed", "3"]),
+        (None, ["--n", str(ONE_CHUNK - 1), "--seed", "4"]),
+        (None, ["--n", str(ONE_CHUNK), "--seed", "4"]),
+        (None, ["--n", str(ONE_CHUNK + 1), "--seed", "4"]),
+        (None, ["--n", "40", "--depth", "1", "--seed", "5"]),
+        (None, ["--n", "40", "--depth", "4", "--seed", "5"]),
+        (None, ["--n", "60", "--window", "1", "--seed", "6"]),
+        (SOS_Q3, ["--n", "60", "--depth", "3", "--seed", "7"]),
+        (POTTS_Q3, ["--n", "60", "--depth", "3", "--seed", "7"]),
+    ])
+    def test_bytes_equal_csv_writer_rows(self, model_file, tmp_path, model, argv):
+        argv = ["--model", model_file if model is None else _model(tmp_path, model), *argv]
+        out = tmp_path / "rows.csv"
+        assert main(["sample", *argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == bf.sample_csv(argv).encode()
+
+    def test_stdout_equals_out_file(self, model_file, tmp_path, capsys):
+        argv = ["sample", "--model", model_file, "--n", "500", "--seed", "8"]
+        out = tmp_path / "rows.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 class TestTables:

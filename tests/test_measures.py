@@ -14,12 +14,14 @@ from ggmtree import (
     VolumeTooLarge,
     alt_ggm_prob,
     build_layer_kernel,
+    cayley_ball,
     check_consistency,
     check_homogeneity,
     check_restricted_dlr,
     closed_form_q2_sos,
     coupling_expectation,
     eval_q,
+    find_branches,
     fuzzy_transform,
     ggm_prob,
     max_dual_gap_ggm,
@@ -33,6 +35,7 @@ from ggmtree import (
     total_mass,
     wrapped_row,
 )
+from ggmtree import measures
 from ggmtree.chains import tv_distance
 from ggmtree.measures import (
     event_prob_ggm,
@@ -40,6 +43,8 @@ from ggmtree.measures import (
     windowed_configs,
     windowed_mass,
 )
+
+import brute_force as bf
 
 
 def perturbed(law, factor=1.1):
@@ -297,6 +302,34 @@ class TestSampling:
             want = eval_q(op, z) / mass
             se = math.sqrt(want * (1 - want) / n)
             assert abs((batch[:, 0] == z).mean() - want) < 4.0 * se
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["q2", "q3"])
+def spec_parts(request):
+    # the law farthest from the trivial one, as the CLI's default branch
+    q = request.param
+    op = SOS(2.0 if q == 2 else 3.0)
+    law = max((r.solution for r in find_branches(op, q, 2)),
+              key=lambda law: max(abs(v - 1.0) for v in law.a))
+    kernel = build_layer_kernel(op, law)
+    return kernel, fuzzy_transform(kernel)
+
+
+class TestLevelBlockedSampler:
+    # levels drawn whole at (1, 1), split into blocks of 218 edges at
+    # (300, 10), both at (2000, 6), and one edge at a time at (10**5, 2)
+    @pytest.mark.parametrize("n, depth", [(1, 1), (300, 10), (2000, 6), (10**5, 2)])
+    def test_equals_per_edge_sampler(self, spec_parts, n, depth):
+        spec = GGMSpec(*spec_parts, cayley_ball(2, depth))
+        assert np.array_equal(sample_ggm_batch(spec, n, 5), bf.sample_ggm_batch(spec, n, 5))
+
+    def test_homogeneity_unchanged(self, spec_parts, monkeypatch):
+        # depth 2 with cutoff >= 1 has over 4096 windowed configurations, so
+        # the check samples
+        spec = GGMSpec(*spec_parts, cayley_ball(2, 2))
+        got = check_homogeneity(spec, [0, 1, 4])
+        monkeypatch.setattr(measures, "sample_ggm_batch", bf.sample_ggm_batch)
+        assert check_homogeneity(spec, [0, 1, 4]) == got
 
 
 class TestConsistency:
