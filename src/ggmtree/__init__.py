@@ -4,7 +4,7 @@ The package solves the q-periodic boundary-law fixed point for summable
 symmetric increment potentials, turns solutions into layer-dependent walk
 kernels and their mod-q fuzzy chains, computes exact finite-volume marginals
 of the pinned measures and of their stationary mixtures, samples them, and
-verifies the structural identities (dual representations, consistency under
+certifies the structural identities (dual representations, consistency under
 volume growth, homogeneity, reversibility, correlation bounds).
 """
 
@@ -61,17 +61,14 @@ from .chains import (
     tv_distance,
 )
 from .measures import (
+    Certificate,
     GGMSpec,
     PinnedMeasureSpec,
-    alt_ggm_prob,
     check_consistency,
     check_homogeneity,
     check_restricted_dlr,
-    coupling_expectation,
-    ggm_prob,
     max_dual_gap_ggm,
     max_dual_gap_pinned,
-    pinned_prob_bl,
     pinned_prob_product,
     sample_ggm,
     sample_ggm_batch,

@@ -27,6 +27,7 @@ __all__ = [
     "FuzzyChain",
     "build_layer_kernel",
     "fuzzy_transform",
+    "balance_defect",
     "check_reversibility",
     "tv_distance",
     "mixing_profile",
@@ -144,17 +145,22 @@ def _irreducible(matrix: np.ndarray) -> bool:
     return bool(power.all())
 
 
+def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
+    """D[i, k] = alpha(i) P(i, z) - alpha(i + z) P(i + z, -z) for layers i
+    and the window increments z = offsets[k], P being the exact kernel
+    probability ``LayerKernel.prob``, evaluated in the same order."""
+    q = kernel.q
+    ends = (np.arange(q)[:, None] + kernel.offsets) % q
+    flow = chain.alpha[:, None] * (
+        kernel.weights * kernel.law.as_array()[ends] / kernel.norms[:, None])
+    # offsets run from -cutoff to cutoff, so -z sits at the mirrored column
+    return flow - flow[ends, np.arange(len(kernel.offsets))[::-1]]
+
+
 def check_reversibility(kernel: LayerKernel, chain: FuzzyChain) -> float:
     """Maximal violation of alpha(i) P(i, z) = alpha(i + z) P(i + z, -z)
     over layers i and window increments z."""
-    worst = 0.0
-    for i in range(kernel.q):
-        for z in kernel.offsets:
-            j = (i + int(z)) % kernel.q
-            lhs = chain.alpha[i] * kernel.prob(i, int(z))
-            rhs = chain.alpha[j] * kernel.prob(j, -int(z))
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    return float(np.abs(balance_defect(kernel, chain)).max())
 
 
 def tv_distance(p: np.ndarray, r: np.ndarray) -> float:

@@ -7,8 +7,7 @@ fully resolved configuration, and identical configurations with identical
 seeds produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(including invalid models and volumes over a scan budget), 3 numerical
-failure.
+(including invalid models), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -31,7 +30,6 @@ from .errors import (
     TailTooFat,
     UnsupportedDegree,
     UnsupportedPeriod,
-    VolumeTooLarge,
 )
 from .model import (
     IncrementWindow,
@@ -43,6 +41,8 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
+# verify reports gained the relative violation and the method of each check
+VERIFY_SCHEMA_VERSION = 2
 CHUNK_ROWS = 2**16  # CSV rows per write of `sample`
 
 EXIT_OK = 0
@@ -100,8 +100,8 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _meta(config: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "config": config}
+def _meta(config: dict, version: int = SCHEMA_VERSION) -> dict:
+    return {"schema_version": version, "config": config}
 
 
 def _select_law(op, q, d, branch: str, tol: float) -> tuple[PeriodicBoundaryLaw, str]:
@@ -251,6 +251,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Report each check's violation and ``method``: ``exact``, or
+    ``certificate`` for a certified upper bound on it. A ``Certificate`` also
+    bounds |ratio - 1| in ``relative_violation``, which must pass as well."""
     op, d, law, label, window, config = _setup(args, "verify", "depth", "perturb",
                                                law_tol=1e-12)
     kernel, chain = _kernel_and_chain(op, law, window)
@@ -260,17 +263,18 @@ def cmd_verify(args) -> int:
     ggm = measures.GGMSpec(kernel, chain, volume)
     inner = {0}
     pins = [0, 1, volume.children[1][0] if volume.children[1] else 1]
+    exact, certified = "exact", "certificate"
     checks = {
-        "boundary_law_residual": (bl_solver.residual(law, op, d), tol),
+        "boundary_law_residual": (bl_solver.residual(law, op, d), tol, exact),
         "stationarity": (float(np.abs(chain.alpha @ chain.matrix - chain.alpha).max()),
-                         tol),
-        "reversibility": (chains.check_reversibility(kernel, chain), tol),
-        "dual_representation_pinned": (measures.max_dual_gap_pinned(pin), tol),
-        "dual_representation_mixture": (measures.max_dual_gap_ggm(ggm), tol),
-        "consistency": (measures.check_consistency(pin, inner), tol),
-        "homogeneity": (measures.check_homogeneity(ggm, pins), tol),
+                         tol, exact),
+        "reversibility": (chains.check_reversibility(kernel, chain), tol, exact),
+        "dual_representation_pinned": (measures.max_dual_gap_pinned(pin), tol, certified),
+        "dual_representation_mixture": (measures.max_dual_gap_ggm(ggm), tol, certified),
+        "consistency": (measures.check_consistency(pin, inner), tol, certified),
+        "homogeneity": (measures.check_homogeneity(ggm, pins), tol, certified),
         "windowed_mass": (abs(1.0 - measures.windowed_mass(pin)),
-                          max(tol, 10.0 * window.tail_mass_bound)),
+                          max(tol, 10.0 * window.tail_mass_bound), exact),
     }
     if 1 in volume.interior:
         # condition on a mixed boundary-height class so the conditional check
@@ -278,13 +282,17 @@ def cmd_verify(args) -> int:
         dlr_edges = volume.edges_touching({1})
         reference = {dlr_edges[-1]: 1} if len(dlr_edges) > 1 else None
         checks["restricted_conditional"] = (
-            measures.check_restricted_dlr(pin, {1}, reference=reference), tol)
-    report = {
-        name: {"violation": float(v), "tolerance": float(t), "pass": bool(v <= t)}
-        for name, (v, t) in checks.items()
-    }
+            measures.check_restricted_dlr(pin, {1}, reference=reference), tol, certified)
+    report = {}
+    for name, (v, t, method) in checks.items():
+        entry = report[name] = {"violation": float(v), "tolerance": float(t),
+                                "method": method, "pass": bool(v <= t)}
+        if isinstance(v, measures.Certificate):
+            entry["relative_violation"] = v.relative
+            entry["pass"] = entry["pass"] and v.relative <= t
     ok = all(entry["pass"] for entry in report.values())
-    payload = _meta(config) | {"branch_label": label, "checks": report, "pass": ok}
+    payload = _meta(config, VERIFY_SCHEMA_VERSION) | {
+        "branch_label": label, "checks": report, "pass": ok}
     _emit(_json_text(payload), args.out)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -443,9 +451,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, UnsupportedDegree, UnsupportedPeriod, VolumeTooLarge) as exc:
-        hint = "; lower --depth or the degree d" if isinstance(exc, VolumeTooLarge) else ""
-        print(f"configuration error: {exc}{hint}", file=sys.stderr)
+    except (ConfigError, UnsupportedDegree, UnsupportedPeriod) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (Diverged, MaxIterations, NonSummable) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

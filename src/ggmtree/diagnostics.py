@@ -11,7 +11,6 @@ the size of the conditioning window.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -31,7 +30,6 @@ __all__ = [
     "conditional_ratio_closed",
     "conditional_ratio_enumerated",
     "path_mixture_prob",
-    "bond_marginals_by_position",
 ]
 
 
@@ -204,15 +202,3 @@ def counterexample_conditional_ratio(ce: CounterexampleChain, len_left: int,
     if abs(closed - enum) > 1e-10 * max(1.0, abs(closed)):
         raise AssertionError(f"closed form {closed} disagrees with enumeration {enum}")
     return closed
-
-
-def bond_marginals_by_position(ce: CounterexampleChain, n_edges: int) -> np.ndarray:
-    """Single-bond marginals P(zeta_i = v) for every position i and
-    v in {-1, 0, 1}, by full enumeration; translation invariance makes the
-    rows identical."""
-    out = np.zeros((n_edges, 3))
-    for combo in itertools.product((-1, 0, 1), repeat=n_edges):
-        p = path_mixture_prob(ce, combo)
-        for i, z in enumerate(combo):
-            out[i, z + 1] += p
-    return out

@@ -7,26 +7,31 @@ by a partition sum). Mixing the pinned measure over the stationary layer
 distribution gives the homogeneous gradient measure; an alternative form sums
 the boundary-law weight over a global class shift instead.
 
-All normalizers are computed exactly by one upward pass (``_upward``) that
-keeps one vector per vertex indexed by the mod-q layer. No verifier check
-visits integer configurations one at a time; each scans classes of them in
-numpy blocks of at most ``BLOCK`` rows, and its docstring says why the scan is
-exact. The dual-gap scans visit the q**edges residue vectors, the consistency
-check the q**|inner edges| residue classes of the inner increments, and the
-restricted conditional check the (2*cutoff+1)**|inner| heights of the inner
-vertices; the homogeneity check evaluates its configurations as one batch.
+All normalizers are computed by one scaled upward pass (``_upward``) that
+keeps one unit vector and one log scale per vertex, indexed by the mod-q
+layer, so no volume overflows or underflows. Its max-product form gives the
+largest weight over the windowed configurations.
+
+No verifier check visits configurations or residue classes. Each is a
+certified upper bound built from a few passes, O(n q**2) for n vertices, and
+its docstring says why it bounds the exact maximum. Each adds an explicit
+rounding allowance of ``SLACK`` ulps per edge of the largest compared
+probability, so a pass is never weaker than the exact check. The checks that
+compare two representations return a ``Certificate``, which also bounds the
+largest |ratio - 1| between them; unlike the difference, that does not shrink
+as the volume grows.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .chains import FuzzyChain, LayerKernel
-from .errors import OutOfWindow, PinInsideInner, VolumeTooLarge
+from .chains import FuzzyChain, LayerKernel, balance_defect
+from .errors import OutOfWindow, PinInsideInner
 from .model import (
     FiniteTreeVolume,
     GradientConfiguration,
@@ -35,18 +40,14 @@ from .model import (
     TransferOperator,
     eval_q,
     vertex_heights,
-    vertex_layers,
     wrapped_row,
 )
 
 __all__ = [
+    "Certificate",
     "PinnedMeasureSpec",
     "GGMSpec",
     "pinned_prob_product",
-    "pinned_prob_bl",
-    "ggm_prob",
-    "alt_ggm_prob",
-    "coupling_expectation",
     "sample_ggm",
     "sample_ggm_batch",
     "check_consistency",
@@ -54,7 +55,6 @@ __all__ = [
     "check_restricted_dlr",
     "max_dual_gap_pinned",
     "max_dual_gap_ggm",
-    "windowed_configs",
     "windowed_mass",
     "event_prob_pinned",
     "event_prob_ggm",
@@ -62,8 +62,9 @@ __all__ = [
     "two_bond_marginal",
 ]
 
-BLOCK = 2**14  # rows per block, so scans need O(BLOCK x vertices) memory
 DRAW_BLOCK = 2**16  # uniforms per sampler draw, so a level needs O(DRAW_BLOCK) memory
+SLACK = 16  # rounding allowance of the certificates, in ulps per edge
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +94,21 @@ class GGMSpec:
     def __post_init__(self):
         if self.kernel.q != self.chain.q:
             raise ValueError("kernel and chain periods disagree")
+
+
+class Certificate(float):
+    """A certified upper bound on the largest |difference| between two forms
+    of the same probabilities (the float value), carrying in ``relative`` a
+    certified upper bound on the largest |ratio - 1| between them.
+    Probabilities are at most one, so ``relative`` bounds the difference
+    too."""
+
+    relative: float
+
+    def __new__(cls, absolute: float, relative: float):
+        self = super().__new__(cls, absolute)
+        self.relative = float(relative)
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -130,107 +146,47 @@ def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration) ->
 
 
 def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
-            leaf: Mapping[int, np.ndarray], edges=None) -> list[np.ndarray]:
+            leaf: Mapping[int, np.ndarray], edges=None,
+            maximum: bool = False) -> tuple[list[np.ndarray], np.ndarray]:
     """The pass from the leaves towards ``pin`` over mod-q layer vectors:
     v starts from ``leaf[v]`` (else ones) and each edge, or each one in
-    ``edges``, multiplies ``matrix @ f[dst]`` into ``f[src]``. Then f[v] is the
-    weight of the part of the volume below v (away from the pin) by layer."""
+    ``edges``, multiplies ``matrix @ f[dst]`` into ``f[src]``, or with
+    ``maximum`` its max-product form ``max_t' matrix[:, t'] f[dst][t']``.
+    Then f[v] is the total (or the largest) weight of the part of the volume
+    below v (away from the pin) by layer.
+
+    The pass is scaled as the forward algorithm is (Rabiner 1989): it returns
+    unit vectors u[v], largest entry 1, and log scales c[v] with
+    f[v] = u[v] * exp(c[v]), so deep volumes neither overflow nor underflow.
+    """
     q = len(matrix)
-    f = [leaf[v] if v in leaf else np.ones(q) for v in range(volume.n_vertices)]
+    unit = [np.ones(q)] * volume.n_vertices
+    scale = np.zeros(volume.n_vertices)
+    for v, vec in leaf.items():
+        top = vec.max()
+        unit[v], scale[v] = vec / top, math.log(top)
     for e, src, dst, sign in reversed(volume.orientation_from(pin)):
         if edges is None or e in edges:
-            f[src] = f[src] * (matrix @ f[dst])
-    return f
+            msg = (matrix * unit[dst]).max(axis=1) if maximum else matrix @ unit[dst]
+            f = unit[src] * msg
+            top = f.max()
+            unit[src] = f / top
+            scale[src] += scale[dst] + math.log(top)
+    return unit, scale
+
+
+def _log_at(passed: tuple[list[np.ndarray], np.ndarray], v: int) -> np.ndarray:
+    """log f[v] from the output of ``_upward``."""
+    unit, scale = passed
+    return np.log(unit[v]) + scale[v]
 
 
 def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np.ndarray:
-    """Partition sums of the boundary-law weight over all integer
+    """Log partition sums of the boundary-law weight over all integer
     configurations, as a vector over the pin class: the upward pass with the
     wrapped interaction matrix, from the boundary-law values at the boundary."""
     leaf = dict.fromkeys(volume.boundary, kernel.law.as_array())
-    return _upward(volume, pin, kernel.circulant, leaf)[pin]
-
-
-def _bl_weight(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
-               s: int, zeta) -> float:
-    q = kernel.q
-    a = kernel.law.a
-    heights = vertex_heights(volume, pin, s, zeta)
-    w = 1.0
-    for y in volume.boundary:
-        w *= a[int(heights[y]) % q]
-    for e in range(volume.n_edges):
-        w *= eval_q(kernel.op, int(zeta[e]))
-    return w
-
-
-def pinned_prob_bl(spec: PinnedMeasureSpec, zeta: GradientConfiguration) -> float:
-    """Probability of a full edge configuration in the boundary-law form:
-    boundary factors at the outer layer times bare edge weights, normalized by
-    the exact partition sum."""
-    if not spec.volume.full:
-        raise ValueError("the boundary-law form needs a closed regular volume")
-    z = _bl_partition(spec.kernel, spec.volume, spec.pin_vertex)[spec.pin_class]
-    return _bl_weight(spec.kernel, spec.volume, spec.pin_vertex,
-                      spec.pin_class, zeta.increments) / z
-
-
-# ---------------------------------------------------------------------------
-# homogeneous mixtures
-
-
-def ggm_prob(spec: GGMSpec, zeta: GradientConfiguration, pin: int | None = None) -> float:
-    """Mixture of pinned product probabilities over the stationary layer
-    distribution; the pin vertex is arbitrary (homogeneity is a testable
-    property, not an input)."""
-    w = 0 if pin is None else pin
-    alpha = spec.chain.alpha
-    return float(sum(
-        alpha[s] * _product_probs(spec.kernel, spec.volume, w, s, [zeta.increments])[0]
-        for s in range(spec.kernel.q)
-    ))
-
-
-def alt_ggm_prob(kernel: LayerKernel, volume: FiniteTreeVolume,
-                 zeta: GradientConfiguration) -> float:
-    """Class-summed boundary-law form of the homogeneous measure, which never
-    references the stationary distribution."""
-    if not volume.full:
-        raise ValueError("the boundary-law form needs a closed regular volume")
-    parts = _bl_partition(kernel, volume, 0)
-    num = sum(_bl_weight(kernel, volume, 0, k, zeta.increments)
-              for k in range(kernel.q))
-    return float(num / parts.sum())
-
-
-# ---------------------------------------------------------------------------
-# coupling of layers and gradients
-
-
-def coupling_expectation(spec: GGMSpec, func: Callable[[GradientConfiguration, dict], float],
-                         config_budget: int = 10**7) -> float:
-    """Expectation of a bounded function of (gradient configuration, layer
-    labels) under the joint measure that draws the pin class from the
-    stationary distribution and the increments from the kernel.
-
-    The labels handed to ``func`` are exactly the classes reached from the
-    drawn pin class, so label and gradient arguments are always compatible.
-    """
-    volume = spec.volume
-    alpha = spec.chain.alpha
-    q = spec.kernel.q
-    total = 0.0
-    for Z in _window_blocks(volume, spec.kernel.window, config_budget):
-        probs = [alpha[s] * _product_probs(spec.kernel, volume, 0, s, Z) for s in range(q)]
-        for i, arr in enumerate(Z):
-            cfg = GradientConfiguration(volume, tuple(int(v) for v in arr))
-            for s in range(q):
-                p = probs[s][i]
-                if p == 0.0:
-                    continue
-                labels = dict(enumerate(vertex_layers(volume, q, 0, s, arr)))
-                total += p * func(cfg, labels)
-    return float(total)
+    return _log_at(_upward(volume, pin, kernel.circulant, leaf), pin)
 
 
 # ---------------------------------------------------------------------------
@@ -291,40 +247,6 @@ def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
     return GradientConfiguration(spec.volume, tuple(int(v) for v in arr))
 
 
-# ---------------------------------------------------------------------------
-# enumeration helpers
-
-
-def _product_blocks(sizes: list[int]) -> Iterator[np.ndarray]:
-    """The tuples of ``itertools.product(*map(range, sizes))`` in its order,
-    as arrays of shape (len(sizes), rows) with at most BLOCK rows each."""
-    strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
-    strides = np.array(strides, dtype=np.int64)[:, None]
-    radix = np.array(sizes, dtype=np.int64)[:, None]
-    total = math.prod(sizes)
-    for start in range(0, total, BLOCK):
-        yield np.arange(start, min(start + BLOCK, total)) // strides % radix
-
-
-def _window_blocks(volume: FiniteTreeVolume, window: IncrementWindow,
-                   config_budget: int) -> Iterator[np.ndarray]:
-    """All increment assignments with every entry in the window, in
-    ``itertools.product`` order, as (rows, n_edges) blocks."""
-    width = 2 * window.cutoff + 1
-    count = width ** volume.n_edges
-    if count > config_budget:
-        raise VolumeTooLarge(f"{count} configurations exceed the budget {config_budget}")
-    for block in _product_blocks([width] * volume.n_edges):
-        yield block.T - window.cutoff
-
-
-def windowed_configs(volume: FiniteTreeVolume, window: IncrementWindow,
-                     config_budget: int = 10**7) -> Iterator[np.ndarray]:
-    """All increment assignments with every entry in the window."""
-    for block in _window_blocks(volume, window, config_budget):
-        yield from block
-
-
 def windowed_mass(spec: PinnedMeasureSpec) -> float:
     """Total product-form probability of the windowed configuration space,
     computed by the layer pass (equals one minus the truncated tail)."""
@@ -334,8 +256,8 @@ def windowed_mass(spec: PinnedMeasureSpec) -> float:
     for t in range(q):
         for z in kernel.offsets:
             W[t, (t + int(z)) % q] += kernel.prob(t, int(z))
-    f = _upward(spec.volume, spec.pin_vertex, W, {})
-    return float(f[spec.pin_vertex][spec.pin_class])
+    unit, scale = _upward(spec.volume, spec.pin_vertex, W, {})
+    return float(unit[spec.pin_vertex][spec.pin_class] * math.exp(scale[spec.pin_vertex]))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +327,37 @@ def two_bond_marginal(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# verification: consistency, homogeneity, restricted conditional structure
+# certificates: the pieces
+
+
+def _slack(volume: FiniteTreeVolume, largest: float) -> float:
+    """The rounding allowance: SLACK ulps per edge of the largest compared
+    probability, the products of n_edges factors being compared."""
+    return SLACK * (volume.n_edges + 1) * EPS * largest
+
+
+def _certified(volume: FiniteTreeVolume, lo: float, hi: float,
+               log_top: float) -> Certificate:
+    """Bounds for two forms whose ratio lies in [e**lo, e**hi] on every
+    configuration, the second form being at most e**log_top:
+    |first - second| <= second * max |ratio - 1|. The allowance is relative
+    to the larger form, at most 1 + e**hi <= 2 + max |ratio - 1| times the
+    second."""
+    try:
+        off_one = max(-math.expm1(lo), math.expm1(hi))
+    except OverflowError:  # e**hi is beyond the largest double
+        return Certificate(math.inf, math.inf)
+    relative = off_one + _slack(volume, 2.0 + off_one)
+    return Certificate(math.exp(log_top) * relative, relative)
+
+
+def _largest_q(kernel: LayerKernel) -> np.ndarray:
+    """M[t, t'] = the largest Q(z) over the window increments z = t' - t
+    mod q: the max-product form of the wrapped interaction matrix."""
+    q = kernel.q
+    best = np.zeros(q)
+    np.maximum.at(best, kernel.offsets % q, kernel.weights)
+    return best[(np.arange(q)[None, :] - np.arange(q)[:, None]) % q]
 
 
 def _interior_set(volume: FiniteTreeVolume, inner) -> set[int]:
@@ -418,118 +370,226 @@ def _interior_set(volume: FiniteTreeVolume, inner) -> set[int]:
     return set(ids)
 
 
-def _residue_layers(volume: FiniteTreeVolume, pin: int, q: int,
-                    edges) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of the residue vectors on ``edges`` (other edges have residue
-    0) in ``itertools.product`` order, shape (len(edges), rows), each with
-    the layers reached from class 0 at ``pin``, shape (n_vertices, rows)."""
-    column = {e: j for j, e in enumerate(edges)}
-    for R in _product_blocks([q] * len(edges)):
-        layers = np.zeros((volume.n_vertices, R.shape[1]), dtype=np.int64)
-        for e, src, dst, sign in volume.orientation_from(pin):
-            step = sign * R[column[e]] if e in column else 0
-            layers[dst] = (layers[src] + step) % q
-        yield R, layers
+def _require_full(volume: FiniteTreeVolume, what: str) -> None:
+    if not volume.full:
+        raise ValueError(f"{what} need a closed regular volume")
 
 
-def _max_q_per_residue(kernel: LayerKernel) -> np.ndarray:
-    best = np.zeros(kernel.q)
-    np.maximum.at(best, kernel.offsets % kernel.q, kernel.weights)
-    return best
+# ---------------------------------------------------------------------------
+# verification: the two representations
+
+
+def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int):
+    """For each pin class s: log z_s; the range [lo_s, hi_s] of the log ratio
+    of the product form to the boundary-law form; and the log of the largest
+    boundary-law probability B_s / z_s over the windowed configurations.
+
+    The ratio is z_s N(s)**-(d+1) prod_v g(t_v), the product running over the
+    m interior vertices other than the pin, with g = a / N**d: each of them
+    is the head of one edge (a factor a) and the tail of d (a factor 1/N),
+    the pin is the tail of d + 1, and the boundary factors a cancel. So its
+    log lies in log(z_s N(s)**-(d+1)) + m [min log g, max log g]."""
+    _require_full(volume, "the boundary-law form and its certificates")
+    a = kernel.law.as_array()
+    d = volume.d
+    log_z = _bl_partition(kernel, volume, pin)
+    log_n = np.log(kernel.norms)
+    log_g = np.log(a) - d * log_n
+    m = len(volume.interior) - 1
+    base = log_z - (d + 1) * log_n
+    leaf = dict.fromkeys(volume.boundary, a)
+    top = _upward(volume, pin, _largest_q(kernel), leaf, maximum=True)
+    return log_z, base + m * log_g.min(), base + m * log_g.max(), _log_at(top, pin) - log_z
+
+
+def max_dual_gap_pinned(spec: PinnedMeasureSpec) -> Certificate:
+    """Certified upper bound on the maximum of |product form - boundary-law
+    form| over every windowed configuration, with the bound on the largest
+    |ratio - 1| in ``relative``.
+
+    The gap is (B_s / z_s) |ratio - 1|: the largest B_s / z_s, one
+    max-product pass, times the largest |ratio - 1| over the range of
+    ``_dual_parts``. That is at least the maximum of the product, which the
+    exact scan over residue vectors finds.
+    """
+    s = spec.pin_class
+    _, lo, hi, log_top = _dual_parts(spec.kernel, spec.volume, spec.pin_vertex)
+    return _certified(spec.volume, lo[s], hi[s], log_top[s])
+
+
+def max_dual_gap_ggm(spec: GGMSpec) -> Certificate:
+    """Certified upper bound on the maximum of |mixture form - class-summed
+    boundary-law form| over every windowed configuration, with the bound on
+    the largest |ratio - 1| in ``relative``.
+
+    The difference is sum_s alpha_s (P_s - B_s / z_s)
+    + sum_s (alpha_s - z_s / Z) B_s / z_s, so it is at most the alpha-mean of
+    the pinned certificates plus sum_s |alpha_s - z_s / Z| max (B_s / z_s).
+    The ratio is a weighted mean over s of (alpha_s Z / z_s) times the pinned
+    ratio, so it lies in the hull of their ranges.
+    """
+    volume = spec.volume
+    alpha = spec.chain.alpha
+    log_z, lo, hi, log_top = _dual_parts(spec.kernel, volume, 0)
+    log_total = float(np.logaddexp.reduce(log_z))
+    pinned = [_certified(volume, lo[s], hi[s], log_top[s]) for s in range(len(alpha))]
+    absolute = float(alpha @ np.array(pinned)
+                     + np.abs(alpha - np.exp(log_z - log_total)) @ np.exp(log_top))
+    shift = np.log(alpha) + log_total - log_z
+    mixed = _certified(volume, float((shift + lo).min()), float((shift + hi).max()), 0.0)
+    return Certificate(absolute, mixed.relative)
 
 
 def check_consistency(spec: PinnedMeasureSpec, inner,
-                      mixture: bool = False, chain: FuzzyChain | None = None,
-                      config_budget: int = 10**7) -> float:
+                      mixture: bool = False, chain: FuzzyChain | None = None) -> Certificate:
     """Marginalize the volume's boundary-law measure onto a smaller closed
     volume and compare with the directly computed smaller-volume measure.
 
     ``inner`` is the interior vertex set of the smaller volume (or a volume
-    object, in which case its interior is used); it must contain the pin.
-    With ``mixture=True`` both sides are averaged over the stationary layer
-    distribution of ``chain``.
+    object, in which case its interior is used); it must be connected and
+    contain the pin. With ``mixture=True`` both sides are averaged over the
+    stationary layer distribution of ``chain``.
 
-    Returns the largest difference over the windowed inner configurations by
-    scanning the q**|inner edges| residue classes of the inner increments
-    (``config_budget`` bounds that count). This is exact: both sides are the
-    product of the inner Q factors times factors of the inner-boundary
-    layers, which only see residues, so a class's largest difference is its
-    gap times the largest product, the product of per-edge maxima.
+    Returns a certified upper bound on the largest difference over the
+    windowed inner configurations, with the bound on the largest
+    |ratio - 1| in ``relative``. Both sides are the inner Q factors times
+    factors of the inner-boundary layers, and their ratio, marginal over
+    direct, is z_inner / z_big times prod_v hang_v(t_v) / a(t_v) over the
+    inner-boundary vertices v, hang_v being the weight hanging below v. That
+    is separable, so its log range is the sum of the per-vertex ranges; the
+    largest direct probability is one max-product pass over the inner
+    edges.
     """
     volume = spec.volume
     kernel = spec.kernel
-    if not volume.full:
-        raise ValueError("consistency checks need a closed regular volume")
-    q = kernel.q
+    _require_full(volume, "consistency checks")
     pin = spec.pin_vertex
     ids = _interior_set(volume, inner)
     if pin not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
-    inner_edges = volume.edges_touching(ids)
+    if any(dst in ids and src not in ids
+           for e, src, dst, sign in volume.orientation_from(pin)):
+        raise ValueError("the inner vertices must form a connected set")
+    if mixture and chain is None:
+        raise ValueError("mixture comparison needs the fuzzy chain")
+    inner_edges = set(volume.edges_touching(ids))
     inner_boundary = volume.adjacent_outside(ids)
     a = kernel.law.as_array()
     # the weight hanging below each inner-boundary vertex equals the boundary
     # law itself exactly when the law solves the fixed-point equation
     hang = _upward(volume, pin, kernel.circulant, dict.fromkeys(volume.boundary, a))
-    z_big = hang[pin]
-    z_inner = _upward(volume, pin, kernel.circulant, dict.fromkeys(inner_boundary, a),
-                      set(inner_edges))[pin]
-
-    if mixture and chain is None:
-        raise ValueError("mixture comparison needs the fuzzy chain")
-    s_values = range(q) if mixture else [spec.pin_class]
-
-    count = q ** len(inner_edges)
-    if count > config_budget:
-        raise VolumeTooLarge(f"{count} inner residue classes exceed {config_budget}")
-
-    maxq = _max_q_per_residue(kernel)
-    worst = 0.0
-    for R, layers in _residue_layers(volume, pin, q, inner_edges):
-        qp = np.prod(maxq[R], axis=0)
-        marg = direct = 0.0
-        for s in s_values:
-            w = float(chain.alpha[s]) if mixture else 1.0
-            t = [(layers[v] + s) % q for v in inner_boundary]
-            m = np.prod([hang[v][tv] for v, tv in zip(inner_boundary, t)], axis=0)
-            marg = marg + w * (qp * m) / z_big[s]
-            direct = direct + w * (qp * np.prod(a[t], axis=0)) / z_inner[s]
-        worst = max(worst, float(np.max(np.abs(marg - direct))))
-    return worst
+    per_vertex = [_log_at(hang, v) - np.log(a) for v in inner_boundary]
+    lo = sum(x.min() for x in per_vertex)
+    hi = sum(x.max() for x in per_vertex)
+    leaf = dict.fromkeys(inner_boundary, a)
+    log_z_inner = _log_at(_upward(volume, pin, kernel.circulant, leaf, inner_edges), pin)
+    shift = log_z_inner - _log_at(hang, pin)
+    top = _upward(volume, pin, _largest_q(kernel), leaf, inner_edges, maximum=True)
+    log_top = _log_at(top, pin) - log_z_inner
+    if not mixture:
+        s = spec.pin_class
+        return _certified(volume, shift[s] + lo, shift[s] + hi, log_top[s])
+    pinned = [_certified(volume, shift[s] + lo, shift[s] + hi, log_top[s])
+              for s in range(kernel.q)]
+    # the mixed ratio is a weighted mean of the pinned ones
+    mixed = _certified(volume, float(shift.min() + lo), float(shift.max() + hi), 0.0)
+    return Certificate(float(chain.alpha @ np.array(pinned)), mixed.relative)
 
 
-def check_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
-                      seed: int = 7, enumerate_budget: int = 4096) -> float:
-    """Evaluate the mixture probability with several pin vertices on identical
-    configurations; returns the largest pairwise difference.
+# ---------------------------------------------------------------------------
+# verification: homogeneity and the restricted conditional structure
 
-    All windowed configurations are used when there are at most
-    ``enumerate_budget``, otherwise a seeded sample plus the all-zero
-    configuration. Each pin evaluates the whole batch at once.
+
+def _path(volume: FiniteTreeVolume, x: int, y: int) -> list[tuple[int, int]]:
+    """The steps (from, to) of the tree path from x to y."""
+    up, down = [x], [y]
+    while up[-1] != down[-1]:
+        if volume.depth[up[-1]] >= volume.depth[down[-1]]:
+            up.append(volume.parents[up[-1]])
+        else:
+            down.append(volume.parents[down[-1]])
+    nodes = up + down[-2::-1]
+    return list(zip(nodes, nodes[1:]))
+
+
+def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
+    """Certified upper bound on the largest difference between the mixture
+    probabilities of one windowed configuration under any two of ``pins``
+    as the pin vertex.
+
+    Moving the pin from w to a neighbour w' across an edge with increment z
+    changes the mixture probability by sum_s D(s, z) R_w(s) R_w'(s + z):
+    D is the detailed-balance defect of ``chains.balance_defect``, and R_w,
+    R_w' are the products of the kernel probabilities on the two sides of
+    the edge, with the layer of w and of w'. So the change is at most
+    max_z sum_s |D(s, z)| M_w(s) M_w'(s + z), M being their largest values,
+    two max-product passes. Any two pins differ by at most the sum of that
+    over the edges of the subtree spanning the pins.
     """
     volume = spec.volume
     kernel = spec.kernel
-    total = (2 * kernel.window.cutoff + 1) ** volume.n_edges
-    if total <= enumerate_budget:
-        configs = np.concatenate(list(_window_blocks(volume, kernel.window, total)))
-    else:
-        # typical configurations, so the compared probabilities carry mass
-        configs = np.vstack([sample_ggm_batch(spec, n_configs, seed),
-                             np.zeros((1, volume.n_edges), dtype=np.int64)])
-    alpha = spec.chain.alpha
-    probs = np.array([
-        sum(alpha[s] * _product_probs(kernel, volume, w, s, configs)
-            for s in range(kernel.q))
-        for w in pins
-    ])
-    return max(0.0, float(np.max(probs.max(axis=0) - probs.min(axis=0))))
+    q = kernel.q
+    pins = list(pins)
+    steps = {frozenset(step): step for x in pins[1:] for step in _path(volume, pins[0], x)}
+    if not steps:
+        return 0.0
+    defect = np.abs(balance_defect(kernel, spec.chain))
+    ends = (np.arange(q)[:, None] + kernel.offsets) % q
+    # the largest kernel probability of a step from layer t to layer t'
+    step_max = _largest_q(kernel) * kernel.law.as_array() / kernel.norms[:, None]
+    passes = {w: _upward(volume, w, step_max, {}, maximum=True)
+              for step in steps.values() for w in step}
+    bound = 0.0
+    for w, w2 in steps.values():
+        # the side of w, seen from w2, and the side of w2, seen from w
+        (unit, scale), (unit2, scale2) = passes[w2], passes[w]
+        sides = defect * unit[w][:, None] * unit2[w2][ends]
+        bound += float(sides.sum(axis=0).max()) * math.exp(scale[w] + scale2[w2])
+    largest = max(float(unit[w].max()) * math.exp(scale[w])
+                  for w, (unit, scale) in passes.items())
+    return bound + _slack(volume, largest)
+
+
+def _largest_share(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+                   ids: set[int], heights: np.ndarray) -> float:
+    """max b / sum b over the heights of ``ids`` with every other height
+    fixed, b being the product of Q over the edges touching ``ids``: one
+    sum-product and one max-product pass over a grid of heights wide enough
+    for every member (each inner height lies within cutoff * |ids| of a
+    fixed one)."""
+    cutoff = kernel.window.cutoff
+    fixed = [int(heights[v]) for v in volume.adjacent_outside(ids)]
+    lo = min(fixed) - cutoff * len(ids)
+    grid = np.arange(lo, max(fixed) + cutoff * len(ids) + 1)
+    step = grid[None, :] - grid[:, None]
+    weight = np.where(np.abs(step) <= cutoff,
+                      kernel.weights[np.clip(step + cutoff, 0, 2 * cutoff)], 0.0)
+    total = top = 1.0
+    sums, maxs = {}, {}
+    inward = [(src, dst) for e, src, dst, sign in volume.orientation_from(pin) if dst in ids]
+    for src, dst in reversed(inward):
+        f = np.ones(len(grid))
+        g = np.ones(len(grid))
+        for y in volume.neighbors(dst):
+            if y not in ids:
+                f = f * weight[:, heights[y] - lo]
+                g = g * weight[:, heights[y] - lo]
+            elif y != src:
+                f = f * (weight @ sums[y])
+                g = g * (weight * maxs[y]).max(axis=1)
+        sums[dst], maxs[dst] = f, g
+        if src not in ids:
+            total *= f.sum()
+            top *= g.max()
+    if total == 0.0:
+        raise ValueError("conditioning event has zero probability")
+    return top / total
 
 
 def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
                          outside: Mapping[int, int] | None = None,
                          reference: Mapping[int, int] | None = None,
-                         mixture: bool = False, chain: FuzzyChain | None = None,
-                         config_budget: int = 10**7) -> float:
+                         mixture: bool = False, chain: FuzzyChain | None = None) -> float:
     """Conditional law inside a sub-volume away from the pin, given the outside
     increments and the relative boundary heights, against the bare-weight
     prediction: proportional to the product of Q factors over configurations
@@ -539,13 +599,16 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     ``reference`` chooses the inner configuration whose boundary-height class
     is conditioned on (default all zeros).
 
-    The scan visits the (2*cutoff+1)**|inner| choices of the increment on the
-    edge entering each inner vertex from the pin side (``config_budget``
-    bounds that count). It is exact: some inner-boundary vertex is tied to
-    the pin through outside edges, so the class is the set of windowed
-    configurations that keep the reference heights on every vertex outside
-    the sub-volume, and those choices fix the inner heights. The members are
-    kept in the ``itertools.product`` order of their inner increments.
+    Returns a certified upper bound on the largest difference. Some
+    inner-boundary vertex is tied to the pin through outside edges, so the
+    class keeps the reference height of every vertex outside the sub-volume.
+    On it the joint probability p over the bare weight b is a constant times
+    prod_v a(t_v) / N(t_v)**k_v over the inner vertices v, k_v being the
+    number of edges leaving v away from the pin (for the mixture, an
+    alpha-mean of such terms). So p / b varies by at most a factor rho, the
+    product of the per-vertex ranges, and
+    |p / sum p - b / sum b| <= (b / sum b) (rho - 1); the largest b / sum b
+    comes from ``_largest_share``.
     """
     volume = spec.volume
     kernel = spec.kernel
@@ -565,98 +628,16 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
             if e not in inner_edges:
                 raise ValueError("reference assignment must live on inner edges")
             base[e] = int(z)
-
     cutoff = kernel.window.cutoff
-    count = (2 * cutoff + 1) ** len(ids)
-    if count > config_budget:
-        raise VolumeTooLarge(f"{count} inner height choices exceed {config_budget}")
-
+    if outside is not None and any(abs(int(z)) > cutoff for z in outside.values()):
+        raise OutOfWindow(f"an outside increment exceeds cutoff {cutoff}")
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
 
-    orient = volume.orientation_from(spec.pin_vertex)
-    movers = [dst for e, src, dst, sign in orient if dst in ids]
-    fixed = vertex_heights(volume, spec.pin_vertex, 0, base)
-    kept = []
-    for T in _product_blocks([2 * cutoff + 1] * len(movers)):
-        step = dict(zip(movers, T - cutoff))
-        h = list(fixed)
-        Z = np.empty((T.shape[1], volume.n_edges), dtype=np.int64)
-        for e, src, dst, sign in orient:
-            if dst in step:
-                h[dst] = h[src] + step[dst]
-            Z[:, e] = sign * (h[dst] - h[src])
-        kept.append(Z[np.all(np.abs(Z[:, inner_edges]) <= cutoff, axis=1)])
-    Z = np.concatenate(kept)
-    Z = Z[np.lexsort(Z[:, inner_edges[::-1]].T)]
-
-    if mixture:
-        joint = sum(chain.alpha[s] * _product_probs(kernel, volume, spec.pin_vertex, s, Z)
-                    for s in range(kernel.q))
-    else:
-        joint = _product_probs(kernel, volume, spec.pin_vertex, spec.pin_class, Z)
-    bare = np.prod(kernel.weights[Z[:, inner_edges] + cutoff], axis=1)
-    if joint.sum() == 0.0:
-        raise ValueError("conditioning event has zero probability")
-    return float(np.max(np.abs(joint / joint.sum() - bare / bare.sum())))
-
-
-# ---------------------------------------------------------------------------
-# exact extremes of the representation gap
-
-
-def _dual_gap(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
-              alpha: Mapping[int, float], classes, z: float,
-              residue_budget: int) -> float:
-    """Largest |sum_s alpha[s] * (product form from class s at the pin)
-    - sum_k (boundary-law factors from class k) / z| times the largest Q
-    product, over the q**edges residue vectors of the increments."""
-    if not volume.full:
-        raise ValueError("the boundary-law form needs a closed regular volume")
-    q = kernel.q
-    if q ** volume.n_edges > residue_budget:
-        raise VolumeTooLarge("residue scan exceeds its budget")
-    a = kernel.law.as_array()
-    orient = volume.orientation_from(pin)
-    order = [e for e, src, dst, sign in orient]
-    maxq = _max_q_per_residue(kernel)
-    boundary = sorted(volume.boundary)
-    worst = 0.0
-    for R, layers in _residue_layers(volume, pin, q, range(volume.n_edges)):
-        h1 = h2 = 0.0
-        for s, w in alpha.items():
-            t = (layers + s) % q
-            term = np.full(R.shape[1], w)
-            for e, src, dst, sign in orient:
-                term = term * (a[t[dst]] / kernel.norms[t[src]])
-            h1 = h1 + term
-        for k in classes:
-            h2 = h2 + np.prod(a[(layers[boundary] + k) % q], axis=0)
-        wmax = np.prod(maxq[R[order]], axis=0)
-        worst = max(worst, float(np.max(np.abs(h1 - h2 / z) * wmax)))
-    return worst
-
-
-def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) -> float:
-    """Exact maximum of |product form - boundary-law form| over every windowed
-    configuration.
-
-    Both forms share the bare product of Q factors; the remaining parts depend
-    on the increments only through their residues mod q. The maximum therefore
-    splits as (residue-class gap) times (largest Q product within the class),
-    and scanning the q**edges residue vectors, in blocks, is exhaustive;
-    ``residue_budget`` bounds that count.
-    """
-    s = spec.pin_class
-    z = _bl_partition(spec.kernel, spec.volume, spec.pin_vertex)[s]
-    return _dual_gap(spec.kernel, spec.volume, spec.pin_vertex, {s: 1.0}, [s], z,
-                     residue_budget)
-
-
-def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
-    """Exact maximum of |mixture form - class-summed boundary-law form| over
-    every windowed configuration, by the same scan of the q**edges residue
-    vectors."""
-    z = float(_bl_partition(spec.kernel, spec.volume, 0).sum())
-    return _dual_gap(spec.kernel, spec.volume, 0, dict(enumerate(spec.chain.alpha)),
-                     range(spec.kernel.q), z, residue_budget)
+    log_a = np.log(kernel.law.as_array())
+    log_n = np.log(kernel.norms)
+    spread = sum(float(np.ptp(log_a - (len(volume.neighbors(v)) - 1) * log_n))
+                 for v in ids)
+    heights = vertex_heights(volume, spec.pin_vertex, 0, base)
+    share = _largest_share(kernel, volume, spec.pin_vertex, ids, heights)
+    return float(_certified(volume, -spread, spread, math.log(share)))

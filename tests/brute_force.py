@@ -1,16 +1,24 @@
 """Brute-force oracles for ``ggmtree``, kept in the tests.
 
-The verifier scans in ``ggmtree.measures`` are checked against the
-enumerating implementations they replaced, kept unchanged apart from the
-partition cache: ``check_consistency`` and ``check_restricted_dlr`` visit
-every windowed inner configuration, and the dual-gap scans loop over the
-residue vectors one at a time in Python. They are slow, so tests run them on
-depth-1 and depth-2 volumes only.
+The verifier's certificates in ``ggmtree.measures`` are checked against two
+generations of exact checks. The ``scan_*`` functions are the numpy class
+scans the library used before the certificates: the dual gaps scan the
+q**edges residue vectors, consistency the residue classes of the inner
+increments, the restricted conditional check the heights of the inner
+vertices, and homogeneity evaluates enumerated (or sampled) configurations
+in one batch. Each is exact and is checked against the enumerating
+implementation it replaced in turn: ``check_consistency`` and
+``check_restricted_dlr`` visit every windowed inner configuration, and the
+dual-gap loops visit the residue vectors one at a time in Python. They are
+slow, so tests run them on depth-1 to depth-3 volumes only.
 
 ``sample_ggm_batch`` is the per-edge sampler and ``sample_csv`` the
 ``csv.writer`` output of ``ggmtree sample``, the references for the
-level-blocked sampler and the table-driven encoder. ``is_normalizable`` and
-``stationary_by_power_iteration`` are answers the library has no use for.
+level-blocked sampler and the table-driven encoder. The scalar reference
+forms (``pinned_prob_bl``, ``ggm_prob``, ``alt_ggm_prob``), the window
+enumerator, ``coupling_expectation``, ``bond_marginals_by_position``,
+``is_normalizable`` and ``stationary_by_power_iteration`` are answers the
+library has no use for.
 """
 from __future__ import annotations
 
@@ -18,22 +26,29 @@ import csv
 import io
 import itertools
 import json
-from typing import Iterable, Mapping
+import math
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ggmtree import cli
+from ggmtree import cli, measures
 from ggmtree.chains import FuzzyChain, LayerKernel
+from ggmtree.diagnostics import CounterexampleChain, path_mixture_prob
 from ggmtree.errors import PinInsideInner, VolumeTooLarge
-from ggmtree.measures import GGMSpec, PinnedMeasureSpec
+from ggmtree.measures import Certificate, GGMSpec, PinnedMeasureSpec, _product_probs
 from ggmtree.model import (
     FiniteTreeVolume,
+    GradientConfiguration,
+    IncrementWindow,
     PeriodicBoundaryLaw,
     TransferOperator,
     cayley_ball,
     eval_q,
     vertex_heights,
+    vertex_layers,
 )
+
+BLOCK = 2**14  # rows per block, so scans need O(BLOCK x vertices) memory
 
 
 def _product_prob(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
@@ -405,3 +420,406 @@ def stationary_by_power_iteration(matrix: np.ndarray, n_iter: int = 10_000,
             return nxt
         pi = nxt
     return pi
+
+
+# ---------------------------------------------------------------------------
+# windowed configurations and the scalar reference forms
+
+
+def _product_blocks(sizes: list[int]) -> Iterator[np.ndarray]:
+    """The tuples of ``itertools.product(*map(range, sizes))`` in its order,
+    as arrays of shape (len(sizes), rows) with at most BLOCK rows each."""
+    strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
+    strides = np.array(strides, dtype=np.int64)[:, None]
+    radix = np.array(sizes, dtype=np.int64)[:, None]
+    total = math.prod(sizes)
+    for start in range(0, total, BLOCK):
+        yield np.arange(start, min(start + BLOCK, total)) // strides % radix
+
+
+def _window_blocks(volume: FiniteTreeVolume, window: IncrementWindow,
+                   config_budget: int) -> Iterator[np.ndarray]:
+    """All increment assignments with every entry in the window, in
+    ``itertools.product`` order, as (rows, n_edges) blocks."""
+    width = 2 * window.cutoff + 1
+    count = width ** volume.n_edges
+    if count > config_budget:
+        raise VolumeTooLarge(f"{count} configurations exceed the budget {config_budget}")
+    for block in _product_blocks([width] * volume.n_edges):
+        yield block.T - window.cutoff
+
+
+def windowed_configs(volume: FiniteTreeVolume, window: IncrementWindow,
+                     config_budget: int = 10**7) -> Iterator[np.ndarray]:
+    """All increment assignments with every entry in the window."""
+    for block in _window_blocks(volume, window, config_budget):
+        yield from block
+
+
+def _bl_weight(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+               s: int, zeta) -> float:
+    q = kernel.q
+    a = kernel.law.a
+    heights = vertex_heights(volume, pin, s, zeta)
+    w = 1.0
+    for y in volume.boundary:
+        w *= a[int(heights[y]) % q]
+    for e in range(volume.n_edges):
+        w *= eval_q(kernel.op, int(zeta[e]))
+    return w
+
+
+def pinned_prob_bl(spec: PinnedMeasureSpec, zeta: GradientConfiguration) -> float:
+    """Probability of a full edge configuration in the boundary-law form:
+    boundary factors at the outer layer times bare edge weights, normalized by
+    the exact partition sum."""
+    if not spec.volume.full:
+        raise ValueError("the boundary-law form needs a closed regular volume")
+    z = _bl_partition(spec.kernel, spec.volume, spec.pin_vertex)[spec.pin_class]
+    return _bl_weight(spec.kernel, spec.volume, spec.pin_vertex,
+                      spec.pin_class, zeta.increments) / z
+
+
+def ggm_prob(spec: GGMSpec, zeta: GradientConfiguration, pin: int | None = None) -> float:
+    """Mixture of pinned product probabilities over the stationary layer
+    distribution; the pin vertex is arbitrary (homogeneity is a testable
+    property, not an input)."""
+    w = 0 if pin is None else pin
+    alpha = spec.chain.alpha
+    return float(sum(
+        alpha[s] * _product_probs(spec.kernel, spec.volume, w, s, [zeta.increments])[0]
+        for s in range(spec.kernel.q)
+    ))
+
+
+def alt_ggm_prob(kernel: LayerKernel, volume: FiniteTreeVolume,
+                 zeta: GradientConfiguration) -> float:
+    """Class-summed boundary-law form of the homogeneous measure, which never
+    references the stationary distribution."""
+    if not volume.full:
+        raise ValueError("the boundary-law form needs a closed regular volume")
+    parts = _bl_partition(kernel, volume, 0)
+    num = sum(_bl_weight(kernel, volume, 0, k, zeta.increments)
+              for k in range(kernel.q))
+    return float(num / parts.sum())
+
+
+def coupling_expectation(spec: GGMSpec, func: Callable[[GradientConfiguration, dict], float],
+                         config_budget: int = 10**7) -> float:
+    """Expectation of a bounded function of (gradient configuration, layer
+    labels) under the joint measure that draws the pin class from the
+    stationary distribution and the increments from the kernel.
+
+    The labels handed to ``func`` are exactly the classes reached from the
+    drawn pin class, so label and gradient arguments are always compatible.
+    """
+    volume = spec.volume
+    alpha = spec.chain.alpha
+    q = spec.kernel.q
+    total = 0.0
+    for Z in _window_blocks(volume, spec.kernel.window, config_budget):
+        probs = [alpha[s] * _product_probs(spec.kernel, volume, 0, s, Z) for s in range(q)]
+        for i, arr in enumerate(Z):
+            cfg = GradientConfiguration(volume, tuple(int(v) for v in arr))
+            for s in range(q):
+                p = probs[s][i]
+                if p == 0.0:
+                    continue
+                labels = dict(enumerate(vertex_layers(volume, q, 0, s, arr)))
+                total += p * func(cfg, labels)
+    return float(total)
+
+
+def bond_marginals_by_position(ce: CounterexampleChain, n_edges: int) -> np.ndarray:
+    """Single-bond marginals P(zeta_i = v) for every position i and
+    v in {-1, 0, 1}, by full enumeration; translation invariance makes the
+    rows identical."""
+    out = np.zeros((n_edges, 3))
+    for combo in itertools.product((-1, 0, 1), repeat=n_edges):
+        p = path_mixture_prob(ce, combo)
+        for i, z in enumerate(combo):
+            out[i, z + 1] += p
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the exact class scans the certificates replaced
+
+
+def _residue_layer_blocks(volume: FiniteTreeVolume, pin: int, q: int,
+                          edges) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of the residue vectors on ``edges`` (other edges have residue
+    0) in ``itertools.product`` order, shape (len(edges), rows), each with
+    the layers reached from class 0 at ``pin``, shape (n_vertices, rows)."""
+    column = {e: j for j, e in enumerate(edges)}
+    for R in _product_blocks([q] * len(edges)):
+        layers = np.zeros((volume.n_vertices, R.shape[1]), dtype=np.int64)
+        for e, src, dst, sign in volume.orientation_from(pin):
+            step = sign * R[column[e]] if e in column else 0
+            layers[dst] = (layers[src] + step) % q
+        yield R, layers
+
+
+def scan_consistency(spec: PinnedMeasureSpec, inner,
+                     mixture: bool = False, chain: FuzzyChain | None = None,
+                     config_budget: int = 10**7) -> Certificate:
+    """The largest difference between the two sides of ``check_consistency``
+    over the windowed inner configurations, with the largest
+    |marginal / direct - 1| in ``relative``, by scanning the
+    q**|inner edges| residue classes of the inner increments
+    (``config_budget`` bounds that count). This is exact: both sides are the
+    product of the inner Q factors times factors of the inner-boundary
+    layers, which only see residues, so a class's largest difference is its
+    gap times the largest product, the product of per-edge maxima.
+    """
+    volume = spec.volume
+    kernel = spec.kernel
+    if not volume.full:
+        raise ValueError("consistency checks need a closed regular volume")
+    q = kernel.q
+    pin = spec.pin_vertex
+    ids = _interior_set(volume, inner)
+    if pin not in ids:
+        raise ValueError("the pin vertex must belong to the inner volume")
+    inner_edges = volume.edges_touching(ids)
+    inner_boundary = volume.adjacent_outside(ids)
+    a = kernel.law.as_array()
+    hang = _hanging_factors(kernel, volume, pin, inner_boundary)
+    z_big = _bl_partition(kernel, volume, pin)
+    C = kernel.circulant
+    f = [a.copy() if v in inner_boundary else np.ones(q)
+         for v in range(volume.n_vertices)]
+    for e, src, dst, sign in reversed(volume.orientation_from(pin)):
+        if e in inner_edges:
+            f[src] = f[src] * (C @ f[dst])
+    z_inner = f[pin]
+
+    if mixture and chain is None:
+        raise ValueError("mixture comparison needs the fuzzy chain")
+    s_values = range(q) if mixture else [spec.pin_class]
+
+    count = q ** len(inner_edges)
+    if count > config_budget:
+        raise VolumeTooLarge(f"{count} inner residue classes exceed {config_budget}")
+
+    maxq = _max_q_per_residue(kernel)
+    worst = ratio = 0.0
+    for R, layers in _residue_layer_blocks(volume, pin, q, inner_edges):
+        qp = np.prod(maxq[R], axis=0)
+        marg = direct = 0.0
+        for s in s_values:
+            w = float(chain.alpha[s]) if mixture else 1.0
+            t = [(layers[v] + s) % q for v in inner_boundary]
+            m = np.prod([hang[v][tv] for v, tv in zip(inner_boundary, t)], axis=0)
+            marg = marg + w * (qp * m) / z_big[s]
+            direct = direct + w * (qp * np.prod(a[t], axis=0)) / z_inner[s]
+        worst = max(worst, float(np.max(np.abs(marg - direct))))
+        ratio = max(ratio, float(np.max(np.abs(marg / direct - 1.0))))
+    return Certificate(worst, ratio)
+
+
+def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
+                     seed: int = 7, enumerate_budget: int = 4096) -> float:
+    """Evaluate the mixture probability with several pin vertices on identical
+    configurations; returns the largest pairwise difference.
+
+    All windowed configurations are used when there are at most
+    ``enumerate_budget``, otherwise a sample from the library's sampler plus
+    the all-zero configuration. Each pin evaluates the whole batch at once.
+    """
+    volume = spec.volume
+    kernel = spec.kernel
+    total = (2 * kernel.window.cutoff + 1) ** volume.n_edges
+    if total <= enumerate_budget:
+        configs = np.concatenate(list(_window_blocks(volume, kernel.window, total)))
+    else:
+        # typical configurations, so the compared probabilities carry mass
+        configs = np.vstack([measures.sample_ggm_batch(spec, n_configs, seed),
+                             np.zeros((1, volume.n_edges), dtype=np.int64)])
+    alpha = spec.chain.alpha
+    probs = np.array([
+        sum(alpha[s] * _product_probs(kernel, volume, w, s, configs)
+            for s in range(kernel.q))
+        for w in pins
+    ])
+    return max(0.0, float(np.max(probs.max(axis=0) - probs.min(axis=0))))
+
+
+def _restricted_class(spec: PinnedMeasureSpec, inner,
+                      outside: Mapping[int, int] | None,
+                      reference: Mapping[int, int] | None,
+                      config_budget: int) -> tuple[np.ndarray, list[int]]:
+    """The members of ``check_restricted_dlr``'s boundary-height class as
+    rows, with the inner edges, by a scan of the (2*cutoff+1)**|inner|
+    choices of the increment on the edge entering each inner vertex from the
+    pin side (``config_budget`` bounds that count). It is exhaustive: some
+    inner-boundary vertex is tied to the pin through outside edges, so the
+    class is the set of windowed configurations that keep the reference
+    heights on every vertex outside the sub-volume, and those choices fix the
+    inner heights. The members are kept in the ``itertools.product`` order
+    of their inner increments.
+    """
+    volume = spec.volume
+    kernel = spec.kernel
+    ids = _interior_set(volume, inner)
+    if spec.pin_vertex in ids:
+        raise PinInsideInner("conditioning volume must avoid the pin vertex")
+    inner_edges = volume.edges_touching(ids)
+
+    base = np.zeros(volume.n_edges, dtype=np.int64)
+    if outside is not None:
+        for e, z in outside.items():
+            if e in inner_edges:
+                raise ValueError("outside assignment hit an inner edge")
+            base[e] = int(z)
+    if reference is not None:
+        for e, z in reference.items():
+            if e not in inner_edges:
+                raise ValueError("reference assignment must live on inner edges")
+            base[e] = int(z)
+
+    cutoff = kernel.window.cutoff
+    count = (2 * cutoff + 1) ** len(ids)
+    if count > config_budget:
+        raise VolumeTooLarge(f"{count} inner height choices exceed {config_budget}")
+
+    orient = volume.orientation_from(spec.pin_vertex)
+    movers = [dst for e, src, dst, sign in orient if dst in ids]
+    fixed = vertex_heights(volume, spec.pin_vertex, 0, base)
+    kept = []
+    for T in _product_blocks([2 * cutoff + 1] * len(movers)):
+        step = dict(zip(movers, T - cutoff))
+        h = list(fixed)
+        Z = np.empty((T.shape[1], volume.n_edges), dtype=np.int64)
+        for e, src, dst, sign in orient:
+            if dst in step:
+                h[dst] = h[src] + step[dst]
+            Z[:, e] = sign * (h[dst] - h[src])
+        kept.append(Z[np.all(np.abs(Z[:, inner_edges]) <= cutoff, axis=1)])
+    Z = np.concatenate(kept)
+    return Z[np.lexsort(Z[:, inner_edges[::-1]].T)], inner_edges
+
+
+def largest_share(spec: PinnedMeasureSpec, inner,
+                  outside: Mapping[int, int] | None = None,
+                  reference: Mapping[int, int] | None = None) -> float:
+    """max b / sum b over the boundary-height class, b being the product of
+    Q over the inner edges."""
+    cutoff = spec.kernel.window.cutoff
+    Z, inner_edges = _restricted_class(spec, inner, outside, reference, 10**7)
+    bare = np.prod(spec.kernel.weights[Z[:, inner_edges] + cutoff], axis=1)
+    return float(bare.max() / bare.sum())
+
+
+def ratio_range(spec: PinnedMeasureSpec, inner,
+                outside: Mapping[int, int] | None = None,
+                reference: Mapping[int, int] | None = None,
+                mixture: bool = False, chain: FuzzyChain | None = None) -> float:
+    """max / min over the boundary-height class of the joint probability p
+    over the bare weight b."""
+    kernel = spec.kernel
+    Z, inner_edges = _restricted_class(spec, inner, outside, reference, 10**7)
+    s_values = range(kernel.q) if mixture else [spec.pin_class]
+    joint = sum((chain.alpha[s] if mixture else 1.0)
+                * _product_probs(kernel, spec.volume, spec.pin_vertex, s, Z)
+                for s in s_values)
+    ratio = joint / np.prod(kernel.weights[Z[:, inner_edges] + kernel.window.cutoff], axis=1)
+    return float(ratio.max() / ratio.min())
+
+
+def scan_restricted_dlr(spec: PinnedMeasureSpec, inner,
+                        outside: Mapping[int, int] | None = None,
+                        reference: Mapping[int, int] | None = None,
+                        mixture: bool = False, chain: FuzzyChain | None = None,
+                        config_budget: int = 10**7) -> float:
+    """``check_restricted_dlr``'s exact value over the members of
+    ``_restricted_class``."""
+    kernel = spec.kernel
+    volume = spec.volume
+    cutoff = kernel.window.cutoff
+    Z, inner_edges = _restricted_class(spec, inner, outside, reference, config_budget)
+    if mixture and chain is None:
+        raise ValueError("mixture comparison needs the fuzzy chain")
+    if mixture:
+        joint = sum(chain.alpha[s] * _product_probs(kernel, volume, spec.pin_vertex, s, Z)
+                    for s in range(kernel.q))
+    else:
+        joint = _product_probs(kernel, volume, spec.pin_vertex, spec.pin_class, Z)
+    bare = np.prod(kernel.weights[Z[:, inner_edges] + cutoff], axis=1)
+    if joint.sum() == 0.0:
+        raise ValueError("conditioning event has zero probability")
+    return float(np.max(np.abs(joint / joint.sum() - bare / bare.sum())))
+
+
+def _scan_dual_gap(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+                   alpha: Mapping[int, float], classes, z: float,
+                   residue_budget: int) -> Certificate:
+    """Largest |sum_s alpha[s] * (product form from class s at the pin)
+    - sum_k (boundary-law factors from class k) / z| times the largest Q
+    product, over the q**edges residue vectors of the increments, with the
+    largest |ratio - 1| of the two forms in ``relative``."""
+    if not volume.full:
+        raise ValueError("the boundary-law form needs a closed regular volume")
+    q = kernel.q
+    if q ** volume.n_edges > residue_budget:
+        raise VolumeTooLarge("residue scan exceeds its budget")
+    a = kernel.law.as_array()
+    orient = volume.orientation_from(pin)
+    order = [e for e, src, dst, sign in orient]
+    maxq = _max_q_per_residue(kernel)
+    boundary = sorted(volume.boundary)
+    worst = ratio = 0.0
+    for R, layers in _residue_layer_blocks(volume, pin, q, range(volume.n_edges)):
+        h1 = h2 = 0.0
+        for s, w in alpha.items():
+            t = (layers + s) % q
+            term = np.full(R.shape[1], w)
+            for e, src, dst, sign in orient:
+                term = term * (a[t[dst]] / kernel.norms[t[src]])
+            h1 = h1 + term
+        for k in classes:
+            h2 = h2 + np.prod(a[(layers[boundary] + k) % q], axis=0)
+        wmax = np.prod(maxq[R[order]], axis=0)
+        worst = max(worst, float(np.max(np.abs(h1 - h2 / z) * wmax)))
+        ratio = max(ratio, float(np.max(np.abs(h1 / (h2 / z) - 1.0))))
+    return Certificate(worst, ratio)
+
+
+def scan_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) -> Certificate:
+    """Exact maximum of |product form - boundary-law form| over every
+    windowed configuration, with the exact maximum of |ratio - 1| in
+    ``relative``.
+
+    Both forms share the bare product of Q factors; the remaining parts depend
+    on the increments only through their residues mod q. The maximum therefore
+    splits as (residue-class gap) times (largest Q product within the class),
+    and scanning the q**edges residue vectors, in blocks, is exhaustive;
+    ``residue_budget`` bounds that count.
+    """
+    s = spec.pin_class
+    z = _bl_partition(spec.kernel, spec.volume, spec.pin_vertex)[s]
+    return _scan_dual_gap(spec.kernel, spec.volume, spec.pin_vertex, {s: 1.0}, [s], z,
+                          residue_budget)
+
+
+def scan_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> Certificate:
+    """Exact maximum of |mixture form - class-summed boundary-law form| over
+    every windowed configuration, with that of |ratio - 1| in ``relative``,
+    by the same scan of the q**edges residue vectors."""
+    z = float(_bl_partition(spec.kernel, spec.volume, 0).sum())
+    return _scan_dual_gap(spec.kernel, spec.volume, 0, dict(enumerate(spec.chain.alpha)),
+                          range(spec.kernel.q), z, residue_budget)
+
+
+def windowed_mass(spec: PinnedMeasureSpec) -> float:
+    """``measures.windowed_mass`` by the unscaled layer pass."""
+    kernel = spec.kernel
+    q = kernel.q
+    W = np.zeros((q, q))
+    for t in range(q):
+        for z in kernel.offsets:
+            W[t, (t + int(z)) % q] += kernel.prob(t, int(z))
+    f = [np.ones(q) for _ in range(spec.volume.n_vertices)]
+    for e, src, dst, sign in reversed(spec.volume.orientation_from(spec.pin_vertex)):
+        f[src] = f[src] * (W @ f[dst])
+    return float(f[spec.pin_vertex][spec.pin_class])

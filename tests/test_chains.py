@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ggmtree import (
     SOS,
+    FuzzyChain,
     IncrementWindow,
     NonSummable,
     OutOfWindow,
@@ -20,7 +21,7 @@ from ggmtree import (
     total_mass,
     wrapped_row,
 )
-from ggmtree.chains import second_eigenvalue_modulus, tv_distance
+from ggmtree.chains import balance_defect, second_eigenvalue_modulus, tv_distance
 from ggmtree.transfer import potts_boundary_laws
 
 from brute_force import stationary_by_power_iteration
@@ -144,6 +145,19 @@ class TestReversibility:
         kernel = build_layer_kernel(sos2, law)
         chain = fuzzy_transform(kernel)
         assert check_reversibility(kernel, chain) < 1e-12
+
+    def test_defect_table_is_the_scalar_formula(self):
+        # bit for bit, so the reported reversibility violation is unchanged
+        op = SOS(3.0)
+        law = PeriodicBoundaryLaw.from_values([1.0, 0.5, 40.0])
+        kernel = build_layer_kernel(op, law)
+        alpha = np.array([0.2, 0.3, 0.5])  # not stationary: a visible defect
+        defect = balance_defect(kernel, FuzzyChain(3, np.eye(3), alpha))
+        for i in range(3):
+            for k, z in enumerate(kernel.offsets):
+                j = (i + int(z)) % 3
+                want = alpha[i] * kernel.prob(i, int(z)) - alpha[j] * kernel.prob(j, -int(z))
+                assert defect[i, k] == want
 
 
 class TestMixing:

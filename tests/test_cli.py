@@ -2,9 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ggmtree
 from ggmtree import (
     GGMSpec,
     IncrementWindow,
@@ -212,15 +217,58 @@ class TestVerify:
                      "--out", str(tmp_path / "verify.json")]) == 0
 
     @pytest.mark.parametrize("model, depth", [
-        ({"potential": {"kind": "sos", "beta": 2.0}, "q": 2, "d": 2}, "4"),  # 2^45
-        ({"potential": {"kind": "sos", "beta": 3.0}, "q": 6, "d": 2}, "2"),  # 6^9
+        ({"potential": {"kind": "sos", "beta": 2.0}, "q": 2, "d": 2}, "4"),  # 2^45 residues
+        ({"potential": {"kind": "sos", "beta": 3.0}, "q": 6, "d": 2}, "2"),  # 6^9 residues
     ], ids=["depth4", "q6-depth2"])
-    def test_scan_budget_limit_exits_2(self, model, depth, tmp_path, capsys):
+    def test_deep_and_wide_volumes_pass(self, model, depth, tmp_path):
+        # volumes whose residue vectors no scan could visit
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))
-        assert main(["verify", "--model", str(path), "--depth", depth]) == 2
-        err = capsys.readouterr().err
-        assert "budget" in err and "--depth" in err
+        assert main(["verify", "--model", str(path), "--depth", depth,
+                     "--out", str(tmp_path / "verify.json")]) == 0
+
+    @pytest.mark.parametrize("depth", range(2, 11))
+    def test_perturbed_law_fails_at_every_depth(self, model_file, depth, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--model", model_file, "--perturb", "0.1",
+                     "--depth", str(depth), "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        # the difference shrinks with the volume, the ratio does not
+        for name in ("dual_representation_pinned", "dual_representation_mixture"):
+            assert not checks[name]["pass"]
+            assert checks[name]["relative_violation"] > 1e-2
+
+    def test_report_names_method_and_relative_bounds(self, model_file, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--model", model_file, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 2
+        methods = {name: c["method"] for name, c in payload["checks"].items()}
+        assert {name for name, m in methods.items() if m == "exact"} == {
+            "boundary_law_residual", "stationarity", "reversibility", "windowed_mass"}
+        assert set(methods.values()) == {"exact", "certificate"}
+        relative = {name for name, c in payload["checks"].items()
+                    if "relative_violation" in c}
+        assert relative == {"dual_representation_pinned", "dual_representation_mixture",
+                            "consistency"}
+        for name in relative:
+            c = payload["checks"][name]
+            assert c["violation"] <= c["relative_violation"] <= c["tolerance"]
+
+    def test_verify_draws_no_random_numbers(self, model_file, tmp_path):
+        # a regression guard: no check samples, so numpy.random stays unloaded
+        src = str(Path(ggmtree.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        script = ("import sys\n"
+                  "from ggmtree.cli import main\n"
+                  f"code = main(['verify', '--model', {model_file!r}, '--depth', '3',"
+                  f" '--out', {str(tmp_path / 'v.json')!r}])\n"
+                  "print(code, 'numpy.random' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "False"]
 
     def test_trivial_branch_passes_at_tight_tolerance(self, model_file, tmp_path):
         out = tmp_path / "verify_trivial.json"

@@ -16,17 +16,16 @@ from ggmtree import (
     counterexample_conditional_ratio,
     decay_envelope,
     fuzzy_transform,
-    ggm_prob,
     identifiability_check,
     path_volume,
 )
 from ggmtree.diagnostics import (
-    bond_marginals_by_position,
     conditional_ratio_closed,
     conditional_ratio_enumerated,
     path_mixture_prob,
 )
-from ggmtree.measures import windowed_configs
+
+from brute_force import bond_marginals_by_position, ggm_prob, windowed_configs
 
 
 def bond_events(n):

@@ -12,22 +12,18 @@ from ggmtree import (
     PinInsideInner,
     PinnedMeasureSpec,
     VolumeTooLarge,
-    alt_ggm_prob,
     build_layer_kernel,
     cayley_ball,
     check_consistency,
     check_homogeneity,
     check_restricted_dlr,
     closed_form_q2_sos,
-    coupling_expectation,
     eval_q,
     find_branches,
     fuzzy_transform,
-    ggm_prob,
     max_dual_gap_ggm,
     max_dual_gap_pinned,
     path_volume,
-    pinned_prob_bl,
     pinned_prob_product,
     sample_ggm,
     sample_ggm_batch,
@@ -40,11 +36,17 @@ from ggmtree.chains import tv_distance
 from ggmtree.measures import (
     event_prob_ggm,
     event_prob_pinned,
-    windowed_configs,
     windowed_mass,
 )
 
 import brute_force as bf
+from brute_force import (
+    alt_ggm_prob,
+    coupling_expectation,
+    ggm_prob,
+    pinned_prob_bl,
+    windowed_configs,
+)
 
 
 def perturbed(law, factor=1.1):
@@ -62,6 +64,38 @@ def small_kernel(sos2, upper_law):
 @pytest.fixture(scope="module")
 def small_chain(small_kernel):
     return fuzzy_transform(small_kernel)
+
+
+class TestScaledPass:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_partition_agrees_with_unscaled_pass(self, spec_parts, depth):
+        kernel, _ = spec_parts
+        volume = cayley_ball(2, depth)
+        for pin in (0, 1):
+            got = np.exp(measures._bl_partition(kernel, volume, pin))
+            want = bf._bl_partition(kernel, volume, pin)
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_windowed_mass_agrees_with_unscaled_pass(self, kernel, depth):
+        spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), 0, 1)
+        assert windowed_mass(spec) == pytest.approx(bf.windowed_mass(spec), rel=1e-13)
+
+    def test_deep_partition_stays_finite(self, kernel):
+        # the unscaled partition overflows from depth 8 on
+        log_z = measures._bl_partition(kernel, cayley_ball(2, 14), 0)
+        assert np.all(np.isfinite(log_z))
+        assert log_z.min() > 700.0
+
+    def test_max_product_is_the_largest_weight(self, small_kernel, ball1):
+        # the largest boundary-law weight over the windowed configurations
+        a = small_kernel.law.as_array()
+        top = measures._upward(ball1, 0, measures._largest_q(small_kernel),
+                               dict.fromkeys(ball1.boundary, a), maximum=True)
+        for s in range(2):
+            want = max(bf._bl_weight(small_kernel, ball1, 0, s, arr)
+                       for arr in windowed_configs(ball1, small_kernel.window))
+            assert np.exp(measures._log_at(top, 0)[s]) == pytest.approx(want, rel=1e-13)
 
 
 class TestPinnedProduct:
@@ -137,7 +171,8 @@ class TestDualRepresentation:
         for arr in windowed_configs(ball1, kernel.window, 10**6):
             zeta = GradientConfiguration(ball1, tuple(map(int, arr)))
             brute = max(brute, abs(pinned_prob_product(spec, zeta) - pinned_prob_bl(spec, zeta)))
-        assert max_dual_gap_pinned(spec) == pytest.approx(brute, rel=1e-9, abs=1e-18)
+        assert bf.scan_dual_gap_pinned(spec) == pytest.approx(brute, rel=1e-9, abs=1e-18)
+        assert brute <= max_dual_gap_pinned(spec)
 
     def test_uniform_law_reduces_to_bare_weights(self, ball1):
         op = SOS(1.3)
@@ -325,11 +360,11 @@ class TestLevelBlockedSampler:
 
     def test_homogeneity_unchanged(self, spec_parts, monkeypatch):
         # depth 2 with cutoff >= 1 has over 4096 windowed configurations, so
-        # the check samples
+        # the sampled homogeneity scan samples
         spec = GGMSpec(*spec_parts, cayley_ball(2, 2))
-        got = check_homogeneity(spec, [0, 1, 4])
+        got = bf.scan_homogeneity(spec, [0, 1, 4])
         monkeypatch.setattr(measures, "sample_ggm_batch", bf.sample_ggm_batch)
-        assert check_homogeneity(spec, [0, 1, 4]) == got
+        assert bf.scan_homogeneity(spec, [0, 1, 4]) == got
 
 
 class TestConsistency:
@@ -406,6 +441,12 @@ class TestRestrictedConditional:
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
         spec = PinnedMeasureSpec(kernel, ball2, 0, 0)
         assert check_restricted_dlr(spec, {1}, reference={3: 1}) > 1e-3
+
+    def test_outside_increment_beyond_window_rejected(self, small_kernel, ball2):
+        from ggmtree import OutOfWindow
+        spec = PinnedMeasureSpec(small_kernel, ball2, 0, 0)
+        with pytest.raises(OutOfWindow):
+            check_restricted_dlr(spec, {1}, outside={1: small_kernel.window.cutoff + 1})
 
     def test_nonzero_outside_configuration(self, small_kernel, ball2):
         spec = PinnedMeasureSpec(small_kernel, ball2, 0, 0)
