@@ -16,7 +16,6 @@ eliminated by the a_0 = 1 normalization. This module provides:
 - the closed-form period-2 reduction for the SOS model on the binary tree;
 - effective Ising/Potts temperatures for periods 2, 3, 4 and their
   closed-form critical temperatures;
-- the log-grid scalar root scan;
 - the normalizability certificate.
 """
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .errors import (
 from .model import (
     PeriodicBoundaryLaw,
     TransferOperator,
+    grid_roots,
     interaction_matrix,
     wrapped_row,
 )
@@ -376,25 +376,6 @@ def critical_beta(q: int, d: int, family: str = "sos") -> float:
     if d != 2:
         raise UnsupportedDegree("the q = 3 threshold is known for d = 2 only")
     return math.acosh(1.0 + math.sqrt(2.0))
-
-
-def grid_roots(f, grid) -> list[float]:
-    """Roots of f: grid points where f is exactly zero, and each sign change
-    between neighbouring grid points bisected down to two adjacent floats."""
-    vals = [f(x) for x in grid]
-    roots: list[float] = []
-    for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if flo == 0.0:
-            roots.append(float(lo))
-        elif flo * fhi < 0.0:
-            lo, hi = float(lo), float(hi)
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                if (f(mid) < 0.0) == (flo < 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(lo)
-    return roots
 
 
 def ising_type_solve(Qpp: float, Qpm: float, d: int) -> list[float]:

@@ -2,10 +2,13 @@
 
 Given a potential Q and a q-periodic boundary law l, the one-step kernel at
 layer s puts weight Q(z) l(s + z mod q) on the increment z, normalized by
-N(s) = sum_z Q(z) l(s + z). Wrapping the increments mod q turns the kernel
-into a q-state chain whose stationary distribution alpha(s) is proportional
-to l(s) N(s); that chain controls how fast the layer at a far-away vertex
-forgets its start.
+N(s) = sum_z Q(z) l(s + z). ``build_layer_kernel`` tabulates it once over the
+window increments, with the layer each step ends in, and every consumer
+(point probabilities, detailed balance, the product form, the windowed mass,
+the bond marginals) reads that table. Wrapping the increments mod q turns the
+kernel into a q-state chain whose stationary distribution alpha(s) is
+proportional to l(s) N(s); that chain controls how fast the layer at a
+far-away vertex forgets its start.
 """
 from __future__ import annotations
 
@@ -39,20 +42,21 @@ __all__ = [
 class LayerKernel:
     """Increment distributions per layer, truncated to a certified window.
 
-    ``rows[s]`` holds the exact probabilities of increments -M .. M at layer
-    s, renormalized to sum to one; the mass dropped by the truncation is kept
-    in ``deficits``. ``norms`` are the exact one-step normalizers N(s) and
-    ``circulant`` is the wrapped interaction matrix, both computed from full
-    sums so that no truncation error enters them. ``weights`` holds Q(z) for
-    z = -M .. M.
+    ``probs[s, k]`` is the exact kernel probability Q(z) a(s + z) / N(s) of
+    the increment z = offsets[k] at layer s, and ``ends[s, k]`` the layer
+    (s + z) mod q it ends in. ``rows`` renormalizes each row of ``probs`` to
+    sum to one; the mass dropped by the truncation is ``deficits``. ``norms``
+    are the exact one-step normalizers N(s) and ``circulant`` is the wrapped
+    interaction matrix, both computed from full sums so that no truncation
+    error enters them. ``weights`` holds Q(z) for z = -M .. M.
     """
 
     op: TransferOperator
     law: PeriodicBoundaryLaw
     window: IncrementWindow
     norms: np.ndarray = field(repr=False)
-    rows: np.ndarray = field(repr=False)
-    deficits: np.ndarray = field(repr=False)
+    probs: np.ndarray = field(repr=False)
+    ends: np.ndarray = field(repr=False)
     circulant: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
@@ -64,12 +68,20 @@ class LayerKernel:
     def offsets(self) -> np.ndarray:
         return self.window.offsets
 
+    @property
+    def deficits(self) -> np.ndarray:
+        return 1.0 - self.probs.sum(axis=1)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.probs / self.probs.sum(axis=1)[:, None]
+
     def prob(self, layer: int, zeta: int) -> float:
         """Exact kernel probability of the increment zeta at the given layer."""
-        if abs(int(zeta)) > self.window.cutoff:
-            raise OutOfWindow(f"|zeta| = {abs(zeta)} exceeds cutoff {self.window.cutoff}")
-        a = self.law.a
-        return eval_q(self.op, zeta) * a[(layer + zeta) % self.q] / self.norms[layer % self.q]
+        cutoff = self.window.cutoff
+        if abs(int(zeta)) > cutoff:
+            raise OutOfWindow(f"|zeta| = {abs(zeta)} exceeds cutoff {cutoff}")
+        return self.probs[layer % self.q, int(zeta) + cutoff]
 
     def sampling_cdf(self) -> np.ndarray:
         """Per-layer cumulative distributions of the renormalized rows."""
@@ -89,20 +101,17 @@ def build_layer_kernel(op: TransferOperator, law: PeriodicBoundaryLaw,
     a = law.as_array()
     circ = interaction_matrix(op, q)
     norms = circ @ a
-    offs = window.offsets
-    weights = np.array([eval_q(op, int(z)) for z in offs])
-    rows = np.empty((q, len(offs)))
-    for s in range(q):
-        rows[s] = weights * a[(s + offs) % q] / norms[s]
-    kept = rows.sum(axis=1)
-    deficits = 1.0 - kept
+    weights = np.array([eval_q(op, int(z)) for z in window.offsets])
+    ends = (np.arange(q)[:, None] + window.offsets) % q
+    kernel = LayerKernel(op, law, window, norms, weights * a[ends] / norms[:, None],
+                         ends, circ, weights)
+    deficits = kernel.deficits
     if np.any(deficits > window.tail_mass_bound + 1e-13):
         raise NonSummable(
             f"window cutoff {window.cutoff} drops {deficits.max():.3e} row mass, "
             f"above the declared bound {window.tail_mass_bound:.3e}"
         )
-    rows = rows / kept[:, None]
-    return LayerKernel(op, law, window, norms, rows, deficits, circ, weights)
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +156,11 @@ def _irreducible(matrix: np.ndarray) -> bool:
 
 def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
     """D[i, k] = alpha(i) P(i, z) - alpha(i + z) P(i + z, -z) for layers i
-    and the window increments z = offsets[k], P being the exact kernel
-    probability ``LayerKernel.prob``, evaluated in the same order."""
-    q = kernel.q
-    ends = (np.arange(q)[:, None] + kernel.offsets) % q
-    flow = chain.alpha[:, None] * (
-        kernel.weights * kernel.law.as_array()[ends] / kernel.norms[:, None])
+    and the window increments z = offsets[k], P being the kernel table
+    ``LayerKernel.probs``."""
+    flow = chain.alpha[:, None] * kernel.probs
     # offsets run from -cutoff to cutoff, so -z sits at the mirrored column
-    return flow - flow[ends, np.arange(len(kernel.offsets))[::-1]]
+    return flow - flow[kernel.ends, np.arange(len(kernel.offsets))[::-1]]
 
 
 def check_reversibility(kernel: LayerKernel, chain: FuzzyChain) -> float:

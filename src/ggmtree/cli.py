@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from typing import Iterable, Iterator
 
@@ -126,9 +127,12 @@ def _select_law(op, q, d, branch: str, tol: float) -> tuple[PeriodicBoundaryLaw,
 def _setup(args, command: str, *keys: str, law_tol: float | None = None):
     """The model pipeline shared by the model commands: load the model, select
     the law (solved at ``law_tol``, default ``--tol``), multiply its entry 1 by
-    1 + ``--perturb`` where the command has that option, and build the window
-    (certified, or ``--window``). Returns them with the base config, to which
-    ``keys`` adds the command's own arguments."""
+    1 + ``--perturb`` where the command has that option, build the window
+    (certified, or ``--window``), the layer kernel and its fuzzy chain.
+    Returns the potential, the degree, the branch label, the kernel and the
+    chain with the base config, to which ``keys`` adds the command's own
+    arguments. So every model command rejects a model that one of them
+    rejects, such as one whose chain is reducible."""
     op, q, d = _load_model(args.model)
     law, label = _select_law(op, q, d, args.branch, args.tol if law_tol is None else law_tol)
     perturb = getattr(args, "perturb", 0.0)
@@ -145,12 +149,8 @@ def _setup(args, command: str, *keys: str, law_tol: float | None = None):
     config = {"command": command, "model": model_to_json(op, q, d), "branch": args.branch,
               "window": window.cutoff, "tol": args.tol}
     config.update((key, getattr(args, key)) for key in keys)
-    return op, d, law, label, window, config
-
-
-def _kernel_and_chain(op, law, window):
     kernel = chains.build_layer_kernel(op, law, window)
-    return kernel, chains.fuzzy_transform(kernel)
+    return op, d, label, kernel, chains.fuzzy_transform(kernel), config
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +168,19 @@ def cmd_solve_bl(args) -> int:
             raise ConfigError("beta sweeps need an sos or discrete_gaussian potential")
         count = int(round((args.beta_max - args.beta_min) / args.beta_step)) + 1
         betas = [args.beta_min + i * args.beta_step for i in range(count)]
+        try:
+            ops = [type(op)(beta) for beta in betas]
+        except ValueError as exc:
+            raise ConfigError(f"the --beta-min/--beta-max sweep leaves the potential's "
+                              f"domain: {exc}")
     else:
         betas = [getattr(op, "beta", None)]
+        ops = [op]
     config = {"command": "solve-bl", "model": model_to_json(op, q, d), "betas": betas,
               "starts": args.starts, "damping": args.damping, "max_iter": args.max_iter,
               "tol": args.tol}
     rows = []
-    for beta in betas:
-        local = op if beta is None else type(op)(beta)
+    for beta, local in zip(betas, ops):
         reports = bl_solver.find_branches(
             local, q, d, n_starts=args.starts, damping=args.damping,
             max_iter=args.max_iter, tol=args.tol)
@@ -198,12 +203,12 @@ def cmd_critical_beta(args) -> int:
 
 
 def cmd_marginal(args) -> int:
-    op, d, law, label, window, config = _setup(args, "marginal", "perturb")
-    marg = measures.single_bond_marginal(op, law, window)
+    op, d, label, kernel, chain, config = _setup(args, "marginal", "perturb")
+    marg = measures.single_bond_marginal(op, kernel.law, kernel.window)
     payload = _meta(config) | {
         "branch_label": label,
-        "law": [float(v) for v in law.a],
-        "single_bond": {str(int(z)): float(p) for z, p in zip(window.offsets, marg)},
+        "law": [float(v) for v in kernel.law.a],
+        "single_bond": {str(int(z)): float(p) for z, p in zip(kernel.offsets, marg)},
     }
     _emit(_json_text(payload), args.out)
     return EXIT_OK
@@ -239,8 +244,7 @@ def cmd_sample(args) -> int:
     they are written a chunk at a time, so memory is the O(n * edges) batch
     plus one chunk of text.
     """
-    op, d, law, label, window, config = _setup(args, "sample", "n", "seed", "depth")
-    kernel, chain = _kernel_and_chain(op, law, window)
+    op, d, label, kernel, chain, config = _setup(args, "sample", "n", "seed", "depth")
     volume = cayley_ball(d, args.depth)
     batch = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
                                       args.n, args.seed)
@@ -253,10 +257,11 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     """Report each check's violation and ``method``: ``exact``, or
     ``certificate`` for a certified upper bound on it. A ``Certificate`` also
-    bounds |ratio - 1| in ``relative_violation``, which must pass as well."""
-    op, d, law, label, window, config = _setup(args, "verify", "depth", "perturb",
-                                               law_tol=1e-12)
-    kernel, chain = _kernel_and_chain(op, law, window)
+    bounds |ratio - 1| in ``relative_violation``, which must pass as well.
+    The windowed mass may miss up to the window's tail bound on each edge, so
+    its tolerance is at least ``n_edges`` times that bound."""
+    op, d, label, kernel, chain, config = _setup(args, "verify", "depth", "perturb",
+                                                 law_tol=1e-12)
     volume = cayley_ball(d, args.depth)
     tol = args.tol
     pin = measures.PinnedMeasureSpec(kernel, volume, 0, 0)
@@ -265,7 +270,7 @@ def cmd_verify(args) -> int:
     pins = [0, 1, volume.children[1][0] if volume.children[1] else 1]
     exact, certified = "exact", "certificate"
     checks = {
-        "boundary_law_residual": (bl_solver.residual(law, op, d), tol, exact),
+        "boundary_law_residual": (bl_solver.residual(kernel.law, op, d), tol, exact),
         "stationarity": (float(np.abs(chain.alpha @ chain.matrix - chain.alpha).max()),
                          tol, exact),
         "reversibility": (chains.check_reversibility(kernel, chain), tol, exact),
@@ -274,7 +279,7 @@ def cmd_verify(args) -> int:
         "consistency": (measures.check_consistency(pin, inner), tol, certified),
         "homogeneity": (measures.check_homogeneity(ggm, pins), tol, certified),
         "windowed_mass": (abs(1.0 - measures.windowed_mass(pin)),
-                          max(tol, 10.0 * window.tail_mass_bound), exact),
+                          max(tol, volume.n_edges * kernel.window.tail_mass_bound), exact),
     }
     if 1 in volume.interior:
         # condition on a mixed boundary-height class so the conditional check
@@ -298,8 +303,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_correlation(args) -> int:
-    op, d, law, label, window, config = _setup(args, "correlation", "n_max")
-    kernel, chain = _kernel_and_chain(op, law, window)
+    op, d, label, kernel, chain, config = _setup(args, "correlation", "n_max")
     rows = []
     for n in range(1, args.n_max + 1):
         volume = path_volume(n + 2, d)
@@ -329,13 +333,13 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_chain_dump(args) -> int:
-    op, d, law, label, window, config = _setup(args, "chain dump")
-    kernel, chain = _kernel_and_chain(op, law, window)
+    op, d, label, kernel, chain, config = _setup(args, "chain dump")
+    rows = kernel.rows
     payload = _meta(config) | {
         "branch_label": label,
-        "law": [float(v) for v in law.a],
+        "law": [float(v) for v in kernel.law.a],
         "kernel_rows": {
-            str(s): {str(int(z)): float(p) for z, p in zip(window.offsets, kernel.rows[s])}
+            str(s): {str(int(z)): float(p) for z, p in zip(kernel.offsets, rows[s])}
             for s in range(kernel.q)
         },
         "fuzzy_matrix": [[float(v) for v in row] for row in chain.matrix],
@@ -362,6 +366,7 @@ def _checked(kind, accept, what: str):
 
 
 _POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
+_PERTURB = _checked(float, lambda v: math.isfinite(v) and v > -1.0, "finite and above -1")
 _DAMPING = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _COUNT = _checked(int, lambda v: v >= 0, "non-negative")
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", required=True, help="JSON model description")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=_POSITIVE, default=1e-10)
         p.add_argument("--window", type=_AT_LEAST_1, default=None,
                        help="increment cutoff (default: certified automatically)")
         p.add_argument("--branch", default="auto",
@@ -399,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-beta", help="onset of multiple boundary laws")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--family", default="sos")
+    p.add_argument("--family", default="sos", choices=["sos"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_critical_beta)
 
     p = sub.add_parser("marginal", help="exact single-bond marginal table")
     add_common(p)
-    p.add_argument("--perturb", type=float, default=0.0)
+    p.add_argument("--perturb", type=_PERTURB, default=0.0)
     p.set_defaults(func=cmd_marginal)
 
     p = sub.add_parser("sample", help="draw configurations on a closed ball")
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite on a model")
     add_common(p)
     p.add_argument("--depth", type=_AT_LEAST_1, default=2)
-    p.add_argument("--perturb", type=float, default=0.0)
+    p.add_argument("--perturb", type=_PERTURB, default=0.0)
     p.set_defaults(func=cmd_verify)
     p.set_defaults(tol=1e-9)
 

@@ -48,8 +48,8 @@ class PinInsideInner(GGMError):
 class TailTooFat(GGMError):
     """Tail corrections drove a central weight non-positive.
 
-    ``min_tail_beta`` reports the smallest admissible tail rate found by
-    bisection.
+    ``min_tail_beta`` reports the smallest admissible tail rate, to the
+    float, found by ``grid_roots``.
     """
 
     def __init__(self, message, min_tail_beta=None):

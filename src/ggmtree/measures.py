@@ -7,10 +7,13 @@ by a partition sum). Mixing the pinned measure over the stationary layer
 distribution gives the homogeneous gradient measure; an alternative form sums
 the boundary-law weight over a global class shift instead.
 
-All normalizers are computed by one scaled upward pass (``_upward``) that
-keeps one unit vector and one log scale per vertex, indexed by the mod-q
-layer, so no volume overflows or underflows. Its max-product form gives the
-largest weight over the windowed configurations.
+Every kernel probability is read from the table ``LayerKernel.probs`` (with
+the end layers ``LayerKernel.ends``), and ``_fold`` folds such a (layer,
+increment) table onto pairs of layers, by sum or by maximum. All normalizers
+are computed by one scaled upward pass (``_upward``) that keeps one unit
+vector and one log scale per vertex, indexed by the mod-q layer, so no volume
+overflows or underflows. Its max-product form gives the largest weight over
+the windowed configurations.
 
 No verifier check visits configurations or residue classes. Each is a
 certified upper bound built from a few passes, O(n q**2) for n vertices, and
@@ -118,23 +121,20 @@ class Certificate(float):
 def _product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
                    s: int, Z) -> np.ndarray:
     """Product-form probabilities of the rows of Z pinned to class s at
-    ``pin``: each edge walked away from the pin from layer t contributes
-    Q(z) a[(t + z) % q] / N(t), as ``LayerKernel.prob`` (not the window-
-    renormalized rows)."""
+    ``pin``: each edge walked away from the pin from layer t contributes the
+    kernel table entry of its increment (not the window-renormalized rows)."""
     Z = np.asarray(Z, dtype=np.int64)
     cutoff = kernel.window.cutoff
     if Z.size and np.abs(Z).max() > cutoff:
         raise OutOfWindow(f"|zeta| = {np.abs(Z).max()} exceeds cutoff {cutoff}")
-    q = kernel.q
-    a = kernel.law.as_array()
     layer = np.empty((volume.n_vertices, len(Z)), dtype=np.int64)
-    layer[pin] = s % q
+    layer[pin] = s % kernel.q
     p = np.ones(len(Z))
     for e, src, dst, sign in volume.orientation_from(pin):
-        z = sign * Z[:, e]
+        k = sign * Z[:, e] + cutoff
         t = layer[src]
-        layer[dst] = (t + z) % q
-        p = p * (kernel.weights[z + cutoff] * a[layer[dst]] / kernel.norms[t])
+        layer[dst] = kernel.ends[t, k]
+        p = p * kernel.probs[t, k]
     return p
 
 
@@ -179,6 +179,16 @@ def _log_at(passed: tuple[list[np.ndarray], np.ndarray], v: int) -> np.ndarray:
     """log f[v] from the output of ``_upward``."""
     unit, scale = passed
     return np.log(unit[v]) + scale[v]
+
+
+def _fold(kernel: LayerKernel, table: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """F[t, t'] = ``ufunc`` (``np.add`` or ``np.maximum``) over the window
+    increments k with ends[t, k] = t' of table[t, k], in increasing k, or 0
+    where there is none: a (layer, increment) table folded onto layer pairs."""
+    q = kernel.q
+    out = np.zeros((q, q))
+    ufunc.at(out, (np.arange(q)[:, None], kernel.ends), table)
+    return out
 
 
 def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np.ndarray:
@@ -250,12 +260,7 @@ def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
 def windowed_mass(spec: PinnedMeasureSpec) -> float:
     """Total product-form probability of the windowed configuration space,
     computed by the layer pass (equals one minus the truncated tail)."""
-    kernel = spec.kernel
-    q = kernel.q
-    W = np.zeros((q, q))
-    for t in range(q):
-        for z in kernel.offsets:
-            W[t, (t + int(z)) % q] += kernel.prob(t, int(z))
+    W = _fold(spec.kernel, spec.kernel.probs, np.add)
     unit, scale = _upward(spec.volume, spec.pin_vertex, W, {})
     return float(unit[spec.pin_vertex][spec.pin_class] * math.exp(scale[spec.pin_vertex]))
 
@@ -312,18 +317,10 @@ def single_bond_marginal(op: TransferOperator, law: PeriodicBoundaryLaw,
 
 
 def two_bond_marginal(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
-    """Exact joint marginal of two successive edges over the window."""
-    offs = kernel.offsets
-    K = len(offs)
-    q = kernel.q
-    out = np.zeros((K, K))
-    for i, z1 in enumerate(offs):
-        for s in range(q):
-            p1 = chain.alpha[s] * kernel.prob(s, int(z1))
-            t = (s + int(z1)) % q
-            for j, z2 in enumerate(offs):
-                out[i, j] += p1 * kernel.prob(t, int(z2))
-    return out
+    """Exact joint marginal of two successive edges over the window: the sum
+    over the first layer s of alpha(s) P(s, z1) P(s + z1, z2)."""
+    first = chain.alpha[:, None] * kernel.probs
+    return (first[:, :, None] * kernel.probs[kernel.ends]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +351,25 @@ def _certified(volume: FiniteTreeVolume, lo: float, hi: float,
 def _largest_q(kernel: LayerKernel) -> np.ndarray:
     """M[t, t'] = the largest Q(z) over the window increments z = t' - t
     mod q: the max-product form of the wrapped interaction matrix."""
-    q = kernel.q
-    best = np.zeros(q)
-    np.maximum.at(best, kernel.offsets % q, kernel.weights)
-    return best[(np.arange(q)[None, :] - np.arange(q)[:, None]) % q]
+    return _fold(kernel, kernel.weights, np.maximum)
 
 
-def _interior_set(volume: FiniteTreeVolume, inner) -> set[int]:
-    if isinstance(inner, FiniteTreeVolume):
-        ids = inner.interior
-    else:
-        ids = set(int(v) for v in inner)
+def _mixture(volume: FiniteTreeVolume, alpha: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray, log_top: np.ndarray, shift) -> tuple[float, float]:
+    """For pinned forms whose log ratios lie in [lo_s, hi_s], the largest
+    second form being e**log_top_s: the alpha-mean of their certificates, and
+    the relative bound of a weighted mean over s of e**shift_s times their
+    ratios, which lies in the hull of the shifted ranges."""
+    pinned = [_certified(volume, lo[s], hi[s], log_top[s]) for s in range(len(alpha))]
+    mixed = _certified(volume, float((shift + lo).min()), float((shift + hi).max()), 0.0)
+    return float(alpha @ np.array(pinned)), mixed.relative
+
+
+def _interior_set(volume: FiniteTreeVolume, inner: Iterable[int]) -> set[int]:
+    ids = {int(v) for v in inner}
     if not ids <= volume.interior:
         raise ValueError("inner vertices must be interior vertices of the volume")
-    return set(ids)
+    return ids
 
 
 def _require_full(volume: FiniteTreeVolume, what: str) -> None:
@@ -428,16 +430,13 @@ def max_dual_gap_ggm(spec: GGMSpec) -> Certificate:
     The ratio is a weighted mean over s of (alpha_s Z / z_s) times the pinned
     ratio, so it lies in the hull of their ranges.
     """
-    volume = spec.volume
     alpha = spec.chain.alpha
-    log_z, lo, hi, log_top = _dual_parts(spec.kernel, volume, 0)
+    log_z, lo, hi, log_top = _dual_parts(spec.kernel, spec.volume, 0)
     log_total = float(np.logaddexp.reduce(log_z))
-    pinned = [_certified(volume, lo[s], hi[s], log_top[s]) for s in range(len(alpha))]
-    absolute = float(alpha @ np.array(pinned)
-                     + np.abs(alpha - np.exp(log_z - log_total)) @ np.exp(log_top))
-    shift = np.log(alpha) + log_total - log_z
-    mixed = _certified(volume, float((shift + lo).min()), float((shift + hi).max()), 0.0)
-    return Certificate(absolute, mixed.relative)
+    mean, relative = _mixture(spec.volume, alpha, lo, hi, log_top,
+                              np.log(alpha) + log_total - log_z)
+    return Certificate(
+        mean + float(np.abs(alpha - np.exp(log_z - log_total)) @ np.exp(log_top)), relative)
 
 
 def check_consistency(spec: PinnedMeasureSpec, inner,
@@ -445,10 +444,9 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     """Marginalize the volume's boundary-law measure onto a smaller closed
     volume and compare with the directly computed smaller-volume measure.
 
-    ``inner`` is the interior vertex set of the smaller volume (or a volume
-    object, in which case its interior is used); it must be connected and
-    contain the pin. With ``mixture=True`` both sides are averaged over the
-    stationary layer distribution of ``chain``.
+    ``inner`` is the interior vertex set of the smaller volume; it must be
+    connected and contain the pin. With ``mixture=True`` both sides are
+    averaged over the stationary layer distribution of ``chain``.
 
     Returns a certified upper bound on the largest difference over the
     windowed inner configurations, with the bound on the largest
@@ -479,37 +477,21 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     # law itself exactly when the law solves the fixed-point equation
     hang = _upward(volume, pin, kernel.circulant, dict.fromkeys(volume.boundary, a))
     per_vertex = [_log_at(hang, v) - np.log(a) for v in inner_boundary]
-    lo = sum(x.min() for x in per_vertex)
-    hi = sum(x.max() for x in per_vertex)
     leaf = dict.fromkeys(inner_boundary, a)
     log_z_inner = _log_at(_upward(volume, pin, kernel.circulant, leaf, inner_edges), pin)
     shift = log_z_inner - _log_at(hang, pin)
+    lo = shift + sum(x.min() for x in per_vertex)
+    hi = shift + sum(x.max() for x in per_vertex)
     top = _upward(volume, pin, _largest_q(kernel), leaf, inner_edges, maximum=True)
     log_top = _log_at(top, pin) - log_z_inner
     if not mixture:
         s = spec.pin_class
-        return _certified(volume, shift[s] + lo, shift[s] + hi, log_top[s])
-    pinned = [_certified(volume, shift[s] + lo, shift[s] + hi, log_top[s])
-              for s in range(kernel.q)]
-    # the mixed ratio is a weighted mean of the pinned ones
-    mixed = _certified(volume, float(shift.min() + lo), float(shift.max() + hi), 0.0)
-    return Certificate(float(chain.alpha @ np.array(pinned)), mixed.relative)
+        return _certified(volume, lo[s], hi[s], log_top[s])
+    return Certificate(*_mixture(volume, chain.alpha, lo, hi, log_top, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # verification: homogeneity and the restricted conditional structure
-
-
-def _path(volume: FiniteTreeVolume, x: int, y: int) -> list[tuple[int, int]]:
-    """The steps (from, to) of the tree path from x to y."""
-    up, down = [x], [y]
-    while up[-1] != down[-1]:
-        if volume.depth[up[-1]] >= volume.depth[down[-1]]:
-            up.append(volume.parents[up[-1]])
-        else:
-            down.append(volume.parents[down[-1]])
-    nodes = up + down[-2::-1]
-    return list(zip(nodes, nodes[1:]))
 
 
 def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
@@ -528,22 +510,20 @@ def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
     """
     volume = spec.volume
     kernel = spec.kernel
-    q = kernel.q
     pins = list(pins)
-    steps = {frozenset(step): step for x in pins[1:] for step in _path(volume, pins[0], x)}
+    steps = {frozenset(step): step for x in pins[1:] for step in volume.path(pins[0], x)}
     if not steps:
         return 0.0
     defect = np.abs(balance_defect(kernel, spec.chain))
-    ends = (np.arange(q)[:, None] + kernel.offsets) % q
     # the largest kernel probability of a step from layer t to layer t'
-    step_max = _largest_q(kernel) * kernel.law.as_array() / kernel.norms[:, None]
+    step_max = _fold(kernel, kernel.probs, np.maximum)
     passes = {w: _upward(volume, w, step_max, {}, maximum=True)
               for step in steps.values() for w in step}
     bound = 0.0
     for w, w2 in steps.values():
         # the side of w, seen from w2, and the side of w2, seen from w
         (unit, scale), (unit2, scale2) = passes[w2], passes[w]
-        sides = defect * unit[w][:, None] * unit2[w2][ends]
+        sides = defect * unit[w][:, None] * unit2[w2][kernel.ends]
         bound += float(sides.sum(axis=0).max()) * math.exp(scale[w] + scale2[w2])
     largest = max(float(unit[w].max()) * math.exp(scale[w])
                   for w, (unit, scale) in passes.items())
@@ -588,8 +568,7 @@ def _largest_share(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
 
 def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
                          outside: Mapping[int, int] | None = None,
-                         reference: Mapping[int, int] | None = None,
-                         mixture: bool = False, chain: FuzzyChain | None = None) -> float:
+                         reference: Mapping[int, int] | None = None) -> float:
     """Conditional law inside a sub-volume away from the pin, given the outside
     increments and the relative boundary heights, against the bare-weight
     prediction: proportional to the product of Q factors over configurations
@@ -604,11 +583,12 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     class keeps the reference height of every vertex outside the sub-volume.
     On it the joint probability p over the bare weight b is a constant times
     prod_v a(t_v) / N(t_v)**k_v over the inner vertices v, k_v being the
-    number of edges leaving v away from the pin (for the mixture, an
-    alpha-mean of such terms). So p / b varies by at most a factor rho, the
-    product of the per-vertex ranges, and
+    number of edges leaving v away from the pin. So p / b varies by at most
+    a factor rho, the product of the per-vertex ranges, and
     |p / sum p - b / sum b| <= (b / sum b) (rho - 1); the largest b / sum b
-    comes from ``_largest_share``.
+    comes from ``_largest_share``. Under the stationary mixture p is an
+    alpha-mean of such terms, with the same range, so the bound holds for the
+    mixture too.
     """
     volume = spec.volume
     kernel = spec.kernel
@@ -631,8 +611,6 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     cutoff = kernel.window.cutoff
     if outside is not None and any(abs(int(z)) > cutoff for z in outside.values()):
         raise OutOfWindow(f"an outside increment exceeds cutoff {cutoff}")
-    if mixture and chain is None:
-        raise ValueError("mixture comparison needs the fuzzy chain")
 
     log_a = np.log(kernel.law.as_array())
     log_n = np.log(kernel.norms)

@@ -4,7 +4,8 @@ Heights live on the vertices of a regular tree, but everything here is phrased
 in terms of integer height increments along directed edges. A potential
 assigns a positive summable weight Q(m) to an increment m, a boundary law is a
 positive q-periodic vector normalized to a[0] = 1, and a volume is a finite
-rooted subtree with a marked outer boundary layer.
+rooted subtree with a marked outer boundary layer. ``grid_roots`` is the one
+scalar root finder, shared with the boundary-law solver and the Potts lifts.
 """
 from __future__ import annotations
 
@@ -147,21 +148,21 @@ class LiftedPottsPositive:
             raise ValueError("LiftedPottsPositive tail_beta must be positive")
         central = _potts_positive_central(self.q, self.beta_tilde, self.tail_beta)
         if min(central) <= 0.0:
-            lo, hi = self.tail_beta, max(2.0 * self.tail_beta, 1.0)
-            while min(_potts_positive_central(self.q, self.beta_tilde, hi)) <= 0.0:
-                hi *= 2.0
-                if hi > 1e6:
-                    raise TailTooFat("no admissible tail rate found")
-            while hi - lo > 1e-6:
-                mid = 0.5 * (lo + hi)
-                if min(_potts_positive_central(self.q, self.beta_tilde, mid)) <= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
+            # the smallest central weight increases with the tail rate, so
+            # admissibility changes sign once; grid_roots returns the last
+            # float before it does
+            def admissible(t: float) -> float:
+                weight = min(_potts_positive_central(self.q, self.beta_tilde, t))
+                return 1.0 if weight > 0.0 else -1.0
+
+            roots = grid_roots(admissible, np.geomspace(self.tail_beta, 1e6, 400))
+            if not roots:
+                raise TailTooFat("no admissible tail rate found")
+            lowest = math.nextafter(roots[0], math.inf)
             raise TailTooFat(
                 f"tail_beta={self.tail_beta} makes a central weight non-positive; "
-                f"minimal admissible tail_beta is about {hi:.6f}",
-                min_tail_beta=hi,
+                f"minimal admissible tail_beta is about {lowest:.6f}",
+                min_tail_beta=lowest,
             )
         object.__setattr__(self, "_central", tuple(central))
 
@@ -309,6 +310,25 @@ def interaction_matrix(op: TransferOperator, q: int, tol: float = 1e-14) -> np.n
 def total_mass(op: TransferOperator, tol: float = 1e-14) -> float:
     """Sum of Q(m) over all integers m."""
     return wrapped_sum(op, 1, 0, tol)
+
+
+def grid_roots(f, grid) -> list[float]:
+    """Roots of f: grid points where f is exactly zero, and each sign change
+    between neighbouring grid points bisected down to two adjacent floats."""
+    vals = [f(x) for x in grid]
+    roots: list[float] = []
+    for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if flo == 0.0:
+            roots.append(float(lo))
+        elif flo * fhi < 0.0:
+            lo, hi = float(lo), float(hi)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if (f(mid) < 0.0) == (flo < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(lo)
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +525,19 @@ class FiniteTreeVolume:
             self._orientations[w] = tuple(order)
         return self._orientations[w]
 
+    def path(self, x: int, y: int) -> list[tuple[int, int]]:
+        """The steps (from, to) of the tree path from x to y."""
+        up, down = [x], [y]
+        while up[-1] != down[-1]:
+            if self.depth[up[-1]] >= self.depth[down[-1]]:
+                up.append(self.parents[up[-1]])
+            else:
+                down.append(self.parents[down[-1]])
+        nodes = up + down[-2::-1]
+        return list(zip(nodes, nodes[1:]))
+
     def distance(self, x: int, y: int) -> int:
-        n = 0
-        while self.depth[x] > self.depth[y]:
-            x = self.parents[x]
-            n += 1
-        while self.depth[y] > self.depth[x]:
-            y = self.parents[y]
-            n += 1
-        while x != y:
-            x, y = self.parents[x], self.parents[y]
-            n += 2
-        return n
+        return len(self.path(x, y))
 
     def edges_touching(self, vertices: Iterable[int]) -> list[int]:
         vs = set(vertices)

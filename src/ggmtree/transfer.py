@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bl_solver import grid_roots
 from .errors import NonSummable
 from .model import (
     LiftedPotts,
     LiftedPottsPositive,
     PeriodicBoundaryLaw,
     TransferOperator,
+    grid_roots,
     wrapped_row,
 )
 

@@ -12,6 +12,12 @@ implementation it replaced in turn: ``check_consistency`` and
 dual-gap loops visit the residue vectors one at a time in Python. They are
 slow, so tests run them on depth-1 to depth-3 volumes only.
 
+The kernel-table oracles (``kernel_prob``, ``balance_defect``,
+``product_probs``, ``two_bond_marginal``, ``largest_q``, ``step_max`` and
+``windowed_matrix``) are the formulas the library used before every consumer
+read ``LayerKernel.probs``: each writes Q(z) a(t + z) / N(t) out again, or
+loops over it, in the same order of operations, so they agree bit for bit.
+
 ``sample_ggm_batch`` is the per-edge sampler and ``sample_csv`` the
 ``csv.writer`` output of ``ggmtree sample``, the references for the
 level-blocked sampler and the table-driven encoder. The scalar reference
@@ -384,8 +390,7 @@ def sample_csv(argv: list[str]) -> str:
     """The text of ``ggmtree sample`` with these arguments as ``csv.writer``
     wrote it, one row tuple per (sample, edge), from the per-edge sampler."""
     args = cli.build_parser().parse_args(["sample", *argv])
-    op, d, law, label, window, config = cli._setup(args, "sample", "n", "seed", "depth")
-    kernel, chain = cli._kernel_and_chain(op, law, window)
+    op, d, label, kernel, chain, config = cli._setup(args, "sample", "n", "seed", "depth")
     volume = cayley_ball(d, args.depth)
     batch = sample_ggm_batch(GGMSpec(kernel, chain, volume), args.n, args.seed)
     labels = [f"{x}>{y}" for x, y in volume.directed_edges]
@@ -811,14 +816,82 @@ def scan_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> Certificate
                           range(spec.kernel.q), z, residue_budget)
 
 
-def windowed_mass(spec: PinnedMeasureSpec) -> float:
-    """``measures.windowed_mass`` by the unscaled layer pass."""
-    kernel = spec.kernel
+def kernel_prob(kernel: LayerKernel, layer: int, zeta: int) -> float:
+    """Q(zeta) a(layer + zeta) / N(layer), written out."""
+    q = kernel.q
+    return eval_q(kernel.op, zeta) * kernel.law.a[(layer + zeta) % q] / kernel.norms[layer % q]
+
+
+def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
+    """``chains.balance_defect`` from the weights, the law and the norms."""
+    q = kernel.q
+    ends = (np.arange(q)[:, None] + kernel.offsets) % q
+    flow = chain.alpha[:, None] * (
+        kernel.weights * kernel.law.as_array()[ends] / kernel.norms[:, None])
+    return flow - flow[ends, np.arange(len(kernel.offsets))[::-1]]
+
+
+def product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+                  s: int, Z) -> np.ndarray:
+    """``measures._product_probs`` from the weights, the law and the norms."""
+    Z = np.asarray(Z, dtype=np.int64)
+    q = kernel.q
+    a = kernel.law.as_array()
+    layer = np.empty((volume.n_vertices, len(Z)), dtype=np.int64)
+    layer[pin] = s % q
+    p = np.ones(len(Z))
+    for e, src, dst, sign in volume.orientation_from(pin):
+        z = sign * Z[:, e]
+        t = layer[src]
+        layer[dst] = (t + z) % q
+        p = p * (kernel.weights[z + kernel.window.cutoff] * a[layer[dst]] / kernel.norms[t])
+    return p
+
+
+def two_bond_marginal(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
+    """``measures.two_bond_marginal`` by a loop over both increments and the
+    first layer."""
+    offs = kernel.offsets
+    q = kernel.q
+    out = np.zeros((len(offs), len(offs)))
+    for i, z1 in enumerate(offs):
+        for s in range(q):
+            p1 = chain.alpha[s] * kernel_prob(kernel, s, int(z1))
+            t = (s + int(z1)) % q
+            for j, z2 in enumerate(offs):
+                out[i, j] += p1 * kernel_prob(kernel, t, int(z2))
+    return out
+
+
+def largest_q(kernel: LayerKernel) -> np.ndarray:
+    """M[t, t'] = the largest Q(z) over the window increments z = t' - t
+    mod q, by residue."""
+    q = kernel.q
+    best = np.zeros(q)
+    np.maximum.at(best, kernel.offsets % q, kernel.weights)
+    return best[(np.arange(q)[None, :] - np.arange(q)[:, None]) % q]
+
+
+def step_max(kernel: LayerKernel) -> np.ndarray:
+    """The largest kernel probability of a step from layer t to layer t'."""
+    return largest_q(kernel) * kernel.law.as_array() / kernel.norms[:, None]
+
+
+def windowed_matrix(kernel: LayerKernel) -> np.ndarray:
+    """W[t, t'] = the total kernel probability of the window steps from
+    layer t to layer t', by a loop over the increments."""
     q = kernel.q
     W = np.zeros((q, q))
     for t in range(q):
         for z in kernel.offsets:
-            W[t, (t + int(z)) % q] += kernel.prob(t, int(z))
+            W[t, (t + int(z)) % q] += kernel_prob(kernel, t, int(z))
+    return W
+
+
+def windowed_mass(spec: PinnedMeasureSpec) -> float:
+    """``measures.windowed_mass`` by the unscaled layer pass."""
+    q = spec.kernel.q
+    W = windowed_matrix(spec.kernel)
     f = [np.ones(q) for _ in range(spec.volume.n_vertices)]
     for e, src, dst, sign in reversed(spec.volume.orientation_from(spec.pin_vertex)):
         f[src] = f[src] * (W @ f[dst])

@@ -112,10 +112,21 @@ class TestSolveBl:
     ["chain", "dump", "--window", "0"],
     ["correlation", "--n-max", "0"],
     ["counterexample", "--eps0", "0.1", "--eps1", "0.05", "--kmax", "-2"],
+    ["verify", "--perturb", "-1"],
+    ["verify", "--perturb", "-3.5"],
+    ["verify", "--perturb", "nan"],
+    ["marginal", "--perturb", "-1"],
+    ["marginal", "--perturb", "nan"],
+    ["marginal", "--perturb", "inf"],
+    ["solve-bl", "--beta-min", "0", "--beta-max", "1"],
+    ["solve-bl", "--beta-min", "-1", "--beta-max", "1"],
+    ["critical-beta", "--q", "2", "--d", "2", "--family", "potts"],
+    ["verify", "--tol", "-1"],
+    ["verify", "--tol", "nan"],
 ], ids=" ".join)
 def test_bad_number_exits_2(model_file, argv, capsys):
     k = next(i for i, a in enumerate(argv) if a.startswith("-"))
-    model = [] if argv[0] == "counterexample" else ["--model", model_file]
+    model = [] if argv[0] in ("counterexample", "critical-beta") else ["--model", model_file]
     assert main([*argv[:k], *model, *argv[k:]]) == 2
     # rejected for the bad number, not for some other argument
     assert [a for a in argv if a.startswith("--")][-1] in capsys.readouterr().err
@@ -174,6 +185,19 @@ class TestCriticalBeta:
 
     def test_unsupported_period_is_config_error(self):
         assert main(["critical-beta", "--q", "9", "--d", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["marginal"], ["verify"], ["sample", "--n", "3"], ["correlation"], ["chain", "dump"],
+], ids=" ".join)
+def test_reducible_chain_exits_3_from_every_model_command(tmp_path, capsys, argv):
+    # exp(-800) underflows, so the fuzzy chain of SOS beta=800 cannot move
+    path = tmp_path / "sos800.json"
+    path.write_text(json.dumps({"potential": {"kind": "sos", "beta": 800.0}, "q": 2, "d": 2}))
+    assert main([*argv, "--model", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fuzzy chain is reducible; stationary law not unique\n"
 
 
 def test_invalid_tail_beta_exits_2(tmp_path, capsys):
@@ -274,6 +298,30 @@ class TestVerify:
         out = tmp_path / "verify_trivial.json"
         assert main(["verify", "--model", model_file, "--branch", "trivial",
                      "--tol", "1e-11", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("depth, argv, tolerance", [
+        (2, [], 1e-9),
+        (10, [], 3069 * 1e-12),
+        (12, ["--branch", "upper"], 12285 * 1e-12),
+    ])
+    def test_windowed_mass_tolerance_is_the_union_bound(self, model_file, tmp_path,
+                                                        depth, argv, tolerance):
+        # each of the 3 (2**depth - 1) edges may miss the window's tail bound
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--model", model_file, "--depth", str(depth), *argv,
+                     "--out", str(out)]) == 0
+        check = json.loads(out.read_text())["checks"]["windowed_mass"]
+        assert check["tolerance"] == tolerance
+        assert check["pass"]
+
+    def test_manual_window_tolerance_scales_with_the_edges(self, model_file, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--model", model_file, "--window", "3",
+                     "--out", str(out)]) == 0
+        check = json.loads(out.read_text())["checks"]["windowed_mass"]
+        law = cli._select_law(SOS(2.0), 2, 2, "auto", 1e-12)[0]
+        window = IncrementWindow.manual(SOS(2.0), 3, law)
+        assert check["tolerance"] == 9 * window.tail_mass_bound
 
 
 class TestSample:

@@ -422,7 +422,7 @@ class TestRestrictedConditional:
 
     def test_mixture_conditional_agrees(self, small_kernel, small_chain, ball2):
         spec = PinnedMeasureSpec(small_kernel, ball2, 0, 0)
-        got = check_restricted_dlr(spec, {1}, mixture=True, chain=small_chain)
+        got = check_restricted_dlr(spec, {1})
         assert got < 1e-9
 
     def test_period_one_uniform_law(self, ball2):

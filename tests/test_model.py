@@ -204,6 +204,17 @@ class TestVolumes:
         assert ball2.distance(0, 9) == 2
         assert ball2.distance(3, 3) == 0
 
+    def test_distance_is_the_path_length(self):
+        ball = cayley_ball(2, 3)
+        for x in range(ball.n_vertices):
+            for y in range(ball.n_vertices):
+                path = ball.path(x, y)
+                assert ball.distance(x, y) == len(path)
+                nodes = [x] + [b for _, b in path]
+                assert nodes[-1] == y and len(set(nodes)) == len(nodes)
+                assert all(a == b0 for (_, a), (b0, _) in zip(path, path[1:]))
+                assert all(b in ball.neighbors(a) for a, b in path)
+
     def test_path_volume_is_not_full(self):
         assert not path_volume(3).full
 

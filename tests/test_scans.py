@@ -184,7 +184,7 @@ def test_restricted_certificate_bounds_the_scan(certified_model, depth, inner, p
     volume = cayley_ball(2, depth)
     spec = PinnedMeasureSpec(kernel, volume, pin, kernel.q - 1)
     kwargs = dict(outside=outside, reference=reference, mixture=mixture, chain=chain)
-    bound = check_restricted_dlr(spec, inner, **kwargs)
+    bound = check_restricted_dlr(spec, inner, outside=outside, reference=reference)
     assert bf.scan_restricted_dlr(spec, inner, **kwargs) <= bound
     # the bound is (b / sum b) (rho - 1): the first factor is the class's
     # exact maximum, and rho bounds the range of p / b over the class,
