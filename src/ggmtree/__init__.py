@@ -20,7 +20,6 @@ from .errors import (
     TailTooFat,
     UnsupportedDegree,
     UnsupportedPeriod,
-    VolumeTooLarge,
 )
 from .model import (
     SOS,
@@ -29,7 +28,6 @@ from .model import (
     GradientConfiguration,
     IncrementWindow,
     LiftedPotts,
-    LiftedPottsPositive,
     PeriodicBoundaryLaw,
     Table,
     cayley_ball,
@@ -79,7 +77,6 @@ from .transfer import (
     CirculantSpec,
     clock_reduction,
     lift_potts,
-    lift_potts_positive,
     potts_boundary_laws,
     potts_row,
 )

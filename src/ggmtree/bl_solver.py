@@ -334,22 +334,18 @@ def closed_form_q2_sos(beta: float, d: int = 2) -> list[PeriodicBoundaryLaw]:
     return laws
 
 
-def effective_beta(op: TransferOperator, q: int, variant: str = "generic") -> float:
+def effective_beta(op: TransferOperator, q: int) -> float:
     """Inverse temperature of the Ising/Potts model matching the wrapped row.
 
     q = 2 maps to Ising, q = 3 to the 3-state Potts model, and q = 4 with the
     paired ansatz (classes {0,1} vs {2,3}) back to Ising on the pair classes.
     """
-    if variant not in ("generic", "q4_paired"):
-        raise ValueError("variant must be 'generic' or 'q4_paired'")
     row = wrapped_row(op, q)
     if q == 2:
         return 0.5 * math.log(row[0] / row[1])
     if q == 3:
         return math.log(row[0] / row[1])
     if q == 4:
-        if variant != "q4_paired":
-            raise UnsupportedPeriod("q = 4 supports only the paired ansatz")
         # diagonal vs off-diagonal weight between the pair classes
         return 0.5 * math.log((row[0] + row[1]) / (row[1] + row[2]))
     raise UnsupportedPeriod(f"no effective reduction for q = {q}")

@@ -37,10 +37,6 @@ class OutOfWindow(GGMError):
     """An increment lies outside the certified truncation window."""
 
 
-class VolumeTooLarge(GGMError):
-    """An enumeration would exceed the configured state budget."""
-
-
 class PinInsideInner(GGMError):
     """The pinning vertex must lie outside the conditioned sub-volume."""
 

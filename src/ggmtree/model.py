@@ -6,6 +6,11 @@ assigns a positive summable weight Q(m) to an increment m, a boundary law is a
 positive q-periodic vector normalized to a[0] = 1, and a volume is a finite
 rooted subtree with a marked outer boundary layer. ``grid_roots`` is the one
 scalar root finder, shared with the boundary-law solver and the Potts lifts.
+
+The four potential kinds are SOS, the discrete Gaussian, a table, and the
+lifted Potts operator, with or without an exponential tail. ``wrapped_sum``
+folds a potential onto the residues mod q, in closed form for SOS and for a
+lift at its own period, and otherwise by one certified summation.
 """
 from __future__ import annotations
 
@@ -23,7 +28,6 @@ __all__ = [
     "DiscreteGaussian",
     "Table",
     "LiftedPotts",
-    "LiftedPottsPositive",
     "TransferOperator",
     "eval_q",
     "tail_mass",
@@ -109,50 +113,34 @@ class Table:
 
 @dataclass(frozen=True)
 class LiftedPotts:
-    """Truncated operator whose mod-q wrap is exactly a q-state Potts row.
+    """Integer operator whose mod-q wrap is exactly a q-state Potts row.
 
-    Supported on |m| <= q // 2. For even q the residue q/2 is reached by both
-    +q/2 and -q/2, so that entry carries half the Potts weight and the wrapped
-    row stays exact.
+    Each central weight, |m| <= q // 2, is the Potts row value of its residue
+    minus the tail mass wrapping onto the same residue, split evenly when +q/2
+    and -q/2 share a residue. Without ``tail_beta`` there is no tail and the
+    operator is supported on the centre; with it the weights continue as
+    exp(-tail_beta * |m|), and ``TailTooFat`` reports a tail too fat for some
+    central weight to stay positive.
     """
 
     q: int
     beta_tilde: float
+    tail_beta: float | None = None
 
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("LiftedPotts needs q >= 2")
         if self.beta_tilde < 0:
             raise ValueError("LiftedPotts beta_tilde must be >= 0")
-
-
-@dataclass(frozen=True)
-class LiftedPottsPositive:
-    """Strictly positive operator wrapping to a q-state Potts row.
-
-    Beyond |m| = q // 2 the weights are exp(-tail_beta * |m|). Each central
-    entry is the Potts row value of its residue minus the tail mass wrapping
-    onto the same residue, split evenly when +q/2 and -q/2 share a residue.
-    """
-
-    q: int
-    beta_tilde: float
-    tail_beta: float
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError("LiftedPottsPositive needs q >= 2")
-        if self.beta_tilde < 0:
-            raise ValueError("LiftedPottsPositive beta_tilde must be >= 0")
-        if not self.tail_beta > 0:
-            raise ValueError("LiftedPottsPositive tail_beta must be positive")
-        central = _potts_positive_central(self.q, self.beta_tilde, self.tail_beta)
+        if self.tail_beta is not None and not self.tail_beta > 0:
+            raise ValueError("LiftedPotts tail_beta must be positive")
+        central = _potts_central(self.q, self.beta_tilde, self.tail_beta)
         if min(central) <= 0.0:
             # the smallest central weight increases with the tail rate, so
             # admissibility changes sign once; grid_roots returns the last
             # float before it does
             def admissible(t: float) -> float:
-                weight = min(_potts_positive_central(self.q, self.beta_tilde, t))
+                weight = min(_potts_central(self.q, self.beta_tilde, t))
                 return 1.0 if weight > 0.0 else -1.0
 
             roots = grid_roots(admissible, np.geomspace(self.tail_beta, 1e6, 400))
@@ -172,9 +160,11 @@ def _potts_row_value(q: int, beta_tilde: float, residue: int) -> float:
     return (math.exp(beta_tilde) if residue % q == 0 else 1.0) / denom
 
 
-def _potts_positive_tail_wrap(q: int, tail_beta: float, k: int) -> float:
+def _potts_tail_wrap(q: int, tail_beta: float | None, k: int) -> float:
     # Mass of the exponential tail members sitting on the residue class of k,
     # for 0 <= k <= q//2. The member at -k is central when q is even, k = q/2.
+    if tail_beta is None:
+        return 0.0
     h = q // 2
     geo = 1.0 - math.exp(-tail_beta * q)
     pos = math.exp(-tail_beta * (q + k)) / geo
@@ -183,18 +173,14 @@ def _potts_positive_tail_wrap(q: int, tail_beta: float, k: int) -> float:
     return pos + neg
 
 
-def _potts_positive_central(q: int, beta_tilde: float, tail_beta: float) -> list[float]:
-    h = q // 2
-    central = []
-    for k in range(h + 1):
-        members = 2 if (q % 2 == 0 and k == h and k > 0) else 1
-        target = _potts_row_value(q, beta_tilde, k)
-        psi = _potts_positive_tail_wrap(q, tail_beta, k)
-        central.append((target - psi) / members)
-    return central
+def _potts_central(q: int, beta_tilde: float, tail_beta: float | None) -> list[float]:
+    # +k and -k are one central member each, except k = q/2 (q even) which
+    # is both members of its residue
+    return [(_potts_row_value(q, beta_tilde, k) - _potts_tail_wrap(q, tail_beta, k))
+            / (2 if 2 * k == q else 1) for k in range(q // 2 + 1)]
 
 
-TransferOperator = SOS | DiscreteGaussian | Table | LiftedPotts | LiftedPottsPositive
+TransferOperator = SOS | DiscreteGaussian | Table | LiftedPotts
 
 
 def eval_q(op: TransferOperator, m: int) -> float:
@@ -212,18 +198,9 @@ def eval_q(op: TransferOperator, m: int) -> float:
             return 0.0
         return op.values[edge] * op.tail ** (k - edge)
     if isinstance(op, LiftedPotts):
-        h = op.q // 2
-        if k > h:
-            return 0.0
-        if k == 0:
-            return _potts_row_value(op.q, op.beta_tilde, 0)
-        halve = 2 if (op.q % 2 == 0 and k == h) else 1
-        return _potts_row_value(op.q, op.beta_tilde, k) / halve
-    if isinstance(op, LiftedPottsPositive):
-        h = op.q // 2
-        if k <= h:
+        if k <= op.q // 2:
             return op._central[k]
-        return math.exp(-op.tail_beta * k)
+        return 0.0 if op.tail_beta is None else math.exp(-op.tail_beta * k)
     raise TypeError(f"unknown transfer operator {op!r}")
 
 
@@ -247,69 +224,67 @@ def tail_mass(op: TransferOperator, start: int) -> float:
         return exact + 2.0 * op.values[edge] * op.tail ** (s - edge) / (1.0 - op.tail)
     if isinstance(op, LiftedPotts):
         h = op.q // 2
-        return 2.0 * sum(eval_q(op, k) for k in range(start, h + 1))
-    if isinstance(op, LiftedPottsPositive):
-        h = op.q // 2
         exact = 2.0 * sum(op._central[k] for k in range(start, h + 1))
-        s = max(start, h + 1)
+        if op.tail_beta is None:
+            return exact
         x = math.exp(-op.tail_beta)
-        return exact + 2.0 * x**s / (1.0 - x)
+        return exact + 2.0 * x ** max(start, h + 1) / (1.0 - x)
     raise TypeError(f"unknown transfer operator {op!r}")
 
 
-def wrapped_sum(op: TransferOperator, q: int, m: int, tol: float = 1e-14,
-                method: str = "auto") -> float:
+def wrapped_sum(op: TransferOperator, q: int, m: int) -> float:
     """Total weight of the residue class m mod q: sum of Q(q*j + m) over j.
 
-    Closed hyperbolic forms are used for SOS and Potts-type operators; other
-    kinds are summed numerically with a certified geometric tail bound.
-    ``method="numeric"`` forces the summation path (used for cross-checks).
+    SOS has a closed hyperbolic form, and a lifted Potts operator wrapped at
+    its own period gives its central member(s) plus their tail wrap. Other
+    cases are summed by ``_certified_wrapped_sum``.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     m = m % q
-    if method not in ("auto", "numeric"):
-        raise ValueError("method must be 'auto' or 'numeric'")
-    if method == "auto":
-        if isinstance(op, SOS):
-            x = math.exp(-op.beta * q)
-            if m == 0:
-                return (1.0 + x) / (1.0 - x)
-            return (math.exp(-op.beta * m) + math.exp(-op.beta * (q - m))) / (1.0 - x)
-        if isinstance(op, LiftedPotts) and q == op.q:
-            return _potts_row_value(q, op.beta_tilde, m)
-        if isinstance(op, LiftedPottsPositive) and q == op.q:
-            h = q // 2
-            k = m if m <= h else q - m
-            members = 2 if (q % 2 == 0 and k == h and k > 0) else 1
-            return members * op._central[k] + _potts_positive_tail_wrap(q, op.tail_beta, k)
-    # numeric path with certified truncation
+    if isinstance(op, SOS):
+        x = math.exp(-op.beta * q)
+        if m == 0:
+            return (1.0 + x) / (1.0 - x)
+        return (math.exp(-op.beta * m) + math.exp(-op.beta * (q - m))) / (1.0 - x)
+    if isinstance(op, LiftedPotts) and q == op.q:
+        k = min(m, q - m)
+        members = 2 if 2 * k == q else 1
+        return members * op._central[k] + _potts_tail_wrap(q, op.tail_beta, k)
+    return _certified_wrapped_sum(op, q, m)
+
+
+_WRAP_TOL = 1e-14  # the neglected tail of a certified wrapped sum is below half this
+
+
+def _certified_wrapped_sum(op: TransferOperator, q: int, m: int) -> float:
+    """Sum of Q(q*j + m) over the j with |q*j + m| <= cutoff, the cutoff
+    doubled until ``tail_mass`` certifies the rest below ``_WRAP_TOL / 2``."""
     cutoff = 1
-    while tail_mass(op, cutoff) > 0.5 * tol:
+    while tail_mass(op, cutoff) > 0.5 * _WRAP_TOL:
         cutoff *= 2
         if cutoff > 10**7:
-            raise NonSummable(f"cannot certify wrapped sum of {op!r} to tol={tol}")
+            raise NonSummable(f"cannot certify wrapped sum of {op!r} to tol={_WRAP_TOL}")
     j_lo = math.ceil((-cutoff - m) / q)
     j_hi = math.floor((cutoff - m) / q)
     return float(sum(eval_q(op, q * j + m) for j in range(j_lo, j_hi + 1)))
 
 
-def wrapped_row(op: TransferOperator, q: int, tol: float = 1e-14,
-                method: str = "auto") -> np.ndarray:
+def wrapped_row(op: TransferOperator, q: int) -> np.ndarray:
     """Vector of wrapped sums for residues 0 .. q-1."""
-    return np.array([wrapped_sum(op, q, m, tol, method) for m in range(q)])
+    return np.array([wrapped_sum(op, q, m) for m in range(q)])
 
 
-def interaction_matrix(op: TransferOperator, q: int, tol: float = 1e-14) -> np.ndarray:
+def interaction_matrix(op: TransferOperator, q: int) -> np.ndarray:
     """Symmetric circulant C[k, m] = wrapped_sum(op, q, (k - m) mod q)."""
-    row = wrapped_row(op, q, tol)
+    row = wrapped_row(op, q)
     idx = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
     return row[idx]
 
 
-def total_mass(op: TransferOperator, tol: float = 1e-14) -> float:
+def total_mass(op: TransferOperator) -> float:
     """Sum of Q(m) over all integers m."""
-    return wrapped_sum(op, 1, 0, tol)
+    return wrapped_sum(op, 1, 0)
 
 
 def grid_roots(f, grid) -> list[float]:
@@ -404,12 +379,13 @@ class IncrementWindow:
         return np.arange(-self.cutoff, self.cutoff + 1)
 
     @classmethod
-    def for_model(cls, op: TransferOperator, law: PeriodicBoundaryLaw | None = None,
+    def for_model(cls, op: TransferOperator, law: PeriodicBoundaryLaw,
                   bound: float = 1e-12, max_cutoff: int = 100_000) -> "IncrementWindow":
-        """Smallest window whose weighted tail mass is certified below ``bound``."""
+        """Smallest window whose weighted tail mass is certified below
+        ``bound``; an untailed lifted Potts operator gets its whole support."""
+        if isinstance(op, LiftedPotts) and op.tail_beta is None:
+            return cls(op.q // 2, bound)
         scale = _tail_scale(op, law)
-        if isinstance(op, LiftedPotts):
-            return cls(max(op.q // 2, 1), bound)
         cutoff = 1
         while tail_mass(op, cutoff + 1) * scale > bound:
             cutoff += 1
@@ -419,16 +395,13 @@ class IncrementWindow:
 
     @classmethod
     def manual(cls, op: TransferOperator, cutoff: int,
-               law: PeriodicBoundaryLaw | None = None) -> "IncrementWindow":
+               law: PeriodicBoundaryLaw) -> "IncrementWindow":
         """Window with a user-chosen cutoff; the declared bound is the actual tail."""
-        scale = _tail_scale(op, law)
-        actual = tail_mass(op, cutoff + 1) * scale if not isinstance(op, LiftedPotts) else 0.0
+        actual = tail_mass(op, cutoff + 1) * _tail_scale(op, law)
         return cls(cutoff, max(actual, 1e-300))
 
 
-def _tail_scale(op: TransferOperator, law: PeriodicBoundaryLaw | None) -> float:
-    if law is None:
-        return 1.0 / total_mass(op)
+def _tail_scale(op: TransferOperator, law: PeriodicBoundaryLaw) -> float:
     a = law.as_array()
     norms = interaction_matrix(op, law.q) @ a
     return float(a.max() / norms.min())
@@ -648,10 +621,10 @@ def potential_to_json(op: TransferOperator) -> dict:
             doc["tail"] = op.tail
         return doc
     if isinstance(op, LiftedPotts):
-        return {"kind": "lifted_potts", "q": op.q, "beta_tilde": op.beta_tilde}
-    if isinstance(op, LiftedPottsPositive):
-        return {"kind": "lifted_potts", "q": op.q, "beta_tilde": op.beta_tilde,
-                "tail_beta": op.tail_beta}
+        doc = {"kind": "lifted_potts", "q": op.q, "beta_tilde": op.beta_tilde}
+        if op.tail_beta is not None:
+            doc["tail_beta"] = op.tail_beta
+        return doc
     raise TypeError(f"unknown transfer operator {op!r}")
 
 
@@ -669,10 +642,8 @@ def potential_from_json(doc: Mapping) -> TransferOperator:
         tail = doc.get("tail")
         return Table.from_map(weights, None if tail is None else float(tail))
     if kind == "lifted_potts":
-        if "tail_beta" in doc:
-            return LiftedPottsPositive(int(doc["q"]), float(doc["beta_tilde"]),
-                                       float(doc["tail_beta"]))
-        return LiftedPotts(int(doc["q"]), float(doc["beta_tilde"]))
+        tail = float(doc["tail_beta"]) if "tail_beta" in doc else None
+        return LiftedPotts(int(doc["q"]), float(doc["beta_tilde"]), tail)
     raise ValueError(f"unknown potential kind {kind!r}")
 
 

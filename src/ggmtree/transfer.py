@@ -3,8 +3,10 @@
 Any summable symmetric operator wraps mod q onto a reflection-symmetric
 circulant over the residues, so its q-periodic boundary-law equation equals a
 clock-model equation. The constructions here go the other way: build integer
-operators whose wrap is exactly a q-state Potts row, either truncated to
-|m| <= q // 2 or strictly positive with exponential tails.
+operators whose wrap is exactly a q-state Potts row: ``lift_potts`` builds
+the one lifted kind, ``LiftedPotts``, truncated to |m| <= q // 2 or, with a
+tail rate, strictly positive with exponential tails. ``potts_row`` reads the
+row from the same formula the lifted operator is built from.
 """
 from __future__ import annotations
 
@@ -15,9 +17,10 @@ import numpy as np
 from .errors import NonSummable
 from .model import (
     LiftedPotts,
-    LiftedPottsPositive,
     PeriodicBoundaryLaw,
     TransferOperator,
+    _certified_wrapped_sum,
+    _potts_row_value,
     grid_roots,
     wrapped_row,
 )
@@ -25,7 +28,6 @@ from .model import (
 __all__ = [
     "CirculantSpec",
     "lift_potts",
-    "lift_potts_positive",
     "clock_reduction",
     "potts_row",
     "potts_boundary_laws",
@@ -61,35 +63,22 @@ class CirculantSpec:
 def potts_row(q: int, beta_tilde: float) -> np.ndarray:
     """The q-state Potts transfer row: diagonal weight e**bt, off-diagonal 1,
     normalized by e**bt + q - 1."""
-    denom = np.exp(beta_tilde) + q - 1
-    row = np.full(q, 1.0 / denom)
-    row[0] = np.exp(beta_tilde) / denom
-    return row
+    return np.array([_potts_row_value(q, beta_tilde, r) for r in range(q)])
 
 
-def lift_potts(q: int, beta_tilde: float) -> TransferOperator:
-    """Truncated integer operator wrapping exactly onto the Potts row.
+def lift_potts(q: int, beta_tilde: float, tail_beta: float | None = None) -> TransferOperator:
+    """Integer operator wrapping exactly onto the Potts row: truncated to
+    |m| <= q // 2, or strictly positive with tail rate ``tail_beta``.
 
-    The constructor re-checks the wrap residue by residue; for even q the
-    shared residue q/2 is covered by both signs, which the operator absorbs
-    by halving that entry.
+    Raises ``TailTooFat`` (with the minimal admissible rate) when the tail
+    corrections exceed a central weight. The wrap is re-checked residue by
+    residue by certified summation, independently of the closed form that
+    ``wrapped_sum`` uses.
     """
-    op = LiftedPotts(q, beta_tilde)
-    got = wrapped_row(op, q, method="numeric")
-    want = potts_row(q, beta_tilde)
-    if not np.allclose(got, want, rtol=0.0, atol=1e-14):
+    op = LiftedPotts(q, beta_tilde, tail_beta)
+    got = np.array([_certified_wrapped_sum(op, q, m) for m in range(q)])
+    if not np.allclose(got, potts_row(q, beta_tilde), rtol=0.0, atol=1e-14):
         raise NonSummable("lifted operator failed to reproduce the Potts row")
-    return op
-
-
-def lift_potts_positive(q: int, beta_tilde: float, tail_beta: float) -> TransferOperator:
-    """Strictly positive lift; raises ``TailTooFat`` (with the minimal
-    admissible rate) when the tail corrections exceed a central weight."""
-    op = LiftedPottsPositive(q, beta_tilde, tail_beta)
-    got = wrapped_row(op, q)
-    want = potts_row(q, beta_tilde)
-    if not np.allclose(got, want, rtol=0.0, atol=1e-12):
-        raise NonSummable("positive lift failed to reproduce the Potts row")
     return op
 
 

@@ -25,6 +25,16 @@ forms (``pinned_prob_bl``, ``ggm_prob``, ``alt_ggm_prob``), the window
 enumerator, ``coupling_expectation``, ``bond_marginals_by_position``,
 ``is_normalizable`` and ``stationary_by_power_iteration`` are answers the
 library has no use for.
+
+The ``truncated_potts_*`` oracles are the truncated lifted Potts operator as a
+kind of its own, as the library had it before an untailed ``LiftedPotts``
+became the zero-tail case of the one lifted kind: weights written out from
+the Potts row, the tail summed from them, the own-period wrap read off the
+Potts row, the other wraps summed numerically, the window set to the support,
+and the numpy form of the Potts row.
+
+``VolumeTooLarge`` is what the enumerating oracles raise when a volume would
+exceed their state budget; the library enumerates nothing and never raises it.
 """
 from __future__ import annotations
 
@@ -40,7 +50,7 @@ import numpy as np
 from ggmtree import cli, measures
 from ggmtree.chains import FuzzyChain, LayerKernel
 from ggmtree.diagnostics import CounterexampleChain, path_mixture_prob
-from ggmtree.errors import PinInsideInner, VolumeTooLarge
+from ggmtree.errors import GGMError, PinInsideInner
 from ggmtree.measures import Certificate, GGMSpec, PinnedMeasureSpec, _product_probs
 from ggmtree.model import (
     FiniteTreeVolume,
@@ -55,6 +65,10 @@ from ggmtree.model import (
 )
 
 BLOCK = 2**14  # rows per block, so scans need O(BLOCK x vertices) memory
+
+
+class VolumeTooLarge(GGMError):
+    """An enumeration would exceed the configured state budget."""
 
 
 def _product_prob(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
@@ -896,3 +910,52 @@ def windowed_mass(spec: PinnedMeasureSpec) -> float:
     for e, src, dst, sign in reversed(spec.volume.orientation_from(spec.pin_vertex)):
         f[src] = f[src] * (W @ f[dst])
     return float(f[spec.pin_vertex][spec.pin_class])
+
+
+def truncated_potts_row_value(q: int, beta_tilde: float, residue: int) -> float:
+    denom = math.exp(beta_tilde) + q - 1
+    return (math.exp(beta_tilde) if residue % q == 0 else 1.0) / denom
+
+
+def truncated_potts_eval_q(q: int, beta_tilde: float, m: int) -> float:
+    k, h = abs(int(m)), q // 2
+    if k > h:
+        return 0.0
+    if k == 0:
+        return truncated_potts_row_value(q, beta_tilde, 0)
+    halve = 2 if (q % 2 == 0 and k == h) else 1
+    return truncated_potts_row_value(q, beta_tilde, k) / halve
+
+
+def truncated_potts_tail_mass(q: int, beta_tilde: float, start: int) -> float:
+    return 2.0 * sum(truncated_potts_eval_q(q, beta_tilde, k) for k in range(start, q // 2 + 1))
+
+
+def truncated_potts_wrapped_sum(q: int, beta_tilde: float, period: int, m: int) -> float:
+    m = m % period
+    if period == q:
+        return truncated_potts_row_value(q, beta_tilde, m)
+    cutoff = 1
+    while truncated_potts_tail_mass(q, beta_tilde, cutoff) > 0.5e-14:
+        cutoff *= 2
+    j_lo = math.ceil((-cutoff - m) / period)
+    j_hi = math.floor((cutoff - m) / period)
+    return float(sum(truncated_potts_eval_q(q, beta_tilde, period * j + m)
+                     for j in range(j_lo, j_hi + 1)))
+
+
+def truncated_potts_interaction_matrix(q: int, beta_tilde: float, period: int) -> np.ndarray:
+    row = np.array([truncated_potts_wrapped_sum(q, beta_tilde, period, m)
+                    for m in range(period)])
+    return row[(np.arange(period)[:, None] - np.arange(period)[None, :]) % period]
+
+
+def truncated_potts_window_cutoff(q: int) -> int:
+    return max(q // 2, 1)
+
+
+def potts_row(q: int, beta_tilde: float) -> np.ndarray:
+    denom = np.exp(beta_tilde) + q - 1
+    row = np.full(q, 1.0 / denom)
+    row[0] = np.exp(beta_tilde) / denom
+    return row

@@ -243,18 +243,18 @@ class TestEffectiveBeta:
 
     def test_period_four_paired_is_half_of_period_three(self):
         for beta in (0.7, 1.5, 2.0):
-            assert effective_beta(SOS(beta), 4, "q4_paired") == pytest.approx(
+            assert effective_beta(SOS(beta), 4) == pytest.approx(
                 0.5 * math.log(2.0 * math.cosh(beta) - 1.0), abs=1e-12)
-
-    def test_period_four_needs_paired_variant(self):
-        with pytest.raises(UnsupportedPeriod):
-            effective_beta(SOS(1.0), 4)
 
     def test_paired_weights_match_wrapped_row(self):
         # the pair-class reduction uses row[0]+row[1] against row[1]+row[2]
         row = wrapped_row(SOS(1.3), 4)
         want = 0.5 * math.log((row[0] + row[1]) / (row[1] + row[2]))
-        assert effective_beta(SOS(1.3), 4, "q4_paired") == pytest.approx(want, abs=1e-15)
+        assert effective_beta(SOS(1.3), 4) == pytest.approx(want, abs=1e-15)
+
+    def test_period_five_has_no_reduction(self):
+        with pytest.raises(UnsupportedPeriod):
+            effective_beta(SOS(1.0), 5)
 
 
 class TestCriticalBeta:
@@ -273,9 +273,8 @@ class TestCriticalBeta:
     @pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (2, 4), (2, 7), (2, 20),
                                       (3, 2), (4, 2), (4, 3), (4, 5), (4, 20)])
     def test_effective_temperature_hits_threshold(self, q, d):
-        variant = "q4_paired" if q == 4 else "generic"
         target = math.log(1.0 + 2.0 * math.sqrt(2.0)) if q == 3 else math.atanh(1.0 / d)
-        got = effective_beta(SOS(critical_beta(q, d)), q, variant)
+        got = effective_beta(SOS(critical_beta(q, d)), q)
         assert got == pytest.approx(target, rel=0.0, abs=1e-14)
 
     def test_equal_closed_forms_are_equal_floats(self):

@@ -209,6 +209,30 @@ def test_invalid_tail_beta_exits_2(tmp_path, capsys):
     assert "minimal admissible tail_beta is about 1.17" in capsys.readouterr().err
 
 
+POTTS_Q5 = {"potential": {"kind": "lifted_potts", "q": 5, "beta_tilde": 1.0}, "q": 5, "d": 2}
+
+
+class TestManualWindowOnLiftedPotts:
+    """``--window`` on an untailed lifted Potts operator (support |m| <= 2
+    at q = 5) declares the tail it actually drops."""
+
+    def test_window_below_support_declares_the_dropped_tail(self, tmp_path):
+        argv = ["chain", "dump", "--model", _model(tmp_path, POTTS_Q5), "--window", "1"]
+        assert main([*argv, "--out", str(tmp_path / "chain.json")]) == 0
+        kernel = cli._setup(cli.build_parser().parse_args(argv), "chain dump")[3]
+        # the trivial law: every row drops the same mass, the weights at |m| = 2
+        assert kernel.window.tail_mass_bound == pytest.approx(
+            kernel.deficits.max(), rel=1e-12, abs=0.0)
+        assert kernel.deficits.max() > 0.29
+
+    def test_window_at_support_is_the_certified_window(self, tmp_path, capsys):
+        path = _model(tmp_path, POTTS_Q5)
+        assert main(["chain", "dump", "--model", path, "--window", "2"]) == 0
+        manual = capsys.readouterr().out
+        assert main(["chain", "dump", "--model", path]) == 0
+        assert capsys.readouterr().out == manual
+
+
 class TestVerify:
     def test_solved_law_passes(self, model_file, tmp_path):
         out = tmp_path / "verify.json"

@@ -1,7 +1,7 @@
 """The kernel table ``LayerKernel.probs`` and its consumers against the
 formulas they replaced (``brute_force.py``), bit for bit, on the kernels the
-CLI builds: the six models of the ``verify`` benchmark, SOS beta=2 with q=4
-and a table model, each with the certified window and with ``--window 3``."""
+CLI builds: the six models of the ``verify`` benchmark, SOS beta=2 with q=4,
+a lifted Potts operator with a tail and a table model, each with the certified window and with ``--window 3``."""
 import json
 
 import numpy as np
@@ -19,6 +19,8 @@ MODELS = {
     "sos1": ({"kind": "sos", "beta": 1.0}, 2, 2, []),
     "sos3-q3": ({"kind": "sos", "beta": 3.0}, 3, 2, []),
     "potts-q3": ({"kind": "lifted_potts", "q": 3, "beta_tilde": 2.0}, 3, 2, []),
+    "potts-q4-tailed": ({"kind": "lifted_potts", "q": 4, "beta_tilde": 1.0, "tail_beta": 8.0},
+                        4, 2, []),
     "gauss1": ({"kind": "discrete_gaussian", "beta": 1.0}, 2, 2, []),
     "sos2-q4": (SOS2, 4, 2, []),
     "table-d3": ({"kind": "table", "weights": {"0": 1.0, "1": 0.4, "2": 0.05},

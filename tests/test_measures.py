@@ -11,7 +11,6 @@ from ggmtree import (
     PeriodicBoundaryLaw,
     PinInsideInner,
     PinnedMeasureSpec,
-    VolumeTooLarge,
     build_layer_kernel,
     cayley_ball,
     check_consistency,
@@ -41,6 +40,7 @@ from ggmtree.measures import (
 
 import brute_force as bf
 from brute_force import (
+    VolumeTooLarge,
     alt_ggm_prob,
     coupling_expectation,
     ggm_prob,
@@ -378,8 +378,8 @@ class TestConsistency:
         assert check_consistency(spec, {0}, mixture=True, chain=small_chain) < 1e-9
 
     def test_uniform_law_is_product(self, ball2):
-        kernel = build_layer_kernel(SOS(2.0), PeriodicBoundaryLaw.trivial(2),
-                                    IncrementWindow.manual(SOS(2.0), 3))
+        law = PeriodicBoundaryLaw.trivial(2)
+        kernel = build_layer_kernel(SOS(2.0), law, IncrementWindow.manual(SOS(2.0), 3, law))
         spec = PinnedMeasureSpec(kernel, ball2, 0, 0)
         assert check_consistency(spec, {0}) < 1e-12
 
@@ -426,8 +426,8 @@ class TestRestrictedConditional:
         assert got < 1e-9
 
     def test_period_one_uniform_law(self, ball2):
-        kernel = build_layer_kernel(SOS(2.0), PeriodicBoundaryLaw.trivial(1),
-                                    IncrementWindow.manual(SOS(2.0), 3))
+        law = PeriodicBoundaryLaw.trivial(1)
+        kernel = build_layer_kernel(SOS(2.0), law, IncrementWindow.manual(SOS(2.0), 3, law))
         spec = PinnedMeasureSpec(kernel, ball2, 0, 0)
         assert check_restricted_dlr(spec, {1}) < 1e-12
 

@@ -11,7 +11,6 @@ from ggmtree import (
     DiscreteGaussian,
     IncrementWindow,
     LiftedPotts,
-    LiftedPottsPositive,
     NonSummable,
     PeriodicBoundaryLaw,
     Table,
@@ -25,7 +24,15 @@ from ggmtree import (
     wrapped_row,
     wrapped_sum,
 )
-from ggmtree.model import GradientConfiguration, interaction_matrix, tail_mass
+from ggmtree.model import (
+    GradientConfiguration,
+    _certified_wrapped_sum,
+    interaction_matrix,
+    tail_mass,
+)
+from ggmtree.transfer import potts_row
+
+import brute_force as bf
 
 
 def brute_wrapped(op, q, m, span=400):
@@ -40,8 +47,19 @@ OPERATORS = [
     Table.from_map({0: 1.0, 1: 0.25}),
     LiftedPotts(4, 1.3),
     LiftedPotts(5, 0.8),
-    LiftedPottsPositive(3, 1.0, 6.0),
+    LiftedPotts(3, 1.0, 6.0),
 ]
+
+
+def op_id(op):
+    """``repr``, except that a lifted Potts operator is named as in the ids
+    these cases have always had: untailed ones without the tail field, the
+    tailed one as the strictly positive lift."""
+    if not isinstance(op, LiftedPotts):
+        return repr(op)
+    if op.tail_beta is None:
+        return f"LiftedPotts(q={op.q}, beta_tilde={op.beta_tilde})"
+    return f"LiftedPottsPositive(q={op.q}, beta_tilde={op.beta_tilde}, tail_beta={op.tail_beta})"
 
 
 class TestEvalQ:
@@ -55,7 +73,7 @@ class TestEvalQ:
         assert eval_q(LiftedPotts(5, 1.0), 3) == 0.0
         assert eval_q(LiftedPotts(5, 1.0), 2) > 0.0
 
-    @pytest.mark.parametrize("op", OPERATORS, ids=repr)
+    @pytest.mark.parametrize("op", OPERATORS, ids=op_id)
     def test_symmetry_exact(self, op):
         for m in range(51):
             assert eval_q(op, m) == eval_q(op, -m)
@@ -88,19 +106,19 @@ class TestWrappedSum:
             assert wrapped_sum(LiftedPotts(4, bt), 4, 1) == pytest.approx(
                 1.0 / (math.exp(bt) + 3.0), abs=1e-15)
 
-    @pytest.mark.parametrize("op", OPERATORS, ids=repr)
+    @pytest.mark.parametrize("op", OPERATORS, ids=op_id)
     @pytest.mark.parametrize("q", [1, 2, 3, 5])
     def test_row_mass_identity(self, op, q):
         # wrapping splits the total mass across residues
         row = wrapped_row(op, q)
         assert row.sum() == pytest.approx(total_mass(op), abs=2e-14)
 
-    @pytest.mark.parametrize("op", OPERATORS, ids=repr)
+    @pytest.mark.parametrize("op", OPERATORS, ids=op_id)
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_numeric_and_auto_paths_agree(self, op, q):
         for m in range(q):
             auto = wrapped_sum(op, q, m)
-            numeric = wrapped_sum(op, q, m, method="numeric")
+            numeric = _certified_wrapped_sum(op, q, m)
             assert auto == pytest.approx(numeric, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -124,7 +142,7 @@ class TestWrappedSum:
 
 class TestLiftedPottsPositive:
     def test_strictly_positive_and_exact_wrap(self):
-        op = LiftedPottsPositive(3, 1.0, 10.0)
+        op = LiftedPotts(3, 1.0, 10.0)
         assert all(eval_q(op, k) > 0 for k in range(30))
         row = wrapped_row(op, 3)
         want = np.array([math.exp(1.0), 1.0, 1.0]) / (math.exp(1.0) + 2.0)
@@ -132,20 +150,64 @@ class TestLiftedPottsPositive:
 
     def test_fat_tail_rejected_with_minimal_rate(self):
         with pytest.raises(TailTooFat) as err:
-            LiftedPottsPositive(3, 1.0, 0.01)
+            LiftedPotts(3, 1.0, 0.01)
         assert err.value.min_tail_beta is not None
         bad = err.value.min_tail_beta - 2e-6
         good = err.value.min_tail_beta + 2e-6
         with pytest.raises(TailTooFat):
-            LiftedPottsPositive(3, 1.0, bad)
-        LiftedPottsPositive(3, 1.0, good)
+            LiftedPotts(3, 1.0, bad)
+        LiftedPotts(3, 1.0, good)
 
     def test_stiff_tail_recovers_truncated_lift(self):
         for q in (3, 4):
-            sharp = LiftedPottsPositive(q, 1.2, 60.0)
+            sharp = LiftedPotts(q, 1.2, 60.0)
             trunc = LiftedPotts(q, 1.2)
             for m in range(q // 2 + 1):
                 assert eval_q(sharp, m) == pytest.approx(eval_q(trunc, m), abs=1e-15)
+
+
+BETA_TILDES = (0.0, 0.3, 1.0, 2.0, 5.0, 30.0, 200.0)
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+class TestUntailedLiftIsTheTruncatedKind:
+    """A lift without a tail is the zero-tail case of the one lifted kind;
+    it equals the truncated kind's formulas (``brute_force``) bit for bit."""
+
+    def test_weights_and_tails(self, q):
+        for bt in BETA_TILDES:
+            op = LiftedPotts(q, bt)
+            for m in range(-2 * q, 2 * q + 1):
+                assert eval_q(op, m) == bf.truncated_potts_eval_q(q, bt, m)
+            for start in range(1, q + 2):
+                assert tail_mass(op, start) == bf.truncated_potts_tail_mass(q, bt, start)
+
+    def test_wrapped_sums(self, q):
+        for bt in BETA_TILDES:
+            op = LiftedPotts(q, bt)
+            for period in (1, 2, 3, q, q + 1, 2 * q):
+                for m in range(-period, period):
+                    assert wrapped_sum(op, period, m) == bf.truncated_potts_wrapped_sum(
+                        q, bt, period, m)
+                assert np.array_equal(interaction_matrix(op, period),
+                                      bf.truncated_potts_interaction_matrix(q, bt, period))
+            assert total_mass(op) == bf.truncated_potts_wrapped_sum(q, bt, 1, 0)
+
+    def test_potts_row(self, q):
+        for bt in BETA_TILDES:
+            assert np.array_equal(potts_row(q, bt), bf.potts_row(q, bt))
+
+    def test_windows(self, q):
+        law = PeriodicBoundaryLaw.trivial(q)
+        for bt in BETA_TILDES:
+            op = LiftedPotts(q, bt)
+            assert IncrementWindow.for_model(op, law).cutoff == bf.truncated_potts_window_cutoff(q)
+            for cutoff in range(q // 2, q + 1):
+                assert IncrementWindow.manual(op, cutoff, law).tail_mass_bound == 1e-300
+
+    def test_json_has_no_tail_field(self, q):
+        assert model_to_json(LiftedPotts(q, 1.0), q, 2)["potential"] == {
+            "kind": "lifted_potts", "q": q, "beta_tilde": 1.0}
 
 
 class TestBoundaryLawType:
@@ -183,12 +245,13 @@ class TestIncrementWindow:
         assert tight.cutoff > loose.cutoff
 
     def test_lifted_potts_window_is_support(self):
-        window = IncrementWindow.for_model(LiftedPotts(7, 1.0))
+        window = IncrementWindow.for_model(LiftedPotts(7, 1.0), PeriodicBoundaryLaw.trivial(7))
         assert window.cutoff == 3
 
     def test_unreachable_bound_raises(self):
         with pytest.raises(NonSummable):
-            IncrementWindow.for_model(SOS(0.001), bound=1e-12, max_cutoff=10)
+            IncrementWindow.for_model(SOS(0.001), PeriodicBoundaryLaw.trivial(1),
+                                      bound=1e-12, max_cutoff=10)
 
 
 class TestVolumes:
@@ -246,7 +309,7 @@ class TestVolumes:
 
 
 class TestJson:
-    @pytest.mark.parametrize("op", OPERATORS, ids=repr)
+    @pytest.mark.parametrize("op", OPERATORS, ids=op_id)
     def test_round_trip(self, op):
         doc = model_to_json(op, 3, 2)
         text = json.dumps(doc)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import brute_force as bf
+from brute_force import VolumeTooLarge
 from ggmtree import measures
 from ggmtree import (
     SOS,
@@ -16,7 +17,6 @@ from ggmtree import (
     IncrementWindow,
     PeriodicBoundaryLaw,
     PinnedMeasureSpec,
-    VolumeTooLarge,
     build_layer_kernel,
     cayley_ball,
     check_consistency,

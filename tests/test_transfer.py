@@ -9,7 +9,6 @@ from ggmtree import (
     clock_reduction,
     eval_q,
     lift_potts,
-    lift_potts_positive,
     potts_boundary_laws,
     residual,
     total_mass,
@@ -51,26 +50,26 @@ class TestLiftPotts:
 
 class TestLiftPottsPositive:
     def test_exact_wrap_and_positivity(self):
-        op = lift_potts_positive(3, 1.0, 10.0)
+        op = lift_potts(3, 1.0, 10.0)
         assert all(eval_q(op, m) > 0.0 for m in range(40))
         got = np.array([wrapped_sum(op, 3, m) for m in range(3)])
         assert np.abs(got - potts_row(3, 1.0)).max() < 1e-12
 
     def test_even_period_shared_residue(self):
-        op = lift_potts_positive(4, 1.0, 8.0)
+        op = lift_potts(4, 1.0, 8.0)
         got = np.array([wrapped_sum(op, 4, m) for m in range(4)])
         assert np.abs(got - potts_row(4, 1.0)).max() < 1e-12
         assert eval_q(op, 2) == eval_q(op, -2)
 
     def test_sharp_tail_limit_recovers_truncation(self):
-        soft = lift_potts_positive(5, 1.5, 70.0)
+        soft = lift_potts(5, 1.5, 70.0)
         hard = lift_potts(5, 1.5)
         for m in range(3):
             assert eval_q(soft, m) == pytest.approx(eval_q(hard, m), abs=1e-15)
 
     def test_fat_tail_reports_minimal_rate(self):
         with pytest.raises(TailTooFat) as err:
-            lift_potts_positive(3, 1.0, 0.01)
+            lift_potts(3, 1.0, 0.01)
         assert err.value.min_tail_beta == pytest.approx(0.89, abs=0.01)
 
 
@@ -128,6 +127,6 @@ class TestBoundaryLawTransport:
 
     def test_transport_also_holds_for_positive_lift(self):
         bt = 3.0
-        op = lift_potts_positive(5, bt, 12.0)
+        op = lift_potts(5, bt, 12.0)
         for law in potts_boundary_laws(5, bt, 2):
             assert residual(law, op, 2) < 1e-10
