@@ -25,7 +25,6 @@ from .model import (
     SOS,
     DiscreteGaussian,
     FiniteTreeVolume,
-    GradientConfiguration,
     IncrementWindow,
     LiftedPotts,
     PeriodicBoundaryLaw,
@@ -67,8 +66,6 @@ from .measures import (
     check_restricted_dlr,
     max_dual_gap_ggm,
     max_dual_gap_pinned,
-    pinned_prob_product,
-    sample_ggm,
     sample_ggm_batch,
     single_bond_marginal,
     two_bond_marginal,

@@ -36,6 +36,7 @@ from .model import (
     IncrementWindow,
     PeriodicBoundaryLaw,
     cayley_ball,
+    eval_q,
     model_from_json,
     model_to_json,
     path_volume,
@@ -132,8 +133,12 @@ def _setup(args, command: str, *keys: str, law_tol: float | None = None):
     Returns the potential, the degree, the branch label, the kernel and the
     chain with the base config, to which ``keys`` adds the command's own
     arguments. So every model command rejects a model that one of them
-    rejects, such as one whose chain is reducible."""
+    rejects. A model whose Q(1) underflows to 0 is a configuration error:
+    its layers never change, so its fuzzy chain is reducible."""
     op, q, d = _load_model(args.model)
+    if q >= 2 and eval_q(op, 1) == 0.0:
+        raise ConfigError("Q(1) underflows to 0, so the layers never change and the "
+                          "fuzzy chain is reducible")
     law, label = _select_law(op, q, d, args.branch, args.tol if law_tol is None else law_tol)
     perturb = getattr(args, "perturb", 0.0)
     if perturb != 0.0:

@@ -13,7 +13,11 @@ increment) table onto pairs of layers, by sum or by maximum. All normalizers
 are computed by one scaled upward pass (``_upward``) that keeps one unit
 vector and one log scale per vertex, indexed by the mod-q layer, so no volume
 overflows or underflows. Its max-product form gives the largest weight over
-the windowed configurations.
+the windowed configurations. Every walk reads the volume's step table
+(``orientation_from``) a level at a time: the upward pass makes one numpy
+update per level and rank of a step among its source's steps, the sampler
+draws a level at a time, and the product form and event probabilities walk
+the steps of the table or of its part inside a connected vertex set.
 
 No verifier check visits configurations or residue classes. Each is a
 certified upper bound built from a few passes, O(n q**2) for n vertices, and
@@ -26,7 +30,6 @@ as the volume grows.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -37,7 +40,6 @@ from .chains import FuzzyChain, LayerKernel, balance_defect
 from .errors import OutOfWindow, PinInsideInner
 from .model import (
     FiniteTreeVolume,
-    GradientConfiguration,
     IncrementWindow,
     PeriodicBoundaryLaw,
     TransferOperator,
@@ -50,8 +52,6 @@ __all__ = [
     "Certificate",
     "PinnedMeasureSpec",
     "GGMSpec",
-    "pinned_prob_product",
-    "sample_ggm",
     "sample_ggm_batch",
     "check_consistency",
     "check_homogeneity",
@@ -60,7 +60,6 @@ __all__ = [
     "max_dual_gap_ggm",
     "windowed_mass",
     "event_prob_pinned",
-    "event_prob_ggm",
     "single_bond_marginal",
     "two_bond_marginal",
 ]
@@ -118,39 +117,36 @@ class Certificate(float):
 # the two pinned representations
 
 
-def _product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
-                   s: int, Z) -> np.ndarray:
-    """Product-form probabilities of the rows of Z pinned to class s at
-    ``pin``: each edge walked away from the pin from layer t contributes the
-    kernel table entry of its increment (not the window-renormalized rows)."""
+def _product_probs(kernel: LayerKernel, levels, pin: int, s: int, Z) -> np.ndarray:
+    """Product-form probabilities of the rows of Z, the increments by edge,
+    pinned to class s at ``pin``: each step of ``levels`` (the (src, dst)
+    arrays of ``orientation_from(pin)``, or of a part of it) from layer t
+    contributes the kernel table entry of its increment (not the
+    window-renormalized rows), in step order."""
     Z = np.asarray(Z, dtype=np.int64)
     cutoff = kernel.window.cutoff
     if Z.size and np.abs(Z).max() > cutoff:
         raise OutOfWindow(f"|zeta| = {np.abs(Z).max()} exceeds cutoff {cutoff}")
-    layer = np.empty((volume.n_vertices, len(Z)), dtype=np.int64)
-    layer[pin] = s % kernel.q
+    layer = {pin: np.full(len(Z), s % kernel.q)}
     p = np.ones(len(Z))
-    for e, src, dst, sign in volume.orientation_from(pin):
-        k = sign * Z[:, e] + cutoff
-        t = layer[src]
-        layer[dst] = kernel.ends[t, k]
-        p = p * kernel.probs[t, k]
+    for src, dst in levels:
+        for x, y in zip(src.tolist(), dst.tolist()):
+            z = Z[:, max(x, y) - 1]
+            k = (z if y > x else -z) + cutoff
+            t = layer[x]
+            layer[y] = kernel.ends[t, k]
+            p = p * kernel.probs[t, k]
     return p
 
 
-def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration) -> float:
-    """Probability of a full edge configuration as a product of kernel factors
-    along the edges oriented away from the pin."""
-    return float(_product_probs(spec.kernel, spec.volume, spec.pin_vertex,
-                                spec.pin_class, [zeta.increments])[0])
-
-
 def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
-            leaf: Mapping[int, np.ndarray], edges=None,
-            maximum: bool = False) -> tuple[list[np.ndarray], np.ndarray]:
+            leaves: Iterable[int] = (), leaf: np.ndarray | None = None,
+            within: set[int] | None = None,
+            maximum: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The pass from the leaves towards ``pin`` over mod-q layer vectors:
-    v starts from ``leaf[v]`` (else ones) and each edge, or each one in
-    ``edges``, multiplies ``matrix @ f[dst]`` into ``f[src]``, or with
+    each vertex of ``leaves`` starts from ``leaf`` (the others from ones) and
+    each edge, or each one inside the connected vertex set ``within`` (which
+    holds the pin), multiplies ``matrix @ f[dst]`` into ``f[src]``, or with
     ``maximum`` its max-product form ``max_t' matrix[:, t'] f[dst][t']``.
     Then f[v] is the total (or the largest) weight of the part of the volume
     below v (away from the pin) by layer.
@@ -158,24 +154,41 @@ def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
     The pass is scaled as the forward algorithm is (Rabiner 1989): it returns
     unit vectors u[v], largest entry 1, and log scales c[v] with
     f[v] = u[v] * exp(c[v]), so deep volumes neither overflow nor underflow.
+
+    It is Felsenstein's pruning (1981) run a level at a time: from the
+    deepest level of ``orientation_from(pin)`` (or of its steps inside
+    ``within``) up, the steps that are r-th from the end among their src's
+    steps form one batch, for r = 0, 1, ..., so each src takes its updates
+    in the reverse step order of a walk one step at a time, and the pass is
+    one numpy update per batch, O(depth (d + 1)) of them.
     """
     q = len(matrix)
-    unit = [np.ones(q)] * volume.n_vertices
+    unit = np.ones((volume.n_vertices, q))
     scale = np.zeros(volume.n_vertices)
-    for v, vec in leaf.items():
-        top = vec.max()
-        unit[v], scale[v] = vec / top, math.log(top)
-    for e, src, dst, sign in reversed(volume.orientation_from(pin)):
-        if edges is None or e in edges:
-            msg = (matrix * unit[dst]).max(axis=1) if maximum else matrix @ unit[dst]
-            f = unit[src] * msg
-            top = f.max()
-            unit[src] = f / top
-            scale[src] += scale[dst] + math.log(top)
+    leaves = list(leaves)
+    if leaves:
+        top = leaf.max()
+        unit[leaves], scale[leaves] = leaf / top, math.log(top)
+    levels = volume.orientation_from(pin) if within is None else volume._steps_from(pin, within)
+    for src, dst in reversed(levels):
+        # the steps of one src are consecutive: rank each from its run's end
+        last = np.flatnonzero(np.append(src[1:] != src[:-1], True))
+        rank = np.repeat(last, np.diff(last, prepend=-1)) - np.arange(len(src))
+        for r in range(rank.max() + 1):
+            at = rank == r
+            s, t = src[at], dst[at]
+            u = unit[t]
+            msg = ((matrix * u[:, None, :]).max(axis=2) if maximum
+                   else (matrix @ u[:, :, None])[:, :, 0])
+            f = unit[s] * msg
+            top = f.max(axis=1)
+            unit[s] = f / top[:, None]
+            # math.log: numpy's vectorized log may round the last bit otherwise
+            scale[s] += scale[t] + np.array([math.log(v) for v in top.tolist()])
     return unit, scale
 
 
-def _log_at(passed: tuple[list[np.ndarray], np.ndarray], v: int) -> np.ndarray:
+def _log_at(passed: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
     """log f[v] from the output of ``_upward``."""
     unit, scale = passed
     return np.log(unit[v]) + scale[v]
@@ -195,8 +208,8 @@ def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np
     """Log partition sums of the boundary-law weight over all integer
     configurations, as a vector over the pin class: the upward pass with the
     wrapped interaction matrix, from the boundary-law values at the boundary."""
-    leaf = dict.fromkeys(volume.boundary, kernel.law.as_array())
-    return _log_at(_upward(volume, pin, kernel.circulant, leaf), pin)
+    return _log_at(_upward(volume, pin, kernel.circulant, volume.boundary,
+                           kernel.law.as_array()), pin)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +223,12 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     yields the same batch, independent of how the caller schedules work.
     The class of vertex 0 is drawn from ``n`` uniforms, then the increments
     of each edge, in the BFS order of ``orientation_from(0)``, from ``n``
-    more. The edges of one BFS level are drawn together, as (edges, n)
-    blocks of at most ``DRAW_BLOCK`` uniforms (but one edge at least). A
-    block takes its uniforms from the stream in the order in which one draw
-    per edge would take them, so the batch does not depend on the blocking,
-    bit for bit. The inverse-CDF lookup runs once per block and source layer.
+    more. The edges of one level of that table are drawn together, as
+    (edges, n) blocks of at most ``DRAW_BLOCK`` uniforms (but one edge at
+    least). A block takes its uniforms from the stream in the order in which
+    one draw per edge would take them, so the batch does not depend on the
+    blocking, bit for bit. The inverse-CDF lookup runs once per block and
+    source layer.
     """
     volume = spec.volume
     kernel = spec.kernel
@@ -231,37 +245,28 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     offs = kernel.offsets
     top = len(offs) - 1
     per_draw = max(1, DRAW_BLOCK // n)  # edges
-    # away from the root every edge runs parent -> child (sign +1), and BFS
-    # visits the levels one after another
-    for _, steps in itertools.groupby(volume.orientation_from(0),
-                                      key=lambda step: volume.depth[step[2]]):
-        steps = np.array(list(steps), dtype=np.int64)
-        for start in range(0, len(steps), per_draw):
-            e, src, dst, _ = steps[start:start + per_draw].T
-            u = rng.random((len(e), n))
-            t_src = layers[src]
+    # away from the root every step runs parent -> child along edge dst - 1
+    for _, level in volume.orientation_from(0):
+        for start in range(0, len(level), per_draw):
+            dst = level[start:start + per_draw]
+            u = rng.random((len(dst), n))
+            t_src = layers[volume.parents[dst]]
             z = np.empty(t_src.shape, dtype=np.int64)
             for t in range(q):
                 mask = t_src == t
                 if mask.any():
                     idx = np.minimum(np.searchsorted(cdf[t], u[mask], side="right"), top)
                     z[mask] = offs[idx]
-            out[:, e] = z.T
+            out[:, dst - 1] = z.T
             layers[dst] = (t_src + z) % q
     return out
-
-
-def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
-    """One configuration, deterministic in the seed."""
-    arr = sample_ggm_batch(spec, 1, seed)[0]
-    return GradientConfiguration(spec.volume, tuple(int(v) for v in arr))
 
 
 def windowed_mass(spec: PinnedMeasureSpec) -> float:
     """Total product-form probability of the windowed configuration space,
     computed by the layer pass (equals one minus the truncated tail)."""
     W = _fold(spec.kernel, spec.kernel.probs, np.add)
-    unit, scale = _upward(spec.volume, spec.pin_vertex, W, {})
+    unit, scale = _upward(spec.volume, spec.pin_vertex, W)
     return float(unit[spec.pin_vertex][spec.pin_class] * math.exp(scale[spec.pin_vertex]))
 
 
@@ -273,34 +278,25 @@ def event_prob_pinned(kernel: LayerKernel, volume: FiniteTreeVolume,
                       vertices: Iterable[int], anchor: int, s: int,
                       zeta: Mapping[tuple[int, int], int]) -> float:
     """Probability that the edges induced by ``vertices`` carry exactly the
-    given increments, under the measure pinned to class s at ``anchor``.
+    given increments, keyed by their stored (parent, child) pairs, under the
+    measure pinned to class s at ``anchor``.
 
-    ``anchor`` must belong to the (connected) vertex set, so all layers along
-    the induced edges are determined inside it. The edges are walked in
-    ``volume.orientation_from(anchor)`` order, restricted to those reached
-    from the anchor inside the set.
+    The vertex set must be connected and hold ``anchor``, so all layers
+    along the induced edges are determined inside it. The edges are walked
+    in BFS order away from the anchor inside the set, which is the order of
+    ``volume.orientation_from(anchor)`` restricted to them.
     """
     vs = set(vertices)
     if anchor not in vs:
         raise ValueError("anchor must belong to the event's vertex set")
-    q = kernel.q
-    layer = {anchor: s % q}
-    p = 1.0
-    for e, src, dst, sign in volume.orientation_from(anchor):
-        if src in layer and dst in vs:
-            z = sign * int(zeta[volume.directed_edges[e]])
-            p *= kernel.prob(layer[src], z)
-            layer[dst] = (layer[src] + z) % q
-    return p
-
-
-def event_prob_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVolume,
-                   vertices: Iterable[int], anchor: int,
-                   zeta: Mapping[tuple[int, int], int]) -> float:
-    return float(sum(
-        chain.alpha[s] * event_prob_pinned(kernel, volume, vertices, anchor, s, zeta)
-        for s in range(kernel.q)
-    ))
+    if not all(0 <= v < volume.n_vertices for v in vs):
+        raise ValueError("the event's vertices must lie in the volume")
+    _require_connected(volume, vs, "the event's vertices")
+    Z = np.zeros((1, volume.n_edges), dtype=np.int64)
+    for v in vs:
+        if volume.parents[v] in vs:
+            Z[0, v - 1] = zeta[volume.directed_edges[v - 1]]
+    return float(_product_probs(kernel, volume._steps_from(anchor, vs), anchor, s, Z)[0])
 
 
 def single_bond_marginal(op: TransferOperator, law: PeriodicBoundaryLaw,
@@ -377,6 +373,13 @@ def _require_full(volume: FiniteTreeVolume, what: str) -> None:
         raise ValueError(f"{what} need a closed regular volume")
 
 
+def _require_connected(volume: FiniteTreeVolume, vs: set[int], what: str) -> None:
+    """A vertex set of a tree is connected exactly when it induces
+    |set| - 1 edges."""
+    if sum(volume.parents[v] in vs for v in vs) != len(vs) - 1:
+        raise ValueError(f"{what} must form a connected set")
+
+
 # ---------------------------------------------------------------------------
 # verification: the two representations
 
@@ -399,8 +402,7 @@ def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int):
     log_g = np.log(a) - d * log_n
     m = len(volume.interior) - 1
     base = log_z - (d + 1) * log_n
-    leaf = dict.fromkeys(volume.boundary, a)
-    top = _upward(volume, pin, _largest_q(kernel), leaf, maximum=True)
+    top = _upward(volume, pin, _largest_q(kernel), volume.boundary, a, maximum=True)
     return log_z, base + m * log_g.min(), base + m * log_g.max(), _log_at(top, pin) - log_z
 
 
@@ -465,24 +467,23 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     ids = _interior_set(volume, inner)
     if pin not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
-    if any(dst in ids and src not in ids
-           for e, src, dst, sign in volume.orientation_from(pin)):
-        raise ValueError("the inner vertices must form a connected set")
+    _require_connected(volume, ids, "the inner vertices")
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
-    inner_edges = set(volume.edges_touching(ids))
     inner_boundary = volume.adjacent_outside(ids)
     a = kernel.law.as_array()
     # the weight hanging below each inner-boundary vertex equals the boundary
     # law itself exactly when the law solves the fixed-point equation
-    hang = _upward(volume, pin, kernel.circulant, dict.fromkeys(volume.boundary, a))
+    hang = _upward(volume, pin, kernel.circulant, volume.boundary, a)
     per_vertex = [_log_at(hang, v) - np.log(a) for v in inner_boundary]
-    leaf = dict.fromkeys(inner_boundary, a)
-    log_z_inner = _log_at(_upward(volume, pin, kernel.circulant, leaf, inner_edges), pin)
+    # the inner edges, those touching ids, are the steps inside the closure
+    closure = ids | inner_boundary
+    log_z_inner = _log_at(
+        _upward(volume, pin, kernel.circulant, inner_boundary, a, closure), pin)
     shift = log_z_inner - _log_at(hang, pin)
     lo = shift + sum(x.min() for x in per_vertex)
     hi = shift + sum(x.max() for x in per_vertex)
-    top = _upward(volume, pin, _largest_q(kernel), leaf, inner_edges, maximum=True)
+    top = _upward(volume, pin, _largest_q(kernel), inner_boundary, a, closure, maximum=True)
     log_top = _log_at(top, pin) - log_z_inner
     if not mixture:
         s = spec.pin_class
@@ -517,7 +518,7 @@ def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
     defect = np.abs(balance_defect(kernel, spec.chain))
     # the largest kernel probability of a step from layer t to layer t'
     step_max = _fold(kernel, kernel.probs, np.maximum)
-    passes = {w: _upward(volume, w, step_max, {}, maximum=True)
+    passes = {w: _upward(volume, w, step_max, maximum=True)
               for step in steps.values() for w in step}
     bound = 0.0
     for w, w2 in steps.values():
@@ -546,7 +547,8 @@ def _largest_share(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
                       kernel.weights[np.clip(step + cutoff, 0, 2 * cutoff)], 0.0)
     total = top = 1.0
     sums, maxs = {}, {}
-    inward = [(src, dst) for e, src, dst, sign in volume.orientation_from(pin) if dst in ids]
+    inward = [(x, y) for src, dst in volume.orientation_from(pin)
+              for x, y in zip(src.tolist(), dst.tolist()) if y in ids]
     for src, dst in reversed(inward):
         f = np.ones(len(grid))
         g = np.ones(len(grid))

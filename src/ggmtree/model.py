@@ -11,11 +11,16 @@ The four potential kinds are SOS, the discrete Gaussian, a table, and the
 lifted Potts operator, with or without an exponential tail. ``wrapped_sum``
 folds a potential onto the residues mod q, in closed form for SOS and for a
 lift at its own period, and otherwise by one certified summation.
+
+Every walk over a volume reads one step table per pin,
+``FiniteTreeVolume.orientation_from``: the steps away from the pin as
+(src, dst) integer arrays, one pair per distance from it, built by an array
+BFS and cached for the last few pins. A step's edge and direction follow from
+its two ends, so no walk looks edges up.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -40,8 +45,6 @@ __all__ = [
     "FiniteTreeVolume",
     "cayley_ball",
     "path_volume",
-    "GradientConfiguration",
-    "vertex_layers",
     "vertex_heights",
     "potential_to_json",
     "potential_from_json",
@@ -410,14 +413,18 @@ def _tail_scale(op: TransferOperator, law: PeriodicBoundaryLaw) -> float:
 # ---------------------------------------------------------------------------
 # tree volumes
 
+ORIENTATIONS = 4  # pins whose orientation a volume caches; verify walks from three
+
 
 class FiniteTreeVolume:
     """Finite rooted subtree of the d-regular tree with a marked boundary.
 
     Vertices are integers 0 .. n-1 with vertex 0 as root; ``parents[i] < i``
     so that the stored directed edges (parent, child) are ordered away from
-    the root. Boundary vertices are the outer layer: they carry the
-    boundary-law factor in closed-volume formulas and must be leaves.
+    the root, and edge i - 1 is the edge (parents[i], i). ``parents`` (-1 at
+    the root) and ``depth`` are integer arrays. Boundary vertices are the
+    outer layer: they carry the boundary-law factor in closed-volume formulas
+    and must be leaves.
     """
 
     def __init__(self, d: int, parents: Sequence[int | None], boundary: Iterable[int]):
@@ -426,33 +433,40 @@ class FiniteTreeVolume:
         n = len(parents)
         if n == 0 or parents[0] is not None:
             raise ValueError("vertex 0 must be the root")
-        children: list[list[int]] = [[] for _ in range(n)]
-        for i in range(1, n):
-            p = parents[i]
-            if p is None or not 0 <= p < i:
-                raise ValueError("parents must reference earlier vertices")
-            children[p].append(i)
+        try:
+            self.parents = np.array([-1, *parents[1:]], dtype=np.int64)
+        except TypeError:  # None below the root
+            raise ValueError("parents must reference earlier vertices") from None
+        up = self.parents[1:]
+        if np.any((up < 0) | (up >= np.arange(1, n))):
+            raise ValueError("parents must reference earlier vertices")
         self.d = d
         self.n_vertices = n
-        self.parents = tuple(parents)
-        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
-        self.directed_edges: tuple[tuple[int, int], ...] = tuple(
-            (parents[i], i) for i in range(1, n)
-        )
-        self.edge_index = {e: k for k, e in enumerate(self.directed_edges)}
+        # the neighbours of v, its children in index order and then its
+        # parent, are _adjacent[_first[v]:_first[v + 1]]
+        owner = np.concatenate((up, np.arange(1, n)))
+        other = np.concatenate((np.arange(1, n), up))
+        order = np.lexsort((other, other < owner, owner))
+        self._adjacent = other[order]
+        self._first = np.searchsorted(owner[order], np.arange(n + 1))
+        n_kids = np.bincount(up, minlength=n)
+        flat = self._adjacent.tolist()
+        self.children: tuple[tuple[int, ...], ...] = tuple(
+            tuple(flat[a:a + c]) for a, c in zip(self._first.tolist(), n_kids.tolist()))
+        self.directed_edges: tuple[tuple[int, int], ...] = tuple(zip(up.tolist(), range(1, n)))
         self.boundary = frozenset(int(b) for b in boundary)
         if any(not 0 <= b < n for b in self.boundary):
             raise ValueError("boundary vertex outside the volume")
         if 0 in self.boundary:
             raise ValueError("the root cannot be a boundary vertex")
-        if any(self.children[b] for b in self.boundary):
+        if n_kids[list(self.boundary)].any():
             raise ValueError("boundary vertices must be leaves")
         self.interior = frozenset(range(n)) - self.boundary
-        depth = [0] * n
-        for i in range(1, n):
-            depth[i] = depth[parents[i]] + 1
-        self.depth = tuple(depth)
         self._orientations: dict[int, tuple] = {}
+        depth = [0] * n
+        for i, p in enumerate(up.tolist(), 1):
+            depth[i] = depth[p] + 1
+        self.depth = np.array(depth, dtype=np.int64)
 
     @property
     def n_edges(self) -> int:
@@ -461,51 +475,61 @@ class FiniteTreeVolume:
     @property
     def full(self) -> bool:
         """True for closed Cayley-regular volumes: every leaf is boundary and
-        every interior vertex has all its tree neighbors inside."""
-        for v in self.interior:
-            want = self.d + 1 if v == 0 else self.d
-            if len(self.children[v]) != want:
-                return False
-        return all(not self.children[v] for v in self.boundary)
+        every interior vertex has all its tree neighbors inside, d + 1 of
+        them."""
+        degree = np.diff(self._first)
+        degree[list(self.boundary)] = self.d + 1
+        return bool(np.all(degree == self.d + 1))
 
     def neighbors(self, v: int) -> list[int]:
-        out = list(self.children[v])
-        if self.parents[v] is not None:
-            out.append(self.parents[v])
-        return out
+        return self._adjacent[self._first[v]:self._first[v + 1]].tolist()
 
-    def orientation_from(self, w: int):
-        """Edges in BFS order away from w as (edge_id, src, dst, sign).
+    def orientation_from(self, w: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The steps away from w in BFS order, as one (src, dst) pair of
+        integer arrays per level: level k holds the steps whose src lies at
+        distance k from w, and the steps of one src are consecutive.
 
-        ``sign`` is +1 when the stored (parent, child) direction agrees with
-        the traversal, so the increment along src -> dst is sign * zeta[edge].
+        A step walks edge max(src, dst) - 1, along its stored (parent, child)
+        direction exactly when dst > src. The last ``ORIENTATIONS`` pins
+        asked for are cached.
         """
         if w not in self._orientations:
-            order = []
-            seen = {w}
-            queue = deque([w])
-            while queue:
-                src = queue.popleft()
-                for dst in self.neighbors(src):
-                    if dst in seen:
-                        continue
-                    seen.add(dst)
-                    if (src, dst) in self.edge_index:
-                        order.append((self.edge_index[(src, dst)], src, dst, 1))
-                    else:
-                        order.append((self.edge_index[(dst, src)], src, dst, -1))
-                    queue.append(dst)
-            self._orientations[w] = tuple(order)
+            if len(self._orientations) >= ORIENTATIONS:
+                del self._orientations[next(iter(self._orientations))]
+            self._orientations[w] = self._steps_from(w)
         return self._orientations[w]
+
+    def _steps_from(self, w: int, inside: Iterable[int] | None = None):
+        """The levels of ``orientation_from(w)``, or those of its steps that
+        stay inside the vertex set ``inside`` (which holds w), by one numpy
+        expansion of the frontier per level."""
+        if inside is not None:
+            mask = np.zeros(self.n_vertices, dtype=bool)
+            mask[list(inside)] = True
+        levels = []
+        src, came = np.array([w]), np.array([-1])
+        while True:
+            lo = self._first[src]
+            count = self._first[src + 1] - lo
+            start = np.cumsum(count) - count
+            dst = self._adjacent[np.repeat(lo - start, count) + np.arange(count.sum())]
+            src = np.repeat(src, count)
+            keep = dst != np.repeat(came, count)
+            if inside is not None:
+                keep &= mask[dst]
+            if not keep.any():
+                return tuple(levels)
+            came, src = src[keep], dst[keep]
+            levels.append((came, src))
 
     def path(self, x: int, y: int) -> list[tuple[int, int]]:
         """The steps (from, to) of the tree path from x to y."""
         up, down = [x], [y]
         while up[-1] != down[-1]:
             if self.depth[up[-1]] >= self.depth[down[-1]]:
-                up.append(self.parents[up[-1]])
+                up.append(int(self.parents[up[-1]]))
             else:
-                down.append(self.parents[down[-1]])
+                down.append(int(self.parents[down[-1]]))
         nodes = up + down[-2::-1]
         return list(zip(nodes, nodes[1:]))
 
@@ -513,8 +537,7 @@ class FiniteTreeVolume:
         return len(self.path(x, y))
 
     def edges_touching(self, vertices: Iterable[int]) -> list[int]:
-        vs = set(vertices)
-        return [k for k, (x, y) in enumerate(self.directed_edges) if x in vs or y in vs]
+        return sorted({max(v, u) - 1 for v in set(vertices) for u in self.neighbors(v)})
 
     def adjacent_outside(self, vertices: Iterable[int]) -> set[int]:
         vs = set(vertices)
@@ -526,19 +549,13 @@ class FiniteTreeVolume:
 
 def cayley_ball(d: int, radius: int) -> FiniteTreeVolume:
     """Closed ball of the d-regular tree: the root has d + 1 children, every
-    other interior vertex has d, and the outermost layer is the boundary."""
+    other interior vertex has d, and the outermost layer is the boundary.
+    Vertices are numbered level by level, each vertex's children in turn."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    parents: list[int | None] = [None]
-    level = [0]
-    for r in range(radius):
-        nxt = []
-        for v in level:
-            for _ in range(d + 1 if v == 0 else d):
-                parents.append(v)
-                nxt.append(len(parents) - 1)
-        level = nxt
-    return FiniteTreeVolume(d, parents, level)
+    inner = 1 + (d + 1) * (d ** (radius - 1) - 1) // (d - 1)  # vertices below the radius
+    parents = [None] + [0] * (d + 1) + np.repeat(np.arange(1, inner), d).tolist()
+    return FiniteTreeVolume(d, parents, range(inner, len(parents)))
 
 
 def path_volume(n_edges: int, d: int = 2) -> FiniteTreeVolume:
@@ -549,61 +566,18 @@ def path_volume(n_edges: int, d: int = 2) -> FiniteTreeVolume:
     return FiniteTreeVolume(d, parents, ())
 
 
-@dataclass(frozen=True)
-class GradientConfiguration:
-    """Integer increments on the directed edges of a volume.
-
-    The orientation convention is child minus parent relative to the root;
-    walking an edge against its stored direction negates the increment.
-    """
-
-    volume: FiniteTreeVolume
-    increments: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.increments) != self.volume.n_edges:
-            raise ValueError("one increment per directed edge required")
-
-    @classmethod
-    def zeros(cls, volume: FiniteTreeVolume) -> "GradientConfiguration":
-        return cls(volume, (0,) * volume.n_edges)
-
-    @classmethod
-    def from_map(cls, volume: FiniteTreeVolume,
-                 mapping: Mapping[tuple[int, int], int]) -> "GradientConfiguration":
-        vals = [0] * volume.n_edges
-        for (x, y), z in mapping.items():
-            if (x, y) in volume.edge_index:
-                vals[volume.edge_index[(x, y)]] = int(z)
-            elif (y, x) in volume.edge_index:
-                vals[volume.edge_index[(y, x)]] = -int(z)
-            else:
-                raise KeyError(f"no edge between {x} and {y}")
-        return cls(volume, tuple(vals))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.increments, dtype=np.int64)
-
-    def increment(self, x: int, y: int) -> int:
-        if (x, y) in self.volume.edge_index:
-            return self.increments[self.volume.edge_index[(x, y)]]
-        return -self.increments[self.volume.edge_index[(y, x)]]
-
-
 def vertex_heights(volume: FiniteTreeVolume, pin: int, s: int,
                    zeta: Sequence[int]) -> np.ndarray:
-    """Integer heights with height[pin] = s, accumulated along tree paths."""
+    """Integer heights with height[pin] = s, accumulated along tree paths
+    one level of ``orientation_from(pin)`` at a time; zeta[e] is the
+    increment along the stored direction of edge e."""
+    zeta = np.asarray(zeta, dtype=np.int64)
     h = np.zeros(volume.n_vertices, dtype=np.int64)
     h[pin] = s
-    for e, src, dst, sign in volume.orientation_from(pin):
-        h[dst] = h[src] + sign * zeta[e]
+    for src, dst in volume.orientation_from(pin):
+        z = zeta[np.maximum(src, dst) - 1]
+        h[dst] = h[src] + np.where(dst > src, z, -z)
     return h
-
-
-def vertex_layers(volume: FiniteTreeVolume, q: int, pin: int, s: int,
-                  zeta: Sequence[int]) -> np.ndarray:
-    """Mod-q layer labels reached from class s at the pin vertex."""
-    return vertex_heights(volume, pin, s, zeta) % q
 
 
 # ---------------------------------------------------------------------------

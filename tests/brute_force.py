@@ -35,14 +35,31 @@ and the numpy form of the Potts row.
 
 ``VolumeTooLarge`` is what the enumerating oracles raise when a volume would
 exceed their state budget; the library enumerates nothing and never raises it.
+
+The scalar tree walks are the references for the library's step tables:
+``scalar_orientation`` is the one-step-at-a-time BFS that
+``FiniteTreeVolume.orientation_from`` replaced, as (edge, src, dst, sign)
+tuples, ``scalar_upward`` the upward pass one step at a time that the
+level-batched ``measures._upward`` matches bit for bit, and
+``scalar_heights`` the heights one step at a time. Every other oracle here
+walks ``scalar_orientation``. ``GradientConfiguration``, ``vertex_layers``,
+``pinned_prob_product``, ``sample_ggm`` and ``event_prob_ggm`` are the
+test-only forms the library no longer carries: a configuration as a tuple
+with edge lookups, the layers of the heights, the product form of one
+configuration, one sample as a configuration, and the mixture of
+``measures.event_prob_pinned``; ``pinned_probs`` walks
+``measures._product_probs`` over a whole step table.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import math
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -54,14 +71,11 @@ from ggmtree.errors import GGMError, PinInsideInner
 from ggmtree.measures import Certificate, GGMSpec, PinnedMeasureSpec, _product_probs
 from ggmtree.model import (
     FiniteTreeVolume,
-    GradientConfiguration,
     IncrementWindow,
     PeriodicBoundaryLaw,
     TransferOperator,
     cayley_ball,
     eval_q,
-    vertex_heights,
-    vertex_layers,
 )
 
 BLOCK = 2**14  # rows per block, so scans need O(BLOCK x vertices) memory
@@ -71,13 +85,153 @@ class VolumeTooLarge(GGMError):
     """An enumeration would exceed the configured state budget."""
 
 
+# ---------------------------------------------------------------------------
+# the scalar tree walks and the test-only forms of the library
+
+
+@functools.lru_cache(maxsize=64)
+def scalar_orientation(volume: FiniteTreeVolume,
+                       w: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Edges in BFS order away from w as (edge_id, src, dst, sign), one step
+    at a time, neighbours visited children first and then the parent.
+
+    ``sign`` is +1 when the stored (parent, child) direction agrees with
+    the traversal, so the increment along src -> dst is sign * zeta[edge].
+    """
+    edge_index = {e: k for k, e in enumerate(volume.directed_edges)}
+    order = []
+    seen = {w}
+    queue = deque([w])
+    while queue:
+        src = queue.popleft()
+        for dst in volume.neighbors(src):
+            if dst in seen:
+                continue
+            seen.add(dst)
+            if (src, dst) in edge_index:
+                order.append((edge_index[(src, dst)], src, dst, 1))
+            else:
+                order.append((edge_index[(dst, src)], src, dst, -1))
+            queue.append(dst)
+    return tuple(order)
+
+
+def scalar_upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
+                  leaf: Mapping[int, np.ndarray], edges=None,
+                  maximum: bool = False) -> tuple[list[np.ndarray], np.ndarray]:
+    """``measures._upward`` one step at a time, in the reverse order of
+    ``scalar_orientation(volume, pin)``: v starts from ``leaf[v]`` (else
+    ones) and each edge, or each one in ``edges``, multiplies the scaled
+    message of ``f[dst]`` into ``f[src]``."""
+    q = len(matrix)
+    unit = [np.ones(q)] * volume.n_vertices
+    scale = np.zeros(volume.n_vertices)
+    for v, vec in leaf.items():
+        top = vec.max()
+        unit[v], scale[v] = vec / top, math.log(top)
+    for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
+        if edges is None or e in edges:
+            msg = (matrix * unit[dst]).max(axis=1) if maximum else matrix @ unit[dst]
+            f = unit[src] * msg
+            top = f.max()
+            unit[src] = f / top
+            scale[src] += scale[dst] + math.log(top)
+    return unit, scale
+
+
+def scalar_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarray:
+    """Integer heights with height[pin] = s, one step at a time."""
+    h = np.zeros(volume.n_vertices, dtype=np.int64)
+    h[pin] = s
+    for e, src, dst, sign in scalar_orientation(volume, pin):
+        h[dst] = h[src] + sign * zeta[e]
+    return h
+
+
+def vertex_layers(volume: FiniteTreeVolume, q: int, pin: int, s: int, zeta) -> np.ndarray:
+    """Mod-q layer labels reached from class s at the pin vertex."""
+    return scalar_heights(volume, pin, s, zeta) % q
+
+
+@dataclass(frozen=True)
+class GradientConfiguration:
+    """Integer increments on the directed edges of a volume.
+
+    The orientation convention is child minus parent relative to the root;
+    walking an edge against its stored direction negates the increment.
+    """
+
+    volume: FiniteTreeVolume
+    increments: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.increments) != self.volume.n_edges:
+            raise ValueError("one increment per directed edge required")
+
+    @classmethod
+    def zeros(cls, volume: FiniteTreeVolume) -> "GradientConfiguration":
+        return cls(volume, (0,) * volume.n_edges)
+
+    @classmethod
+    def from_map(cls, volume: FiniteTreeVolume,
+                 mapping: Mapping[tuple[int, int], int]) -> "GradientConfiguration":
+        edge_index = {e: k for k, e in enumerate(volume.directed_edges)}
+        vals = [0] * volume.n_edges
+        for (x, y), z in mapping.items():
+            if (x, y) in edge_index:
+                vals[edge_index[(x, y)]] = int(z)
+            elif (y, x) in edge_index:
+                vals[edge_index[(y, x)]] = -int(z)
+            else:
+                raise KeyError(f"no edge between {x} and {y}")
+        return cls(volume, tuple(vals))
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self.increments, dtype=np.int64)
+
+    def increment(self, x: int, y: int) -> int:
+        edge_index = {e: k for k, e in enumerate(self.volume.directed_edges)}
+        if (x, y) in edge_index:
+            return self.increments[edge_index[(x, y)]]
+        return -self.increments[edge_index[(y, x)]]
+
+
+def pinned_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, s: int,
+                 Z) -> np.ndarray:
+    """``measures._product_probs`` along the whole of ``orientation_from(pin)``."""
+    return _product_probs(kernel, volume.orientation_from(pin), pin, s, Z)
+
+
+def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration) -> float:
+    """Probability of a full edge configuration as a product of kernel factors
+    along the edges oriented away from the pin."""
+    return float(pinned_probs(spec.kernel, spec.volume, spec.pin_vertex,
+                              spec.pin_class, [zeta.increments])[0])
+
+
+def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
+    """One configuration of the library's sampler, deterministic in the seed."""
+    arr = measures.sample_ggm_batch(spec, 1, seed)[0]
+    return GradientConfiguration(spec.volume, tuple(int(v) for v in arr))
+
+
+def event_prob_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVolume,
+                   vertices: Iterable[int], anchor: int,
+                   zeta: Mapping[tuple[int, int], int]) -> float:
+    """The stationary mixture of ``measures.event_prob_pinned``."""
+    return float(sum(
+        chain.alpha[s] * measures.event_prob_pinned(kernel, volume, vertices, anchor, s, zeta)
+        for s in range(kernel.q)
+    ))
+
+
 def _product_prob(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
                   s: int, zeta) -> float:
     q = kernel.q
     layer = [0] * volume.n_vertices
     layer[pin] = s % q
     p = 1.0
-    for e, src, dst, sign in volume.orientation_from(pin):
+    for e, src, dst, sign in scalar_orientation(volume, pin):
         z = sign * int(zeta[e])
         p *= kernel.prob(layer[src], z)
         layer[dst] = (layer[src] + z) % q
@@ -97,7 +251,7 @@ def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np
     C = kernel.circulant
     f = [a.copy() if v in volume.boundary else np.ones(q)
          for v in range(volume.n_vertices)]
-    for e, src, dst, sign in reversed(volume.orientation_from(pin)):
+    for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         f[src] = f[src] * (C @ f[dst])
     return f[pin]
 
@@ -123,7 +277,7 @@ def _hanging_factors(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     C = kernel.circulant
     f = [a.copy() if v in volume.boundary else np.ones(q)
          for v in range(volume.n_vertices)]
-    for e, src, dst, sign in reversed(volume.orientation_from(pin)):
+    for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         f[src] = f[src] * (C @ f[dst])
     return {v: f[v] for v in boundary_of_inner}
 
@@ -159,7 +313,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     # layer pass restricted to the inner edges
     f = [a.copy() if v in inner_boundary else np.ones(q)
          for v in range(volume.n_vertices)]
-    for e, src, dst, sign in reversed(volume.orientation_from(spec.pin_vertex)):
+    for e, src, dst, sign in reversed(scalar_orientation(volume, spec.pin_vertex)):
         if e in inner_edge_set:
             f[src] = f[src] * (C @ f[dst])
     z_inner = f[spec.pin_vertex]
@@ -181,7 +335,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
         arr = np.zeros(volume.n_edges, dtype=np.int64)
         for e, z in zip(inner_edges, combo):
             arr[e] = z
-        heights = vertex_heights(volume, spec.pin_vertex, 0, arr)
+        heights = scalar_heights(volume, spec.pin_vertex, 0, arr)
         layers_cache.append({v: int(heights[v]) for v in inner_boundary})
         qprod_cache.append(float(np.prod([eval_q(kernel.op, z) for z in combo])))
 
@@ -235,7 +389,7 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
             base[e] = int(z)
 
     def boundary_class(arr: np.ndarray) -> tuple[int, ...]:
-        h = vertex_heights(volume, spec.pin_vertex, 0, arr)
+        h = scalar_heights(volume, spec.pin_vertex, 0, arr)
         return tuple(int(h[v] - h[anchor]) for v in inner_boundary)
 
     target = boundary_class(base)
@@ -273,7 +427,7 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
 def _residue_layers(volume: FiniteTreeVolume, pin: int, q: int,
                     residues) -> list[int]:
     layer = [0] * volume.n_vertices
-    for e, src, dst, sign in volume.orientation_from(pin):
+    for e, src, dst, sign in scalar_orientation(volume, pin):
         layer[dst] = (layer[src] + sign * residues[e]) % q
     return layer
 
@@ -308,7 +462,7 @@ def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) ->
     norms = kernel.norms
     maxq = _max_q_per_residue(kernel)
     z_pin = _bl_partition(kernel, volume, spec.pin_vertex)[spec.pin_class]
-    orient = volume.orientation_from(spec.pin_vertex)
+    orient = scalar_orientation(volume, spec.pin_vertex)
     boundary = sorted(volume.boundary)
     worst = 0.0
     for residues in itertools.product(range(q), repeat=volume.n_edges):
@@ -343,7 +497,7 @@ def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
     maxq = _max_q_per_residue(kernel)
     parts = _bl_partition(kernel, volume, 0)
     z_alt = float(parts.sum())
-    orient = volume.orientation_from(0)
+    orient = scalar_orientation(volume, 0)
     boundary = sorted(volume.boundary)
     worst = 0.0
     for residues in itertools.product(range(q), repeat=volume.n_edges):
@@ -386,7 +540,7 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     cdf = kernel.sampling_cdf()
     offs = kernel.offsets
     top = len(offs) - 1
-    for e, src, dst, sign in volume.orientation_from(0):
+    for e, src, dst, sign in scalar_orientation(volume, 0):
         u = rng.random(n)
         z = np.empty(n, dtype=np.int64)
         t_src = layers[:, src]
@@ -479,7 +633,7 @@ def _bl_weight(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
                s: int, zeta) -> float:
     q = kernel.q
     a = kernel.law.a
-    heights = vertex_heights(volume, pin, s, zeta)
+    heights = scalar_heights(volume, pin, s, zeta)
     w = 1.0
     for y in volume.boundary:
         w *= a[int(heights[y]) % q]
@@ -506,7 +660,7 @@ def ggm_prob(spec: GGMSpec, zeta: GradientConfiguration, pin: int | None = None)
     w = 0 if pin is None else pin
     alpha = spec.chain.alpha
     return float(sum(
-        alpha[s] * _product_probs(spec.kernel, spec.volume, w, s, [zeta.increments])[0]
+        alpha[s] * pinned_probs(spec.kernel, spec.volume, w, s, [zeta.increments])[0]
         for s in range(spec.kernel.q)
     ))
 
@@ -537,7 +691,7 @@ def coupling_expectation(spec: GGMSpec, func: Callable[[GradientConfiguration, d
     q = spec.kernel.q
     total = 0.0
     for Z in _window_blocks(volume, spec.kernel.window, config_budget):
-        probs = [alpha[s] * _product_probs(spec.kernel, volume, 0, s, Z) for s in range(q)]
+        probs = [alpha[s] * pinned_probs(spec.kernel, volume, 0, s, Z) for s in range(q)]
         for i, arr in enumerate(Z):
             cfg = GradientConfiguration(volume, tuple(int(v) for v in arr))
             for s in range(q):
@@ -573,7 +727,7 @@ def _residue_layer_blocks(volume: FiniteTreeVolume, pin: int, q: int,
     column = {e: j for j, e in enumerate(edges)}
     for R in _product_blocks([q] * len(edges)):
         layers = np.zeros((volume.n_vertices, R.shape[1]), dtype=np.int64)
-        for e, src, dst, sign in volume.orientation_from(pin):
+        for e, src, dst, sign in scalar_orientation(volume, pin):
             step = sign * R[column[e]] if e in column else 0
             layers[dst] = (layers[src] + step) % q
         yield R, layers
@@ -608,7 +762,7 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
     C = kernel.circulant
     f = [a.copy() if v in inner_boundary else np.ones(q)
          for v in range(volume.n_vertices)]
-    for e, src, dst, sign in reversed(volume.orientation_from(pin)):
+    for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         if e in inner_edges:
             f[src] = f[src] * (C @ f[dst])
     z_inner = f[pin]
@@ -657,7 +811,7 @@ def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
                              np.zeros((1, volume.n_edges), dtype=np.int64)])
     alpha = spec.chain.alpha
     probs = np.array([
-        sum(alpha[s] * _product_probs(kernel, volume, w, s, configs)
+        sum(alpha[s] * pinned_probs(kernel, volume, w, s, configs)
             for s in range(kernel.q))
         for w in pins
     ])
@@ -702,9 +856,9 @@ def _restricted_class(spec: PinnedMeasureSpec, inner,
     if count > config_budget:
         raise VolumeTooLarge(f"{count} inner height choices exceed {config_budget}")
 
-    orient = volume.orientation_from(spec.pin_vertex)
+    orient = scalar_orientation(volume, spec.pin_vertex)
     movers = [dst for e, src, dst, sign in orient if dst in ids]
-    fixed = vertex_heights(volume, spec.pin_vertex, 0, base)
+    fixed = scalar_heights(volume, spec.pin_vertex, 0, base)
     kept = []
     for T in _product_blocks([2 * cutoff + 1] * len(movers)):
         step = dict(zip(movers, T - cutoff))
@@ -740,7 +894,7 @@ def ratio_range(spec: PinnedMeasureSpec, inner,
     Z, inner_edges = _restricted_class(spec, inner, outside, reference, 10**7)
     s_values = range(kernel.q) if mixture else [spec.pin_class]
     joint = sum((chain.alpha[s] if mixture else 1.0)
-                * _product_probs(kernel, spec.volume, spec.pin_vertex, s, Z)
+                * pinned_probs(kernel, spec.volume, spec.pin_vertex, s, Z)
                 for s in s_values)
     ratio = joint / np.prod(kernel.weights[Z[:, inner_edges] + kernel.window.cutoff], axis=1)
     return float(ratio.max() / ratio.min())
@@ -760,10 +914,10 @@ def scan_restricted_dlr(spec: PinnedMeasureSpec, inner,
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
     if mixture:
-        joint = sum(chain.alpha[s] * _product_probs(kernel, volume, spec.pin_vertex, s, Z)
+        joint = sum(chain.alpha[s] * pinned_probs(kernel, volume, spec.pin_vertex, s, Z)
                     for s in range(kernel.q))
     else:
-        joint = _product_probs(kernel, volume, spec.pin_vertex, spec.pin_class, Z)
+        joint = pinned_probs(kernel, volume, spec.pin_vertex, spec.pin_class, Z)
     bare = np.prod(kernel.weights[Z[:, inner_edges] + cutoff], axis=1)
     if joint.sum() == 0.0:
         raise ValueError("conditioning event has zero probability")
@@ -783,7 +937,7 @@ def _scan_dual_gap(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     if q ** volume.n_edges > residue_budget:
         raise VolumeTooLarge("residue scan exceeds its budget")
     a = kernel.law.as_array()
-    orient = volume.orientation_from(pin)
+    orient = scalar_orientation(volume, pin)
     order = [e for e, src, dst, sign in orient]
     maxq = _max_q_per_residue(kernel)
     boundary = sorted(volume.boundary)
@@ -854,7 +1008,7 @@ def product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     layer = np.empty((volume.n_vertices, len(Z)), dtype=np.int64)
     layer[pin] = s % q
     p = np.ones(len(Z))
-    for e, src, dst, sign in volume.orientation_from(pin):
+    for e, src, dst, sign in scalar_orientation(volume, pin):
         z = sign * Z[:, e]
         t = layer[src]
         layer[dst] = (t + z) % q
@@ -907,7 +1061,7 @@ def windowed_mass(spec: PinnedMeasureSpec) -> float:
     q = spec.kernel.q
     W = windowed_matrix(spec.kernel)
     f = [np.ones(q) for _ in range(spec.volume.n_vertices)]
-    for e, src, dst, sign in reversed(spec.volume.orientation_from(spec.pin_vertex)):
+    for e, src, dst, sign in reversed(scalar_orientation(spec.volume, spec.pin_vertex)):
         f[src] = f[src] * (W @ f[dst])
     return float(f[spec.pin_vertex][spec.pin_class])
 

@@ -190,14 +190,15 @@ class TestCriticalBeta:
 @pytest.mark.parametrize("argv", [
     ["marginal"], ["verify"], ["sample", "--n", "3"], ["correlation"], ["chain", "dump"],
 ], ids=" ".join)
-def test_reducible_chain_exits_3_from_every_model_command(tmp_path, capsys, argv):
+def test_underflowing_q1_exits_2_from_every_model_command(tmp_path, capsys, argv):
     # exp(-800) underflows, so the fuzzy chain of SOS beta=800 cannot move
     path = tmp_path / "sos800.json"
     path.write_text(json.dumps({"potential": {"kind": "sos", "beta": 800.0}, "q": 2, "d": 2}))
-    assert main([*argv, "--model", str(path)]) == 3
+    assert main([*argv, "--model", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: fuzzy chain is reducible; stationary law not unique\n"
+    assert captured.err == ("configuration error: Q(1) underflows to 0, so the layers "
+                            "never change and the fuzzy chain is reducible\n")
 
 
 def test_invalid_tail_beta_exits_2(tmp_path, capsys):
@@ -327,6 +328,7 @@ class TestVerify:
         (2, [], 1e-9),
         (10, [], 3069 * 1e-12),
         (12, ["--branch", "upper"], 12285 * 1e-12),
+        (14, ["--branch", "upper"], 49149 * 1e-12),
     ])
     def test_windowed_mass_tolerance_is_the_union_bound(self, model_file, tmp_path,
                                                         depth, argv, tolerance):

@@ -7,7 +7,6 @@ from ggmtree import (
     SOS,
     CounterexampleChain,
     GGMSpec,
-    GradientConfiguration,
     IncrementWindow,
     PeriodMismatch,
     PeriodicBoundaryLaw,
@@ -25,7 +24,12 @@ from ggmtree.diagnostics import (
     path_mixture_prob,
 )
 
-from brute_force import bond_marginals_by_position, ggm_prob, windowed_configs
+from brute_force import (
+    GradientConfiguration,
+    bond_marginals_by_position,
+    ggm_prob,
+    windowed_configs,
+)
 
 
 def bond_events(n):

@@ -82,5 +82,5 @@ def test_product_form_reads_the_table(model):
     cutoff = kernel.window.cutoff
     Z = rng.integers(-cutoff, cutoff + 1, size=(64, volume.n_edges))
     for pin, s in ((0, 0), (4, kernel.q - 1)):
-        assert np.array_equal(measures._product_probs(kernel, volume, pin, s, Z),
+        assert np.array_equal(bf.pinned_probs(kernel, volume, pin, s, Z),
                               bf.product_probs(kernel, volume, pin, s, Z))

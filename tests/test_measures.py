@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from ggmtree import (
     SOS,
+    FiniteTreeVolume,
     GGMSpec,
-    GradientConfiguration,
     IncrementWindow,
     PeriodicBoundaryLaw,
     PinInsideInner,
@@ -23,8 +24,6 @@ from ggmtree import (
     max_dual_gap_ggm,
     max_dual_gap_pinned,
     path_volume,
-    pinned_prob_product,
-    sample_ggm,
     sample_ggm_batch,
     single_bond_marginal,
     total_mass,
@@ -32,19 +31,19 @@ from ggmtree import (
 )
 from ggmtree import measures
 from ggmtree.chains import tv_distance
-from ggmtree.measures import (
-    event_prob_ggm,
-    event_prob_pinned,
-    windowed_mass,
-)
+from ggmtree.measures import event_prob_pinned, windowed_mass
 
 import brute_force as bf
 from brute_force import (
+    GradientConfiguration,
     VolumeTooLarge,
     alt_ggm_prob,
     coupling_expectation,
+    event_prob_ggm,
     ggm_prob,
     pinned_prob_bl,
+    pinned_prob_product,
+    sample_ggm,
     windowed_configs,
 )
 
@@ -91,11 +90,51 @@ class TestScaledPass:
         # the largest boundary-law weight over the windowed configurations
         a = small_kernel.law.as_array()
         top = measures._upward(ball1, 0, measures._largest_q(small_kernel),
-                               dict.fromkeys(ball1.boundary, a), maximum=True)
+                               ball1.boundary, a, maximum=True)
         for s in range(2):
             want = max(bf._bl_weight(small_kernel, ball1, 0, s, arr)
                        for arr in windowed_configs(ball1, small_kernel.window))
             assert np.exp(measures._log_at(top, 0)[s]) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 6])
+    def test_level_batches_are_the_scalar_pass(self, q):
+        # bit for bit: each src takes its updates in the scalar pass's order.
+        # The random tree's subtrees differ, so its scales are many distinct
+        # logs, which numpy's vectorized log would round differently
+        rng = np.random.default_rng(q)
+        matrix = rng.random((q, q)) + 0.1
+        leaf = rng.random(q) + 0.5
+        tree = FiniteTreeVolume(2, [None, *(int(rng.integers(i)) for i in range(1, 2000))], ())
+        volumes = [cayley_ball(2, 2), cayley_ball(2, 3), cayley_ball(2, 10), tree]
+        for volume, pin in itertools.product(volumes, (0, 1, 5)):
+            leaves = [v for v in range(volume.n_vertices) if not volume.children[v]]
+            part = {pin}  # a random connected part holding the pin
+            while len(part) < min(volume.n_vertices // 2, 40):
+                part.add(int(rng.choice(sorted(volume.adjacent_outside(part)))))
+            edges = {v - 1 for v in part if v and volume.parents[v] in part}
+            for maximum, (within, restrict) in itertools.product(
+                    (False, True), ((None, None), (part, edges))):
+                unit, scale = measures._upward(volume, pin, matrix, leaves, leaf, within,
+                                               maximum)
+                want_unit, want_scale = bf.scalar_upward(
+                    volume, pin, matrix, dict.fromkeys(leaves, leaf), restrict, maximum)
+                assert np.array_equal(unit, np.array(want_unit))
+                assert np.array_equal(scale, want_scale)
+
+    def test_one_update_per_level_and_rank(self, kernel):
+        class Counted(np.ndarray):
+            calls = 0
+
+            def __matmul__(self, other):
+                Counted.calls += 1
+                return np.asarray(self) @ other
+
+        matrix = kernel.circulant.view(Counted)
+        for depth in range(2, 11):
+            volume = cayley_ball(2, depth)
+            Counted.calls = 0
+            measures._upward(volume, 0, matrix, volume.boundary, kernel.law.as_array())
+            assert 0 < Counted.calls <= depth * (volume.d + 1)
 
 
 class TestPinnedProduct:
@@ -512,3 +551,13 @@ class TestGuards:
     def test_event_prob_requires_anchor_in_set(self, kernel, ball2):
         with pytest.raises(ValueError):
             event_prob_ggm(kernel, fuzzy_transform(kernel), ball2, {1, 4}, 0, {(1, 4): 0})
+
+    def test_event_prob_rejects_a_disconnected_set(self, kernel, ball2):
+        # {1, 4} and {2, 6} meet only through the root, which is not in the set
+        with pytest.raises(ValueError, match="connected"):
+            event_prob_pinned(kernel, ball2, {1, 4, 2, 6}, 1, 0, {(1, 4): 0, (2, 6): 3})
+
+    def test_event_prob_rejects_vertices_outside_the_volume(self, kernel, ball2):
+        # -1 would index the last vertex, and the root's parent is -1
+        with pytest.raises(ValueError, match="lie in the volume"):
+            event_prob_pinned(kernel, ball2, {0, -1}, 0, 0, {(3, 9): 0})

@@ -25,10 +25,12 @@ from ggmtree import (
     wrapped_sum,
 )
 from ggmtree.model import (
-    GradientConfiguration,
+    ORIENTATIONS,
+    FiniteTreeVolume,
     _certified_wrapped_sum,
     interaction_matrix,
     tail_mass,
+    vertex_heights,
 )
 from ggmtree.transfer import potts_row
 
@@ -254,7 +256,36 @@ class TestIncrementWindow:
                                       bound=1e-12, max_cutoff=10)
 
 
+# index order is not BFS order: vertex 3, a child of the root, comes after
+# vertex 2, a grandchild
+SHUFFLED = FiniteTreeVolume(2, [None, 0, 1, 0, 2, 3, 1, 3, 0], ())
+
+
 class TestVolumes:
+    @pytest.mark.parametrize("volume", [cayley_ball(2, 3), cayley_ball(3, 2), path_volume(6),
+                                        SHUFFLED], ids=["ball-2-3", "ball-3-2", "path-6",
+                                                        "shuffled"])
+    def test_orientation_is_the_scalar_bfs(self, volume):
+        rng = np.random.default_rng(0)
+        zeta = rng.integers(-5, 6, size=volume.n_edges)
+        for w in range(volume.n_vertices):
+            levels = volume.orientation_from(w)
+            steps = [(x, y) for src, dst in levels for x, y in zip(src.tolist(), dst.tolist())]
+            want = bf.scalar_orientation(volume, w)
+            assert steps == [(src, dst) for _, src, dst, _ in want]
+            assert [max(x, y) - 1 for x, y in steps] == [e for e, *_ in want]
+            assert [1 if y > x else -1 for x, y in steps] == [sign for *_, sign in want]
+            for k, (src, _) in enumerate(levels):
+                assert {volume.distance(w, x) for x in src.tolist()} == {k}
+            assert np.array_equal(vertex_heights(volume, w, 3, zeta),
+                                  bf.scalar_heights(volume, w, 3, zeta))
+
+    def test_orientation_cache_is_bounded(self):
+        volume = cayley_ball(2, 4)
+        for w in range(volume.n_vertices):
+            volume.orientation_from(w)
+        assert len(volume._orientations) == ORIENTATIONS
+
     def test_binary_depth2_ball_shape(self, ball2):
         assert ball2.n_vertices == 10
         assert ball2.n_edges == 9
@@ -283,9 +314,9 @@ class TestVolumes:
 
     def test_orientation_reaches_every_edge(self, ball2):
         for pin in range(ball2.n_vertices):
-            order = ball2.orientation_from(pin)
-            assert len(order) == ball2.n_edges
-            assert sorted(e for e, *_ in order) == list(range(ball2.n_edges))
+            src, dst = (np.concatenate(side) for side in zip(*ball2.orientation_from(pin)))
+            assert len(src) == ball2.n_edges
+            assert sorted(np.maximum(src, dst) - 1) == list(range(ball2.n_edges))
 
     def test_depth_12_ball_children_match_parents(self):
         vol = cayley_ball(2, 12)
@@ -302,7 +333,7 @@ class TestVolumes:
             cayley_ball(2, 2).__class__(2, [None, 0, 0, 0], boundary=[0])
 
     def test_configuration_orientation_lookup(self, ball2):
-        zeta = GradientConfiguration.from_map(ball2, {(0, 1): 3, (4, 1): 2})
+        zeta = bf.GradientConfiguration.from_map(ball2, {(0, 1): 3, (4, 1): 2})
         assert zeta.increment(0, 1) == 3
         assert zeta.increment(1, 0) == -3
         assert zeta.increment(1, 4) == -2
