@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonStochastic, NonSummable, OutOfWindow
+from .errors import NonStochastic, NonSummable
 from .model import (
     IncrementWindow,
     PeriodicBoundaryLaw,
@@ -75,17 +75,6 @@ class LayerKernel:
     @property
     def rows(self) -> np.ndarray:
         return self.probs / self.probs.sum(axis=1)[:, None]
-
-    def prob(self, layer: int, zeta: int) -> float:
-        """Exact kernel probability of the increment zeta at the given layer."""
-        cutoff = self.window.cutoff
-        if abs(int(zeta)) > cutoff:
-            raise OutOfWindow(f"|zeta| = {abs(zeta)} exceeds cutoff {cutoff}")
-        return self.probs[layer % self.q, int(zeta) + cutoff]
-
-    def sampling_cdf(self) -> np.ndarray:
-        """Per-layer cumulative distributions of the renormalized rows."""
-        return np.cumsum(self.rows, axis=1)
 
 
 def build_layer_kernel(op: TransferOperator, law: PeriodicBoundaryLaw,

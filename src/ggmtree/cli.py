@@ -45,7 +45,7 @@ from .model import (
 SCHEMA_VERSION = 1
 # verify reports gained the relative violation and the method of each check
 VERIFY_SCHEMA_VERSION = 2
-CHUNK_ROWS = 2**16  # CSV rows per write of `sample`
+CHUNK_ROWS = 2**14  # CSV rows per write of `sample`
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -236,7 +236,7 @@ def _sample_rows(batch: np.ndarray, labels: list[str]) -> Iterator[str]:
         parts = np.empty((b - a, edges, 3), dtype=object)
         parts[:, :, 0] = np.array([str(i) for i in range(a, b)], dtype=object)[:, None]
         parts[:, :, 1] = mids
-        parts[:, :, 2] = ends[batch[a:b] - lo]
+        parts[:, :, 2] = ends[np.subtract(batch[a:b], lo, dtype=np.intp)]
         yield "".join(parts.ravel().tolist())
 
 
@@ -246,8 +246,8 @@ def cmd_sample(args) -> int:
     The rows are the bytes ``csv.writer`` wrote for the rows
     ``(i, "x>y", z)``: csv writes ints with ``str``, and digits, ``-`` and
     ``>`` never need quoting. ``_sample_rows`` encodes them from tables and
-    they are written a chunk at a time, so memory is the O(n * edges) batch
-    plus one chunk of text.
+    they are written a chunk at a time, so memory is the batch, one byte per
+    (sample, edge) up to cutoff 127, plus one chunk of text.
     """
     op, d, label, kernel, chain, config = _setup(args, "sample", "n", "seed", "depth")
     volume = cayley_ball(d, args.depth)

@@ -64,7 +64,8 @@ __all__ = [
     "two_bond_marginal",
 ]
 
-DRAW_BLOCK = 2**16  # uniforms per sampler draw, so a level needs O(DRAW_BLOCK) memory
+DRAW_BLOCK = 2**14  # uniforms per sampler draw, so a draw needs O(DRAW_BLOCK) memory
+GUIDE = 2**12  # buckets of the sampler's guide tables; a power of two, so bucketing is exact
 SLACK = 16  # rounding allowance of the certificates, in ulps per edge
 EPS = float(np.finfo(float).eps)
 
@@ -216,50 +217,84 @@ def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np
 # sampling
 
 
+class _Guide:
+    """The inverse-CDF lookup of the sampler by guide tables (Chen & Asau
+    1974): the increment z = offsets[k] and end layer of the uniform u at
+    source layer t, for k = ``min(searchsorted(cdf[t], u, "right"), top)``.
+
+    u * GUIDE and m / GUIDE are exact in binary floating point, so u lies in
+    bucket m = floor(u * GUIDE) exactly when m / GUIDE <= u < (m + 1) / GUIDE.
+    Where no cdf entry lies in (m / GUIDE, (m + 1) / GUIDE], every u of the
+    bucket has the k of u = m / GUIDE, and the tables hold its increment and
+    end layer. Elsewhere the increment table holds ``lost``, -cutoff - 1, and
+    those few u are looked up by ``searchsorted`` itself, so the result is
+    that lookup's, bit for bit.
+    """
+
+    def __init__(self, kernel: LayerKernel):
+        self.cdf = np.cumsum(kernel.rows, axis=1)
+        self.top = len(kernel.offsets) - 1
+        # the narrowest signed type holding -cutoff - 1; a layer is below q
+        dtype = np.min_scalar_type(-kernel.window.cutoff - 1)
+        self.increments = kernel.offsets.astype(dtype)
+        self.lost = dtype.type(-kernel.window.cutoff - 1)
+        self.ends = kernel.ends.astype(np.min_scalar_type(kernel.q - 1))
+        below = np.array([np.searchsorted(row, np.arange(GUIDE + 1) / GUIDE, side="right")
+                          for row in self.cdf])
+        k = np.minimum(below[:, :-1], self.top)
+        # flat over (layer, bucket)
+        self.steps = np.where(below[:, 1:] == below[:, :-1], self.increments[k], self.lost).ravel()
+        self.finals = np.take_along_axis(self.ends, k, axis=1).ravel()
+
+    def __call__(self, t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Increments and end layers of the uniforms u at the layers t."""
+        key = (u * GUIDE).astype(np.intp)
+        key += t * np.intp(GUIDE)
+        z, end = self.steps[key], self.finals[key]
+        miss = np.flatnonzero(z == self.lost)
+        for layer in set(t.flat[miss].tolist()):
+            at = miss[t.flat[miss] == layer]
+            k = np.minimum(np.searchsorted(self.cdf[layer], u.flat[at], side="right"), self.top)
+            z.flat[at], end.flat[at] = self.increments[k], self.ends[layer, k]
+        return z, end
+
+
 def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
-    """n independent configurations as an (n, n_edges) array.
+    """n independent configurations as an (n, n_edges) array of increments:
+    the transposed view of an edge-major (n_edges, n) batch in the narrowest
+    signed integer dtype that holds -cutoff - 1, so one byte per (sample,
+    edge) up to cutoff 127.
 
     Counter-based generator keyed by the seed: the same (seed, n) always
     yields the same batch, independent of how the caller schedules work.
     The class of vertex 0 is drawn from ``n`` uniforms, then the increments
     of each edge, in the BFS order of ``orientation_from(0)``, from ``n``
-    more. The edges of one level of that table are drawn together, as
-    (edges, n) blocks of at most ``DRAW_BLOCK`` uniforms (but one edge at
-    least). A block takes its uniforms from the stream in the order in which
-    one draw per edge would take them, so the batch does not depend on the
-    blocking, bit for bit. The inverse-CDF lookup runs once per block and
-    source layer.
+    more. Uniforms are drawn in blocks of at most ``DRAW_BLOCK``: the edges
+    of a level together while n fits a block, else one edge in column
+    blocks, in the order in which one draw per edge would take them, so the
+    batch does not depend on the blocking, bit for bit. Each increment is
+    the inverse-CDF lookup in its source layer's row by the guide tables of
+    ``_Guide``, exact because their bucket bounds are exact binary fractions
+    and a uniform in a bucket holding a cdf entry goes to ``searchsorted``.
     """
     volume = spec.volume
-    kernel = spec.kernel
-    q = kernel.q
     rng = np.random.default_rng(np.random.Philox(key=int(seed) & (2**64 - 1)))
-    out = np.empty((n, volume.n_edges), dtype=np.int64)
-    if n == 0:
-        return out
-    alpha_cdf = np.cumsum(spec.chain.alpha)
-    # a layer is a residue below q: the smallest integer type holding q - 1
-    layers = np.empty((volume.n_vertices, n), dtype=np.min_scalar_type(q - 1))
-    layers[0] = np.minimum(np.searchsorted(alpha_cdf, rng.random(n), side="right"), q - 1)
-    cdf = kernel.sampling_cdf()
-    offs = kernel.offsets
-    top = len(offs) - 1
-    per_draw = max(1, DRAW_BLOCK // n)  # edges
+    guide = _Guide(spec.kernel)
+    out = np.empty((volume.n_edges, n), dtype=guide.increments.dtype)
+    layers = np.empty((volume.n_vertices, n), dtype=guide.ends.dtype)
+    layers[0] = np.minimum(np.searchsorted(np.cumsum(spec.chain.alpha), rng.random(n),
+                                           side="right"), spec.kernel.q - 1)
+    cols = min(max(n, 1), DRAW_BLOCK)
+    per_draw = DRAW_BLOCK // cols  # edges
     # away from the root every step runs parent -> child along edge dst - 1
-    for _, level in volume.orientation_from(0):
-        for start in range(0, len(level), per_draw):
-            dst = level[start:start + per_draw]
-            u = rng.random((len(dst), n))
-            t_src = layers[volume.parents[dst]]
-            z = np.empty(t_src.shape, dtype=np.int64)
-            for t in range(q):
-                mask = t_src == t
-                if mask.any():
-                    idx = np.minimum(np.searchsorted(cdf[t], u[mask], side="right"), top)
-                    z[mask] = offs[idx]
-            out[:, dst - 1] = z.T
-            layers[dst] = (t_src + z) % q
-    return out
+    for src_level, dst_level in volume.orientation_from(0):
+        for e in range(0, len(dst_level), per_draw):
+            src, dst = src_level[e:e + per_draw], dst_level[e:e + per_draw]
+            for c in range(0, n, cols):
+                u = rng.random((len(dst), min(cols, n - c)))
+                out[dst - 1, c:c + cols], layers[dst, c:c + cols] = guide(
+                    layers[src, c:c + cols], u)
+    return out.T
 
 
 def windowed_mass(spec: PinnedMeasureSpec) -> float:

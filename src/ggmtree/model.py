@@ -340,20 +340,6 @@ class PeriodicBoundaryLaw:
     def as_array(self) -> np.ndarray:
         return np.array(self.a)
 
-    def shifted(self, j: int) -> "PeriodicBoundaryLaw":
-        """Cyclic shift l(i) -> l(i + j), renormalized to a[0] = 1."""
-        rolled = [self.a[(i + j) % self.q] for i in range(self.q)]
-        return PeriodicBoundaryLaw.from_values(rolled)
-
-    def is_shift_of(self, other: "PeriodicBoundaryLaw", atol: float = 1e-9) -> bool:
-        if self.q != other.q:
-            return False
-        mine = self.as_array()
-        return any(
-            np.allclose(mine, other.shifted(j).as_array(), rtol=0.0, atol=atol)
-            for j in range(self.q)
-        )
-
 
 # ---------------------------------------------------------------------------
 # truncation windows

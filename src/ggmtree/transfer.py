@@ -49,16 +49,6 @@ class CirculantSpec:
         if any(v < 0 for v in self.values):
             raise ValueError("wrapped values must be non-negative")
 
-    @property
-    def free_dimension(self) -> int:
-        return self.q // 2
-
-    def full_row(self) -> np.ndarray:
-        row = np.empty(self.q)
-        for r in range(self.q):
-            row[r] = self.values[min(r, self.q - r)]
-        return row
-
 
 def potts_row(q: int, beta_tilde: float) -> np.ndarray:
     """The q-state Potts transfer row: diagonal weight e**bt, off-diagonal 1,

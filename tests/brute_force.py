@@ -18,9 +18,10 @@ The kernel-table oracles (``kernel_prob``, ``balance_defect``,
 read ``LayerKernel.probs``: each writes Q(z) a(t + z) / N(t) out again, or
 loops over it, in the same order of operations, so they agree bit for bit.
 
-``sample_ggm_batch`` is the per-edge sampler and ``sample_csv`` the
-``csv.writer`` output of ``ggmtree sample``, the references for the
-level-blocked sampler and the table-driven encoder. The scalar reference
+``sample_ggm_batch`` is the per-edge sampler, an int64 batch with one
+``searchsorted`` per layer, and ``sample_csv`` the ``csv.writer`` output of
+``ggmtree sample``, the references for the guide-table sampler and the
+table-driven encoder. The scalar reference
 forms (``pinned_prob_bl``, ``ggm_prob``, ``alt_ggm_prob``), the window
 enumerator, ``coupling_expectation``, ``bond_marginals_by_position``,
 ``is_normalizable`` and ``stationary_by_power_iteration`` are answers the
@@ -48,7 +49,10 @@ test-only forms the library no longer carries: a configuration as a tuple
 with edge lookups, the layers of the heights, the product form of one
 configuration, one sample as a configuration, and the mixture of
 ``measures.event_prob_pinned``; ``pinned_probs`` walks
-``measures._product_probs`` over a whole step table.
+``measures._product_probs`` over a whole step table. ``table_prob`` (a point
+read of ``LayerKernel.probs``), ``shifted`` and ``is_shift_of`` (the cyclic
+shift of a law, and shift equivalence), ``free_dimension`` and ``full_row``
+(of a ``CirculantSpec``) are the library methods only tests called.
 """
 from __future__ import annotations
 
@@ -67,7 +71,7 @@ import numpy as np
 from ggmtree import cli, measures
 from ggmtree.chains import FuzzyChain, LayerKernel
 from ggmtree.diagnostics import CounterexampleChain, path_mixture_prob
-from ggmtree.errors import GGMError, PinInsideInner
+from ggmtree.errors import GGMError, OutOfWindow, PinInsideInner
 from ggmtree.measures import Certificate, GGMSpec, PinnedMeasureSpec, _product_probs
 from ggmtree.model import (
     FiniteTreeVolume,
@@ -77,6 +81,7 @@ from ggmtree.model import (
     cayley_ball,
     eval_q,
 )
+from ggmtree.transfer import CirculantSpec
 
 BLOCK = 2**14  # rows per block, so scans need O(BLOCK x vertices) memory
 
@@ -233,7 +238,7 @@ def _product_prob(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     p = 1.0
     for e, src, dst, sign in scalar_orientation(volume, pin):
         z = sign * int(zeta[e])
-        p *= kernel.prob(layer[src], z)
+        p *= table_prob(kernel, layer[src], z)
         layer[dst] = (layer[src] + z) % q
     return p
 
@@ -537,7 +542,7 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     layers = np.empty((n, volume.n_vertices), dtype=np.int64)
     layers[:, 0] = np.minimum(
         np.searchsorted(alpha_cdf, rng.random(n), side="right"), q - 1)
-    cdf = kernel.sampling_cdf()
+    cdf = np.cumsum(kernel.rows, axis=1)
     offs = kernel.offsets
     top = len(offs) - 1
     for e, src, dst, sign in scalar_orientation(volume, 0):
@@ -988,6 +993,38 @@ def kernel_prob(kernel: LayerKernel, layer: int, zeta: int) -> float:
     """Q(zeta) a(layer + zeta) / N(layer), written out."""
     q = kernel.q
     return eval_q(kernel.op, zeta) * kernel.law.a[(layer + zeta) % q] / kernel.norms[layer % q]
+
+
+def table_prob(kernel: LayerKernel, layer: int, zeta: int) -> float:
+    """The entry of ``kernel.probs`` for the increment zeta at the layer;
+    ``OutOfWindow`` beyond the cutoff."""
+    cutoff = kernel.window.cutoff
+    if abs(int(zeta)) > cutoff:
+        raise OutOfWindow(f"|zeta| = {abs(zeta)} exceeds cutoff {cutoff}")
+    return kernel.probs[layer % kernel.q, int(zeta) + cutoff]
+
+
+def shifted(law: PeriodicBoundaryLaw, j: int) -> PeriodicBoundaryLaw:
+    """Cyclic shift l(i) -> l(i + j), renormalized to a[0] = 1."""
+    return PeriodicBoundaryLaw.from_values([law.a[(i + j) % law.q] for i in range(law.q)])
+
+
+def is_shift_of(law: PeriodicBoundaryLaw, other: PeriodicBoundaryLaw,
+                atol: float = 1e-9) -> bool:
+    """Whether ``law`` equals a cyclic shift of ``other`` to within atol."""
+    return law.q == other.q and any(
+        np.allclose(law.as_array(), shifted(other, j).as_array(), rtol=0.0, atol=atol)
+        for j in range(law.q))
+
+
+def free_dimension(spec: CirculantSpec) -> int:
+    """The wrapped values of a spec modulo an overall constant."""
+    return len(spec.values) - 1
+
+
+def full_row(spec: CirculantSpec) -> np.ndarray:
+    """All q wrapped values of a spec, the residues above q // 2 by reflection."""
+    return np.array([spec.values[min(r, spec.q - r)] for r in range(spec.q)])
 
 
 def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ggmtree
@@ -427,6 +429,17 @@ class TestSampleEncoding:
         out = tmp_path / "rows.csv"
         assert main(["sample", *argv, "--out", str(out)]) == 0
         assert out.read_bytes() == bf.sample_csv(argv).encode()
+
+    def test_one_byte_rows_index_without_wrapping(self):
+        # from -120, batch - lo overflows int8 for every increment above 7
+        z = np.arange(-120, 121, dtype=np.int8)
+        batch = np.stack([z, z[::-1]]).T
+        labels = ["0>1", "0>2"]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            (i, label, v) for i, row in enumerate(batch.tolist())
+            for label, v in zip(labels, row))
+        assert "".join(cli._sample_rows(batch, labels)) == buf.getvalue()
 
     def test_stdout_equals_out_file(self, model_file, tmp_path, capsys):
         argv = ["sample", "--model", model_file, "--n", "500", "--seed", "8"]

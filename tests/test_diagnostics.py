@@ -28,6 +28,7 @@ from brute_force import (
     GradientConfiguration,
     bond_marginals_by_position,
     ggm_prob,
+    shifted,
     windowed_configs,
 )
 
@@ -151,7 +152,7 @@ class TestIdentifiability:
         assert gap > 1e-3
 
     def test_cyclic_shift_indistinguishable(self, sos2, upper_law):
-        distinguishable, gap = identifiability_check(sos2, upper_law, upper_law.shifted(1))
+        distinguishable, gap = identifiability_check(sos2, upper_law, shifted(upper_law, 1))
         assert not distinguishable
         assert gap < 1e-12
 

@@ -49,7 +49,7 @@ def test_table_is_the_written_out_kernel(model):
     want = np.array([[bf.kernel_prob(kernel, s, int(z)) for z in kernel.offsets]
                      for s in range(kernel.q)])
     assert np.array_equal(kernel.probs, want)
-    assert all(kernel.prob(s, int(z)) == want[s, k] for s in range(kernel.q)
+    assert all(bf.table_prob(kernel, s, int(z)) == want[s, k] for s in range(kernel.q)
                for k, z in enumerate(kernel.offsets))
     assert np.array_equal(kernel.ends, (np.arange(kernel.q)[:, None] + kernel.offsets)
                           % kernel.q)

@@ -151,7 +151,7 @@ class TestPinnedProduct:
         vol = path_volume(2)
         spec = PinnedMeasureSpec(kernel, vol, 0, 0)
         zeta = GradientConfiguration(vol, (1, 1))
-        want = kernel.prob(0, 1) * kernel.prob(1, 1)
+        want = bf.table_prob(kernel, 0, 1) * bf.table_prob(kernel, 1, 1)
         assert pinned_prob_product(spec, zeta) == pytest.approx(want, abs=1e-15)
 
     def test_star_volume_sums_to_one(self, kernel, ball1):
@@ -225,7 +225,7 @@ class TestDualRepresentation:
     def test_class_shift_relabelling_identity(self, sos2, upper_law, ball1):
         # pinning class 1 with the law equals pinning class 0 with its shift
         k1 = build_layer_kernel(sos2, upper_law)
-        k2 = build_layer_kernel(sos2, upper_law.shifted(1))
+        k2 = build_layer_kernel(sos2, bf.shifted(upper_law, 1))
         s1 = PinnedMeasureSpec(k1, ball1, 0, 1)
         s2 = PinnedMeasureSpec(k2, ball1, 0, 0)
         for zmap in ({(0, 1): 0}, {(0, 1): 1, (0, 2): -1}, {(0, 3): 2}):
@@ -290,7 +290,7 @@ class TestMixtures:
 
     def test_shift_orbit_gives_identical_mixture(self, sos2, upper_law, ball1):
         k1 = build_layer_kernel(sos2, upper_law)
-        k2 = build_layer_kernel(sos2, upper_law.shifted(1))
+        k2 = build_layer_kernel(sos2, bf.shifted(upper_law, 1))
         g1 = GGMSpec(k1, fuzzy_transform(k1), ball1)
         g2 = GGMSpec(k2, fuzzy_transform(k2), ball1)
         for zmap in ({(0, 1): 0}, {(0, 1): 1}, {(0, 1): 1, (0, 2): -1, (0, 3): 2}):
@@ -378,20 +378,25 @@ class TestSampling:
             assert abs((batch[:, 0] == z).mean() - want) < 4.0 * se
 
 
-@pytest.fixture(scope="module", params=[2, 3], ids=["q2", "q3"])
-def spec_parts(request):
+def far_kernel(beta, q):
     # the law farthest from the trivial one, as the CLI's default branch
-    q = request.param
-    op = SOS(2.0 if q == 2 else 3.0)
+    op = SOS(beta)
     law = max((r.solution for r in find_branches(op, q, 2)),
               key=lambda law: max(abs(v - 1.0) for v in law.a))
-    kernel = build_layer_kernel(op, law)
+    return build_layer_kernel(op, law)
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["q2", "q3"])
+def spec_parts(request):
+    q = request.param
+    kernel = far_kernel(2.0 if q == 2 else 3.0, q)
     return kernel, fuzzy_transform(kernel)
 
 
 class TestLevelBlockedSampler:
-    # levels drawn whole at (1, 1), split into blocks of 218 edges at
-    # (300, 10), both at (2000, 6), and one edge at a time at (10**5, 2)
+    # levels drawn whole at (1, 1), split into blocks of 54 edges at
+    # (300, 10), both at (2000, 6), and one edge at a time in column blocks
+    # at (10**5, 2)
     @pytest.mark.parametrize("n, depth", [(1, 1), (300, 10), (2000, 6), (10**5, 2)])
     def test_equals_per_edge_sampler(self, spec_parts, n, depth):
         spec = GGMSpec(*spec_parts, cayley_ball(2, depth))
@@ -404,6 +409,43 @@ class TestLevelBlockedSampler:
         got = bf.scan_homogeneity(spec, [0, 1, 4])
         monkeypatch.setattr(measures, "sample_ggm_batch", bf.sample_ggm_batch)
         assert bf.scan_homogeneity(spec, [0, 1, 4]) == got
+
+
+class TestGuideSampler:
+    # q = 1, 2, 3, and SOS beta=1 (cutoff 28), whose tail entries crowd the
+    # first and last buckets
+    @pytest.mark.parametrize("beta, q", [(2.0, 1), (2.0, 2), (3.0, 3), (1.0, 2)])
+    def test_lookup_is_searchsorted(self, beta, q):
+        kernel = far_kernel(beta, q)
+        guide = measures._Guide(kernel)
+        cdf = np.cumsum(kernel.rows, axis=1)  # as the per-edge sampler builds it
+        entries = cdf.ravel()
+        u = np.concatenate([entries, np.nextafter(entries, -np.inf),
+                            np.nextafter(entries, np.inf),
+                            np.arange(measures.GUIDE) / measures.GUIDE, [0.0, 1.0 - 2.0**-53]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        top = len(kernel.offsets) - 1
+        for t in range(q):
+            z, end = guide(np.full(u.shape, t, dtype=np.uint8), u)
+            k = np.minimum(np.searchsorted(cdf[t], u, side="right"), top)
+            assert np.array_equal(z, kernel.offsets[k])
+            assert np.array_equal(end, kernel.ends[t, k])
+        # both the table and the fallback answered
+        assert (guide.steps == guide.lost).any() and (guide.steps != guide.lost).any()
+
+    # SOS beta=0.2 has cutoff 138, past one byte
+    @pytest.mark.parametrize("beta, q, dtype", [(0.2, 2, np.int16), (3.0, 6, np.int8),
+                                                (1.0, 2, np.int8)])
+    def test_compact_batch_equals_per_edge_sampler(self, beta, q, dtype):
+        kernel = far_kernel(beta, q)
+        spec = GGMSpec(kernel, fuzzy_transform(kernel), cayley_ball(2, 3))
+        n = 700
+        batch = sample_ggm_batch(spec, n, 11)
+        assert batch.dtype == dtype
+        # edge-major storage, one itemsize per (sample, edge)
+        assert batch.T.flags.c_contiguous
+        assert batch.nbytes == n * spec.volume.n_edges * batch.itemsize
+        assert np.array_equal(batch, bf.sample_ggm_batch(spec, n, 11))
 
 
 class TestConsistency:
@@ -505,7 +547,7 @@ class TestPinForgetting:
                 p = 1.0
                 layer = 0
                 for z in arr:
-                    p *= small_kernel.prob(layer, int(z))
+                    p *= bf.table_prob(small_kernel, layer, int(z))
                     layer = (layer + int(z)) % q
                 dist[layer] += p
             dist /= dist.sum()
@@ -526,14 +568,14 @@ class TestPinForgetting:
         # stationary-mixture law at chain speed
         offs = kernel.offsets
         stat = np.array([
-            sum(chain.alpha[t] * kernel.prob(t, int(z)) for t in range(kernel.q))
+            sum(chain.alpha[t] * bf.table_prob(kernel, t, int(z)) for t in range(kernel.q))
             for z in offs
         ])
         prev = np.inf
         for k in (1, 2, 4, 8):
             step = np.linalg.matrix_power(chain.matrix, k)
             seen = np.array([
-                sum(step[0, t] * kernel.prob(t, int(z)) for t in range(kernel.q))
+                sum(step[0, t] * bf.table_prob(kernel, t, int(z)) for t in range(kernel.q))
                 for z in offs
             ])
             gap = tv_distance(seen, stat)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import brute_force as bf
 from ggmtree import (
     SOS,
     TailTooFat,
@@ -30,7 +31,7 @@ class TestLiftPotts:
         op = lift_potts(2, bt)
         spec = clock_reduction(op, 2)
         want = potts_row(2, bt)
-        assert np.allclose(spec.full_row(), want, atol=1e-15)
+        assert np.allclose(bf.full_row(spec), want, atol=1e-15)
         # three-point support with the shared residue halved
         assert eval_q(op, 1) == pytest.approx(0.5 / (math.exp(bt) + 1.0), abs=1e-16)
         assert eval_q(op, 2) == 0.0
@@ -45,7 +46,7 @@ class TestLiftPotts:
     @pytest.mark.parametrize("bt", [0.5, 1.0, 2.0])
     def test_round_trip_is_exact(self, q, bt):
         spec = clock_reduction(lift_potts(q, bt), q)
-        assert np.abs(spec.full_row() - potts_row(q, bt)).max() == 0.0
+        assert np.abs(bf.full_row(spec) - potts_row(q, bt)).max() == 0.0
 
 
 class TestLiftPottsPositive:
@@ -95,19 +96,19 @@ class TestClockReduction:
 
     def test_free_dimension(self):
         for q in (2, 3, 4, 7, 8):
-            assert clock_reduction(SOS(1.0), q).free_dimension == q // 2
+            assert bf.free_dimension(clock_reduction(SOS(1.0), q)) == q // 2
 
     def test_reflection_symmetric_extension(self):
         spec = clock_reduction(SOS(1.3), 5)
-        row = spec.full_row()
+        row = bf.full_row(spec)
         for m in range(1, 5):
             assert row[m] == pytest.approx(row[5 - m], abs=1e-15)
 
     def test_residual_equals_clock_model_residual(self, sos2, upper_law):
         # the periodic equation for the operator is the clock equation for its
         # wrapped row; recompute the residual from the row alone and compare
-        row = clock_reduction(sos2, 2).full_row()
-        for law in (upper_law, upper_law.shifted(1),
+        row = bf.full_row(clock_reduction(sos2, 2))
+        for law in (upper_law, bf.shifted(upper_law, 1),
                     __import__("ggmtree").PeriodicBoundaryLaw.from_values([1.0, 2.5])):
             a = np.array(law.a)
             F = np.array([sum(row[(k - m) % 2] * a[m] for m in range(2)) for k in range(2)]) ** 2
