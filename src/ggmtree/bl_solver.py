@@ -64,6 +64,7 @@ _WARMUP = 8
 _POLISH = 2
 # updates without the residual halving after which a row stops trying Newton
 _STALL = 20
+_ATOL = 1e-6  # laws this close in every entry are one branch
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ def _newton(C: np.ndarray, d: int, rows: np.ndarray, S: np.ndarray,
     return out
 
 
-def _label(a: np.ndarray, atol: float = 1e-6) -> str:
-    if np.max(np.abs(a - 1.0)) <= atol:
+def _label(a: np.ndarray) -> str:
+    if np.max(np.abs(a - 1.0)) <= _ATOL:
         return BRANCH_TRIVIAL
     if len(a) == 2:
         return BRANCH_UPPER if a[1] > 1.0 else BRANCH_LOWER
@@ -246,10 +247,9 @@ def _orbits(rows: np.ndarray) -> np.ndarray:
     return images / images[:, :1]
 
 
-def _distinct(C: np.ndarray, d: int, rows: np.ndarray, tol: float,
-              atol: float) -> list[int]:
+def _distinct(C: np.ndarray, d: int, rows: np.ndarray, tol: float) -> list[int]:
     """Indices of the rows that stand for distinct branches. In row order, a
-    row is dropped when it lies within ``atol`` of an earlier kept row, or
+    row is dropped when it lies within ``_ATOL`` of an earlier kept row, or
     when the residual at their midpoint is at most ``tol``; the scan is one
     array comparison per kept row."""
     keep = []
@@ -257,15 +257,15 @@ def _distinct(C: np.ndarray, d: int, rows: np.ndarray, tol: float,
     while left.size:
         first, rest = left[0], left[1:]
         keep.append(int(first))
-        near = np.max(np.abs(rows[rest] - rows[first]), axis=1) <= atol
+        near = np.max(np.abs(rows[rest] - rows[first]), axis=1) <= _ATOL
         mid = _fixed_point_map(C, d, 0.5 * (rows[rest] + rows[first]))[2]
         left = rest[~(near | (mid <= tol))]
     return keep
 
 
 def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
-                  damping: float = 0.7, max_iter: int = 5000, tol: float = 1e-10,
-                  dedup_atol: float = 1e-6) -> list[SolveReport]:
+                  damping: float = 0.7, max_iter: int = 5000,
+                  tol: float = 1e-10) -> list[SolveReport]:
     """Multi-start sweep; converged iterates and their symmetry images are
     merged into distinct branches.
 
@@ -279,7 +279,7 @@ def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
     at each proper divisor p of q, tiled to period q: the q-wrapped sums of a
     p-periodic law are its p-wrapped sums, so it solves the q-periodic
     equation too. Two rows count as one branch when they lie within
-    ``dedup_atol`` of each other or the residual at their midpoint is at most
+    ``_ATOL`` of each other or the residual at their midpoint is at most
     ``tol``, which folds the rows Newton leaves in the flat residual well at a
     critical point onto one; the first row (starts, then their images, then
     the tiled laws) stands for its branch, and its ``iterations`` are the
@@ -294,14 +294,14 @@ def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
     its = [iters[conv], np.repeat(iters[conv], 2 * q)]
     for p in range(2, q):
         if q % p == 0:
-            for rep in find_branches(op, p, d, n_starts, damping, max_iter, tol, dedup_atol):
+            for rep in find_branches(op, p, d, n_starts, damping, max_iter, tol):
                 rows.append(np.tile(rep.solution.as_array(), q // p)[None])
                 its.append([rep.iterations])
     rows, its = np.vstack(rows), np.concatenate(its)
     res = _fixed_point_map(C, d, rows)[2]
     ok = res <= tol
     rows, its, res = rows[ok], its[ok], res[ok]
-    keep = sorted(_distinct(C, d, rows, tol, dedup_atol), key=lambda i: tuple(rows[i]))
+    keep = sorted(_distinct(C, d, rows, tol), key=lambda i: tuple(rows[i]))
     return [
         SolveReport(PeriodicBoundaryLaw.from_values(rows[i]), float(res[i]), int(its[i]),
                     _label(rows[i]))

@@ -24,9 +24,7 @@ import numpy as np
 
 from . import bl_solver, chains, diagnostics, measures
 from .errors import (
-    Diverged,
     GGMError,
-    MaxIterations,
     NonSummable,
     TailTooFat,
     UnsupportedDegree,
@@ -253,7 +251,7 @@ def cmd_sample(args) -> int:
     volume = cayley_ball(d, args.depth)
     batch = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
                                       args.n, args.seed)
-    labels = [f"{x}>{y}" for x, y in volume.directed_edges]
+    labels = [f"{p}>{v}" for v, p in enumerate(volume.parents[1:].tolist(), 1)]
     head = _csv_text(_meta(config), ["sample", "edge", "increment"], [])
     _emit_chunks(itertools.chain([head], _sample_rows(batch, labels)), args.out)
     return EXIT_OK
@@ -272,7 +270,8 @@ def cmd_verify(args) -> int:
     pin = measures.PinnedMeasureSpec(kernel, volume, 0, 0)
     ggm = measures.GGMSpec(kernel, chain, volume)
     inner = {0}
-    pins = [0, 1, volume.children[1][0] if volume.children[1] else 1]
+    # vertex 1's first child, or its parent 0 when it is a leaf
+    pins = [0, 1, volume.neighbors(1)[0]]
     exact, certified = "exact", "certificate"
     checks = {
         "boundary_law_residual": (bl_solver.residual(kernel.law, op, d), tol, exact),
@@ -384,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True, help="JSON model description")
+    def add_common(p):
+        p.add_argument("--model", required=True, help="JSON model description")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--tol", type=_POSITIVE, default=1e-10)
         p.add_argument("--window", type=_AT_LEAST_1, default=None,
@@ -464,7 +462,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnsupportedDegree, UnsupportedPeriod) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (Diverged, MaxIterations, NonSummable) as exc:
+    except NonSummable as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except GGMError as exc:

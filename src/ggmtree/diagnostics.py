@@ -58,15 +58,14 @@ def correlation_and_bound(spec: GGMSpec, volA: Iterable[int], volB: Iterable[int
     )
     if dist != n:
         raise ValueError(f"sub-volumes are {dist} apart, not {n}")
-    q = kernel.q
-    pA = np.array([event_prob_pinned(kernel, volume, A, u, s, zetaA) for s in range(q)])
-    pB = np.array([event_prob_pinned(kernel, volume, B, w, s, zetaB) for s in range(q)])
+    pA = event_prob_pinned(kernel, volume, A, u, zetaA)
+    pB = event_prob_pinned(kernel, volume, B, w, zetaB)
     step_n = np.linalg.matrix_power(chain.matrix, n)
     joint = float(chain.alpha @ (pA * (step_n @ pB)))
     margA = float(chain.alpha @ pA)
     margB = float(chain.alpha @ pB)
     cov = joint - margA * margB
-    tv = max(tv_distance(step_n[s], chain.alpha) for s in range(q))
+    tv = max(tv_distance(row, chain.alpha) for row in step_n)
     bound = 2.0 * margA * tv * float(pB.max())
     if abs(cov) > bound + 1e-14:
         raise AssertionError(f"covariance {cov} escaped its bound {bound}")

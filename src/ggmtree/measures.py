@@ -16,8 +16,9 @@ overflows or underflows. Its max-product form gives the largest weight over
 the windowed configurations. Every walk reads the volume's step table
 (``orientation_from``) a level at a time: the upward pass makes one numpy
 update per level and rank of a step among its source's steps, the sampler
-draws a level at a time, and the product form and event probabilities walk
-the steps of the table or of its part inside a connected vertex set.
+draws a level at a time, and the product form reads every layer off one
+heights walk over the table or its part inside a connected vertex set, so an
+event's probabilities for every pin class come from one walk.
 
 No verifier check visits configurations or residue classes. Each is a
 certified upper bound built from a few passes, O(n q**2) for n vertices, and
@@ -43,6 +44,7 @@ from .model import (
     IncrementWindow,
     PeriodicBoundaryLaw,
     TransferOperator,
+    _heights,
     eval_q,
     vertex_heights,
     wrapped_row,
@@ -118,26 +120,25 @@ class Certificate(float):
 # the two pinned representations
 
 
-def _product_probs(kernel: LayerKernel, levels, pin: int, s: int, Z) -> np.ndarray:
+def _product_probs(kernel: LayerKernel, levels, s, Z) -> np.ndarray:
     """Product-form probabilities of the rows of Z, the increments by edge,
-    pinned to class s at ``pin``: each step of ``levels`` (the (src, dst)
-    arrays of ``orientation_from(pin)``, or of a part of it) from layer t
+    pinned to class s (an int, or a column against the rows) at the first src
+    of ``levels``: a step from height h leaves layer (s + h) mod q and
     contributes the kernel table entry of its increment (not the
-    window-renormalized rows), in step order."""
+    window-renormalized rows), the factors multiplied in step order."""
     Z = np.asarray(Z, dtype=np.int64)
     cutoff = kernel.window.cutoff
     if Z.size and np.abs(Z).max() > cutoff:
         raise OutOfWindow(f"|zeta| = {np.abs(Z).max()} exceeds cutoff {cutoff}")
-    layer = {pin: np.full(len(Z), s % kernel.q)}
-    p = np.ones(len(Z))
-    for src, dst in levels:
-        for x, y in zip(src.tolist(), dst.tolist()):
-            z = Z[:, max(x, y) - 1]
-            k = (z if y > x else -z) + cutoff
-            t = layer[x]
-            layer[y] = kernel.ends[t, k]
-            p = p * kernel.probs[t, k]
-    return p
+    h = _heights(levels, Z)
+    src, dst = _flat(levels)
+    k = h[..., dst] - h[..., src] + cutoff
+    return kernel.probs[(s + h[..., src]) % kernel.q, k].prod(axis=-1)
+
+
+def _flat(levels) -> np.ndarray:
+    """The steps of ``levels`` in order, as one (2, steps) array of src and dst."""
+    return np.concatenate([np.empty((2, 0), np.int64), *map(np.array, levels)], axis=1)
 
 
 def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
@@ -286,14 +287,16 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
                                            side="right"), spec.kernel.q - 1)
     cols = min(max(n, 1), DRAW_BLOCK)
     per_draw = DRAW_BLOCK // cols  # edges
+    levels = volume.orientation_from(0)
     # away from the root every step runs parent -> child along edge dst - 1
-    for src_level, dst_level in volume.orientation_from(0):
+    for depth, (src_level, dst_level) in enumerate(levels, 1):
         for e in range(0, len(dst_level), per_draw):
             src, dst = src_level[e:e + per_draw], dst_level[e:e + per_draw]
             for c in range(0, n, cols):
                 u = rng.random((len(dst), min(cols, n - c)))
-                out[dst - 1, c:c + cols], layers[dst, c:c + cols] = guide(
-                    layers[src, c:c + cols], u)
+                out[dst - 1, c:c + cols], end = guide(layers[src, c:c + cols], u)
+                if depth < len(levels):  # nothing reads the last level's layers
+                    layers[dst, c:c + cols] = end
     return out.T
 
 
@@ -310,16 +313,16 @@ def windowed_mass(spec: PinnedMeasureSpec) -> float:
 
 
 def event_prob_pinned(kernel: LayerKernel, volume: FiniteTreeVolume,
-                      vertices: Iterable[int], anchor: int, s: int,
-                      zeta: Mapping[tuple[int, int], int]) -> float:
-    """Probability that the edges induced by ``vertices`` carry exactly the
-    given increments, keyed by their stored (parent, child) pairs, under the
-    measure pinned to class s at ``anchor``.
+                      vertices: Iterable[int], anchor: int,
+                      zeta: Mapping[tuple[int, int], int]) -> np.ndarray:
+    """Probabilities, as a vector over the class s pinned at ``anchor``, that
+    the edges induced by ``vertices`` carry exactly the given increments,
+    keyed by their stored (parents[v], v) pairs.
 
     The vertex set must be connected and hold ``anchor``, so all layers
-    along the induced edges are determined inside it. The edges are walked
-    in BFS order away from the anchor inside the set, which is the order of
-    ``volume.orientation_from(anchor)`` restricted to them.
+    along the induced edges are determined inside it. One walk, in the order
+    of ``volume.orientation_from(anchor)`` restricted to the set, gives the
+    heights that every class reads its layers from.
     """
     vs = set(vertices)
     if anchor not in vs:
@@ -327,11 +330,12 @@ def event_prob_pinned(kernel: LayerKernel, volume: FiniteTreeVolume,
     if not all(0 <= v < volume.n_vertices for v in vs):
         raise ValueError("the event's vertices must lie in the volume")
     _require_connected(volume, vs, "the event's vertices")
-    Z = np.zeros((1, volume.n_edges), dtype=np.int64)
+    Z = np.zeros(volume.n_edges, dtype=np.int64)
     for v in vs:
-        if volume.parents[v] in vs:
-            Z[0, v - 1] = zeta[volume.directed_edges[v - 1]]
-    return float(_product_probs(kernel, volume._steps_from(anchor, vs), anchor, s, Z)[0])
+        if (p := int(volume.parents[v])) in vs:
+            Z[v - 1] = zeta[p, v]
+    return _product_probs(kernel, volume._steps_from(anchor, vs),
+                          np.arange(kernel.q)[:, None], Z)
 
 
 def single_bond_marginal(op: TransferOperator, law: PeriodicBoundaryLaw,
@@ -582,9 +586,9 @@ def _largest_share(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
                       kernel.weights[np.clip(step + cutoff, 0, 2 * cutoff)], 0.0)
     total = top = 1.0
     sums, maxs = {}, {}
-    inward = [(x, y) for src, dst in volume.orientation_from(pin)
-              for x, y in zip(src.tolist(), dst.tolist()) if y in ids]
-    for src, dst in reversed(inward):
+    steps = _flat(volume.orientation_from(pin))
+    inward = steps[:, np.isin(steps[1], list(ids))]
+    for src, dst in reversed(inward.T.tolist()):
         f = np.ones(len(grid))
         g = np.ones(len(grid))
         for y in volume.neighbors(dst):
@@ -604,16 +608,16 @@ def _largest_share(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
 
 
 def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
-                         outside: Mapping[int, int] | None = None,
                          reference: Mapping[int, int] | None = None) -> float:
     """Conditional law inside a sub-volume away from the pin, given the outside
     increments and the relative boundary heights, against the bare-weight
     prediction: proportional to the product of Q factors over configurations
     in the same boundary-height class.
 
-    ``outside`` fixes increments on edges outside the sub-volume;
     ``reference`` chooses the inner configuration whose boundary-height class
-    is conditioned on (default all zeros).
+    is conditioned on (default all zeros). The bound holds for every outside
+    assignment, which shifts the fixed heights around each connected part of
+    the sub-volume by a constant and so moves neither factor below.
 
     Returns a certified upper bound on the largest difference. Some
     inner-boundary vertex is tied to the pin through outside edges, so the
@@ -635,19 +639,10 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     inner_edges = volume.edges_touching(ids)
 
     base = np.zeros(volume.n_edges, dtype=np.int64)
-    if outside is not None:
-        for e, z in outside.items():
-            if e in inner_edges:
-                raise ValueError("outside assignment hit an inner edge")
-            base[e] = int(z)
-    if reference is not None:
-        for e, z in reference.items():
-            if e not in inner_edges:
-                raise ValueError("reference assignment must live on inner edges")
-            base[e] = int(z)
-    cutoff = kernel.window.cutoff
-    if outside is not None and any(abs(int(z)) > cutoff for z in outside.values()):
-        raise OutOfWindow(f"an outside increment exceeds cutoff {cutoff}")
+    for e, z in (reference or {}).items():
+        if e not in inner_edges:
+            raise ValueError("reference assignment must live on inner edges")
+        base[e] = int(z)
 
     log_a = np.log(kernel.law.as_array())
     log_n = np.log(kernel.norms)

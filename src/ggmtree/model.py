@@ -15,8 +15,10 @@ lift at its own period, and otherwise by one certified summation.
 Every walk over a volume reads one step table per pin,
 ``FiniteTreeVolume.orientation_from``: the steps away from the pin as
 (src, dst) integer arrays, one pair per distance from it, built by an array
-BFS and cached for the last few pins. A step's edge and direction follow from
-its two ends, so no walk looks edges up.
+BFS and cached for the last few pins. A volume is its arrays alone, edge e
+being (parents[e + 1], e + 1), so a step's edge and direction follow from its
+two ends. One walk, ``_heights``, accumulates heights along a step table, and
+a layer is a class plus a height, mod q.
 """
 from __future__ import annotations
 
@@ -435,17 +437,12 @@ class FiniteTreeVolume:
         order = np.lexsort((other, other < owner, owner))
         self._adjacent = other[order]
         self._first = np.searchsorted(owner[order], np.arange(n + 1))
-        n_kids = np.bincount(up, minlength=n)
-        flat = self._adjacent.tolist()
-        self.children: tuple[tuple[int, ...], ...] = tuple(
-            tuple(flat[a:a + c]) for a, c in zip(self._first.tolist(), n_kids.tolist()))
-        self.directed_edges: tuple[tuple[int, int], ...] = tuple(zip(up.tolist(), range(1, n)))
         self.boundary = frozenset(int(b) for b in boundary)
         if any(not 0 <= b < n for b in self.boundary):
             raise ValueError("boundary vertex outside the volume")
         if 0 in self.boundary:
             raise ValueError("the root cannot be a boundary vertex")
-        if n_kids[list(self.boundary)].any():
+        if np.bincount(up, minlength=n)[list(self.boundary)].any():
             raise ValueError("boundary vertices must be leaves")
         self.interior = frozenset(range(n)) - self.boundary
         self._orientations: dict[int, tuple] = {}
@@ -456,7 +453,7 @@ class FiniteTreeVolume:
 
     @property
     def n_edges(self) -> int:
-        return len(self.directed_edges)
+        return self.n_vertices - 1
 
     @property
     def full(self) -> bool:
@@ -552,18 +549,24 @@ def path_volume(n_edges: int, d: int = 2) -> FiniteTreeVolume:
     return FiniteTreeVolume(d, parents, ())
 
 
+def _heights(levels, zeta: np.ndarray) -> np.ndarray:
+    """Heights relative to the pin, the first src of ``levels`` (the steps of
+    ``orientation_from(pin)`` or of a part of it), one per vertex and 0 where
+    no step reaches, a level at a time; zeta[..., e] is the increment along
+    edge e's stored direction, with any leading axes."""
+    h = np.zeros((*zeta.shape[:-1], zeta.shape[-1] + 1), dtype=np.int64)
+    for src, dst in levels:
+        z = zeta[..., np.maximum(src, dst) - 1]
+        h[..., dst] = h[..., src] + np.where(dst > src, z, -z)
+    return h
+
+
 def vertex_heights(volume: FiniteTreeVolume, pin: int, s: int,
                    zeta: Sequence[int]) -> np.ndarray:
     """Integer heights with height[pin] = s, accumulated along tree paths
     one level of ``orientation_from(pin)`` at a time; zeta[e] is the
     increment along the stored direction of edge e."""
-    zeta = np.asarray(zeta, dtype=np.int64)
-    h = np.zeros(volume.n_vertices, dtype=np.int64)
-    h[pin] = s
-    for src, dst in volume.orientation_from(pin):
-        z = zeta[np.maximum(src, dst) - 1]
-        h[dst] = h[src] + np.where(dst > src, z, -z)
-    return h
+    return s + _heights(volume.orientation_from(pin), np.asarray(zeta, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,16 @@ The scalar tree walks are the references for the library's step tables:
 ``scalar_orientation`` is the one-step-at-a-time BFS that
 ``FiniteTreeVolume.orientation_from`` replaced, as (edge, src, dst, sign)
 tuples, ``scalar_upward`` the upward pass one step at a time that the
-level-batched ``measures._upward`` matches bit for bit, and
-``scalar_heights`` the heights one step at a time. Every other oracle here
-walks ``scalar_orientation``. ``GradientConfiguration``, ``vertex_layers``,
-``pinned_prob_product``, ``sample_ggm`` and ``event_prob_ggm`` are the
-test-only forms the library no longer carries: a configuration as a tuple
+level-batched ``measures._upward`` matches bit for bit,
+``scalar_heights`` the heights one step at a time, and
+``step_product_probs`` the product form one step at a time, each layer kept
+in a dict, that ``measures._product_probs`` matches bit for bit from the
+heights. Every other oracle here walks ``scalar_orientation``.
+``directed_edges`` and ``children`` are the tuple forms of a volume that the
+library dropped for its arrays, built once per volume.
+``GradientConfiguration``, ``vertex_layers``, ``pinned_prob_product``,
+``sample_ggm`` and ``event_prob_ggm`` are the test-only forms the library no
+longer carries: a configuration as a tuple
 with edge lookups, the layers of the heights, the product form of one
 configuration, one sample as a configuration, and the mixture of
 ``measures.event_prob_pinned``; ``pinned_probs`` walks
@@ -95,6 +100,22 @@ class VolumeTooLarge(GGMError):
 
 
 @functools.lru_cache(maxsize=64)
+def directed_edges(volume: FiniteTreeVolume) -> tuple[tuple[int, int], ...]:
+    """The stored (parent, child) pair of each edge: edge e is
+    (parents[e + 1], e + 1)."""
+    return tuple(zip(volume.parents[1:].tolist(), range(1, volume.n_vertices)))
+
+
+@functools.lru_cache(maxsize=64)
+def children(volume: FiniteTreeVolume) -> tuple[tuple[int, ...], ...]:
+    """The children of each vertex, in index order."""
+    kids = [[] for _ in range(volume.n_vertices)]
+    for p, v in directed_edges(volume):
+        kids[p].append(v)
+    return tuple(map(tuple, kids))
+
+
+@functools.lru_cache(maxsize=64)
 def scalar_orientation(volume: FiniteTreeVolume,
                        w: int) -> tuple[tuple[int, int, int, int], ...]:
     """Edges in BFS order away from w as (edge_id, src, dst, sign), one step
@@ -103,7 +124,7 @@ def scalar_orientation(volume: FiniteTreeVolume,
     ``sign`` is +1 when the stored (parent, child) direction agrees with
     the traversal, so the increment along src -> dst is sign * zeta[edge].
     """
-    edge_index = {e: k for k, e in enumerate(volume.directed_edges)}
+    edge_index = {e: k for k, e in enumerate(directed_edges(volume))}
     order = []
     seen = {w}
     queue = deque([w])
@@ -180,7 +201,7 @@ class GradientConfiguration:
     @classmethod
     def from_map(cls, volume: FiniteTreeVolume,
                  mapping: Mapping[tuple[int, int], int]) -> "GradientConfiguration":
-        edge_index = {e: k for k, e in enumerate(volume.directed_edges)}
+        edge_index = {e: k for k, e in enumerate(directed_edges(volume))}
         vals = [0] * volume.n_edges
         for (x, y), z in mapping.items():
             if (x, y) in edge_index:
@@ -195,7 +216,7 @@ class GradientConfiguration:
         return np.array(self.increments, dtype=np.int64)
 
     def increment(self, x: int, y: int) -> int:
-        edge_index = {e: k for k, e in enumerate(self.volume.directed_edges)}
+        edge_index = {e: k for k, e in enumerate(directed_edges(self.volume))}
         if (x, y) in edge_index:
             return self.increments[edge_index[(x, y)]]
         return -self.increments[edge_index[(y, x)]]
@@ -204,7 +225,27 @@ class GradientConfiguration:
 def pinned_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, s: int,
                  Z) -> np.ndarray:
     """``measures._product_probs`` along the whole of ``orientation_from(pin)``."""
-    return _product_probs(kernel, volume.orientation_from(pin), pin, s, Z)
+    return _product_probs(kernel, volume.orientation_from(pin), s, Z)
+
+
+def step_product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, s: int,
+                       Z, inside: set[int] | None = None) -> np.ndarray:
+    """``measures._product_probs`` one step at a time along
+    ``scalar_orientation(volume, pin)``, or along its steps inside the
+    connected vertex set ``inside`` (which holds the pin): each vertex's
+    layer is read from ``LayerKernel.ends`` and kept in a dict, and the
+    factors are multiplied step by step."""
+    Z = np.asarray(Z, dtype=np.int64)
+    cutoff = kernel.window.cutoff
+    layer = {pin: np.full(len(Z), s % kernel.q)}
+    p = np.ones(len(Z))
+    for e, src, dst, sign in scalar_orientation(volume, pin):
+        if inside is None or dst in inside:
+            k = sign * Z[:, e] + cutoff
+            t = layer[src]
+            layer[dst] = kernel.ends[t, k]
+            p = p * kernel.probs[t, k]
+    return p
 
 
 def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration) -> float:
@@ -224,10 +265,8 @@ def event_prob_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVol
                    vertices: Iterable[int], anchor: int,
                    zeta: Mapping[tuple[int, int], int]) -> float:
     """The stationary mixture of ``measures.event_prob_pinned``."""
-    return float(sum(
-        chain.alpha[s] * measures.event_prob_pinned(kernel, volume, vertices, anchor, s, zeta)
-        for s in range(kernel.q)
-    ))
+    probs = measures.event_prob_pinned(kernel, volume, vertices, anchor, zeta)
+    return float(sum(a * p for a, p in zip(chain.alpha, probs)))
 
 
 def _product_prob(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
@@ -566,7 +605,7 @@ def sample_csv(argv: list[str]) -> str:
     op, d, label, kernel, chain, config = cli._setup(args, "sample", "n", "seed", "depth")
     volume = cayley_ball(d, args.depth)
     batch = sample_ggm_batch(GGMSpec(kernel, chain, volume), args.n, args.seed)
-    labels = [f"{x}>{y}" for x, y in volume.directed_edges]
+    labels = [f"{x}>{y}" for x, y in directed_edges(volume)]
     buf = io.StringIO()
     buf.write("# " + json.dumps(cli._meta(config), sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")

@@ -382,8 +382,8 @@ class TestSample:
         volume = cayley_ball(2, 1)
         batch = sample_ggm_batch(GGMSpec(kernel, fuzzy_transform(kernel), volume), 3, 5)
         assert [(r["sample"], r["edge"], r["increment"]) for r in rows] == [
-            (str(i), f"{x}>{y}", str(batch[i, e]))
-            for i in range(3) for e, (x, y) in enumerate(volume.directed_edges)]
+            (str(i), f"{volume.parents[e + 1]}>{e + 1}", str(batch[i, e]))
+            for i in range(3) for e in range(volume.n_edges)]
 
     def test_zero_samples_header_only(self, model_file, tmp_path):
         out = tmp_path / "empty.csv"

@@ -323,10 +323,13 @@ class TestVolumes:
         assert vol.n_vertices == 12286
         assert len(vol.boundary) == 6144
         assert vol.full
-        assert sum(map(len, vol.children)) == vol.n_vertices - 1
-        for v, kids in enumerate(vol.children):
-            assert list(kids) == sorted(kids)
-            assert all(vol.parents[c] == v for c in kids)
+        kids = bf.children(vol)
+        assert sum(map(len, kids)) == vol.n_vertices - 1
+        # the neighbour table lists the children in index order, then the parent
+        for v in range(vol.n_vertices):
+            assert vol.neighbors(v) == [*kids[v], *([vol.parents[v]] if v else [])]
+            assert list(kids[v]) == sorted(kids[v])
+            assert all(vol.parents[c] == v for c in kids[v])
 
     def test_boundary_must_be_leaves(self):
         with pytest.raises(ValueError):
