@@ -285,7 +285,7 @@ def cmd_verify(args) -> int:
         "windowed_mass": (abs(1.0 - measures.windowed_mass(pin)),
                           max(tol, volume.n_edges * kernel.window.tail_mass_bound), exact),
     }
-    if 1 in volume.interior:
+    if not volume.is_boundary[1]:
         # condition on a mixed boundary-height class so the conditional check
         # has real discriminating power
         dlr_edges = volume.edges_touching({1})

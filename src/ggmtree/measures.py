@@ -82,7 +82,7 @@ class PinnedMeasureSpec:
     pin_class: int
 
     def __post_init__(self):
-        if self.pin_vertex not in self.volume.interior:
+        if not _interior(self.volume, self.pin_vertex):
             raise ValueError("pin vertex must be an interior vertex of the volume")
         if not 0 <= self.pin_class < self.kernel.q:
             raise ValueError("pin class must lie in 0 .. q-1")
@@ -142,14 +142,15 @@ def _flat(levels) -> np.ndarray:
 
 
 def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
-            leaves: Iterable[int] = (), leaf: np.ndarray | None = None,
+            leaves: np.ndarray | list[int] | None = None, leaf: np.ndarray | None = None,
             within: set[int] | None = None,
             maximum: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The pass from the leaves towards ``pin`` over mod-q layer vectors:
-    each vertex of ``leaves`` starts from ``leaf`` (the others from ones) and
-    each edge, or each one inside the connected vertex set ``within`` (which
-    holds the pin), multiplies ``matrix @ f[dst]`` into ``f[src]``, or with
-    ``maximum`` its max-product form ``max_t' matrix[:, t'] f[dst][t']``.
+    each vertex of ``leaves``, an index array, starts from ``leaf`` (the
+    others from ones) and each edge, or each one inside the connected vertex
+    set ``within`` (which holds the pin), multiplies ``matrix @ f[dst]`` into
+    ``f[src]``, or with ``maximum`` its max-product form
+    ``max_t' matrix[:, t'] f[dst][t']``.
     Then f[v] is the total (or the largest) weight of the part of the volume
     below v (away from the pin) by layer.
 
@@ -167,8 +168,7 @@ def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
     q = len(matrix)
     unit = np.ones((volume.n_vertices, q))
     scale = np.zeros(volume.n_vertices)
-    leaves = list(leaves)
-    if leaves:
+    if leaves is not None:
         top = leaf.max()
         unit[leaves], scale[leaves] = leaf / top, math.log(top)
     levels = volume.orientation_from(pin) if within is None else volume._steps_from(pin, within)
@@ -282,21 +282,27 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.Philox(key=int(seed) & (2**64 - 1)))
     guide = _Guide(spec.kernel)
     out = np.empty((volume.n_edges, n), dtype=guide.increments.dtype)
-    layers = np.empty((volume.n_vertices, n), dtype=guide.ends.dtype)
-    layers[0] = np.minimum(np.searchsorted(np.cumsum(spec.chain.alpha), rng.random(n),
-                                           side="right"), spec.kernel.q - 1)
+    # a level reads only the layers of the level before it, held in
+    # ``layers`` with vertex v at row where[v]
+    where = np.zeros(volume.n_vertices, dtype=np.intp)
+    first = np.searchsorted(np.cumsum(spec.chain.alpha), rng.random(n), side="right")
+    layers = np.minimum(first, spec.kernel.q - 1).astype(guide.ends.dtype)[None, :]
     cols = min(max(n, 1), DRAW_BLOCK)
     per_draw = DRAW_BLOCK // cols  # edges
     levels = volume.orientation_from(0)
     # away from the root every step runs parent -> child along edge dst - 1
     for depth, (src_level, dst_level) in enumerate(levels, 1):
+        last = depth == len(levels)  # nothing reads the last level's layers
+        ends = None if last else np.empty((len(dst_level), n), dtype=guide.ends.dtype)
         for e in range(0, len(dst_level), per_draw):
-            src, dst = src_level[e:e + per_draw], dst_level[e:e + per_draw]
+            src, dst = where[src_level[e:e + per_draw]], dst_level[e:e + per_draw]
             for c in range(0, n, cols):
                 u = rng.random((len(dst), min(cols, n - c)))
                 out[dst - 1, c:c + cols], end = guide(layers[src, c:c + cols], u)
-                if depth < len(levels):  # nothing reads the last level's layers
-                    layers[dst, c:c + cols] = end
+                if not last:
+                    ends[e:e + per_draw, c:c + cols] = end
+        where[dst_level] = np.arange(len(dst_level))
+        layers = ends
     return out.T
 
 
@@ -400,9 +406,13 @@ def _mixture(volume: FiniteTreeVolume, alpha: np.ndarray, lo: np.ndarray,
     return float(alpha @ np.array(pinned)), mixed.relative
 
 
+def _interior(volume: FiniteTreeVolume, v: int) -> bool:
+    return 0 <= v < volume.n_vertices and not volume.is_boundary[v]
+
+
 def _interior_set(volume: FiniteTreeVolume, inner: Iterable[int]) -> set[int]:
     ids = {int(v) for v in inner}
-    if not ids <= volume.interior:
+    if not all(_interior(volume, v) for v in ids):
         raise ValueError("inner vertices must be interior vertices of the volume")
     return ids
 
@@ -439,7 +449,7 @@ def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int):
     log_z = _bl_partition(kernel, volume, pin)
     log_n = np.log(kernel.norms)
     log_g = np.log(a) - d * log_n
-    m = len(volume.interior) - 1
+    m = volume.n_vertices - len(volume.boundary) - 1
     base = log_z - (d + 1) * log_n
     top = _upward(volume, pin, _largest_q(kernel), volume.boundary, a, maximum=True)
     return log_z, base + m * log_g.min(), base + m * log_g.max(), _log_at(top, pin) - log_z
@@ -517,12 +527,12 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     per_vertex = [_log_at(hang, v) - np.log(a) for v in inner_boundary]
     # the inner edges, those touching ids, are the steps inside the closure
     closure = ids | inner_boundary
-    log_z_inner = _log_at(
-        _upward(volume, pin, kernel.circulant, inner_boundary, a, closure), pin)
+    leaves = list(inner_boundary)
+    log_z_inner = _log_at(_upward(volume, pin, kernel.circulant, leaves, a, closure), pin)
     shift = log_z_inner - _log_at(hang, pin)
     lo = shift + sum(x.min() for x in per_vertex)
     hi = shift + sum(x.max() for x in per_vertex)
-    top = _upward(volume, pin, _largest_q(kernel), inner_boundary, a, closure, maximum=True)
+    top = _upward(volume, pin, _largest_q(kernel), leaves, a, closure, maximum=True)
     log_top = _log_at(top, pin) - log_z_inner
     if not mixture:
         s = spec.pin_class

@@ -411,8 +411,9 @@ class FiniteTreeVolume:
     so that the stored directed edges (parent, child) are ordered away from
     the root, and edge i - 1 is the edge (parents[i], i). ``parents`` (-1 at
     the root) and ``depth`` are integer arrays. Boundary vertices are the
-    outer layer: they carry the boundary-law factor in closed-volume formulas
-    and must be leaves.
+    outer layer, marked in the boolean array ``is_boundary``: they carry the
+    boundary-law factor in closed-volume formulas and must be leaves. The
+    other vertices are interior.
     """
 
     def __init__(self, d: int, parents: Sequence[int | None], boundary: Iterable[int]):
@@ -437,14 +438,15 @@ class FiniteTreeVolume:
         order = np.lexsort((other, other < owner, owner))
         self._adjacent = other[order]
         self._first = np.searchsorted(owner[order], np.arange(n + 1))
-        self.boundary = frozenset(int(b) for b in boundary)
-        if any(not 0 <= b < n for b in self.boundary):
+        marked = np.fromiter(boundary, dtype=np.int64)
+        if np.any((marked < 0) | (marked >= n)):
             raise ValueError("boundary vertex outside the volume")
-        if 0 in self.boundary:
+        self.is_boundary = np.zeros(n, dtype=bool)
+        self.is_boundary[marked] = True
+        if self.is_boundary[0]:
             raise ValueError("the root cannot be a boundary vertex")
-        if np.bincount(up, minlength=n)[list(self.boundary)].any():
+        if np.bincount(up, minlength=n)[self.is_boundary].any():
             raise ValueError("boundary vertices must be leaves")
-        self.interior = frozenset(range(n)) - self.boundary
         self._orientations: dict[int, tuple] = {}
         depth = [0] * n
         for i, p in enumerate(up.tolist(), 1):
@@ -456,12 +458,17 @@ class FiniteTreeVolume:
         return self.n_vertices - 1
 
     @property
+    def boundary(self) -> np.ndarray:
+        """The boundary vertices, in increasing order."""
+        return np.flatnonzero(self.is_boundary)
+
+    @property
     def full(self) -> bool:
         """True for closed Cayley-regular volumes: every leaf is boundary and
         every interior vertex has all its tree neighbors inside, d + 1 of
         them."""
         degree = np.diff(self._first)
-        degree[list(self.boundary)] = self.d + 1
+        degree[self.is_boundary] = self.d + 1
         return bool(np.all(degree == self.d + 1))
 
     def neighbors(self, v: int) -> list[int]:

@@ -293,19 +293,23 @@ def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np
     q = kernel.q
     a = kernel.law.as_array()
     C = kernel.circulant
-    f = [a.copy() if v in volume.boundary else np.ones(q)
+    f = [a.copy() if volume.is_boundary[v] else np.ones(q)
          for v in range(volume.n_vertices)]
     for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         f[src] = f[src] * (C @ f[dst])
     return f[pin]
 
 
+def _interior(volume: FiniteTreeVolume) -> set[int]:
+    return set(np.flatnonzero(~volume.is_boundary).tolist())
+
+
 def _interior_set(volume: FiniteTreeVolume, inner) -> set[int]:
     if isinstance(inner, FiniteTreeVolume):
-        ids = inner.interior
+        ids = _interior(inner)
     else:
         ids = set(int(v) for v in inner)
-    if not ids <= volume.interior:
+    if not ids <= _interior(volume):
         raise ValueError("inner vertices must be interior vertices of the volume")
     return set(ids)
 
@@ -319,7 +323,7 @@ def _hanging_factors(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     q = kernel.q
     a = kernel.law.as_array()
     C = kernel.circulant
-    f = [a.copy() if v in volume.boundary else np.ones(q)
+    f = [a.copy() if volume.is_boundary[v] else np.ones(q)
          for v in range(volume.n_vertices)]
     for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         f[src] = f[src] * (C @ f[dst])

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ggmtree
 from ggmtree import (
     SOS,
     GGMSpec,
@@ -50,3 +56,22 @@ def pinned(kernel, ball2):
 @pytest.fixture(scope="session")
 def ggm(kernel, chain, ball2):
     return GGMSpec(kernel, chain, ball2)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run a fresh interpreter on ``args`` with this checkout's ``src`` first
+    on PYTHONPATH. ``env`` sets variables, or removes those mapped to None."""
+    src = str(Path(ggmtree.__file__).resolve().parents[1])
+
+    def run(args, env=None) -> subprocess.CompletedProcess:
+        child = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        for key, value in (env or {}).items():
+            if value is None:
+                child.pop(key, None)
+            else:
+                child[key] = value
+        return subprocess.run([sys.executable, *args], env=child,
+                              capture_output=True, text=True, timeout=120)
+    return run

@@ -1,15 +1,13 @@
+import json
 import math
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ggmtree
 from ggmtree import bl_solver, transfer
 from ggmtree import (
     SOS,
@@ -367,14 +365,50 @@ class TestGridRoots:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
-def test_import_leaves_scipy_unloaded():
-    src = str(Path(ggmtree.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, ggmtree; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+def test_import_leaves_scipy_unloaded(fresh_python):
+    out = fresh_python(["-c", "import sys, ggmtree; print('scipy' in sys.modules)"])
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# whether the environment is unchanged by the import, the process's threads
+# (Linux only), and the three variables after it
+IMPORT_REPORT = (
+    "import json, os, sys\n"
+    "before = dict(os.environ)\n"
+    "import ggmtree\n"
+    "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+    f"print(json.dumps([dict(os.environ) == before, tasks,"
+    f" [os.environ.get(v) for v in {BLAS_THREADS!r}]]))\n")
+
+
+def _openblas_on_linux() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return sys.platform == "linux" and "openblas" in str(blas.get("name", "")).lower()
+
+
+def test_import_starts_no_blas_thread(fresh_python):
+    out = fresh_python(["-c", IMPORT_REPORT], env=dict.fromkeys(BLAS_THREADS))
+    assert out.returncode == 0, out.stderr
+    unchanged, tasks, values = json.loads(out.stdout)
+    assert unchanged
+    assert values == [None, None, None]
+    if not _openblas_on_linux():
+        pytest.skip("thread count is checked for OpenBLAS on Linux")
+    assert tasks == 1
+
+
+@pytest.mark.parametrize("variable", BLAS_THREADS)
+def test_callers_blas_threads_win(fresh_python, variable):
+    env = dict.fromkeys(BLAS_THREADS) | {variable: "2"}
+    out = fresh_python(["-c", IMPORT_REPORT], env=env)
+    assert out.returncode == 0, out.stderr
+    unchanged, tasks, values = json.loads(out.stdout)
+    assert unchanged
+    assert values == [env[v] for v in BLAS_THREADS]
+    if _openblas_on_linux() and len(os.sched_getaffinity(0)) >= 2:
+        assert tasks == 2
 
 
 class TestNormalizability:

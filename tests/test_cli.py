@@ -3,15 +3,10 @@ import dataclasses
 import io
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ggmtree
 from ggmtree import (
     GGMSpec,
     IncrementWindow,
@@ -306,18 +301,14 @@ class TestVerify:
             c = payload["checks"][name]
             assert c["violation"] <= c["relative_violation"] <= c["tolerance"]
 
-    def test_verify_draws_no_random_numbers(self, model_file, tmp_path):
+    def test_verify_draws_no_random_numbers(self, model_file, tmp_path, fresh_python):
         # a regression guard: no check samples, so numpy.random stays unloaded
-        src = str(Path(ggmtree.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         script = ("import sys\n"
                   "from ggmtree.cli import main\n"
                   f"code = main(['verify', '--model', {model_file!r}, '--depth', '3',"
                   f" '--out', {str(tmp_path / 'v.json')!r}])\n"
                   "print(code, 'numpy.random' in sys.modules)\n")
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
+        run = fresh_python(["-c", script])
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["0", "False"]
 

@@ -441,6 +441,12 @@ class TestLevelBlockedSampler:
         spec = GGMSpec(*spec_parts, cayley_ball(2, depth))
         assert np.array_equal(sample_ggm_batch(spec, n, 5), bf.sample_ggm_batch(spec, n, 5))
 
+    def test_levels_in_any_vertex_order(self, spec_parts):
+        # a random tree: the ids of one level interleave with those of others
+        parents = [None, *np.random.default_rng(3).integers(np.arange(1, 300))]
+        spec = GGMSpec(*spec_parts, FiniteTreeVolume(2, parents, ()))
+        assert np.array_equal(sample_ggm_batch(spec, 40, 5), bf.sample_ggm_batch(spec, 40, 5))
+
     def test_homogeneity_unchanged(self, spec_parts, monkeypatch):
         # depth 2 with cutoff >= 1 has over 4096 windowed configurations, so
         # the sampled homogeneity scan samples

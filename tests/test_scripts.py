@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-
-import ggmtree
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -16,13 +11,9 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("correlation_decay.py", ["--n-max", "3"], "n,covariance,bound,envelope"),
     ("counterexample_scan.py", ["--kmax", "3"], "k,ratio_closed_form,ratio_enumerated"),
 ], ids=["bifurcation_sweep", "correlation_decay", "counterexample_scan"])
-def test_script_writes_its_csv(script, args, header, tmp_path):
-    src = str(Path(ggmtree.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+def test_script_writes_its_csv(script, args, header, tmp_path, fresh_python):
     out = tmp_path / "out.csv"
-    run = subprocess.run([sys.executable, str(SCRIPTS / script), *args, "--out", str(out)],
-                         env=env, capture_output=True, text=True, timeout=120)
+    run = fresh_python([str(SCRIPTS / script), *args, "--out", str(out)])
     assert run.returncode == 0, run.stderr
     lines = out.read_text().splitlines()
     assert lines[0] == header
