@@ -78,7 +78,6 @@ from .chains import (
     tv_distance,
 )
 from .measures import (
-    Certificate,
     GGMSpec,
     PinnedMeasureSpec,
     check_consistency,

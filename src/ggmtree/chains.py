@@ -143,13 +143,20 @@ def _irreducible(matrix: np.ndarray) -> bool:
     return bool(power.all())
 
 
-def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
-    """D[i, k] = alpha(i) P(i, z) - alpha(i + z) P(i + z, -z) for layers i
+def _balance_flows(kernel: LayerKernel, chain: FuzzyChain) -> tuple[np.ndarray, np.ndarray]:
+    """The flows alpha(i) P(i, z) and alpha(i + z) P(i + z, -z) for layers i
     and the window increments z = offsets[k], P being the kernel table
     ``LayerKernel.probs``."""
     flow = chain.alpha[:, None] * kernel.probs
     # offsets run from -cutoff to cutoff, so -z sits at the mirrored column
-    return flow - flow[kernel.ends, np.arange(len(kernel.offsets))[::-1]]
+    return flow, flow[kernel.ends, np.arange(len(kernel.offsets))[::-1]]
+
+
+def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
+    """D[i, k] = alpha(i) P(i, z) - alpha(i + z) P(i + z, -z), the difference
+    of the two flows of ``_balance_flows``."""
+    flow, back = _balance_flows(kernel, chain)
+    return flow - back
 
 
 def check_reversibility(kernel: LayerKernel, chain: FuzzyChain) -> float:

@@ -7,7 +7,8 @@ fully resolved configuration, and identical configurations with identical
 seeds produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(including invalid models), 3 numerical failure.
+(including invalid models, unreadable model files, unwritable output paths
+and volumes too large to allocate), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
-# verify reports gained the relative violation and the method of each check
-VERIFY_SCHEMA_VERSION = 2
+# each certified verify check reports one bound, on the largest |ratio - 1|
+VERIFY_SCHEMA_VERSION = 3
 CHUNK_ROWS = 2**14  # CSV rows per write of `sample`
 
 EXIT_OK = 0
@@ -59,8 +60,8 @@ def _load_model(path: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"model file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read the model file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -81,7 +82,11 @@ def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
         sys.stdout.writelines(chunks)
     else:
-        with open(out, "w", newline="") as fh:
+        try:
+            fh = open(out, "w", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror}")
+        with fh:
             fh.writelines(chunks)
 
 
@@ -259,10 +264,11 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     """Report each check's violation and ``method``: ``exact``, or
-    ``certificate`` for a certified upper bound on it. A ``Certificate`` also
-    bounds |ratio - 1| in ``relative_violation``, which must pass as well.
-    The windowed mass may miss up to the window's tail bound on each edge, so
-    its tolerance is at least ``n_edges`` times that bound."""
+    ``certificate`` for a certified upper bound on the largest |ratio - 1|
+    between the two forms the check compares, which also bounds their
+    largest difference. The windowed mass may miss up to the window's tail
+    bound on each edge, so its tolerance is at least ``n_edges`` times that
+    bound."""
     op, d, label, kernel, chain, config = _setup(args, "verify", "depth", "perturb",
                                                  law_tol=1e-12)
     volume = cayley_ball(d, args.depth)
@@ -286,19 +292,11 @@ def cmd_verify(args) -> int:
                           max(tol, volume.n_edges * kernel.window.tail_mass_bound), exact),
     }
     if not volume.is_boundary[1]:
-        # condition on a mixed boundary-height class so the conditional check
-        # has real discriminating power
-        dlr_edges = volume.edges_touching({1})
-        reference = {dlr_edges[-1]: 1} if len(dlr_edges) > 1 else None
-        checks["restricted_conditional"] = (
-            measures.check_restricted_dlr(pin, {1}, reference=reference), tol, certified)
-    report = {}
-    for name, (v, t, method) in checks.items():
-        entry = report[name] = {"violation": float(v), "tolerance": float(t),
-                                "method": method, "pass": bool(v <= t)}
-        if isinstance(v, measures.Certificate):
-            entry["relative_violation"] = v.relative
-            entry["pass"] = entry["pass"] and v.relative <= t
+        checks["restricted_conditional"] = (measures.check_restricted_dlr(pin, {1}), tol,
+                                            certified)
+    report = {name: {"violation": float(v), "tolerance": float(t), "method": method,
+                     "pass": bool(v <= t)}
+              for name, (v, t, method) in checks.items()}
     ok = all(entry["pass"] for entry in report.values())
     payload = _meta(config, VERIFY_SCHEMA_VERSION) | {
         "branch_label": label, "checks": report, "pass": ok}
@@ -461,6 +459,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, UnsupportedDegree, UnsupportedPeriod) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("configuration error: out of memory; lower --depth, --n or the degree d",
+              file=sys.stderr)
         return EXIT_CONFIG
     except NonSummable as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

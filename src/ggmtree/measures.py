@@ -8,26 +8,26 @@ distribution gives the homogeneous gradient measure; an alternative form sums
 the boundary-law weight over a global class shift instead.
 
 Every kernel probability is read from the table ``LayerKernel.probs`` (with
-the end layers ``LayerKernel.ends``), and ``_fold`` folds such a (layer,
-increment) table onto pairs of layers, by sum or by maximum. All normalizers
-are computed by one scaled upward pass (``_upward``) that keeps one unit
-vector and one log scale per vertex, indexed by the mod-q layer, so no volume
-overflows or underflows. Its max-product form gives the largest weight over
-the windowed configurations. Every walk reads the volume's step table
-(``orientation_from``) a level at a time: the upward pass makes one numpy
-update per level and rank of a step among its source's steps, the sampler
-draws a level at a time, and the product form reads every layer off one
-heights walk over the table or its part inside a connected vertex set, so an
-event's probabilities for every pin class come from one walk.
+the end layers ``LayerKernel.ends``), and ``_fold`` sums such a (layer,
+increment) table onto pairs of layers. All normalizers are computed by one
+scaled upward pass (``_upward``) that keeps one unit vector and one log scale
+per vertex, indexed by the mod-q layer, so no volume overflows or
+underflows. Every walk reads the volume's step table (``orientation_from``)
+a level at a time: the upward pass makes one numpy update per level and rank
+of a step among its source's steps, the sampler draws a level at a time, and
+the product form reads every layer off one heights walk over the table or
+its part inside a connected vertex set, so an event's probabilities for
+every pin class come from one walk.
 
-No verifier check visits configurations or residue classes. Each is a
-certified upper bound built from a few passes, O(n q**2) for n vertices, and
-its docstring says why it bounds the exact maximum. Each adds an explicit
-rounding allowance of ``SLACK`` ulps per edge of the largest compared
-probability, so a pass is never weaker than the exact check. The checks that
-compare two representations return a ``Certificate``, which also bounds the
-largest |ratio - 1| between them; unlike the difference, that does not shrink
-as the volume grows.
+No verifier check visits configurations or residue classes. Each returns a
+certified upper bound on the largest |ratio - 1| between the two forms it
+compares, and its docstring says why it bounds the exact maximum.
+Probabilities are at most one, so the bound also bounds their largest
+difference, and unlike the difference it does not shrink as the volume
+grows. The ratio ranges come from one or two partition passes, O(n q**2)
+for n vertices, or, for homogeneity, from the kernel table alone. Each bound
+adds an explicit rounding allowance, so a pass is never weaker than the
+exact check.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .chains import FuzzyChain, LayerKernel, balance_defect
+from .chains import FuzzyChain, LayerKernel, _balance_flows
 from .errors import OutOfWindow, PinInsideInner
 from .model import (
     FiniteTreeVolume,
@@ -46,12 +46,10 @@ from .model import (
     TransferOperator,
     _heights,
     eval_q,
-    vertex_heights,
     wrapped_row,
 )
 
 __all__ = [
-    "Certificate",
     "PinnedMeasureSpec",
     "GGMSpec",
     "sample_ggm_batch",
@@ -68,7 +66,7 @@ __all__ = [
 
 DRAW_BLOCK = 2**14  # uniforms per sampler draw, so a draw needs O(DRAW_BLOCK) memory
 GUIDE = 2**12  # buckets of the sampler's guide tables; a power of two, so bucketing is exact
-SLACK = 16  # rounding allowance of the certificates, in ulps per edge
+SLACK = 16  # rounding allowance of the ratio bounds, in ulps per edge
 EPS = float(np.finfo(float).eps)
 
 
@@ -101,21 +99,6 @@ class GGMSpec:
             raise ValueError("kernel and chain periods disagree")
 
 
-class Certificate(float):
-    """A certified upper bound on the largest |difference| between two forms
-    of the same probabilities (the float value), carrying in ``relative`` a
-    certified upper bound on the largest |ratio - 1| between them.
-    Probabilities are at most one, so ``relative`` bounds the difference
-    too."""
-
-    relative: float
-
-    def __new__(cls, absolute: float, relative: float):
-        self = super().__new__(cls, absolute)
-        self.relative = float(relative)
-        return self
-
-
 # ---------------------------------------------------------------------------
 # the two pinned representations
 
@@ -143,16 +126,13 @@ def _flat(levels) -> np.ndarray:
 
 def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
             leaves: np.ndarray | list[int] | None = None, leaf: np.ndarray | None = None,
-            within: set[int] | None = None,
-            maximum: bool = False) -> tuple[np.ndarray, np.ndarray]:
+            within: set[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The pass from the leaves towards ``pin`` over mod-q layer vectors:
     each vertex of ``leaves``, an index array, starts from ``leaf`` (the
     others from ones) and each edge, or each one inside the connected vertex
     set ``within`` (which holds the pin), multiplies ``matrix @ f[dst]`` into
-    ``f[src]``, or with ``maximum`` its max-product form
-    ``max_t' matrix[:, t'] f[dst][t']``.
-    Then f[v] is the total (or the largest) weight of the part of the volume
-    below v (away from the pin) by layer.
+    ``f[src]``. Then f[v] is the total weight of the part of the volume below
+    v (away from the pin) by layer.
 
     The pass is scaled as the forward algorithm is (Rabiner 1989): it returns
     unit vectors u[v], largest entry 1, and log scales c[v] with
@@ -179,10 +159,7 @@ def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
         for r in range(rank.max() + 1):
             at = rank == r
             s, t = src[at], dst[at]
-            u = unit[t]
-            msg = ((matrix * u[:, None, :]).max(axis=2) if maximum
-                   else (matrix @ u[:, :, None])[:, :, 0])
-            f = unit[s] * msg
+            f = unit[s] * (matrix @ unit[t][:, :, None])[:, :, 0]
             top = f.max(axis=1)
             unit[s] = f / top[:, None]
             # math.log: numpy's vectorized log may round the last bit otherwise
@@ -196,13 +173,13 @@ def _log_at(passed: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
     return np.log(unit[v]) + scale[v]
 
 
-def _fold(kernel: LayerKernel, table: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
-    """F[t, t'] = ``ufunc`` (``np.add`` or ``np.maximum``) over the window
-    increments k with ends[t, k] = t' of table[t, k], in increasing k, or 0
-    where there is none: a (layer, increment) table folded onto layer pairs."""
+def _fold(kernel: LayerKernel, table: np.ndarray) -> np.ndarray:
+    """F[t, t'] = the sum over the window increments k with ends[t, k] = t'
+    of table[t, k], in increasing k, or 0 where there is none: a (layer,
+    increment) table folded onto layer pairs."""
     q = kernel.q
     out = np.zeros((q, q))
-    ufunc.at(out, (np.arange(q)[:, None], kernel.ends), table)
+    np.add.at(out, (np.arange(q)[:, None], kernel.ends), table)
     return out
 
 
@@ -309,7 +286,7 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
 def windowed_mass(spec: PinnedMeasureSpec) -> float:
     """Total product-form probability of the windowed configuration space,
     computed by the layer pass (equals one minus the truncated tail)."""
-    W = _fold(spec.kernel, spec.kernel.probs, np.add)
+    W = _fold(spec.kernel, spec.kernel.probs)
     unit, scale = _upward(spec.volume, spec.pin_vertex, W)
     return float(unit[spec.pin_vertex][spec.pin_class] * math.exp(scale[spec.pin_vertex]))
 
@@ -369,41 +346,21 @@ def two_bond_marginal(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
 
 
 def _slack(volume: FiniteTreeVolume, largest: float) -> float:
-    """The rounding allowance: SLACK ulps per edge of the largest compared
-    probability, the products of n_edges factors being compared."""
+    """The rounding allowance of a ratio bound: SLACK ulps per edge of
+    ``largest``, the products of n_edges factors being compared."""
     return SLACK * (volume.n_edges + 1) * EPS * largest
 
 
-def _certified(volume: FiniteTreeVolume, lo: float, hi: float,
-               log_top: float) -> Certificate:
-    """Bounds for two forms whose ratio lies in [e**lo, e**hi] on every
-    configuration, the second form being at most e**log_top:
-    |first - second| <= second * max |ratio - 1|. The allowance is relative
-    to the larger form, at most 1 + e**hi <= 2 + max |ratio - 1| times the
+def _certified(volume: FiniteTreeVolume, lo: float, hi: float) -> float:
+    """The bound on max |ratio - 1| for two forms whose ratio lies in
+    [e**lo, e**hi] on every configuration. The allowance is relative to the
+    larger form, at most 1 + e**hi <= 2 + max |ratio - 1| times the
     second."""
     try:
         off_one = max(-math.expm1(lo), math.expm1(hi))
     except OverflowError:  # e**hi is beyond the largest double
-        return Certificate(math.inf, math.inf)
-    relative = off_one + _slack(volume, 2.0 + off_one)
-    return Certificate(math.exp(log_top) * relative, relative)
-
-
-def _largest_q(kernel: LayerKernel) -> np.ndarray:
-    """M[t, t'] = the largest Q(z) over the window increments z = t' - t
-    mod q: the max-product form of the wrapped interaction matrix."""
-    return _fold(kernel, kernel.weights, np.maximum)
-
-
-def _mixture(volume: FiniteTreeVolume, alpha: np.ndarray, lo: np.ndarray,
-             hi: np.ndarray, log_top: np.ndarray, shift) -> tuple[float, float]:
-    """For pinned forms whose log ratios lie in [lo_s, hi_s], the largest
-    second form being e**log_top_s: the alpha-mean of their certificates, and
-    the relative bound of a weighted mean over s of e**shift_s times their
-    ratios, which lies in the hull of the shifted ranges."""
-    pinned = [_certified(volume, lo[s], hi[s], log_top[s]) for s in range(len(alpha))]
-    mixed = _certified(volume, float((shift + lo).min()), float((shift + hi).max()), 0.0)
-    return float(alpha @ np.array(pinned)), mixed.relative
+        return math.inf
+    return off_one + _slack(volume, 2.0 + off_one)
 
 
 def _interior(volume: FiniteTreeVolume, v: int) -> bool:
@@ -434,9 +391,8 @@ def _require_connected(volume: FiniteTreeVolume, vs: set[int], what: str) -> Non
 
 
 def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int):
-    """For each pin class s: log z_s; the range [lo_s, hi_s] of the log ratio
-    of the product form to the boundary-law form; and the log of the largest
-    boundary-law probability B_s / z_s over the windowed configurations.
+    """For each pin class s: log z_s, and the range [lo_s, hi_s] of the log
+    ratio of the product form to the boundary-law form.
 
     The ratio is z_s N(s)**-(d+1) prod_v g(t_v), the product running over the
     m interior vertices other than the pin, with g = a / N**d: each of them
@@ -451,47 +407,36 @@ def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int):
     log_g = np.log(a) - d * log_n
     m = volume.n_vertices - len(volume.boundary) - 1
     base = log_z - (d + 1) * log_n
-    top = _upward(volume, pin, _largest_q(kernel), volume.boundary, a, maximum=True)
-    return log_z, base + m * log_g.min(), base + m * log_g.max(), _log_at(top, pin) - log_z
+    return log_z, base + m * log_g.min(), base + m * log_g.max()
 
 
-def max_dual_gap_pinned(spec: PinnedMeasureSpec) -> Certificate:
-    """Certified upper bound on the maximum of |product form - boundary-law
-    form| over every windowed configuration, with the bound on the largest
-    |ratio - 1| in ``relative``.
-
-    The gap is (B_s / z_s) |ratio - 1|: the largest B_s / z_s, one
-    max-product pass, times the largest |ratio - 1| over the range of
-    ``_dual_parts``. That is at least the maximum of the product, which the
-    exact scan over residue vectors finds.
-    """
+def max_dual_gap_pinned(spec: PinnedMeasureSpec) -> float:
+    """Certified upper bound on the largest |product form / boundary-law
+    form - 1| over every windowed configuration: the ratio's range is
+    ``_dual_parts``'s, so this is at least the exact maximum that the scan
+    over residue vectors finds."""
     s = spec.pin_class
-    _, lo, hi, log_top = _dual_parts(spec.kernel, spec.volume, spec.pin_vertex)
-    return _certified(spec.volume, lo[s], hi[s], log_top[s])
+    _, lo, hi = _dual_parts(spec.kernel, spec.volume, spec.pin_vertex)
+    return _certified(spec.volume, lo[s], hi[s])
 
 
-def max_dual_gap_ggm(spec: GGMSpec) -> Certificate:
-    """Certified upper bound on the maximum of |mixture form - class-summed
-    boundary-law form| over every windowed configuration, with the bound on
-    the largest |ratio - 1| in ``relative``.
+def max_dual_gap_ggm(spec: GGMSpec) -> float:
+    """Certified upper bound on the largest |mixture form / class-summed
+    boundary-law form - 1| over every windowed configuration.
 
-    The difference is sum_s alpha_s (P_s - B_s / z_s)
-    + sum_s (alpha_s - z_s / Z) B_s / z_s, so it is at most the alpha-mean of
-    the pinned certificates plus sum_s |alpha_s - z_s / Z| max (B_s / z_s).
-    The ratio is a weighted mean over s of (alpha_s Z / z_s) times the pinned
-    ratio, so it lies in the hull of their ranges.
+    With Z = sum_s z_s, the mixture form is sum_s alpha_s P_s and the
+    class-summed form sum_s (z_s / Z) B_s / z_s, and P_s over B_s / z_s is
+    the pinned ratio. So the ratio of the two is a weighted mean over s of
+    alpha_s Z / z_s times the pinned ratio (the mediant inequality), and it
+    lies in the hull of those shifted ranges.
     """
-    alpha = spec.chain.alpha
-    log_z, lo, hi, log_top = _dual_parts(spec.kernel, spec.volume, 0)
-    log_total = float(np.logaddexp.reduce(log_z))
-    mean, relative = _mixture(spec.volume, alpha, lo, hi, log_top,
-                              np.log(alpha) + log_total - log_z)
-    return Certificate(
-        mean + float(np.abs(alpha - np.exp(log_z - log_total)) @ np.exp(log_top)), relative)
+    log_z, lo, hi = _dual_parts(spec.kernel, spec.volume, 0)
+    shift = np.log(spec.chain.alpha) + float(np.logaddexp.reduce(log_z)) - log_z
+    return _certified(spec.volume, float((shift + lo).min()), float((shift + hi).max()))
 
 
 def check_consistency(spec: PinnedMeasureSpec, inner,
-                      mixture: bool = False, chain: FuzzyChain | None = None) -> Certificate:
+                      mixture: bool = False, chain: FuzzyChain | None = None) -> float:
     """Marginalize the volume's boundary-law measure onto a smaller closed
     volume and compare with the directly computed smaller-volume measure.
 
@@ -499,15 +444,14 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     connected and contain the pin. With ``mixture=True`` both sides are
     averaged over the stationary layer distribution of ``chain``.
 
-    Returns a certified upper bound on the largest difference over the
-    windowed inner configurations, with the bound on the largest
-    |ratio - 1| in ``relative``. Both sides are the inner Q factors times
-    factors of the inner-boundary layers, and their ratio, marginal over
-    direct, is z_inner / z_big times prod_v hang_v(t_v) / a(t_v) over the
+    Returns a certified upper bound on the largest |marginal / direct - 1|
+    over the windowed inner configurations. Both sides are the inner Q
+    factors times factors of the inner-boundary layers, and their ratio is
+    z_inner / z_big times prod_v hang_v(t_v) / a(t_v) over the
     inner-boundary vertices v, hang_v being the weight hanging below v. That
-    is separable, so its log range is the sum of the per-vertex ranges; the
-    largest direct probability is one max-product pass over the inner
-    edges.
+    is separable, so its log range is the sum of the per-vertex ranges. The
+    mixture's ratio is a weighted mean of the pinned ratios, so it lies in
+    the hull of their ranges.
     """
     volume = spec.volume
     kernel = spec.kernel
@@ -527,17 +471,15 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     per_vertex = [_log_at(hang, v) - np.log(a) for v in inner_boundary]
     # the inner edges, those touching ids, are the steps inside the closure
     closure = ids | inner_boundary
-    leaves = list(inner_boundary)
-    log_z_inner = _log_at(_upward(volume, pin, kernel.circulant, leaves, a, closure), pin)
+    log_z_inner = _log_at(_upward(volume, pin, kernel.circulant, list(inner_boundary), a,
+                                  closure), pin)
     shift = log_z_inner - _log_at(hang, pin)
     lo = shift + sum(x.min() for x in per_vertex)
     hi = shift + sum(x.max() for x in per_vertex)
-    top = _upward(volume, pin, _largest_q(kernel), leaves, a, closure, maximum=True)
-    log_top = _log_at(top, pin) - log_z_inner
     if not mixture:
         s = spec.pin_class
-        return _certified(volume, lo[s], hi[s], log_top[s])
-    return Certificate(*_mixture(volume, chain.alpha, lo, hi, log_top, 0.0))
+        return _certified(volume, lo[s], hi[s])
+    return _certified(volume, float(lo.min()), float(hi.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -545,119 +487,63 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
 
 
 def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
-    """Certified upper bound on the largest difference between the mixture
+    """Certified upper bound on the largest |ratio - 1| between the mixture
     probabilities of one windowed configuration under any two of ``pins``
-    as the pin vertex.
+    as the pin vertex, from the kernel table alone.
 
     Moving the pin from w to a neighbour w' across an edge with increment z
-    changes the mixture probability by sum_s D(s, z) R_w(s) R_w'(s + z):
-    D is the detailed-balance defect of ``chains.balance_defect``, and R_w,
-    R_w' are the products of the kernel probabilities on the two sides of
-    the edge, with the layer of w and of w'. So the change is at most
-    max_z sum_s |D(s, z)| M_w(s) M_w'(s + z), M being their largest values,
-    two max-product passes. Any two pins differ by at most the sum of that
-    over the edges of the subtree spanning the pins.
+    turns the mixture probability sum_s F(s, z) R(s) into
+    sum_s F(s + z, -z) R(s): F(s, z) = alpha(s) P(s, z) is the flow of
+    ``chains.balance_defect``, and R(s) >= 0 the product of the kernel
+    probabilities on both sides of the edge, with the layer s at w and
+    s + z at w'. Only that edge's factor changes, so by the mediant
+    inequality the ratio of the two lies in [min_s rho_s, max_s rho_s],
+    rho_s = F(s, z) / F(s + z, -z) over the s where either flow is positive.
+    With r = max |rho - 1| over every layer and increment, two pins joined
+    by k edges of the subtree spanning the pins are within a ratio of
+    [(1 - r)**k, (1 + r)**k], so the bound is (1 + r)**k - 1. Its
+    allowance covers the rounding of the k ratios and of the power, about
+    one ulp each.
     """
-    volume = spec.volume
-    kernel = spec.kernel
     pins = list(pins)
-    steps = {frozenset(step): step for x in pins[1:] for step in volume.path(pins[0], x)}
-    if not steps:
+    k = len({frozenset(step) for x in pins[1:] for step in spec.volume.path(pins[0], x)})
+    if not k:
         return 0.0
-    defect = np.abs(balance_defect(kernel, spec.chain))
-    # the largest kernel probability of a step from layer t to layer t'
-    step_max = _fold(kernel, kernel.probs, np.maximum)
-    passes = {w: _upward(volume, w, step_max, maximum=True)
-              for step in steps.values() for w in step}
-    bound = 0.0
-    for w, w2 in steps.values():
-        # the side of w, seen from w2, and the side of w2, seen from w
-        (unit, scale), (unit2, scale2) = passes[w2], passes[w]
-        sides = defect * unit[w][:, None] * unit2[w2][kernel.ends]
-        bound += float(sides.sum(axis=0).max()) * math.exp(scale[w] + scale2[w2])
-    largest = max(float(unit[w].max()) * math.exp(scale[w])
-                  for w, (unit, scale) in passes.items())
-    return bound + _slack(volume, largest)
+    flow, back = _balance_flows(spec.kernel, spec.chain)
+    live = (flow > 0.0) | (back > 0.0)
+    with np.errstate(divide="ignore"):
+        r = float(np.abs(flow[live] / back[live] - 1.0).max())
+    try:
+        grown = math.expm1(k * math.log1p(r))
+    except OverflowError:  # (1 + r)**k is beyond the largest double
+        return math.inf
+    return grown + (k + 2) * EPS * (1.0 + grown)
 
 
-def _largest_share(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
-                   ids: set[int], heights: np.ndarray) -> float:
-    """max b / sum b over the heights of ``ids`` with every other height
-    fixed, b being the product of Q over the edges touching ``ids``: one
-    sum-product and one max-product pass over a grid of heights wide enough
-    for every member (each inner height lies within cutoff * |ids| of a
-    fixed one)."""
-    cutoff = kernel.window.cutoff
-    fixed = [int(heights[v]) for v in volume.adjacent_outside(ids)]
-    lo = min(fixed) - cutoff * len(ids)
-    grid = np.arange(lo, max(fixed) + cutoff * len(ids) + 1)
-    step = grid[None, :] - grid[:, None]
-    weight = np.where(np.abs(step) <= cutoff,
-                      kernel.weights[np.clip(step + cutoff, 0, 2 * cutoff)], 0.0)
-    total = top = 1.0
-    sums, maxs = {}, {}
-    steps = _flat(volume.orientation_from(pin))
-    inward = steps[:, np.isin(steps[1], list(ids))]
-    for src, dst in reversed(inward.T.tolist()):
-        f = np.ones(len(grid))
-        g = np.ones(len(grid))
-        for y in volume.neighbors(dst):
-            if y not in ids:
-                f = f * weight[:, heights[y] - lo]
-                g = g * weight[:, heights[y] - lo]
-            elif y != src:
-                f = f * (weight @ sums[y])
-                g = g * (weight * maxs[y]).max(axis=1)
-        sums[dst], maxs[dst] = f, g
-        if src not in ids:
-            total *= f.sum()
-            top *= g.max()
-    if total == 0.0:
-        raise ValueError("conditioning event has zero probability")
-    return top / total
-
-
-def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
-                         reference: Mapping[int, int] | None = None) -> float:
+def check_restricted_dlr(spec: PinnedMeasureSpec, inner) -> float:
     """Conditional law inside a sub-volume away from the pin, given the outside
     increments and the relative boundary heights, against the bare-weight
     prediction: proportional to the product of Q factors over configurations
     in the same boundary-height class.
 
-    ``reference`` chooses the inner configuration whose boundary-height class
-    is conditioned on (default all zeros). The bound holds for every outside
-    assignment, which shifts the fixed heights around each connected part of
-    the sub-volume by a constant and so moves neither factor below.
-
-    Returns a certified upper bound on the largest difference. Some
-    inner-boundary vertex is tied to the pin through outside edges, so the
-    class keeps the reference height of every vertex outside the sub-volume.
-    On it the joint probability p over the bare weight b is a constant times
-    prod_v a(t_v) / N(t_v)**k_v over the inner vertices v, k_v being the
-    number of edges leaving v away from the pin. So p / b varies by at most
-    a factor rho, the product of the per-vertex ranges, and
-    |p / sum p - b / sum b| <= (b / sum b) (rho - 1); the largest b / sum b
-    comes from ``_largest_share``. Under the stationary mixture p is an
-    alpha-mean of such terms, with the same range, so the bound holds for the
-    mixture too.
+    Returns a certified upper bound on the largest |ratio - 1| between the
+    two conditional laws, which holds for every outside assignment and every
+    boundary-height class. Some inner-boundary vertex is tied to the pin
+    through outside edges, so a class keeps the height of every vertex
+    outside the sub-volume. On it the joint probability p over the bare
+    weight b is a constant times prod_v a(t_v) / N(t_v)**k_v over the inner
+    vertices v, k_v being the number of edges leaving v away from the pin.
+    So p / b varies by at most a factor rho, the product of the per-vertex
+    ranges, and (p / sum p) / (b / sum b) lies in [1 / rho, rho]. Under the
+    stationary mixture p is an alpha-mean of such terms, with the same
+    range, so the bound holds for the mixture too.
     """
     volume = spec.volume
-    kernel = spec.kernel
     ids = _interior_set(volume, inner)
     if spec.pin_vertex in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
-    inner_edges = volume.edges_touching(ids)
-
-    base = np.zeros(volume.n_edges, dtype=np.int64)
-    for e, z in (reference or {}).items():
-        if e not in inner_edges:
-            raise ValueError("reference assignment must live on inner edges")
-        base[e] = int(z)
-
-    log_a = np.log(kernel.law.as_array())
-    log_n = np.log(kernel.norms)
+    log_a = np.log(spec.kernel.law.as_array())
+    log_n = np.log(spec.kernel.norms)
     spread = sum(float(np.ptp(log_a - (len(volume.neighbors(v)) - 1) * log_n))
                  for v in ids)
-    heights = vertex_heights(volume, spec.pin_vertex, 0, base)
-    share = _largest_share(kernel, volume, spec.pin_vertex, ids, heights)
-    return float(_certified(volume, -spread, spread, math.log(share)))
+    return _certified(volume, -spread, spread)

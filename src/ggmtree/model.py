@@ -47,7 +47,6 @@ __all__ = [
     "FiniteTreeVolume",
     "cayley_ball",
     "path_volume",
-    "vertex_heights",
     "potential_to_json",
     "potential_from_json",
     "model_to_json",
@@ -410,20 +409,21 @@ class FiniteTreeVolume:
     Vertices are integers 0 .. n-1 with vertex 0 as root; ``parents[i] < i``
     so that the stored directed edges (parent, child) are ordered away from
     the root, and edge i - 1 is the edge (parents[i], i). ``parents`` (-1 at
-    the root) and ``depth`` are integer arrays. Boundary vertices are the
-    outer layer, marked in the boolean array ``is_boundary``: they carry the
-    boundary-law factor in closed-volume formulas and must be leaves. The
-    other vertices are interior.
+    the root) and ``depth`` are integer arrays; the constructor takes the
+    root's entry as None or -1. Boundary vertices are the outer layer, marked
+    in the boolean array ``is_boundary``: they carry the boundary-law factor
+    in closed-volume formulas and must be leaves. The other vertices are
+    interior.
     """
 
     def __init__(self, d: int, parents: Sequence[int | None], boundary: Iterable[int]):
         if d < 2:
             raise ValueError("branching degree d must be >= 2")
         n = len(parents)
-        if n == 0 or parents[0] is not None:
+        if n == 0 or parents[0] not in (None, -1):
             raise ValueError("vertex 0 must be the root")
         try:
-            self.parents = np.array([-1, *parents[1:]], dtype=np.int64)
+            self.parents = np.concatenate(([-1], np.asarray(parents[1:], dtype=np.int64)))
         except TypeError:  # None below the root
             raise ValueError("parents must reference earlier vertices") from None
         up = self.parents[1:]
@@ -433,11 +433,13 @@ class FiniteTreeVolume:
         self.n_vertices = n
         # the neighbours of v, its children in index order and then its
         # parent, are _adjacent[_first[v]:_first[v + 1]]
-        owner = np.concatenate((up, np.arange(1, n)))
-        other = np.concatenate((np.arange(1, n), up))
-        order = np.lexsort((other, other < owner, owner))
-        self._adjacent = other[order]
-        self._first = np.searchsorted(owner[order], np.arange(n + 1))
+        n_children = np.bincount(up, minlength=n)
+        self._first = np.concatenate(([0], np.cumsum(n_children + (np.arange(n) > 0))))
+        parent_slot = np.zeros(2 * (n - 1), dtype=bool)
+        parent_slot[self._first[2:] - 1] = True
+        self._adjacent = np.empty(2 * (n - 1), dtype=np.int64)
+        self._adjacent[parent_slot] = up
+        self._adjacent[~parent_slot] = np.argsort(up, kind="stable") + 1
         marked = np.fromiter(boundary, dtype=np.int64)
         if np.any((marked < 0) | (marked >= n)):
             raise ValueError("boundary vertex outside the volume")
@@ -445,13 +447,13 @@ class FiniteTreeVolume:
         self.is_boundary[marked] = True
         if self.is_boundary[0]:
             raise ValueError("the root cannot be a boundary vertex")
-        if np.bincount(up, minlength=n)[self.is_boundary].any():
+        if n_children[self.is_boundary].any():
             raise ValueError("boundary vertices must be leaves")
         self._orientations: dict[int, tuple] = {}
-        depth = [0] * n
-        for i, p in enumerate(up.tolist(), 1):
-            depth[i] = depth[p] + 1
-        self.depth = np.array(depth, dtype=np.int64)
+        # level k of the root's step table reaches the vertices at depth k + 1
+        self.depth = np.zeros(n, dtype=np.int64)
+        for k, (_, dst) in enumerate(self.orientation_from(0), 1):
+            self.depth[dst] = k
 
     @property
     def n_edges(self) -> int:
@@ -544,7 +546,8 @@ def cayley_ball(d: int, radius: int) -> FiniteTreeVolume:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     inner = 1 + (d + 1) * (d ** (radius - 1) - 1) // (d - 1)  # vertices below the radius
-    parents = [None] + [0] * (d + 1) + np.repeat(np.arange(1, inner), d).tolist()
+    parents = np.concatenate(([-1], np.zeros(d + 1, dtype=np.int64),
+                              np.repeat(np.arange(1, inner), d)))
     return FiniteTreeVolume(d, parents, range(inner, len(parents)))
 
 
@@ -566,14 +569,6 @@ def _heights(levels, zeta: np.ndarray) -> np.ndarray:
         z = zeta[..., np.maximum(src, dst) - 1]
         h[..., dst] = h[..., src] + np.where(dst > src, z, -z)
     return h
-
-
-def vertex_heights(volume: FiniteTreeVolume, pin: int, s: int,
-                   zeta: Sequence[int]) -> np.ndarray:
-    """Integer heights with height[pin] = s, accumulated along tree paths
-    one level of ``orientation_from(pin)`` at a time; zeta[e] is the
-    increment along the stored direction of edge e."""
-    return s + _heights(volume.orientation_from(pin), np.asarray(zeta, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +620,10 @@ def model_from_json(doc: Mapping) -> tuple[TransferOperator, int, int]:
     for key in ("potential", "q", "d"):
         if key not in doc:
             raise ValueError(f"model description is missing {key!r}")
+    for key in ("q", "d"):
+        # int() truncates, so a q of 2.7 would silently run as 2
+        if isinstance(doc[key], float) and not doc[key].is_integer():
+            raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
     q, d = int(doc["q"]), int(doc["d"])
     if q < 1:
         raise ValueError("period q must be >= 1")

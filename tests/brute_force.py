@@ -10,11 +10,13 @@ in one batch. Each is exact and is checked against the enumerating
 implementation it replaced in turn: ``check_consistency`` and
 ``check_restricted_dlr`` visit every windowed inner configuration, and the
 dual-gap loops visit the residue vectors one at a time in Python. They are
-slow, so tests run them on depth-1 to depth-3 volumes only.
+slow, so tests run them on depth-1 to depth-3 volumes only. The scans of the
+two representations and of consistency return a pair: the largest
+difference and the largest |ratio - 1| between the compared forms, each of
+which the library's single bound must cover.
 
 The kernel-table oracles (``kernel_prob``, ``balance_defect``,
-``product_probs``, ``two_bond_marginal``, ``largest_q``, ``step_max`` and
-``windowed_matrix``) are the formulas the library used before every consumer
+``product_probs``, ``two_bond_marginal`` and ``windowed_matrix``) are the formulas the library used before every consumer
 read ``LayerKernel.probs``: each writes Q(z) a(t + z) / N(t) out again, or
 loops over it, in the same order of operations, so they agree bit for bit.
 
@@ -42,7 +44,10 @@ The scalar tree walks are the references for the library's step tables:
 ``FiniteTreeVolume.orientation_from`` replaced, as (edge, src, dst, sign)
 tuples, ``scalar_upward`` the upward pass one step at a time that the
 level-batched ``measures._upward`` matches bit for bit,
-``scalar_heights`` the heights one step at a time, and
+``scalar_depth`` the distances from the root one vertex at a time,
+``scalar_heights`` the heights one step at a time (``vertex_heights``, the
+level walk the library's product form reads its layers from, must match it),
+and
 ``step_product_probs`` the product form one step at a time, each layer kept
 in a dict, that ``measures._product_probs`` matches bit for bit from the
 heights. Every other oracle here walks ``scalar_orientation``.
@@ -77,12 +82,13 @@ from ggmtree import cli, measures
 from ggmtree.chains import FuzzyChain, LayerKernel
 from ggmtree.diagnostics import CounterexampleChain, path_mixture_prob
 from ggmtree.errors import GGMError, OutOfWindow, PinInsideInner
-from ggmtree.measures import Certificate, GGMSpec, PinnedMeasureSpec, _product_probs
+from ggmtree.measures import GGMSpec, PinnedMeasureSpec, _product_probs
 from ggmtree.model import (
     FiniteTreeVolume,
     IncrementWindow,
     PeriodicBoundaryLaw,
     TransferOperator,
+    _heights,
     cayley_ball,
     eval_q,
 )
@@ -115,6 +121,15 @@ def children(volume: FiniteTreeVolume) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, kids))
 
 
+def scalar_depth(volume: FiniteTreeVolume) -> np.ndarray:
+    """The distance of each vertex from the root, one vertex at a time in
+    index order, which visits each parent before its children."""
+    depth = [0] * volume.n_vertices
+    for v, p in enumerate(volume.parents[1:].tolist(), 1):
+        depth[v] = depth[p] + 1
+    return np.array(depth, dtype=np.int64)
+
+
 @functools.lru_cache(maxsize=64)
 def scalar_orientation(volume: FiniteTreeVolume,
                        w: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -143,8 +158,8 @@ def scalar_orientation(volume: FiniteTreeVolume,
 
 
 def scalar_upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
-                  leaf: Mapping[int, np.ndarray], edges=None,
-                  maximum: bool = False) -> tuple[list[np.ndarray], np.ndarray]:
+                  leaf: Mapping[int, np.ndarray],
+                  edges=None) -> tuple[list[np.ndarray], np.ndarray]:
     """``measures._upward`` one step at a time, in the reverse order of
     ``scalar_orientation(volume, pin)``: v starts from ``leaf[v]`` (else
     ones) and each edge, or each one in ``edges``, multiplies the scaled
@@ -157,8 +172,7 @@ def scalar_upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
         unit[v], scale[v] = vec / top, math.log(top)
     for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         if edges is None or e in edges:
-            msg = (matrix * unit[dst]).max(axis=1) if maximum else matrix @ unit[dst]
-            f = unit[src] * msg
+            f = unit[src] * (matrix @ unit[dst])
             top = f.max()
             unit[src] = f / top
             scale[src] += scale[dst] + math.log(top)
@@ -172,6 +186,13 @@ def scalar_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarr
     for e, src, dst, sign in scalar_orientation(volume, pin):
         h[dst] = h[src] + sign * zeta[e]
     return h
+
+
+def vertex_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarray:
+    """Integer heights with height[pin] = s, accumulated along tree paths
+    one level of ``orientation_from(pin)`` at a time; zeta[e] is the
+    increment along the stored direction of edge e."""
+    return s + _heights(volume.orientation_from(pin), np.asarray(zeta, dtype=np.int64))
 
 
 def vertex_layers(volume: FiniteTreeVolume, q: int, pin: int, s: int, zeta) -> np.ndarray:
@@ -783,10 +804,10 @@ def _residue_layer_blocks(volume: FiniteTreeVolume, pin: int, q: int,
 
 def scan_consistency(spec: PinnedMeasureSpec, inner,
                      mixture: bool = False, chain: FuzzyChain | None = None,
-                     config_budget: int = 10**7) -> Certificate:
+                     config_budget: int = 10**7) -> tuple[float, float]:
     """The largest difference between the two sides of ``check_consistency``
-    over the windowed inner configurations, with the largest
-    |marginal / direct - 1| in ``relative``, by scanning the
+    over the windowed inner configurations and the largest
+    |marginal / direct - 1|, by scanning the
     q**|inner edges| residue classes of the inner increments
     (``config_budget`` bounds that count). This is exact: both sides are the
     product of the inner Q factors times factors of the inner-boundary
@@ -836,7 +857,7 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
             direct = direct + w * (qp * np.prod(a[t], axis=0)) / z_inner[s]
         worst = max(worst, float(np.max(np.abs(marg - direct))))
         ratio = max(ratio, float(np.max(np.abs(marg / direct - 1.0))))
-    return Certificate(worst, ratio)
+    return worst, ratio
 
 
 def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
@@ -921,17 +942,6 @@ def _restricted_class(spec: PinnedMeasureSpec, inner,
     return Z[np.lexsort(Z[:, inner_edges[::-1]].T)], inner_edges
 
 
-def largest_share(spec: PinnedMeasureSpec, inner,
-                  outside: Mapping[int, int] | None = None,
-                  reference: Mapping[int, int] | None = None) -> float:
-    """max b / sum b over the boundary-height class, b being the product of
-    Q over the inner edges."""
-    cutoff = spec.kernel.window.cutoff
-    Z, inner_edges = _restricted_class(spec, inner, outside, reference, 10**7)
-    bare = np.prod(spec.kernel.weights[Z[:, inner_edges] + cutoff], axis=1)
-    return float(bare.max() / bare.sum())
-
-
 def ratio_range(spec: PinnedMeasureSpec, inner,
                 outside: Mapping[int, int] | None = None,
                 reference: Mapping[int, int] | None = None,
@@ -974,11 +984,11 @@ def scan_restricted_dlr(spec: PinnedMeasureSpec, inner,
 
 def _scan_dual_gap(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
                    alpha: Mapping[int, float], classes, z: float,
-                   residue_budget: int) -> Certificate:
+                   residue_budget: int) -> tuple[float, float]:
     """Largest |sum_s alpha[s] * (product form from class s at the pin)
     - sum_k (boundary-law factors from class k) / z| times the largest Q
-    product, over the q**edges residue vectors of the increments, with the
-    largest |ratio - 1| of the two forms in ``relative``."""
+    product, over the q**edges residue vectors of the increments, and the
+    largest |ratio - 1| of the two forms."""
     if not volume.full:
         raise ValueError("the boundary-law form needs a closed regular volume")
     q = kernel.q
@@ -1003,13 +1013,13 @@ def _scan_dual_gap(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
         wmax = np.prod(maxq[R[order]], axis=0)
         worst = max(worst, float(np.max(np.abs(h1 - h2 / z) * wmax)))
         ratio = max(ratio, float(np.max(np.abs(h1 / (h2 / z) - 1.0))))
-    return Certificate(worst, ratio)
+    return worst, ratio
 
 
-def scan_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) -> Certificate:
-    """Exact maximum of |product form - boundary-law form| over every
-    windowed configuration, with the exact maximum of |ratio - 1| in
-    ``relative``.
+def scan_dual_gap_pinned(spec: PinnedMeasureSpec,
+                         residue_budget: int = 2**21) -> tuple[float, float]:
+    """Exact maxima of |product form - boundary-law form| and of
+    |ratio - 1| over every windowed configuration.
 
     Both forms share the bare product of Q factors; the remaining parts depend
     on the increments only through their residues mod q. The maximum therefore
@@ -1023,10 +1033,10 @@ def scan_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) -
                           residue_budget)
 
 
-def scan_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> Certificate:
-    """Exact maximum of |mixture form - class-summed boundary-law form| over
-    every windowed configuration, with that of |ratio - 1| in ``relative``,
-    by the same scan of the q**edges residue vectors."""
+def scan_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> tuple[float, float]:
+    """Exact maxima of |mixture form - class-summed boundary-law form| and
+    of |ratio - 1| over every windowed configuration, by the same scan of
+    the q**edges residue vectors."""
     z = float(_bl_partition(spec.kernel, spec.volume, 0).sum())
     return _scan_dual_gap(spec.kernel, spec.volume, 0, dict(enumerate(spec.chain.alpha)),
                           range(spec.kernel.q), z, residue_budget)
@@ -1109,20 +1119,6 @@ def two_bond_marginal(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
             for j, z2 in enumerate(offs):
                 out[i, j] += p1 * kernel_prob(kernel, t, int(z2))
     return out
-
-
-def largest_q(kernel: LayerKernel) -> np.ndarray:
-    """M[t, t'] = the largest Q(z) over the window increments z = t' - t
-    mod q, by residue."""
-    q = kernel.q
-    best = np.zeros(q)
-    np.maximum.at(best, kernel.offsets % q, kernel.weights)
-    return best[(np.arange(q)[None, :] - np.arange(q)[:, None]) % q]
-
-
-def step_max(kernel: LayerKernel) -> np.ndarray:
-    """The largest kernel probability of a step from layer t to layer t'."""
-    return largest_q(kernel) * kernel.law.as_array() / kernel.norms[:, None]
 
 
 def windowed_matrix(kernel: LayerKernel) -> np.ndarray:

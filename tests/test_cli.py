@@ -129,6 +129,40 @@ def test_bad_number_exits_2(model_file, argv, capsys):
     assert [a for a in argv if a.startswith("--")][-1] in capsys.readouterr().err
 
 
+SOS2 = {"kind": "sos", "beta": 2.0}
+
+
+# M is the SOS beta=2 model file; each failure class has its exit code and
+# a one-line message, never a traceback
+@pytest.mark.parametrize("argv, code, message", [
+    (["verify", "--model", "M"], 0, ""),
+    (["verify", "--model", "M", "--perturb", "0.1"], 1, ""),
+    (["verify", "--model", "M", "--out", "TMP/missing/report.json"], 2, "cannot write"),
+    (["verify", "--model", "TMP"], 2, "cannot read the model file"),
+    (["sample", "--model", "M", "--n", "2", "--depth", "40"], 2,
+     "lower --depth, --n or the degree d"),
+    (["marginal", "--model", {"potential": SOS2, "q": 2.7, "d": 2}], 2,
+     "q must be an integer, got 2.7"),
+    (["marginal", "--model", {"potential": SOS2, "q": 2, "d": 2.5}], 2,
+     "d must be an integer, got 2.5"),
+    (["marginal", "--model", {"potential": {"kind": "sos", "beta": 1e-5}, "q": 2, "d": 2},
+      "--branch", "trivial"], 3, "numerical failure: no window"),
+], ids=["ok", "verification", "unwritable-out", "model-is-a-directory", "oversized-volume",
+        "fractional-q", "fractional-d", "no-certified-window"])
+def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, code, message):
+    def resolve(arg):
+        if isinstance(arg, dict):
+            path = tmp_path / "model-arg.json"
+            path.write_text(json.dumps(arg))
+            return str(path)
+        return {"M": model_file}.get(arg, arg.replace("TMP", str(tmp_path)))
+
+    assert main([resolve(arg) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve-bl", "--model", "M", "--beta-min", "1.7", "--beta-max", "1.8"],
     ["critical-beta", "--q", "2", "--d", "3"],
@@ -230,6 +264,14 @@ class TestManualWindowOnLiftedPotts:
         assert main(["chain", "dump", "--model", path]) == 0
         assert capsys.readouterr().out == manual
 
+    def test_window_past_support_passes_verify(self, tmp_path):
+        # Q(z) = 0 beyond the support, so both flows of detailed balance are
+        # 0 there and homogeneity must skip those pairs, not divide 0 by 0
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--model", _model(tmp_path, POTTS_Q5), "--window", "4",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["checks"]["homogeneity"]["violation"] < 1e-14
+
 
 class TestVerify:
     def test_solved_law_passes(self, model_file, tmp_path):
@@ -282,24 +324,31 @@ class TestVerify:
         # the difference shrinks with the volume, the ratio does not
         for name in ("dual_representation_pinned", "dual_representation_mixture"):
             assert not checks[name]["pass"]
-            assert checks[name]["relative_violation"] > 1e-2
+            assert checks[name]["violation"] > 1e-2
+
+    def test_small_perturbation_fails_deep_volumes(self, model_file, tmp_path):
+        # a difference bound reads 0.0 here, the ratio bound about 1
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--model", model_file, "--branch", "upper", "--perturb", "1e-3",
+                     "--depth", "14", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        for name in ("dual_representation_pinned", "dual_representation_mixture"):
+            assert checks[name]["violation"] >= 0.9
 
     def test_report_names_method_and_relative_bounds(self, model_file, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["verify", "--model", model_file, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 2
+        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 3
         methods = {name: c["method"] for name, c in payload["checks"].items()}
         assert {name for name, m in methods.items() if m == "exact"} == {
             "boundary_law_residual", "stationarity", "reversibility", "windowed_mass"}
-        assert set(methods.values()) == {"exact", "certificate"}
-        relative = {name for name, c in payload["checks"].items()
-                    if "relative_violation" in c}
-        assert relative == {"dual_representation_pinned", "dual_representation_mixture",
-                            "consistency"}
-        for name in relative:
-            c = payload["checks"][name]
-            assert c["violation"] <= c["relative_violation"] <= c["tolerance"]
+        assert {name for name, m in methods.items() if m == "certificate"} == {
+            "dual_representation_pinned", "dual_representation_mixture", "consistency",
+            "homogeneity", "restricted_conditional"}
+        for c in payload["checks"].values():
+            assert set(c) == {"violation", "tolerance", "method", "pass"}
+            assert c["pass"] and c["violation"] <= c["tolerance"]
 
     def test_verify_draws_no_random_numbers(self, model_file, tmp_path, fresh_python):
         # a regression guard: no check samples, so numpy.random stays unloaded

@@ -30,7 +30,6 @@ from ggmtree.model import (
     _certified_wrapped_sum,
     interaction_matrix,
     tail_mass,
-    vertex_heights,
 )
 from ggmtree.transfer import potts_row
 
@@ -262,6 +261,18 @@ SHUFFLED = FiniteTreeVolume(2, [None, 0, 1, 0, 2, 3, 1, 3, 0], ())
 
 
 class TestVolumes:
+    # first: every path and distance walks up by depth
+    def test_depth_and_neighbours_are_the_scalar_walk(self):
+        rng = np.random.default_rng(1)
+        trees = [FiniteTreeVolume(2, [None, *rng.integers(np.arange(1, n)).tolist()], ())
+                 for n in (1, 2, 50, 3000)]
+        for volume in [cayley_ball(2, 6), cayley_ball(3, 4), cayley_ball(4, 1), path_volume(40),
+                       SHUFFLED, *trees]:
+            assert np.array_equal(volume.depth, bf.scalar_depth(volume))
+            kids = bf.children(volume)
+            for v in range(volume.n_vertices):
+                assert volume.neighbors(v) == [*kids[v], *([volume.parents[v]] if v else [])]
+
     @pytest.mark.parametrize("volume", [cayley_ball(2, 3), cayley_ball(3, 2), path_volume(6),
                                         SHUFFLED], ids=["ball-2-3", "ball-3-2", "path-6",
                                                         "shuffled"])
@@ -277,8 +288,16 @@ class TestVolumes:
             assert [1 if y > x else -1 for x, y in steps] == [sign for *_, sign in want]
             for k, (src, _) in enumerate(levels):
                 assert {volume.distance(w, x) for x in src.tolist()} == {k}
-            assert np.array_equal(vertex_heights(volume, w, 3, zeta),
+            assert np.array_equal(bf.vertex_heights(volume, w, 3, zeta),
                                   bf.scalar_heights(volume, w, 3, zeta))
+
+    def test_root_entry_may_be_minus_one(self):
+        parents = [None, 0, 1, 0, 2, 3, 1, 3, 0]
+        volume = FiniteTreeVolume(2, np.array([-1, *parents[1:]]), [4])
+        assert np.array_equal(volume.parents, SHUFFLED.parents)
+        assert volume.boundary.tolist() == [4]
+        with pytest.raises(ValueError, match="root"):
+            FiniteTreeVolume(2, [0, 0], ())
 
     def test_orientation_cache_is_bounded(self):
         volume = cayley_ball(2, 4)
@@ -355,6 +374,16 @@ class TestJson:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
             model_from_json({"potential": {"kind": "sos", "beta": 1.0}, "q": 2})
+
+    @pytest.mark.parametrize("q, d", [(2.7, 2), (2, 3.5), (float("inf"), 2)])
+    def test_fractional_period_or_degree_rejected(self, q, d):
+        # int() would truncate them to a model the document does not describe
+        with pytest.raises(ValueError, match="must be an integer"):
+            model_from_json({"potential": {"kind": "sos", "beta": 1.0}, "q": q, "d": d})
+
+    def test_integral_float_accepted(self):
+        assert model_from_json({"potential": {"kind": "sos", "beta": 1.0},
+                                "q": 2.0, "d": 3.0})[1:] == (2, 3)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,10 @@ depth-1 to depth-3 balls of the binary tree."""
 import gc
 import weakref
 
-import numpy as np
 import pytest
 
 import brute_force as bf
 from brute_force import VolumeTooLarge
-from ggmtree import measures
 from ggmtree import (
     SOS,
     FuzzyChain,
@@ -28,8 +26,6 @@ from ggmtree import (
     max_dual_gap_ggm,
     max_dual_gap_pinned,
 )
-from ggmtree.model import vertex_heights
-
 CUTOFF = 2  # keeps the oracles' enumerations small
 
 
@@ -73,10 +69,12 @@ def certified_model(request):
     return build_model(*request.param)
 
 
-def bounded(exact, certificate):
-    """The exact maximum lies within its certificate, which includes the
-    rounding allowance, for the difference and for the ratio."""
-    return exact <= certificate and exact.relative <= certificate.relative
+def bounded(exact, bound):
+    """The exact largest difference and the exact largest |ratio - 1| both
+    lie within the certified bound, which includes the rounding
+    allowance."""
+    difference, ratio = exact
+    return difference <= bound and ratio <= bound
 
 
 @pytest.mark.parametrize("depth, pin", [(1, 0), (2, 1)], ids=["d1", "d2-pin1"])
@@ -84,9 +82,9 @@ def test_dual_gaps_match_residue_loops(model, depth, pin):
     kernel, chain = model
     volume = cayley_ball(2, depth)
     spec = PinnedMeasureSpec(kernel, volume, pin, kernel.q - 1)
-    assert close(bf.scan_dual_gap_pinned(spec), bf.max_dual_gap_pinned(spec))
+    assert close(bf.scan_dual_gap_pinned(spec)[0], bf.max_dual_gap_pinned(spec))
     ggm = GGMSpec(kernel, chain, volume)
-    assert close(bf.scan_dual_gap_ggm(ggm), bf.max_dual_gap_ggm(ggm))
+    assert close(bf.scan_dual_gap_ggm(ggm)[0], bf.max_dual_gap_ggm(ggm))
 
 
 def check_dual_gaps(kernel, chain, depth, pin):
@@ -121,7 +119,7 @@ def test_consistency_matches_enumeration(model, depth, inner, pin, mixture):
     kernel, chain = model
     spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), pin, kernel.q - 1)
     want = bf.check_consistency(spec, inner, mixture=mixture, chain=chain)
-    assert close(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain), want)
+    assert close(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain)[0], want)
 
 
 @pytest.mark.parametrize("depth, inner, pin, mixture", [
@@ -184,23 +182,16 @@ def test_restricted_certificate_bounds_the_scan(certified_model, depth, inner, p
     volume = cayley_ball(2, depth)
     spec = PinnedMeasureSpec(kernel, volume, pin, kernel.q - 1)
     kwargs = dict(outside=outside, reference=reference, mixture=mixture, chain=chain)
-    # the bound holds for every outside assignment, which only the oracles take
-    bound = check_restricted_dlr(spec, inner, reference=reference)
+    # the bound holds for every outside assignment and boundary-height
+    # class, which only the oracles take
+    bound = check_restricted_dlr(spec, inner)
     assert bf.scan_restricted_dlr(spec, inner, **kwargs) <= bound
-    # the bound is (b / sum b) (rho - 1): the first factor is the class's
-    # exact maximum, and rho bounds the range of p / b over the class,
-    # reaching it for one inner vertex that takes every layer
-    base = np.zeros(volume.n_edges, dtype=np.int64)
-    for e, z in (reference or {}).items():
-        base[e] = z
-    share = measures._largest_share(kernel, volume, pin, inner,
-                                    vertex_heights(volume, pin, 0, base))
-    assert share == pytest.approx(bf.largest_share(spec, inner, outside, reference),
-                                  rel=1e-12)
+    # the bound is rho - 1, rho bounding the range of p / b over the class
+    # and reaching it for one inner vertex that takes every layer
     exact = bf.ratio_range(spec, inner, **kwargs) - 1.0
-    assert exact <= bound / share
+    assert exact <= bound
     if len(inner) == 1 and not mixture:
-        assert exact == pytest.approx(bound / share, rel=1e-9, abs=1e-12)
+        assert exact == pytest.approx(bound, rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha_factor", [1.0, 1.0 + 1e-3], ids=["alpha", "alpha-perturbed"])
