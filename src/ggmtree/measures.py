@@ -435,14 +435,13 @@ def max_dual_gap_ggm(spec: GGMSpec) -> float:
     return _certified(spec.volume, float((shift + lo).min()), float((shift + hi).max()))
 
 
-def check_consistency(spec: PinnedMeasureSpec, inner,
-                      mixture: bool = False, chain: FuzzyChain | None = None) -> float:
+def check_consistency(spec: PinnedMeasureSpec, inner, mixture: bool = False) -> float:
     """Marginalize the volume's boundary-law measure onto a smaller closed
     volume and compare with the directly computed smaller-volume measure.
 
     ``inner`` is the interior vertex set of the smaller volume; it must be
     connected and contain the pin. With ``mixture=True`` both sides are
-    averaged over the stationary layer distribution of ``chain``.
+    averaged over the stationary layer distribution of the fuzzy chain.
 
     Returns a certified upper bound on the largest |marginal / direct - 1|
     over the windowed inner configurations. Both sides are the inner Q
@@ -451,7 +450,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     inner-boundary vertices v, hang_v being the weight hanging below v. That
     is separable, so its log range is the sum of the per-vertex ranges. The
     mixture's ratio is a weighted mean of the pinned ratios, so it lies in
-    the hull of their ranges.
+    the hull of their ranges whatever the weights.
     """
     volume = spec.volume
     kernel = spec.kernel
@@ -461,8 +460,6 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     if pin not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
     _require_connected(volume, ids, "the inner vertices")
-    if mixture and chain is None:
-        raise ValueError("mixture comparison needs the fuzzy chain")
     inner_boundary = volume.adjacent_outside(ids)
     a = kernel.law.as_array()
     # the weight hanging below each inner-boundary vertex equals the boundary

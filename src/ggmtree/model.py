@@ -528,9 +528,6 @@ class FiniteTreeVolume:
     def distance(self, x: int, y: int) -> int:
         return len(self.path(x, y))
 
-    def edges_touching(self, vertices: Iterable[int]) -> list[int]:
-        return sorted({max(v, u) - 1 for v in set(vertices) for u in self.neighbors(v)})
-
     def adjacent_outside(self, vertices: Iterable[int]) -> set[int]:
         vs = set(vertices)
         out = set()

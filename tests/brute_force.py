@@ -195,6 +195,11 @@ def vertex_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarr
     return s + _heights(volume.orientation_from(pin), np.asarray(zeta, dtype=np.int64))
 
 
+def edges_touching(volume: FiniteTreeVolume, vertices) -> list[int]:
+    """The sorted indices of the edges with an endpoint in ``vertices``."""
+    return sorted({max(v, u) - 1 for v in set(vertices) for u in volume.neighbors(v)})
+
+
 def vertex_layers(volume: FiniteTreeVolume, q: int, pin: int, s: int, zeta) -> np.ndarray:
     """Mod-q layer labels reached from class s at the pin vertex."""
     return scalar_heights(volume, pin, s, zeta) % q
@@ -370,7 +375,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     ids = _interior_set(volume, inner)
     if spec.pin_vertex not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
-    inner_edges = volume.edges_touching(ids)
+    inner_edges = edges_touching(volume, ids)
     inner_edge_set = set(inner_edges)
     inner_boundary = volume.adjacent_outside(ids)
     hang = _hanging_factors(kernel, volume, spec.pin_vertex, inner_boundary)
@@ -441,7 +446,7 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     ids = _interior_set(volume, inner)
     if spec.pin_vertex in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
-    inner_edges = volume.edges_touching(ids)
+    inner_edges = edges_touching(volume, ids)
     inner_boundary = sorted(volume.adjacent_outside(ids))
     anchor = inner_boundary[0]
 
@@ -823,7 +828,7 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
     ids = _interior_set(volume, inner)
     if pin not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
-    inner_edges = volume.edges_touching(ids)
+    inner_edges = edges_touching(volume, ids)
     inner_boundary = volume.adjacent_outside(ids)
     a = kernel.law.as_array()
     hang = _hanging_factors(kernel, volume, pin, inner_boundary)
@@ -861,9 +866,12 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
 
 
 def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
-                     seed: int = 7, enumerate_budget: int = 4096) -> float:
+                     seed: int = 7,
+                     enumerate_budget: int = 4096) -> tuple[float, float]:
     """Evaluate the mixture probability with several pin vertices on identical
-    configurations; returns the largest pairwise difference.
+    configurations; returns the largest pairwise difference and the largest
+    pairwise |ratio - 1|, over the configurations where some pin gives a
+    positive probability (inf if another gives 0 there).
 
     All windowed configurations are used when there are at most
     ``enumerate_budget``, otherwise a sample from the library's sampler plus
@@ -884,7 +892,11 @@ def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
             for s in range(kernel.q))
         for w in pins
     ])
-    return max(0.0, float(np.max(probs.max(axis=0) - probs.min(axis=0))))
+    top, bottom = probs.max(axis=0), probs.min(axis=0)
+    live = top > 0.0
+    with np.errstate(divide="ignore"):
+        ratio = float(np.max(top[live] / bottom[live] - 1.0, initial=0.0))
+    return max(0.0, float(np.max(top - bottom))), ratio
 
 
 def _restricted_class(spec: PinnedMeasureSpec, inner,
@@ -906,7 +918,7 @@ def _restricted_class(spec: PinnedMeasureSpec, inner,
     ids = _interior_set(volume, inner)
     if spec.pin_vertex in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
-    inner_edges = volume.edges_touching(ids)
+    inner_edges = edges_touching(volume, ids)
 
     base = np.zeros(volume.n_edges, dtype=np.int64)
     if outside is not None:

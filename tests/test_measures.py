@@ -488,9 +488,9 @@ class TestConsistency:
         assert check_consistency(spec, {0}) < 1e-9
         assert check_consistency(spec, {0, 1}) < 1e-9
 
-    def test_mixture_consistency(self, small_kernel, small_chain, ball2):
+    def test_mixture_consistency(self, small_kernel, ball2):
         spec = PinnedMeasureSpec(small_kernel, ball2, 0, 0)
-        assert check_consistency(spec, {0}, mixture=True, chain=small_chain) < 1e-9
+        assert check_consistency(spec, {0}, mixture=True) < 1e-9
 
     def test_uniform_law_is_product(self, ball2):
         law = PeriodicBoundaryLaw.trivial(2)
