@@ -48,7 +48,7 @@ class LayerKernel:
     sum to one; the mass dropped by the truncation is ``deficits``. ``norms``
     are the exact one-step normalizers N(s) and ``circulant`` is the wrapped
     interaction matrix, both computed from full sums so that no truncation
-    error enters them. ``weights`` holds Q(z) for z = -M .. M.
+    error enters them.
     """
 
     op: TransferOperator
@@ -58,7 +58,6 @@ class LayerKernel:
     probs: np.ndarray = field(repr=False)
     ends: np.ndarray = field(repr=False)
     circulant: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
     @property
     def q(self) -> int:
@@ -93,7 +92,7 @@ def build_layer_kernel(op: TransferOperator, law: PeriodicBoundaryLaw,
     weights = np.array([eval_q(op, int(z)) for z in window.offsets])
     ends = (np.arange(q)[:, None] + window.offsets) % q
     kernel = LayerKernel(op, law, window, norms, weights * a[ends] / norms[:, None],
-                         ends, circ, weights)
+                         ends, circ)
     deficits = kernel.deficits
     if np.any(deficits > window.tail_mass_bound + 1e-13):
         raise NonSummable(

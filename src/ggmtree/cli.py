@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -42,8 +43,9 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
-# each certified verify check reports one bound, on the largest |ratio - 1|
-VERIFY_SCHEMA_VERSION = 3
+# each certified verify check reports one bound, on the largest |ratio - 1|;
+# since 4 the dual and consistency bounds are centred by normalization
+VERIFY_SCHEMA_VERSION = 4
 CHUNK_ROWS = 2**14  # CSV rows per write of `sample`
 
 EXIT_OK = 0
@@ -88,6 +90,18 @@ def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
             raise ConfigError(f"cannot write {out}: {exc.strerror}")
         with fh:
             fh.writelines(chunks)
+
+
+def _check_out(out: str) -> None:
+    """Fail before any work when ``out`` cannot be opened for writing; an
+    existing file keeps its bytes, and no new file is left behind."""
+    made = not os.path.exists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}")
+    if made:
+        os.remove(out)
 
 
 def _csv_text(meta: dict, header: list[str], rows: Iterable) -> str:
@@ -456,6 +470,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except (ConfigError, UnsupportedDegree, UnsupportedPeriod) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -9,25 +9,30 @@ the boundary-law weight over a global class shift instead.
 
 Every kernel probability is read from the table ``LayerKernel.probs`` (with
 the end layers ``LayerKernel.ends``), and ``_fold`` sums such a (layer,
-increment) table onto pairs of layers. All normalizers are computed by one
-scaled upward pass (``_upward``) that keeps one unit vector and one log scale
-per vertex, indexed by the mod-q layer, so no volume overflows or
-underflows. Every walk reads the volume's step table (``orientation_from``)
-a level at a time: the upward pass makes one numpy update per level and rank
-of a step among its source's steps, the sampler draws a level at a time, and
-the product form reads every layer off one heights walk over the table or
-its part inside a connected vertex set, so an event's probabilities for
-every pin class come from one walk.
+increment) table onto pairs of layers. The tree sums (the windowed mass,
+and the weight hanging below each vertex) come from one scaled upward pass
+(``_upward``) that keeps one unit vector and one log scale per vertex,
+indexed by the mod-q layer, so no volume overflows or underflows. Every walk
+reads the volume's step table (``orientation_from``) a level at a time: the
+upward pass makes one numpy update per level and rank of a step among its
+source's steps, the sampler draws a level at a time, and the product form
+reads every layer off one heights walk over the table or its part inside a
+connected vertex set, so an event's probabilities for every pin class come
+from one walk.
 
 No verifier check visits configurations or residue classes. Each returns a
 certified upper bound on the largest |ratio - 1| between the two forms it
 compares, and its docstring says why it bounds the exact maximum.
 Probabilities are at most one, so the bound also bounds their largest
 difference, and unlike the difference it does not shrink as the volume
-grows. The ratio ranges come from one or two partition passes, O(n q**2)
-for n vertices, or, for homogeneity, from the kernel table alone. Each bound
-adds an explicit rounding allowance, so a pass is never weaker than the
-exact check.
+grows. A dual or consistency ratio is an unknown constant times a product
+of per-vertex factors, and both forms are probability measures, so its mean
+is 1 and the constant puts 0 inside the product's log range: the bound is
+the symmetric interval of that range's width, and no partition sum is
+computed. The widths come from the law and the norms, from one upward pass
+for consistency, O(n q**2) for n vertices, or, for homogeneity, from the
+kernel table alone. Each bound adds an explicit rounding allowance, so a
+pass is never weaker than the exact check.
 """
 from __future__ import annotations
 
@@ -125,12 +130,10 @@ def _flat(levels) -> np.ndarray:
 
 
 def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
-            leaves: np.ndarray | list[int] | None = None, leaf: np.ndarray | None = None,
-            within: set[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+            leaf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The pass from the leaves towards ``pin`` over mod-q layer vectors:
-    each vertex of ``leaves``, an index array, starts from ``leaf`` (the
-    others from ones) and each edge, or each one inside the connected vertex
-    set ``within`` (which holds the pin), multiplies ``matrix @ f[dst]`` into
+    each boundary vertex starts from ``leaf`` (the others, and all of them
+    without it, from ones) and each edge multiplies ``matrix @ f[dst]`` into
     ``f[src]``. Then f[v] is the total weight of the part of the volume below
     v (away from the pin) by layer.
 
@@ -139,20 +142,19 @@ def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
     f[v] = u[v] * exp(c[v]), so deep volumes neither overflow nor underflow.
 
     It is Felsenstein's pruning (1981) run a level at a time: from the
-    deepest level of ``orientation_from(pin)`` (or of its steps inside
-    ``within``) up, the steps that are r-th from the end among their src's
-    steps form one batch, for r = 0, 1, ..., so each src takes its updates
-    in the reverse step order of a walk one step at a time, and the pass is
-    one numpy update per batch, O(depth (d + 1)) of them.
+    deepest level of ``orientation_from(pin)`` up, the steps that are r-th
+    from the end among their src's steps form one batch, for r = 0, 1, ...,
+    so each src takes its updates in the reverse step order of a walk one
+    step at a time, and the pass is one numpy update per batch,
+    O(depth (d + 1)) of them.
     """
     q = len(matrix)
     unit = np.ones((volume.n_vertices, q))
     scale = np.zeros(volume.n_vertices)
-    if leaves is not None:
+    if leaf is not None:
         top = leaf.max()
-        unit[leaves], scale[leaves] = leaf / top, math.log(top)
-    levels = volume.orientation_from(pin) if within is None else volume._steps_from(pin, within)
-    for src, dst in reversed(levels):
+        unit[volume.is_boundary], scale[volume.is_boundary] = leaf / top, math.log(top)
+    for src, dst in reversed(volume.orientation_from(pin)):
         # the steps of one src are consecutive: rank each from its run's end
         last = np.flatnonzero(np.append(src[1:] != src[:-1], True))
         rank = np.repeat(last, np.diff(last, prepend=-1)) - np.arange(len(src))
@@ -167,12 +169,6 @@ def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
     return unit, scale
 
 
-def _log_at(passed: tuple[np.ndarray, np.ndarray], v: int) -> np.ndarray:
-    """log f[v] from the output of ``_upward``."""
-    unit, scale = passed
-    return np.log(unit[v]) + scale[v]
-
-
 def _fold(kernel: LayerKernel, table: np.ndarray) -> np.ndarray:
     """F[t, t'] = the sum over the window increments k with ends[t, k] = t'
     of table[t, k], in increasing k, or 0 where there is none: a (layer,
@@ -181,14 +177,6 @@ def _fold(kernel: LayerKernel, table: np.ndarray) -> np.ndarray:
     out = np.zeros((q, q))
     np.add.at(out, (np.arange(q)[:, None], kernel.ends), table)
     return out
-
-
-def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np.ndarray:
-    """Log partition sums of the boundary-law weight over all integer
-    configurations, as a vector over the pin class: the upward pass with the
-    wrapped interaction matrix, from the boundary-law values at the boundary."""
-    return _log_at(_upward(volume, pin, kernel.circulant, volume.boundary,
-                           kernel.law.as_array()), pin)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +339,14 @@ def _slack(volume: FiniteTreeVolume, largest: float) -> float:
     return SLACK * (volume.n_edges + 1) * EPS * largest
 
 
-def _certified(volume: FiniteTreeVolume, lo: float, hi: float) -> float:
-    """The bound on max |ratio - 1| for two forms whose ratio lies in
-    [e**lo, e**hi] on every configuration. The allowance is relative to the
-    larger form, at most 1 + e**hi <= 2 + max |ratio - 1| times the
-    second."""
+def _certified(volume: FiniteTreeVolume, width: float) -> float:
+    """The bound on max |ratio - 1| for two forms whose log ratio lies in
+    [-width, width] on every configuration, where 1 - e**-width <=
+    e**width - 1. The allowance is relative to the larger form, at most
+    1 + e**width = 2 + max |ratio - 1| times the second."""
     try:
-        off_one = max(-math.expm1(lo), math.expm1(hi))
-    except OverflowError:  # e**hi is beyond the largest double
+        off_one = math.expm1(width)
+    except OverflowError:  # e**width is beyond the largest double
         return math.inf
     return off_one + _slack(volume, 2.0 + off_one)
 
@@ -390,93 +378,75 @@ def _require_connected(volume: FiniteTreeVolume, vs: set[int], what: str) -> Non
 # verification: the two representations
 
 
-def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int):
-    """For each pin class s: log z_s, and the range [lo_s, hi_s] of the log
-    ratio of the product form to the boundary-law form.
-
-    The ratio is z_s N(s)**-(d+1) prod_v g(t_v), the product running over the
-    m interior vertices other than the pin, with g = a / N**d: each of them
-    is the head of one edge (a factor a) and the tail of d (a factor 1/N),
-    the pin is the tail of d + 1, and the boundary factors a cancel. So its
-    log lies in log(z_s N(s)**-(d+1)) + m [min log g, max log g]."""
+def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume) -> tuple[np.ndarray, float]:
+    """log N(s)**-(d+1) by pin class s, and m ptp(log g): pinned to class s,
+    the ratio of the product form to the boundary-law form is
+    z_s N(s)**-(d+1) prod_v g(t_v) over the m interior vertices v other than
+    the pin, g = a / N**d. Each such v is the head of one edge (a factor a)
+    and the tail of d (a factor 1/N), the pin is the tail of d + 1, and the
+    boundary factors a cancel."""
     _require_full(volume, "the boundary-law form and its certificates")
-    a = kernel.law.as_array()
-    d = volume.d
-    log_z = _bl_partition(kernel, volume, pin)
     log_n = np.log(kernel.norms)
-    log_g = np.log(a) - d * log_n
+    log_g = np.log(kernel.law.as_array()) - volume.d * log_n
     m = volume.n_vertices - len(volume.boundary) - 1
-    base = log_z - (d + 1) * log_n
-    return log_z, base + m * log_g.min(), base + m * log_g.max()
+    return -(volume.d + 1) * log_n, m * float(np.ptp(log_g))
 
 
 def max_dual_gap_pinned(spec: PinnedMeasureSpec) -> float:
     """Certified upper bound on the largest |product form / boundary-law
-    form - 1| over every windowed configuration: the ratio's range is
-    ``_dual_parts``'s, so this is at least the exact maximum that the scan
-    over residue vectors finds."""
-    s = spec.pin_class
-    _, lo, hi = _dual_parts(spec.kernel, spec.volume, spec.pin_vertex)
-    return _certified(spec.volume, lo[s], hi[s])
+    form - 1| over every configuration. Both forms are probability
+    measures, so the ratio has mean 1: it is 1 or more somewhere and 1 or
+    less somewhere. Its log is an unknown constant plus a sum ranging over
+    an interval of width m ptp(log g) (``_dual_parts``), so the constant
+    puts 0 in that interval and |log ratio| is at most its width. No
+    partition sum is needed, and one bound serves every pin vertex and class.
+    """
+    return _certified(spec.volume, _dual_parts(spec.kernel, spec.volume)[1])
 
 
 def max_dual_gap_ggm(spec: GGMSpec) -> float:
     """Certified upper bound on the largest |mixture form / class-summed
-    boundary-law form - 1| over every windowed configuration.
-
-    With Z = sum_s z_s, the mixture form is sum_s alpha_s P_s and the
-    class-summed form sum_s (z_s / Z) B_s / z_s, and P_s over B_s / z_s is
-    the pinned ratio. So the ratio of the two is a weighted mean over s of
-    alpha_s Z / z_s times the pinned ratio (the mediant inequality), and it
-    lies in the hull of those shifted ranges.
+    boundary-law form - 1| over every configuration. With Z = sum_s z_s the
+    forms are sum_s alpha_s P_s and sum_s B_s / Z, and P_s over B_s / z_s is
+    the pinned ratio, so their ratio is a B_s-weighted mean over s of
+    Z c_s prod_v g(t_v), c_s = alpha_s N(s)**-(d+1) (the mediant
+    inequality). Both forms are probability measures, so as for
+    ``max_dual_gap_pinned`` the constant Z puts 0 inside the log range,
+    whose width is ptp(log c) + m ptp(log g).
     """
-    log_z, lo, hi = _dual_parts(spec.kernel, spec.volume, 0)
-    shift = np.log(spec.chain.alpha) + float(np.logaddexp.reduce(log_z)) - log_z
-    return _certified(spec.volume, float((shift + lo).min()), float((shift + hi).max()))
+    log_n_pin, width = _dual_parts(spec.kernel, spec.volume)
+    log_c = np.log(spec.chain.alpha) + log_n_pin
+    return _certified(spec.volume, float(np.ptp(log_c)) + width)
 
 
-def check_consistency(spec: PinnedMeasureSpec, inner, mixture: bool = False) -> float:
+def check_consistency(spec: PinnedMeasureSpec, inner) -> float:
     """Marginalize the volume's boundary-law measure onto a smaller closed
-    volume and compare with the directly computed smaller-volume measure.
-
-    ``inner`` is the interior vertex set of the smaller volume; it must be
-    connected and contain the pin. With ``mixture=True`` both sides are
-    averaged over the stationary layer distribution of the fuzzy chain.
+    volume, ``inner`` its interior vertex set, connected and holding the
+    pin, and compare with the directly computed smaller-volume measure.
 
     Returns a certified upper bound on the largest |marginal / direct - 1|
-    over the windowed inner configurations. Both sides are the inner Q
-    factors times factors of the inner-boundary layers, and their ratio is
-    z_inner / z_big times prod_v hang_v(t_v) / a(t_v) over the
-    inner-boundary vertices v, hang_v being the weight hanging below v. That
-    is separable, so its log range is the sum of the per-vertex ranges. The
-    mixture's ratio is a weighted mean of the pinned ratios, so it lies in
-    the hull of their ranges whatever the weights.
+    over the inner configurations. Their ratio is z_inner / z_big times
+    prod_v hang_v(t_v) / a(t_v) over the inner-boundary vertices v, hang_v
+    being the weight hanging below v. Both sides are probability measures,
+    so as for ``max_dual_gap_pinned`` |log ratio| is at most the sum of the
+    widths ptp(log hang_v - log a). That holds for every pin class, so it
+    also bounds the two mixtures over the stationary layer distribution,
+    whose ratio is a weighted mean of the pinned ratios.
     """
     volume = spec.volume
-    kernel = spec.kernel
     _require_full(volume, "consistency checks")
     pin = spec.pin_vertex
     ids = _interior_set(volume, inner)
     if pin not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
     _require_connected(volume, ids, "the inner vertices")
-    inner_boundary = volume.adjacent_outside(ids)
-    a = kernel.law.as_array()
+    a = spec.kernel.law.as_array()
     # the weight hanging below each inner-boundary vertex equals the boundary
     # law itself exactly when the law solves the fixed-point equation
-    hang = _upward(volume, pin, kernel.circulant, volume.boundary, a)
-    per_vertex = [_log_at(hang, v) - np.log(a) for v in inner_boundary]
-    # the inner edges, those touching ids, are the steps inside the closure
-    closure = ids | inner_boundary
-    log_z_inner = _log_at(_upward(volume, pin, kernel.circulant, list(inner_boundary), a,
-                                  closure), pin)
-    shift = log_z_inner - _log_at(hang, pin)
-    lo = shift + sum(x.min() for x in per_vertex)
-    hi = shift + sum(x.max() for x in per_vertex)
-    if not mixture:
-        s = spec.pin_class
-        return _certified(volume, lo[s], hi[s])
-    return _certified(volume, float(lo.min()), float(hi.max()))
+    unit, scale = _upward(volume, pin, spec.kernel.circulant, a)
+    width = sum(float(np.ptp(np.log(unit[v]) + scale[v] - np.log(a)))
+                for v in volume.adjacent_outside(ids))
+    return _certified(volume, width)
 
 
 # ---------------------------------------------------------------------------
@@ -543,4 +513,4 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner) -> float:
     log_n = np.log(spec.kernel.norms)
     spread = sum(float(np.ptp(log_a - (len(volume.neighbors(v)) - 1) * log_n))
                  for v in ids)
-    return _certified(volume, -spread, spread)
+    return _certified(volume, spread)

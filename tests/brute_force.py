@@ -19,6 +19,8 @@ The kernel-table oracles (``kernel_prob``, ``balance_defect``,
 ``product_probs``, ``two_bond_marginal`` and ``windowed_matrix``) are the formulas the library used before every consumer
 read ``LayerKernel.probs``: each writes Q(z) a(t + z) / N(t) out again, or
 loops over it, in the same order of operations, so they agree bit for bit.
+``weights`` is the Q(z) row over the window that ``LayerKernel`` carried
+until no library code read it.
 
 ``sample_ggm_batch`` is the per-edge sampler, an int64 batch with one
 ``searchsorted`` per layer, and ``sample_csv`` the ``csv.writer`` output of
@@ -44,7 +46,6 @@ The scalar tree walks are the references for the library's step tables:
 ``FiniteTreeVolume.orientation_from`` replaced, as (edge, src, dst, sign)
 tuples, ``scalar_upward`` the upward pass one step at a time that the
 level-batched ``measures._upward`` matches bit for bit,
-``scalar_depth`` the distances from the root one vertex at a time,
 ``scalar_heights`` the heights one step at a time (``vertex_heights``, the
 level walk the library's product form reads its layers from, must match it),
 and
@@ -63,6 +64,9 @@ configuration, one sample as a configuration, and the mixture of
 read of ``LayerKernel.probs``), ``shifted`` and ``is_shift_of`` (the cyclic
 shift of a law, and shift equivalence), ``free_dimension`` and ``full_row``
 (of a ``CirculantSpec``) are the library methods only tests called.
+``_bl_partition`` is the boundary-law partition sum by an unscaled pass,
+and ``log_bl_partition`` its log by the library's scaled pass, which the
+verifier no longer needs.
 """
 from __future__ import annotations
 
@@ -121,15 +125,6 @@ def children(volume: FiniteTreeVolume) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, kids))
 
 
-def scalar_depth(volume: FiniteTreeVolume) -> np.ndarray:
-    """The distance of each vertex from the root, one vertex at a time in
-    index order, which visits each parent before its children."""
-    depth = [0] * volume.n_vertices
-    for v, p in enumerate(volume.parents[1:].tolist(), 1):
-        depth[v] = depth[p] + 1
-    return np.array(depth, dtype=np.int64)
-
-
 @functools.lru_cache(maxsize=64)
 def scalar_orientation(volume: FiniteTreeVolume,
                        w: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -158,12 +153,11 @@ def scalar_orientation(volume: FiniteTreeVolume,
 
 
 def scalar_upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
-                  leaf: Mapping[int, np.ndarray],
-                  edges=None) -> tuple[list[np.ndarray], np.ndarray]:
+                  leaf: Mapping[int, np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """``measures._upward`` one step at a time, in the reverse order of
     ``scalar_orientation(volume, pin)``: v starts from ``leaf[v]`` (else
-    ones) and each edge, or each one in ``edges``, multiplies the scaled
-    message of ``f[dst]`` into ``f[src]``."""
+    ones) and each edge multiplies the scaled message of ``f[dst]`` into
+    ``f[src]``."""
     q = len(matrix)
     unit = [np.ones(q)] * volume.n_vertices
     scale = np.zeros(volume.n_vertices)
@@ -171,11 +165,10 @@ def scalar_upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
         top = vec.max()
         unit[v], scale[v] = vec / top, math.log(top)
     for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
-        if edges is None or e in edges:
-            f = unit[src] * (matrix @ unit[dst])
-            top = f.max()
-            unit[src] = f / top
-            scale[src] += scale[dst] + math.log(top)
+        f = unit[src] * (matrix @ unit[dst])
+        top = f.max()
+        unit[src] = f / top
+        scale[src] += scale[dst] + math.log(top)
     return unit, scale
 
 
@@ -324,6 +317,13 @@ def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np
     for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         f[src] = f[src] * (C @ f[dst])
     return f[pin]
+
+
+def log_bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np.ndarray:
+    """log ``_bl_partition`` from the library's scaled pass, ``measures._upward``
+    from the boundary-law values at the boundary."""
+    unit, scale = measures._upward(volume, pin, kernel.circulant, kernel.law.as_array())
+    return np.log(unit[pin]) + scale[pin]
 
 
 def _interior(volume: FiniteTreeVolume) -> set[int]:
@@ -966,7 +966,7 @@ def ratio_range(spec: PinnedMeasureSpec, inner,
     joint = sum((chain.alpha[s] if mixture else 1.0)
                 * pinned_probs(kernel, spec.volume, spec.pin_vertex, s, Z)
                 for s in s_values)
-    ratio = joint / np.prod(kernel.weights[Z[:, inner_edges] + kernel.window.cutoff], axis=1)
+    ratio = joint / np.prod(weights(kernel)[Z[:, inner_edges] + kernel.window.cutoff], axis=1)
     return float(ratio.max() / ratio.min())
 
 
@@ -988,7 +988,7 @@ def scan_restricted_dlr(spec: PinnedMeasureSpec, inner,
                     for s in range(kernel.q))
     else:
         joint = pinned_probs(kernel, volume, spec.pin_vertex, spec.pin_class, Z)
-    bare = np.prod(kernel.weights[Z[:, inner_edges] + cutoff], axis=1)
+    bare = np.prod(weights(kernel)[Z[:, inner_edges] + cutoff], axis=1)
     if joint.sum() == 0.0:
         raise ValueError("conditioning event has zero probability")
     return float(np.max(np.abs(joint / joint.sum() - bare / bare.sum())))
@@ -1054,6 +1054,12 @@ def scan_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> tuple[float
                           range(spec.kernel.q), z, residue_budget)
 
 
+def weights(kernel: LayerKernel) -> np.ndarray:
+    """Q(z) over the window increments, as ``build_layer_kernel`` computes
+    them for its table."""
+    return np.array([eval_q(kernel.op, int(z)) for z in kernel.offsets])
+
+
 def kernel_prob(kernel: LayerKernel, layer: int, zeta: int) -> float:
     """Q(zeta) a(layer + zeta) / N(layer), written out."""
     q = kernel.q
@@ -1097,7 +1103,7 @@ def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
     q = kernel.q
     ends = (np.arange(q)[:, None] + kernel.offsets) % q
     flow = chain.alpha[:, None] * (
-        kernel.weights * kernel.law.as_array()[ends] / kernel.norms[:, None])
+        weights(kernel) * kernel.law.as_array()[ends] / kernel.norms[:, None])
     return flow - flow[ends, np.arange(len(kernel.offsets))[::-1]]
 
 
@@ -1107,6 +1113,7 @@ def product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     Z = np.asarray(Z, dtype=np.int64)
     q = kernel.q
     a = kernel.law.as_array()
+    w = weights(kernel)
     layer = np.empty((volume.n_vertices, len(Z)), dtype=np.int64)
     layer[pin] = s % q
     p = np.ones(len(Z))
@@ -1114,7 +1121,7 @@ def product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
         z = sign * Z[:, e]
         t = layer[src]
         layer[dst] = (t + z) % q
-        p = p * (kernel.weights[z + kernel.window.cutoff] * a[layer[dst]] / kernel.norms[t])
+        p = p * (w[z + kernel.window.cutoff] * a[layer[dst]] / kernel.norms[t])
     return p
 
 

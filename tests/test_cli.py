@@ -163,6 +163,31 @@ def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, cod
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "--depth", "16"], ["sample", "--n", "9"]],
+                         ids=["verify", "sample"])
+def test_unwritable_out_fails_before_the_work(model_file, tmp_path, capsys, monkeypatch,
+                                              argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before checking --out")
+
+    monkeypatch.setattr(bl_solver, "find_branches", no_work)
+    out = str(tmp_path / "missing" / "x.json")
+    assert main([*argv, "--model", model_file, "--out", out]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_failed_command_leaves_out_as_found(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"potential": SOS2, "q": 2.7, "d": 2}))
+    kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+    kept.write_bytes(b"earlier bytes\n")
+    for out in (kept, absent):
+        assert main(["verify", "--model", str(bad), "--out", str(out)]) == 2
+    assert kept.read_bytes() == b"earlier bytes\n"
+    assert not absent.exists()
+    assert "q must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve-bl", "--model", "M", "--beta-min", "1.7", "--beta-max", "1.8"],
     ["critical-beta", "--q", "2", "--d", "3"],
@@ -339,7 +364,7 @@ class TestVerify:
         out = tmp_path / "verify.json"
         assert main(["verify", "--model", model_file, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 3
+        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 4
         methods = {name: c["method"] for name, c in payload["checks"].items()}
         assert {name for name, m in methods.items() if m == "exact"} == {
             "boundary_law_residual", "stationarity", "reversibility", "windowed_mass"}

@@ -260,22 +260,26 @@ class TestIncrementWindow:
 SHUFFLED = FiniteTreeVolume(2, [None, 0, 1, 0, 2, 3, 1, 3, 0], ())
 
 
+def random_tree(n, seed=1):
+    rng = np.random.default_rng(seed)
+    return FiniteTreeVolume(2, [None, *rng.integers(np.arange(1, n)).tolist()], ())
+
+
 class TestVolumes:
-    # first: every path and distance walks up by depth
     def test_depth_and_neighbours_are_the_scalar_walk(self):
-        rng = np.random.default_rng(1)
-        trees = [FiniteTreeVolume(2, [None, *rng.integers(np.arange(1, n)).tolist()], ())
-                 for n in (1, 2, 50, 3000)]
+        trees = [random_tree(n) for n in (1, 2, 50, 3000)]
         for volume in [cayley_ball(2, 6), cayley_ball(3, 4), cayley_ball(4, 1), path_volume(40),
                        SHUFFLED, *trees]:
-            assert np.array_equal(volume.depth, bf.scalar_depth(volume))
             kids = bf.children(volume)
             for v in range(volume.n_vertices):
                 assert volume.neighbors(v) == [*kids[v], *([volume.parents[v]] if v else [])]
 
+    # the distance check is the test of ``path``, which climbs from the larger vertex
     @pytest.mark.parametrize("volume", [cayley_ball(2, 3), cayley_ball(3, 2), path_volume(6),
-                                        SHUFFLED], ids=["ball-2-3", "ball-3-2", "path-6",
-                                                        "shuffled"])
+                                        SHUFFLED, random_tree(2), random_tree(50),
+                                        random_tree(120, seed=2)],
+                             ids=["ball-2-3", "ball-3-2", "path-6", "shuffled", "random-2",
+                                  "random-50", "random-120"])
     def test_orientation_is_the_scalar_bfs(self, volume):
         rng = np.random.default_rng(0)
         zeta = rng.integers(-5, 6, size=volume.n_edges)

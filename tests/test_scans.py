@@ -136,8 +136,28 @@ def test_consistency_matches_enumeration(model, depth, inner, pin, mixture):
 def test_consistency_certificate_bounds_the_scan(certified_model, depth, inner, pin, mixture):
     kernel, chain = certified_model
     spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), pin, kernel.q - 1)
+    # one bound for every pin class, so it bounds the mixture too
     assert bounded(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain),
-                   check_consistency(spec, inner, mixture=mixture))
+                   check_consistency(spec, inner))
+
+
+def test_bounds_are_the_same_for_every_pin_class(certified_model):
+    # normalization centres the pinned bounds, so neither reads the class
+    kernel, _ = certified_model
+    volume = cayley_ball(2, 2)
+    for inner, pin in [({0}, 0), ({0, 1}, 1)]:
+        specs = [PinnedMeasureSpec(kernel, volume, pin, s) for s in range(kernel.q)]
+        assert len({check_consistency(spec, inner) for spec in specs}) == 1
+        assert len({max_dual_gap_pinned(spec) for spec in specs}) == 1
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_mixture_dual_bound_is_the_pinned_one_widened(certified_model, depth):
+    # its width adds ptp(log c) to the pinned width
+    kernel, chain = certified_model
+    volume = cayley_ball(2, depth)
+    assert (max_dual_gap_ggm(GGMSpec(kernel, chain, volume))
+            >= max_dual_gap_pinned(PinnedMeasureSpec(kernel, volume, 0, 0)))
 
 
 def test_consistency_needs_a_connected_inner_volume(kernel):
