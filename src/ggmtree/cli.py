@@ -44,8 +44,9 @@ from .model import (
 
 SCHEMA_VERSION = 1
 # each certified verify check reports one bound, on the largest |ratio - 1|;
-# since 4 the dual and consistency bounds are centred by normalization
-VERIFY_SCHEMA_VERSION = 4
+# 4 centred the dual and consistency bounds by normalization, and 5 reads
+# consistency off one log scale and writes a non-finite bound as "inf"
+VERIFY_SCHEMA_VERSION = 5
 CHUNK_ROWS = 2**14  # CSV rows per write of `sample`
 
 EXIT_OK = 0
@@ -116,7 +117,7 @@ def _csv_text(meta: dict, header: list[str], rows: Iterable) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _meta(config: dict, version: int = SCHEMA_VERSION) -> dict:
@@ -188,7 +189,8 @@ def cmd_solve_bl(args) -> int:
             raise ConfigError("--beta-max must not be below --beta-min")
         if not hasattr(op, "beta"):
             raise ConfigError("beta sweeps need an sos or discrete_gaussian potential")
-        count = int(round((args.beta_max - args.beta_min) / args.beta_step)) + 1
+        # the last grid point may pass --beta-max by rounding only
+        count = math.floor((args.beta_max - args.beta_min) / args.beta_step + 1e-9) + 1
         betas = [args.beta_min + i * args.beta_step for i in range(count)]
         try:
             ops = [type(op)(beta) for beta in betas]
@@ -308,8 +310,8 @@ def cmd_verify(args) -> int:
     if not volume.is_boundary[1]:
         checks["restricted_conditional"] = (measures.check_restricted_dlr(pin, {1}), tol,
                                             certified)
-    report = {name: {"violation": float(v), "tolerance": float(t), "method": method,
-                     "pass": bool(v <= t)}
+    report = {name: {"violation": float(v) if math.isfinite(v) else "inf",
+                     "tolerance": float(t), "method": method, "pass": bool(v <= t)}
               for name, (v, t, method) in checks.items()}
     ok = all(entry["pass"] for entry in report.values())
     payload = _meta(config, VERIFY_SCHEMA_VERSION) | {
@@ -381,7 +383,8 @@ def _checked(kind, accept, what: str):
     return parse
 
 
-_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
+_FINITE = _checked(float, math.isfinite, "finite")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and positive")
 _PERTURB = _checked(float, lambda v: math.isfinite(v) and v > -1.0, "finite and above -1")
 _DAMPING = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _COUNT = _checked(int, lambda v: v >= 0, "non-negative")
@@ -407,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-bl", help="solve the periodic boundary-law equation")
     p.add_argument("--model", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--beta-min", type=float, default=None)
-    p.add_argument("--beta-max", type=float, default=None)
+    p.add_argument("--beta-min", type=_FINITE, default=None)
+    p.add_argument("--beta-max", type=_FINITE, default=None)
     p.add_argument("--beta-step", type=_POSITIVE, default=0.05)
     p.add_argument("--starts", type=_COUNT, default=50)
     p.add_argument("--damping", type=_DAMPING, default=0.7)

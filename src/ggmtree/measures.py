@@ -1,24 +1,22 @@
 """Finite-volume marginals of pinned gradient measures and their mixtures.
 
-Two equivalent representations are implemented for the measure pinned to a
-mod-q class at a vertex: the edge-by-edge product of layer-kernel factors,
-and the boundary-law form (boundary factors times bare edge weights, divided
-by a partition sum). Mixing the pinned measure over the stationary layer
-distribution gives the homogeneous gradient measure; an alternative form sums
-the boundary-law weight over a global class shift instead.
+The measure pinned to a mod-q class at a vertex is evaluated as the
+edge-by-edge product of layer-kernel factors, and its mixture over the
+stationary layer distribution is the homogeneous gradient measure. The
+paper's boundary-law form and its sum over a global class shift are never
+evaluated: the certificates below bound their ratio to the product form.
 
 Every kernel probability is read from the table ``LayerKernel.probs`` (with
 the end layers ``LayerKernel.ends``), and ``_fold`` sums such a (layer,
-increment) table onto pairs of layers. The tree sums (the windowed mass,
-and the weight hanging below each vertex) come from one scaled upward pass
-(``_upward``) that keeps one unit vector and one log scale per vertex,
-indexed by the mod-q layer, so no volume overflows or underflows. Every walk
-reads the volume's step table (``orientation_from``) a level at a time: the
-upward pass makes one numpy update per level and rank of a step among its
-source's steps, the sampler draws a level at a time, and the product form
-reads every layer off one heights walk over the table or its part inside a
-connected vertex set, so an event's probabilities for every pin class come
-from one walk.
+increment) table onto pairs of layers. The tree sums (the windowed mass, and
+the weight hanging below each vertex) come from one scaled upward pass
+(``_upward``) that keeps one unit vector per vertex, indexed by the mod-q
+layer, and one log scale for the whole pass, so no volume overflows or
+underflows. Every walk reads the volume's step table (``orientation_from``)
+a level at a time: the upward pass makes one numpy update per level, the
+sampler draws a level at a time, and the product form reads every layer off
+one heights walk over the table or its part inside a connected vertex set,
+so an event's probabilities for every pin class come from one walk.
 
 No verifier check visits configurations or residue classes. Each returns a
 certified upper bound on the largest |ratio - 1| between the two forms it
@@ -130,43 +128,40 @@ def _flat(levels) -> np.ndarray:
 
 
 def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
-            leaf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+            leaf: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """The pass from the leaves towards ``pin`` over mod-q layer vectors:
     each boundary vertex starts from ``leaf`` (the others, and all of them
     without it, from ones) and each edge multiplies ``matrix @ f[dst]`` into
     ``f[src]``. Then f[v] is the total weight of the part of the volume below
     v (away from the pin) by layer.
 
-    The pass is scaled as the forward algorithm is (Rabiner 1989): it returns
-    unit vectors u[v], largest entry 1, and log scales c[v] with
-    f[v] = u[v] * exp(c[v]), so deep volumes neither overflow nor underflow.
-
-    It is Felsenstein's pruning (1981) run a level at a time: from the
-    deepest level of ``orientation_from(pin)`` up, the steps that are r-th
-    from the end among their src's steps form one batch, for r = 0, 1, ...,
-    so each src takes its updates in the reverse step order of a walk one
-    step at a time, and the pass is one numpy update per batch,
-    O(depth (d + 1)) of them.
+    It is Felsenstein's pruning (1981), one numpy update per level of
+    ``orientation_from(pin)`` from the deepest up. Each message is scaled to
+    largest entry 1, one ``reduceat`` over the runs of src (the steps of one
+    src are consecutive) multiplies a src's messages in step order, and that
+    times u[src] is scaled once more, so no product exceeds 1 at any degree.
+    As in the forward algorithm (Rabiner 1989) the pass returns unit vectors
+    u[v] and the log of all the scales, f[pin] = u[pin] exp(log_total):
+    that is all the windowed mass reads, and elsewhere f[v] is u[v] up to a
+    scale, which a ptp of log u[v] ignores.
     """
-    q = len(matrix)
-    unit = np.ones((volume.n_vertices, q))
-    scale = np.zeros(volume.n_vertices)
+    unit = np.ones((volume.n_vertices, len(matrix)))
+    log_total = 0.0
     if leaf is not None:
         top = leaf.max()
-        unit[volume.is_boundary], scale[volume.is_boundary] = leaf / top, math.log(top)
+        unit[volume.is_boundary] = leaf / top
+        log_total = len(volume.boundary) * math.log(top)
     for src, dst in reversed(volume.orientation_from(pin)):
-        # the steps of one src are consecutive: rank each from its run's end
-        last = np.flatnonzero(np.append(src[1:] != src[:-1], True))
-        rank = np.repeat(last, np.diff(last, prepend=-1)) - np.arange(len(src))
-        for r in range(rank.max() + 1):
-            at = rank == r
-            s, t = src[at], dst[at]
-            f = unit[s] * (matrix @ unit[t][:, :, None])[:, :, 0]
-            top = f.max(axis=1)
-            unit[s] = f / top[:, None]
-            # math.log: numpy's vectorized log may round the last bit otherwise
-            scale[s] += scale[t] + np.array([math.log(v) for v in top.tolist()])
-    return unit, scale
+        message = (matrix @ unit[dst][:, :, None])[:, :, 0]
+        top = message.max(axis=1)
+        message /= top[:, None]
+        starts = np.flatnonzero(np.append(True, src[1:] != src[:-1]))
+        s = src[starts]
+        f = unit[s] * np.multiply.reduceat(message, starts)
+        peak = f.max(axis=1)
+        unit[s] = f / peak[:, None]
+        log_total += float(np.log(top).sum() + np.log(peak).sum())
+    return unit, log_total
 
 
 def _fold(kernel: LayerKernel, table: np.ndarray) -> np.ndarray:
@@ -275,8 +270,8 @@ def windowed_mass(spec: PinnedMeasureSpec) -> float:
     """Total product-form probability of the windowed configuration space,
     computed by the layer pass (equals one minus the truncated tail)."""
     W = _fold(spec.kernel, spec.kernel.probs)
-    unit, scale = _upward(spec.volume, spec.pin_vertex, W)
-    return float(unit[spec.pin_vertex][spec.pin_class] * math.exp(scale[spec.pin_vertex]))
+    unit, log_total = _upward(spec.volume, spec.pin_vertex, W)
+    return float(unit[spec.pin_vertex][spec.pin_class] * math.exp(log_total))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +438,8 @@ def check_consistency(spec: PinnedMeasureSpec, inner) -> float:
     a = spec.kernel.law.as_array()
     # the weight hanging below each inner-boundary vertex equals the boundary
     # law itself exactly when the law solves the fixed-point equation
-    unit, scale = _upward(volume, pin, spec.kernel.circulant, a)
-    width = sum(float(np.ptp(np.log(unit[v]) + scale[v] - np.log(a)))
+    unit = _upward(volume, pin, spec.kernel.circulant, a)[0]
+    width = sum(float(np.ptp(np.log(unit[v]) - np.log(a)))
                 for v in volume.adjacent_outside(ids))
     return _certified(volume, width)
 

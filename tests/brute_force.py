@@ -44,8 +44,8 @@ exceed their state budget; the library enumerates nothing and never raises it.
 The scalar tree walks are the references for the library's step tables:
 ``scalar_orientation`` is the one-step-at-a-time BFS that
 ``FiniteTreeVolume.orientation_from`` replaced, as (edge, src, dst, sign)
-tuples, ``scalar_upward`` the upward pass one step at a time that the
-level-batched ``measures._upward`` matches bit for bit,
+tuples, ``scalar_upward`` the upward pass one vertex at a time, whose unit
+vectors the level-at-a-time ``measures._upward`` matches bit for bit,
 ``scalar_heights`` the heights one step at a time (``vertex_heights``, the
 level walk the library's product form reads its layers from, must match it),
 and
@@ -153,23 +153,35 @@ def scalar_orientation(volume: FiniteTreeVolume,
 
 
 def scalar_upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
-                  leaf: Mapping[int, np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    """``measures._upward`` one step at a time, in the reverse order of
-    ``scalar_orientation(volume, pin)``: v starts from ``leaf[v]`` (else
-    ones) and each edge multiplies the scaled message of ``f[dst]`` into
-    ``f[src]``."""
+                  leaf: Mapping[int, np.ndarray]) -> tuple[list[np.ndarray], list[float]]:
+    """``measures._upward`` one vertex at a time, the srcs of
+    ``scalar_orientation(volume, pin)`` in reverse: v starts from ``leaf[v]``
+    (else ones), each step's message ``matrix @ u[dst]`` is scaled to largest
+    entry 1, a src's messages are multiplied as a left fold in step order,
+    and the fold times u[src] is scaled once more. Returns the unit vectors
+    and the log of every scale, in the order taken."""
     q = len(matrix)
     unit = [np.ones(q)] * volume.n_vertices
-    scale = np.zeros(volume.n_vertices)
+    logs = []
     for v, vec in leaf.items():
         top = vec.max()
-        unit[v], scale[v] = vec / top, math.log(top)
-    for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
-        f = unit[src] * (matrix @ unit[dst])
+        unit[v] = vec / top
+        logs.append(math.log(top))
+    steps = {}
+    for e, src, dst, sign in scalar_orientation(volume, pin):
+        steps.setdefault(src, []).append(dst)
+    for src, dsts in reversed(steps.items()):
+        product = None
+        for dst in dsts:
+            message = matrix @ unit[dst]
+            top = message.max()
+            logs.append(math.log(top))
+            product = message / top if product is None else product * (message / top)
+        f = unit[src] * product
         top = f.max()
         unit[src] = f / top
-        scale[src] += scale[dst] + math.log(top)
-    return unit, scale
+        logs.append(math.log(top))
+    return unit, logs
 
 
 def scalar_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarray:
@@ -322,8 +334,8 @@ def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np
 def log_bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np.ndarray:
     """log ``_bl_partition`` from the library's scaled pass, ``measures._upward``
     from the boundary-law values at the boundary."""
-    unit, scale = measures._upward(volume, pin, kernel.circulant, kernel.law.as_array())
-    return np.log(unit[pin]) + scale[pin]
+    unit, log_total = measures._upward(volume, pin, kernel.circulant, kernel.law.as_array())
+    return np.log(unit[pin]) + log_total
 
 
 def _interior(volume: FiniteTreeVolume) -> set[int]:

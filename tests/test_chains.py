@@ -9,9 +9,11 @@ from ggmtree import (
     SOS,
     FuzzyChain,
     IncrementWindow,
+    NonStochastic,
     NonSummable,
     OutOfWindow,
     PeriodicBoundaryLaw,
+    Table,
     build_layer_kernel,
     check_reversibility,
     eval_q,
@@ -127,6 +129,12 @@ class TestFuzzyTransform:
             row = wrapped_row(op, q)
             assert chain.matrix[0, 0] / chain.matrix[0, 1] == pytest.approx(
                 row[0] / row[1], abs=1e-12)
+
+    def test_reducible_chain_is_rejected(self):
+        # Q(0) alone never changes the layer, so the chain is the identity
+        kernel = build_layer_kernel(Table((1.0,)), PeriodicBoundaryLaw.trivial(2))
+        with pytest.raises(NonStochastic, match="reducible"):
+            fuzzy_transform(kernel)
 
 
 class TestReversibility:

@@ -89,6 +89,18 @@ class TestSolveBl:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["solve-bl", "--model", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("lo, hi, step, betas", [
+        ("1", "2", "0.6", [1.0, 1.6]),
+        ("0.1", "0.2", "0.15", [0.1]),
+    ])
+    def test_grid_stops_at_beta_max(self, model_file, tmp_path, lo, hi, step, betas):
+        out = tmp_path / "sweep.csv"
+        assert main(["solve-bl", "--model", model_file, "--beta-min", lo, "--beta-max", hi,
+                     "--beta-step", step, "--out", str(out)]) == 0
+        meta, rows = read_csv(out)
+        assert meta["config"]["betas"] == betas
+        assert {float(row["beta"]) for row in rows} == set(betas)
+
 
 @pytest.mark.parametrize("argv", [
     ["solve-bl", "--beta-min", "1.5", "--beta-max", "2.0", "--beta-step", "0"],
@@ -120,6 +132,12 @@ class TestSolveBl:
     ["critical-beta", "--q", "2", "--d", "2", "--family", "potts"],
     ["verify", "--tol", "-1"],
     ["verify", "--tol", "nan"],
+    ["verify", "--tol", "inf"],
+    ["solve-bl", "--tol", "inf"],
+    ["solve-bl", "--beta-min", "1", "--beta-max", "2", "--beta-step", "inf"],
+    ["solve-bl", "--beta-min", "1", "--beta-max", "inf"],
+    ["solve-bl", "--beta-min", "1", "--beta-max", "nan"],
+    ["solve-bl", "--beta-max", "2", "--beta-min", "-inf"],
 ], ids=" ".join)
 def test_bad_number_exits_2(model_file, argv, capsys):
     k = next(i for i, a in enumerate(argv) if a.startswith("-"))
@@ -147,8 +165,18 @@ SOS2 = {"kind": "sos", "beta": 2.0}
      "d must be an integer, got 2.5"),
     (["marginal", "--model", {"potential": {"kind": "sos", "beta": 1e-5}, "q": 2, "d": 2},
       "--branch", "trivial"], 3, "numerical failure: no window"),
+    (["verify", "--model", {"potential": {"kind": "sos", "beta": 3.0}, "q": 3, "d": 2},
+      "--branch", "upper"], 2, "no solved branch labelled 'upper'"),
+    (["marginal", "--model", {"potential": SOS2, "q": 1, "d": 2}, "--perturb", "0.1"], 2,
+     "--perturb needs a period of at least 2"),
+    (["solve-bl", "--model", "M", "--beta-min", "1.7"], 2,
+     "--beta-min and --beta-max must be given together"),
+    (["solve-bl", "--model", {"potential": {"kind": "table", "weights": {"0": 1.0, "1": 0.3}},
+                              "q": 2, "d": 2}, "--beta-min", "1", "--beta-max", "2"], 2,
+     "beta sweeps need an sos or discrete_gaussian potential"),
 ], ids=["ok", "verification", "unwritable-out", "model-is-a-directory", "oversized-volume",
-        "fractional-q", "fractional-d", "no-certified-window"])
+        "fractional-q", "fractional-d", "no-certified-window", "no-such-branch",
+        "perturb-period-1", "half-a-sweep", "sweep-of-a-table"])
 def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, code, message):
     def resolve(arg):
         if isinstance(arg, dict):
@@ -360,11 +388,23 @@ class TestVerify:
         for name in ("dual_representation_pinned", "dual_representation_mixture"):
             assert checks[name]["violation"] >= 0.9
 
+    def test_overflowed_bound_is_strict_json(self, model_file, tmp_path):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--model", model_file, "--depth", "8", "--perturb", "100",
+                     "--branch", "upper", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text(), parse_constant=reject)["checks"]
+        for name in ("dual_representation_pinned", "dual_representation_mixture"):
+            assert checks[name]["violation"] == "inf"
+            assert checks[name]["pass"] is False
+
     def test_report_names_method_and_relative_bounds(self, model_file, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["verify", "--model", model_file, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 4
+        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 5
         methods = {name: c["method"] for name, c in payload["checks"].items()}
         assert {name for name, m in methods.items() if m == "exact"} == {
             "boundary_law_residual", "stationarity", "reversibility", "windowed_mass"}

@@ -89,23 +89,29 @@ class TestScaledPass:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 6])
     def test_level_batches_are_the_scalar_pass(self, q):
-        # bit for bit: each src takes its updates in the scalar pass's order.
-        # The random tree's subtrees differ, so its scales are many distinct
-        # logs, which numpy's vectorized log would round differently
+        # the unit vectors bit for bit: each src multiplies its messages in
+        # the scalar pass's order. The log total sums the same n logs in
+        # another order: each log is within an ulp, at most eps |t|, of its
+        # exact value on either side, the oracle's fsum rounds once, and
+        # any order of summation is within gamma_(n-1) sum |t| of the exact
+        # sum (Higham 2002, section 4.2)
         rng = np.random.default_rng(q)
         matrix = rng.random((q, q)) + 0.1
         leaf = rng.random(q) + 0.5
         parents = [None, *(int(rng.integers(i)) for i in range(1, 2000))]
         tree = FiniteTreeVolume(2, parents, set(range(1, 2000)) - set(parents))
         volumes = [cayley_ball(2, 2), cayley_ball(2, 3), cayley_ball(2, 10), tree]
+        u = measures.EPS / 2
         for volume, pin in itertools.product(volumes, (0, 1, 5)):
-            unit, scale = measures._upward(volume, pin, matrix, leaf)
-            want_unit, want_scale = bf.scalar_upward(
+            unit, log_total = measures._upward(volume, pin, matrix, leaf)
+            want_unit, logs = bf.scalar_upward(
                 volume, pin, matrix, dict.fromkeys(volume.boundary.tolist(), leaf))
             assert np.array_equal(unit, np.array(want_unit))
-            assert np.array_equal(scale, want_scale)
+            n, size = len(logs), math.fsum(map(abs, logs))
+            bound = (4 * u + u + n * u / (1 - n * u)) * size
+            assert abs(log_total - math.fsum(logs)) <= bound
 
-    def test_one_update_per_level_and_rank(self, kernel):
+    def test_one_update_per_level(self, kernel):
         class Counted(np.ndarray):
             calls = 0
 
@@ -118,7 +124,16 @@ class TestScaledPass:
             volume = cayley_ball(2, depth)
             Counted.calls = 0
             measures._upward(volume, 0, matrix, kernel.law.as_array())
-            assert 0 < Counted.calls <= depth * (volume.d + 1)
+            assert Counted.calls == depth
+
+    def test_wide_ball_stays_finite(self):
+        # 400 messages of entries near 10 multiply to 1e400 unless each is
+        # scaled before the product
+        matrix = np.array([[6.0, 4.0], [3.0, 7.0]])
+        unit, log_total = measures._upward(cayley_ball(400, 2), 0, matrix)
+        assert np.all(np.isfinite(unit)) and np.isfinite(log_total)
+        assert unit.max() == 1.0
+        assert log_total > 400 * math.log(10.0)
 
 
 class TestPinnedProduct:
