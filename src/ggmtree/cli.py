@@ -39,7 +39,6 @@ from .model import (
     eval_q,
     model_from_json,
     model_to_json,
-    path_volume,
 )
 
 SCHEMA_VERSION = 1
@@ -48,6 +47,7 @@ SCHEMA_VERSION = 1
 # consistency off one log scale and writes a non-finite bound as "inf"
 VERIFY_SCHEMA_VERSION = 5
 CHUNK_ROWS = 2**14  # CSV rows per write of `sample`
+MAX_BETAS = 10**6  # points of a solve-bl beta grid
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -189,8 +189,13 @@ def cmd_solve_bl(args) -> int:
             raise ConfigError("--beta-max must not be below --beta-min")
         if not hasattr(op, "beta"):
             raise ConfigError("beta sweeps need an sos or discrete_gaussian potential")
-        # the last grid point may pass --beta-max by rounding only
-        count = math.floor((args.beta_max - args.beta_min) / args.beta_step + 1e-9) + 1
+        # the last grid point may pass --beta-max by rounding only; every beta
+        # is a full multi-start solve and is written into the meta line
+        span = (args.beta_max - args.beta_min) / args.beta_step + 1e-9
+        if not span < MAX_BETAS:
+            raise ConfigError(f"the beta grid has more than {MAX_BETAS} points; raise "
+                              "--beta-step or narrow --beta-min/--beta-max")
+        count = math.floor(span) + 1
         betas = [args.beta_min + i * args.beta_step for i in range(count)]
         try:
             ops = [type(op)(beta) for beta in betas]
@@ -322,12 +327,12 @@ def cmd_verify(args) -> int:
 
 def cmd_correlation(args) -> int:
     op, d, label, kernel, chain, config = _setup(args, "correlation", "n_max")
+    # a flat bond pinned at either end has the increment-0 column, so no volume
+    # is built; it is copied, as a strided column moves the last digits
+    flat = kernel.probs[:, kernel.window.cutoff].copy()
     rows = []
     for n in range(1, args.n_max + 1):
-        volume = path_volume(n + 2, d)
-        spec = measures.GGMSpec(kernel, chain, volume)
-        cov, bound = diagnostics.correlation_and_bound(
-            spec, {0, 1}, {n + 1, n + 2}, {(0, 1): 0}, {(n + 1, n + 2): 0}, n)
+        cov, bound = diagnostics.correlation_and_bound(chain, flat, flat, n)
         rows.append([n, float(cov), float(bound)])
     _emit(_csv_text(_meta(config), ["n", "covariance", "bound"], rows), args.out)
     return EXIT_OK
@@ -342,8 +347,13 @@ def cmd_counterexample(args) -> int:
               "kmax": args.kmax}
     rows = []
     for k in range(1, args.kmax + 1):
-        closed = diagnostics.conditional_ratio_closed(ce, k, k)
-        enum = diagnostics.conditional_ratio_enumerated(ce, k, k)
+        try:
+            closed = diagnostics.conditional_ratio_closed(ce, k, k)
+            enum = diagnostics.conditional_ratio_enumerated(ce, k, k)
+        except (OverflowError, ZeroDivisionError):
+            print(f"numerical failure: the conditional ratio at k = {k} leaves the "
+                  "range of a double; lower --kmax", file=sys.stderr)
+            return EXIT_NUMERICAL
         rows.append([k, float(closed), float(enum)])
     _emit(_csv_text(_meta(config), ["k", "ratio_closed_form", "ratio_enumerated"], rows),
           args.out)

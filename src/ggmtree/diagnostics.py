@@ -12,13 +12,13 @@ the size of the conditioning window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .chains import FuzzyChain, mixing_profile, second_eigenvalue_modulus, tv_distance
 from .errors import PeriodMismatch
-from .measures import GGMSpec, event_prob_pinned, single_bond_marginal
+from .measures import single_bond_marginal
 from .model import IncrementWindow, PeriodicBoundaryLaw, TransferOperator
 
 __all__ = [
@@ -33,33 +33,22 @@ __all__ = [
 ]
 
 
-def correlation_and_bound(spec: GGMSpec, volA: Iterable[int], volB: Iterable[int],
-                          zetaA: Mapping[tuple[int, int], int],
-                          zetaB: Mapping[tuple[int, int], int],
+def correlation_and_bound(chain: FuzzyChain, pA: np.ndarray, pB: np.ndarray,
                           n: int) -> tuple[float, float]:
     """Exact covariance of two windowed cylinder events at distance n, and the
     total-variation bound through the n-step fuzzy chain.
 
-    The joint probability factors as (event A pinned at its near vertex) times
-    n chain steps times (event B pinned at its near vertex); the bound is
-    twice the A-probability times the worst n-step distance to stationarity
-    times the largest pinned B-probability.
+    pA and pB are the events' probabilities as vectors over the layer class s
+    (``measures.event_prob_pinned``): each event pinned at its vertex nearest
+    the other, and n >= 1 is the distance between those two vertices. The
+    joint probability factors as pA times n chain steps times pB; the bound
+    is twice the A-probability times the worst n-step distance to
+    stationarity times the largest pinned B-probability.
     """
-    volume = spec.volume
-    kernel = spec.kernel
-    chain = spec.chain
-    A = set(volA)
-    B = set(volB)
-    if A & B:
-        raise ValueError("the two sub-volumes must be disjoint")
-    u, w, dist = min(
-        ((a, b, volume.distance(a, b)) for a in A for b in B),
-        key=lambda t: t[2],
-    )
-    if dist != n:
-        raise ValueError(f"sub-volumes are {dist} apart, not {n}")
-    pA = event_prob_pinned(kernel, volume, A, u, zetaA)
-    pB = event_prob_pinned(kernel, volume, B, w, zetaB)
+    if np.shape(pA) != (chain.q,) or np.shape(pB) != (chain.q,):
+        raise ValueError(f"pA and pB must be vectors of length q = {chain.q}")
+    if n < 1:
+        raise ValueError("the distance n must be at least 1")
     step_n = np.linalg.matrix_power(chain.matrix, n)
     joint = float(chain.alpha @ (pA * (step_n @ pB)))
     margA = float(chain.alpha @ pA)
@@ -73,10 +62,9 @@ def correlation_and_bound(spec: GGMSpec, volA: Iterable[int], volB: Iterable[int
 
 
 def decay_envelope(chain: FuzzyChain, n_max: int) -> tuple[float, float, np.ndarray]:
-    """Geometric envelope C * delta**n dominating the mixing profile.
-
-    delta is the modulus of the second-largest eigenvalue; C is fitted from
-    the first two total-variation values.
+    """Geometric decay C * delta**n fitted to the mixing profile, not a bound:
+    the profile can exceed it. delta is the modulus of the second-largest
+    eigenvalue; C is fitted from the first two total-variation values.
     """
     delta = second_eigenvalue_modulus(chain.matrix)
     profile = mixing_profile(chain, max(n_max, 2))

@@ -522,9 +522,6 @@ class FiniteTreeVolume:
         nodes = up + down[-2::-1]
         return list(zip(nodes, nodes[1:]))
 
-    def distance(self, x: int, y: int) -> int:
-        return len(self.path(x, y))
-
     def adjacent_outside(self, vertices: Iterable[int]) -> set[int]:
         vs = set(vertices)
         out = set()

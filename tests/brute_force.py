@@ -95,6 +95,7 @@ from ggmtree.model import (
     _heights,
     cayley_ball,
     eval_q,
+    path_volume,
 )
 from ggmtree.transfer import CirculantSpec
 
@@ -251,6 +252,17 @@ class GradientConfiguration:
         if (x, y) in edge_index:
             return self.increments[edge_index[(x, y)]]
         return -self.increments[edge_index[(y, x)]]
+
+
+def flat_bond_probs(kernel: LayerKernel, n: int, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The flat bonds (0, 1) and (n + 1, n + 2) of a path of n + 2 edges, each
+    pinned at its vertex nearest the other, as class vectors from
+    ``measures.event_prob_pinned``: the general route to the vectors that
+    ``correlation_and_bound`` takes."""
+    vol = path_volume(n + 2, d)
+    return (measures.event_prob_pinned(kernel, vol, {0, 1}, 1, {(0, 1): 0}),
+            measures.event_prob_pinned(kernel, vol, {n + 1, n + 2}, n + 1,
+                                       {(n + 1, n + 2): 0}))
 
 
 def pinned_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, s: int,

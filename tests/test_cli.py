@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from ggmtree import (
+    FiniteTreeVolume,
     GGMSpec,
     IncrementWindow,
     PeriodicBoundaryLaw,
     SOS,
     build_layer_kernel,
     cayley_ball,
+    correlation_and_bound,
     find_branches,
     fuzzy_transform,
     sample_ggm_batch,
@@ -174,9 +176,14 @@ SOS2 = {"kind": "sos", "beta": 2.0}
     (["solve-bl", "--model", {"potential": {"kind": "table", "weights": {"0": 1.0, "1": 0.3}},
                               "q": 2, "d": 2}, "--beta-min", "1", "--beta-max", "2"], 2,
      "beta sweeps need an sos or discrete_gaussian potential"),
+    (["solve-bl", "--model", "M", "--beta-min", "1", "--beta-max", "1e308",
+      "--beta-step", "1e-10"], 2, "the beta grid has more than 1000000 points"),
+    (["counterexample", "--eps0", "0.3", "--eps1", "0.1", "--kmax", "512"], 3,
+     "numerical failure: the conditional ratio at k = 512"),
 ], ids=["ok", "verification", "unwritable-out", "model-is-a-directory", "oversized-volume",
         "fractional-q", "fractional-d", "no-certified-window", "no-such-branch",
-        "perturb-period-1", "half-a-sweep", "sweep-of-a-table"])
+        "perturb-period-1", "half-a-sweep", "sweep-of-a-table", "beta-grid-overflows",
+        "counterexample-overflows"])
 def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, code, message):
     def resolve(arg):
         if isinstance(arg, dict):
@@ -189,6 +196,17 @@ def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, cod
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_beta_grid_cap_stops_before_any_solve(model_file, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on a grid over the cap")
+
+    monkeypatch.setattr(bl_solver, "find_branches", no_solve)
+    # (1000001 - 1) / 1 + 1 = 10^6 + 1 points, one past the cap
+    assert main(["solve-bl", "--model", model_file, "--beta-min", "1",
+                 "--beta-max", "1000001", "--beta-step", "1"]) == 2
+    assert "the beta grid has more than 1000000 points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["verify", "--depth", "16"], ["sample", "--n", "9"]],
@@ -583,6 +601,32 @@ class TestTables:
         assert [row["n"] for row in rows] == ["1", "2", "3", "4", "5"]
         for row in rows:
             assert abs(float(row["covariance"])) <= float(row["bound"])
+
+    # SOS beta=3 at q=6, d=3 catches a strided flat vector, which moves the
+    # last digits of every row
+    @pytest.mark.parametrize("doc", [
+        {"potential": {"kind": "sos", "beta": 2.0}, "q": 2, "d": 2},
+        {"potential": {"kind": "sos", "beta": 3.0}, "q": 6, "d": 3},
+    ], ids=["sos2-q2-d2", "sos3-q6-d3"])
+    def test_correlation_rows_are_the_path_volume_events(self, tmp_path, doc):
+        model = _model(tmp_path, doc)
+        out = tmp_path / "corr.csv"
+        argv = ["correlation", "--model", model, "--n-max", "60"]
+        assert main([*argv, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        *_, kernel, chain, _ = cli._setup(cli.build_parser().parse_args(argv), "correlation")
+        for n, row in enumerate(rows, 1):
+            pA, pB = bf.flat_bond_probs(kernel, n, doc["d"])
+            cov, bound = correlation_and_bound(chain, pA, pB, n)
+            assert row == {"n": str(n), "covariance": repr(cov), "bound": repr(bound)}
+
+    def test_correlation_builds_no_volume(self, model_file, tmp_path, monkeypatch):
+        def no_volume(*args, **kwargs):
+            raise AssertionError("correlation built a tree volume")
+
+        monkeypatch.setattr(FiniteTreeVolume, "__init__", no_volume)
+        assert main(["correlation", "--model", model_file, "--n-max", "50",
+                     "--out", str(tmp_path / "corr.csv")]) == 0
 
     def test_counterexample_csv_monotone(self, tmp_path):
         out = tmp_path / "ce.csv"

@@ -27,14 +27,11 @@ from ggmtree.diagnostics import (
 from brute_force import (
     GradientConfiguration,
     bond_marginals_by_position,
+    flat_bond_probs,
     ggm_prob,
     shifted,
     windowed_configs,
 )
-
-
-def bond_events(n):
-    return {0, 1}, {n + 1, n + 2}, {(0, 1): 0}, {(n + 1, n + 2): 0}
 
 
 class TestCorrelation:
@@ -42,18 +39,14 @@ class TestCorrelation:
         kernel = build_layer_kernel(SOS(1.5), PeriodicBoundaryLaw.trivial(2))
         chain = fuzzy_transform(kernel)
         for n in (1, 3):
-            spec = GGMSpec(kernel, chain, path_volume(n + 2))
-            A, B, zA, zB = bond_events(n)
-            cov, bound = correlation_and_bound(spec, A, B, zA, zB, n)
+            cov, bound = correlation_and_bound(chain, *flat_bond_probs(kernel, n), n)
             assert abs(cov) < 1e-15
 
     def test_decay_below_bound_and_envelope(self, kernel, chain):
         covs = []
         bounds = []
         for n in range(1, 11):
-            spec = GGMSpec(kernel, chain, path_volume(n + 2))
-            A, B, zA, zB = bond_events(n)
-            cov, bound = correlation_and_bound(spec, A, B, zA, zB, n)
+            cov, bound = correlation_and_bound(chain, *flat_bond_probs(kernel, n), n)
             covs.append(abs(cov))
             bounds.append(bound)
         covs = np.array(covs)
@@ -116,8 +109,7 @@ class TestCorrelation:
         n = 1
         vol = path_volume(n + 2)
         spec = GGMSpec(kernel, chain, vol)
-        A, B, zA, zB = bond_events(n)
-        cov, _ = correlation_and_bound(spec, A, B, zA, zB, n)
+        cov, _ = correlation_and_bound(chain, *flat_bond_probs(kernel, n), n)
         tot_joint = tot_a = tot_b = 0.0
         for arr in windowed_configs(vol, window, 10**7):
             p = ggm_prob(spec, GradientConfiguration(vol, tuple(map(int, arr))))
@@ -131,10 +123,13 @@ class TestCorrelation:
         slack = 10.0 * (n + 2) * kernel.deficits.max()
         assert abs(cov - cov_enum) <= slack
 
-    def test_distance_validation(self, kernel, chain):
-        spec = GGMSpec(kernel, chain, path_volume(4))
-        with pytest.raises(ValueError):
-            correlation_and_bound(spec, {0, 1}, {3, 4}, {(0, 1): 0}, {(3, 4): 0}, 5)
+    def test_rejects_bad_vectors_and_distance(self, chain):
+        good = np.array([0.5, 0.5])
+        for pA, pB, n in [(np.ones(3), good, 1), (good, np.ones(1), 1),
+                          (np.ones((1, 2)), good, 1), (good, good, 0), (good, good, -2)]:
+            with pytest.raises(ValueError):
+                correlation_and_bound(chain, pA, pB, n)
+        correlation_and_bound(chain, good, good, 1)
 
     def test_tv_profile_submultiplicative(self, chain):
         from ggmtree.chains import mixing_profile

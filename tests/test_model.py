@@ -291,7 +291,7 @@ class TestVolumes:
             assert [max(x, y) - 1 for x, y in steps] == [e for e, *_ in want]
             assert [1 if y > x else -1 for x, y in steps] == [sign for *_, sign in want]
             for k, (src, _) in enumerate(levels):
-                assert {volume.distance(w, x) for x in src.tolist()} == {k}
+                assert {len(volume.path(w, x)) for x in src.tolist()} == {k}
             assert np.array_equal(bf.vertex_heights(volume, w, 3, zeta),
                                   bf.scalar_heights(volume, w, 3, zeta))
 
@@ -316,17 +316,16 @@ class TestVolumes:
         assert sorted(ball2.boundary) == [4, 5, 6, 7, 8, 9]
 
     def test_distances(self, ball2):
-        assert ball2.distance(4, 5) == 2
-        assert ball2.distance(4, 6) == 4
-        assert ball2.distance(0, 9) == 2
-        assert ball2.distance(3, 3) == 0
+        assert len(ball2.path(4, 5)) == 2
+        assert len(ball2.path(4, 6)) == 4
+        assert len(ball2.path(0, 9)) == 2
+        assert len(ball2.path(3, 3)) == 0
 
     def test_distance_is_the_path_length(self):
         ball = cayley_ball(2, 3)
         for x in range(ball.n_vertices):
             for y in range(ball.n_vertices):
                 path = ball.path(x, y)
-                assert ball.distance(x, y) == len(path)
                 nodes = [x] + [b for _, b in path]
                 assert nodes[-1] == y and len(set(nodes)) == len(nodes)
                 assert all(a == b0 for (_, a), (b0, _) in zip(path, path[1:]))
