@@ -298,7 +298,7 @@ def cmd_verify(args) -> int:
     ggm = measures.GGMSpec(kernel, chain, volume)
     inner = {0}
     # vertex 1's first child, or its parent 0 when it is a leaf
-    pins = [0, 1, volume.neighbors(1)[0]]
+    pins = [0, 1, next(iter(np.flatnonzero(volume.parents == 1).tolist()), 0)]
     exact, certified = "exact", "certificate"
     checks = {
         "boundary_law_residual": (bl_solver.residual(kernel.law, op, d), tol, exact),
@@ -345,18 +345,22 @@ def cmd_counterexample(args) -> int:
         raise ConfigError(str(exc))
     config = {"command": "counterexample", "eps0": args.eps0, "eps1": args.eps1,
               "kmax": args.kmax}
+    header = ["k", "ratio_closed_form", "ratio_enumerated"]
+    ratios = (diagnostics.conditional_ratio_closed, diagnostics.conditional_ratio_enumerated)
     rows = []
     for k in range(1, args.kmax + 1):
-        try:
-            closed = diagnostics.conditional_ratio_closed(ce, k, k)
-            enum = diagnostics.conditional_ratio_enumerated(ce, k, k)
-        except (OverflowError, ZeroDivisionError):
-            print(f"numerical failure: the conditional ratio at k = {k} leaves the "
-                  "range of a double; lower --kmax", file=sys.stderr)
-            return EXIT_NUMERICAL
-        rows.append([k, float(closed), float(enum)])
-    _emit(_csv_text(_meta(config), ["k", "ratio_closed_form", "ratio_enumerated"], rows),
-          args.out)
+        rows.append([k])
+        for name, ratio in zip(header[1:], ratios):
+            try:
+                with np.errstate(all="ignore"):  # a ratio that is not finite exits 3
+                    rows[-1].append(float(ratio(ce, k, k)))
+            except (OverflowError, ZeroDivisionError):
+                rows[-1].append(math.inf)
+            if not math.isfinite(rows[-1][-1]):
+                print(f"numerical failure: the conditional ratio at k = {k} leaves the "
+                      f"range of a double ({name}); lower --kmax", file=sys.stderr)
+                return EXIT_NUMERICAL
+    _emit(_csv_text(_meta(config), header, rows), args.out)
     return EXIT_OK
 
 

@@ -300,7 +300,7 @@ def event_prob_pinned(kernel: LayerKernel, volume: FiniteTreeVolume,
     for v in vs:
         if (p := int(volume.parents[v])) in vs:
             Z[v - 1] = zeta[p, v]
-    return _product_probs(kernel, volume._steps_from(anchor, vs),
+    return _product_probs(kernel, _part(volume, anchor, vs)[0],
                           np.arange(kernel.q)[:, None], Z)
 
 
@@ -367,6 +367,22 @@ def _require_connected(volume: FiniteTreeVolume, vs: set[int], what: str) -> Non
     |set| - 1 edges."""
     if sum(volume.parents[v] in vs for v in vs) != len(vs) - 1:
         raise ValueError(f"{what} must form a connected set")
+
+
+def _part(volume: FiniteTreeVolume, pin: int, vs: set[int]) -> tuple[list, list[int]]:
+    """The levels of ``orientation_from(pin)`` cut to their steps into the
+    connected set ``vs`` that holds the pin, and the dsts of the steps out of
+    it, in table order; a level with no step into the set ends both."""
+    inside = np.zeros(volume.n_vertices, dtype=bool)
+    inside[list(vs)] = True
+    levels, rim = [], []
+    for src, dst in volume.orientation_from(pin):
+        keep = inside[dst]
+        rim += dst[inside[src] & ~keep].tolist()
+        if not keep.any():
+            break
+        levels.append((src[keep], dst[keep]))
+    return levels, rim
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +455,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner) -> float:
     # the weight hanging below each inner-boundary vertex equals the boundary
     # law itself exactly when the law solves the fixed-point equation
     unit = _upward(volume, pin, spec.kernel.circulant, a)[0]
-    width = sum(float(np.ptp(np.log(unit[v]) - np.log(a)))
-                for v in volume.adjacent_outside(ids))
+    width = sum(float(np.ptp(np.log(unit[v]) - np.log(a))) for v in _part(volume, pin, ids)[1])
     return _certified(volume, width)
 
 
@@ -467,8 +482,13 @@ def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
     allowance covers the rounding of the k ratios and of the power, about
     one ulp each.
     """
-    pins = list(pins)
-    k = len({frozenset(step) for x in pins[1:] for step in spec.volume.path(pins[0], x)})
+    pins = list(pins) or [0]  # no pins span no edges
+    on = np.zeros(spec.volume.n_vertices, dtype=bool)
+    on[pins] = True
+    # seen from pins[0], the spanning subtree holds the pins and their ancestors
+    for src, dst in reversed(spec.volume.orientation_from(pins[0])):
+        on[src[on[dst]]] = True
+    k = int(on.sum()) - 1
     if not k:
         return 0.0
     flow, back = _balance_flows(spec.kernel, spec.chain)
@@ -506,6 +526,8 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner) -> float:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
     log_a = np.log(spec.kernel.law.as_array())
     log_n = np.log(spec.kernel.norms)
-    spread = sum(float(np.ptp(log_a - (len(volume.neighbors(v)) - 1) * log_n))
-                 for v in ids)
+    # every neighbour of v but the one towards the pin: its children, and its
+    # parent unless v is the root
+    away = np.bincount(volume.parents[1:], minlength=volume.n_vertices) - 1
+    spread = sum(float(np.ptp(log_a - (away[v] + (v > 0)) * log_n)) for v in ids)
     return _certified(volume, spread)

@@ -400,7 +400,7 @@ def _tail_scale(op: TransferOperator, law: PeriodicBoundaryLaw) -> float:
 # ---------------------------------------------------------------------------
 # tree volumes
 
-ORIENTATIONS = 4  # pins cached per volume; verify walks from 0, Tier-1 misses 779 of 36,902
+ORIENTATIONS = 4  # pins cached per volume; Tier-1 misses 1,304 of 38,078, all but one first walks
 
 
 class FiniteTreeVolume:
@@ -469,31 +469,18 @@ class FiniteTreeVolume:
         degree[self.is_boundary] = self.d + 1
         return bool(np.all(degree == self.d + 1))
 
-    def neighbors(self, v: int) -> list[int]:
-        return self._adjacent[self._first[v]:self._first[v + 1]].tolist()
-
     def orientation_from(self, w: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The steps away from w in BFS order, as one (src, dst) pair of
         integer arrays per level: level k holds the steps whose src lies at
         distance k from w, and the steps of one src are consecutive.
 
         A step walks edge max(src, dst) - 1, along its stored (parent, child)
-        direction exactly when dst > src. The last ``ORIENTATIONS`` pins
+        direction exactly when dst > src. The levels come from one numpy
+        expansion of the frontier each, and the last ``ORIENTATIONS`` pins
         asked for are cached.
         """
-        if w not in self._orientations:
-            if len(self._orientations) >= ORIENTATIONS:
-                del self._orientations[next(iter(self._orientations))]
-            self._orientations[w] = self._steps_from(w)
-        return self._orientations[w]
-
-    def _steps_from(self, w: int, inside: Iterable[int] | None = None):
-        """The levels of ``orientation_from(w)``, or those of its steps that
-        stay inside the vertex set ``inside`` (which holds w), by one numpy
-        expansion of the frontier per level."""
-        if inside is not None:
-            mask = np.zeros(self.n_vertices, dtype=bool)
-            mask[list(inside)] = True
+        if w in self._orientations:
+            return self._orientations[w]
         levels = []
         src, came = np.array([w]), np.array([-1])
         while True:
@@ -503,31 +490,14 @@ class FiniteTreeVolume:
             dst = self._adjacent[np.repeat(lo - start, count) + np.arange(count.sum())]
             src = np.repeat(src, count)
             keep = dst != np.repeat(came, count)
-            if inside is not None:
-                keep &= mask[dst]
             if not keep.any():
-                return tuple(levels)
+                break
             came, src = src[keep], dst[keep]
             levels.append((came, src))
-
-    def path(self, x: int, y: int) -> list[tuple[int, int]]:
-        """The steps (from, to) of the tree path from x to y, climbing from
-        the larger vertex: a parent's index is smaller, so it is no ancestor."""
-        up, down = [x], [y]
-        while up[-1] != down[-1]:
-            if up[-1] > down[-1]:
-                up.append(int(self.parents[up[-1]]))
-            else:
-                down.append(int(self.parents[down[-1]]))
-        nodes = up + down[-2::-1]
-        return list(zip(nodes, nodes[1:]))
-
-    def adjacent_outside(self, vertices: Iterable[int]) -> set[int]:
-        vs = set(vertices)
-        out = set()
-        for v in vs:
-            out.update(u for u in self.neighbors(v) if u not in vs)
-        return out
+        if len(self._orientations) >= ORIENTATIONS:
+            del self._orientations[next(iter(self._orientations))]
+        self._orientations[w] = tuple(levels)
+        return self._orientations[w]
 
 
 def cayley_ball(d: int, radius: int) -> FiniteTreeVolume:

@@ -53,7 +53,11 @@ and
 in a dict, that ``measures._product_probs`` matches bit for bit from the
 heights. Every other oracle here walks ``scalar_orientation``.
 ``directed_edges`` and ``children`` are the tuple forms of a volume that the
-library dropped for its arrays, built once per volume.
+library dropped for its arrays, built once per volume, and ``neighbors``,
+``adjacent_outside`` and ``path`` (parent climbs) the volume's walks that
+the library dropped for its step tables, built from ``parents`` alone.
+``restricted_orientation`` is the BFS that never leaves a vertex set, which
+``measures._part`` cuts from a whole step table.
 ``GradientConfiguration``, ``vertex_layers``, ``pinned_prob_product``,
 ``sample_ggm`` and ``event_prob_ggm`` are the test-only forms the library no
 longer carries: a configuration as a tuple
@@ -126,6 +130,47 @@ def children(volume: FiniteTreeVolume) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, kids))
 
 
+def neighbors(volume: FiniteTreeVolume, v: int) -> list[int]:
+    """The neighbours of v: its children in index order, then its parent."""
+    return [*children(volume)[v], *([int(volume.parents[v])] if v else [])]
+
+
+def adjacent_outside(volume: FiniteTreeVolume, vertices: Iterable[int]) -> set[int]:
+    """The vertices outside the set that neighbour a vertex of it."""
+    vs = set(vertices)
+    return {u for v in vs for u in neighbors(volume, v) if u not in vs}
+
+
+def path(volume: FiniteTreeVolume, x: int, y: int) -> list[tuple[int, int]]:
+    """The steps (from, to) of the tree path from x to y, climbing from
+    the larger vertex: a parent's index is smaller, so it is no ancestor."""
+    up, down = [x], [y]
+    while up[-1] != down[-1]:
+        if up[-1] > down[-1]:
+            up.append(int(volume.parents[up[-1]]))
+        else:
+            down.append(int(volume.parents[down[-1]]))
+    nodes = up + down[-2::-1]
+    return list(zip(nodes, nodes[1:]))
+
+
+def restricted_orientation(volume: FiniteTreeVolume, w: int,
+                           inside: Iterable[int]) -> list[list[tuple[int, int]]]:
+    """The steps (src, dst) of a BFS from w that never leaves the vertex set
+    ``inside``, neighbours visited children first and then the parent, one
+    list per distance of src from w."""
+    vs = set(inside)
+    levels, frontier, seen = [], [w], {w}
+    while True:
+        level = [(src, dst) for src in frontier for dst in neighbors(volume, src)
+                 if dst in vs and dst not in seen]
+        if not level:
+            return levels
+        seen.update(dst for _, dst in level)
+        levels.append(level)
+        frontier = [dst for _, dst in level]
+
+
 @functools.lru_cache(maxsize=64)
 def scalar_orientation(volume: FiniteTreeVolume,
                        w: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -141,7 +186,7 @@ def scalar_orientation(volume: FiniteTreeVolume,
     queue = deque([w])
     while queue:
         src = queue.popleft()
-        for dst in volume.neighbors(src):
+        for dst in neighbors(volume, src):
             if dst in seen:
                 continue
             seen.add(dst)
@@ -203,7 +248,7 @@ def vertex_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarr
 
 def edges_touching(volume: FiniteTreeVolume, vertices) -> list[int]:
     """The sorted indices of the edges with an endpoint in ``vertices``."""
-    return sorted({max(v, u) - 1 for v in set(vertices) for u in volume.neighbors(v)})
+    return sorted({max(v, u) - 1 for v in set(vertices) for u in neighbors(volume, v)})
 
 
 def vertex_layers(volume: FiniteTreeVolume, q: int, pin: int, s: int, zeta) -> np.ndarray:
@@ -401,7 +446,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
         raise ValueError("the pin vertex must belong to the inner volume")
     inner_edges = edges_touching(volume, ids)
     inner_edge_set = set(inner_edges)
-    inner_boundary = volume.adjacent_outside(ids)
+    inner_boundary = adjacent_outside(volume, ids)
     hang = _hanging_factors(kernel, volume, spec.pin_vertex, inner_boundary)
     a = kernel.law.as_array()
     C = kernel.circulant
@@ -471,7 +516,7 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     if spec.pin_vertex in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
     inner_edges = edges_touching(volume, ids)
-    inner_boundary = sorted(volume.adjacent_outside(ids))
+    inner_boundary = sorted(adjacent_outside(volume, ids))
     anchor = inner_boundary[0]
 
     base = np.zeros(volume.n_edges, dtype=np.int64)
@@ -853,7 +898,7 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
     if pin not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
     inner_edges = edges_touching(volume, ids)
-    inner_boundary = volume.adjacent_outside(ids)
+    inner_boundary = adjacent_outside(volume, ids)
     a = kernel.law.as_array()
     hang = _hanging_factors(kernel, volume, pin, inner_boundary)
     z_big = _bl_partition(kernel, volume, pin)

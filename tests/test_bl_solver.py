@@ -191,6 +191,16 @@ class TestBranchSweep:
                 assert len(got) == len(want), beta
                 assert got == pytest.approx(want, rel=0.0, abs=1e-12), beta
 
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_bench_sweeps_print_laws_within_tol(self, shift):
+        # what the benchmark checks of every solve-bl row: the printed law
+        # itself solves the equation to --tol, on the grids the CLI builds
+        for q, d, lo, step in [(2, 2, 1.74, 0.003), (2, 3, 0.8, 0.06), (3, 2, 1.5, 0.12)]:
+            for i in range(17):
+                op = SOS(lo + shift * step + i * step)
+                for rep in find_branches(op, q, d, tol=1e-10):
+                    assert residual(rep.solution, op, d) <= 1e-10, (q, d, op.beta)
+
     @pytest.mark.parametrize("beta, q", [(3.0, 3), (2.0, 4), (2.5, 5)])
     def test_symmetry_orbits_are_closed(self, beta, q):
         _assert_orbits_closed(beta, q)

@@ -180,10 +180,13 @@ SOS2 = {"kind": "sos", "beta": 2.0}
       "--beta-step", "1e-10"], 2, "the beta grid has more than 1000000 points"),
     (["counterexample", "--eps0", "0.3", "--eps1", "0.1", "--kmax", "512"], 3,
      "numerical failure: the conditional ratio at k = 512"),
+    # the closed form's denominator underflows, so it reads inf without raising
+    (["counterexample", "--eps0", "0.05", "--eps1", "0.49", "--kmax", "186"], 3,
+     "the conditional ratio at k = 186 leaves the range of a double (ratio_closed_form)"),
 ], ids=["ok", "verification", "unwritable-out", "model-is-a-directory", "oversized-volume",
         "fractional-q", "fractional-d", "no-certified-window", "no-such-branch",
         "perturb-period-1", "half-a-sweep", "sweep-of-a-table", "beta-grid-overflows",
-        "counterexample-overflows"])
+        "counterexample-overflows", "counterexample-not-finite"])
 def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, code, message):
     def resolve(arg):
         if isinstance(arg, dict):

@@ -198,7 +198,7 @@ class TestPinnedProduct:
         for volume, pin in itertools.product(volumes, (0, 1, 5)):
             part = {pin}  # a random connected part holding the pin
             while len(part) < min(volume.n_vertices // 2, 40):
-                part.add(int(rng.choice(sorted(volume.adjacent_outside(part)))))
+                part.add(int(rng.choice(sorted(bf.adjacent_outside(volume, part)))))
             # sparse rows, with ±cutoff among them, then dense rows
             Z = np.zeros((8, volume.n_edges), dtype=np.int64)
             for row in Z[1:5]:
@@ -208,7 +208,7 @@ class TestPinnedProduct:
             Z[5:] = rng.integers(-cutoff, cutoff + 1, size=(3, volume.n_edges))
             Z[7, ::2] = -cutoff
             levels = volume.orientation_from(pin)
-            inside = volume._steps_from(pin, part)
+            inside = measures._part(volume, pin, part)[0]
             for s in range(q):
                 assert np.array_equal(measures._product_probs(kernel, levels, s, Z),
                                       bf.step_product_probs(kernel, volume, pin, s, Z))
@@ -489,6 +489,59 @@ class TestGuideSampler:
         assert batch.T.flags.c_contiguous
         assert batch.nbytes == n * spec.volume.n_edges * batch.itemsize
         assert np.array_equal(batch, bf.sample_ggm_batch(spec, n, 11))
+
+
+def random_parts(count, seed):
+    """Random trees, each with a pin and a random connected part holding it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 120))
+        volume = FiniteTreeVolume(2, [None, *rng.integers(np.arange(1, n)).tolist()], ())
+        pin = int(rng.integers(n))
+        part = {pin}
+        while len(part) < rng.integers(1, n + 1):
+            part.add(int(rng.choice(sorted(bf.adjacent_outside(volume, part)))))
+        yield rng, volume, pin, part
+
+
+class TestStepTableWalks:
+    """Every walk reads ``orientation_from``, checked against the neighbour
+    walks of ``brute_force`` on random trees."""
+
+    def test_part_is_the_restricted_bfs_and_its_rim(self):
+        for _, volume, pin, part in random_parts(120, seed=5):
+            levels, rim = measures._part(volume, pin, part)
+            got = [list(zip(src.tolist(), dst.tolist())) for src, dst in levels]
+            assert got == bf.restricted_orientation(volume, pin, part)
+            assert sorted(rim) == sorted(bf.adjacent_outside(volume, part))
+
+    def test_homogeneity_counts_the_edges_spanning_the_pins(self, sos2, upper_law):
+        # r = 1e-3, as in TestHomogeneity, so the bound is 1.001**k - 1 for
+        # the k edges on the paths from the first pin to the others
+        kernel = build_layer_kernel(sos2, upper_law)
+        chain = fuzzy_transform(kernel)
+        alpha = chain.alpha.copy()
+        alpha[0] *= 1.0 + 1e-3
+        chain = FuzzyChain(2, chain.matrix, alpha / alpha.sum())
+        for rng, volume, pin, _ in random_parts(120, seed=6):
+            pins = [pin, *rng.integers(volume.n_vertices, size=rng.integers(0, 4)).tolist()]
+            k = len({frozenset(step) for x in pins[1:] for step in bf.path(volume, pin, x)})
+            got = check_homogeneity(GGMSpec(kernel, chain, volume), pins)
+            assert got == (pytest.approx(1.001**k - 1, rel=1e-9) if k else 0.0)
+
+    def test_restricted_exponents_are_the_neighbour_counts(self, sos2, upper_law):
+        # k_v counts the neighbours of v but the one towards the pin
+        law = perturbed(upper_law)
+        kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
+        log_a, log_n = np.log(law.as_array()), np.log(kernel.norms)
+        for _, volume, pin, part in random_parts(60, seed=7):
+            spec = PinnedMeasureSpec(kernel, volume, pin, 0)
+            inner = bf.adjacent_outside(volume, part)
+            if not inner:
+                continue
+            width = sum(float(np.ptp(log_a - (len(bf.neighbors(volume, v)) - 1) * log_n))
+                        for v in inner)
+            assert check_restricted_dlr(spec, inner) == measures._certified(volume, width)
 
 
 class TestConsistency:

@@ -267,12 +267,15 @@ def random_tree(n, seed=1):
 
 class TestVolumes:
     def test_depth_and_neighbours_are_the_scalar_walk(self):
+        # from the root, level k holds the steps from the vertices at depth k
+        # (parent climbs) to their children, in index order
         trees = [random_tree(n) for n in (1, 2, 50, 3000)]
         for volume in [cayley_ball(2, 6), cayley_ball(3, 4), cayley_ball(4, 1), path_volume(40),
                        SHUFFLED, *trees]:
             kids = bf.children(volume)
-            for v in range(volume.n_vertices):
-                assert volume.neighbors(v) == [*kids[v], *([volume.parents[v]] if v else [])]
+            for k, (src, dst) in enumerate(volume.orientation_from(0)):
+                assert {len(bf.path(volume, 0, x)) for x in src.tolist()} == {k}
+                assert dst.tolist() == [c for x in dict.fromkeys(src.tolist()) for c in kids[x]]
 
     # the distance check is the test of ``path``, which climbs from the larger vertex
     @pytest.mark.parametrize("volume", [cayley_ball(2, 3), cayley_ball(3, 2), path_volume(6),
@@ -291,7 +294,7 @@ class TestVolumes:
             assert [max(x, y) - 1 for x, y in steps] == [e for e, *_ in want]
             assert [1 if y > x else -1 for x, y in steps] == [sign for *_, sign in want]
             for k, (src, _) in enumerate(levels):
-                assert {len(volume.path(w, x)) for x in src.tolist()} == {k}
+                assert {len(bf.path(volume, w, x)) for x in src.tolist()} == {k}
             assert np.array_equal(bf.vertex_heights(volume, w, 3, zeta),
                                   bf.scalar_heights(volume, w, 3, zeta))
 
@@ -316,20 +319,26 @@ class TestVolumes:
         assert sorted(ball2.boundary) == [4, 5, 6, 7, 8, 9]
 
     def test_distances(self, ball2):
-        assert len(ball2.path(4, 5)) == 2
-        assert len(ball2.path(4, 6)) == 4
-        assert len(ball2.path(0, 9)) == 2
-        assert len(ball2.path(3, 3)) == 0
+        # y lies at distance k + 1 from x when it is a dst of level k of x's table
+        def distance(x, y):
+            levels = ball2.orientation_from(x)
+            return next((k + 1 for k, (_, dst) in enumerate(levels) if y in dst), 0)
+
+        assert distance(4, 5) == 2
+        assert distance(4, 6) == 4
+        assert distance(0, 9) == 2
+        assert distance(3, 3) == 0
 
     def test_distance_is_the_path_length(self):
+        # the parent-climb oracle walks a path of neighbours from x to y
         ball = cayley_ball(2, 3)
         for x in range(ball.n_vertices):
             for y in range(ball.n_vertices):
-                path = ball.path(x, y)
+                path = bf.path(ball, x, y)
                 nodes = [x] + [b for _, b in path]
                 assert nodes[-1] == y and len(set(nodes)) == len(nodes)
                 assert all(a == b0 for (_, a), (b0, _) in zip(path, path[1:]))
-                assert all(b in ball.neighbors(a) for a, b in path)
+                assert all(b in bf.neighbors(ball, a) for a, b in path)
 
     def test_path_volume_is_not_full(self):
         assert not path_volume(3).full
@@ -347,9 +356,11 @@ class TestVolumes:
         assert vol.full
         kids = bf.children(vol)
         assert sum(map(len, kids)) == vol.n_vertices - 1
-        # the neighbour table lists the children in index order, then the parent
+        # numbered level by level, so the root's table steps to 1, 2, ... in turn
+        src, dst = (np.concatenate(side) for side in zip(*vol.orientation_from(0)))
+        assert np.array_equal(dst, np.arange(1, vol.n_vertices))
+        assert np.array_equal(src, vol.parents[1:])
         for v in range(vol.n_vertices):
-            assert vol.neighbors(v) == [*kids[v], *([vol.parents[v]] if v else [])]
             assert list(kids[v]) == sorted(kids[v])
             assert all(vol.parents[c] == v for c in kids[v])
 
