@@ -3,21 +3,20 @@
 as the conditioning window grows.
 
 The ratio flat-vs-step diverges with the window, which is exactly the failure
-of the conditional structure a gradient measure would have to satisfy.
+of the conditional structure a gradient measure would have to satisfy. The
+table is the one ``ggmtree counterexample`` writes, and the script exits with
+its code: 3 when a ratio leaves the range of a double.
 """
 from __future__ import annotations
 
 import argparse
-import csv
+import sys
 
-from ggmtree.diagnostics import (
-    CounterexampleChain,
-    conditional_ratio_closed,
-    conditional_ratio_enumerated,
-)
+from ggmtree.cli import EXIT_OK, main as cli_main
+from ggmtree.diagnostics import CounterexampleChain
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--eps0", type=float, default=0.1)
     parser.add_argument("--eps1", type=float, default=0.05)
@@ -25,18 +24,15 @@ def main() -> None:
     parser.add_argument("--out", default="counterexample_scan.csv")
     args = parser.parse_args()
 
-    ce = CounterexampleChain(args.eps0, args.eps1)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "ratio_closed_form", "ratio_enumerated"])
-        for k in range(1, args.kmax + 1):
-            writer.writerow([k,
-                             f"{conditional_ratio_closed(ce, k, k):.12f}",
-                             f"{conditional_ratio_enumerated(ce, k, k):.12f}"])
-    print(f"drift constant C = {ce.growth_constant():.6f}; "
-          f"the ratio grows without bound, so no conditional structure survives")
-    print(f"wrote {args.out}")
+    code = cli_main(["counterexample", "--eps0", repr(args.eps0), "--eps1", repr(args.eps1),
+                     "--kmax", str(args.kmax), "--out", args.out])
+    if code == EXIT_OK:
+        ce = CounterexampleChain(args.eps0, args.eps1)
+        print(f"drift constant C = {ce.growth_constant():.6f}; "
+              f"the ratio grows without bound, so no conditional structure survives")
+        print(f"wrote {args.out}")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -28,80 +28,16 @@ if "numpy" not in _sys.modules and not any(
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .errors import (
-    Diverged,
-    GGMError,
-    MaxIterations,
-    NonStochastic,
-    NonSummable,
-    OutOfWindow,
-    PeriodMismatch,
-    PinInsideInner,
-    TailTooFat,
-    UnsupportedDegree,
-    UnsupportedPeriod,
-)
-from .model import (
-    SOS,
-    DiscreteGaussian,
-    FiniteTreeVolume,
-    IncrementWindow,
-    LiftedPotts,
-    PeriodicBoundaryLaw,
-    Table,
-    cayley_ball,
-    eval_q,
-    model_from_json,
-    model_to_json,
-    path_volume,
-    total_mass,
-    wrapped_row,
-    wrapped_sum,
-)
-from .bl_solver import (
-    SolveReport,
-    closed_form_q2_sos,
-    critical_beta,
-    effective_beta,
-    find_branches,
-    fixed_point_solve,
-    ising_type_solve,
-    residual,
-)
-from .chains import (
-    FuzzyChain,
-    LayerKernel,
-    build_layer_kernel,
-    check_reversibility,
-    fuzzy_transform,
-    mixing_profile,
-    tv_distance,
-)
-from .measures import (
-    GGMSpec,
-    PinnedMeasureSpec,
-    check_consistency,
-    check_homogeneity,
-    check_restricted_dlr,
-    max_dual_gap_ggm,
-    max_dual_gap_pinned,
-    sample_ggm_batch,
-    single_bond_marginal,
-    two_bond_marginal,
-)
-from .transfer import (
-    CirculantSpec,
-    clock_reduction,
-    lift_potts,
-    potts_boundary_laws,
-    potts_row,
-)
-from .diagnostics import (
-    CounterexampleChain,
-    correlation_and_bound,
-    counterexample_conditional_ratio,
-    decay_envelope,
-    identifiability_check,
-)
+from . import errors, model, bl_solver, chains, measures, transfer, diagnostics
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .bl_solver import *  # noqa: F403
+from .chains import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .transfer import *  # noqa: F403
+from .diagnostics import *  # noqa: F403
+
+__all__ = [*errors.__all__, *model.__all__, *bl_solver.__all__, *chains.__all__,
+           *measures.__all__, *transfer.__all__, *diagnostics.__all__]
 
 __version__ = "0.1.0"

@@ -54,6 +54,7 @@ BRANCH_TRIVIAL = "trivial"
 BRANCH_UPPER = "upper"
 BRANCH_LOWER = "lower"
 BRANCH_OTHER = "other"
+BRANCHES = (BRANCH_TRIVIAL, BRANCH_UPPER, BRANCH_LOWER, BRANCH_OTHER)  # every branch_label
 
 _LOWER_GUARD = 1e-12
 _UPPER_GUARD = 1e12

@@ -41,6 +41,8 @@ from .model import (
     model_to_json,
 )
 
+__all__ = ["build_parser", "main", "console_entry"]
+
 SCHEMA_VERSION = 1
 # each certified verify check reports one bound, on the largest |ratio - 1|;
 # 4 centred the dual and consistency bounds by normalization, and 5 reads
@@ -125,8 +127,8 @@ def _meta(config: dict, version: int = SCHEMA_VERSION) -> dict:
 
 
 def _select_law(op, q, d, branch: str, tol: float) -> tuple[PeriodicBoundaryLaw, str]:
-    if branch == "trivial":
-        return PeriodicBoundaryLaw.trivial(q), "trivial"
+    if branch == bl_solver.BRANCH_TRIVIAL:
+        return PeriodicBoundaryLaw.trivial(q), branch
     reports = bl_solver.find_branches(op, q, d, tol=tol)
     if branch == "auto":
         # the members of a symmetry orbit tie in max |a - 1|, so a tie within
@@ -418,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_POSITIVE, default=1e-10)
         p.add_argument("--window", type=_AT_LEAST_1, default=None,
                        help="increment cutoff (default: certified automatically)")
-        p.add_argument("--branch", default="auto",
-                       choices=["auto", "trivial", "upper", "lower", "other"])
+        p.add_argument("--branch", default="auto", choices=["auto", *bl_solver.BRANCHES])
 
     p = sub.add_parser("solve-bl", help="solve the periodic boundary-law equation")
     p.add_argument("--model", required=True)

@@ -26,7 +26,6 @@ __all__ = [
     "correlation_and_bound",
     "decay_envelope",
     "identifiability_check",
-    "counterexample_conditional_ratio",
     "conditional_ratio_closed",
     "conditional_ratio_enumerated",
     "path_mixture_prob",
@@ -133,12 +132,6 @@ class CounterexampleChain:
         total = self.eps0 + self.eps1
         return np.array([self.eps1 / total, self.eps0 / total])
 
-    def fuzzy_matrix(self) -> np.ndarray:
-        return np.array([
-            [1.0 - 2.0 * self.eps0, 2.0 * self.eps0],
-            [2.0 * self.eps1, 1.0 - 2.0 * self.eps1],
-        ])
-
     def growth_constant(self) -> float:
         return (1.0 - 2.0 * self.eps1) / (1.0 - 2.0 * self.eps0)
 
@@ -178,14 +171,3 @@ def conditional_ratio_enumerated(ce: CounterexampleChain, len_left: int,
     up = [0] * len_left + [1] + [0] * len_right
     return path_mixture_prob(ce, flat) / path_mixture_prob(ce, up)
 
-
-def counterexample_conditional_ratio(ce: CounterexampleChain, len_left: int,
-                                     len_right: int) -> float:
-    """Conditional ratio with the closed form checked against enumeration."""
-    if len_left < 0 or len_right < 0:
-        raise ValueError("flank lengths must be >= 0")
-    closed = conditional_ratio_closed(ce, len_left, len_right)
-    enum = conditional_ratio_enumerated(ce, len_left, len_right)
-    if abs(closed - enum) > 1e-10 * max(1.0, abs(closed)):
-        raise AssertionError(f"closed form {closed} disagrees with enumeration {enum}")
-    return closed

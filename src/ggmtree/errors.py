@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GGMError",
+    "NonSummable",
+    "Diverged",
+    "MaxIterations",
+    "UnsupportedDegree",
+    "UnsupportedPeriod",
+    "NonStochastic",
+    "OutOfWindow",
+    "PinInsideInner",
+    "TailTooFat",
+    "PeriodMismatch",
+]
+
 
 class GGMError(Exception):
     """Base class for all package-specific failures."""

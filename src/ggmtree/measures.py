@@ -230,13 +230,14 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     yields the same batch, independent of how the caller schedules work.
     The class of vertex 0 is drawn from ``n`` uniforms, then the increments
     of each edge, in the BFS order of ``orientation_from(0)``, from ``n``
-    more. Uniforms are drawn in blocks of at most ``DRAW_BLOCK``: the edges
-    of a level together while n fits a block, else one edge in column
-    blocks, in the order in which one draw per edge would take them, so the
-    batch does not depend on the blocking, bit for bit. Each increment is
-    the inverse-CDF lookup in its source layer's row by the guide tables of
-    ``_Guide``, exact because their bucket bounds are exact binary fractions
-    and a uniform in a bucket holding a cdf entry goes to ``searchsorted``.
+    more. Uniforms are drawn in blocks of at most ``DRAW_BLOCK``: the root's
+    in column blocks, the edges of a level together while n fits a block,
+    else one edge in column blocks, in the order in which one draw per edge
+    would take them, so the batch does not depend on the blocking, bit for
+    bit. Each increment is the inverse-CDF lookup in its source layer's row
+    by the guide tables of ``_Guide``, exact because their bucket bounds are
+    exact binary fractions and a uniform in a bucket holding a cdf entry
+    goes to ``searchsorted``.
     """
     volume = spec.volume
     rng = np.random.default_rng(np.random.Philox(key=int(seed) & (2**64 - 1)))
@@ -245,8 +246,11 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     # a level reads only the layers of the level before it, held in
     # ``layers`` with vertex v at row where[v]
     where = np.zeros(volume.n_vertices, dtype=np.intp)
-    first = np.searchsorted(np.cumsum(spec.chain.alpha), rng.random(n), side="right")
-    layers = np.minimum(first, spec.kernel.q - 1).astype(guide.ends.dtype)[None, :]
+    cdf = np.cumsum(spec.chain.alpha)
+    layers = np.empty((1, n), dtype=guide.ends.dtype)
+    for c in range(0, n, DRAW_BLOCK):
+        first = np.searchsorted(cdf, rng.random(min(DRAW_BLOCK, n - c)), side="right")
+        layers[0, c:c + DRAW_BLOCK] = np.minimum(first, spec.kernel.q - 1)
     cols = min(max(n, 1), DRAW_BLOCK)
     per_draw = DRAW_BLOCK // cols  # edges
     levels = volume.orientation_from(0)

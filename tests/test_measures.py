@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,19 @@ class TestLevelBlockedSampler:
     def test_equals_per_edge_sampler(self, spec_parts, n, depth):
         spec = GGMSpec(*spec_parts, cayley_ball(2, depth))
         assert np.array_equal(sample_ggm_batch(spec, n, 5), bf.sample_ggm_batch(spec, n, 5))
+
+    def test_root_draw_is_blocked(self, spec_parts):
+        # the root's classes go DRAW_BLOCK at a time into one byte per
+        # sample, so nothing but the batch and that row grows with n
+        spec = GGMSpec(*spec_parts, cayley_ball(2, 1))
+        n = 10**6
+        tracemalloc.start()
+        try:
+            batch = sample_ggm_batch(spec, n, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch.nbytes + n + 256 * measures.DRAW_BLOCK
 
     def test_levels_in_any_vertex_order(self, spec_parts):
         # a random tree: the ids of one level interleave with those of others
