@@ -2,20 +2,26 @@
 """Sweep the inverse temperature around the analytic onset of multiple
 boundary laws and record every solved branch.
 
-Writes a CSV with one row per (beta, branch) and prints the detected
-transition point next to the analytic value.
+Runs the CLI's ``critical-beta`` for the onset and its ``solve-bl`` over the
+beta grid on the solid-on-solid model, so it writes the same CSV (a
+``# {meta}`` line, then one row per (beta, branch)) and exits with the CLI's
+codes. Prints the first beta with more than one law next to the analytic
+value.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import json
+import os
+import sys
+import tempfile
+from collections import Counter
 
-import numpy as np
-
-from ggmtree import SOS, critical_beta, find_branches
+from ggmtree.cli import EXIT_OK, main as cli_main
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--q", type=int, default=2)
     parser.add_argument("--d", type=int, default=2)
@@ -24,29 +30,36 @@ def main() -> None:
     parser.add_argument("--out", default="bifurcation_sweep.csv")
     args = parser.parse_args()
 
-    beta_c = critical_beta(args.q, args.d)
-    grid = np.arange(beta_c - args.halfwidth, beta_c + args.halfwidth + 1e-12,
-                     args.step)
-    detected = None
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "branch", *[f"a_{k}" for k in range(args.q)],
-                         "residual", "iterations"])
-        for beta in grid:
-            reports = find_branches(SOS(float(beta)), args.q, args.d)
-            if len(reports) > 1 and detected is None:
-                detected = float(beta)
-            for rep in reports:
-                writer.writerow([f"{beta:.6f}", rep.branch_label,
-                                 *[f"{v:.12g}" for v in rep.solution.a],
-                                 f"{rep.residual:.3e}", rep.iterations])
+    with tempfile.TemporaryDirectory() as tmp:
+        onset = os.path.join(tmp, "critical_beta.json")
+        code = cli_main(["critical-beta", "--q", str(args.q), "--d", str(args.d),
+                         "--out", onset])
+        if code != EXIT_OK:
+            return code
+        with open(onset) as fh:
+            beta_c = json.load(fh)["critical_beta"]
+        model = os.path.join(tmp, "model.json")
+        with open(model, "w") as fh:
+            json.dump({"potential": {"kind": "sos", "beta": beta_c},
+                       "q": args.q, "d": args.d}, fh)
+        code = cli_main(["solve-bl", "--model", model,
+                         "--beta-min", repr(beta_c - args.halfwidth),
+                         "--beta-max", repr(beta_c + args.halfwidth),
+                         "--beta-step", repr(args.step), "--out", args.out])
+    if code != EXIT_OK:
+        return code
+    with open(args.out, newline="") as fh:
+        next(fh)  # the "# {meta}" line
+        laws = Counter(row["beta"] for row in csv.DictReader(fh))
+    detected = next((beta for beta, count in laws.items() if count > 1), None)
     print(f"analytic onset  beta_c = {beta_c:.6f}")
     if detected is None:
         print("no multi-branch point inside the sweep window")
     else:
-        print(f"detected onset  beta   = {detected:.6f}")
+        print(f"detected onset  beta   = {float(detected):.6f}")
     print(f"wrote {args.out}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

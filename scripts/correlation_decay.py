@@ -1,53 +1,57 @@
 #!/usr/bin/env python3
 """Exact covariance of two flat bonds at growing distance, its mixing bound,
-and the geometric decay fitted to the layer chain's mixing profile. A flat
-bond's pinned probabilities are the kernel's increment-0 column, so each row
-is one power of the q x q chain and no tree volume is built.
+and the geometric decay fitted to the layer chain's mixing profile.
+
+Runs the CLI's ``correlation`` on the upper law of the solid-on-solid model
+(q = 2, d = 2), so it writes the same CSV (a ``# {meta}`` line, then
+``n,covariance,bound``) and exits with the CLI's codes. The decay C * delta**n
+is fitted to the fuzzy chain that ``chain dump`` reports; it is a fit, not a
+bound, and is printed, not tabulated.
 """
 from __future__ import annotations
 
 import argparse
-import csv
+import json
 import math
+import os
+import sys
+import tempfile
 
-from ggmtree import (
-    SOS,
-    build_layer_kernel,
-    closed_form_q2_sos,
-    correlation_and_bound,
-    decay_envelope,
-    fuzzy_transform,
-)
+import numpy as np
+
+from ggmtree import FuzzyChain, decay_envelope
+from ggmtree.cli import EXIT_OK, main as cli_main
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--beta", type=float, default=2.0)
     parser.add_argument("--n-max", type=int, default=10)
     parser.add_argument("--out", default="correlation_decay.csv")
     args = parser.parse_args()
 
-    laws = closed_form_q2_sos(args.beta)
-    if len(laws) == 1:
-        raise SystemExit(f"beta={args.beta} is below the onset; only the flat "
-                         "law exists and all covariances vanish")
-    op = SOS(args.beta)
-    kernel = build_layer_kernel(op, laws[1])
-    chain = fuzzy_transform(kernel)
-    c, delta, env = decay_envelope(chain, args.n_max)
-    # a contiguous copy: a strided column moves the last digits
-    flat = kernel.probs[:, kernel.window.cutoff].copy()
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "covariance", "bound", "envelope"])
-        for n in range(1, args.n_max + 1):
-            cov, bound = correlation_and_bound(chain, flat, flat, n)
-            writer.writerow([n, f"{cov:.12e}", f"{bound:.12e}",
-                             f"{env[n - 1]:.12e}"])
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.json")
+        with open(model, "w") as fh:
+            json.dump({"potential": {"kind": "sos", "beta": args.beta}, "q": 2, "d": 2}, fh)
+        law = ["--model", model, "--branch", "upper"]
+        dump = os.path.join(tmp, "chain.json")
+        code = cli_main(["chain", "dump", *law, "--out", dump])
+        if code != EXIT_OK:
+            return code
+        with open(dump) as fh:
+            payload = json.load(fh)
+        code = cli_main(["correlation", *law, "--n-max", str(args.n_max), "--out", args.out])
+    if code != EXIT_OK:
+        return code
+    chain = FuzzyChain(2, np.array(payload["fuzzy_matrix"]), np.array(payload["alpha"]))
+    c, delta, _ = decay_envelope(chain, args.n_max)
     print(f"second eigenvalue modulus delta = {delta:.6f} "
           f"(decay rate log delta = {math.log(delta):.6f})")
+    print(f"fitted decay C * delta**n with C = {c:.6f} (a fit, not a bound)")
     print(f"wrote {args.out}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
