@@ -13,20 +13,24 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
 from collections import Counter
 
-from ggmtree.cli import EXIT_OK, main as cli_main
+from ggmtree.cli import _POSITIVE, EXIT_OK, _checked, main as cli_main
+
+# the script's own checks, so an error names the script's flag, not solve-bl's
+_HALFWIDTH = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and non-negative")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--q", type=int, default=2)
     parser.add_argument("--d", type=int, default=2)
-    parser.add_argument("--halfwidth", type=float, default=0.15)
-    parser.add_argument("--step", type=float, default=0.01)
+    parser.add_argument("--halfwidth", type=_HALFWIDTH, default=0.15)
+    parser.add_argument("--step", type=_POSITIVE, default=0.01)
     parser.add_argument("--out", default="bifurcation_sweep.csv")
     args = parser.parse_args()
 

@@ -20,13 +20,16 @@ import tempfile
 import numpy as np
 
 from ggmtree import FuzzyChain, decay_envelope
-from ggmtree.cli import EXIT_OK, main as cli_main
+from ggmtree.cli import _AT_LEAST_1, _POSITIVE, EXIT_OK, main as cli_main
+
+# the script checks its own flags with the CLI's argument types, so an error
+# names --beta or --n-max, not correlation's usage or the temporary model file
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--beta", type=float, default=2.0)
-    parser.add_argument("--n-max", type=int, default=10)
+    parser.add_argument("--beta", type=_POSITIVE, default=2.0)
+    parser.add_argument("--n-max", type=_AT_LEAST_1, default=10)
     parser.add_argument("--out", default="correlation_decay.csv")
     args = parser.parse_args()
 

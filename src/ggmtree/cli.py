@@ -78,24 +78,17 @@ def _load_model(path: str):
 
 
 def _emit(text: str, out: str | None) -> None:
-    _emit_chunks([text.encode()], out)
+    _emit_chunks([text], out)
 
 
-def _emit_chunks(chunks: Iterable[bytes], out: str | None) -> None:
+def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
     """Write the chunks in order to ``out``, or to stdout, one at a time, so
-    the whole output is never held in memory. A text stdout without a
-    binary buffer, such as an ``io.StringIO`` that a caller redirected it
-    to, takes the chunks decoded."""
+    the whole text is never held in memory."""
     if out is None:
-        buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is None:
-            sys.stdout.writelines(chunk.decode() for chunk in chunks)
-            return
-        sys.stdout.flush()
-        buffer.writelines(chunks)
+        sys.stdout.writelines(chunks)
     else:
         try:
-            fh = open(out, "wb")
+            fh = open(out, "w", newline="")
         except OSError as exc:
             raise ConfigError(f"cannot write {out}: {exc.strerror}")
         with fh:
@@ -252,44 +245,25 @@ def cmd_marginal(args) -> int:
     return EXIT_OK
 
 
-def _cells(texts: list[str]) -> np.ndarray:
-    """The texts as fixed-width byte cells, NUL-padded to the longest."""
-    raw = np.array([text.encode() for text in texts], dtype=bytes)
-    return raw.view(f"V{raw.itemsize}")
-
-
-def _digit_cells(a: int, b: int) -> np.ndarray:
-    """The decimal digits of a, ..., b - 1 as fixed-width byte cells, NUL
-    above each number's leading digit."""
-    width = len(str(b - 1))
-    numbers = np.arange(a, b, dtype=np.int64)[:, None]
-    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    digits = (numbers // powers % 10 + ord("0")).astype(np.uint8)
-    digits[(numbers < powers) & (powers > 1)] = 0
-    return digits.view(f"V{width}")[:, 0]
-
-
-def _sample_rows(batch: np.ndarray, labels: list[str]) -> Iterator[bytes]:
-    """The rows ``i,x>y,z`` of ``batch``, sample-major, as bytes, in chunks
-    of about ``CHUNK_ROWS`` rows. A chunk is a grid of NUL-padded cells, one
-    row per (sample, edge): the sample number's digits, ``,x>y,`` from one
-    cell per edge and ``z\n`` from one cell per increment between the
-    smallest and largest in the batch. Dropping the NULs of its bytes gives
-    the text, so no row is built as a Python object of its own."""
+def _sample_rows(batch: np.ndarray, labels: list[str]) -> Iterator[str]:
+    """The rows ``i,x>y,z`` of ``batch``, sample-major, as text chunks of
+    about ``CHUNK_ROWS`` rows. One table holds ``,x>y,`` per edge and one
+    ``z\n`` per increment between the smallest and largest in the batch; a
+    chunk is one join of the sample numbers and table entries, so no row is
+    built as a Python object of its own."""
     n, edges = batch.shape
     lo = int(batch.min(initial=0))
-    mids = _cells([f",{label}," for label in labels])
-    ends = _cells([f"{z}\n" for z in range(lo, int(batch.max(initial=0)) + 1)])
+    mids = np.array([f",{label}," for label in labels], dtype=object)
+    ends = np.array([f"{z}\n" for z in range(lo, int(batch.max(initial=0)) + 1)],
+                    dtype=object)
     step = max(1, CHUNK_ROWS // edges)
     for a in range(0, n, step):
         b = min(a + step, n)
-        numbers = _digit_cells(a, b)
-        grid = np.empty((b - a, edges), dtype=[("i", numbers.dtype), ("mid", mids.dtype),
-                                               ("end", ends.dtype)])
-        grid["i"] = numbers[:, None]
-        grid["mid"] = mids
-        grid["end"] = ends.take(np.subtract(batch[a:b], lo, dtype=np.intp))
-        yield grid.tobytes().translate(None, b"\0")
+        parts = np.empty((b - a, edges, 3), dtype=object)
+        parts[:, :, 0] = np.array([str(i) for i in range(a, b)], dtype=object)[:, None]
+        parts[:, :, 1] = mids
+        parts[:, :, 2] = ends[np.subtract(batch[a:b], lo, dtype=np.intp)]
+        yield "".join(parts.ravel().tolist())
 
 
 def cmd_sample(args) -> int:
@@ -297,17 +271,16 @@ def cmd_sample(args) -> int:
 
     The rows are the bytes ``csv.writer`` wrote for the rows
     ``(i, "x>y", z)``: csv writes ints with ``str``, and digits, ``-`` and
-    ``>`` never need quoting. ``_sample_rows`` encodes them as bytes from
-    cell grids and they are written a chunk at a time, so memory is the
-    batch, one byte per (sample, edge) up to cutoff 127, plus one chunk's
-    grid.
+    ``>`` never need quoting. ``_sample_rows`` encodes them from tables and
+    they are written a chunk at a time, so memory is the batch, one byte per
+    (sample, edge) up to cutoff 127, plus one chunk of text.
     """
     op, d, label, kernel, chain, config = _setup(args, "sample", "n", "seed", "depth")
     volume = cayley_ball(d, args.depth)
     batch = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
                                       args.n, args.seed)
     labels = [f"{p}>{v}" for v, p in enumerate(volume.parents[1:].tolist(), 1)]
-    head = _csv_text(_meta(config), ["sample", "edge", "increment"], []).encode()
+    head = _csv_text(_meta(config), ["sample", "edge", "increment"], [])
     _emit_chunks(itertools.chain([head], _sample_rows(batch, labels)), args.out)
     return EXIT_OK
 

@@ -25,8 +25,7 @@ until no library code read it.
 ``sample_ggm_batch`` is the per-edge sampler, an int64 batch with one
 ``searchsorted`` per layer, and ``sample_csv`` the ``csv.writer`` output of
 ``ggmtree sample``, the references for the guide-table sampler and the
-cell-grid encoder. ``csv_sample_rows`` is the text encoder that the byte
-encoder replaced, one join of Python strings per chunk. The scalar reference
+table-driven encoder. The scalar reference
 forms (``pinned_prob_bl``, ``ggm_prob``, ``alt_ggm_prob``), the window
 enumerator, ``coupling_expectation``, ``bond_marginals_by_position``,
 ``is_normalizable`` and ``stationary_by_power_iteration`` are answers the
@@ -713,27 +712,6 @@ def sample_csv(argv: list[str]) -> str:
     writer.writerows((i, edge, z) for i, sample in enumerate(batch.tolist())
                      for edge, z in zip(labels, sample))
     return buf.getvalue()
-
-
-def csv_sample_rows(batch: np.ndarray, labels: list[str]) -> str:
-    """The rows ``i,x>y,z`` of ``batch``, sample-major: per chunk of about
-    ``cli.CHUNK_ROWS`` rows, one join of the sample numbers and of tables of
-    ``,x>y,`` per edge and ``z\n`` per increment, as Python strings."""
-    n, edges = batch.shape
-    lo = int(batch.min(initial=0))
-    mids = np.array([f",{label}," for label in labels], dtype=object)
-    ends = np.array([f"{z}\n" for z in range(lo, int(batch.max(initial=0)) + 1)],
-                    dtype=object)
-    step = max(1, cli.CHUNK_ROWS // edges)
-    chunks = []
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        parts = np.empty((b - a, edges, 3), dtype=object)
-        parts[:, :, 0] = np.array([str(i) for i in range(a, b)], dtype=object)[:, None]
-        parts[:, :, 1] = mids
-        parts[:, :, 2] = ends[np.subtract(batch[a:b], lo, dtype=np.intp)]
-        chunks.append("".join(parts.ravel().tolist()))
-    return "".join(chunks)
 
 
 def is_normalizable(law: PeriodicBoundaryLaw, op: TransferOperator, d: int) -> bool:

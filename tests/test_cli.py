@@ -1,10 +1,8 @@
-import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,7 +565,7 @@ class TestSampleEncoding:
         csv.writer(buf, lineterminator="\n").writerows(
             (i, label, v) for i, row in enumerate(batch.tolist())
             for label, v in zip(labels, row))
-        assert b"".join(cli._sample_rows(batch, labels)) == buf.getvalue().encode()
+        assert "".join(cli._sample_rows(batch, labels)) == buf.getvalue()
 
     def test_stdout_equals_out_file(self, model_file, tmp_path, capsys):
         argv = ["sample", "--model", model_file, "--n", "500", "--seed", "8"]
@@ -576,51 +574,6 @@ class TestSampleEncoding:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
-
-    def test_stdout_of_a_process_equals_out_file(self, model_file, tmp_path, fresh_python):
-        argv = ["sample", "--model", model_file, "--n", "500", "--seed", "8"]
-        out = tmp_path / "rows.csv"
-        assert main([*argv, "--out", str(out)]) == 0
-        run = fresh_python(["-m", "ggmtree.cli", *argv])
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.encode() == out.read_bytes()
-
-    def test_stdout_redirected_to_a_string_gets_the_rows(self, model_file, tmp_path):
-        argv = ["sample", "--model", model_file, "--n", "50", "--seed", "8"]
-        out = tmp_path / "rows.csv"
-        assert main([*argv, "--out", str(out)]) == 0
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(argv) == 0
-        assert buf.getvalue().encode() == out.read_bytes()
-
-    # sample numbers across digit-count boundaries, one to 3069 edges (depth
-    # 10), int8 increments from -128 to 127 and one int16 batch
-    @pytest.mark.parametrize("n, edges, dtype", [
-        *((n, 3, np.int8) for n in (0, 1, 9, 10, 11, 99, 100, 101, 12345)),
-        (101, 1, np.int8), (101, 9, np.int8), (11, 3069, np.int8), (1000, 9, np.int16),
-    ])
-    def test_rows_equal_the_join_encoder(self, n, edges, dtype):
-        info = np.iinfo(np.int8)
-        span = (info.min, info.max) if dtype == np.int8 else (-300, 300)
-        batch = np.random.default_rng(n + edges).integers(
-            span[0], span[1] + 1, size=(n, edges)).astype(dtype)
-        batch.flat[:2] = span[:batch.size]
-        labels = [f"{(v - 1) // 2}>{v}" for v in range(1, edges + 1)]
-        assert (b"".join(cli._sample_rows(batch, labels))
-                == bf.csv_sample_rows(batch, labels).encode())
-
-    def test_rows_take_memory_of_one_chunk(self):
-        batch = np.zeros((10**6, 3), dtype=np.int8)
-        batch[::7] = -5
-        tracemalloc.start()
-        try:
-            for _ in cli._sample_rows(batch, ["0>1", "0>2", "0>3"]):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 128 * cli.CHUNK_ROWS
 
 
 class TestTables:

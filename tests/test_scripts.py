@@ -60,23 +60,29 @@ def test_correlation_decay_is_correlation(tmp_path, fresh_python):
     assert out.read_bytes() == cli_out.read_bytes()
 
 
-@pytest.mark.parametrize("script, args", [
-    ("bifurcation_sweep.py", ["--q", "2", "--d", "1"]),
-    ("bifurcation_sweep.py", ["--q", "5"]),
-    ("bifurcation_sweep.py", ["--step", "0"]),
-    ("bifurcation_sweep.py", ["--halfwidth", "-1"]),
-    ("correlation_decay.py", ["--n-max", "0"]),
-    ("correlation_decay.py", ["--beta", "-1"]),
-    ("correlation_decay.py", ["--beta", "1.0"]),  # below the onset: no upper law
-])
-def test_script_exits_2_on_a_bad_configuration(script, args, tmp_path, fresh_python):
+# each error names the script's flag or the model it was given, never a flag
+# of the CLI command it runs or the temporary model file
+@pytest.mark.parametrize("script, args, named", [
+    ("bifurcation_sweep.py", ["--q", "2", "--d", "1"], "need d >= 2"),
+    ("bifurcation_sweep.py", ["--q", "5"], "q = 5"),
+    ("bifurcation_sweep.py", ["--step", "0"], "argument --step:"),
+    ("bifurcation_sweep.py", ["--halfwidth", "-1"], "argument --halfwidth:"),
+    ("correlation_decay.py", ["--n-max", "0"], "argument --n-max:"),
+    ("correlation_decay.py", ["--beta", "-1"], "argument --beta:"),
+    # below the onset: no upper law
+    ("correlation_decay.py", ["--beta", "1.0"], "no solved branch labelled 'upper'"),
+], ids=["sweep-d1", "sweep-q5", "sweep-step0", "sweep-halfwidth-1", "decay-n-max0",
+        "decay-beta-1", "decay-beta1.0"])
+def test_script_exits_2_on_a_bad_configuration(script, args, named, tmp_path, fresh_python):
     out = tmp_path / "out.csv"
     run = fresh_python([str(SCRIPTS / script), *args, "--out", str(out)])
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
+    assert "ggmtree" not in run.stderr and ".json" not in run.stderr
     last = run.stderr.splitlines()[-1]
-    # the CLI's message, or its argparse error line "ggmtree <command>: error: ..."
-    assert last.startswith(("configuration error: ", "ggmtree ")) and "error: " in last
+    # the CLI's message, or the script's argparse error line "<script>: error: ..."
+    assert last.startswith(("configuration error: ", f"{script}: error: "))
+    assert named in last
     assert not out.exists()
 
 
