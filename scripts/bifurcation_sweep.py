@@ -19,7 +19,7 @@ import sys
 import tempfile
 from collections import Counter
 
-from ggmtree.cli import _POSITIVE, EXIT_OK, _checked, main as cli_main
+from ggmtree.cli import _POSITIVE, EXIT_OK, MAX_BETAS, _checked, main as cli_main
 
 # the script's own checks, so an error names the script's flag, not solve-bl's
 _HALFWIDTH = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and non-negative")
@@ -33,6 +33,9 @@ def main() -> int:
     parser.add_argument("--step", type=_POSITIVE, default=0.01)
     parser.add_argument("--out", default="bifurcation_sweep.csv")
     args = parser.parse_args()
+    if not 2 * args.halfwidth / args.step < MAX_BETAS:
+        parser.error(f"--halfwidth {args.halfwidth!r} at --step {args.step!r} gives more "
+                     f"than {MAX_BETAS} beta points; raise --step or lower --halfwidth")
 
     with tempfile.TemporaryDirectory() as tmp:
         onset = os.path.join(tmp, "critical_beta.json")

@@ -28,16 +28,15 @@ if "numpy" not in _sys.modules and not any(
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import errors, model, bl_solver, chains, measures, transfer, diagnostics
+from . import errors, model, bl_solver, chains, measures, diagnostics
 from .errors import *  # noqa: F403
 from .model import *  # noqa: F403
 from .bl_solver import *  # noqa: F403
 from .chains import *  # noqa: F403
 from .measures import *  # noqa: F403
-from .transfer import *  # noqa: F403
 from .diagnostics import *  # noqa: F403
 
 __all__ = [*errors.__all__, *model.__all__, *bl_solver.__all__, *chains.__all__,
-           *measures.__all__, *transfer.__all__, *diagnostics.__all__]
+           *measures.__all__, *diagnostics.__all__]
 
 __version__ = "0.1.0"

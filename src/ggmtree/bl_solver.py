@@ -1,22 +1,20 @@
-"""Solvers for the q-periodic homogeneous boundary-law equation.
+"""The multi-start solver for the q-periodic homogeneous boundary-law equation.
 
 A q-periodic law a solves the tree recursion when a_k is proportional to
 (sum_m C[k, m] a_m)**d for the wrapped interaction matrix C, with the constant
 eliminated by the a_0 = 1 normalization. This module provides:
 
 - the residual of that equation;
-- one batched iteration loop, ``_damped``, behind both the single-start solver
-  and the multi-start branch search. It starts with a few damped updates,
-  then takes Newton steps on a - F(a)/F_0(a) (analytic (q-1) x (q-1)
-  Jacobian) wherever they lower the residual, and polishes each converged row
-  with Newton;
+- one batched iteration loop, ``_damped``, behind the multi-start branch
+  search. It starts with a few damped updates, then takes Newton steps on
+  a - F(a)/F_0(a) (analytic (q-1) x (q-1) Jacobian) wherever they lower the
+  residual, and polishes each converged row with Newton;
 - the branch search's closure under the cyclic shifts and the reflection of
   C, and its merge rule, which folds the rows lying in one flat residual well
   onto one branch;
 - the closed-form period-2 reduction for the SOS model on the binary tree;
-- effective Ising/Potts temperatures for periods 2, 3, 4 and their
-  closed-form critical temperatures;
-- the normalizability certificate.
+- the closed-form critical temperatures of the SOS family for periods 2, 3
+  and 4.
 """
 from __future__ import annotations
 
@@ -25,29 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Diverged,
-    MaxIterations,
-    UnsupportedDegree,
-    UnsupportedPeriod,
-)
-from .model import (
-    PeriodicBoundaryLaw,
-    TransferOperator,
-    grid_roots,
-    interaction_matrix,
-    wrapped_row,
-)
+from .errors import UnsupportedDegree, UnsupportedPeriod
+from .model import PeriodicBoundaryLaw, TransferOperator, interaction_matrix
 
 __all__ = [
     "SolveReport",
     "residual",
-    "fixed_point_solve",
     "find_branches",
     "closed_form_q2_sos",
-    "effective_beta",
     "critical_beta",
-    "ising_type_solve",
 ]
 
 BRANCH_TRIVIAL = "trivial"
@@ -189,37 +173,6 @@ def _damped(C: np.ndarray, d: int, rows: np.ndarray, damping: float,
     return iters, diverged, ~(converged | diverged)
 
 
-def fixed_point_solve(op: TransferOperator, q: int, d: int,
-                      init, damping: float = 0.7,
-                      max_iter: int = 5000, tol: float = 1e-12) -> SolveReport:
-    """Solve from one start with the shared loop ``_damped``: ``_WARMUP``
-    damped updates a <- (1 - damping) a + damping F(a)/F_0(a), then Newton
-    steps where they lower the residual and damped updates elsewhere, and a
-    Newton polish once the residual is at most ``tol``. ``iterations`` counts
-    the damped and Newton updates taken before the residual reached ``tol``
-    (``max_iter`` when it never did), not the polish steps.
-
-    Raises ``Diverged`` when an entry leaves (1e-12, 1e12) and
-    ``MaxIterations`` (carrying the last iterate and its residual) when the
-    budget runs out.
-    """
-    C = interaction_matrix(op, q)
-    a = np.asarray(init, dtype=float)
-    if a.shape != (q,) or np.any(a <= 0):
-        raise ValueError("init must be a strictly positive q-vector")
-    rows = (a / a[0])[None, :]
-    iters, diverged, running = _damped(C, d, rows, damping, max_iter, tol)
-    it = int(iters[0])
-    if diverged[0]:
-        raise Diverged(f"iterate left the admissible region after {it} steps")
-    report = SolveReport(PeriodicBoundaryLaw.from_values(rows[0]),
-                         float(_fixed_point_map(C, d, rows)[2][0]),
-                         max_iter if running[0] else it, _label(rows[0]))
-    if running[0]:
-        raise MaxIterations(f"no convergence to {tol} in {max_iter} iterations", report)
-    return report
-
-
 def _default_inits(q: int, n_starts: int) -> np.ndarray:
     if q == 1:
         return np.ones((1, 1))
@@ -335,23 +288,6 @@ def closed_form_q2_sos(beta: float, d: int = 2) -> list[PeriodicBoundaryLaw]:
     return laws
 
 
-def effective_beta(op: TransferOperator, q: int) -> float:
-    """Inverse temperature of the Ising/Potts model matching the wrapped row.
-
-    q = 2 maps to Ising, q = 3 to the 3-state Potts model, and q = 4 with the
-    paired ansatz (classes {0,1} vs {2,3}) back to Ising on the pair classes.
-    """
-    row = wrapped_row(op, q)
-    if q == 2:
-        return 0.5 * math.log(row[0] / row[1])
-    if q == 3:
-        return math.log(row[0] / row[1])
-    if q == 4:
-        # diagonal vs off-diagonal weight between the pair classes
-        return 0.5 * math.log((row[0] + row[1]) / (row[1] + row[2]))
-    raise UnsupportedPeriod(f"no effective reduction for q = {q}")
-
-
 def critical_beta(q: int, d: int, family: str = "sos") -> float:
     """Onset of multiple q-periodic boundary laws for the SOS family.
 
@@ -373,21 +309,3 @@ def critical_beta(q: int, d: int, family: str = "sos") -> float:
     if d != 2:
         raise UnsupportedDegree("the q = 3 threshold is known for d = 2 only")
     return math.acosh(1.0 + math.sqrt(2.0))
-
-
-def ising_type_solve(Qpp: float, Qpm: float, d: int) -> list[float]:
-    """All positive fixed points of the scalar two-class recursion
-    a = ((Qpm + a Qpp) / (Qpp + a Qpm))**d, by log-grid bracketing."""
-    if Qpp <= 0 or Qpm <= 0:
-        raise ValueError("weights must be positive")
-
-    def f(a: float) -> float:
-        return ((Qpm + a * Qpp) / (Qpp + a * Qpm)) ** d - a
-
-    # a = 1 solves the symmetric equation identically
-    roots = [1.0] + grid_roots(f, np.logspace(-12.0, 12.0, 4001))
-    out: list[float] = []
-    for r in sorted(roots):
-        if not any(abs(r - s) <= 1e-9 * max(1.0, s) for s in out):
-            out.append(r)
-    return out

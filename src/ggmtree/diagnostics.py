@@ -1,13 +1,11 @@
-"""Correlation decay, boundary-law identifiability, and the one-dimensional
-non-Gibbs mixture.
+"""Correlation decay and the one-dimensional non-Gibbs mixture.
 
 Correlations between events in two distant sub-volumes factor through powers
 of the fuzzy chain along the connecting path, which yields both the exact
-covariance and a total-variation bound on it. Identifiability compares
-single-bond marginals, which separate boundary laws up to cyclic shifts. The
-chain-mixture on the integer line shows what goes wrong without the
-boundary-law structure: its conditional single-bond probabilities drift with
-the size of the conditioning window.
+covariance and a total-variation bound on it. The chain-mixture on the
+integer line shows what goes wrong without the boundary-law structure: its
+conditional single-bond probabilities drift with the size of the
+conditioning window.
 """
 from __future__ import annotations
 
@@ -17,15 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .chains import FuzzyChain, mixing_profile, second_eigenvalue_modulus, tv_distance
-from .errors import PeriodMismatch
-from .measures import single_bond_marginal
-from .model import IncrementWindow, PeriodicBoundaryLaw, TransferOperator
 
 __all__ = [
     "CounterexampleChain",
     "correlation_and_bound",
     "decay_envelope",
-    "identifiability_check",
     "conditional_ratio_closed",
     "conditional_ratio_enumerated",
     "path_mixture_prob",
@@ -71,27 +65,6 @@ def decay_envelope(chain: FuzzyChain, n_max: int) -> tuple[float, float, np.ndar
         return 0.0, 0.0, np.zeros(n_max)
     c = max(profile[0] / delta, profile[1] / delta**2)
     return c, delta, c * delta ** np.arange(1, n_max + 1)
-
-
-def identifiability_check(op: TransferOperator, l1: PeriodicBoundaryLaw,
-                          l2: PeriodicBoundaryLaw,
-                          window: IncrementWindow | None = None,
-                          gap_tol: float = 1e-10) -> tuple[bool, float]:
-    """Compare the single-bond marginals of two boundary laws.
-
-    Returns (distinguishable, witness gap); the marginals coincide exactly
-    when one law is a cyclic shift of the other.
-    """
-    if l1.q != l2.q:
-        raise PeriodMismatch(f"periods {l1.q} and {l2.q} differ")
-    if window is None:
-        w1 = IncrementWindow.for_model(op, l1)
-        w2 = IncrementWindow.for_model(op, l2)
-        window = w1 if w1.cutoff >= w2.cutoff else w2
-    m1 = single_bond_marginal(op, l1, window)
-    m2 = single_bond_marginal(op, l2, window)
-    gap = float(np.max(np.abs(m1 - m2)))
-    return gap > gap_tol, gap
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,12 @@
 __all__ = [
     "GGMError",
     "NonSummable",
-    "Diverged",
-    "MaxIterations",
     "UnsupportedDegree",
     "UnsupportedPeriod",
     "NonStochastic",
     "OutOfWindow",
     "PinInsideInner",
     "TailTooFat",
-    "PeriodMismatch",
 ]
 
 
@@ -21,18 +18,6 @@ class GGMError(Exception):
 
 class NonSummable(GGMError):
     """An increment sum cannot be certified to the requested tolerance."""
-
-
-class Diverged(GGMError):
-    """A fixed-point iterate left the admissible positive region."""
-
-
-class MaxIterations(GGMError):
-    """Iteration budget exhausted. Carries the last iterate and its residual."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class UnsupportedDegree(GGMError):
@@ -65,7 +50,3 @@ class TailTooFat(GGMError):
     def __init__(self, message, min_tail_beta=None):
         super().__init__(message)
         self.min_tail_beta = min_tail_beta
-
-
-class PeriodMismatch(GGMError):
-    """Two boundary laws with different periods cannot be compared."""

@@ -64,7 +64,6 @@ __all__ = [
     "windowed_mass",
     "event_prob_pinned",
     "single_bond_marginal",
-    "two_bond_marginal",
 ]
 
 DRAW_BLOCK = 2**14  # uniforms per sampler draw, so a draw needs O(DRAW_BLOCK) memory
@@ -319,13 +318,6 @@ def single_bond_marginal(op: TransferOperator, law: PeriodicBoundaryLaw,
     offs = window.offsets
     vals = np.array([eval_q(op, int(z)) * overlap[int(z) % q] for z in offs])
     return vals / z_total
-
-
-def two_bond_marginal(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
-    """Exact joint marginal of two successive edges over the window: the sum
-    over the first layer s of alpha(s) P(s, z1) P(s + z1, z2)."""
-    first = chain.alpha[:, None] * kernel.probs
-    return (first[:, :, None] * kernel.probs[kernel.ends]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

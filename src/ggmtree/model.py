@@ -5,7 +5,7 @@ in terms of integer height increments along directed edges. A potential
 assigns a positive summable weight Q(m) to an increment m, a boundary law is a
 positive q-periodic vector normalized to a[0] = 1, and a volume is a finite
 rooted subtree with a marked outer boundary layer. ``grid_roots`` is the one
-scalar root finder, shared with the boundary-law solver and the Potts lifts.
+scalar root finder; the lifted Potts operator's tail check calls it.
 
 The four potential kinds are SOS, the discrete Gaussian, a table, and the
 lifted Potts operator, with or without an exponential tail. ``wrapped_sum``
@@ -38,7 +38,6 @@ __all__ = [
     "TransferOperator",
     "eval_q",
     "tail_mass",
-    "total_mass",
     "wrapped_sum",
     "wrapped_row",
     "interaction_matrix",
@@ -46,7 +45,6 @@ __all__ = [
     "IncrementWindow",
     "FiniteTreeVolume",
     "cayley_ball",
-    "path_volume",
     "potential_to_json",
     "potential_from_json",
     "model_to_json",
@@ -286,11 +284,6 @@ def interaction_matrix(op: TransferOperator, q: int) -> np.ndarray:
     return row[idx]
 
 
-def total_mass(op: TransferOperator) -> float:
-    """Sum of Q(m) over all integers m."""
-    return wrapped_sum(op, 1, 0)
-
-
 def grid_roots(f, grid) -> list[float]:
     """Roots of f: grid points where f is exactly zero, and each sign change
     between neighbouring grid points bisected down to two adjacent floats."""
@@ -510,14 +503,6 @@ def cayley_ball(d: int, radius: int) -> FiniteTreeVolume:
     parents = np.concatenate(([-1], np.zeros(d + 1, dtype=np.int64),
                               np.repeat(np.arange(1, inner), d)))
     return FiniteTreeVolume(d, parents, range(inner, len(parents)))
-
-
-def path_volume(n_edges: int, d: int = 2) -> FiniteTreeVolume:
-    """Chain of n_edges edges (an irregular volume with empty boundary)."""
-    if n_edges < 1:
-        raise ValueError("need at least one edge")
-    parents: list[int | None] = [None] + list(range(n_edges))
-    return FiniteTreeVolume(d, parents, ())
 
 
 def _heights(levels, zeta: np.ndarray) -> np.ndarray:

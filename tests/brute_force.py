@@ -35,8 +35,8 @@ The ``truncated_potts_*`` oracles are the truncated lifted Potts operator as a
 kind of its own, as the library had it before an untailed ``LiftedPotts``
 became the zero-tail case of the one lifted kind: weights written out from
 the Potts row, the tail summed from them, the own-period wrap read off the
-Potts row, the other wraps summed numerically, the window set to the support,
-and the numpy form of the Potts row.
+Potts row, the other wraps summed numerically, and the window set to the
+support.
 
 ``VolumeTooLarge`` is what the enumerating oracles raise when a volume would
 exceed their state budget; the library enumerates nothing and never raises it.
@@ -66,8 +66,18 @@ configuration, one sample as a configuration, and the mixture of
 ``measures.event_prob_pinned``; ``pinned_probs`` walks
 ``measures._product_probs`` over a whole step table. ``table_prob`` (a point
 read of ``LayerKernel.probs``), ``shifted`` and ``is_shift_of`` (the cyclic
-shift of a law, and shift equivalence), ``free_dimension`` and ``full_row``
-(of a ``CirculantSpec``) are the library methods only tests called.
+shift of a law, and shift equivalence), ``free_dimension`` (of a wrapped
+row), ``path_volume`` (a chain of edges) and ``two_bond_marginal`` (the joint
+law of two successive edges) are the library functions only tests called.
+
+The paper's relations to the Potts and Ising models are oracles here too:
+``potts_row`` is the q-state Potts transfer row; ``potts_boundary_laws``
+solves the Potts law equation with one distinguished class, and
+``ising_type_solve`` the two-class recursion, each by scalar bracketing with
+``model.grid_roots``; ``effective_beta`` is the Ising/Potts temperature
+matching a wrapped row, against which ``critical_beta`` is checked; and
+``identifiability_check`` compares the single-bond marginals of two laws,
+which coincide exactly for cyclic shifts.
 ``_bl_partition`` is the boundary-law partition sum by an unscaled pass,
 and ``log_bl_partition`` its log by the library's scaled pass, which the
 verifier no longer needs.
@@ -89,8 +99,8 @@ import numpy as np
 from ggmtree import cli, measures
 from ggmtree.chains import FuzzyChain, LayerKernel
 from ggmtree.diagnostics import CounterexampleChain, path_mixture_prob
-from ggmtree.errors import GGMError, OutOfWindow, PinInsideInner
-from ggmtree.measures import GGMSpec, PinnedMeasureSpec, _product_probs
+from ggmtree.errors import GGMError, OutOfWindow, PinInsideInner, UnsupportedPeriod
+from ggmtree.measures import GGMSpec, PinnedMeasureSpec, _product_probs, single_bond_marginal
 from ggmtree.model import (
     FiniteTreeVolume,
     IncrementWindow,
@@ -99,9 +109,9 @@ from ggmtree.model import (
     _heights,
     cayley_ball,
     eval_q,
-    path_volume,
+    grid_roots,
+    wrapped_row,
 )
-from ggmtree.transfer import CirculantSpec
 
 BLOCK = 2**14  # rows per block, so scans need O(BLOCK x vertices) memory
 
@@ -152,6 +162,13 @@ def path(volume: FiniteTreeVolume, x: int, y: int) -> list[tuple[int, int]]:
             down.append(int(volume.parents[down[-1]]))
     nodes = up + down[-2::-1]
     return list(zip(nodes, nodes[1:]))
+
+
+def path_volume(n_edges: int, d: int = 2) -> FiniteTreeVolume:
+    """Chain of n_edges edges (an irregular volume with empty boundary)."""
+    if n_edges < 1:
+        raise ValueError("need at least one edge")
+    return FiniteTreeVolume(d, [None] + list(range(n_edges)), ())
 
 
 def restricted_orientation(volume: FiniteTreeVolume, w: int,
@@ -1157,14 +1174,9 @@ def is_shift_of(law: PeriodicBoundaryLaw, other: PeriodicBoundaryLaw,
         for j in range(law.q))
 
 
-def free_dimension(spec: CirculantSpec) -> int:
-    """The wrapped values of a spec modulo an overall constant."""
-    return len(spec.values) - 1
-
-
-def full_row(spec: CirculantSpec) -> np.ndarray:
-    """All q wrapped values of a spec, the residues above q // 2 by reflection."""
-    return np.array([spec.values[min(r, spec.q - r)] for r in range(spec.q)])
+def free_dimension(row: np.ndarray) -> int:
+    """The distinct values of a wrapped row, modulo an overall constant."""
+    return len(set(row.tolist())) - 1
 
 
 def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
@@ -1195,8 +1207,9 @@ def product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
 
 
 def two_bond_marginal(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
-    """``measures.two_bond_marginal`` by a loop over both increments and the
-    first layer."""
+    """Exact joint marginal of two successive edges over the window, the sum
+    over the first layer s of alpha(s) P(s, z1) P(s + z1, z2), by a loop over
+    both increments and the first layer."""
     offs = kernel.offsets
     q = kernel.q
     out = np.zeros((len(offs), len(offs)))
@@ -1272,8 +1285,81 @@ def truncated_potts_window_cutoff(q: int) -> int:
     return max(q // 2, 1)
 
 
+# ---------------------------------------------------------------------------
+# the Potts and Ising relations
+
+
 def potts_row(q: int, beta_tilde: float) -> np.ndarray:
+    """The q-state Potts transfer row: diagonal weight e**bt, off-diagonal 1,
+    normalized by e**bt + q - 1."""
     denom = np.exp(beta_tilde) + q - 1
     row = np.full(q, 1.0 / denom)
     row[0] = np.exp(beta_tilde) / denom
     return row
+
+
+def potts_boundary_laws(q: int, beta_tilde: float, d: int) -> list[PeriodicBoundaryLaw]:
+    """Boundary laws of the q-state Potts model with one distinguished class,
+    l = (1, ..., 1, a), found by scalar bracketing. The trivial law is always
+    included."""
+    eb = float(np.exp(beta_tilde))
+
+    def f(a: float) -> float:
+        return ((q - 1.0 + eb * a) / (eb + q - 2.0 + a)) ** d - a
+
+    laws = [PeriodicBoundaryLaw.trivial(q)]
+    for r in grid_roots(f, np.logspace(-8.0, 8.0, 3001)):
+        if abs(r - 1.0) <= 1e-9:
+            continue
+        if any(abs(r - law.a[-1]) <= 1e-9 for law in laws[1:]):
+            continue
+        laws.append(PeriodicBoundaryLaw(q, (1.0,) * (q - 1) + (r,)))
+    return laws
+
+
+def ising_type_solve(Qpp: float, Qpm: float, d: int) -> list[float]:
+    """All positive fixed points of the scalar two-class recursion
+    a = ((Qpm + a Qpp) / (Qpp + a Qpm))**d, by log-grid bracketing."""
+    def f(a: float) -> float:
+        return ((Qpm + a * Qpp) / (Qpp + a * Qpm)) ** d - a
+
+    # a = 1 solves the symmetric equation identically
+    roots = [1.0] + grid_roots(f, np.logspace(-12.0, 12.0, 4001))
+    out: list[float] = []
+    for r in sorted(roots):
+        if not any(abs(r - s) <= 1e-9 * max(1.0, s) for s in out):
+            out.append(r)
+    return out
+
+
+def effective_beta(op: TransferOperator, q: int) -> float:
+    """Inverse temperature of the Ising/Potts model matching the wrapped row.
+
+    q = 2 maps to Ising, q = 3 to the 3-state Potts model, and q = 4 with the
+    paired ansatz (classes {0,1} vs {2,3}) back to Ising on the pair classes.
+    """
+    row = wrapped_row(op, q)
+    if q == 2:
+        return 0.5 * math.log(row[0] / row[1])
+    if q == 3:
+        return math.log(row[0] / row[1])
+    if q == 4:
+        # diagonal vs off-diagonal weight between the pair classes
+        return 0.5 * math.log((row[0] + row[1]) / (row[1] + row[2]))
+    raise UnsupportedPeriod(f"no effective reduction for q = {q}")
+
+
+def identifiability_check(op: TransferOperator, l1: PeriodicBoundaryLaw,
+                          l2: PeriodicBoundaryLaw) -> tuple[bool, float]:
+    """Compare the single-bond marginals of two boundary laws of one period,
+    on the wider of their certified windows.
+
+    Returns (distinguishable, witness gap); the marginals coincide exactly
+    when one law is a cyclic shift of the other.
+    """
+    window = max(IncrementWindow.for_model(op, l1), IncrementWindow.for_model(op, l2),
+                 key=lambda w: w.cutoff)
+    m1 = single_bond_marginal(op, l1, window)
+    m2 = single_bond_marginal(op, l2, window)
+    gap = float(np.max(np.abs(m1 - m2)))
+    return gap > 1e-10, gap

@@ -13,6 +13,7 @@ from ggmtree import (
     SOS,
     GGMSpec,
     IncrementWindow,
+    LiftedPotts,
     PeriodicBoundaryLaw,
     PinnedMeasureSpec,
     build_layer_kernel,
@@ -25,15 +26,12 @@ from ggmtree import (
     correlation_and_bound,
     find_branches,
     fuzzy_transform,
-    lift_potts,
     max_dual_gap_ggm,
     max_dual_gap_pinned,
-    path_volume,
-    potts_boundary_laws,
     residual,
     sample_ggm_batch,
     single_bond_marginal,
-    two_bond_marginal,
+    wrapped_row,
 )
 from ggmtree.chains import second_eigenvalue_modulus
 from ggmtree.cli import main
@@ -42,8 +40,6 @@ from ggmtree.diagnostics import (
     conditional_ratio_closed,
     conditional_ratio_enumerated,
 )
-from ggmtree.transfer import clock_reduction, potts_row
-
 import brute_force as bf
 
 
@@ -168,7 +164,7 @@ def test_criterion_6_monte_carlo(model_bits):
     op, law, kernel, chain = model_bits
     t0 = time.perf_counter()
     n = 10**6
-    volume = path_volume(2)
+    volume = bf.path_volume(2)
     spec = GGMSpec(kernel, chain, volume)
     batch = sample_ggm_batch(spec, n, seed=2024)
     offs = kernel.offsets
@@ -176,7 +172,7 @@ def test_criterion_6_monte_carlo(model_bits):
     emp = np.array([(batch[:, 0] == z).mean() for z in offs])
     se = np.sqrt(np.maximum(single * (1 - single), 1e-300) / n)
     dev_single = float(np.max(np.abs(emp - single) / np.maximum(se, 1e-15)))
-    joint = two_bond_marginal(kernel, chain)
+    joint = bf.two_bond_marginal(kernel, chain)
     K = len(offs)
     counts = np.zeros((K, K))
     # the batch is one byte per increment: index with intp, so nothing wraps
@@ -235,15 +231,14 @@ def test_criterion_9_potts_lift_round_trip():
     worst_row = 0.0
     for q in range(2, 9):
         for bt in (0.5, 1.0, 2.0):
-            spec = clock_reduction(lift_potts(q, bt), q)
             worst_row = max(worst_row, float(np.max(np.abs(
-                bf.full_row(spec) - potts_row(q, bt)))))
+                wrapped_row(LiftedPotts(q, bt), q) - bf.potts_row(q, bt)))))
     worst_res = 0.0
     nontrivial = 0
     for q in (4, 5, 6, 7, 8):
         bt = 3.0
-        op = lift_potts(q, bt)
-        laws = potts_boundary_laws(q, bt, 2)
+        op = LiftedPotts(q, bt)
+        laws = bf.potts_boundary_laws(q, bt, 2)
         nontrivial += sum(1 for law in laws if max(abs(v - 1.0) for v in law.a) > 1e-6)
         for law in laws:
             worst_res = max(worst_res, residual(law, op, 2))

@@ -8,27 +8,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggmtree import bl_solver, transfer
 from ggmtree import (
     SOS,
-    MaxIterations,
     PeriodicBoundaryLaw,
     UnsupportedDegree,
     UnsupportedPeriod,
     closed_form_q2_sos,
     critical_beta,
-    effective_beta,
     find_branches,
-    fixed_point_solve,
-    ising_type_solve,
-    potts_boundary_laws,
     residual,
     wrapped_row,
 )
-from ggmtree.bl_solver import BRANCH_LOWER, BRANCH_TRIVIAL, BRANCH_UPPER
+from ggmtree.bl_solver import (
+    BRANCH_LOWER,
+    BRANCH_TRIVIAL,
+    BRANCH_UPPER,
+    _damped,
+    _fixed_point_map,
+    _label,
+)
 from ggmtree.model import interaction_matrix
 
-from brute_force import is_normalizable, shifted
+import brute_force as bf
+from brute_force import effective_beta, is_normalizable, ising_type_solve, shifted
+
+
+def damped_solve(op, q, d, init, damping=0.7, max_iter=5000, tol=1e-12):
+    """``_damped`` on the one-row batch ``init``: the row it leaves, its
+    update count, and whether it diverged or ran out of budget."""
+    rows = np.array([init], dtype=float)
+    iters, diverged, running = _damped(interaction_matrix(op, q), d, rows, damping,
+                                       max_iter, tol)
+    return rows[0], int(iters[0]), bool(diverged[0]), bool(running[0])
 
 
 class TestResidual:
@@ -70,38 +81,40 @@ class TestClosedForm:
 
 class TestFixedPoint:
     def test_converges_to_upper_branch(self):
-        rep = fixed_point_solve(SOS(2.0), 2, 2, [1.0, 9.0], tol=1e-12)
+        row, _, diverged, running = damped_solve(SOS(2.0), 2, 2, [1.0, 9.0], tol=1e-12)
         want = closed_form_q2_sos(2.0)[1].a[1]
-        assert rep.branch_label == BRANCH_UPPER
-        assert rep.residual < 1e-10
-        assert rep.solution.a[1] == pytest.approx(want, abs=1e-8)
-        assert rep.solution.a[1] == pytest.approx(5.44611, abs=1e-5)
+        assert not diverged and not running
+        assert _label(row) == BRANCH_UPPER
+        assert residual(PeriodicBoundaryLaw.from_values(row), SOS(2.0), 2) < 1e-10
+        assert row[1] == pytest.approx(want, abs=1e-8)
+        assert row[1] == pytest.approx(5.44611, abs=1e-5)
 
     def test_subcritical_flows_to_trivial(self):
         for init in ([1.0, 9.0], [1.0, 0.02], [1.0, 1.7]):
-            rep = fixed_point_solve(SOS(1.0), 2, 2, init, tol=1e-11)
-            assert rep.branch_label == BRANCH_TRIVIAL
+            row, _, _, _ = damped_solve(SOS(1.0), 2, 2, init, tol=1e-11)
+            assert _label(row) == BRANCH_TRIVIAL
 
     def test_trivial_init_returns_immediately(self):
-        rep = fixed_point_solve(SOS(2.0), 2, 2, [1.0, 1.0])
-        assert rep.iterations == 0
-        assert rep.residual == 0.0
+        row, iters, _, _ = damped_solve(SOS(2.0), 2, 2, [1.0, 1.0])
+        assert iters == 0
+        assert residual(PeriodicBoundaryLaw.from_values(row), SOS(2.0), 2) == 0.0
 
     def test_residual_recomputes_to_report_value(self):
-        rep = fixed_point_solve(SOS(2.0), 2, 2, [1.0, 4.0], tol=1e-11)
-        assert residual(rep.solution, SOS(2.0), 2) == pytest.approx(rep.residual, abs=1e-13)
+        for rep in find_branches(SOS(2.0), 2, 2, tol=1e-11):
+            assert residual(rep.solution, SOS(2.0), 2) == pytest.approx(rep.residual,
+                                                                        abs=1e-13)
 
     def test_runaway_iterate_raises_diverged(self):
-        from ggmtree import Diverged
         # high degree amplifies the class imbalance past the guard rails
-        with pytest.raises(Diverged):
-            fixed_point_solve(SOS(5.0), 2, 7, [1.0, 1e-6], max_iter=2000)
+        row, _, diverged, running = damped_solve(SOS(5.0), 2, 7, [1.0, 1e-6], max_iter=2000)
+        assert diverged and not running
+        assert not 1e-12 < row[1] < 1e12
 
     def test_budget_exhaustion_carries_best_iterate(self):
-        with pytest.raises(MaxIterations) as err:
-            fixed_point_solve(SOS(2.0), 2, 2, [1.0, 9.0], max_iter=3, tol=1e-14)
-        assert err.value.report is not None
-        assert err.value.report.residual < 1.0
+        row, _, diverged, running = damped_solve(SOS(2.0), 2, 2, [1.0, 9.0],
+                                                 max_iter=3, tol=1e-14)
+        assert running and not diverged
+        assert residual(PeriodicBoundaryLaw.from_values(row), SOS(2.0), 2) < 1.0
 
     def test_budget_exhaustion_reports_last_iterate(self):
         C = interaction_matrix(SOS(2.0), 2)
@@ -110,17 +123,18 @@ class TestFixedPoint:
             F = (C @ a) ** 2
             a = 0.3 * a + 0.7 * F / F[0]
             a /= a[0]
-        with pytest.raises(MaxIterations) as err:
-            fixed_point_solve(SOS(2.0), 2, 2, [1.0, 9.0], max_iter=3, tol=1e-14)
-        rep = err.value.report
-        assert rep.solution.a[1] == pytest.approx(a[1], rel=1e-12)
-        assert rep.residual == residual(rep.solution, SOS(2.0), 2)
+        row, _, _, running = damped_solve(SOS(2.0), 2, 2, [1.0, 9.0], max_iter=3, tol=1e-14)
+        assert running
+        assert row[1] == pytest.approx(a[1], rel=1e-12)
+        # the residual a report would carry is the one its law recomputes
+        assert (_fixed_point_map(C, 2, row[None])[2][0]
+                == residual(PeriodicBoundaryLaw.from_values(row), SOS(2.0), 2))
 
     @pytest.mark.parametrize("solve", [
         lambda: find_branches(SOS(2.0), 2, 2, damping=0.0),
         lambda: find_branches(SOS(2.0), 2, 2, max_iter=-1),
-        lambda: fixed_point_solve(SOS(2.0), 2, 2, [1.0, 9.0], damping=1.5),
-        lambda: fixed_point_solve(SOS(2.0), 2, 2, [1.0, 9.0], max_iter=-1),
+        lambda: damped_solve(SOS(2.0), 2, 2, [1.0, 9.0], damping=1.5),
+        lambda: damped_solve(SOS(2.0), 2, 2, [1.0, 9.0], max_iter=-1),
     ], ids=["branches-damping-0", "branches-max-iter-neg", "solve-damping-1.5",
             "solve-max-iter-neg"])
     def test_bad_iteration_settings_raise(self, solve):
@@ -130,9 +144,10 @@ class TestFixedPoint:
     def test_agreement_with_closed_form_across_betas(self):
         for beta in np.linspace(1.8, 3.0, 20):
             want = closed_form_q2_sos(float(beta))[1].a[1]
-            rep = fixed_point_solve(SOS(float(beta)), 2, 2, [1.0, want * 1.3],
-                                    tol=1e-13, max_iter=20000)
-            assert rep.solution.a[1] == pytest.approx(want, abs=1e-8)
+            row, _, _, running = damped_solve(SOS(float(beta)), 2, 2, [1.0, want * 1.3],
+                                              tol=1e-13, max_iter=20000)
+            assert not running
+            assert row[1] == pytest.approx(want, abs=1e-8)
 
     def test_root_pairing(self):
         for beta in (1.9, 2.2, 2.8):
@@ -338,7 +353,7 @@ def _solved_roots():
     """(f, roots) of the two scalar solvers on every case."""
     out = [(_ising_f(ratio, 1.0, d), ising_type_solve(ratio, 1.0, d))
            for ratio, d in ISING_CASES]
-    out += [(_potts_f(q, bt, d), [law.a[-1] for law in potts_boundary_laws(q, bt, d)[1:]])
+    out += [(_potts_f(q, bt, d), [law.a[-1] for law in bf.potts_boundary_laws(q, bt, d)[1:]])
             for q, bt, d in POTTS_CASES]
     return out
 
@@ -365,8 +380,7 @@ class TestGridRoots:
             return roots
 
         new = [roots for _, roots in _solved_roots()]
-        monkeypatch.setattr(bl_solver, "grid_roots", brentq_roots)
-        monkeypatch.setattr(transfer, "grid_roots", brentq_roots)
+        monkeypatch.setattr(bf, "grid_roots", brentq_roots)
         old = [roots for _, roots in _solved_roots()]
         for got, want in zip(new, old):
             assert len(got) == len(want)

@@ -9,6 +9,7 @@ from ggmtree import (
     SOS,
     FuzzyChain,
     IncrementWindow,
+    LiftedPotts,
     NonStochastic,
     NonSummable,
     OutOfWindow,
@@ -18,15 +19,12 @@ from ggmtree import (
     check_reversibility,
     eval_q,
     fuzzy_transform,
-    lift_potts,
     mixing_profile,
-    total_mass,
     wrapped_row,
+    wrapped_sum,
 )
 from ggmtree.chains import balance_defect, second_eigenvalue_modulus, tv_distance
-from ggmtree.transfer import potts_boundary_laws
-
-from brute_force import stationary_by_power_iteration, table_prob
+from brute_force import potts_boundary_laws, stationary_by_power_iteration, table_prob
 
 
 def brute_normalizer(op, law, layer, span=80):
@@ -37,7 +35,7 @@ class TestLayerKernel:
     def test_uniform_law_rows_are_layer_independent(self):
         op = SOS(1.5)
         kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(3))
-        mass = total_mass(op)
+        mass = wrapped_sum(op, 1, 0)
         for s in range(3):
             for z in (-2, 0, 1):
                 assert table_prob(kernel, s, z) == pytest.approx(eval_q(op, z) / mass, abs=1e-13)
@@ -63,7 +61,7 @@ class TestLayerKernel:
             build_layer_kernel(sos2, upper_law, window)
 
     def test_lifted_potts_rows_supported_on_central_increments(self):
-        op = lift_potts(3, 2.0)
+        op = LiftedPotts(3, 2.0)
         law = potts_boundary_laws(3, 2.0, 2)[-1]
         kernel = build_layer_kernel(op, law)
         assert list(kernel.offsets) == [-1, 0, 1]
@@ -105,7 +103,7 @@ class TestFuzzyTransform:
     def test_lifted_potts_chain_is_positive(self):
         # the truncated support wraps onto every residue class
         for q in (4, 5, 6):
-            op = lift_potts(q, 1.0)
+            op = LiftedPotts(q, 1.0)
             kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(q))
             assert fuzzy_transform(kernel).matrix.min() > 0.0
 

@@ -8,14 +8,11 @@ from ggmtree import (
     CounterexampleChain,
     GGMSpec,
     IncrementWindow,
-    PeriodMismatch,
     PeriodicBoundaryLaw,
     build_layer_kernel,
     correlation_and_bound,
     decay_envelope,
     fuzzy_transform,
-    identifiability_check,
-    path_volume,
 )
 from ggmtree.diagnostics import (
     conditional_ratio_closed,
@@ -28,6 +25,8 @@ from brute_force import (
     bond_marginals_by_position,
     flat_bond_probs,
     ggm_prob,
+    identifiability_check,
+    path_volume,
     shifted,
     windowed_configs,
 )
@@ -156,11 +155,6 @@ class TestIdentifiability:
         distinguishable, gap = identifiability_check(op, marked, PeriodicBoundaryLaw.trivial(4))
         assert distinguishable
         assert gap > 1e-4
-
-    def test_period_mismatch_rejected(self, sos2):
-        with pytest.raises(PeriodMismatch):
-            identifiability_check(sos2, PeriodicBoundaryLaw.trivial(2),
-                                  PeriodicBoundaryLaw.trivial(3))
 
 
 class TestCounterexample:

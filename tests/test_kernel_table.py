@@ -61,8 +61,10 @@ def test_balance_defect_reads_the_table(model):
 
 
 def test_two_bond_marginal_reads_the_table(model):
+    # two successive steps read off the table through its end layers
     kernel, chain = model
-    assert np.array_equal(measures.two_bond_marginal(kernel, chain),
+    first = chain.alpha[:, None] * kernel.probs
+    assert np.array_equal((first[:, :, None] * kernel.probs[kernel.ends]).sum(axis=0),
                           bf.two_bond_marginal(kernel, chain))
 
 

@@ -19,8 +19,6 @@ from ggmtree import (
     eval_q,
     model_from_json,
     model_to_json,
-    path_volume,
-    total_mass,
     wrapped_row,
     wrapped_sum,
 )
@@ -31,9 +29,8 @@ from ggmtree.model import (
     interaction_matrix,
     tail_mass,
 )
-from ggmtree.transfer import potts_row
-
 import brute_force as bf
+from brute_force import path_volume
 
 
 def brute_wrapped(op, q, m, span=400):
@@ -112,7 +109,7 @@ class TestWrappedSum:
     def test_row_mass_identity(self, op, q):
         # wrapping splits the total mass across residues
         row = wrapped_row(op, q)
-        assert row.sum() == pytest.approx(total_mass(op), abs=2e-14)
+        assert row.sum() == pytest.approx(wrapped_sum(op, 1, 0), abs=2e-14)
 
     @pytest.mark.parametrize("op", OPERATORS, ids=op_id)
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -192,11 +189,11 @@ class TestUntailedLiftIsTheTruncatedKind:
                         q, bt, period, m)
                 assert np.array_equal(interaction_matrix(op, period),
                                       bf.truncated_potts_interaction_matrix(q, bt, period))
-            assert total_mass(op) == bf.truncated_potts_wrapped_sum(q, bt, 1, 0)
 
     def test_potts_row(self, q):
+        # at its own period the lift wraps onto the Potts row
         for bt in BETA_TILDES:
-            assert np.array_equal(potts_row(q, bt), bf.potts_row(q, bt))
+            assert np.array_equal(wrapped_row(LiftedPotts(q, bt), q), bf.potts_row(q, bt))
 
     def test_windows(self, q):
         law = PeriodicBoundaryLaw.trivial(q)

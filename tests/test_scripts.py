@@ -67,12 +67,13 @@ def test_correlation_decay_is_correlation(tmp_path, fresh_python):
     ("bifurcation_sweep.py", ["--q", "5"], "q = 5"),
     ("bifurcation_sweep.py", ["--step", "0"], "argument --step:"),
     ("bifurcation_sweep.py", ["--halfwidth", "-1"], "argument --halfwidth:"),
+    ("bifurcation_sweep.py", ["--step", "1e-9"], "raise --step or lower --halfwidth"),
     ("correlation_decay.py", ["--n-max", "0"], "argument --n-max:"),
     ("correlation_decay.py", ["--beta", "-1"], "argument --beta:"),
     # below the onset: no upper law
     ("correlation_decay.py", ["--beta", "1.0"], "no solved branch labelled 'upper'"),
-], ids=["sweep-d1", "sweep-q5", "sweep-step0", "sweep-halfwidth-1", "decay-n-max0",
-        "decay-beta-1", "decay-beta1.0"])
+], ids=["sweep-d1", "sweep-q5", "sweep-step0", "sweep-halfwidth-1", "sweep-step1e-9",
+        "decay-n-max0", "decay-beta-1", "decay-beta1.0"])
 def test_script_exits_2_on_a_bad_configuration(script, args, named, tmp_path, fresh_python):
     out = tmp_path / "out.csv"
     run = fresh_python([str(SCRIPTS / script), *args, "--out", str(out)])
