@@ -32,11 +32,12 @@ def correlation_and_bound(chain: FuzzyChain, pA: np.ndarray, pB: np.ndarray,
     total-variation bound through the n-step fuzzy chain.
 
     pA and pB are the events' probabilities as vectors over the layer class s
-    (``measures.event_prob_pinned``): each event pinned at its vertex nearest
-    the other, and n >= 1 is the distance between those two vertices. The
-    joint probability factors as pA times n chain steps times pB; the bound
-    is twice the A-probability times the worst n-step distance to
-    stationarity times the largest pinned B-probability.
+    pinned at the event's vertex nearest the other (for a flat bond, the
+    increment-0 column of ``LayerKernel.probs``), and n >= 1 is the distance
+    between those two vertices. The joint probability factors as pA times n
+    chain steps times pB; the bound is twice the A-probability times the
+    worst n-step distance to stationarity times the largest pinned
+    B-probability.
     """
     if np.shape(pA) != (chain.q,) or np.shape(pB) != (chain.q,):
         raise ValueError(f"pA and pB must be vectors of length q = {chain.q}")

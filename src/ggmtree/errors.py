@@ -6,7 +6,6 @@ __all__ = [
     "UnsupportedDegree",
     "UnsupportedPeriod",
     "NonStochastic",
-    "OutOfWindow",
     "PinInsideInner",
     "TailTooFat",
 ]
@@ -30,10 +29,6 @@ class UnsupportedPeriod(GGMError):
 
 class NonStochastic(GGMError):
     """A kernel row failed its stochasticity check."""
-
-
-class OutOfWindow(GGMError):
-    """An increment lies outside the certified truncation window."""
 
 
 class PinInsideInner(GGMError):

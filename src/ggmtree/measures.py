@@ -13,10 +13,8 @@ the weight hanging below each vertex) come from one scaled upward pass
 (``_upward``) that keeps one unit vector per vertex, indexed by the mod-q
 layer, and one log scale for the whole pass, so no volume overflows or
 underflows. Every walk reads the volume's step table (``orientation_from``)
-a level at a time: the upward pass makes one numpy update per level, the
-sampler draws a level at a time, and the product form reads every layer off
-one heights walk over the table or its part inside a connected vertex set,
-so an event's probabilities for every pin class come from one walk.
+a level at a time: the upward pass makes one numpy update per level, and the
+sampler draws a level at a time.
 
 No verifier check visits configurations or residue classes. Each returns a
 certified upper bound on the largest |ratio - 1| between the two forms it
@@ -36,18 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .chains import FuzzyChain, LayerKernel, _balance_flows
-from .errors import OutOfWindow, PinInsideInner
+from .errors import PinInsideInner
 from .model import (
     FiniteTreeVolume,
     IncrementWindow,
     PeriodicBoundaryLaw,
     TransferOperator,
-    _heights,
     eval_q,
     wrapped_row,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "max_dual_gap_pinned",
     "max_dual_gap_ggm",
     "windowed_mass",
-    "event_prob_pinned",
     "single_bond_marginal",
 ]
 
@@ -102,28 +98,7 @@ class GGMSpec:
 
 
 # ---------------------------------------------------------------------------
-# the two pinned representations
-
-
-def _product_probs(kernel: LayerKernel, levels, s, Z) -> np.ndarray:
-    """Product-form probabilities of the rows of Z, the increments by edge,
-    pinned to class s (an int, or a column against the rows) at the first src
-    of ``levels``: a step from height h leaves layer (s + h) mod q and
-    contributes the kernel table entry of its increment (not the
-    window-renormalized rows), the factors multiplied in step order."""
-    Z = np.asarray(Z, dtype=np.int64)
-    cutoff = kernel.window.cutoff
-    if Z.size and np.abs(Z).max() > cutoff:
-        raise OutOfWindow(f"|zeta| = {np.abs(Z).max()} exceeds cutoff {cutoff}")
-    h = _heights(levels, Z)
-    src, dst = _flat(levels)
-    k = h[..., dst] - h[..., src] + cutoff
-    return kernel.probs[(s + h[..., src]) % kernel.q, k].prod(axis=-1)
-
-
-def _flat(levels) -> np.ndarray:
-    """The steps of ``levels`` in order, as one (2, steps) array of src and dst."""
-    return np.concatenate([np.empty((2, 0), np.int64), *map(np.array, levels)], axis=1)
+# the layer pass
 
 
 def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
@@ -277,36 +252,6 @@ def windowed_mass(spec: PinnedMeasureSpec) -> float:
     return float(unit[spec.pin_vertex][spec.pin_class] * math.exp(log_total))
 
 
-# ---------------------------------------------------------------------------
-# event probabilities on sub-volumes
-
-
-def event_prob_pinned(kernel: LayerKernel, volume: FiniteTreeVolume,
-                      vertices: Iterable[int], anchor: int,
-                      zeta: Mapping[tuple[int, int], int]) -> np.ndarray:
-    """Probabilities, as a vector over the class s pinned at ``anchor``, that
-    the edges induced by ``vertices`` carry exactly the given increments,
-    keyed by their stored (parents[v], v) pairs.
-
-    The vertex set must be connected and hold ``anchor``, so all layers
-    along the induced edges are determined inside it. One walk, in the order
-    of ``volume.orientation_from(anchor)`` restricted to the set, gives the
-    heights that every class reads its layers from.
-    """
-    vs = set(vertices)
-    if anchor not in vs:
-        raise ValueError("anchor must belong to the event's vertex set")
-    if not all(0 <= v < volume.n_vertices for v in vs):
-        raise ValueError("the event's vertices must lie in the volume")
-    _require_connected(volume, vs, "the event's vertices")
-    Z = np.zeros(volume.n_edges, dtype=np.int64)
-    for v in vs:
-        if (p := int(volume.parents[v])) in vs:
-            Z[v - 1] = zeta[p, v]
-    return _product_probs(kernel, _part(volume, anchor, vs)[0],
-                          np.arange(kernel.q)[:, None], Z)
-
-
 def single_bond_marginal(op: TransferOperator, law: PeriodicBoundaryLaw,
                          window: IncrementWindow) -> np.ndarray:
     """Exact one-edge marginal of the homogeneous measure over the window:
@@ -365,20 +310,19 @@ def _require_connected(volume: FiniteTreeVolume, vs: set[int], what: str) -> Non
         raise ValueError(f"{what} must form a connected set")
 
 
-def _part(volume: FiniteTreeVolume, pin: int, vs: set[int]) -> tuple[list, list[int]]:
-    """The levels of ``orientation_from(pin)`` cut to their steps into the
-    connected set ``vs`` that holds the pin, and the dsts of the steps out of
-    it, in table order; a level with no step into the set ends both."""
+def _part(volume: FiniteTreeVolume, pin: int, vs: set[int]) -> list[int]:
+    """The dsts of the steps of ``orientation_from(pin)`` out of the
+    connected set ``vs`` that holds the pin, in table order; a level with no
+    step into the set is the last one read."""
     inside = np.zeros(volume.n_vertices, dtype=bool)
     inside[list(vs)] = True
-    levels, rim = [], []
+    rim = []
     for src, dst in volume.orientation_from(pin):
         keep = inside[dst]
         rim += dst[inside[src] & ~keep].tolist()
         if not keep.any():
             break
-        levels.append((src[keep], dst[keep]))
-    return levels, rim
+    return rim
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +395,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner) -> float:
     # the weight hanging below each inner-boundary vertex equals the boundary
     # law itself exactly when the law solves the fixed-point equation
     unit = _upward(volume, pin, spec.kernel.circulant, a)[0]
-    width = sum(float(np.ptp(np.log(unit[v]) - np.log(a))) for v in _part(volume, pin, ids)[1])
+    width = sum(float(np.ptp(np.log(unit[v]) - np.log(a))) for v in _part(volume, pin, ids))
     return _certified(volume, width)
 
 

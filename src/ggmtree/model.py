@@ -17,8 +17,7 @@ Every walk over a volume reads one step table per pin,
 (src, dst) integer arrays, one pair per distance from it, built by an array
 BFS and cached for the last few pins. A volume is its arrays alone, edge e
 being (parents[e + 1], e + 1), so a step's edge and direction follow from its
-two ends. One walk, ``_heights``, accumulates heights along a step table, and
-a layer is a class plus a height, mod q.
+two ends.
 """
 from __future__ import annotations
 
@@ -93,15 +92,14 @@ class Table:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("Table needs at least the m=0 weight")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("Table weights must be positive")
+        if not all(0 < v < math.inf for v in self.values):
+            raise ValueError("Table weights must be finite and positive")
         if self.tail is not None and not 0 < self.tail < 1:
             raise ValueError("Table tail ratio must lie in (0, 1)")
 
     @classmethod
     def from_map(cls, weights: Mapping[int, float], tail: float | None = None) -> "Table":
-        ms = sorted(abs(int(m)) for m in weights)
-        edge = ms[-1]
+        edge = max((abs(int(m)) for m in weights), default=-1)
         vals = []
         for k in range(edge + 1):
             pos, neg = weights.get(k), weights.get(-k)
@@ -269,7 +267,10 @@ def _certified_wrapped_sum(op: TransferOperator, q: int, m: int) -> float:
             raise NonSummable(f"cannot certify wrapped sum of {op!r} to tol={_WRAP_TOL}")
     j_lo = math.ceil((-cutoff - m) / q)
     j_hi = math.floor((cutoff - m) / q)
-    return float(sum(eval_q(op, q * j + m) for j in range(j_lo, j_hi + 1)))
+    total = float(sum(eval_q(op, q * j + m) for j in range(j_lo, j_hi + 1)))
+    if not math.isfinite(total):
+        raise NonSummable(f"the wrapped sum of {op!r} at residue {m} mod {q} overflows")
+    return total
 
 
 def wrapped_row(op: TransferOperator, q: int) -> np.ndarray:
@@ -505,18 +506,6 @@ def cayley_ball(d: int, radius: int) -> FiniteTreeVolume:
     return FiniteTreeVolume(d, parents, range(inner, len(parents)))
 
 
-def _heights(levels, zeta: np.ndarray) -> np.ndarray:
-    """Heights relative to the pin, the first src of ``levels`` (the steps of
-    ``orientation_from(pin)`` or of a part of it), one per vertex and 0 where
-    no step reaches, a level at a time; zeta[..., e] is the increment along
-    edge e's stored direction, with any leading axes."""
-    h = np.zeros((*zeta.shape[:-1], zeta.shape[-1] + 1), dtype=np.int64)
-    for src, dst in levels:
-        z = zeta[..., np.maximum(src, dst) - 1]
-        h[..., dst] = h[..., src] + np.where(dst > src, z, -z)
-    return h
-
-
 # ---------------------------------------------------------------------------
 # JSON model descriptions
 
@@ -539,6 +528,15 @@ def potential_to_json(op: TransferOperator) -> dict:
     raise TypeError(f"unknown transfer operator {op!r}")
 
 
+def _integer(doc: Mapping, key: str) -> int:
+    """doc[key] as an int. int() truncates a float and reads a bool as 0 or
+    1, so a q of 2.7 or true would silently run as 2 or 1."""
+    value = doc[key]
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def potential_from_json(doc: Mapping) -> TransferOperator:
     try:
         kind = doc["kind"]
@@ -554,7 +552,7 @@ def potential_from_json(doc: Mapping) -> TransferOperator:
         return Table.from_map(weights, None if tail is None else float(tail))
     if kind == "lifted_potts":
         tail = float(doc["tail_beta"]) if "tail_beta" in doc else None
-        return LiftedPotts(int(doc["q"]), float(doc["beta_tilde"]), tail)
+        return LiftedPotts(_integer(doc, "q"), float(doc["beta_tilde"]), tail)
     raise ValueError(f"unknown potential kind {kind!r}")
 
 
@@ -566,11 +564,7 @@ def model_from_json(doc: Mapping) -> tuple[TransferOperator, int, int]:
     for key in ("potential", "q", "d"):
         if key not in doc:
             raise ValueError(f"model description is missing {key!r}")
-    for key in ("q", "d"):
-        # int() truncates, so a q of 2.7 would silently run as 2
-        if isinstance(doc[key], float) and not doc[key].is_integer():
-            raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-    q, d = int(doc["q"]), int(doc["d"])
+    q, d = _integer(doc, "q"), _integer(doc, "d")
     if q < 1:
         raise ValueError("period q must be >= 1")
     if d < 2:

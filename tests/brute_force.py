@@ -46,25 +46,23 @@ The scalar tree walks are the references for the library's step tables:
 ``FiniteTreeVolume.orientation_from`` replaced, as (edge, src, dst, sign)
 tuples, ``scalar_upward`` the upward pass one vertex at a time, whose unit
 vectors the level-at-a-time ``measures._upward`` matches bit for bit,
-``scalar_heights`` the heights one step at a time (``vertex_heights``, the
-level walk the library's product form reads its layers from, must match it),
-and
-``step_product_probs`` the product form one step at a time, each layer kept
-in a dict, that ``measures._product_probs`` matches bit for bit from the
-heights. Every other oracle here walks ``scalar_orientation``.
+``scalar_heights`` the heights one step at a time, and
+``step_product_probs`` the product form one step at a time, on a volume or
+on a connected part of it, each layer kept in a dict. The library evaluates
+no product form of its own; every pinned and mixture probability of the
+tests comes from ``step_product_probs``. Every other oracle here walks
+``scalar_orientation``.
 ``directed_edges`` and ``children`` are the tuple forms of a volume that the
 library dropped for its arrays, built once per volume, and ``neighbors``,
-``adjacent_outside`` and ``path`` (parent climbs) the volume's walks that
-the library dropped for its step tables, built from ``parents`` alone.
-``restricted_orientation`` is the BFS that never leaves a vertex set, which
-``measures._part`` cuts from a whole step table.
+``adjacent_outside`` (the rim that ``measures._part`` reads off a step
+table) and ``path`` (parent climbs) the volume's walks that the library
+dropped for its step tables, built from ``parents`` alone.
 ``GradientConfiguration``, ``vertex_layers``, ``pinned_prob_product``,
 ``sample_ggm`` and ``event_prob_ggm`` are the test-only forms the library no
 longer carries: a configuration as a tuple
 with edge lookups, the layers of the heights, the product form of one
-configuration, one sample as a configuration, and the mixture of
-``measures.event_prob_pinned``; ``pinned_probs`` walks
-``measures._product_probs`` over a whole step table. ``table_prob`` (a point
+configuration, one sample as a configuration, and the mixture of the
+product form of an event on a connected part. ``table_prob`` (a point
 read of ``LayerKernel.probs``), ``shifted`` and ``is_shift_of`` (the cyclic
 shift of a law, and shift equivalence), ``free_dimension`` (of a wrapped
 row), ``path_volume`` (a chain of edges) and ``two_bond_marginal`` (the joint
@@ -99,14 +97,13 @@ import numpy as np
 from ggmtree import cli, measures
 from ggmtree.chains import FuzzyChain, LayerKernel
 from ggmtree.diagnostics import CounterexampleChain, path_mixture_prob
-from ggmtree.errors import GGMError, OutOfWindow, PinInsideInner, UnsupportedPeriod
-from ggmtree.measures import GGMSpec, PinnedMeasureSpec, _product_probs, single_bond_marginal
+from ggmtree.errors import GGMError, PinInsideInner, UnsupportedPeriod
+from ggmtree.measures import GGMSpec, PinnedMeasureSpec, single_bond_marginal
 from ggmtree.model import (
     FiniteTreeVolume,
     IncrementWindow,
     PeriodicBoundaryLaw,
     TransferOperator,
-    _heights,
     cayley_ball,
     eval_q,
     grid_roots,
@@ -169,23 +166,6 @@ def path_volume(n_edges: int, d: int = 2) -> FiniteTreeVolume:
     if n_edges < 1:
         raise ValueError("need at least one edge")
     return FiniteTreeVolume(d, [None] + list(range(n_edges)), ())
-
-
-def restricted_orientation(volume: FiniteTreeVolume, w: int,
-                           inside: Iterable[int]) -> list[list[tuple[int, int]]]:
-    """The steps (src, dst) of a BFS from w that never leaves the vertex set
-    ``inside``, neighbours visited children first and then the parent, one
-    list per distance of src from w."""
-    vs = set(inside)
-    levels, frontier, seen = [], [w], {w}
-    while True:
-        level = [(src, dst) for src in frontier for dst in neighbors(volume, src)
-                 if dst in vs and dst not in seen]
-        if not level:
-            return levels
-        seen.update(dst for _, dst in level)
-        levels.append(level)
-        frontier = [dst for _, dst in level]
 
 
 @functools.lru_cache(maxsize=64)
@@ -256,13 +236,6 @@ def scalar_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarr
     return h
 
 
-def vertex_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarray:
-    """Integer heights with height[pin] = s, accumulated along tree paths
-    one level of ``orientation_from(pin)`` at a time; zeta[e] is the
-    increment along the stored direction of edge e."""
-    return s + _heights(volume.orientation_from(pin), np.asarray(zeta, dtype=np.int64))
-
-
 def edges_touching(volume: FiniteTreeVolume, vertices) -> list[int]:
     """The sorted indices of the edges with an endpoint in ``vertices``."""
     return sorted({max(v, u) - 1 for v in set(vertices) for u in neighbors(volume, v)})
@@ -318,30 +291,30 @@ class GradientConfiguration:
 
 def flat_bond_probs(kernel: LayerKernel, n: int, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """The flat bonds (0, 1) and (n + 1, n + 2) of a path of n + 2 edges, each
-    pinned at its vertex nearest the other, as class vectors from
-    ``measures.event_prob_pinned``: the general route to the vectors that
+    pinned at its vertex nearest the other, as class vectors of
+    ``step_product_probs``: the general route to the vectors that
     ``correlation_and_bound`` takes."""
     vol = path_volume(n + 2, d)
-    return (measures.event_prob_pinned(kernel, vol, {0, 1}, 1, {(0, 1): 0}),
-            measures.event_prob_pinned(kernel, vol, {n + 1, n + 2}, n + 1,
-                                       {(n + 1, n + 2): 0}))
+    flat, classes = np.zeros((kernel.q, vol.n_edges), dtype=np.int64), np.arange(kernel.q)
+    return (step_product_probs(kernel, vol, 1, classes, flat, {0, 1}),
+            step_product_probs(kernel, vol, n + 1, classes, flat, {n + 1, n + 2}))
 
 
-def pinned_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, s: int,
-                 Z) -> np.ndarray:
-    """``measures._product_probs`` along the whole of ``orientation_from(pin)``."""
-    return _product_probs(kernel, volume.orientation_from(pin), s, Z)
-
-
-def step_product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, s: int,
+def step_product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, s,
                        Z, inside: set[int] | None = None) -> np.ndarray:
-    """``measures._product_probs`` one step at a time along
-    ``scalar_orientation(volume, pin)``, or along its steps inside the
-    connected vertex set ``inside`` (which holds the pin): each vertex's
-    layer is read from ``LayerKernel.ends`` and kept in a dict, and the
-    factors are multiplied step by step."""
+    """Product-form probabilities of the rows of Z, the increments by edge,
+    pinned to class s (an int, or a vector against the rows) at ``pin``, one
+    step at a time along ``scalar_orientation(volume, pin)``, or along its
+    steps inside the connected vertex set ``inside``, which must hold the
+    pin: each vertex's layer is read from ``LayerKernel.ends`` and kept in a
+    dict, and the factors are multiplied step by step. An increment beyond
+    the cutoff is a ``ValueError``."""
     Z = np.asarray(Z, dtype=np.int64)
     cutoff = kernel.window.cutoff
+    if Z.size and np.abs(Z).max() > cutoff:
+        raise ValueError(f"|zeta| = {np.abs(Z).max()} exceeds cutoff {cutoff}")
+    if inside is not None and pin not in inside:
+        raise ValueError("the pin must belong to the vertex set")
     layer = {pin: np.full(len(Z), s % kernel.q)}
     p = np.ones(len(Z))
     for e, src, dst, sign in scalar_orientation(volume, pin):
@@ -356,8 +329,8 @@ def step_product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, 
 def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration) -> float:
     """Probability of a full edge configuration as a product of kernel factors
     along the edges oriented away from the pin."""
-    return float(pinned_probs(spec.kernel, spec.volume, spec.pin_vertex,
-                              spec.pin_class, [zeta.increments])[0])
+    return float(step_product_probs(spec.kernel, spec.volume, spec.pin_vertex,
+                                    spec.pin_class, [zeta.increments])[0])
 
 
 def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
@@ -369,8 +342,13 @@ def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
 def event_prob_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVolume,
                    vertices: Iterable[int], anchor: int,
                    zeta: Mapping[tuple[int, int], int]) -> float:
-    """The stationary mixture of ``measures.event_prob_pinned``."""
-    probs = measures.event_prob_pinned(kernel, volume, vertices, anchor, zeta)
+    """The stationary mixture of the probabilities, by the class pinned at
+    ``anchor``, that the edges inside the connected set ``vertices`` carry
+    the increments ``zeta``, keyed by their stored (parents[v], v) pairs."""
+    Z = np.zeros((kernel.q, volume.n_edges), dtype=np.int64)
+    for (_, v), z in zeta.items():
+        Z[:, v - 1] = z
+    probs = step_product_probs(kernel, volume, anchor, np.arange(kernel.q), Z, set(vertices))
     return float(sum(a * p for a, p in zip(chain.alpha, probs)))
 
 
@@ -820,7 +798,7 @@ def ggm_prob(spec: GGMSpec, zeta: GradientConfiguration, pin: int | None = None)
     w = 0 if pin is None else pin
     alpha = spec.chain.alpha
     return float(sum(
-        alpha[s] * pinned_probs(spec.kernel, spec.volume, w, s, [zeta.increments])[0]
+        alpha[s] * step_product_probs(spec.kernel, spec.volume, w, s, [zeta.increments])[0]
         for s in range(spec.kernel.q)
     ))
 
@@ -851,7 +829,7 @@ def coupling_expectation(spec: GGMSpec, func: Callable[[GradientConfiguration, d
     q = spec.kernel.q
     total = 0.0
     for Z in _window_blocks(volume, spec.kernel.window, config_budget):
-        probs = [alpha[s] * pinned_probs(spec.kernel, volume, 0, s, Z) for s in range(q)]
+        probs = [alpha[s] * step_product_probs(spec.kernel, volume, 0, s, Z) for s in range(q)]
         for i, arr in enumerate(Z):
             cfg = GradientConfiguration(volume, tuple(int(v) for v in arr))
             for s in range(q):
@@ -974,7 +952,7 @@ def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
                              np.zeros((1, volume.n_edges), dtype=np.int64)])
     alpha = spec.chain.alpha
     probs = np.array([
-        sum(alpha[s] * pinned_probs(kernel, volume, w, s, configs)
+        sum(alpha[s] * step_product_probs(kernel, volume, w, s, configs)
             for s in range(kernel.q))
         for w in pins
     ])
@@ -1050,7 +1028,7 @@ def ratio_range(spec: PinnedMeasureSpec, inner,
     Z, inner_edges = _restricted_class(spec, inner, outside, reference, 10**7)
     s_values = range(kernel.q) if mixture else [spec.pin_class]
     joint = sum((chain.alpha[s] if mixture else 1.0)
-                * pinned_probs(kernel, spec.volume, spec.pin_vertex, s, Z)
+                * step_product_probs(kernel, spec.volume, spec.pin_vertex, s, Z)
                 for s in s_values)
     ratio = joint / np.prod(weights(kernel)[Z[:, inner_edges] + kernel.window.cutoff], axis=1)
     return float(ratio.max() / ratio.min())
@@ -1070,10 +1048,10 @@ def scan_restricted_dlr(spec: PinnedMeasureSpec, inner,
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
     if mixture:
-        joint = sum(chain.alpha[s] * pinned_probs(kernel, volume, spec.pin_vertex, s, Z)
+        joint = sum(chain.alpha[s] * step_product_probs(kernel, volume, spec.pin_vertex, s, Z)
                     for s in range(kernel.q))
     else:
-        joint = pinned_probs(kernel, volume, spec.pin_vertex, spec.pin_class, Z)
+        joint = step_product_probs(kernel, volume, spec.pin_vertex, spec.pin_class, Z)
     bare = np.prod(weights(kernel)[Z[:, inner_edges] + cutoff], axis=1)
     if joint.sum() == 0.0:
         raise ValueError("conditioning event has zero probability")
@@ -1154,10 +1132,10 @@ def kernel_prob(kernel: LayerKernel, layer: int, zeta: int) -> float:
 
 def table_prob(kernel: LayerKernel, layer: int, zeta: int) -> float:
     """The entry of ``kernel.probs`` for the increment zeta at the layer;
-    ``OutOfWindow`` beyond the cutoff."""
+    a ``ValueError`` beyond the cutoff."""
     cutoff = kernel.window.cutoff
     if abs(int(zeta)) > cutoff:
-        raise OutOfWindow(f"|zeta| = {abs(zeta)} exceeds cutoff {cutoff}")
+        raise ValueError(f"|zeta| = {abs(zeta)} exceeds cutoff {cutoff}")
     return kernel.probs[layer % kernel.q, int(zeta) + cutoff]
 
 
@@ -1190,7 +1168,7 @@ def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
 
 def product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
                   s: int, Z) -> np.ndarray:
-    """``measures._product_probs`` from the weights, the law and the norms."""
+    """``step_product_probs`` from the weights, the law and the norms."""
     Z = np.asarray(Z, dtype=np.int64)
     q = kernel.q
     a = kernel.law.as_array()

@@ -12,7 +12,6 @@ from ggmtree import (
     LiftedPotts,
     NonStochastic,
     NonSummable,
-    OutOfWindow,
     PeriodicBoundaryLaw,
     Table,
     build_layer_kernel,
@@ -52,7 +51,7 @@ class TestLayerKernel:
         assert kernel.deficits.max() <= kernel.window.tail_mass_bound + 1e-13
 
     def test_out_of_window_increment_rejected(self, kernel):
-        with pytest.raises(OutOfWindow):
+        with pytest.raises(ValueError, match="exceeds cutoff"):
             table_prob(kernel, 0, kernel.window.cutoff + 1)
 
     def test_window_too_small_for_declared_bound(self, sos2, upper_law):

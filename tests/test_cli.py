@@ -183,10 +183,27 @@ SOS2 = {"kind": "sos", "beta": 2.0}
     # the closed form's denominator underflows, so it reads inf without raising
     (["counterexample", "--eps0", "0.05", "--eps1", "0.49", "--kmax", "186"], 3,
      "the conditional ratio at k = 186 leaves the range of a double (ratio_closed_form)"),
+    (["marginal", "--model", {"potential": {"kind": "table", "weights": {}}, "q": 2, "d": 2}],
+     2, "Table needs at least the m=0 weight"),
+    (["solve-bl", "--model", {"potential": {"kind": "table", "weights": {"0": 1, "1": "nan"}},
+                              "q": 2, "d": 2}], 2, "Table weights must be finite and positive"),
+    (["sample", "--model", {"potential": {"kind": "table", "weights": {"0": 1, "1": "inf"}},
+                            "q": 2, "d": 2}, "--n", "2", "--branch", "trivial"], 2,
+     "Table weights must be finite and positive"),
+    # finite weights whose wrapped sums overflow
+    (["marginal", "--model", {"potential": {"kind": "table",
+                                            "weights": {"0": 1, "1": 1e308, "2": 1e308}},
+                              "q": 2, "d": 2}], 3, "numerical failure: the wrapped sum"),
+    (["marginal", "--model", {"potential": {"kind": "lifted_potts", "q": 3.5, "beta_tilde": 1.0},
+                              "q": 3, "d": 2}], 2, "q must be an integer, got 3.5"),
+    (["marginal", "--model", {"potential": SOS2, "q": True, "d": 2}], 2,
+     "q must be an integer, got True"),
 ], ids=["ok", "verification", "unwritable-out", "model-is-a-directory", "oversized-volume",
         "fractional-q", "fractional-d", "no-certified-window", "no-such-branch",
         "perturb-period-1", "half-a-sweep", "sweep-of-a-table", "beta-grid-overflows",
-        "counterexample-overflows", "counterexample-not-finite"])
+        "counterexample-overflows", "counterexample-not-finite", "empty-table",
+        "nan-weight", "inf-weight", "wrapped-sum-overflows", "fractional-lift-q",
+        "boolean-q"])
 def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, code, message):
     def resolve(arg):
         if isinstance(arg, dict):

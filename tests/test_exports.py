@@ -1,12 +1,12 @@
 """Every name a module lists in ``__all__`` is defined there, once, and the
 package's top-level names are the concatenation of the library modules'
-lists, each bound to the module's object. Every public library name is
-referenced outside the tests: in the library, the scripts or the bench."""
+lists, each bound to the module's object. Every definition in the library
+is read by code outside the tests: in the library, the scripts or the bench."""
 import argparse
 import ast
 import importlib
 import pkgutil
-import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -43,37 +43,41 @@ def test_package_reexports_every_library_list():
             assert getattr(ggmtree, attr) is getattr(module, attr)
 
 
-def _bindings(path: Path) -> dict[str, range]:
-    """The line numbers (from 0) of each module-level def, class or
-    assignment in ``path``, by the name it binds."""
-    spans = {}
-    for node in ast.parse(path.read_text()).body:
+def _definitions(tree: ast.Module):
+    """Each module-level def, class and constant of ``tree``, and each method
+    of its classes, as (qualified name, node)."""
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
-            spans[name] = range(node.lineno - 1, node.end_lineno)
-    return spans
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
 
 
 def test_every_public_name_has_a_caller():
-    # a name only the tests use is an oracle for tests/brute_force.py, not a
-    # library name; any mention as a word counts, except in the name's own
-    # definition and its __all__ entry
-    lines = {path: path.read_text().splitlines() for path in CALLERS}
+    # a definition is called when code reads its name, as a variable or an
+    # attribute, outside the definition itself; a docstring or a comment is
+    # no code, and a leading underscore exempts nothing, so what only the
+    # tests call lives in tests/brute_force.py. Python calls the dunders
+    reads = defaultdict(list)
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[node.id].append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads[node.attr].append((path, node.lineno))
     uncalled = []
-    for name in LIBRARY:
-        home = ROOT / "src" / "ggmtree" / f"{name}.py"
-        spans = _bindings(home)
-        for attr in importlib.import_module(f"ggmtree.{name}").__all__:
-            own = {*spans.get(attr, ()), *spans["__all__"]}
-            word = re.compile(rf"\b{attr}\b")
-            if not any(word.search(line) for path, text in lines.items()
-                       for i, line in enumerate(text) if path != home or i not in own):
-                uncalled.append(f"{name}.{attr}")
+    for path in sorted((ROOT / "src" / "ggmtree").glob("*.py")):
+        for qualname, node in _definitions(trees[path]):
+            name = qualname.rsplit(".", 1)[-1]
+            own = range(node.lineno, node.end_lineno + 1)
+            if not (name.startswith("__") and name.endswith("__")) and not any(
+                    where != path or line not in own for where, line in reads[name]):
+                uncalled.append(f"{path.stem}.{qualname}")
     assert uncalled == []
 
 
