@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDegree, UnsupportedPeriod
+from .errors import NonSummable, UnsupportedDegree, UnsupportedPeriod
 from .model import PeriodicBoundaryLaw, TransferOperator, interaction_matrix
 
 __all__ = [
@@ -238,9 +238,14 @@ def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
     critical point onto one; the first row (starts, then their images, then
     the tiled laws) stands for its branch, and its ``iterations`` are the
     damped and Newton updates its start took (see ``_damped``). Reports are
-    sorted by the law's values.
+    sorted by the law's values. ``NonSummable`` reports a map that overflows
+    at the trivial law: (C 1)**d is not finite.
     """
     C = interaction_matrix(op, q)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(C.sum(axis=1) ** d).all():
+            raise NonSummable(f"the boundary-law map of {op!r} overflows at q = {q}, "
+                              f"d = {d}: (C 1)**d is not finite")
     a = _default_inits(q, n_starts)
     iters, diverged, active = _damped(C, d, a, damping, max_iter, tol)
     conv = ~(diverged | active)

@@ -296,11 +296,13 @@ def cmd_verify(args) -> int:
                                                  law_tol=1e-12)
     volume = cayley_ball(d, args.depth)
     tol = args.tol
-    pin = measures.PinnedMeasureSpec(kernel, volume, 0, 0)
+    pin = measures.PinnedMeasureSpec(kernel, volume, 0)
     ggm = measures.GGMSpec(kernel, chain, volume)
     inner = {0}
-    # vertex 1's first child, or its parent 0 when it is a leaf
-    pins = [0, 1, next(iter(np.flatnonzero(volume.parents == 1).tolist()), 0)]
+    # vertex 1 is interior below radius 2; its first child is the first
+    # vertex of level 2, and without one the third pin is its parent 0
+    interior = volume.starts[-2] > 1
+    pins = [0, 1, volume.starts[2] if interior else 0]
     exact, certified = "exact", "certificate"
     checks = {
         "boundary_law_residual": (bl_solver.residual(kernel.law, op, d), tol, exact),
@@ -314,7 +316,7 @@ def cmd_verify(args) -> int:
         "windowed_mass": (abs(1.0 - measures.windowed_mass(pin)),
                           max(tol, volume.n_edges * kernel.window.tail_mass_bound), exact),
     }
-    if not volume.is_boundary[1]:
+    if interior:
         checks["restricted_conditional"] = (measures.check_restricted_dlr(pin, {1}), tol,
                                             certified)
     report = {name: {"violation": float(v) if math.isfinite(v) else "inf",

@@ -12,9 +12,10 @@ increment) table onto pairs of layers. The tree sums (the windowed mass, and
 the weight hanging below each vertex) come from one scaled upward pass
 (``_upward``) that keeps one unit vector per vertex, indexed by the mod-q
 layer, and one log scale for the whole pass, so no volume overflows or
-underflows. Every walk reads the volume's step table (``orientation_from``)
-a level at a time: the upward pass makes one numpy update per level, and the
-sampler draws a level at a time.
+underflows. The pin is the centre of the ball, vertex 0, and every walk
+reads the ball's step table (``FiniteTreeVolume.steps``) a level at a time:
+the upward pass makes one numpy update per level, and the sampler draws a
+level at a time.
 
 No verifier check visits configurations or residue classes. Each returns a
 certified upper bound on the largest |ratio - 1| between the two forms it
@@ -70,16 +71,13 @@ EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class PinnedMeasureSpec:
-    """A layer kernel on a volume with the pin vertex and its class."""
+    """A layer kernel on a ball with the class pinned at its centre."""
 
     kernel: LayerKernel
     volume: FiniteTreeVolume
-    pin_vertex: int
     pin_class: int
 
     def __post_init__(self):
-        if not _interior(self.volume, self.pin_vertex):
-            raise ValueError("pin vertex must be an interior vertex of the volume")
         if not 0 <= self.pin_class < self.kernel.q:
             raise ValueError("pin class must lie in 0 .. q-1")
 
@@ -101,21 +99,21 @@ class GGMSpec:
 # the layer pass
 
 
-def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
+def _upward(volume: FiniteTreeVolume, matrix: np.ndarray,
             leaf: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """The pass from the leaves towards ``pin`` over mod-q layer vectors:
+    """The pass from the boundary towards vertex 0 over mod-q layer vectors:
     each boundary vertex starts from ``leaf`` (the others, and all of them
     without it, from ones) and each edge multiplies ``matrix @ f[dst]`` into
     ``f[src]``. Then f[v] is the total weight of the part of the volume below
-    v (away from the pin) by layer.
+    v by layer.
 
     It is Felsenstein's pruning (1981), one numpy update per level of
-    ``orientation_from(pin)`` from the deepest up. Each message is scaled to
-    largest entry 1, one ``reduceat`` over the runs of src (the steps of one
-    src are consecutive) multiplies a src's messages in step order, and that
+    ``steps()`` from the deepest up. Each message is scaled to largest
+    entry 1, one ``reduceat`` over the runs of src (the steps of one src are
+    consecutive) multiplies a src's messages in step order, and that
     times u[src] is scaled once more, so no product exceeds 1 at any degree.
     As in the forward algorithm (Rabiner 1989) the pass returns unit vectors
-    u[v] and the log of all the scales, f[pin] = u[pin] exp(log_total):
+    u[v] and the log of all the scales, f[0] = u[0] exp(log_total):
     that is all the windowed mass reads, and elsewhere f[v] is u[v] up to a
     scale, which a ptp of log u[v] ignores.
     """
@@ -123,9 +121,10 @@ def _upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
     log_total = 0.0
     if leaf is not None:
         top = leaf.max()
-        unit[volume.is_boundary] = leaf / top
-        log_total = len(volume.boundary) * math.log(top)
-    for src, dst in reversed(volume.orientation_from(pin)):
+        rim = volume.starts[-2]
+        unit[rim:] = leaf / top
+        log_total = (volume.n_vertices - rim) * math.log(top)
+    for src, dst in reversed(volume.steps()):
         message = (matrix @ unit[dst][:, :, None])[:, :, 0]
         top = message.max(axis=1)
         message /= top[:, None]
@@ -203,8 +202,8 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     Counter-based generator keyed by the seed: the same (seed, n) always
     yields the same batch, independent of how the caller schedules work.
     The class of vertex 0 is drawn from ``n`` uniforms, then the increments
-    of each edge, in the BFS order of ``orientation_from(0)``, from ``n``
-    more. Uniforms are drawn in blocks of at most ``DRAW_BLOCK``: the root's
+    of each edge, level by level in ``steps()`` order, from ``n`` more.
+    Uniforms are drawn in blocks of at most ``DRAW_BLOCK``: the root's
     in column blocks, the edges of a level together while n fits a block,
     else one edge in column blocks, in the order in which one draw per edge
     would take them, so the batch does not depend on the blocking, bit for
@@ -218,8 +217,7 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     guide = _Guide(spec.kernel)
     out = np.empty((volume.n_edges, n), dtype=guide.increments.dtype)
     # a level reads only the layers of the level before it, held in
-    # ``layers`` with vertex v at row where[v]
-    where = np.zeros(volume.n_vertices, dtype=np.intp)
+    # ``layers`` with vertex v of level k at row v - starts[k]
     cdf = np.cumsum(spec.chain.alpha)
     layers = np.empty((1, n), dtype=guide.ends.dtype)
     for c in range(0, n, DRAW_BLOCK):
@@ -227,19 +225,20 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
         layers[0, c:c + DRAW_BLOCK] = np.minimum(first, spec.kernel.q - 1)
     cols = min(max(n, 1), DRAW_BLOCK)
     per_draw = DRAW_BLOCK // cols  # edges
-    levels = volume.orientation_from(0)
-    # away from the root every step runs parent -> child along edge dst - 1
+    levels = volume.steps()
+    # every step runs parent -> child along edge dst - 1
     for depth, (src_level, dst_level) in enumerate(levels, 1):
         last = depth == len(levels)  # nothing reads the last level's layers
-        ends = None if last else np.empty((len(dst_level), n), dtype=guide.ends.dtype)
-        for e in range(0, len(dst_level), per_draw):
-            src, dst = where[src_level[e:e + per_draw]], dst_level[e:e + per_draw]
+        rows = src_level - volume.starts[depth - 1]
+        ends = None if last else np.empty((len(rows), n), dtype=guide.ends.dtype)
+        for e in range(0, len(rows), per_draw):
+            src = rows[e:e + per_draw]
+            edges = slice(dst_level.start - 1 + e, dst_level.start - 1 + e + len(src))
             for c in range(0, n, cols):
-                u = rng.random((len(dst), min(cols, n - c)))
-                out[dst - 1, c:c + cols], end = guide(layers[src, c:c + cols], u)
+                u = rng.random((len(src), min(cols, n - c)))
+                out[edges, c:c + cols], end = guide(layers[src, c:c + cols], u)
                 if not last:
                     ends[e:e + per_draw, c:c + cols] = end
-        where[dst_level] = np.arange(len(dst_level))
         layers = ends
     return out.T
 
@@ -248,8 +247,8 @@ def windowed_mass(spec: PinnedMeasureSpec) -> float:
     """Total product-form probability of the windowed configuration space,
     computed by the layer pass (equals one minus the truncated tail)."""
     W = _fold(spec.kernel, spec.kernel.probs)
-    unit, log_total = _upward(spec.volume, spec.pin_vertex, W)
-    return float(unit[spec.pin_vertex][spec.pin_class] * math.exp(log_total))
+    unit, log_total = _upward(spec.volume, W)
+    return float(unit[0][spec.pin_class] * math.exp(log_total))
 
 
 def single_bond_marginal(op: TransferOperator, law: PeriodicBoundaryLaw,
@@ -287,20 +286,12 @@ def _certified(volume: FiniteTreeVolume, width: float) -> float:
     return off_one + _slack(volume, 2.0 + off_one)
 
 
-def _interior(volume: FiniteTreeVolume, v: int) -> bool:
-    return 0 <= v < volume.n_vertices and not volume.is_boundary[v]
-
-
 def _interior_set(volume: FiniteTreeVolume, inner: Iterable[int]) -> set[int]:
+    """``inner`` as a set, all of it below the boundary, the last level."""
     ids = {int(v) for v in inner}
-    if not all(_interior(volume, v) for v in ids):
+    if not all(0 <= v < volume.starts[-2] for v in ids):
         raise ValueError("inner vertices must be interior vertices of the volume")
     return ids
-
-
-def _require_full(volume: FiniteTreeVolume, what: str) -> None:
-    if not volume.full:
-        raise ValueError(f"{what} need a closed regular volume")
 
 
 def _require_connected(volume: FiniteTreeVolume, vs: set[int], what: str) -> None:
@@ -310,16 +301,16 @@ def _require_connected(volume: FiniteTreeVolume, vs: set[int], what: str) -> Non
         raise ValueError(f"{what} must form a connected set")
 
 
-def _part(volume: FiniteTreeVolume, pin: int, vs: set[int]) -> list[int]:
-    """The dsts of the steps of ``orientation_from(pin)`` out of the
-    connected set ``vs`` that holds the pin, in table order; a level with no
-    step into the set is the last one read."""
+def _part(volume: FiniteTreeVolume, vs: set[int]) -> list[int]:
+    """The dsts of the steps out of the connected set ``vs`` that holds
+    vertex 0, in table order; a level with no step into the set is the last
+    one read."""
     inside = np.zeros(volume.n_vertices, dtype=bool)
     inside[list(vs)] = True
     rim = []
-    for src, dst in volume.orientation_from(pin):
+    for src, dst in volume.steps():
         keep = inside[dst]
-        rim += dst[inside[src] & ~keep].tolist()
+        rim += (np.flatnonzero(inside[src] & ~keep) + dst.start).tolist()
         if not keep.any():
             break
     return rim
@@ -336,10 +327,9 @@ def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume) -> tuple[np.ndarr
     the pin, g = a / N**d. Each such v is the head of one edge (a factor a)
     and the tail of d (a factor 1/N), the pin is the tail of d + 1, and the
     boundary factors a cancel."""
-    _require_full(volume, "the boundary-law form and its certificates")
     log_n = np.log(kernel.norms)
     log_g = np.log(kernel.law.as_array()) - volume.d * log_n
-    m = volume.n_vertices - len(volume.boundary) - 1
+    m = volume.starts[-2] - 1
     return -(volume.d + 1) * log_n, m * float(np.ptp(log_g))
 
 
@@ -350,7 +340,7 @@ def max_dual_gap_pinned(spec: PinnedMeasureSpec) -> float:
     less somewhere. Its log is an unknown constant plus a sum ranging over
     an interval of width m ptp(log g) (``_dual_parts``), so the constant
     puts 0 in that interval and |log ratio| is at most its width. No
-    partition sum is needed, and one bound serves every pin vertex and class.
+    partition sum is needed, and one bound serves every pin class.
     """
     return _certified(spec.volume, _dual_parts(spec.kernel, spec.volume)[1])
 
@@ -373,7 +363,8 @@ def max_dual_gap_ggm(spec: GGMSpec) -> float:
 def check_consistency(spec: PinnedMeasureSpec, inner) -> float:
     """Marginalize the volume's boundary-law measure onto a smaller closed
     volume, ``inner`` its interior vertex set, connected and holding the
-    pin, and compare with the directly computed smaller-volume measure.
+    pin, vertex 0, and compare with the directly computed smaller-volume
+    measure.
 
     Returns a certified upper bound on the largest |marginal / direct - 1|
     over the inner configurations. Their ratio is z_inner / z_big times
@@ -385,17 +376,15 @@ def check_consistency(spec: PinnedMeasureSpec, inner) -> float:
     whose ratio is a weighted mean of the pinned ratios.
     """
     volume = spec.volume
-    _require_full(volume, "consistency checks")
-    pin = spec.pin_vertex
     ids = _interior_set(volume, inner)
-    if pin not in ids:
+    if 0 not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
     _require_connected(volume, ids, "the inner vertices")
     a = spec.kernel.law.as_array()
     # the weight hanging below each inner-boundary vertex equals the boundary
     # law itself exactly when the law solves the fixed-point equation
-    unit = _upward(volume, pin, spec.kernel.circulant, a)[0]
-    width = sum(float(np.ptp(np.log(unit[v]) - np.log(a))) for v in _part(volume, pin, ids))
+    unit = _upward(volume, spec.kernel.circulant, a)[0]
+    width = sum(float(np.ptp(np.log(unit[v]) - np.log(a))) for v in _part(volume, ids))
     return _certified(volume, width)
 
 
@@ -422,13 +411,14 @@ def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
     allowance covers the rounding of the k ratios and of the power, about
     one ulp each.
     """
-    pins = list(pins) or [0]  # no pins span no edges
-    on = np.zeros(spec.volume.n_vertices, dtype=bool)
-    on[pins] = True
-    # seen from pins[0], the spanning subtree holds the pins and their ancestors
-    for src, dst in reversed(spec.volume.orientation_from(pins[0])):
-        on[src[on[dst]]] = True
-    k = int(on.sum()) - 1
+    pins = list(pins)
+    # below[v] counts the pins in the subtree of v, one pass from the deepest
+    # level up; the edge into v spans the pins when some but not all are there
+    below = np.zeros(spec.volume.n_vertices, dtype=np.int64)
+    np.add.at(below, pins, 1)
+    for src, dst in reversed(spec.volume.steps()):
+        np.add.at(below, src, below[dst])
+    k = int(np.count_nonzero((below[1:] > 0) & (below[1:] < len(pins))))
     if not k:
         return 0.0
     flow, back = _balance_flows(spec.kernel, spec.chain)
@@ -462,12 +452,10 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner) -> float:
     """
     volume = spec.volume
     ids = _interior_set(volume, inner)
-    if spec.pin_vertex in ids:
+    if 0 in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
-    log_a = np.log(spec.kernel.law.as_array())
-    log_n = np.log(spec.kernel.norms)
-    # every neighbour of v but the one towards the pin: its children, and its
-    # parent unless v is the root
-    away = np.bincount(volume.parents[1:], minlength=volume.n_vertices) - 1
-    spread = sum(float(np.ptp(log_a - (away[v] + (v > 0)) * log_n)) for v in ids)
-    return _certified(volume, spread)
+    # every interior v but the pin has d neighbours away from it, its
+    # children, so each adds the same width
+    width = float(np.ptp(np.log(spec.kernel.law.as_array())
+                         - volume.d * np.log(spec.kernel.norms)))
+    return _certified(volume, sum([width] * len(ids)))

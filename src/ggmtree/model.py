@@ -3,8 +3,8 @@
 Heights live on the vertices of a regular tree, but everything here is phrased
 in terms of integer height increments along directed edges. A potential
 assigns a positive summable weight Q(m) to an increment m, a boundary law is a
-positive q-periodic vector normalized to a[0] = 1, and a volume is a finite
-rooted subtree with a marked outer boundary layer. ``grid_roots`` is the one
+positive q-periodic vector normalized to a[0] = 1, and a volume is a closed
+ball whose outermost level is its boundary. ``grid_roots`` is the one
 scalar root finder; the lifted Potts operator's tail check calls it.
 
 The four potential kinds are SOS, the discrete Gaussian, a table, and the
@@ -12,18 +12,18 @@ lifted Potts operator, with or without an exponential tail. ``wrapped_sum``
 folds a potential onto the residues mod q, in closed form for SOS and for a
 lift at its own period, and otherwise by one certified summation.
 
-Every walk over a volume reads one step table per pin,
-``FiniteTreeVolume.orientation_from``: the steps away from the pin as
-(src, dst) integer arrays, one pair per distance from it, built by an array
-BFS and cached for the last few pins. A volume is its arrays alone, edge e
-being (parents[e + 1], e + 1), so a step's edge and direction follow from its
-two ends.
+``cayley_ball`` builds the ball and numbers it level by level from its
+centre, vertex 0: each level is an index range, and the ball is those
+ranges, its degree and its ``parents`` array. Every
+walk over a ball reads its one step table, ``FiniteTreeVolume.steps``: the
+steps away from the centre, one (src, dst) pair per level, dst being the
+next level's range.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class SOS:
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("SOS beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("SOS beta must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class DiscreteGaussian:
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("DiscreteGaussian beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("DiscreteGaussian beta must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,10 @@ class LiftedPotts:
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("LiftedPotts needs q >= 2")
-        if self.beta_tilde < 0:
-            raise ValueError("LiftedPotts beta_tilde must be >= 0")
-        if self.tail_beta is not None and not self.tail_beta > 0:
-            raise ValueError("LiftedPotts tail_beta must be positive")
+        if not 0 <= self.beta_tilde < math.inf:
+            raise ValueError("LiftedPotts beta_tilde must be finite and >= 0")
+        if self.tail_beta is not None and not 0 < self.tail_beta < math.inf:
+            raise ValueError("LiftedPotts tail_beta must be finite and positive")
         central = _potts_central(self.q, self.beta_tilde, self.tail_beta)
         if min(central) <= 0.0:
             # the smallest central weight increases with the tail rate, so
@@ -394,116 +394,54 @@ def _tail_scale(op: TransferOperator, law: PeriodicBoundaryLaw) -> float:
 # ---------------------------------------------------------------------------
 # tree volumes
 
-ORIENTATIONS = 4  # pins cached per volume; Tier-1 misses 1,304 of 38,078, all but one first walks
-
-
 class FiniteTreeVolume:
-    """Finite rooted subtree of the d-regular tree with a marked boundary.
+    """Closed ball of the d-regular tree around vertex 0, built by
+    ``cayley_ball``.
 
-    Vertices are integers 0 .. n-1 with vertex 0 as root; ``parents[i] < i``
-    so that the stored directed edges (parent, child) are ordered away from
-    the root, and edge i - 1 is the edge (parents[i], i). ``parents`` is an
-    integer array, -1 at the root; the constructor takes the root's entry as
-    None or -1. Boundary vertices are the outer layer, marked in the boolean
-    array ``is_boundary``: they carry the boundary-law factor in
-    closed-volume formulas and must be leaves. The other vertices are
-    interior.
+    Vertices are numbered level by level: level k, the vertices at distance
+    k from vertex 0, is the index range ``starts[k]:starts[k + 1]``, and the
+    last level is the boundary, the outer layer that carries the
+    boundary-law factor in closed-volume formulas. The other vertices are
+    interior. ``parents`` is an integer array, -1 at vertex 0, and edge
+    i - 1 is the edge (parents[i], i), stored away from vertex 0.
     """
 
-    def __init__(self, d: int, parents: Sequence[int | None], boundary: Iterable[int]):
-        if d < 2:
-            raise ValueError("branching degree d must be >= 2")
-        n = len(parents)
-        if n == 0 or parents[0] not in (None, -1):
-            raise ValueError("vertex 0 must be the root")
-        try:
-            self.parents = np.concatenate(([-1], np.asarray(parents[1:], dtype=np.int64)))
-        except TypeError:  # None below the root
-            raise ValueError("parents must reference earlier vertices") from None
-        up = self.parents[1:]
-        if np.any((up < 0) | (up >= np.arange(1, n))):
-            raise ValueError("parents must reference earlier vertices")
+    def __init__(self, d: int, starts: tuple[int, ...], parents: np.ndarray):
         self.d = d
-        self.n_vertices = n
-        # the neighbours of v, its children in index order and then its
-        # parent, are _adjacent[_first[v]:_first[v + 1]]
-        n_children = np.bincount(up, minlength=n)
-        self._first = np.concatenate(([0], np.cumsum(n_children + (np.arange(n) > 0))))
-        parent_slot = np.zeros(2 * (n - 1), dtype=bool)
-        parent_slot[self._first[2:] - 1] = True
-        self._adjacent = np.empty(2 * (n - 1), dtype=np.int64)
-        self._adjacent[parent_slot] = up
-        self._adjacent[~parent_slot] = np.argsort(up, kind="stable") + 1
-        marked = np.fromiter(boundary, dtype=np.int64)
-        if np.any((marked < 0) | (marked >= n)):
-            raise ValueError("boundary vertex outside the volume")
-        self.is_boundary = np.zeros(n, dtype=bool)
-        self.is_boundary[marked] = True
-        if self.is_boundary[0]:
-            raise ValueError("the root cannot be a boundary vertex")
-        if n_children[self.is_boundary].any():
-            raise ValueError("boundary vertices must be leaves")
-        self._orientations: dict[int, tuple] = {}
+        self.starts = starts
+        self.parents = parents
+
+    @property
+    def n_vertices(self) -> int:
+        return self.starts[-1]
 
     @property
     def n_edges(self) -> int:
         return self.n_vertices - 1
 
-    @property
-    def boundary(self) -> np.ndarray:
-        """The boundary vertices, in increasing order."""
-        return np.flatnonzero(self.is_boundary)
-
-    @property
-    def full(self) -> bool:
-        """True for closed Cayley-regular volumes: every leaf is boundary and
-        every interior vertex has all its tree neighbors inside, d + 1 of
-        them."""
-        degree = np.diff(self._first)
-        degree[self.is_boundary] = self.d + 1
-        return bool(np.all(degree == self.d + 1))
-
-    def orientation_from(self, w: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The steps away from w in BFS order, as one (src, dst) pair of
-        integer arrays per level: level k holds the steps whose src lies at
-        distance k from w, and the steps of one src are consecutive.
-
-        A step walks edge max(src, dst) - 1, along its stored (parent, child)
-        direction exactly when dst > src. The levels come from one numpy
-        expansion of the frontier each, and the last ``ORIENTATIONS`` pins
-        asked for are cached.
-        """
-        if w in self._orientations:
-            return self._orientations[w]
-        levels = []
-        src, came = np.array([w]), np.array([-1])
-        while True:
-            lo = self._first[src]
-            count = self._first[src + 1] - lo
-            start = np.cumsum(count) - count
-            dst = self._adjacent[np.repeat(lo - start, count) + np.arange(count.sum())]
-            src = np.repeat(src, count)
-            keep = dst != np.repeat(came, count)
-            if not keep.any():
-                break
-            came, src = src[keep], dst[keep]
-            levels.append((came, src))
-        if len(self._orientations) >= ORIENTATIONS:
-            del self._orientations[next(iter(self._orientations))]
-        self._orientations[w] = tuple(levels)
-        return self._orientations[w]
+    def steps(self) -> list[tuple[np.ndarray, slice]]:
+        """The steps away from vertex 0, one (src, dst) pair per level k:
+        dst is level k + 1 as a slice, and src its parents, each vertex of
+        level k once per child, so d + 1 times at the root and d times
+        elsewhere. A step walks edge dst - 1 along its stored direction."""
+        return [(self.parents[lo:hi], slice(lo, hi))
+                for lo, hi in zip(self.starts[1:-1], self.starts[2:])]
 
 
 def cayley_ball(d: int, radius: int) -> FiniteTreeVolume:
     """Closed ball of the d-regular tree: the root has d + 1 children, every
     other interior vertex has d, and the outermost layer is the boundary.
     Vertices are numbered level by level, each vertex's children in turn."""
+    if d < 2:
+        raise ValueError("branching degree d must be >= 2")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    inner = 1 + (d + 1) * (d ** (radius - 1) - 1) // (d - 1)  # vertices below the radius
+    starts = [0, 1]
+    for k in range(radius):
+        starts.append(starts[-1] + (d + 1) * d ** k)
     parents = np.concatenate(([-1], np.zeros(d + 1, dtype=np.int64),
-                              np.repeat(np.arange(1, inner), d)))
-    return FiniteTreeVolume(d, parents, range(inner, len(parents)))
+                              np.repeat(np.arange(1, starts[-2]), d)))
+    return FiniteTreeVolume(d, tuple(starts), parents)
 
 
 # ---------------------------------------------------------------------------

@@ -41,22 +41,27 @@ support.
 ``VolumeTooLarge`` is what the enumerating oracles raise when a volume would
 exceed their state budget; the library enumerates nothing and never raises it.
 
-The scalar tree walks are the references for the library's step tables:
-``scalar_orientation`` is the one-step-at-a-time BFS that
-``FiniteTreeVolume.orientation_from`` replaced, as (edge, src, dst, sign)
-tuples, ``scalar_upward`` the upward pass one vertex at a time, whose unit
-vectors the level-at-a-time ``measures._upward`` matches bit for bit,
-``scalar_heights`` the heights one step at a time, and
-``step_product_probs`` the product form one step at a time, on a volume or
-on a connected part of it, each layer kept in a dict. The library evaluates
-no product form of its own; every pinned and mixture probability of the
-tests comes from ``step_product_probs``. Every other oracle here walks
-``scalar_orientation``.
-``directed_edges`` and ``children`` are the tuple forms of a volume that the
-library dropped for its arrays, built once per volume, and ``neighbors``,
-``adjacent_outside`` (the rim that ``measures._part`` reads off a step
-table) and ``path`` (parent climbs) the volume's walks that the library
-dropped for its step tables, built from ``parents`` alone.
+The library's volume is a ball pinned at its centre; the oracles walk any
+rooted tree from any pin. ``Tree`` is such a tree as ``parents`` and a
+boundary mask, ``tree`` reads a ball as one (its last level is the
+boundary), and ``path_volume`` is a chain of edges. The oracles that pin a
+measure take the pin vertex as ``pin``, the centre by default.
+
+The scalar tree walks are the references for the library's step table:
+``scalar_orientation`` is the one-step-at-a-time BFS from any vertex, as
+(edge, src, dst, sign) tuples, which from a ball's centre visits the steps
+of ``FiniteTreeVolume.steps`` in order, ``scalar_upward`` the upward pass
+one vertex at a time, whose unit vectors the level-at-a-time
+``measures._upward`` matches bit for bit, ``scalar_heights`` the heights one
+step at a time, and ``step_product_probs`` the product form one step at a
+time, on a volume or on a connected part of it, each layer kept in a dict.
+The library evaluates no product form of its own; every pinned and mixture
+probability of the tests comes from ``step_product_probs``. Every other
+oracle here walks ``scalar_orientation``.
+``directed_edges`` and ``children`` are the tuple forms of a volume, built
+once per volume, and ``neighbors``, ``adjacent_outside`` (the rim that
+``measures._part`` reads off the step table) and ``path`` (parent climbs)
+its walks, built from ``parents`` alone.
 ``GradientConfiguration``, ``vertex_layers``, ``pinned_prob_product``,
 ``sample_ggm`` and ``event_prob_ggm`` are the test-only forms the library no
 longer carries: a configuration as a tuple
@@ -121,15 +126,62 @@ class VolumeTooLarge(GGMError):
 # the scalar tree walks and the test-only forms of the library
 
 
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A finite rooted subtree of the d-regular tree: ``parents`` (-1 at the
+    root, each parent before its child, edge e being (parents[e + 1], e + 1))
+    and the boundary mask ``is_boundary``. The library's volumes are balls;
+    the oracles also take paths and other trees in this form."""
+
+    d: int
+    parents: np.ndarray
+    is_boundary: np.ndarray
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.parents)
+
+    @property
+    def n_edges(self) -> int:
+        return self.n_vertices - 1
+
+    @property
+    def boundary(self) -> np.ndarray:
+        return np.flatnonzero(self.is_boundary)
+
+    @property
+    def full(self) -> bool:
+        """Closed and Cayley-regular: every boundary vertex is a leaf and every
+        interior vertex has d + 1 neighbours."""
+        n = self.n_vertices
+        degree = np.bincount(self.parents[1:], minlength=n) + (np.arange(n) > 0)
+        return bool(np.all(degree == np.where(self.is_boundary, 1, self.d + 1)))
+
+
+Volume = FiniteTreeVolume | Tree
+
+
 @functools.lru_cache(maxsize=64)
-def directed_edges(volume: FiniteTreeVolume) -> tuple[tuple[int, int], ...]:
+def _ball_tree(ball: FiniteTreeVolume) -> Tree:
+    is_boundary = np.zeros(ball.n_vertices, dtype=bool)
+    is_boundary[ball.starts[-2]:] = True
+    return Tree(ball.d, ball.parents, is_boundary)
+
+
+def tree(volume: Volume) -> Tree:
+    """``volume`` as a ``Tree``: a ball's boundary is its last level."""
+    return volume if isinstance(volume, Tree) else _ball_tree(volume)
+
+
+@functools.lru_cache(maxsize=64)
+def directed_edges(volume: Volume) -> tuple[tuple[int, int], ...]:
     """The stored (parent, child) pair of each edge: edge e is
     (parents[e + 1], e + 1)."""
     return tuple(zip(volume.parents[1:].tolist(), range(1, volume.n_vertices)))
 
 
 @functools.lru_cache(maxsize=64)
-def children(volume: FiniteTreeVolume) -> tuple[tuple[int, ...], ...]:
+def children(volume: Volume) -> tuple[tuple[int, ...], ...]:
     """The children of each vertex, in index order."""
     kids = [[] for _ in range(volume.n_vertices)]
     for p, v in directed_edges(volume):
@@ -137,18 +189,18 @@ def children(volume: FiniteTreeVolume) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, kids))
 
 
-def neighbors(volume: FiniteTreeVolume, v: int) -> list[int]:
+def neighbors(volume: Volume, v: int) -> list[int]:
     """The neighbours of v: its children in index order, then its parent."""
     return [*children(volume)[v], *([int(volume.parents[v])] if v else [])]
 
 
-def adjacent_outside(volume: FiniteTreeVolume, vertices: Iterable[int]) -> set[int]:
+def adjacent_outside(volume: Volume, vertices: Iterable[int]) -> set[int]:
     """The vertices outside the set that neighbour a vertex of it."""
     vs = set(vertices)
     return {u for v in vs for u in neighbors(volume, v) if u not in vs}
 
 
-def path(volume: FiniteTreeVolume, x: int, y: int) -> list[tuple[int, int]]:
+def path(volume: Volume, x: int, y: int) -> list[tuple[int, int]]:
     """The steps (from, to) of the tree path from x to y, climbing from
     the larger vertex: a parent's index is smaller, so it is no ancestor."""
     up, down = [x], [y]
@@ -161,15 +213,15 @@ def path(volume: FiniteTreeVolume, x: int, y: int) -> list[tuple[int, int]]:
     return list(zip(nodes, nodes[1:]))
 
 
-def path_volume(n_edges: int, d: int = 2) -> FiniteTreeVolume:
+def path_volume(n_edges: int, d: int = 2) -> Tree:
     """Chain of n_edges edges (an irregular volume with empty boundary)."""
     if n_edges < 1:
         raise ValueError("need at least one edge")
-    return FiniteTreeVolume(d, [None] + list(range(n_edges)), ())
+    return Tree(d, np.arange(-1, n_edges), np.zeros(n_edges + 1, dtype=bool))
 
 
 @functools.lru_cache(maxsize=64)
-def scalar_orientation(volume: FiniteTreeVolume,
+def scalar_orientation(volume: Volume,
                        w: int) -> tuple[tuple[int, int, int, int], ...]:
     """Edges in BFS order away from w as (edge_id, src, dst, sign), one step
     at a time, neighbours visited children first and then the parent.
@@ -195,7 +247,7 @@ def scalar_orientation(volume: FiniteTreeVolume,
     return tuple(order)
 
 
-def scalar_upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
+def scalar_upward(volume: Volume, pin: int, matrix: np.ndarray,
                   leaf: Mapping[int, np.ndarray]) -> tuple[list[np.ndarray], list[float]]:
     """``measures._upward`` one vertex at a time, the srcs of
     ``scalar_orientation(volume, pin)`` in reverse: v starts from ``leaf[v]``
@@ -227,7 +279,7 @@ def scalar_upward(volume: FiniteTreeVolume, pin: int, matrix: np.ndarray,
     return unit, logs
 
 
-def scalar_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarray:
+def scalar_heights(volume: Volume, pin: int, s: int, zeta) -> np.ndarray:
     """Integer heights with height[pin] = s, one step at a time."""
     h = np.zeros(volume.n_vertices, dtype=np.int64)
     h[pin] = s
@@ -236,12 +288,12 @@ def scalar_heights(volume: FiniteTreeVolume, pin: int, s: int, zeta) -> np.ndarr
     return h
 
 
-def edges_touching(volume: FiniteTreeVolume, vertices) -> list[int]:
+def edges_touching(volume: Volume, vertices) -> list[int]:
     """The sorted indices of the edges with an endpoint in ``vertices``."""
     return sorted({max(v, u) - 1 for v in set(vertices) for u in neighbors(volume, v)})
 
 
-def vertex_layers(volume: FiniteTreeVolume, q: int, pin: int, s: int, zeta) -> np.ndarray:
+def vertex_layers(volume: Volume, q: int, pin: int, s: int, zeta) -> np.ndarray:
     """Mod-q layer labels reached from class s at the pin vertex."""
     return scalar_heights(volume, pin, s, zeta) % q
 
@@ -254,7 +306,7 @@ class GradientConfiguration:
     walking an edge against its stored direction negates the increment.
     """
 
-    volume: FiniteTreeVolume
+    volume: Volume
     increments: tuple[int, ...]
 
     def __post_init__(self):
@@ -262,11 +314,11 @@ class GradientConfiguration:
             raise ValueError("one increment per directed edge required")
 
     @classmethod
-    def zeros(cls, volume: FiniteTreeVolume) -> "GradientConfiguration":
+    def zeros(cls, volume: Volume) -> "GradientConfiguration":
         return cls(volume, (0,) * volume.n_edges)
 
     @classmethod
-    def from_map(cls, volume: FiniteTreeVolume,
+    def from_map(cls, volume: Volume,
                  mapping: Mapping[tuple[int, int], int]) -> "GradientConfiguration":
         edge_index = {e: k for k, e in enumerate(directed_edges(volume))}
         vals = [0] * volume.n_edges
@@ -300,7 +352,7 @@ def flat_bond_probs(kernel: LayerKernel, n: int, d: int = 2) -> tuple[np.ndarray
             step_product_probs(kernel, vol, n + 1, classes, flat, {n + 1, n + 2}))
 
 
-def step_product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, s,
+def step_product_probs(kernel: LayerKernel, volume: Volume, pin: int, s,
                        Z, inside: set[int] | None = None) -> np.ndarray:
     """Product-form probabilities of the rows of Z, the increments by edge,
     pinned to class s (an int, or a vector against the rows) at ``pin``, one
@@ -326,10 +378,11 @@ def step_product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int, 
     return p
 
 
-def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration) -> float:
+def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration,
+                        pin: int = 0) -> float:
     """Probability of a full edge configuration as a product of kernel factors
     along the edges oriented away from the pin."""
-    return float(step_product_probs(spec.kernel, spec.volume, spec.pin_vertex,
+    return float(step_product_probs(spec.kernel, spec.volume, pin,
                                     spec.pin_class, [zeta.increments])[0])
 
 
@@ -339,7 +392,7 @@ def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
     return GradientConfiguration(spec.volume, tuple(int(v) for v in arr))
 
 
-def event_prob_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVolume,
+def event_prob_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: Volume,
                    vertices: Iterable[int], anchor: int,
                    zeta: Mapping[tuple[int, int], int]) -> float:
     """The stationary mixture of the probabilities, by the class pinned at
@@ -352,7 +405,7 @@ def event_prob_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVol
     return float(sum(a * p for a, p in zip(chain.alpha, probs)))
 
 
-def _product_prob(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+def _product_prob(kernel: LayerKernel, volume: Volume, pin: int,
                   s: int, zeta) -> float:
     q = kernel.q
     layer = [0] * volume.n_vertices
@@ -365,7 +418,7 @@ def _product_prob(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     return p
 
 
-def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np.ndarray:
+def _bl_partition(kernel: LayerKernel, volume: Volume, pin: int) -> np.ndarray:
     """Partition sums of the boundary-law weight over all integer
     configurations, as a vector over the pin class.
 
@@ -376,35 +429,32 @@ def _bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np
     q = kernel.q
     a = kernel.law.as_array()
     C = kernel.circulant
-    f = [a.copy() if volume.is_boundary[v] else np.ones(q)
-         for v in range(volume.n_vertices)]
+    boundary = tree(volume).is_boundary
+    f = [a.copy() if boundary[v] else np.ones(q) for v in range(volume.n_vertices)]
     for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         f[src] = f[src] * (C @ f[dst])
     return f[pin]
 
 
-def log_bl_partition(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int) -> np.ndarray:
-    """log ``_bl_partition`` from the library's scaled pass, ``measures._upward``
-    from the boundary-law values at the boundary."""
-    unit, log_total = measures._upward(volume, pin, kernel.circulant, kernel.law.as_array())
-    return np.log(unit[pin]) + log_total
+def log_bl_partition(kernel: LayerKernel, volume: Volume) -> np.ndarray:
+    """log ``_bl_partition`` at the centre of a ball from the library's scaled
+    pass, ``measures._upward`` from the boundary-law values at the boundary."""
+    unit, log_total = measures._upward(volume, kernel.circulant, kernel.law.as_array())
+    return np.log(unit[0]) + log_total
 
 
-def _interior(volume: FiniteTreeVolume) -> set[int]:
-    return set(np.flatnonzero(~volume.is_boundary).tolist())
+def _interior(volume: Volume) -> set[int]:
+    return set(np.flatnonzero(~tree(volume).is_boundary).tolist())
 
 
-def _interior_set(volume: FiniteTreeVolume, inner) -> set[int]:
-    if isinstance(inner, FiniteTreeVolume):
-        ids = _interior(inner)
-    else:
-        ids = set(int(v) for v in inner)
+def _interior_set(volume: Volume, inner) -> set[int]:
+    ids = set(int(v) for v in inner)
     if not ids <= _interior(volume):
         raise ValueError("inner vertices must be interior vertices of the volume")
     return set(ids)
 
 
-def _hanging_factors(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+def _hanging_factors(kernel: LayerKernel, volume: Volume, pin: int,
                      boundary_of_inner: Iterable[int]) -> dict[int, np.ndarray]:
     """For each vertex on the inner boundary, the summed weight of the part of
     the volume hanging below it (away from the pin), as a vector over its
@@ -413,8 +463,8 @@ def _hanging_factors(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     q = kernel.q
     a = kernel.law.as_array()
     C = kernel.circulant
-    f = [a.copy() if volume.is_boundary[v] else np.ones(q)
-         for v in range(volume.n_vertices)]
+    boundary = tree(volume).is_boundary
+    f = [a.copy() if boundary[v] else np.ones(q) for v in range(volume.n_vertices)]
     for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         f[src] = f[src] * (C @ f[dst])
     return {v: f[v] for v in boundary_of_inner}
@@ -422,39 +472,40 @@ def _hanging_factors(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
 
 def check_consistency(spec: PinnedMeasureSpec, inner,
                       mixture: bool = False, chain: FuzzyChain | None = None,
-                      config_budget: int = 10**7) -> float:
-    """Marginalize the volume's boundary-law measure onto a smaller closed
-    volume and compare with the directly computed smaller-volume measure.
+                      config_budget: int = 10**7, pin: int = 0) -> float:
+    """Marginalize the volume's boundary-law measure, pinned at ``pin``, onto
+    a smaller closed volume and compare with the directly computed
+    smaller-volume measure.
 
-    ``inner`` is the interior vertex set of the smaller volume (or a volume
-    object, in which case its interior is used); it must contain the pin.
+    ``inner`` is the interior vertex set of the smaller volume; it must
+    contain the pin.
     With ``mixture=True`` both sides are averaged over the stationary layer
     distribution of ``chain``.
     """
     volume = spec.volume
     kernel = spec.kernel
-    if not volume.full:
+    if not tree(volume).full:
         raise ValueError("consistency checks need a closed regular volume")
     q = kernel.q
     ids = _interior_set(volume, inner)
-    if spec.pin_vertex not in ids:
+    if pin not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
     inner_edges = edges_touching(volume, ids)
     inner_edge_set = set(inner_edges)
     inner_boundary = adjacent_outside(volume, ids)
-    hang = _hanging_factors(kernel, volume, spec.pin_vertex, inner_boundary)
+    hang = _hanging_factors(kernel, volume, pin, inner_boundary)
     a = kernel.law.as_array()
     C = kernel.circulant
-    z_big = _bl_partition(kernel, volume, spec.pin_vertex)
+    z_big = _bl_partition(kernel, volume, pin)
 
     # exact partition of the directly computed inner measure, by the same
     # layer pass restricted to the inner edges
     f = [a.copy() if v in inner_boundary else np.ones(q)
          for v in range(volume.n_vertices)]
-    for e, src, dst, sign in reversed(scalar_orientation(volume, spec.pin_vertex)):
+    for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         if e in inner_edge_set:
             f[src] = f[src] * (C @ f[dst])
-    z_inner = f[spec.pin_vertex]
+    z_inner = f[pin]
 
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
@@ -473,7 +524,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
         arr = np.zeros(volume.n_edges, dtype=np.int64)
         for e, z in zip(inner_edges, combo):
             arr[e] = z
-        heights = scalar_heights(volume, spec.pin_vertex, 0, arr)
+        heights = scalar_heights(volume, pin, 0, arr)
         layers_cache.append({v: int(heights[v]) for v in inner_boundary})
         qprod_cache.append(float(np.prod([eval_q(kernel.op, z) for z in combo])))
 
@@ -495,7 +546,7 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
                          outside: Mapping[int, int] | None = None,
                          reference: Mapping[int, int] | None = None,
                          mixture: bool = False, chain: FuzzyChain | None = None,
-                         config_budget: int = 10**7) -> float:
+                         config_budget: int = 10**7, pin: int = 0) -> float:
     """Conditional law inside a sub-volume away from the pin, given the outside
     increments and the relative boundary heights, against the bare-weight
     prediction: proportional to the product of Q factors over configurations
@@ -508,7 +559,7 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     volume = spec.volume
     kernel = spec.kernel
     ids = _interior_set(volume, inner)
-    if spec.pin_vertex in ids:
+    if pin in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
     inner_edges = edges_touching(volume, ids)
     inner_boundary = sorted(adjacent_outside(volume, ids))
@@ -527,7 +578,7 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
             base[e] = int(z)
 
     def boundary_class(arr: np.ndarray) -> tuple[int, ...]:
-        h = scalar_heights(volume, spec.pin_vertex, 0, arr)
+        h = scalar_heights(volume, pin, 0, arr)
         return tuple(int(h[v] - h[anchor]) for v in inner_boundary)
 
     target = boundary_class(base)
@@ -549,10 +600,10 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
         if boundary_class(arr) != target:
             continue
         if mixture:
-            p = sum(chain.alpha[s] * _product_prob(kernel, volume, spec.pin_vertex, s, arr)
+            p = sum(chain.alpha[s] * _product_prob(kernel, volume, pin, s, arr)
                     for s in range(kernel.q))
         else:
-            p = _product_prob(kernel, volume, spec.pin_vertex, spec.pin_class, arr)
+            p = _product_prob(kernel, volume, pin, spec.pin_class, arr)
         joint.append(float(p))
         bare.append(float(np.prod([eval_q(kernel.op, int(arr[e])) for e in inner_edges])))
     joint = np.array(joint)
@@ -562,7 +613,7 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     return float(np.max(np.abs(joint / joint.sum() - bare / bare.sum())))
 
 
-def _residue_layers(volume: FiniteTreeVolume, pin: int, q: int,
+def _residue_layers(volume: Volume, pin: int, q: int,
                     residues) -> list[int]:
     layer = [0] * volume.n_vertices
     for e, src, dst, sign in scalar_orientation(volume, pin):
@@ -580,7 +631,8 @@ def _max_q_per_residue(kernel: LayerKernel) -> np.ndarray:
     return best
 
 
-def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) -> float:
+def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21,
+                        pin: int = 0) -> float:
     """Exact maximum of |product form - boundary-law form| over every windowed
     configuration.
 
@@ -591,7 +643,7 @@ def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) ->
     """
     volume = spec.volume
     kernel = spec.kernel
-    if not volume.full:
+    if not tree(volume).full:
         raise ValueError("the boundary-law form needs a closed regular volume")
     q = kernel.q
     if q ** volume.n_edges > residue_budget:
@@ -599,13 +651,13 @@ def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21) ->
     a = kernel.law.as_array()
     norms = kernel.norms
     maxq = _max_q_per_residue(kernel)
-    z_pin = _bl_partition(kernel, volume, spec.pin_vertex)[spec.pin_class]
-    orient = scalar_orientation(volume, spec.pin_vertex)
-    boundary = sorted(volume.boundary)
+    z_pin = _bl_partition(kernel, volume, pin)[spec.pin_class]
+    orient = scalar_orientation(volume, pin)
+    boundary = sorted(tree(volume).boundary)
     worst = 0.0
     for residues in itertools.product(range(q), repeat=volume.n_edges):
         layer = [0] * volume.n_vertices
-        layer[spec.pin_vertex] = spec.pin_class
+        layer[pin] = spec.pin_class
         h1 = 1.0
         wmax = 1.0
         for e, src, dst, sign in orient:
@@ -624,7 +676,7 @@ def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
     every windowed configuration, by the same residue-class argument."""
     volume = spec.volume
     kernel = spec.kernel
-    if not volume.full:
+    if not tree(volume).full:
         raise ValueError("the boundary-law form needs a closed regular volume")
     q = kernel.q
     if q ** volume.n_edges > residue_budget:
@@ -636,7 +688,7 @@ def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
     parts = _bl_partition(kernel, volume, 0)
     z_alt = float(parts.sum())
     orient = scalar_orientation(volume, 0)
-    boundary = sorted(volume.boundary)
+    boundary = sorted(tree(volume).boundary)
     worst = 0.0
     for residues in itertools.product(range(q), repeat=volume.n_edges):
         base_layer = _residue_layers(volume, 0, q, residues)
@@ -663,7 +715,8 @@ def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
 
 def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
     """The per-edge sampler: one ``rng.random(n)`` and one inverse-CDF lookup
-    per layer for each edge, in the BFS order of ``orientation_from(0)``."""
+    per layer for each edge, in the BFS order of ``scalar_orientation(volume,
+    0)``, which on a ball is the order of its step table."""
     volume = spec.volume
     kernel = spec.kernel
     q = kernel.q
@@ -748,7 +801,7 @@ def _product_blocks(sizes: list[int]) -> Iterator[np.ndarray]:
         yield np.arange(start, min(start + BLOCK, total)) // strides % radix
 
 
-def _window_blocks(volume: FiniteTreeVolume, window: IncrementWindow,
+def _window_blocks(volume: Volume, window: IncrementWindow,
                    config_budget: int) -> Iterator[np.ndarray]:
     """All increment assignments with every entry in the window, in
     ``itertools.product`` order, as (rows, n_edges) blocks."""
@@ -760,34 +813,35 @@ def _window_blocks(volume: FiniteTreeVolume, window: IncrementWindow,
         yield block.T - window.cutoff
 
 
-def windowed_configs(volume: FiniteTreeVolume, window: IncrementWindow,
+def windowed_configs(volume: Volume, window: IncrementWindow,
                      config_budget: int = 10**7) -> Iterator[np.ndarray]:
     """All increment assignments with every entry in the window."""
     for block in _window_blocks(volume, window, config_budget):
         yield from block
 
 
-def _bl_weight(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+def _bl_weight(kernel: LayerKernel, volume: Volume, pin: int,
                s: int, zeta) -> float:
     q = kernel.q
     a = kernel.law.a
     heights = scalar_heights(volume, pin, s, zeta)
     w = 1.0
-    for y in volume.boundary:
+    for y in tree(volume).boundary:
         w *= a[int(heights[y]) % q]
     for e in range(volume.n_edges):
         w *= eval_q(kernel.op, int(zeta[e]))
     return w
 
 
-def pinned_prob_bl(spec: PinnedMeasureSpec, zeta: GradientConfiguration) -> float:
+def pinned_prob_bl(spec: PinnedMeasureSpec, zeta: GradientConfiguration,
+                   pin: int = 0) -> float:
     """Probability of a full edge configuration in the boundary-law form:
     boundary factors at the outer layer times bare edge weights, normalized by
     the exact partition sum."""
-    if not spec.volume.full:
+    if not tree(spec.volume).full:
         raise ValueError("the boundary-law form needs a closed regular volume")
-    z = _bl_partition(spec.kernel, spec.volume, spec.pin_vertex)[spec.pin_class]
-    return _bl_weight(spec.kernel, spec.volume, spec.pin_vertex,
+    z = _bl_partition(spec.kernel, spec.volume, pin)[spec.pin_class]
+    return _bl_weight(spec.kernel, spec.volume, pin,
                       spec.pin_class, zeta.increments) / z
 
 
@@ -803,11 +857,11 @@ def ggm_prob(spec: GGMSpec, zeta: GradientConfiguration, pin: int | None = None)
     ))
 
 
-def alt_ggm_prob(kernel: LayerKernel, volume: FiniteTreeVolume,
+def alt_ggm_prob(kernel: LayerKernel, volume: Volume,
                  zeta: GradientConfiguration) -> float:
     """Class-summed boundary-law form of the homogeneous measure, which never
     references the stationary distribution."""
-    if not volume.full:
+    if not tree(volume).full:
         raise ValueError("the boundary-law form needs a closed regular volume")
     parts = _bl_partition(kernel, volume, 0)
     num = sum(_bl_weight(kernel, volume, 0, k, zeta.increments)
@@ -857,7 +911,7 @@ def bond_marginals_by_position(ce: CounterexampleChain, n_edges: int) -> np.ndar
 # the exact class scans the certificates replaced
 
 
-def _residue_layer_blocks(volume: FiniteTreeVolume, pin: int, q: int,
+def _residue_layer_blocks(volume: Volume, pin: int, q: int,
                           edges) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Blocks of the residue vectors on ``edges`` (other edges have residue
     0) in ``itertools.product`` order, shape (len(edges), rows), each with
@@ -873,7 +927,7 @@ def _residue_layer_blocks(volume: FiniteTreeVolume, pin: int, q: int,
 
 def scan_consistency(spec: PinnedMeasureSpec, inner,
                      mixture: bool = False, chain: FuzzyChain | None = None,
-                     config_budget: int = 10**7) -> tuple[float, float]:
+                     config_budget: int = 10**7, pin: int = 0) -> tuple[float, float]:
     """The largest difference between the two sides of ``check_consistency``
     over the windowed inner configurations and the largest
     |marginal / direct - 1|, by scanning the
@@ -885,10 +939,9 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
     """
     volume = spec.volume
     kernel = spec.kernel
-    if not volume.full:
+    if not tree(volume).full:
         raise ValueError("consistency checks need a closed regular volume")
     q = kernel.q
-    pin = spec.pin_vertex
     ids = _interior_set(volume, inner)
     if pin not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
@@ -966,7 +1019,7 @@ def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
 def _restricted_class(spec: PinnedMeasureSpec, inner,
                       outside: Mapping[int, int] | None,
                       reference: Mapping[int, int] | None,
-                      config_budget: int) -> tuple[np.ndarray, list[int]]:
+                      config_budget: int, pin: int) -> tuple[np.ndarray, list[int]]:
     """The members of ``check_restricted_dlr``'s boundary-height class as
     rows, with the inner edges, by a scan of the (2*cutoff+1)**|inner|
     choices of the increment on the edge entering each inner vertex from the
@@ -980,7 +1033,7 @@ def _restricted_class(spec: PinnedMeasureSpec, inner,
     volume = spec.volume
     kernel = spec.kernel
     ids = _interior_set(volume, inner)
-    if spec.pin_vertex in ids:
+    if pin in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
     inner_edges = edges_touching(volume, ids)
 
@@ -1001,9 +1054,9 @@ def _restricted_class(spec: PinnedMeasureSpec, inner,
     if count > config_budget:
         raise VolumeTooLarge(f"{count} inner height choices exceed {config_budget}")
 
-    orient = scalar_orientation(volume, spec.pin_vertex)
+    orient = scalar_orientation(volume, pin)
     movers = [dst for e, src, dst, sign in orient if dst in ids]
-    fixed = scalar_heights(volume, spec.pin_vertex, 0, base)
+    fixed = scalar_heights(volume, pin, 0, base)
     kept = []
     for T in _product_blocks([2 * cutoff + 1] * len(movers)):
         step = dict(zip(movers, T - cutoff))
@@ -1021,14 +1074,15 @@ def _restricted_class(spec: PinnedMeasureSpec, inner,
 def ratio_range(spec: PinnedMeasureSpec, inner,
                 outside: Mapping[int, int] | None = None,
                 reference: Mapping[int, int] | None = None,
-                mixture: bool = False, chain: FuzzyChain | None = None) -> float:
+                mixture: bool = False, chain: FuzzyChain | None = None,
+                pin: int = 0) -> float:
     """max / min over the boundary-height class of the joint probability p
     over the bare weight b."""
     kernel = spec.kernel
-    Z, inner_edges = _restricted_class(spec, inner, outside, reference, 10**7)
+    Z, inner_edges = _restricted_class(spec, inner, outside, reference, 10**7, pin)
     s_values = range(kernel.q) if mixture else [spec.pin_class]
     joint = sum((chain.alpha[s] if mixture else 1.0)
-                * step_product_probs(kernel, spec.volume, spec.pin_vertex, s, Z)
+                * step_product_probs(kernel, spec.volume, pin, s, Z)
                 for s in s_values)
     ratio = joint / np.prod(weights(kernel)[Z[:, inner_edges] + kernel.window.cutoff], axis=1)
     return float(ratio.max() / ratio.min())
@@ -1038,34 +1092,34 @@ def scan_restricted_dlr(spec: PinnedMeasureSpec, inner,
                         outside: Mapping[int, int] | None = None,
                         reference: Mapping[int, int] | None = None,
                         mixture: bool = False, chain: FuzzyChain | None = None,
-                        config_budget: int = 10**7) -> float:
+                        config_budget: int = 10**7, pin: int = 0) -> float:
     """``check_restricted_dlr``'s exact value over the members of
     ``_restricted_class``."""
     kernel = spec.kernel
     volume = spec.volume
     cutoff = kernel.window.cutoff
-    Z, inner_edges = _restricted_class(spec, inner, outside, reference, config_budget)
+    Z, inner_edges = _restricted_class(spec, inner, outside, reference, config_budget, pin)
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
     if mixture:
-        joint = sum(chain.alpha[s] * step_product_probs(kernel, volume, spec.pin_vertex, s, Z)
+        joint = sum(chain.alpha[s] * step_product_probs(kernel, volume, pin, s, Z)
                     for s in range(kernel.q))
     else:
-        joint = step_product_probs(kernel, volume, spec.pin_vertex, spec.pin_class, Z)
+        joint = step_product_probs(kernel, volume, pin, spec.pin_class, Z)
     bare = np.prod(weights(kernel)[Z[:, inner_edges] + cutoff], axis=1)
     if joint.sum() == 0.0:
         raise ValueError("conditioning event has zero probability")
     return float(np.max(np.abs(joint / joint.sum() - bare / bare.sum())))
 
 
-def _scan_dual_gap(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+def _scan_dual_gap(kernel: LayerKernel, volume: Volume, pin: int,
                    alpha: Mapping[int, float], classes, z: float,
                    residue_budget: int) -> tuple[float, float]:
     """Largest |sum_s alpha[s] * (product form from class s at the pin)
     - sum_k (boundary-law factors from class k) / z| times the largest Q
     product, over the q**edges residue vectors of the increments, and the
     largest |ratio - 1| of the two forms."""
-    if not volume.full:
+    if not tree(volume).full:
         raise ValueError("the boundary-law form needs a closed regular volume")
     q = kernel.q
     if q ** volume.n_edges > residue_budget:
@@ -1074,7 +1128,7 @@ def _scan_dual_gap(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     orient = scalar_orientation(volume, pin)
     order = [e for e, src, dst, sign in orient]
     maxq = _max_q_per_residue(kernel)
-    boundary = sorted(volume.boundary)
+    boundary = sorted(tree(volume).boundary)
     worst = ratio = 0.0
     for R, layers in _residue_layer_blocks(volume, pin, q, range(volume.n_edges)):
         h1 = h2 = 0.0
@@ -1092,8 +1146,8 @@ def _scan_dual_gap(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
     return worst, ratio
 
 
-def scan_dual_gap_pinned(spec: PinnedMeasureSpec,
-                         residue_budget: int = 2**21) -> tuple[float, float]:
+def scan_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21,
+                         pin: int = 0) -> tuple[float, float]:
     """Exact maxima of |product form - boundary-law form| and of
     |ratio - 1| over every windowed configuration.
 
@@ -1104,8 +1158,8 @@ def scan_dual_gap_pinned(spec: PinnedMeasureSpec,
     ``residue_budget`` bounds that count.
     """
     s = spec.pin_class
-    z = _bl_partition(spec.kernel, spec.volume, spec.pin_vertex)[s]
-    return _scan_dual_gap(spec.kernel, spec.volume, spec.pin_vertex, {s: 1.0}, [s], z,
+    z = _bl_partition(spec.kernel, spec.volume, pin)[s]
+    return _scan_dual_gap(spec.kernel, spec.volume, pin, {s: 1.0}, [s], z,
                           residue_budget)
 
 
@@ -1166,7 +1220,7 @@ def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
     return flow - flow[ends, np.arange(len(kernel.offsets))[::-1]]
 
 
-def product_probs(kernel: LayerKernel, volume: FiniteTreeVolume, pin: int,
+def product_probs(kernel: LayerKernel, volume: Volume, pin: int,
                   s: int, Z) -> np.ndarray:
     """``step_product_probs`` from the weights, the law and the norms."""
     Z = np.asarray(Z, dtype=np.int64)
@@ -1216,9 +1270,9 @@ def windowed_mass(spec: PinnedMeasureSpec) -> float:
     q = spec.kernel.q
     W = windowed_matrix(spec.kernel)
     f = [np.ones(q) for _ in range(spec.volume.n_vertices)]
-    for e, src, dst, sign in reversed(scalar_orientation(spec.volume, spec.pin_vertex)):
+    for e, src, dst, sign in reversed(scalar_orientation(spec.volume, 0)):
         f[src] = f[src] * (W @ f[dst])
-    return float(f[spec.pin_vertex][spec.pin_class])
+    return float(f[0][spec.pin_class])
 
 
 def truncated_potts_row_value(q: int, beta_tilde: float, residue: int) -> float:

@@ -50,7 +50,7 @@ def ball2():
 
 @pytest.fixture(scope="session")
 def pinned(kernel, ball2):
-    return PinnedMeasureSpec(kernel, ball2, 0, 0)
+    return PinnedMeasureSpec(kernel, ball2, 0)
 
 
 @pytest.fixture(scope="session")

@@ -119,7 +119,7 @@ def test_criterion_3_dual_representations(model_bits):
     volume = cayley_ball(2, 2)
     n_configs = (2 * 3 + 1) ** volume.n_edges
     gap_pinned = max(
-        max_dual_gap_pinned(PinnedMeasureSpec(kernel, volume, 0, s))
+        max_dual_gap_pinned(PinnedMeasureSpec(kernel, volume, s))
         for s in range(2)
     )
     gap_ggm = max_dual_gap_ggm(GGMSpec(kernel, chain, volume))
@@ -135,13 +135,13 @@ def test_criterion_4_consistency_and_conditional(model_bits):
     window = IncrementWindow.manual(op, 3, law)
     kernel = build_layer_kernel(op, law, window)
     volume = cayley_ball(2, 2)
-    spec = PinnedMeasureSpec(kernel, volume, 0, 0)
+    spec = PinnedMeasureSpec(kernel, volume, 0)
     cons = max(check_consistency(spec, {0}), check_consistency(spec, {0, 1}))
     dlr = check_restricted_dlr(spec, {1})
     bad_law = PeriodicBoundaryLaw.from_values([1.0, law.a[1] * 1.1])
     bad_kernel = build_layer_kernel(op, bad_law,
                                     IncrementWindow.manual(op, 3, bad_law))
-    bad_spec = PinnedMeasureSpec(bad_kernel, volume, 0, 0)
+    bad_spec = PinnedMeasureSpec(bad_kernel, volume, 0)
     bad_cons = check_consistency(bad_spec, {0})
     bad_dlr = check_restricted_dlr(bad_spec, {1})
     ok = cons < 1e-9 and dlr < 1e-9 and bad_cons > 1e-3 and bad_dlr > 1e-3
@@ -164,9 +164,12 @@ def test_criterion_6_monte_carlo(model_bits):
     op, law, kernel, chain = model_bits
     t0 = time.perf_counter()
     n = 10**6
-    volume = bf.path_volume(2)
+    volume = cayley_ball(2, 2)
     spec = GGMSpec(kernel, chain, volume)
     batch = sample_ggm_batch(spec, n, seed=2024)
+    # edge 0 runs from the centre to vertex 1, and the edge into vertex 1's
+    # first child, the first vertex of level 2, goes on from there
+    second = volume.starts[2] - 1
     offs = kernel.offsets
     single = single_bond_marginal(op, law, kernel.window)
     emp = np.array([(batch[:, 0] == z).mean() for z in offs])
@@ -177,7 +180,7 @@ def test_criterion_6_monte_carlo(model_bits):
     counts = np.zeros((K, K))
     # the batch is one byte per increment: index with intp, so nothing wraps
     np.add.at(counts, (np.add(batch[:, 0], kernel.window.cutoff, dtype=np.intp),
-                       np.add(batch[:, 1], kernel.window.cutoff, dtype=np.intp)), 1.0)
+                       np.add(batch[:, second], kernel.window.cutoff, dtype=np.intp)), 1.0)
     emp2 = counts / n
     se2 = np.sqrt(np.maximum(joint * (1 - joint), 1e-300) / n)
     dev_two = float(np.max(np.abs(emp2 - joint) / np.maximum(se2, 1e-15)))

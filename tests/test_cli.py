@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,7 @@ def test_bad_number_exits_2(model_file, argv, capsys):
 
 
 SOS2 = {"kind": "sos", "beta": 2.0}
+HUGE_TABLE = {"potential": {"kind": "table", "weights": {"0": 1, "1": 1e300}}, "q": 3, "d": 2}
 
 
 # M is the SOS beta=2 model file; each failure class has its exit code and
@@ -198,12 +200,31 @@ SOS2 = {"kind": "sos", "beta": 2.0}
                               "q": 3, "d": 2}], 2, "q must be an integer, got 3.5"),
     (["marginal", "--model", {"potential": SOS2, "q": True, "d": 2}], 2,
      "q must be an integer, got True"),
+    # finite wrapped sums whose law map (C 1)**d overflows
+    *([[*command, "--model", HUGE_TABLE], 3, "numerical failure: the boundary-law map"]
+      for command in (["marginal"], ["verify"], ["sample", "--n", "2"], ["chain", "dump"],
+                      ["solve-bl"])),
+    # JSON reads 1e400 as inf
+    (["solve-bl", "--model", {"potential": {"kind": "sos", "beta": math.inf}, "q": 2, "d": 2}],
+     2, "SOS beta must be finite and positive"),
+    (["solve-bl", "--model", {"potential": {"kind": "discrete_gaussian", "beta": math.inf},
+                              "q": 2, "d": 2}], 2,
+     "DiscreteGaussian beta must be finite and positive"),
+    (["solve-bl", "--model", {"potential": {"kind": "lifted_potts", "q": 3,
+                                            "beta_tilde": math.inf}, "q": 3, "d": 2}], 2,
+     "LiftedPotts beta_tilde must be finite and >= 0"),
+    (["solve-bl", "--model", {"potential": {"kind": "lifted_potts", "q": 3, "beta_tilde": 1.0,
+                                            "tail_beta": math.inf}, "q": 3, "d": 2}], 2,
+     "LiftedPotts tail_beta must be finite and positive"),
 ], ids=["ok", "verification", "unwritable-out", "model-is-a-directory", "oversized-volume",
         "fractional-q", "fractional-d", "no-certified-window", "no-such-branch",
         "perturb-period-1", "half-a-sweep", "sweep-of-a-table", "beta-grid-overflows",
         "counterexample-overflows", "counterexample-not-finite", "empty-table",
         "nan-weight", "inf-weight", "wrapped-sum-overflows", "fractional-lift-q",
-        "boolean-q"])
+        "boolean-q", "law-map-overflows-marginal", "law-map-overflows-verify",
+        "law-map-overflows-sample", "law-map-overflows-chain-dump",
+        "law-map-overflows-solve-bl", "infinite-sos-beta", "infinite-gaussian-beta",
+        "infinite-beta-tilde", "infinite-tail-beta"])
 def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, code, message):
     def resolve(arg):
         if isinstance(arg, dict):
@@ -212,10 +233,12 @@ def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, cod
             return str(path)
         return {"M": model_file}.get(arg, arg.replace("TMP", str(tmp_path)))
 
-    assert main([resolve(arg) for arg in argv]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the case
+        assert main([resolve(arg) for arg in argv]) == code
     err = capsys.readouterr().err
     assert message in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and err.count("\n") <= 1
 
 
 def test_beta_grid_cap_stops_before_any_solve(model_file, capsys, monkeypatch):

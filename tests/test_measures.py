@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -7,7 +6,6 @@ import pytest
 
 from ggmtree import (
     SOS,
-    FiniteTreeVolume,
     FuzzyChain,
     GGMSpec,
     IncrementWindow,
@@ -72,19 +70,18 @@ class TestScaledPass:
     def test_partition_agrees_with_unscaled_pass(self, spec_parts, depth):
         kernel, _ = spec_parts
         volume = cayley_ball(2, depth)
-        for pin in (0, 1):
-            got = np.exp(bf.log_bl_partition(kernel, volume, pin))
-            want = bf._bl_partition(kernel, volume, pin)
-            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        got = np.exp(bf.log_bl_partition(kernel, volume))
+        want = bf._bl_partition(kernel, volume, 0)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_windowed_mass_agrees_with_unscaled_pass(self, kernel, depth):
-        spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), 0, 1)
+        spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), 1)
         assert windowed_mass(spec) == pytest.approx(bf.windowed_mass(spec), rel=1e-13)
 
     def test_deep_partition_stays_finite(self, kernel):
         # the unscaled partition overflows from depth 8 on
-        log_z = bf.log_bl_partition(kernel, cayley_ball(2, 14), 0)
+        log_z = bf.log_bl_partition(kernel, cayley_ball(2, 14))
         assert np.all(np.isfinite(log_z))
         assert log_z.min() > 700.0
 
@@ -99,14 +96,12 @@ class TestScaledPass:
         rng = np.random.default_rng(q)
         matrix = rng.random((q, q)) + 0.1
         leaf = rng.random(q) + 0.5
-        parents = [None, *(int(rng.integers(i)) for i in range(1, 2000))]
-        tree = FiniteTreeVolume(2, parents, set(range(1, 2000)) - set(parents))
-        volumes = [cayley_ball(2, 2), cayley_ball(2, 3), cayley_ball(2, 10), tree]
+        volumes = [cayley_ball(2, 2), cayley_ball(2, 3), cayley_ball(2, 10), cayley_ball(5, 4)]
         u = measures.EPS / 2
-        for volume, pin in itertools.product(volumes, (0, 1, 5)):
-            unit, log_total = measures._upward(volume, pin, matrix, leaf)
+        for volume in volumes:
+            unit, log_total = measures._upward(volume, matrix, leaf)
             want_unit, logs = bf.scalar_upward(
-                volume, pin, matrix, dict.fromkeys(volume.boundary.tolist(), leaf))
+                volume, 0, matrix, dict.fromkeys(bf.tree(volume).boundary.tolist(), leaf))
             assert np.array_equal(unit, np.array(want_unit))
             n, size = len(logs), math.fsum(map(abs, logs))
             bound = (4 * u + u + n * u / (1 - n * u)) * size
@@ -124,14 +119,14 @@ class TestScaledPass:
         for depth in range(2, 11):
             volume = cayley_ball(2, depth)
             Counted.calls = 0
-            measures._upward(volume, 0, matrix, kernel.law.as_array())
+            measures._upward(volume, matrix, kernel.law.as_array())
             assert Counted.calls == depth
 
     def test_wide_ball_stays_finite(self):
         # 400 messages of entries near 10 multiply to 1e400 unless each is
         # scaled before the product
         matrix = np.array([[6.0, 4.0], [3.0, 7.0]])
-        unit, log_total = measures._upward(cayley_ball(400, 2), 0, matrix)
+        unit, log_total = measures._upward(cayley_ball(400, 2), matrix)
         assert np.all(np.isfinite(unit)) and np.isfinite(log_total)
         assert unit.max() == 1.0
         assert log_total > 400 * math.log(10.0)
@@ -142,21 +137,21 @@ class TestPinnedProduct:
         op = SOS(1.0)
         kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(2))
         vol = path_volume(1)
-        spec = PinnedMeasureSpec(kernel, vol, 0, 0)
+        spec = PinnedMeasureSpec(kernel, vol, 0)
         zeta = GradientConfiguration(vol, (0,))
         assert pinned_prob_product(spec, zeta) == pytest.approx(
             1.0 / wrapped_sum(op, 1, 0), abs=1e-13)
 
     def test_two_edge_path_unrolls_kernel_factors(self, kernel):
         vol = path_volume(2)
-        spec = PinnedMeasureSpec(kernel, vol, 0, 0)
+        spec = PinnedMeasureSpec(kernel, vol, 0)
         zeta = GradientConfiguration(vol, (1, 1))
         want = bf.table_prob(kernel, 0, 1) * bf.table_prob(kernel, 1, 1)
         assert pinned_prob_product(spec, zeta) == pytest.approx(want, abs=1e-15)
 
     def test_star_volume_sums_to_one(self, kernel, ball1):
         # enumeration over the certified window captures all but the tail
-        spec = PinnedMeasureSpec(kernel, ball1, 0, 0)
+        spec = PinnedMeasureSpec(kernel, ball1, 0)
         tot = sum(
             pinned_prob_product(spec, GradientConfiguration(ball1, tuple(map(int, arr))))
             for arr in windowed_configs(ball1, kernel.window, 10**6)
@@ -164,7 +159,7 @@ class TestPinnedProduct:
         assert tot == pytest.approx(1.0, abs=1e-10)
 
     def test_windowed_mass_matches_enumeration(self, small_kernel, ball1):
-        spec = PinnedMeasureSpec(small_kernel, ball1, 0, 0)
+        spec = PinnedMeasureSpec(small_kernel, ball1, 0)
         tot = sum(
             pinned_prob_product(spec, GradientConfiguration(ball1, tuple(map(int, arr))))
             for arr in windowed_configs(ball1, small_kernel.window, 10**6)
@@ -176,16 +171,16 @@ class TestPinnedProduct:
         # the same physical pin gives identical probabilities
         fwd = path_volume(2)
         rev = path_volume(2)  # vertex j here plays the role of vertex 2 - j
-        spec_f = PinnedMeasureSpec(kernel, fwd, 0, 0)
-        spec_r = PinnedMeasureSpec(kernel, rev, 2, 0)
+        spec_f = PinnedMeasureSpec(kernel, fwd, 0)
+        spec_r = PinnedMeasureSpec(kernel, rev, 0)
         for z1 in (-2, 0, 1):
             for z2 in (-1, 0, 3):
                 p_f = pinned_prob_product(spec_f, GradientConfiguration(fwd, (z1, z2)))
-                p_r = pinned_prob_product(spec_r, GradientConfiguration(rev, (-z2, -z1)))
+                p_r = pinned_prob_product(spec_r, GradientConfiguration(rev, (-z2, -z1)), pin=2)
                 assert p_f == pytest.approx(p_r, abs=1e-16)
 
     def test_increment_outside_window_rejected(self, small_kernel, ball1):
-        spec = PinnedMeasureSpec(small_kernel, ball1, 0, 0)
+        spec = PinnedMeasureSpec(small_kernel, ball1, 0)
         zeta = GradientConfiguration.from_map(ball1, {(0, 1): 4})
         with pytest.raises(ValueError, match="exceeds cutoff"):
             pinned_prob_product(spec, zeta)
@@ -193,7 +188,7 @@ class TestPinnedProduct:
 
 class TestDualRepresentation:
     def test_pointwise_agreement_on_depth2(self, small_kernel, ball2):
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0, 0)
+        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
         rng = np.random.default_rng(11)
         for _ in range(300):
             arr = rng.integers(-3, 4, size=ball2.n_edges)
@@ -204,7 +199,7 @@ class TestDualRepresentation:
 
     def test_exact_maximum_gap_matches_enumeration(self, sos2, upper_law, ball1):
         kernel = build_layer_kernel(sos2, upper_law, IncrementWindow.manual(sos2, 2, upper_law))
-        spec = PinnedMeasureSpec(kernel, ball1, 0, 0)
+        spec = PinnedMeasureSpec(kernel, ball1, 0)
         brute = 0.0
         for arr in windowed_configs(ball1, kernel.window, 10**6):
             zeta = GradientConfiguration(ball1, tuple(map(int, arr)))
@@ -216,7 +211,7 @@ class TestDualRepresentation:
         op = SOS(1.3)
         kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(2))
         for s in range(2):
-            spec = PinnedMeasureSpec(kernel, ball1, 0, s)
+            spec = PinnedMeasureSpec(kernel, ball1, s)
             zeta = GradientConfiguration.from_map(ball1, {(0, 1): 1, (0, 2): -2})
             want = (eval_q(op, 1) * eval_q(op, -2) * eval_q(op, 0)) / wrapped_sum(op, 1, 0) ** 3
             assert pinned_prob_bl(spec, zeta) == pytest.approx(want, abs=1e-13)
@@ -225,8 +220,8 @@ class TestDualRepresentation:
         # pinning class 1 with the law equals pinning class 0 with its shift
         k1 = build_layer_kernel(sos2, upper_law)
         k2 = build_layer_kernel(sos2, bf.shifted(upper_law, 1))
-        s1 = PinnedMeasureSpec(k1, ball1, 0, 1)
-        s2 = PinnedMeasureSpec(k2, ball1, 0, 0)
+        s1 = PinnedMeasureSpec(k1, ball1, 1)
+        s2 = PinnedMeasureSpec(k2, ball1, 0)
         for zmap in ({(0, 1): 0}, {(0, 1): 1, (0, 2): -1}, {(0, 3): 2}):
             zeta = GradientConfiguration.from_map(ball1, zmap)
             assert pinned_prob_bl(s1, zeta) == pytest.approx(
@@ -234,7 +229,7 @@ class TestDualRepresentation:
 
     def test_bl_form_requires_closed_volume(self, kernel):
         vol = path_volume(2)
-        spec = PinnedMeasureSpec(kernel, vol, 0, 0)
+        spec = PinnedMeasureSpec(kernel, vol, 0)
         with pytest.raises(ValueError):
             pinned_prob_bl(spec, GradientConfiguration.zeros(vol))
 
@@ -292,7 +287,7 @@ class TestCoupling:
         spec = GGMSpec(kernel, chain, ball1)
         got = coupling_expectation(spec, lambda cfg, labels: 1.0)
         want = sum(
-            chain.alpha[s] * windowed_mass(PinnedMeasureSpec(kernel, ball1, 0, s))
+            chain.alpha[s] * windowed_mass(PinnedMeasureSpec(kernel, ball1, s))
             for s in range(kernel.q)
         )
         assert got == pytest.approx(want, abs=1e-12)
@@ -335,16 +330,15 @@ class TestSampling:
         assert one.increments == two.increments
         assert one.increments != other.increments
 
-    def test_batch_deterministic(self, kernel, chain):
-        vol = path_volume(2)
-        spec = GGMSpec(kernel, chain, vol)
+    def test_batch_deterministic(self, kernel, chain, ball1):
+        spec = GGMSpec(kernel, chain, ball1)
         b1 = sample_ggm_batch(spec, 4096, seed=9)
         b2 = sample_ggm_batch(spec, 4096, seed=9)
         assert np.array_equal(b1, b2)
 
-    def test_empirical_single_bond_within_four_sigma(self, kernel, chain):
-        vol = path_volume(1)
-        spec = GGMSpec(kernel, chain, vol)
+    def test_empirical_single_bond_within_four_sigma(self, kernel, chain, ball1):
+        # every edge of the homogeneous measure has the single-bond marginal
+        spec = GGMSpec(kernel, chain, ball1)
         n = 200_000
         batch = sample_ggm_batch(spec, n, seed=1234)
         marg = single_bond_marginal(kernel.op, kernel.law, kernel.window)
@@ -352,12 +346,11 @@ class TestSampling:
         se = np.sqrt(np.maximum(marg * (1 - marg), 1e-12) / n)
         assert np.max(np.abs(emp - marg) / se) < 4.0
 
-    def test_uniform_law_increment_distribution(self):
+    def test_uniform_law_increment_distribution(self, ball1):
         op = SOS(1.5)
         kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(2))
         chain = fuzzy_transform(kernel)
-        vol = path_volume(1)
-        spec = GGMSpec(kernel, chain, vol)
+        spec = GGMSpec(kernel, chain, ball1)
         n = 200_000
         batch = sample_ggm_batch(spec, n, seed=77)
         mass = wrapped_sum(op, 1, 0)
@@ -403,12 +396,6 @@ class TestLevelBlockedSampler:
         finally:
             tracemalloc.stop()
         assert peak < batch.nbytes + n + 256 * measures.DRAW_BLOCK
-
-    def test_levels_in_any_vertex_order(self, spec_parts):
-        # a random tree: the ids of one level interleave with those of others
-        parents = [None, *np.random.default_rng(3).integers(np.arange(1, 300))]
-        spec = GGMSpec(*spec_parts, FiniteTreeVolume(2, parents, ()))
-        assert np.array_equal(sample_ggm_batch(spec, 40, 5), bf.sample_ggm_batch(spec, 40, 5))
 
     def test_homogeneity_unchanged(self, spec_parts, monkeypatch):
         # depth 2 with cutoff >= 1 has over 4096 windowed configurations, so
@@ -457,27 +444,26 @@ class TestGuideSampler:
 
 
 def random_parts(count, seed):
-    """Random trees, each with a pin and a random connected part holding it."""
+    """Random balls of degree 2 to 4 and radius 1 to 3, each with a random
+    connected part holding the centre."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        n = int(rng.integers(2, 120))
-        volume = FiniteTreeVolume(2, [None, *rng.integers(np.arange(1, n)).tolist()], ())
-        pin = int(rng.integers(n))
-        part = {pin}
-        while len(part) < rng.integers(1, n + 1):
+        volume = cayley_ball(int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+        part = {0}
+        while len(part) < rng.integers(1, volume.n_vertices + 1):
             part.add(int(rng.choice(sorted(bf.adjacent_outside(volume, part)))))
-        yield rng, volume, pin, part
+        yield rng, volume, part
 
 
 class TestStepTableWalks:
-    """Every walk reads ``orientation_from``, checked against the neighbour
-    walks of ``brute_force`` on random trees."""
+    """Every walk reads the ball's step table, checked against the neighbour
+    walks of ``brute_force`` on random balls."""
 
     def test_part_is_the_restricted_bfs_and_its_rim(self):
-        for _, volume, pin, part in random_parts(120, seed=5):
-            rim = measures._part(volume, pin, part)
-            # the steps out of the part, in the order of the BFS from the pin
-            assert rim == [dst for _, src, dst, _ in bf.scalar_orientation(volume, pin)
+        for _, volume, part in random_parts(120, seed=5):
+            rim = measures._part(volume, part)
+            # the steps out of the part, in the order of the BFS from the centre
+            assert rim == [dst for _, src, dst, _ in bf.scalar_orientation(volume, 0)
                            if src in part and dst not in part]
             assert sorted(rim) == sorted(bf.adjacent_outside(volume, part))
 
@@ -489,8 +475,10 @@ class TestStepTableWalks:
         alpha = chain.alpha.copy()
         alpha[0] *= 1.0 + 1e-3
         chain = FuzzyChain(2, chain.matrix, alpha / alpha.sum())
-        for rng, volume, pin, _ in random_parts(120, seed=6):
-            pins = [pin, *rng.integers(volume.n_vertices, size=rng.integers(0, 4)).tolist()]
+        for rng, volume, _ in random_parts(120, seed=6):
+            # any vertices of the ball, the boundary too
+            pins = rng.integers(volume.n_vertices, size=rng.integers(1, 5)).tolist()
+            pin = pins[0]
             k = len({frozenset(step) for x in pins[1:] for step in bf.path(volume, pin, x)})
             got = check_homogeneity(GGMSpec(kernel, chain, volume), pins)
             assert got == (pytest.approx(1.001**k - 1, rel=1e-9) if k else 0.0)
@@ -500,9 +488,11 @@ class TestStepTableWalks:
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
         log_a, log_n = np.log(law.as_array()), np.log(kernel.norms)
-        for _, volume, pin, part in random_parts(60, seed=7):
-            spec = PinnedMeasureSpec(kernel, volume, pin, 0)
-            inner = bf.adjacent_outside(volume, part)
+        for _, volume, part in random_parts(60, seed=7):
+            spec = PinnedMeasureSpec(kernel, volume, 0)
+            # the interior vertices on the rim of a part holding the pin
+            boundary = bf.tree(volume).is_boundary
+            inner = {v for v in bf.adjacent_outside(volume, part) if not boundary[v]}
             if not inner:
                 continue
             width = sum(float(np.ptp(log_a - (len(bf.neighbors(volume, v)) - 1) * log_n))
@@ -512,33 +502,32 @@ class TestStepTableWalks:
 
 class TestConsistency:
     def test_one_site_growth(self, small_kernel, ball2):
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0, 0)
+        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
         assert check_consistency(spec, {0}) < 1e-9
         assert check_consistency(spec, {0, 1}) < 1e-9
 
     def test_mixture_consistency(self, small_kernel, ball2):
         # one bound for every pin class, so it bounds their mixture too
-        bounds = {check_consistency(PinnedMeasureSpec(small_kernel, ball2, 0, s), {0})
+        bounds = {check_consistency(PinnedMeasureSpec(small_kernel, ball2, s), {0})
                   for s in range(small_kernel.q)}
         assert len(bounds) == 1 and bounds.pop() < 1e-9
 
     def test_uniform_law_is_product(self, ball2):
         law = PeriodicBoundaryLaw.trivial(2)
         kernel = build_layer_kernel(SOS(2.0), law, IncrementWindow.manual(SOS(2.0), 3, law))
-        spec = PinnedMeasureSpec(kernel, ball2, 0, 0)
+        spec = PinnedMeasureSpec(kernel, ball2, 0)
         assert check_consistency(spec, {0}) < 1e-12
 
     def test_perturbed_law_fails(self, sos2, upper_law, ball2):
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
-        spec = PinnedMeasureSpec(kernel, ball2, 0, 0)
+        spec = PinnedMeasureSpec(kernel, ball2, 0)
         assert check_consistency(spec, {0}) > 1e-3
 
 
 class TestHomogeneity:
-    def test_adjacent_pins_on_single_edge(self, kernel, chain):
-        vol = path_volume(1)
-        spec = GGMSpec(kernel, chain, vol)
+    def test_adjacent_pins_on_single_edge(self, kernel, chain, ball1):
+        spec = GGMSpec(kernel, chain, ball1)
         assert check_homogeneity(spec, [0, 1]) < 1e-10
 
     def test_three_pins_on_depth2(self, ggm):
@@ -585,29 +574,29 @@ class TestHomogeneity:
 
 class TestRestrictedConditional:
     def test_inner_star_inside_depth2(self, small_kernel, ball2):
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0, 0)
+        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
         assert check_restricted_dlr(spec, {1}) < 1e-9
 
     def test_mixture_conditional_agrees(self, small_kernel, small_chain, ball2):
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0, 0)
+        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
         got = check_restricted_dlr(spec, {1})
         assert got < 1e-9
 
     def test_period_one_uniform_law(self, ball2):
         law = PeriodicBoundaryLaw.trivial(1)
         kernel = build_layer_kernel(SOS(2.0), law, IncrementWindow.manual(SOS(2.0), 3, law))
-        spec = PinnedMeasureSpec(kernel, ball2, 0, 0)
+        spec = PinnedMeasureSpec(kernel, ball2, 0)
         assert check_restricted_dlr(spec, {1}) < 1e-12
 
     def test_pin_inside_inner_rejected(self, small_kernel, ball2):
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0, 0)
+        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
         with pytest.raises(PinInsideInner):
             check_restricted_dlr(spec, {0, 1})
 
     def test_perturbed_law_fails(self, sos2, upper_law, ball2):
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
-        spec = PinnedMeasureSpec(kernel, ball2, 0, 0)
+        spec = PinnedMeasureSpec(kernel, ball2, 0)
         assert check_restricted_dlr(spec, {1}) > 1e-3
 
 

@@ -23,8 +23,6 @@ from ggmtree import (
     wrapped_sum,
 )
 from ggmtree.model import (
-    ORIENTATIONS,
-    FiniteTreeVolume,
     _certified_wrapped_sum,
     interaction_matrix,
     tail_mass,
@@ -254,27 +252,35 @@ class TestIncrementWindow:
 
 # index order is not BFS order: vertex 3, a child of the root, comes after
 # vertex 2, a grandchild
-SHUFFLED = FiniteTreeVolume(2, [None, 0, 1, 0, 2, 3, 1, 3, 0], ())
+SHUFFLED = bf.Tree(2, np.array([-1, 0, 1, 0, 2, 3, 1, 3, 0]), np.zeros(9, dtype=bool))
 
 
 def random_tree(n, seed=1):
     rng = np.random.default_rng(seed)
-    return FiniteTreeVolume(2, [None, *rng.integers(np.arange(1, n)).tolist()], ())
+    return bf.Tree(2, np.array([-1, *rng.integers(np.arange(1, n)).tolist()], dtype=np.int64),
+                   np.zeros(n, dtype=bool))
+
+
+def dst_vertices(volume):
+    """The dst slices of the step table, as one array of vertices."""
+    return np.concatenate([np.arange(dst.start, dst.stop) for _, dst in volume.steps()])
 
 
 class TestVolumes:
     def test_depth_and_neighbours_are_the_scalar_walk(self):
-        # from the root, level k holds the steps from the vertices at depth k
-        # (parent climbs) to their children, in index order
-        trees = [random_tree(n) for n in (1, 2, 50, 3000)]
-        for volume in [cayley_ball(2, 6), cayley_ball(3, 4), cayley_ball(4, 1), path_volume(40),
-                       SHUFFLED, *trees]:
+        # level k holds the steps from the vertices at depth k (parent
+        # climbs) to their children, in index order
+        for volume in [cayley_ball(2, 6), cayley_ball(3, 4), cayley_ball(4, 1),
+                       cayley_ball(5, 3)]:
             kids = bf.children(volume)
-            for k, (src, dst) in enumerate(volume.orientation_from(0)):
+            for k, (src, dst) in enumerate(volume.steps()):
                 assert {len(bf.path(volume, 0, x)) for x in src.tolist()} == {k}
-                assert dst.tolist() == [c for x in dict.fromkeys(src.tolist()) for c in kids[x]]
+                assert list(range(dst.start, dst.stop)) == [
+                    c for x in dict.fromkeys(src.tolist()) for c in kids[x]]
 
-    # the distance check is the test of ``path``, which climbs from the larger vertex
+    # the distance check is the test of ``path``, which climbs from the larger
+    # vertex; the oracles walk any tree from any pin, and the library's step
+    # table is the walk of a ball from its centre
     @pytest.mark.parametrize("volume", [cayley_ball(2, 3), cayley_ball(3, 2), path_volume(6),
                                         SHUFFLED, random_tree(2), random_tree(50),
                                         random_tree(120, seed=2)],
@@ -282,45 +288,53 @@ class TestVolumes:
                                   "random-50", "random-120"])
     def test_orientation_is_the_scalar_bfs(self, volume):
         for w in range(volume.n_vertices):
-            levels = volume.orientation_from(w)
-            steps = [(x, y) for src, dst in levels for x, y in zip(src.tolist(), dst.tolist())]
             want = bf.scalar_orientation(volume, w)
-            assert steps == [(src, dst) for _, src, dst, _ in want]
-            assert [max(x, y) - 1 for x, y in steps] == [e for e, *_ in want]
-            assert [1 if y > x else -1 for x, y in steps] == [sign for *_, sign in want]
-            for k, (src, _) in enumerate(levels):
-                assert {len(bf.path(volume, w, x)) for x in src.tolist()} == {k}
+            assert sorted(e for e, *_ in want) == list(range(volume.n_edges))
+            for e, src, dst, sign in want:
+                assert e == max(src, dst) - 1 and sign == (1 if dst > src else -1)
+                assert len(bf.path(volume, w, dst)) == len(bf.path(volume, w, src)) + 1
+            depth = [len(bf.path(volume, w, src)) for _, src, _, _ in want]
+            assert depth == sorted(depth)
+        if not isinstance(volume, bf.Tree):
+            steps = [(x, y) for src, dst in volume.steps()
+                     for x, y in zip(src.tolist(), range(dst.start, dst.stop))]
+            assert steps == [(src, dst) for _, src, dst, _ in bf.scalar_orientation(volume, 0)]
 
-    def test_root_entry_may_be_minus_one(self):
-        parents = [None, 0, 1, 0, 2, 3, 1, 3, 0]
-        volume = FiniteTreeVolume(2, np.array([-1, *parents[1:]]), [4])
-        assert np.array_equal(volume.parents, SHUFFLED.parents)
-        assert volume.boundary.tolist() == [4]
-        with pytest.raises(ValueError, match="root"):
-            FiniteTreeVolume(2, [0, 0], ())
-
-    def test_orientation_cache_is_bounded(self):
-        volume = cayley_ball(2, 4)
-        for w in range(volume.n_vertices):
-            volume.orientation_from(w)
-        assert len(volume._orientations) == ORIENTATIONS
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_ball_levels(self, d):
+        # level k holds (d + 1) d**(k - 1) vertices, every interior vertex
+        # has d + 1 neighbours, the leaves are the last level, and the
+        # levels are the scalar BFS from the centre grouped by distance
+        for radius in range(1, 7):
+            volume = cayley_ball(d, radius)
+            sizes = np.diff(volume.starts).tolist()
+            assert sizes == [1] + [(d + 1) * d ** (k - 1) for k in range(1, radius + 1)]
+            degree = np.array([len(bf.neighbors(volume, v)) for v in range(volume.n_vertices)])
+            rim = volume.starts[-2]
+            assert np.all(degree[:rim] == d + 1) and np.all(degree[rim:] == 1)
+            by_distance = {}
+            for _, src, dst, _ in bf.scalar_orientation(volume, 0):
+                by_distance.setdefault(len(bf.path(volume, 0, src)), []).append((src, dst))
+            assert [list(zip(src.tolist(), range(dst.start, dst.stop)))
+                    for src, dst in volume.steps()] == list(by_distance.values())
 
     def test_binary_depth2_ball_shape(self, ball2):
         assert ball2.n_vertices == 10
         assert ball2.n_edges == 9
-        assert ball2.full
-        assert sorted(ball2.boundary) == [4, 5, 6, 7, 8, 9]
+        assert ball2.starts == (0, 1, 4, 10)
+        assert bf.tree(ball2).full
+        assert sorted(bf.tree(ball2).boundary) == [4, 5, 6, 7, 8, 9]
 
     def test_distances(self, ball2):
-        # y lies at distance k + 1 from x when it is a dst of level k of x's table
-        def distance(x, y):
-            levels = ball2.orientation_from(x)
-            return next((k + 1 for k, (_, dst) in enumerate(levels) if y in dst), 0)
+        # y lies at distance k + 1 from the centre when it is a dst of level k
+        def distance(y):
+            return next((k + 1 for k, (_, dst) in enumerate(ball2.steps())
+                         if dst.start <= y < dst.stop), 0)
 
-        assert distance(4, 5) == 2
-        assert distance(4, 6) == 4
-        assert distance(0, 9) == 2
-        assert distance(3, 3) == 0
+        assert distance(9) == 2
+        assert distance(3) == 1
+        assert distance(0) == 0
+        assert [distance(y) for y in range(10)] == [len(bf.path(ball2, 0, y)) for y in range(10)]
 
     def test_distance_is_the_path_length(self):
         # the parent-climb oracle walks a path of neighbours from x to y
@@ -337,29 +351,24 @@ class TestVolumes:
         assert not path_volume(3).full
 
     def test_orientation_reaches_every_edge(self, ball2):
-        for pin in range(ball2.n_vertices):
-            src, dst = (np.concatenate(side) for side in zip(*ball2.orientation_from(pin)))
-            assert len(src) == ball2.n_edges
-            assert sorted(np.maximum(src, dst) - 1) == list(range(ball2.n_edges))
+        src = np.concatenate([src for src, _ in ball2.steps()])
+        assert len(src) == ball2.n_edges
+        assert sorted(dst_vertices(ball2) - 1) == list(range(ball2.n_edges))
 
     def test_depth_12_ball_children_match_parents(self):
         vol = cayley_ball(2, 12)
         assert vol.n_vertices == 12286
-        assert len(vol.boundary) == 6144
-        assert vol.full
+        assert vol.n_vertices - vol.starts[-2] == 6144
+        assert bf.tree(vol).full
         kids = bf.children(vol)
         assert sum(map(len, kids)) == vol.n_vertices - 1
         # numbered level by level, so the root's table steps to 1, 2, ... in turn
-        src, dst = (np.concatenate(side) for side in zip(*vol.orientation_from(0)))
-        assert np.array_equal(dst, np.arange(1, vol.n_vertices))
+        src = np.concatenate([src for src, _ in vol.steps()])
+        assert np.array_equal(dst_vertices(vol), np.arange(1, vol.n_vertices))
         assert np.array_equal(src, vol.parents[1:])
         for v in range(vol.n_vertices):
             assert list(kids[v]) == sorted(kids[v])
             assert all(vol.parents[c] == v for c in kids[v])
-
-    def test_boundary_must_be_leaves(self):
-        with pytest.raises(ValueError):
-            cayley_ball(2, 2).__class__(2, [None, 0, 0, 0], boundary=[0])
 
     def test_configuration_orientation_lookup(self, ball2):
         zeta = bf.GradientConfiguration.from_map(ball2, {(0, 1): 3, (4, 1): 2})

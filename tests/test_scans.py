@@ -1,6 +1,14 @@
 """The verifier's certificates against the exact class scans, and the class
 scans against the enumerating oracles, all in ``brute_force.py``, on
-depth-1 to depth-3 balls of the binary tree."""
+depth-1 to depth-3 balls of the binary tree.
+
+The library pins a measure at the centre of the ball, and the oracles at
+any vertex (``pin``). Each certificate reads no pin vertex: the dual bound
+counts the interior vertices other than the pin, consistency reads the
+weight hanging below each rim vertex of the inner volume, the same from
+any pin inside it, and the conditional bound gives every inner vertex the d
+neighbours away from a pin outside it. So a certificate also bounds the
+scans pinned elsewhere, and the cases with ``pin1`` to ``pin4`` check that."""
 import gc
 import weakref
 
@@ -81,16 +89,17 @@ def bounded(exact, bound):
 def test_dual_gaps_match_residue_loops(model, depth, pin):
     kernel, chain = model
     volume = cayley_ball(2, depth)
-    spec = PinnedMeasureSpec(kernel, volume, pin, kernel.q - 1)
-    assert close(bf.scan_dual_gap_pinned(spec)[0], bf.max_dual_gap_pinned(spec))
+    spec = PinnedMeasureSpec(kernel, volume, kernel.q - 1)
+    assert close(bf.scan_dual_gap_pinned(spec, pin=pin)[0],
+                 bf.max_dual_gap_pinned(spec, pin=pin))
     ggm = GGMSpec(kernel, chain, volume)
     assert close(bf.scan_dual_gap_ggm(ggm)[0], bf.max_dual_gap_ggm(ggm))
 
 
 def check_dual_gaps(kernel, chain, depth, pin):
     volume = cayley_ball(2, depth)
-    spec = PinnedMeasureSpec(kernel, volume, pin, kernel.q - 1)
-    assert bounded(bf.scan_dual_gap_pinned(spec), max_dual_gap_pinned(spec))
+    spec = PinnedMeasureSpec(kernel, volume, kernel.q - 1)
+    assert bounded(bf.scan_dual_gap_pinned(spec, pin=pin), max_dual_gap_pinned(spec))
     if pin == 0:
         ggm = GGMSpec(kernel, chain, volume)
         assert bounded(bf.scan_dual_gap_ggm(ggm), max_dual_gap_ggm(ggm))
@@ -117,9 +126,10 @@ def test_dual_gap_certificates_bound_the_depth3_scans(name):
 ], ids=["d1", "d1-mixture", "d2", "d2-inner01", "d2-inner01-pin1", "d2-inner01-pin1-mixture"])
 def test_consistency_matches_enumeration(model, depth, inner, pin, mixture):
     kernel, chain = model
-    spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), pin, kernel.q - 1)
-    want = bf.check_consistency(spec, inner, mixture=mixture, chain=chain)
-    assert close(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain)[0], want)
+    spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), kernel.q - 1)
+    want = bf.check_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin)
+    assert close(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin)[0],
+                 want)
 
 
 @pytest.mark.parametrize("depth, inner, pin, mixture", [
@@ -135,9 +145,9 @@ def test_consistency_matches_enumeration(model, depth, inner, pin, mixture):
         "d3-inner01-pin1", "d3-inner014-pin4-mixture"])
 def test_consistency_certificate_bounds_the_scan(certified_model, depth, inner, pin, mixture):
     kernel, chain = certified_model
-    spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), pin, kernel.q - 1)
+    spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), kernel.q - 1)
     # one bound for every pin class, so it bounds the mixture too
-    assert bounded(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain),
+    assert bounded(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin),
                    check_consistency(spec, inner))
 
 
@@ -145,8 +155,8 @@ def test_bounds_are_the_same_for_every_pin_class(certified_model):
     # normalization centres the pinned bounds, so neither reads the class
     kernel, _ = certified_model
     volume = cayley_ball(2, 2)
-    for inner, pin in [({0}, 0), ({0, 1}, 1)]:
-        specs = [PinnedMeasureSpec(kernel, volume, pin, s) for s in range(kernel.q)]
+    for inner in [{0}, {0, 1}]:
+        specs = [PinnedMeasureSpec(kernel, volume, s) for s in range(kernel.q)]
         assert len({check_consistency(spec, inner) for spec in specs}) == 1
         assert len({max_dual_gap_pinned(spec) for spec in specs}) == 1
 
@@ -157,12 +167,12 @@ def test_mixture_dual_bound_is_the_pinned_one_widened(certified_model, depth):
     kernel, chain = certified_model
     volume = cayley_ball(2, depth)
     assert (max_dual_gap_ggm(GGMSpec(kernel, chain, volume))
-            >= max_dual_gap_pinned(PinnedMeasureSpec(kernel, volume, 0, 0)))
+            >= max_dual_gap_pinned(PinnedMeasureSpec(kernel, volume, 0)))
 
 
 def test_consistency_needs_a_connected_inner_volume(kernel):
     with pytest.raises(ValueError, match="connected"):
-        check_consistency(PinnedMeasureSpec(kernel, cayley_ball(2, 3), 0, 0), {0, 4})
+        check_consistency(PinnedMeasureSpec(kernel, cayley_ball(2, 3), 0), {0, 4})
 
 
 # ball of depth 2: edge k joins vertex k + 1 to its parent; 1 -> 4, 5 are
@@ -177,8 +187,8 @@ def test_consistency_needs_a_connected_inner_volume(kernel):
         "inner12-pin3-mixture"])
 def test_restricted_dlr_matches_enumeration(model, inner, pin, outside, reference, mixture):
     kernel, chain = model
-    spec = PinnedMeasureSpec(kernel, cayley_ball(2, 2), pin, kernel.q - 1)
-    kwargs = dict(outside=outside, reference=reference, mixture=mixture, chain=chain)
+    spec = PinnedMeasureSpec(kernel, cayley_ball(2, 2), kernel.q - 1)
+    kwargs = dict(outside=outside, reference=reference, mixture=mixture, chain=chain, pin=pin)
     want = bf.check_restricted_dlr(spec, inner, **kwargs)
     assert close(bf.scan_restricted_dlr(spec, inner, **kwargs), want)
 
@@ -189,18 +199,17 @@ def test_restricted_dlr_matches_enumeration(model, inner, pin, outside, referenc
     (2, {1}, 0, None, None, False),
     (2, {1}, 0, None, {4: 1}, False),
     (2, {1}, 0, {1: 1, 5: -1}, None, True),
-    (2, {0}, 1, {5: 2}, {2: -1}, False),
     (2, {1, 2}, 3, {8: 1}, {0: 1, 5: -2}, True),
     (3, {1, 4}, 0, None, {9: 2, 10: -1}, False),
     (3, {1, 4, 5}, 2, {1: 1}, {3: 1, 11: -2}, True),
-], ids=["d2-inner1", "d2-inner1-reference", "d2-inner1-outside-mixture", "d2-inner0-pin1",
+], ids=["d2-inner1", "d2-inner1-reference", "d2-inner1-outside-mixture",
         "d2-inner12-pin3-mixture", "d3-inner14", "d3-inner145-pin2-mixture"])
 def test_restricted_certificate_bounds_the_scan(certified_model, depth, inner, pin, outside,
                                                 reference, mixture):
     kernel, chain = certified_model
     volume = cayley_ball(2, depth)
-    spec = PinnedMeasureSpec(kernel, volume, pin, kernel.q - 1)
-    kwargs = dict(outside=outside, reference=reference, mixture=mixture, chain=chain)
+    spec = PinnedMeasureSpec(kernel, volume, kernel.q - 1)
+    kwargs = dict(outside=outside, reference=reference, mixture=mixture, chain=chain, pin=pin)
     # the bound holds for every outside assignment and boundary-height
     # class, which only the oracles take
     bound = check_restricted_dlr(spec, inner)
@@ -235,7 +244,7 @@ def test_homogeneity_certificate_bounds_enumeration(certified_model, alpha_facto
 def test_budgets_bound_the_scanned_classes(kernel, chain, ball2):
     # q = 2: 2**3 inner residue classes around the root, 2**9 residue
     # vectors, and 2 * cutoff + 1 heights for vertex 1
-    spec = PinnedMeasureSpec(kernel, ball2, 0, 0)
+    spec = PinnedMeasureSpec(kernel, ball2, 0)
     ggm = GGMSpec(kernel, chain, ball2)
     heights = 2 * kernel.window.cutoff + 1
     scans = [
@@ -252,7 +261,7 @@ def test_budgets_bound_the_scanned_classes(kernel, chain, ball2):
 
 def test_partition_keeps_no_kernel_alive(sos2, upper_law, ball1):
     kernel = build_layer_kernel(sos2, upper_law)
-    spec = PinnedMeasureSpec(kernel, ball1, 0, 0)
+    spec = PinnedMeasureSpec(kernel, ball1, 0)
     max_dual_gap_pinned(spec)
     ref = weakref.ref(kernel)
     del kernel, spec
