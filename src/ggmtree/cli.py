@@ -48,6 +48,9 @@ SCHEMA_VERSION = 1
 # 4 centred the dual and consistency bounds by normalization, and 5 reads
 # consistency off one log scale and writes a non-finite bound as "inf"
 VERIFY_SCHEMA_VERSION = 5
+# 2 draws each sample from its own counters, so the rows of `--n k` are the
+# first rows of any larger --n
+SAMPLE_SCHEMA_VERSION = 2
 CHUNK_ROWS = 2**14  # CSV rows per write of `sample`
 MAX_BETAS = 10**6  # points of a solve-bl beta grid
 
@@ -245,25 +248,28 @@ def cmd_marginal(args) -> int:
     return EXIT_OK
 
 
-def _sample_rows(batch: np.ndarray, labels: list[str]) -> Iterator[str]:
-    """The rows ``i,x>y,z`` of ``batch``, sample-major, as text chunks of
-    about ``CHUNK_ROWS`` rows. One table holds ``,x>y,`` per edge and one
-    ``z\n`` per increment between the smallest and largest in the batch; a
-    chunk is one join of the sample numbers and table entries, so no row is
+def _sample_rows(blocks: Iterable[np.ndarray], labels: list[str],
+                 cutoff: int) -> Iterator[str]:
+    """The rows ``i,x>y,z`` of the blocks of consecutive samples, sample-major,
+    as text chunks of about ``CHUNK_ROWS`` rows. One table holds ``,x>y,``
+    per edge and one ``z\n`` per increment of the window, -cutoff to cutoff;
+    a chunk is one join of the sample numbers and table entries, so no row is
     built as a Python object of its own."""
-    n, edges = batch.shape
-    lo = int(batch.min(initial=0))
+    edges = len(labels)
     mids = np.array([f",{label}," for label in labels], dtype=object)
-    ends = np.array([f"{z}\n" for z in range(lo, int(batch.max(initial=0)) + 1)],
-                    dtype=object)
+    ends = np.array([f"{z}\n" for z in range(-cutoff, cutoff + 1)], dtype=object)
     step = max(1, CHUNK_ROWS // edges)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        parts = np.empty((b - a, edges, 3), dtype=object)
-        parts[:, :, 0] = np.array([str(i) for i in range(a, b)], dtype=object)[:, None]
-        parts[:, :, 1] = mids
-        parts[:, :, 2] = ends[np.subtract(batch[a:b], lo, dtype=np.intp)]
-        yield "".join(parts.ravel().tolist())
+    first = 0
+    for block in blocks:
+        for a in range(0, len(block), step):
+            part = block[a:a + step]
+            parts = np.empty((len(part), edges, 3), dtype=object)
+            parts[:, :, 0] = np.array([str(i) for i in range(first, first + len(part))],
+                                      dtype=object)[:, None]
+            parts[:, :, 1] = mids
+            parts[:, :, 2] = ends[np.add(part, cutoff, dtype=np.intp)]
+            first += len(part)
+            yield "".join(parts.ravel().tolist())
 
 
 def cmd_sample(args) -> int:
@@ -271,17 +277,21 @@ def cmd_sample(args) -> int:
 
     The rows are the bytes ``csv.writer`` wrote for the rows
     ``(i, "x>y", z)``: csv writes ints with ``str``, and digits, ``-`` and
-    ``>`` never need quoting. ``_sample_rows`` encodes them from tables and
-    they are written a chunk at a time, so memory is the batch, one byte per
-    (sample, edge) up to cutoff 127, plus one chunk of text.
+    ``>`` never need quoting. The sampler yields blocks of consecutive
+    samples, ``_sample_rows`` encodes each from tables as it arrives, and
+    the text is written a chunk at a time, so the batch is never held:
+    memory is one block of samples plus one chunk of text, whatever n and
+    the depth. The meta line carries ``SAMPLE_SCHEMA_VERSION``.
     """
     op, d, label, kernel, chain, config = _setup(args, "sample", "n", "seed", "depth")
     volume = cayley_ball(d, args.depth)
-    batch = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
-                                      args.n, args.seed)
+    blocks = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
+                                       args.n, args.seed)
     labels = [f"{p}>{v}" for v, p in enumerate(volume.parents[1:].tolist(), 1)]
-    head = _csv_text(_meta(config), ["sample", "edge", "increment"], [])
-    _emit_chunks(itertools.chain([head], _sample_rows(batch, labels)), args.out)
+    head = _csv_text(_meta(config, SAMPLE_SCHEMA_VERSION),
+                     ["sample", "edge", "increment"], [])
+    rows = _sample_rows(blocks, labels, kernel.window.cutoff)
+    _emit_chunks(itertools.chain([head], rows), args.out)
     return EXIT_OK
 
 

@@ -15,7 +15,9 @@ layer, and one log scale for the whole pass, so no volume overflows or
 underflows. The pin is the centre of the ball, vertex 0, and every walk
 reads the ball's step table (``FiniteTreeVolume.steps``) a level at a time:
 the upward pass makes one numpy update per level, and the sampler draws a
-level at a time.
+level at a time. The sampler's uniforms are counter-based, one SplitMix64
+output per (sample, vertex) keyed by the seed, so it yields its samples a
+block at a time, in memory that does not grow with their number.
 
 No verifier check visits configurations or residue classes. Each returns a
 certified upper bound on the largest |ratio - 1| between the two forms it
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,7 +65,8 @@ __all__ = [
     "single_bond_marginal",
 ]
 
-DRAW_BLOCK = 2**14  # uniforms per sampler draw, so a draw needs O(DRAW_BLOCK) memory
+DRAW_BLOCK = 2**16  # uniforms per block of samples, so a block needs O(DRAW_BLOCK) memory
+GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, the odd integer nearest 2**64 / phi
 GUIDE = 2**12  # buckets of the sampler's guide tables; a power of two, so bucketing is exact
 SLACK = 16  # rounding allowance of the ratio bounds, in ulps per edge
 EPS = float(np.finfo(float).eps)
@@ -193,54 +196,68 @@ class _Guide:
         return z, end
 
 
-def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
-    """n independent configurations as an (n, n_edges) array of increments:
-    the transposed view of an edge-major (n_edges, n) batch in the narrowest
-    signed integer dtype that holds -cutoff - 1, so one byte per (sample,
-    edge) up to cutoff 127.
+def _uniforms(x: np.ndarray) -> np.ndarray:
+    """The uniforms of the SplitMix64 states x (Steele, Lea & Flood 2014):
+    its finalizer mixes each state, in place, and the top 53 bits of the
+    result times 2**-53 are the uniform in [0, 1)."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    x >>= np.uint64(11)
+    return x * 2.0**-53
 
-    Counter-based generator keyed by the seed: the same (seed, n) always
-    yields the same batch, independent of how the caller schedules work.
-    The class of vertex 0 is drawn from ``n`` uniforms, then the increments
-    of each edge, level by level in ``steps()`` order, from ``n`` more.
-    Uniforms are drawn in blocks of at most ``DRAW_BLOCK``: the root's
-    in column blocks, the edges of a level together while n fits a block,
-    else one edge in column blocks, in the order in which one draw per edge
-    would take them, so the batch does not depend on the blocking, bit for
-    bit. Each increment is the inverse-CDF lookup in its source layer's row
-    by the guide tables of ``_Guide``, exact because their bucket bounds are
-    exact binary fractions and a uniform in a bucket holding a cdf entry
-    goes to ``searchsorted``.
+
+def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> Iterator[np.ndarray]:
+    """n independent configurations, as blocks of consecutive samples: each
+    block an (m, n_edges) array of increments, the transposed view of an
+    edge-major block, in the narrowest signed integer dtype that holds
+    -cutoff - 1, so one byte per (sample, edge) up to cutoff 127.
+
+    Counter-based draw (Salmon et al. 2011): the uniform of vertex v in
+    sample i is the SplitMix64 output at counter p = i 2**32 + v, of the
+    state seed + (p + 1) GOLDEN mod 2**64, the seed masked to 64 bits.
+    Vertex 0 gives the root's class by the stationary layer distribution,
+    and vertex v >= 1 the increment on edge v - 1 by the inverse-CDF lookup
+    in its source layer's row, through the guide tables of ``_Guide``, exact
+    because their bucket bounds are exact binary fractions and a uniform in
+    a bucket holding a cdf entry goes to ``searchsorted``. So a sample does
+    not depend on the blocking, ``n = k`` gives the first k samples of any
+    larger n, and, vertices being numbered level by level, the radius-r
+    configuration of a sample is the restriction of its radius-R one. The
+    counters are distinct while i and v stay below 2**32: a ball of 2**32
+    vertices does not fit in memory, and 2**32 samples would be over
+    10**10 rows.
+
+    A block holds at most ``DRAW_BLOCK`` uniforms and at least one sample.
+    Its states are one number per block, seed + (i 2**32 + 1) GOLDEN at its
+    first sample i, plus a table of (v + j 2**32) GOLDEN, built once, for
+    vertex v and the j-th sample of the block: a row per vertex, so each
+    level reads a run of rows and nothing is transposed. So memory is
+    O(DRAW_BLOCK) beside the tables.
     """
     volume = spec.volume
-    rng = np.random.default_rng(np.random.Philox(key=int(seed) & (2**64 - 1)))
     guide = _Guide(spec.kernel)
-    out = np.empty((volume.n_edges, n), dtype=guide.increments.dtype)
+    root = np.cumsum(spec.chain.alpha)
+    top = spec.kernel.q - 1
     # a level reads only the layers of the level before it, held in
-    # ``layers`` with vertex v of level k at row v - starts[k]
-    cdf = np.cumsum(spec.chain.alpha)
-    layers = np.empty((1, n), dtype=guide.ends.dtype)
-    for c in range(0, n, DRAW_BLOCK):
-        first = np.searchsorted(cdf, rng.random(min(DRAW_BLOCK, n - c)), side="right")
-        layers[0, c:c + DRAW_BLOCK] = np.minimum(first, spec.kernel.q - 1)
-    cols = min(max(n, 1), DRAW_BLOCK)
-    per_draw = DRAW_BLOCK // cols  # edges
-    levels = volume.steps()
-    # every step runs parent -> child along edge dst - 1
-    for depth, (src_level, dst_level) in enumerate(levels, 1):
-        last = depth == len(levels)  # nothing reads the last level's layers
-        rows = src_level - volume.starts[depth - 1]
-        ends = None if last else np.empty((len(rows), n), dtype=guide.ends.dtype)
-        for e in range(0, len(rows), per_draw):
-            src = rows[e:e + per_draw]
-            edges = slice(dst_level.start - 1 + e, dst_level.start - 1 + e + len(src))
-            for c in range(0, n, cols):
-                u = rng.random((len(src), min(cols, n - c)))
-                out[edges, c:c + cols], end = guide(layers[src, c:c + cols], u)
-                if not last:
-                    ends[e:e + per_draw, c:c + cols] = end
-        layers = ends
-    return out.T
+    # ``layers`` with vertex v of level k at row v - starts[k]; every step
+    # runs parent -> child along edge dst - 1
+    levels = [(src - start, dst) for (src, dst), start in zip(volume.steps(), volume.starts)]
+    per_block = max(1, DRAW_BLOCK // volume.n_vertices)
+    table = np.arange(volume.n_vertices, dtype=np.uint64)[:, None] * np.uint64(GOLDEN)
+    table = table + np.arange(per_block, dtype=np.uint64) * np.uint64((GOLDEN << 32) % 2**64)
+    for c in range(0, n, per_block):
+        m = min(per_block, n - c)
+        first = (int(seed) + ((c << 32) + 1) * GOLDEN) % 2**64
+        u = _uniforms(table[:, :m] + np.uint64(first))
+        out = np.empty((volume.n_edges, m), dtype=guide.increments.dtype)
+        layers = np.minimum(np.searchsorted(root, u[:1], side="right"), top)
+        for rows, dst in levels:
+            z, layers = guide(layers.take(rows, axis=0), u[dst])
+            out[dst.start - 1:dst.stop - 1] = z
+        yield out.T
 
 
 def windowed_mass(spec: PinnedMeasureSpec) -> float:

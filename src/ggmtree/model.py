@@ -22,6 +22,7 @@ next level's range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -49,6 +50,8 @@ __all__ = [
     "model_to_json",
     "model_from_json",
 ]
+
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp(x) is finite
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,9 @@ class LiftedPotts:
             raise ValueError("LiftedPotts needs q >= 2")
         if not 0 <= self.beta_tilde < math.inf:
             raise ValueError("LiftedPotts beta_tilde must be finite and >= 0")
+        if self.beta_tilde > _LOG_MAX:
+            raise ValueError(f"LiftedPotts beta_tilde must be at most {_LOG_MAX}, beyond "
+                             "which exp(beta_tilde) overflows")
         if self.tail_beta is not None and not 0 < self.tail_beta < math.inf:
             raise ValueError("LiftedPotts tail_beta must be finite and positive")
         central = _potts_central(self.q, self.beta_tilde, self.tail_beta)
@@ -155,6 +161,16 @@ class LiftedPotts:
         object.__setattr__(self, "_central", tuple(central))
 
 
+def _tail_gap(x: float, what) -> float:
+    """1 - x for the ratio x = exp(-rate) of a geometric tail of ``what``:
+    the sum's denominator. ``NonSummable`` where x rounds to 1, for a rate
+    below about 1.1e-16, where the sum has no finite value."""
+    if x == 1.0:
+        raise NonSummable(f"the geometric tail of {what} has a ratio that rounds to 1, "
+                          "so its sum is not finite")
+    return 1.0 - x
+
+
 def _potts_row_value(q: int, beta_tilde: float, residue: int) -> float:
     denom = math.exp(beta_tilde) + q - 1
     return (math.exp(beta_tilde) if residue % q == 0 else 1.0) / denom
@@ -166,7 +182,7 @@ def _potts_tail_wrap(q: int, tail_beta: float | None, k: int) -> float:
     if tail_beta is None:
         return 0.0
     h = q // 2
-    geo = 1.0 - math.exp(-tail_beta * q)
+    geo = _tail_gap(math.exp(-tail_beta * q), f"LiftedPotts(tail_beta={tail_beta})")
     pos = math.exp(-tail_beta * (q + k)) / geo
     j0 = 1 if (q - k) > h else 2
     neg = math.exp(-tail_beta * (q * j0 - k)) / geo
@@ -210,11 +226,11 @@ def tail_mass(op: TransferOperator, start: int) -> float:
         raise ValueError("tail starts at |m| >= 1")
     if isinstance(op, SOS):
         x = math.exp(-op.beta)
-        return 2.0 * x**start / (1.0 - x)
+        return 2.0 * x**start / _tail_gap(x, op)
     if isinstance(op, DiscreteGaussian):
         # ratio between consecutive terms is below exp(-beta * (2*start + 1))
         r = math.exp(-op.beta * (2 * start + 1))
-        return 2.0 * math.exp(-op.beta * start * start) / (1.0 - r)
+        return 2.0 * math.exp(-op.beta * start * start) / _tail_gap(r, op)
     if isinstance(op, Table):
         edge = len(op.values) - 1
         exact = 2.0 * sum(op.values[k] for k in range(start, edge + 1))
@@ -228,7 +244,7 @@ def tail_mass(op: TransferOperator, start: int) -> float:
         if op.tail_beta is None:
             return exact
         x = math.exp(-op.tail_beta)
-        return exact + 2.0 * x ** max(start, h + 1) / (1.0 - x)
+        return exact + 2.0 * x ** max(start, h + 1) / _tail_gap(x, op)
     raise TypeError(f"unknown transfer operator {op!r}")
 
 
@@ -244,9 +260,10 @@ def wrapped_sum(op: TransferOperator, q: int, m: int) -> float:
     m = m % q
     if isinstance(op, SOS):
         x = math.exp(-op.beta * q)
+        gap = _tail_gap(x, op)
         if m == 0:
-            return (1.0 + x) / (1.0 - x)
-        return (math.exp(-op.beta * m) + math.exp(-op.beta * (q - m))) / (1.0 - x)
+            return (1.0 + x) / gap
+        return (math.exp(-op.beta * m) + math.exp(-op.beta * (q - m))) / gap
     if isinstance(op, LiftedPotts) and q == op.q:
         k = min(m, q - m)
         members = 2 if 2 * k == q else 1

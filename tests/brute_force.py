@@ -23,9 +23,12 @@ loops over it, in the same order of operations, so they agree bit for bit.
 until no library code read it.
 
 ``sample_ggm_batch`` is the per-edge sampler, an int64 batch with one
-``searchsorted`` per layer, and ``sample_csv`` the ``csv.writer`` output of
-``ggmtree sample``, the references for the guide-table sampler and the
-table-driven encoder. The scalar reference
+``searchsorted`` per layer on the uniforms of one vertex at a time
+(``vertex_uniforms``), and ``sample_csv`` the ``csv.writer`` output of
+``ggmtree sample``, the references for the blocked guide-table sampler and
+the table-driven encoder. ``splitmix64`` and ``uniform`` are the sampler's
+counter-based stream in Python ints, and ``library_batch`` stacks the
+library sampler's blocks into one batch. The scalar reference
 forms (``pinned_prob_bl``, ``ggm_prob``, ``alt_ggm_prob``), the window
 enumerator, ``coupling_expectation``, ``bond_marginals_by_position``,
 ``is_normalizable`` and ``stationary_by_power_iteration`` are answers the
@@ -388,7 +391,7 @@ def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration,
 
 def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
     """One configuration of the library's sampler, deterministic in the seed."""
-    arr = measures.sample_ggm_batch(spec, 1, seed)[0]
+    arr = next(measures.sample_ggm_batch(spec, 1, seed))[0]
     return GradientConfiguration(spec.volume, tuple(int(v) for v in arr))
 
 
@@ -713,26 +716,56 @@ def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
     return worst
 
 
+def splitmix64(seed: int, p: int) -> int:
+    """The SplitMix64 output at counter p of the seed, in Python ints: the
+    finalizer of seed + (p + 1) GOLDEN, everything mod 2**64."""
+    z = (seed + (p + 1) * measures.GOLDEN) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def uniform(seed: int, i: int, v: int) -> float:
+    """The sampler's uniform of vertex v in sample i: the top 53 bits of the
+    SplitMix64 output at counter i 2**32 + v, times 2**-53."""
+    return (splitmix64(seed, (i << 32) + v) >> 11) * 2.0**-53
+
+
+def vertex_uniforms(seed: int, n: int, v: int) -> np.ndarray:
+    """The uniforms of vertex v in samples 0 .. n - 1, one vertex at a time:
+    the states seed + (i 2**32 + v + 1) GOLDEN in uint64, which wraps mod
+    2**64, mixed by the library's finalizer."""
+    step = np.uint64((measures.GOLDEN << 32) % 2**64)
+    first = np.uint64((int(seed) + (int(v) + 1) * measures.GOLDEN) % 2**64)
+    return measures._uniforms(np.arange(n, dtype=np.uint64) * step + first)
+
+
+def library_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
+    """The blocks of the library's sampler stacked into one (n, n_edges)
+    batch, for tests that read samples across blocks."""
+    return np.concatenate([*measures.sample_ggm_batch(spec, n, seed)])
+
+
 def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
-    """The per-edge sampler: one ``rng.random(n)`` and one inverse-CDF lookup
-    per layer for each edge, in the BFS order of ``scalar_orientation(volume,
-    0)``, which on a ball is the order of its step table."""
+    """The per-edge sampler: the uniforms of one vertex for all n samples
+    (``vertex_uniforms``) and one inverse-CDF lookup per layer for each
+    edge, in the BFS order of ``scalar_orientation(volume, 0)``, which on a
+    ball is the order of its step table. Vertex 0 draws the root's class."""
     volume = spec.volume
     kernel = spec.kernel
     q = kernel.q
-    rng = np.random.default_rng(np.random.Philox(key=int(seed) & (2**64 - 1)))
     out = np.empty((n, volume.n_edges), dtype=np.int64)
     if n == 0:
         return out
     alpha_cdf = np.cumsum(spec.chain.alpha)
     layers = np.empty((n, volume.n_vertices), dtype=np.int64)
     layers[:, 0] = np.minimum(
-        np.searchsorted(alpha_cdf, rng.random(n), side="right"), q - 1)
+        np.searchsorted(alpha_cdf, vertex_uniforms(seed, n, 0), side="right"), q - 1)
     cdf = np.cumsum(kernel.rows, axis=1)
     offs = kernel.offsets
     top = len(offs) - 1
     for e, src, dst, sign in scalar_orientation(volume, 0):
-        u = rng.random(n)
+        u = vertex_uniforms(seed, n, dst)
         z = np.empty(n, dtype=np.int64)
         t_src = layers[:, src]
         for t in range(q):
@@ -754,7 +787,8 @@ def sample_csv(argv: list[str]) -> str:
     batch = sample_ggm_batch(GGMSpec(kernel, chain, volume), args.n, args.seed)
     labels = [f"{x}>{y}" for x, y in directed_edges(volume)]
     buf = io.StringIO()
-    buf.write("# " + json.dumps(cli._meta(config), sort_keys=True) + "\n")
+    buf.write("# " + json.dumps(cli._meta(config, cli.SAMPLE_SCHEMA_VERSION),
+                                sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["sample", "edge", "increment"])
     writer.writerows((i, edge, z) for i, sample in enumerate(batch.tolist())
@@ -1001,7 +1035,7 @@ def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
         configs = np.concatenate(list(_window_blocks(volume, kernel.window, total)))
     else:
         # typical configurations, so the compared probabilities carry mass
-        configs = np.vstack([measures.sample_ggm_batch(spec, n_configs, seed),
+        configs = np.vstack([*measures.sample_ggm_batch(spec, n_configs, seed),
                              np.zeros((1, volume.n_edges), dtype=np.int64)])
     alpha = spec.chain.alpha
     probs = np.array([

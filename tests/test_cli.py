@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +21,6 @@ from ggmtree import (
     correlation_and_bound,
     find_branches,
     fuzzy_transform,
-    sample_ggm_batch,
 )
 from ggmtree import bl_solver, cli
 from ggmtree.cli import main
@@ -216,6 +217,21 @@ HUGE_TABLE = {"potential": {"kind": "table", "weights": {"0": 1, "1": 1e300}}, "
     (["solve-bl", "--model", {"potential": {"kind": "lifted_potts", "q": 3, "beta_tilde": 1.0,
                                             "tail_beta": math.inf}, "q": 3, "d": 2}], 2,
      "LiftedPotts tail_beta must be finite and positive"),
+    # exp(beta_tilde) of the Potts row overflows past beta_tilde = 709.78
+    *([[command, "--model", {"potential": {"kind": "lifted_potts", "q": 3,
+                                           "beta_tilde": 1000}, "q": 3, "d": 2}], 2,
+       "LiftedPotts beta_tilde must be at most 709.78"] for command in ("marginal", "solve-bl")),
+    # a geometric tail whose ratio exp(-rate) rounds to 1
+    (["marginal", "--model", {"potential": {"kind": "sos", "beta": 1e-300}, "q": 2, "d": 2}], 3,
+     "numerical failure: the geometric tail of SOS(beta=1e-300) has a ratio that rounds to 1"),
+    (["solve-bl", "--model", {"potential": {"kind": "sos", "beta": 1e-20}, "q": 2, "d": 2}], 3,
+     "numerical failure: the geometric tail of SOS(beta=1e-20)"),
+    (["marginal", "--model", {"potential": {"kind": "discrete_gaussian", "beta": 1e-300},
+                              "q": 3, "d": 3}], 3,
+     "numerical failure: the geometric tail of DiscreteGaussian(beta=1e-300)"),
+    (["marginal", "--model", {"potential": {"kind": "lifted_potts", "q": 3, "beta_tilde": 1.0,
+                                            "tail_beta": 1e-300}, "q": 3, "d": 2}], 3,
+     "numerical failure: the geometric tail of LiftedPotts(tail_beta=1e-300)"),
 ], ids=["ok", "verification", "unwritable-out", "model-is-a-directory", "oversized-volume",
         "fractional-q", "fractional-d", "no-certified-window", "no-such-branch",
         "perturb-period-1", "half-a-sweep", "sweep-of-a-table", "beta-grid-overflows",
@@ -224,7 +240,9 @@ HUGE_TABLE = {"potential": {"kind": "table", "weights": {"0": 1, "1": 1e300}}, "
         "boolean-q", "law-map-overflows-marginal", "law-map-overflows-verify",
         "law-map-overflows-sample", "law-map-overflows-chain-dump",
         "law-map-overflows-solve-bl", "infinite-sos-beta", "infinite-gaussian-beta",
-        "infinite-beta-tilde", "infinite-tail-beta"])
+        "infinite-beta-tilde", "infinite-tail-beta", "beta-tilde-overflows-marginal",
+        "beta-tilde-overflows-solve-bl", "sos-tail-ratio-rounds-to-1", "sos-beta-1e-20",
+        "gaussian-tail-ratio-rounds-to-1", "potts-tail-ratio-rounds-to-1"])
 def test_exit_code_of_each_failure_class(model_file, tmp_path, capsys, argv, code, message):
     def resolve(arg):
         if isinstance(arg, dict):
@@ -546,7 +564,7 @@ class TestSample:
                    if r.branch_label == "upper")
         kernel = build_layer_kernel(op, law, IncrementWindow.for_model(op, law))
         volume = cayley_ball(2, 1)
-        batch = sample_ggm_batch(GGMSpec(kernel, fuzzy_transform(kernel), volume), 3, 5)
+        batch = bf.library_batch(GGMSpec(kernel, fuzzy_transform(kernel), volume), 3, 5)
         assert [(r["sample"], r["edge"], r["increment"]) for r in rows] == [
             (str(i), f"{volume.parents[e + 1]}>{e + 1}", str(batch[i, e]))
             for i in range(3) for e in range(volume.n_edges)]
@@ -558,6 +576,40 @@ class TestSample:
         meta, rows = read_csv(out)
         assert rows == []
         assert meta["config"]["n"] == 0
+        assert meta["schema_version"] == cli.SAMPLE_SCHEMA_VERSION == 2
+
+    def test_fewer_samples_are_the_first_rows(self, model_file, tmp_path):
+        few, many = tmp_path / "few.csv", tmp_path / "many.csv"
+        for n, out in ((3, few), (40, many)):
+            assert main(["sample", "--model", model_file, "--n", str(n), "--depth", "3",
+                         "--seed", "9", "--out", str(out)]) == 0
+        rows = read_csv(few)[1]
+        assert read_csv(many)[1][:len(rows)] == rows
+
+    def test_memory_does_not_grow_with_n(self, model_file):
+        # the blocks of samples are encoded and written as they are drawn,
+        # so ten times the samples need no more memory
+        peaks = []
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--model", model_file, "--n", str(n),
+                             "--out", os.devnull]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+    def test_sample_leaves_numpy_random_unloaded(self, model_file, tmp_path, fresh_python):
+        # the counter-based stream needs no numpy.random
+        script = ("import sys\n"
+                  "from ggmtree.cli import main\n"
+                  f"code = main(['sample', '--model', {model_file!r}, '--n', '100',"
+                  f" '--out', {str(tmp_path / 's.csv')!r}])\n"
+                  "print(code, 'numpy.random' in sys.modules)\n")
+        run = fresh_python(["-c", script])
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "False"]
 
 
 def _model(tmp_path, doc):
@@ -597,7 +649,8 @@ class TestSampleEncoding:
         assert out.read_bytes() == bf.sample_csv(argv).encode()
 
     def test_one_byte_rows_index_without_wrapping(self):
-        # from -120, batch - lo overflows int8 for every increment above 7
+        # at cutoff 120, batch + cutoff overflows int8 for every increment
+        # above 7; the sample numbers run on across the two blocks
         z = np.arange(-120, 121, dtype=np.int8)
         batch = np.stack([z, z[::-1]]).T
         labels = ["0>1", "0>2"]
@@ -605,7 +658,8 @@ class TestSampleEncoding:
         csv.writer(buf, lineterminator="\n").writerows(
             (i, label, v) for i, row in enumerate(batch.tolist())
             for label, v in zip(labels, row))
-        assert "".join(cli._sample_rows(batch, labels)) == buf.getvalue()
+        assert "".join(cli._sample_rows([batch[:100], batch[100:]], labels, 120)) == \
+            buf.getvalue()
 
     def test_stdout_equals_out_file(self, model_file, tmp_path, capsys):
         argv = ["sample", "--model", model_file, "--n", "500", "--seed", "8"]

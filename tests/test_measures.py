@@ -332,15 +332,15 @@ class TestSampling:
 
     def test_batch_deterministic(self, kernel, chain, ball1):
         spec = GGMSpec(kernel, chain, ball1)
-        b1 = sample_ggm_batch(spec, 4096, seed=9)
-        b2 = sample_ggm_batch(spec, 4096, seed=9)
+        b1 = bf.library_batch(spec, 4096, seed=9)
+        b2 = bf.library_batch(spec, 4096, seed=9)
         assert np.array_equal(b1, b2)
 
     def test_empirical_single_bond_within_four_sigma(self, kernel, chain, ball1):
         # every edge of the homogeneous measure has the single-bond marginal
         spec = GGMSpec(kernel, chain, ball1)
         n = 200_000
-        batch = sample_ggm_batch(spec, n, seed=1234)
+        batch = bf.library_batch(spec, n, seed=1234)
         marg = single_bond_marginal(kernel.op, kernel.law, kernel.window)
         emp = np.array([(batch[:, 0] == z).mean() for z in kernel.offsets])
         se = np.sqrt(np.maximum(marg * (1 - marg), 1e-12) / n)
@@ -352,7 +352,7 @@ class TestSampling:
         chain = fuzzy_transform(kernel)
         spec = GGMSpec(kernel, chain, ball1)
         n = 200_000
-        batch = sample_ggm_batch(spec, n, seed=77)
+        batch = bf.library_batch(spec, n, seed=77)
         mass = wrapped_sum(op, 1, 0)
         for z in (-1, 0, 1, 2):
             want = eval_q(op, z) / mass
@@ -375,27 +375,79 @@ def spec_parts(request):
     return kernel, fuzzy_transform(kernel)
 
 
+# SplitMix64 from seed 0, as published with the generator
+SPLITMIX_SEED_0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+class TestCounterStream:
+    def test_splitmix64_known_answers(self):
+        assert [bf.splitmix64(0, p) for p in range(3)] == SPLITMIX_SEED_0
+        states = np.array([k * measures.GOLDEN % 2**64 for k in (1, 2, 3)], dtype=np.uint64)
+        assert measures._uniforms(states).tolist() == [
+            (word >> 11) * 2.0**-53 for word in SPLITMIX_SEED_0]
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**63 + 12345, 2**70 + 3])
+    def test_uniforms_are_the_python_int_stream(self, seed):
+        rng = np.random.default_rng(31)
+        n = 5000
+        for v in [0, 1, 2**20 + 7, *rng.integers(0, 10**6, size=5).tolist()]:
+            got = bf.vertex_uniforms(seed, n, v)
+            for i in [0, 1, n - 1, *rng.integers(0, n, size=20).tolist()]:
+                assert got[i] == bf.uniform(seed, i, v)
+
+    def test_seed_is_masked_to_64_bits(self, spec_parts):
+        spec = GGMSpec(*spec_parts, cayley_ball(2, 2))
+        assert bf.uniform(-1, 3, 5) == bf.uniform(2**64 - 1, 3, 5)
+        assert np.array_equal(bf.library_batch(spec, 50, -1),
+                              bf.library_batch(spec, 50, 2**64 - 1))
+
+    def test_fewer_samples_are_a_prefix(self, spec_parts):
+        # a block of 2**16 uniforms holds 6553 samples of the 10 vertices of
+        # a depth-2 ball
+        spec = GGMSpec(*spec_parts, cayley_ball(2, 2))
+        whole = bf.library_batch(spec, 14000, 4)
+        for n in (1, 7, 6553, 6554, 13999):
+            assert np.array_equal(bf.library_batch(spec, n, 4), whole[:n])
+
+    def test_smaller_ball_is_the_restriction(self, spec_parts):
+        deep = bf.library_batch(GGMSpec(*spec_parts, cayley_ball(2, 6)), 300, 8)
+        for radius in (1, 2, 5):
+            ball = cayley_ball(2, radius)
+            assert np.array_equal(bf.library_batch(GGMSpec(*spec_parts, ball), 300, 8),
+                                  deep[:, :ball.n_edges])
+
+    def test_block_size_does_not_change_the_batch(self, spec_parts, monkeypatch):
+        spec = GGMSpec(*spec_parts, cayley_ball(2, 3))
+        whole = bf.library_batch(spec, 700, 12)
+        monkeypatch.setattr(measures, "DRAW_BLOCK", 1)
+        blocks = list(sample_ggm_batch(spec, 700, 12))
+        assert [len(block) for block in blocks] == [1] * 700
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+
 class TestLevelBlockedSampler:
-    # levels drawn whole at (1, 1), split into blocks of 54 edges at
-    # (300, 10), both at (2000, 6), and one edge at a time in column blocks
-    # at (10**5, 2)
+    # one partial block at (1, 1); blocks of 21 samples of 3070 vertices at
+    # (300, 10), of 344 samples at (2000, 6) and of 6553 samples at
+    # (10**5, 2), each run ending in a partial block
     @pytest.mark.parametrize("n, depth", [(1, 1), (300, 10), (2000, 6), (10**5, 2)])
     def test_equals_per_edge_sampler(self, spec_parts, n, depth):
         spec = GGMSpec(*spec_parts, cayley_ball(2, depth))
-        assert np.array_equal(sample_ggm_batch(spec, n, 5), bf.sample_ggm_batch(spec, n, 5))
+        assert np.array_equal(bf.library_batch(spec, n, 5), bf.sample_ggm_batch(spec, n, 5))
 
-    def test_root_draw_is_blocked(self, spec_parts):
-        # the root's classes go DRAW_BLOCK at a time into one byte per
-        # sample, so nothing but the batch and that row grows with n
-        spec = GGMSpec(*spec_parts, cayley_ball(2, 1))
-        n = 10**6
-        tracemalloc.start()
-        try:
-            batch = sample_ggm_batch(spec, n, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < batch.nbytes + n + 256 * measures.DRAW_BLOCK
+    def test_memory_does_not_grow_with_n(self, spec_parts):
+        # the blocks are drawn and dropped one at a time, so ten times the
+        # samples need no more memory
+        spec = GGMSpec(*spec_parts, cayley_ball(2, 2))
+        peaks = []
+        for n in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                for _ in sample_ggm_batch(spec, n, 5):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_homogeneity_unchanged(self, spec_parts, monkeypatch):
         # depth 2 with cutoff >= 1 has over 4096 windowed configurations, so
@@ -435,12 +487,13 @@ class TestGuideSampler:
         kernel = far_kernel(beta, q)
         spec = GGMSpec(kernel, fuzzy_transform(kernel), cayley_ball(2, 3))
         n = 700
-        batch = sample_ggm_batch(spec, n, 11)
-        assert batch.dtype == dtype
-        # edge-major storage, one itemsize per (sample, edge)
-        assert batch.T.flags.c_contiguous
-        assert batch.nbytes == n * spec.volume.n_edges * batch.itemsize
-        assert np.array_equal(batch, bf.sample_ggm_batch(spec, n, 11))
+        blocks = list(sample_ggm_batch(spec, n, 11))
+        for block in blocks:
+            assert block.dtype == dtype
+            # edge-major storage, one itemsize per (sample, edge)
+            assert block.T.flags.c_contiguous
+            assert block.nbytes == len(block) * spec.volume.n_edges * block.itemsize
+        assert np.array_equal(np.concatenate(blocks), bf.sample_ggm_batch(spec, n, 11))
 
 
 def random_parts(count, seed):
