@@ -45,9 +45,10 @@ __all__ = ["build_parser", "main", "console_entry"]
 
 SCHEMA_VERSION = 1
 # each certified verify check reports one bound, on the largest |ratio - 1|;
-# 4 centred the dual and consistency bounds by normalization, and 5 reads
-# consistency off one log scale and writes a non-finite bound as "inf"
-VERIFY_SCHEMA_VERSION = 5
+# 4 centred the dual and consistency bounds by normalization, 5 reads
+# consistency off one log scale and writes a non-finite bound as "inf", and 6
+# sums the windowed mass's log scales per level and may write "inf" tolerances
+VERIFY_SCHEMA_VERSION = 6
 # 2 draws each sample from its own counters, so the rows of `--n k` are the
 # first rows of any larger --n
 SAMPLE_SCHEMA_VERSION = 2
@@ -80,11 +81,7 @@ def _load_model(path: str):
         raise ConfigError(f"invalid model in {path}: {exc}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    _emit_chunks([text], out)
-
-
-def _emit_chunks(chunks: Iterable[str], out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write the chunks in order to ``out``, or to stdout, one at a time, so
     the whole text is never held in memory."""
     if out is None:
@@ -181,6 +178,17 @@ def _setup(args, command: str, *keys: str, law_tol: float | None = None):
     return op, d, label, kernel, chains.fuzzy_transform(kernel), config
 
 
+def _ball(d: int, depth: int, most: float, what: str):
+    """``cayley_ball(d, depth)``, or a ConfigError past ``most`` vertices, ``what``.
+    A ball has more than d**depth vertices, so depth log d is checked first."""
+    if depth * math.log(d) <= math.log(most):
+        volume = cayley_ball(d, depth)
+        if volume.n_vertices <= most:
+            return volume
+    raise ConfigError(f"a ball of depth {depth} and degree {d} has more than {what}; "
+                      "lower --depth or the degree d")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -223,7 +231,7 @@ def cmd_solve_bl(args) -> int:
                          *[float(v) for v in rep.solution.a],
                          float(rep.residual), rep.iterations])
     header = ["beta", "branch", *[f"a_{k}" for k in range(q)], "residual", "iterations"]
-    _emit(_csv_text(_meta(config), header, rows), args.out)
+    _emit([_csv_text(_meta(config), header, rows)], args.out)
     return EXIT_OK
 
 
@@ -232,7 +240,7 @@ def cmd_critical_beta(args) -> int:
               "family": args.family}
     value = bl_solver.critical_beta(args.q, args.d, args.family)
     payload = _meta(config) | {"critical_beta": value}
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK
 
 
@@ -244,7 +252,7 @@ def cmd_marginal(args) -> int:
         "law": [float(v) for v in kernel.law.a],
         "single_bond": {str(int(z)): float(p) for z, p in zip(kernel.offsets, marg)},
     }
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK
 
 
@@ -283,15 +291,18 @@ def cmd_sample(args) -> int:
     memory is one block of samples plus one chunk of text, whatever n and
     the depth. The meta line carries ``SAMPLE_SCHEMA_VERSION``.
     """
+    if args.n > 2**32:
+        raise ConfigError(f"--n {args.n} is more than 2**32 samples; lower --n")
     op, d, label, kernel, chain, config = _setup(args, "sample", "n", "seed", "depth")
-    volume = cayley_ball(d, args.depth)
+    volume = _ball(d, args.depth, 2**32, "2**32 vertices, the sampler's counters")
     blocks = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
                                        args.n, args.seed)
-    labels = [f"{p}>{v}" for v, p in enumerate(volume.parents[1:].tolist(), 1)]
+    labels = [f"{p}>{v}" for src, dst in volume.steps()
+              for p, v in zip(src.tolist(), range(dst.start, dst.stop))]
     head = _csv_text(_meta(config, SAMPLE_SCHEMA_VERSION),
                      ["sample", "edge", "increment"], [])
     rows = _sample_rows(blocks, labels, kernel.window.cutoff)
-    _emit_chunks(itertools.chain([head], rows), args.out)
+    _emit(itertools.chain([head], rows), args.out)
     return EXIT_OK
 
 
@@ -304,15 +315,12 @@ def cmd_verify(args) -> int:
     bound."""
     op, d, label, kernel, chain, config = _setup(args, "verify", "depth", "perturb",
                                                  law_tol=1e-12)
-    volume = cayley_ball(d, args.depth)
+    volume = _ball(d, args.depth, sys.float_info.max, "1.8e308 vertices, the largest double")
     tol = args.tol
     pin = measures.PinnedMeasureSpec(kernel, volume, 0)
     ggm = measures.GGMSpec(kernel, chain, volume)
-    inner = {0}
-    # vertex 1 is interior below radius 2; its first child is the first
-    # vertex of level 2, and without one the third pin is its parent 0
-    interior = volume.starts[-2] > 1
-    pins = [0, 1, volume.starts[2] if interior else 0]
+    # the pins 0, 1 and 1's first child are the depths 0, 1 and 2 of one ray
+    pins = list(range(min(args.depth, 2) + 1))
     exact, certified = "exact", "certificate"
     checks = {
         "boundary_law_residual": (bl_solver.residual(kernel.law, op, d), tol, exact),
@@ -321,21 +329,22 @@ def cmd_verify(args) -> int:
         "reversibility": (chains.check_reversibility(kernel, chain), tol, exact),
         "dual_representation_pinned": (measures.max_dual_gap_pinned(pin), tol, certified),
         "dual_representation_mixture": (measures.max_dual_gap_ggm(ggm), tol, certified),
-        "consistency": (measures.check_consistency(pin, inner), tol, certified),
+        "consistency": (measures.check_consistency(pin, {0}), tol, certified),
         "homogeneity": (measures.check_homogeneity(ggm, pins), tol, certified),
         "windowed_mass": (abs(1.0 - measures.windowed_mass(pin)),
                           max(tol, volume.n_edges * kernel.window.tail_mass_bound), exact),
     }
-    if interior:
+    if args.depth > 1:  # vertex 1 is interior
         checks["restricted_conditional"] = (measures.check_restricted_dlr(pin, {1}), tol,
                                             certified)
     report = {name: {"violation": float(v) if math.isfinite(v) else "inf",
-                     "tolerance": float(t), "method": method, "pass": bool(v <= t)}
+                     "tolerance": float(t) if math.isfinite(t) else "inf",
+                     "method": method, "pass": bool(v <= t)}
               for name, (v, t, method) in checks.items()}
     ok = all(entry["pass"] for entry in report.values())
     payload = _meta(config, VERIFY_SCHEMA_VERSION) | {
         "branch_label": label, "checks": report, "pass": ok}
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -348,7 +357,7 @@ def cmd_correlation(args) -> int:
     for n in range(1, args.n_max + 1):
         cov, bound = diagnostics.correlation_and_bound(chain, flat, flat, n)
         rows.append([n, float(cov), float(bound)])
-    _emit(_csv_text(_meta(config), ["n", "covariance", "bound"], rows), args.out)
+    _emit([_csv_text(_meta(config), ["n", "covariance", "bound"], rows)], args.out)
     return EXIT_OK
 
 
@@ -374,7 +383,7 @@ def cmd_counterexample(args) -> int:
                 print(f"numerical failure: the conditional ratio at k = {k} leaves the "
                       f"range of a double ({name}); lower --kmax", file=sys.stderr)
                 return EXIT_NUMERICAL
-    _emit(_csv_text(_meta(config), header, rows), args.out)
+    _emit([_csv_text(_meta(config), header, rows)], args.out)
     return EXIT_OK
 
 
@@ -391,7 +400,7 @@ def cmd_chain_dump(args) -> int:
         "fuzzy_matrix": [[float(v) for v in row] for row in chain.matrix],
         "alpha": [float(v) for v in chain.alpha],
     }
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK
 
 

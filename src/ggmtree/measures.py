@@ -8,14 +8,14 @@ evaluated: the certificates below bound their ratio to the product form.
 
 Every kernel probability is read from the table ``LayerKernel.probs`` (with
 the end layers ``LayerKernel.ends``), and ``_fold`` sums such a (layer,
-increment) table onto pairs of layers. The tree sums (the windowed mass, and
-the weight hanging below each vertex) come from one scaled upward pass
-(``_upward``) that keeps one unit vector per vertex, indexed by the mod-q
-layer, and one log scale for the whole pass, so no volume overflows or
-underflows. The pin is the centre of the ball, vertex 0, and every walk
-reads the ball's step table (``FiniteTreeVolume.steps``) a level at a time:
-the upward pass makes one numpy update per level, and the sampler draws a
-level at a time. The sampler's uniforms are counter-based, one SplitMix64
+increment) table onto pairs of layers. The pin is the centre of the ball,
+vertex 0, from which the ball looks the same in every direction, so the
+tree sums (the windowed mass, and the weight hanging below each vertex)
+come from one scaled radial pass (``_upward``) with one unit vector per
+level, indexed by the mod-q layer, and one log scale, so no volume
+overflows or underflows and the verifier allocates nothing of the ball's
+size. The sampler draws a level of the step table at a time
+(``FiniteTreeVolume.steps``) from counter-based uniforms, one SplitMix64
 output per (sample, vertex) keyed by the seed, so it yields its samples a
 block at a time, in memory that does not grow with their number.
 
@@ -28,9 +28,9 @@ grows. A dual or consistency ratio is an unknown constant times a product
 of per-vertex factors, and both forms are probability measures, so its mean
 is 1 and the constant puts 0 inside the product's log range: the bound is
 the symmetric interval of that range's width, and no partition sum is
-computed. The widths come from the law and the norms, from one upward pass
-for consistency, O(n q**2) for n vertices, or, for homogeneity, from the
-kernel table alone. Each bound adds an explicit rounding allowance, so a
+computed. The widths come from the law and the norms, from one radial pass
+for consistency, O(radius q**2 + d q), or, for homogeneity, from the kernel
+table alone. Each bound adds an explicit rounding allowance, so a
 pass is never weaker than the exact check.
 """
 from __future__ import annotations
@@ -108,35 +108,34 @@ def _upward(volume: FiniteTreeVolume, matrix: np.ndarray,
     each boundary vertex starts from ``leaf`` (the others, and all of them
     without it, from ones) and each edge multiplies ``matrix @ f[dst]`` into
     ``f[src]``. Then f[v] is the total weight of the part of the volume below
-    v by layer.
+    v by layer, the same for every v of a level.
 
-    It is Felsenstein's pruning (1981), one numpy update per level of
-    ``steps()`` from the deepest up. Each message is scaled to largest
-    entry 1, one ``reduceat`` over the runs of src (the steps of one src are
-    consecutive) multiplies a src's messages in step order, and that
-    times u[src] is scaled once more, so no product exceeds 1 at any degree.
-    As in the forward algorithm (Rabiner 1989) the pass returns unit vectors
-    u[v] and the log of all the scales, f[0] = u[0] exp(log_total):
-    that is all the windowed mass reads, and elsewhere f[v] is u[v] up to a
-    scale, which a ptp of log u[v] ignores.
+    It is Felsenstein's pruning (1981) along one ray, a row per level from
+    the deepest up: the level's message is scaled to largest entry 1, its d
+    copies (d + 1 at the root) are multiplied as a left fold, and that times
+    the level's row is scaled once more, so no product exceeds 1 at any
+    degree. As in the forward algorithm (Rabiner 1989) it returns the unit
+    rows u, one per level, and the log of every vertex's scales,
+    f[0] = u[0] exp(log_total): that is all the windowed mass reads, and
+    elsewhere f[v] is u at v's level up to a scale, which a ptp of the log
+    ignores.
     """
-    unit = np.ones((volume.n_vertices, len(matrix)))
+    starts = volume.starts
+    unit = np.ones((len(starts) - 1, len(matrix)))
     log_total = 0.0
     if leaf is not None:
         top = leaf.max()
-        rim = volume.starts[-2]
-        unit[rim:] = leaf / top
-        log_total = (volume.n_vertices - rim) * math.log(top)
-    for src, dst in reversed(volume.steps()):
-        message = (matrix @ unit[dst][:, :, None])[:, :, 0]
-        top = message.max(axis=1)
-        message /= top[:, None]
-        starts = np.flatnonzero(np.append(True, src[1:] != src[:-1]))
-        s = src[starts]
-        f = unit[s] * np.multiply.reduceat(message, starts)
-        peak = f.max(axis=1)
-        unit[s] = f / peak[:, None]
-        log_total += float(np.log(top).sum() + np.log(peak).sum())
+        unit[-1] = leaf / top
+        log_total = (starts[-1] - starts[-2]) * float(np.log(top))
+    for k in range(len(unit) - 2, -1, -1):
+        message = matrix @ unit[k + 1]
+        top = message.max()
+        message /= top
+        f = unit[k] * np.multiply.reduce([message] * (volume.d + (k == 0)))
+        peak = f.max()
+        unit[k] = f / peak
+        log_total += ((starts[k + 2] - starts[k + 1]) * float(np.log(top))
+                      + (starts[k + 1] - starts[k]) * float(np.log(peak)))
     return unit, log_total
 
 
@@ -226,9 +225,8 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> Iterator[np.ndarray]:
     not depend on the blocking, ``n = k`` gives the first k samples of any
     larger n, and, vertices being numbered level by level, the radius-r
     configuration of a sample is the restriction of its radius-R one. The
-    counters are distinct while i and v stay below 2**32: a ball of 2**32
-    vertices does not fit in memory, and 2**32 samples would be over
-    10**10 rows.
+    counters are distinct while i and v stay below 2**32, so ``ggmtree
+    sample`` refuses an n or a ball of more than 2**32.
 
     A block holds at most ``DRAW_BLOCK`` uniforms and at least one sample.
     Its states are one number per block, seed + (i 2**32 + 1) GOLDEN at its
@@ -288,7 +286,7 @@ def single_bond_marginal(op: TransferOperator, law: PeriodicBoundaryLaw,
 def _slack(volume: FiniteTreeVolume, largest: float) -> float:
     """The rounding allowance of a ratio bound: SLACK ulps per edge of
     ``largest``, the products of n_edges factors being compared."""
-    return SLACK * (volume.n_edges + 1) * EPS * largest
+    return SLACK * EPS * (volume.n_edges + 1) * largest
 
 
 def _certified(volume: FiniteTreeVolume, width: float) -> float:
@@ -311,25 +309,14 @@ def _interior_set(volume: FiniteTreeVolume, inner: Iterable[int]) -> set[int]:
     return ids
 
 
-def _require_connected(volume: FiniteTreeVolume, vs: set[int], what: str) -> None:
-    """A vertex set of a tree is connected exactly when it induces
-    |set| - 1 edges."""
-    if sum(volume.parents[v] in vs for v in vs) != len(vs) - 1:
-        raise ValueError(f"{what} must form a connected set")
-
-
 def _part(volume: FiniteTreeVolume, vs: set[int]) -> list[int]:
-    """The dsts of the steps out of the connected set ``vs`` that holds
-    vertex 0, in table order; a level with no step into the set is the last
-    one read."""
-    inside = np.zeros(volume.n_vertices, dtype=bool)
-    inside[list(vs)] = True
-    rim = []
-    for src, dst in volume.steps():
-        keep = inside[dst]
-        rim += (np.flatnonzero(inside[src] & ~keep) + dst.start).tolist()
-        if not keep.any():
-            break
+    """The dsts of the steps out of the set ``vs`` in table order, which is
+    index order: its members' children outside it. The set is connected
+    exactly when |set| - 1 of those children lie inside it."""
+    kids = [c for v in vs for c in volume.children(v)]
+    rim = sorted(set(kids) - vs)
+    if len(kids) - len(rim) != len(vs) - 1:
+        raise ValueError("the inner vertices must form a connected set")
     return rim
 
 
@@ -396,13 +383,13 @@ def check_consistency(spec: PinnedMeasureSpec, inner) -> float:
     ids = _interior_set(volume, inner)
     if 0 not in ids:
         raise ValueError("the pin vertex must belong to the inner volume")
-    _require_connected(volume, ids, "the inner vertices")
+    rim = _part(volume, ids)
     a = spec.kernel.law.as_array()
     # the weight hanging below each inner-boundary vertex equals the boundary
     # law itself exactly when the law solves the fixed-point equation
-    unit = _upward(volume, spec.kernel.circulant, a)[0]
-    width = sum(float(np.ptp(np.log(unit[v]) - np.log(a))) for v in _part(volume, ids))
-    return _certified(volume, width)
+    widths = [float(np.ptp(np.log(row) - np.log(a)))
+              for row in _upward(volume, spec.kernel.circulant, a)[0]]
+    return _certified(volume, sum(widths[volume.level(v)] for v in rim))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +399,8 @@ def check_consistency(spec: PinnedMeasureSpec, inner) -> float:
 def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
     """Certified upper bound on the largest |ratio - 1| between the mixture
     probabilities of one windowed configuration under any two of ``pins``
-    as the pin vertex, from the kernel table alone.
+    as the pin vertex, from the kernel table alone, the pins being depths
+    0 .. radius of one ray from vertex 0.
 
     Moving the pin from w to a neighbour w' across an edge with increment z
     turns the mixture probability sum_s F(s, z) R(s) into
@@ -423,19 +411,15 @@ def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
     inequality the ratio of the two lies in [min_s rho_s, max_s rho_s],
     rho_s = F(s, z) / F(s + z, -z) over the s where either flow is positive.
     With r = max |rho - 1| over every layer and increment, two pins joined
-    by k edges of the subtree spanning the pins are within a ratio of
+    by k edges, k = max - min of the depths, are within a ratio of
     [(1 - r)**k, (1 + r)**k], so the bound is (1 + r)**k - 1. Its
     allowance covers the rounding of the k ratios and of the power, about
     one ulp each.
     """
     pins = list(pins)
-    # below[v] counts the pins in the subtree of v, one pass from the deepest
-    # level up; the edge into v spans the pins when some but not all are there
-    below = np.zeros(spec.volume.n_vertices, dtype=np.int64)
-    np.add.at(below, pins, 1)
-    for src, dst in reversed(spec.volume.steps()):
-        np.add.at(below, src, below[dst])
-    k = int(np.count_nonzero((below[1:] > 0) & (below[1:] < len(pins))))
+    if not 0 <= min(pins) <= max(pins) <= len(spec.volume.starts) - 2:
+        raise ValueError("pin depths must lie in 0 .. the radius")
+    k = max(pins) - min(pins)
     if not k:
         return 0.0
     flow, back = _balance_flows(spec.kernel, spec.chain)

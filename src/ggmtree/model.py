@@ -12,12 +12,11 @@ lifted Potts operator, with or without an exponential tail. ``wrapped_sum``
 folds a potential onto the residues mod q, in closed form for SOS and for a
 lift at its own period, and otherwise by one certified summation.
 
-``cayley_ball`` builds the ball and numbers it level by level from its
-centre, vertex 0: each level is an index range, and the ball is those
-ranges, its degree and its ``parents`` array. Every
-walk over a ball reads its one step table, ``FiniteTreeVolume.steps``: the
-steps away from the centre, one (src, dst) pair per level, dst being the
-next level's range.
+``cayley_ball`` numbers the ball level by level from its centre, vertex 0,
+and the ball is its degree and the index range of each level: a vertex's
+level and children are arithmetic on the ranges, and the step table
+``FiniteTreeVolume.steps``, one (src, dst) pair per level, dst being the
+next level's range, is what a walk over every vertex reads.
 """
 from __future__ import annotations
 
@@ -413,20 +412,18 @@ def _tail_scale(op: TransferOperator, law: PeriodicBoundaryLaw) -> float:
 
 class FiniteTreeVolume:
     """Closed ball of the d-regular tree around vertex 0, built by
-    ``cayley_ball``.
-
-    Vertices are numbered level by level: level k, the vertices at distance
-    k from vertex 0, is the index range ``starts[k]:starts[k + 1]``, and the
-    last level is the boundary, the outer layer that carries the
-    boundary-law factor in closed-volume formulas. The other vertices are
-    interior. ``parents`` is an integer array, -1 at vertex 0, and edge
-    i - 1 is the edge (parents[i], i), stored away from vertex 0.
+    ``cayley_ball``: its degree ``d`` and level starts ``starts``. Level k,
+    the vertices at distance k from vertex 0, is the index range
+    ``starts[k]:starts[k + 1]``; the last level is the boundary, which
+    carries the boundary-law factor, and the others are interior. A vertex's
+    children are consecutive: the d + 1 of vertex 0 are level 1, and the d
+    of the j-th vertex of level k >= 1 start at the (j d)-th of level k + 1.
+    Edge v - 1, the edge into v, is stored away from vertex 0.
     """
 
-    def __init__(self, d: int, starts: tuple[int, ...], parents: np.ndarray):
+    def __init__(self, d: int, starts: tuple[int, ...]):
         self.d = d
         self.starts = starts
-        self.parents = parents
 
     @property
     def n_vertices(self) -> int:
@@ -436,19 +433,30 @@ class FiniteTreeVolume:
     def n_edges(self) -> int:
         return self.n_vertices - 1
 
+    def level(self, v: int) -> int:
+        """The distance of vertex v from vertex 0."""
+        return next(k for k, start in enumerate(self.starts) if start > v) - 1
+
+    def children(self, v: int) -> range:
+        """The children of vertex v in index order, none past the last level."""
+        k = self.level(v)
+        first = self.starts[k + 1] + (v - self.starts[k]) * self.d
+        return range(first, min(first + self.d + (k == 0), self.n_vertices))
+
     def steps(self) -> list[tuple[np.ndarray, slice]]:
         """The steps away from vertex 0, one (src, dst) pair per level k:
         dst is level k + 1 as a slice, and src its parents, each vertex of
         level k once per child, so d + 1 times at the root and d times
         elsewhere. A step walks edge dst - 1 along its stored direction."""
-        return [(self.parents[lo:hi], slice(lo, hi))
-                for lo, hi in zip(self.starts[1:-1], self.starts[2:])]
+        s = self.starts
+        return [(np.repeat(np.arange(s[k], s[k + 1]), self.d + (k == 0)),
+                 slice(s[k + 1], s[k + 2])) for k in range(len(s) - 2)]
 
 
 def cayley_ball(d: int, radius: int) -> FiniteTreeVolume:
     """Closed ball of the d-regular tree: the root has d + 1 children, every
     other interior vertex has d, and the outermost layer is the boundary.
-    Vertices are numbered level by level, each vertex's children in turn."""
+    Vertices are numbered level by level, and no array is built."""
     if d < 2:
         raise ValueError("branching degree d must be >= 2")
     if radius < 1:
@@ -456,9 +464,7 @@ def cayley_ball(d: int, radius: int) -> FiniteTreeVolume:
     starts = [0, 1]
     for k in range(radius):
         starts.append(starts[-1] + (d + 1) * d ** k)
-    parents = np.concatenate(([-1], np.zeros(d + 1, dtype=np.int64),
-                              np.repeat(np.arange(1, starts[-2]), d)))
-    return FiniteTreeVolume(d, tuple(starts), parents)
+    return FiniteTreeVolume(d, tuple(starts))
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ The scalar tree walks are the references for the library's step table:
 ``scalar_orientation`` is the one-step-at-a-time BFS from any vertex, as
 (edge, src, dst, sign) tuples, which from a ball's centre visits the steps
 of ``FiniteTreeVolume.steps`` in order, ``scalar_upward`` the upward pass
-one vertex at a time, whose unit vectors the level-at-a-time
-``measures._upward`` matches bit for bit, ``scalar_heights`` the heights one
+one vertex at a time, whose unit vector at every vertex is its level's row
+in the radial ``measures._upward``, bit for bit, ``scalar_heights`` the heights one
 step at a time, and ``step_product_probs`` the product form one step at a
 time, on a volume or on a connected part of it, each layer kept in a dict.
 The library evaluates no product form of its own; every pinned and mixture
@@ -63,8 +63,11 @@ probability of the tests comes from ``step_product_probs``. Every other
 oracle here walks ``scalar_orientation``.
 ``directed_edges`` and ``children`` are the tuple forms of a volume, built
 once per volume, and ``neighbors``, ``adjacent_outside`` (the rim that
-``measures._part`` reads off the step table) and ``path`` (parent climbs)
-its walks, built from ``parents`` alone.
+``measures._part`` finds from its members' children) and ``path`` (parent
+climbs) its walks, built from ``parents`` alone, which ``tree`` reads off a
+ball's step table. ``spanning_edges`` counts the edges spanning pins
+anywhere, the k that ``measures.check_homogeneity`` reads off the depths of
+pins on one ray.
 ``GradientConfiguration``, ``vertex_layers``, ``pinned_prob_product``,
 ``sample_ggm`` and ``event_prob_ggm`` are the test-only forms the library no
 longer carries: a configuration as a tuple
@@ -168,11 +171,13 @@ Volume = FiniteTreeVolume | Tree
 def _ball_tree(ball: FiniteTreeVolume) -> Tree:
     is_boundary = np.zeros(ball.n_vertices, dtype=bool)
     is_boundary[ball.starts[-2]:] = True
-    return Tree(ball.d, ball.parents, is_boundary)
+    parents = np.concatenate([[-1], *(src for src, _ in ball.steps())])
+    return Tree(ball.d, parents, is_boundary)
 
 
 def tree(volume: Volume) -> Tree:
-    """``volume`` as a ``Tree``: a ball's boundary is its last level."""
+    """``volume`` as a ``Tree``: a ball's parents are the srcs of its step
+    table in order, and its boundary is its last level."""
     return volume if isinstance(volume, Tree) else _ball_tree(volume)
 
 
@@ -180,7 +185,7 @@ def tree(volume: Volume) -> Tree:
 def directed_edges(volume: Volume) -> tuple[tuple[int, int], ...]:
     """The stored (parent, child) pair of each edge: edge e is
     (parents[e + 1], e + 1)."""
-    return tuple(zip(volume.parents[1:].tolist(), range(1, volume.n_vertices)))
+    return tuple(zip(tree(volume).parents[1:].tolist(), range(1, volume.n_vertices)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,7 +199,7 @@ def children(volume: Volume) -> tuple[tuple[int, ...], ...]:
 
 def neighbors(volume: Volume, v: int) -> list[int]:
     """The neighbours of v: its children in index order, then its parent."""
-    return [*children(volume)[v], *([int(volume.parents[v])] if v else [])]
+    return [*children(volume)[v], *([int(tree(volume).parents[v])] if v else [])]
 
 
 def adjacent_outside(volume: Volume, vertices: Iterable[int]) -> set[int]:
@@ -206,12 +211,13 @@ def adjacent_outside(volume: Volume, vertices: Iterable[int]) -> set[int]:
 def path(volume: Volume, x: int, y: int) -> list[tuple[int, int]]:
     """The steps (from, to) of the tree path from x to y, climbing from
     the larger vertex: a parent's index is smaller, so it is no ancestor."""
+    parents = tree(volume).parents
     up, down = [x], [y]
     while up[-1] != down[-1]:
         if up[-1] > down[-1]:
-            up.append(int(volume.parents[up[-1]]))
+            up.append(int(parents[up[-1]]))
         else:
-            down.append(int(volume.parents[down[-1]]))
+            down.append(int(parents[down[-1]]))
     nodes = up + down[-2::-1]
     return list(zip(nodes, nodes[1:]))
 
@@ -280,6 +286,20 @@ def scalar_upward(volume: Volume, pin: int, matrix: np.ndarray,
         unit[src] = f / top
         logs.append(math.log(top))
     return unit, logs
+
+
+def spanning_edges(volume: Volume, pins: Iterable[int]) -> int:
+    """The number of edges of the subtree spanning the vertices ``pins``,
+    anywhere in the volume: below[v] counts the pins in the subtree of v,
+    one pass from the last vertex up, and the edge into v spans the pins
+    when some but not all of them are there."""
+    pins = list(pins)
+    parents = tree(volume).parents
+    below = np.zeros(volume.n_vertices, dtype=np.int64)
+    np.add.at(below, pins, 1)
+    for v in range(volume.n_vertices - 1, 0, -1):
+        below[parents[v]] += below[v]
+    return int(np.count_nonzero((below[1:] > 0) & (below[1:] < len(pins))))
 
 
 def scalar_heights(volume: Volume, pin: int, s: int, zeta) -> np.ndarray:

@@ -163,7 +163,24 @@ HUGE_TABLE = {"potential": {"kind": "table", "weights": {"0": 1, "1": 1e300}}, "
     (["verify", "--model", "M", "--out", "TMP/missing/report.json"], 2, "cannot write"),
     (["verify", "--model", "TMP"], 2, "cannot read the model file"),
     (["sample", "--model", "M", "--n", "2", "--depth", "40"], 2,
-     "lower --depth, --n or the degree d"),
+     "lower --depth or the degree d"),
+    # the sampler's counters i 2**32 + v stay distinct while the sample i and
+    # the vertex v are below 2**32: depth 62 is refused in log space, and
+    # depth 31, 3 * 2**31 - 2 vertices, by its count
+    (["sample", "--model", "M", "--n", "1", "--depth", "62"], 2,
+     "a ball of depth 62 and degree 2 has more than 2**32 vertices"),
+    (["sample", "--model", "M", "--n", "1", "--depth", "31"], 2,
+     "a ball of depth 31 and degree 2 has more than 2**32 vertices"),
+    (["sample", "--model", "M", "--n", str(2**32 + 1)], 2,
+     "--n 4294967297 is more than 2**32 samples; lower --n"),
+    # verify builds nothing of the ball's size, so only a vertex count past
+    # the largest double, which its bounds multiply, is refused
+    (["verify", "--model", "M", "--depth", "30"], 1, ""),
+    (["verify", "--model", "M", "--depth", "62"], 1, ""),
+    (["verify", "--model", "M", "--depth", "1023"], 2,
+     "a ball of depth 1023 and degree 2 has more than 1.8e308 vertices"),
+    (["verify", "--model", "M", "--depth", "1000000"], 2,
+     "a ball of depth 1000000 and degree 2 has more than 1.8e308 vertices"),
     (["marginal", "--model", {"potential": SOS2, "q": 2.7, "d": 2}], 2,
      "q must be an integer, got 2.7"),
     (["marginal", "--model", {"potential": SOS2, "q": 2, "d": 2.5}], 2,
@@ -233,7 +250,10 @@ HUGE_TABLE = {"potential": {"kind": "table", "weights": {"0": 1, "1": 1e300}}, "
                                             "tail_beta": 1e-300}, "q": 3, "d": 2}], 3,
      "numerical failure: the geometric tail of LiftedPotts(tail_beta=1e-300)"),
 ], ids=["ok", "verification", "unwritable-out", "model-is-a-directory", "oversized-volume",
-        "fractional-q", "fractional-d", "no-certified-window", "no-such-branch",
+        "sample-ball-past-2**32-in-log-space", "sample-ball-past-2**32-vertices",
+        "sample-n-past-2**32", "verify-depth-30", "verify-depth-62",
+        "verify-ball-past-a-double", "verify-depth-1000000", "fractional-q",
+        "fractional-d", "no-certified-window", "no-such-branch",
         "perturb-period-1", "half-a-sweep", "sweep-of-a-table", "beta-grid-overflows",
         "counterexample-overflows", "counterexample-not-finite", "empty-table",
         "nan-weight", "inf-weight", "wrapped-sum-overflows", "fractional-lift-q",
@@ -479,11 +499,24 @@ class TestVerify:
             assert checks[name]["violation"] == "inf"
             assert checks[name]["pass"] is False
 
+    def test_overflowed_tolerance_is_strict_json(self, tmp_path):
+        # 3 * 2**1022 - 3 edges, each missing a tail bound above 1.3 at
+        # cutoff 1, give a windowed-mass tolerance past the largest double
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        model, out = tmp_path / "model.json", tmp_path / "verify.json"
+        model.write_text(json.dumps({"potential": {"kind": "sos", "beta": 0.1}, "q": 2, "d": 2}))
+        assert main(["verify", "--model", str(model), "--window", "1", "--perturb", "100",
+                     "--branch", "trivial", "--depth", "1022", "--out", str(out)]) == 1
+        check = json.loads(out.read_text(), parse_constant=reject)["checks"]["windowed_mass"]
+        assert check["tolerance"] == "inf" and check["pass"] is True
+
     def test_report_names_method_and_relative_bounds(self, model_file, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["verify", "--model", model_file, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 5
+        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 6
         methods = {name: c["method"] for name, c in payload["checks"].items()}
         assert {name for name, m in methods.items() if m == "exact"} == {
             "boundary_law_residual", "stationarity", "reversibility", "windowed_mass"}
@@ -504,6 +537,17 @@ class TestVerify:
         run = fresh_python(["-c", script])
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["0", "False"]
+
+    def test_deep_ball_allocates_nothing_of_its_size(self, model_file):
+        # 3 * 2**40 - 2 vertices: the radial pass holds one row per level
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--model", model_file, "--depth", "40",
+                         "--out", os.devnull]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trivial_branch_passes_at_tight_tolerance(self, model_file, tmp_path):
         out = tmp_path / "verify_trivial.json"
@@ -566,7 +610,7 @@ class TestSample:
         volume = cayley_ball(2, 1)
         batch = bf.library_batch(GGMSpec(kernel, fuzzy_transform(kernel), volume), 3, 5)
         assert [(r["sample"], r["edge"], r["increment"]) for r in rows] == [
-            (str(i), f"{volume.parents[e + 1]}>{e + 1}", str(batch[i, e]))
+            (str(i), f"{bf.tree(volume).parents[e + 1]}>{e + 1}", str(batch[i, e]))
             for i in range(3) for e in range(volume.n_edges)]
 
     def test_zero_samples_header_only(self, model_file, tmp_path):

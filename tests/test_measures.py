@@ -87,12 +87,25 @@ class TestScaledPass:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 6])
     def test_level_batches_are_the_scalar_pass(self, q):
-        # the unit vectors bit for bit: each src multiplies its messages in
-        # the scalar pass's order. The log total sums the same n logs in
-        # another order: each log is within an ulp, at most eps |t|, of its
-        # exact value on either side, the oracle's fsum rounds once, and
-        # any order of summation is within gamma_(n-1) sum |t| of the exact
-        # sum (Higham 2002, section 4.2)
+        # the unit vectors bit for bit: the scalar pass's vector of every
+        # vertex is its level's row, each src multiplying its messages in
+        # the same order.
+        #
+        # The log total: the scalar pass takes one log l_i per vertex scaled,
+        # and the radial pass one per level and kind of scale, c_i copies of
+        # the same value at once, as m = 2 radius + 1 terms fl(c_i l'_i):
+        # the leaf term, then a message and a peak term per level.
+        # - l'_i (numpy's log) and l_i (math.log) are each within an ulp of
+        #   the exact log, so |l'_i - l_i| <= 4u |l_i|, u = eps / 2;
+        # - c_i is below 2**53, so exact, and each product rounds once, by at
+        #   most u of its value;
+        # - the m terms summed in any order are within gamma_(m-1) of the sum
+        #   of their magnitudes from their exact sum (Higham 2002, 4.2);
+        # - the oracle's fsum of the l_i rounds once, by at most u.
+        # With S = sum c_i |l_i| = sum |l_i| over every vertex, the two totals
+        # differ by at most (4u + u + u + gamma_(m-1) (1 + 5u)) S, and
+        # gamma_m >= gamma_(m-1) (1 + 5u) while m u < 1 / 5, so the bound
+        # below, with one u spare for the rounding of S itself, covers it.
         rng = np.random.default_rng(q)
         matrix = rng.random((q, q)) + 0.1
         leaf = rng.random(q) + 0.5
@@ -102,9 +115,11 @@ class TestScaledPass:
             unit, log_total = measures._upward(volume, matrix, leaf)
             want_unit, logs = bf.scalar_upward(
                 volume, 0, matrix, dict.fromkeys(bf.tree(volume).boundary.tolist(), leaf))
-            assert np.array_equal(unit, np.array(want_unit))
-            n, size = len(logs), math.fsum(map(abs, logs))
-            bound = (4 * u + u + n * u / (1 - n * u)) * size
+            assert unit.shape == (len(volume.starts) - 1, q)
+            assert np.array_equal(np.array(want_unit),
+                                  np.repeat(unit, np.diff(volume.starts), axis=0))
+            m, size = 2 * len(volume.starts) - 3, math.fsum(map(abs, logs))
+            bound = (7 * u + m * u / (1 - m * u)) * size
             assert abs(log_total - math.fsum(logs)) <= bound
 
     def test_one_update_per_level(self, kernel):
@@ -522,18 +537,26 @@ class TestStepTableWalks:
 
     def test_homogeneity_counts_the_edges_spanning_the_pins(self, sos2, upper_law):
         # r = 1e-3, as in TestHomogeneity, so the bound is 1.001**k - 1 for
-        # the k edges on the paths from the first pin to the others
+        # the k edges spanning the pins, which the oracle counts for pins
+        # anywhere and the library reads off the depths of pins on one ray
         kernel = build_layer_kernel(sos2, upper_law)
         chain = fuzzy_transform(kernel)
         alpha = chain.alpha.copy()
         alpha[0] *= 1.0 + 1e-3
         chain = FuzzyChain(2, chain.matrix, alpha / alpha.sum())
         for rng, volume, _ in random_parts(120, seed=6):
-            # any vertices of the ball, the boundary too
+            # the oracle on any vertices of the ball, the boundary too, is the
+            # union of the paths from the first pin to the others
             pins = rng.integers(volume.n_vertices, size=rng.integers(1, 5)).tolist()
-            pin = pins[0]
-            k = len({frozenset(step) for x in pins[1:] for step in bf.path(volume, pin, x)})
-            got = check_homogeneity(GGMSpec(kernel, chain, volume), pins)
+            assert bf.spanning_edges(volume, pins) == len(
+                {frozenset(step) for x in pins[1:] for step in bf.path(volume, pins[0], x)})
+            # pins on the ray from the centre to a random boundary vertex,
+            # whose j-th vertex lies at depth j
+            ray = [0] + [y for _, y in bf.path(volume, 0, int(rng.integers(
+                volume.starts[-2], volume.n_vertices)))]
+            depths = rng.choice(len(ray), size=rng.integers(1, 5)).tolist()
+            k = bf.spanning_edges(volume, [ray[j] for j in depths])
+            got = check_homogeneity(GGMSpec(kernel, chain, volume), depths)
             assert got == (pytest.approx(1.001**k - 1, rel=1e-9) if k else 0.0)
 
     def test_restricted_exponents_are_the_neighbour_counts(self, sos2, upper_law):
@@ -584,21 +607,28 @@ class TestHomogeneity:
         assert check_homogeneity(spec, [0, 1]) < 1e-10
 
     def test_three_pins_on_depth2(self, ggm):
-        assert check_homogeneity(ggm, [0, 1, 4]) < 1e-9
+        assert check_homogeneity(ggm, [0, 1, 2]) < 1e-9
 
-    def test_uniform_law_exact(self, ball1):
+    def test_uniform_law_exact(self, ball2):
         kernel = build_layer_kernel(SOS(1.0), PeriodicBoundaryLaw.trivial(2))
         chain = fuzzy_transform(kernel)
-        spec = GGMSpec(kernel, chain, ball1)
+        spec = GGMSpec(kernel, chain, ball2)
         assert check_homogeneity(spec, [0, 1, 2]) < 1e-14
 
-    def test_holds_for_any_positive_law(self, sos2, upper_law, ball1):
+    def test_holds_for_any_positive_law(self, sos2, upper_law, ball2):
         # pin switching telescopes through detailed balance, which is
         # structural; homogeneity cannot detect off-manifold laws
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law)
-        spec = GGMSpec(kernel, fuzzy_transform(kernel), ball1)
+        spec = GGMSpec(kernel, fuzzy_transform(kernel), ball2)
         assert check_homogeneity(spec, [0, 1, 2]) < 1e-12
+
+    def test_pin_depths_lie_in_the_ball(self, chain, kernel, ball2):
+        # a vertex number past the radius is no depth, so it is refused
+        spec = GGMSpec(kernel, chain, ball2)
+        for pins in ([0, 3], [-1, 1], [4]):
+            with pytest.raises(ValueError, match="pin depths"):
+                check_homogeneity(spec, pins)
 
     @pytest.mark.parametrize("depth", [2, 10, 14])
     def test_unbalanced_alpha_fails_at_every_depth(self, sos2, upper_law, depth):
@@ -610,10 +640,10 @@ class TestHomogeneity:
         alpha[0] *= 1.0 + 1e-3
         spec = GGMSpec(kernel, FuzzyChain(2, chain.matrix, alpha / alpha.sum()),
                        cayley_ball(2, depth))
-        assert check_homogeneity(spec, [0, 1, 4]) >= 1e-3
+        assert check_homogeneity(spec, [0, 1, 2]) >= 1e-3
         # r = 1e-3, and the pins span k = 2 edges
-        assert check_homogeneity(spec, [0, 1, 4]) == pytest.approx(1.001**2 - 1, rel=1e-9)
-        assert check_homogeneity(spec, [4]) == 0.0
+        assert check_homogeneity(spec, [0, 1, 2]) == pytest.approx(1.001**2 - 1, rel=1e-9)
+        assert check_homogeneity(spec, [2]) == 0.0
 
     def test_layer_without_weight_fails(self, kernel, chain, ball1):
         # alpha(0) = 0 leaves one flow of each odd pair at 0 and the other

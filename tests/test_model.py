@@ -365,10 +365,11 @@ class TestVolumes:
         # numbered level by level, so the root's table steps to 1, 2, ... in turn
         src = np.concatenate([src for src, _ in vol.steps()])
         assert np.array_equal(dst_vertices(vol), np.arange(1, vol.n_vertices))
-        assert np.array_equal(src, vol.parents[1:])
+        parents = bf.tree(vol).parents
+        assert np.array_equal(src, parents[1:])
         for v in range(vol.n_vertices):
-            assert list(kids[v]) == sorted(kids[v])
-            assert all(vol.parents[c] == v for c in kids[v])
+            assert list(kids[v]) == sorted(kids[v]) == list(vol.children(v))
+            assert all(parents[c] == v for c in kids[v])
 
     def test_configuration_orientation_lookup(self, ball2):
         zeta = bf.GradientConfiguration.from_map(ball2, {(0, 1): 3, (4, 1): 2})

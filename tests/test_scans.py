@@ -223,10 +223,12 @@ def test_restricted_certificate_bounds_the_scan(certified_model, depth, inner, p
 
 
 @pytest.mark.parametrize("alpha_factor", [1.0, 1.0 + 1e-3], ids=["alpha", "alpha-perturbed"])
-@pytest.mark.parametrize("depth, pins, cutoff", [(1, [0, 1, 2], CUTOFF), (2, [0, 1, 4], 1)],
+# the scan takes the pins as vertices of one ray, the library as their depths
+@pytest.mark.parametrize("depth, pins, depths, cutoff", [(1, [0, 1], [0, 1], CUTOFF),
+                                                         (2, [0, 1, 4], [0, 1, 2], 1)],
                          ids=["d1", "d2-cutoff1"])
 def test_homogeneity_certificate_bounds_enumeration(certified_model, alpha_factor,
-                                                    depth, pins, cutoff):
+                                                    depth, pins, depths, cutoff):
     # every windowed configuration: 5**3 at depth 1, 3**9 at depth 2
     kernel, chain = certified_model
     if cutoff != CUTOFF:
@@ -238,7 +240,7 @@ def test_homogeneity_certificate_bounds_enumeration(certified_model, alpha_facto
     spec = GGMSpec(kernel, FuzzyChain(kernel.q, chain.matrix, alpha / alpha.sum()),
                    cayley_ball(2, depth))
     assert bounded(bf.scan_homogeneity(spec, pins, enumerate_budget=3**9),
-                   check_homogeneity(spec, pins))
+                   check_homogeneity(spec, depths))
 
 
 def test_budgets_bound_the_scanned_classes(kernel, chain, ball2):
