@@ -6,7 +6,6 @@ __all__ = [
     "UnsupportedDegree",
     "UnsupportedPeriod",
     "NonStochastic",
-    "PinInsideInner",
     "TailTooFat",
 ]
 
@@ -29,10 +28,6 @@ class UnsupportedPeriod(GGMError):
 
 class NonStochastic(GGMError):
     """A kernel row failed its stochasticity check."""
-
-
-class PinInsideInner(GGMError):
-    """The pinning vertex must lie outside the conditioned sub-volume."""
 
 
 class TailTooFat(GGMError):

@@ -14,10 +14,14 @@ tree sums (the windowed mass, and the weight hanging below each vertex)
 come from one scaled radial pass (``_upward``) with one unit vector per
 level, indexed by the mod-q layer, and one log scale, so no volume
 overflows or underflows and the verifier allocates nothing of the ball's
-size. The sampler draws a level of the step table at a time
-(``FiniteTreeVolume.steps``) from counter-based uniforms, one SplitMix64
-output per (sample, vertex) keyed by the seed, so it yields its samples a
-block at a time, in memory that does not grow with their number.
+size. The checks take balls by their radius: consistency compares the
+ball of radius r + 1 around the pin with the whole volume and reads level
+r + 1 of the pass, and the conditional structure is checked on the
+sub-ball of radius r below vertex 1. The sampler draws a level at a time,
+each vertex's layer repeated for its children, from counter-based
+uniforms, one SplitMix64 output per (sample, vertex) keyed by the seed,
+so it yields its samples a block at a time, in memory that does not grow
+with their number.
 
 No verifier check visits configurations or residue classes. Each returns a
 certified upper bound on the largest |ratio - 1| between the two forms it
@@ -42,7 +46,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .chains import FuzzyChain, LayerKernel, _balance_flows
-from .errors import PinInsideInner
 from .model import (
     FiniteTreeVolume,
     IncrementWindow,
@@ -236,13 +239,10 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> Iterator[np.ndarray]:
     O(DRAW_BLOCK) beside the tables.
     """
     volume = spec.volume
+    starts = volume.starts
     guide = _Guide(spec.kernel)
     root = np.cumsum(spec.chain.alpha)
     top = spec.kernel.q - 1
-    # a level reads only the layers of the level before it, held in
-    # ``layers`` with vertex v of level k at row v - starts[k]; every step
-    # runs parent -> child along edge dst - 1
-    levels = [(src - start, dst) for (src, dst), start in zip(volume.steps(), volume.starts)]
     per_block = max(1, DRAW_BLOCK // volume.n_vertices)
     table = np.arange(volume.n_vertices, dtype=np.uint64)[:, None] * np.uint64(GOLDEN)
     table = table + np.arange(per_block, dtype=np.uint64) * np.uint64((GOLDEN << 32) % 2**64)
@@ -252,8 +252,11 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> Iterator[np.ndarray]:
         u = _uniforms(table[:, :m] + np.uint64(first))
         out = np.empty((volume.n_edges, m), dtype=guide.increments.dtype)
         layers = np.minimum(np.searchsorted(root, u[:1], side="right"), top)
-        for rows, dst in levels:
-            z, layers = guide(layers.take(rows, axis=0), u[dst])
+        # a level reads only the layers of the level before it, each of
+        # whose vertices is the parent of the next d (d + 1 at the root)
+        for k in range(len(starts) - 2):
+            dst = slice(starts[k + 1], starts[k + 2])
+            z, layers = guide(layers.repeat(volume.d + (k == 0), axis=0), u[dst])
             out[dst.start - 1:dst.stop - 1] = z
         yield out.T
 
@@ -301,25 +304,6 @@ def _certified(volume: FiniteTreeVolume, width: float) -> float:
     return off_one + _slack(volume, 2.0 + off_one)
 
 
-def _interior_set(volume: FiniteTreeVolume, inner: Iterable[int]) -> set[int]:
-    """``inner`` as a set, all of it below the boundary, the last level."""
-    ids = {int(v) for v in inner}
-    if not all(0 <= v < volume.starts[-2] for v in ids):
-        raise ValueError("inner vertices must be interior vertices of the volume")
-    return ids
-
-
-def _part(volume: FiniteTreeVolume, vs: set[int]) -> list[int]:
-    """The dsts of the steps out of the set ``vs`` in table order, which is
-    index order: its members' children outside it. The set is connected
-    exactly when |set| - 1 of those children lie inside it."""
-    kids = [c for v in vs for c in volume.children(v)]
-    rim = sorted(set(kids) - vs)
-    if len(kids) - len(rim) != len(vs) - 1:
-        raise ValueError("the inner vertices must form a connected set")
-    return rim
-
-
 # ---------------------------------------------------------------------------
 # verification: the two representations
 
@@ -364,32 +348,33 @@ def max_dual_gap_ggm(spec: GGMSpec) -> float:
     return _certified(spec.volume, float(np.ptp(log_c)) + width)
 
 
-def check_consistency(spec: PinnedMeasureSpec, inner) -> float:
-    """Marginalize the volume's boundary-law measure onto a smaller closed
-    volume, ``inner`` its interior vertex set, connected and holding the
-    pin, vertex 0, and compare with the directly computed smaller-volume
-    measure.
+def check_consistency(spec: PinnedMeasureSpec, radius: int) -> float:
+    """Marginalize the volume's boundary-law measure onto the closed ball of
+    radius ``radius + 1`` around the pin, vertex 0, whose interior is the
+    inner ball of radius ``radius`` and whose boundary, the rim, is level
+    radius + 1, and compare with the directly computed measure on that ball.
 
     Returns a certified upper bound on the largest |marginal / direct - 1|
     over the inner configurations. Their ratio is z_inner / z_big times
-    prod_v hang_v(t_v) / a(t_v) over the inner-boundary vertices v, hang_v
-    being the weight hanging below v. Both sides are probability measures,
-    so as for ``max_dual_gap_pinned`` |log ratio| is at most the sum of the
-    widths ptp(log hang_v - log a). That holds for every pin class, so it
-    also bounds the two mixtures over the stationary layer distribution,
-    whose ratio is a weighted mean of the pinned ratios.
+    prod_v hang_v(t_v) / a(t_v) over the rim vertices v, hang_v being the
+    weight hanging below v. Both sides are probability measures, so as for
+    ``max_dual_gap_pinned`` |log ratio| is at most the sum of the widths
+    ptp(log hang_v - log a), one per rim vertex, all equal on one level.
+    That holds for every pin class, so it also bounds the two mixtures over
+    the stationary layer distribution, whose ratio is a weighted mean of the
+    pinned ratios. The radius lies in 0 .. the volume's radius - 1, so the
+    rim is interior or the boundary.
     """
     volume = spec.volume
-    ids = _interior_set(volume, inner)
-    if 0 not in ids:
-        raise ValueError("the pin vertex must belong to the inner volume")
-    rim = _part(volume, ids)
+    starts = volume.starts
+    if not 0 <= radius < len(starts) - 2:
+        raise ValueError("the inner radius must lie in 0 .. the radius - 1")
     a = spec.kernel.law.as_array()
-    # the weight hanging below each inner-boundary vertex equals the boundary
-    # law itself exactly when the law solves the fixed-point equation
-    widths = [float(np.ptp(np.log(row) - np.log(a)))
-              for row in _upward(volume, spec.kernel.circulant, a)[0]]
-    return _certified(volume, sum(widths[volume.level(v)] for v in rim))
+    # the weight hanging below a rim vertex equals the boundary law itself
+    # exactly when the law solves the fixed-point equation
+    hang = _upward(volume, spec.kernel.circulant, a)[0][radius + 1]
+    width = float(np.ptp(np.log(hang) - np.log(a)))
+    return _certified(volume, sum([width] * (starts[radius + 2] - starts[radius + 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -433,30 +418,32 @@ def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
     return grown + (k + 2) * EPS * (1.0 + grown)
 
 
-def check_restricted_dlr(spec: PinnedMeasureSpec, inner) -> float:
-    """Conditional law inside a sub-volume away from the pin, given the outside
-    increments and the relative boundary heights, against the bare-weight
-    prediction: proportional to the product of Q factors over configurations
-    in the same boundary-height class.
+def check_restricted_dlr(spec: PinnedMeasureSpec, radius: int) -> float:
+    """Conditional law inside the sub-ball of radius ``radius`` hanging
+    below vertex 1, away from the pin, given the outside increments and the
+    relative boundary heights, against the bare-weight prediction:
+    proportional to the product of Q factors over configurations in the same
+    boundary-height class.
 
     Returns a certified upper bound on the largest |ratio - 1| between the
     two conditional laws, which holds for every outside assignment and every
     boundary-height class. Some inner-boundary vertex is tied to the pin
     through outside edges, so a class keeps the height of every vertex
-    outside the sub-volume. On it the joint probability p over the bare
+    outside the sub-ball. On it the joint probability p over the bare
     weight b is a constant times prod_v a(t_v) / N(t_v)**k_v over the inner
     vertices v, k_v being the number of edges leaving v away from the pin.
     So p / b varies by at most a factor rho, the product of the per-vertex
     ranges, and (p / sum p) / (b / sum b) lies in [1 / rho, rho]. Under the
     stationary mixture p is an alpha-mean of such terms, with the same
-    range, so the bound holds for the mixture too.
+    range, so the bound holds for the mixture too. The radius lies in
+    0 .. the volume's radius - 2, so the sub-ball is interior.
     """
     volume = spec.volume
-    ids = _interior_set(volume, inner)
-    if 0 in ids:
-        raise PinInsideInner("conditioning volume must avoid the pin vertex")
-    # every interior v but the pin has d neighbours away from it, its
+    if not 0 <= radius < len(volume.starts) - 3:
+        raise ValueError("the sub-ball radius must lie in 0 .. the radius - 2")
+    # every vertex of the sub-ball has d neighbours away from the pin, its
     # children, so each adds the same width
     width = float(np.ptp(np.log(spec.kernel.law.as_array())
                          - volume.d * np.log(spec.kernel.norms)))
-    return _certified(volume, sum([width] * len(ids)))
+    count = sum(volume.d ** j for j in range(radius + 1))
+    return _certified(volume, sum([width] * count))

@@ -13,10 +13,10 @@ folds a potential onto the residues mod q, in closed form for SOS and for a
 lift at its own period, and otherwise by one certified summation.
 
 ``cayley_ball`` numbers the ball level by level from its centre, vertex 0,
-and the ball is its degree and the index range of each level: a vertex's
-level and children are arithmetic on the ranges, and the step table
+and the ball is its degree and the index range of each level, so the
+library walks it a level at a time. The step table
 ``FiniteTreeVolume.steps``, one (src, dst) pair per level, dst being the
-next level's range, is what a walk over every vertex reads.
+next level's range, names every edge's parent and child.
 """
 from __future__ import annotations
 
@@ -432,16 +432,6 @@ class FiniteTreeVolume:
     @property
     def n_edges(self) -> int:
         return self.n_vertices - 1
-
-    def level(self, v: int) -> int:
-        """The distance of vertex v from vertex 0."""
-        return next(k for k, start in enumerate(self.starts) if start > v) - 1
-
-    def children(self, v: int) -> range:
-        """The children of vertex v in index order, none past the last level."""
-        k = self.level(v)
-        first = self.starts[k + 1] + (v - self.starts[k]) * self.d
-        return range(first, min(first + self.d + (k == 0), self.n_vertices))
 
     def steps(self) -> list[tuple[np.ndarray, slice]]:
         """The steps away from vertex 0, one (src, dst) pair per level k:

@@ -13,7 +13,12 @@ dual-gap loops visit the residue vectors one at a time in Python. They are
 slow, so tests run them on depth-1 to depth-3 volumes only. The scans of the
 two representations and of consistency return a pair: the largest
 difference and the largest |ratio - 1| between the compared forms, each of
-which the library's single bound must cover.
+which the library's single bound must cover. The enumerations and scans
+take any inner vertex set; the library takes a ball by its radius, and
+``consistency_bound`` and ``restricted_bound`` are its certificates summed
+vertex by vertex over any set, which on a ball equal the library's bit for
+bit. ``PinInsideInner`` is what the conditional oracles raise on a set
+holding the pin.
 
 The kernel-table oracles (``kernel_prob``, ``balance_defect``,
 ``product_probs``, ``two_bond_marginal`` and ``windowed_matrix``) are the formulas the library used before every consumer
@@ -62,12 +67,12 @@ The library evaluates no product form of its own; every pinned and mixture
 probability of the tests comes from ``step_product_probs``. Every other
 oracle here walks ``scalar_orientation``.
 ``directed_edges`` and ``children`` are the tuple forms of a volume, built
-once per volume, and ``neighbors``, ``adjacent_outside`` (the rim that
-``measures._part`` finds from its members' children) and ``path`` (parent
-climbs) its walks, built from ``parents`` alone, which ``tree`` reads off a
-ball's step table. ``spanning_edges`` counts the edges spanning pins
-anywhere, the k that ``measures.check_homogeneity`` reads off the depths of
-pins on one ray.
+once per volume, and ``neighbors``, ``adjacent_outside`` (the rim of a
+set: of the inner ball of radius r, level r + 1), ``descendants`` (a ball
+or a sub-ball by its radius) and ``path`` (parent climbs) its walks, built
+from ``parents`` alone, which ``tree`` reads off a ball's step table.
+``spanning_edges`` counts the edges spanning pins anywhere, the k that
+``measures.check_homogeneity`` reads off the depths of pins on one ray.
 ``GradientConfiguration``, ``vertex_layers``, ``pinned_prob_product``,
 ``sample_ggm`` and ``event_prob_ggm`` are the test-only forms the library no
 longer carries: a configuration as a tuple
@@ -108,7 +113,7 @@ import numpy as np
 from ggmtree import cli, measures
 from ggmtree.chains import FuzzyChain, LayerKernel
 from ggmtree.diagnostics import CounterexampleChain, path_mixture_prob
-from ggmtree.errors import GGMError, PinInsideInner, UnsupportedPeriod
+from ggmtree.errors import GGMError, UnsupportedPeriod
 from ggmtree.measures import GGMSpec, PinnedMeasureSpec, single_bond_marginal
 from ggmtree.model import (
     FiniteTreeVolume,
@@ -126,6 +131,10 @@ BLOCK = 2**14  # rows per block, so scans need O(BLOCK x vertices) memory
 
 class VolumeTooLarge(GGMError):
     """An enumeration would exceed the configured state budget."""
+
+
+class PinInsideInner(GGMError):
+    """The pinning vertex must lie outside the conditioned sub-volume."""
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +215,17 @@ def adjacent_outside(volume: Volume, vertices: Iterable[int]) -> set[int]:
     """The vertices outside the set that neighbour a vertex of it."""
     vs = set(vertices)
     return {u for v in vs for u in neighbors(volume, v) if u not in vs}
+
+
+def descendants(volume: Volume, v: int, radius: int) -> set[int]:
+    """v and its descendants at most ``radius`` levels below it: on a ball,
+    the ball of that radius for v = 0 and the sub-ball hanging below v
+    otherwise."""
+    out, level = {v}, [v]
+    for _ in range(radius):
+        level = [c for x in level for c in children(volume)[x]]
+        out.update(level)
+    return out
 
 
 def path(volume: Volume, x: int, y: int) -> list[tuple[int, int]]:
@@ -491,6 +511,31 @@ def _hanging_factors(kernel: LayerKernel, volume: Volume, pin: int,
     for e, src, dst, sign in reversed(scalar_orientation(volume, pin)):
         f[src] = f[src] * (C @ f[dst])
     return {v: f[v] for v in boundary_of_inner}
+
+
+def consistency_bound(spec: PinnedMeasureSpec, inner) -> float:
+    """The consistency certificate for any connected interior set ``inner``
+    holding vertex 0: ``measures._certified`` of the width
+    ptp(log hang_v - log a) summed over the rim vertices v in index order,
+    each read from the library's radial pass at v's level."""
+    volume = spec.volume
+    a = spec.kernel.law.as_array()
+    unit = measures._upward(volume, spec.kernel.circulant, a)[0]
+    rim = sorted(adjacent_outside(volume, inner))
+    return measures._certified(volume, sum(
+        float(np.ptp(np.log(unit[len(path(volume, 0, v))]) - np.log(a))) for v in rim))
+
+
+def restricted_bound(spec: PinnedMeasureSpec, inner) -> float:
+    """The restricted conditional certificate for any interior set ``inner``
+    avoiding the pin: ``measures._certified`` of the width
+    ptp(log a - k_v log N) summed over its vertices v in index order, k_v
+    counting the neighbours of v but the one towards the pin."""
+    log_a = np.log(spec.kernel.law.as_array())
+    log_n = np.log(spec.kernel.norms)
+    return measures._certified(spec.volume, sum(
+        float(np.ptp(log_a - (len(neighbors(spec.volume, v)) - 1) * log_n))
+        for v in sorted(inner)))
 
 
 def check_consistency(spec: PinnedMeasureSpec, inner,
@@ -1032,7 +1077,10 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
             marg = marg + w * (qp * m) / z_big[s]
             direct = direct + w * (qp * np.prod(a[t], axis=0)) / z_inner[s]
         worst = max(worst, float(np.max(np.abs(marg - direct))))
-        ratio = max(ratio, float(np.max(np.abs(marg / direct - 1.0))))
+        # a class none of whose increments is in the window (cutoff < q/2)
+        # holds no configuration, and both sides are 0 there
+        live = qp > 0.0
+        ratio = max(ratio, float(np.max(np.abs(marg[live] / direct[live] - 1.0), initial=0.0)))
     return worst, ratio
 
 

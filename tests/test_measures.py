@@ -10,7 +10,6 @@ from ggmtree import (
     GGMSpec,
     IncrementWindow,
     PeriodicBoundaryLaw,
-    PinInsideInner,
     PinnedMeasureSpec,
     build_layer_kernel,
     cayley_ball,
@@ -511,29 +510,33 @@ class TestGuideSampler:
         assert np.array_equal(np.concatenate(blocks), bf.sample_ggm_batch(spec, n, 11))
 
 
-def random_parts(count, seed):
-    """Random balls of degree 2 to 4 and radius 1 to 3, each with a random
-    connected part holding the centre."""
+def random_balls(count, seed):
+    """Random balls of degree 2 to 4 and radius 1 to 3."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        volume = cayley_ball(int(rng.integers(2, 5)), int(rng.integers(1, 4)))
-        part = {0}
-        while len(part) < rng.integers(1, volume.n_vertices + 1):
-            part.add(int(rng.choice(sorted(bf.adjacent_outside(volume, part)))))
-        yield rng, volume, part
+        yield rng, cayley_ball(int(rng.integers(2, 5)), int(rng.integers(1, 4)))
 
 
 class TestStepTableWalks:
-    """Every walk reads the ball's step table, checked against the neighbour
+    """The checks read levels of the ball, checked against the neighbour
     walks of ``brute_force`` on random balls."""
 
-    def test_part_is_the_restricted_bfs_and_its_rim(self):
-        for _, volume, part in random_parts(120, seed=5):
-            rim = measures._part(volume, part)
-            # the steps out of the part, in the order of the BFS from the centre
-            assert rim == [dst for _, src, dst, _ in bf.scalar_orientation(volume, 0)
-                           if src in part and dst not in part]
-            assert sorted(rim) == sorted(bf.adjacent_outside(volume, part))
+    def test_part_is_the_restricted_bfs_and_its_rim(self, sos2, upper_law):
+        # the rim of the inner ball of radius r is level r + 1, and the
+        # consistency certificate sums a width per rim vertex
+        law = perturbed(upper_law)
+        kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
+        for _, volume in random_balls(40, seed=5):
+            spec = PinnedMeasureSpec(kernel, volume, 0)
+            starts = volume.starts
+            for r in range(len(starts) - 2):
+                part = bf.descendants(volume, 0, r)
+                rim = list(range(starts[r + 1], starts[r + 2]))
+                # the steps out of the part, in the order of the BFS from the centre
+                assert rim == [dst for _, src, dst, _ in bf.scalar_orientation(volume, 0)
+                               if src in part and dst not in part]
+                assert rim == sorted(bf.adjacent_outside(volume, part))
+                assert check_consistency(spec, r) == bf.consistency_bound(spec, part)
 
     def test_homogeneity_counts_the_edges_spanning_the_pins(self, sos2, upper_law):
         # r = 1e-3, as in TestHomogeneity, so the bound is 1.001**k - 1 for
@@ -544,7 +547,7 @@ class TestStepTableWalks:
         alpha = chain.alpha.copy()
         alpha[0] *= 1.0 + 1e-3
         chain = FuzzyChain(2, chain.matrix, alpha / alpha.sum())
-        for rng, volume, _ in random_parts(120, seed=6):
+        for rng, volume in random_balls(120, seed=6):
             # the oracle on any vertices of the ball, the boundary too, is the
             # union of the paths from the first pin to the others
             pins = rng.integers(volume.n_vertices, size=rng.integers(1, 5)).tolist()
@@ -560,31 +563,27 @@ class TestStepTableWalks:
             assert got == (pytest.approx(1.001**k - 1, rel=1e-9) if k else 0.0)
 
     def test_restricted_exponents_are_the_neighbour_counts(self, sos2, upper_law):
-        # k_v counts the neighbours of v but the one towards the pin
+        # k_v counts the neighbours of v but the one towards the pin, for
+        # each vertex of the sub-balls below vertex 1
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
-        log_a, log_n = np.log(law.as_array()), np.log(kernel.norms)
-        for _, volume, part in random_parts(60, seed=7):
+        for _, volume in random_balls(60, seed=7):
             spec = PinnedMeasureSpec(kernel, volume, 0)
-            # the interior vertices on the rim of a part holding the pin
-            boundary = bf.tree(volume).is_boundary
-            inner = {v for v in bf.adjacent_outside(volume, part) if not boundary[v]}
-            if not inner:
-                continue
-            width = sum(float(np.ptp(log_a - (len(bf.neighbors(volume, v)) - 1) * log_n))
-                        for v in inner)
-            assert check_restricted_dlr(spec, inner) == measures._certified(volume, width)
+            for r in range(len(volume.starts) - 3):
+                inner = bf.descendants(volume, 1, r)
+                assert len(inner) == sum(volume.d**j for j in range(r + 1))
+                assert check_restricted_dlr(spec, r) == bf.restricted_bound(spec, inner)
 
 
 class TestConsistency:
     def test_one_site_growth(self, small_kernel, ball2):
         spec = PinnedMeasureSpec(small_kernel, ball2, 0)
-        assert check_consistency(spec, {0}) < 1e-9
-        assert check_consistency(spec, {0, 1}) < 1e-9
+        assert check_consistency(spec, 0) < 1e-9
+        assert check_consistency(spec, 1) < 1e-9
 
     def test_mixture_consistency(self, small_kernel, ball2):
         # one bound for every pin class, so it bounds their mixture too
-        bounds = {check_consistency(PinnedMeasureSpec(small_kernel, ball2, s), {0})
+        bounds = {check_consistency(PinnedMeasureSpec(small_kernel, ball2, s), 0)
                   for s in range(small_kernel.q)}
         assert len(bounds) == 1 and bounds.pop() < 1e-9
 
@@ -592,13 +591,13 @@ class TestConsistency:
         law = PeriodicBoundaryLaw.trivial(2)
         kernel = build_layer_kernel(SOS(2.0), law, IncrementWindow.manual(SOS(2.0), 3, law))
         spec = PinnedMeasureSpec(kernel, ball2, 0)
-        assert check_consistency(spec, {0}) < 1e-12
+        assert check_consistency(spec, 0) < 1e-12
 
     def test_perturbed_law_fails(self, sos2, upper_law, ball2):
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
         spec = PinnedMeasureSpec(kernel, ball2, 0)
-        assert check_consistency(spec, {0}) > 1e-3
+        assert check_consistency(spec, 0) > 1e-3
 
 
 class TestHomogeneity:
@@ -658,29 +657,32 @@ class TestHomogeneity:
 class TestRestrictedConditional:
     def test_inner_star_inside_depth2(self, small_kernel, ball2):
         spec = PinnedMeasureSpec(small_kernel, ball2, 0)
-        assert check_restricted_dlr(spec, {1}) < 1e-9
+        assert check_restricted_dlr(spec, 0) < 1e-9
 
     def test_mixture_conditional_agrees(self, small_kernel, small_chain, ball2):
         spec = PinnedMeasureSpec(small_kernel, ball2, 0)
-        got = check_restricted_dlr(spec, {1})
+        got = check_restricted_dlr(spec, 0)
         assert got < 1e-9
 
     def test_period_one_uniform_law(self, ball2):
         law = PeriodicBoundaryLaw.trivial(1)
         kernel = build_layer_kernel(SOS(2.0), law, IncrementWindow.manual(SOS(2.0), 3, law))
         spec = PinnedMeasureSpec(kernel, ball2, 0)
-        assert check_restricted_dlr(spec, {1}) < 1e-12
+        assert check_restricted_dlr(spec, 0) < 1e-12
 
     def test_pin_inside_inner_rejected(self, small_kernel, ball2):
+        # a sub-ball below vertex 1 never holds the pin; the oracles, which
+        # take any vertex set, refuse one that does
         spec = PinnedMeasureSpec(small_kernel, ball2, 0)
-        with pytest.raises(PinInsideInner):
-            check_restricted_dlr(spec, {0, 1})
+        for oracle in (bf.check_restricted_dlr, bf.scan_restricted_dlr, bf.ratio_range):
+            with pytest.raises(bf.PinInsideInner):
+                oracle(spec, {0, 1})
 
     def test_perturbed_law_fails(self, sos2, upper_law, ball2):
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
         spec = PinnedMeasureSpec(kernel, ball2, 0)
-        assert check_restricted_dlr(spec, {1}) > 1e-3
+        assert check_restricted_dlr(spec, 0) > 1e-3
 
 
 class TestPinForgetting:

@@ -368,8 +368,19 @@ class TestVolumes:
         parents = bf.tree(vol).parents
         assert np.array_equal(src, parents[1:])
         for v in range(vol.n_vertices):
-            assert list(kids[v]) == sorted(kids[v]) == list(vol.children(v))
+            assert list(kids[v]) == sorted(kids[v])
             assert all(parents[c] == v for c in kids[v])
+        # a level's children, in its order, are the next level, d + 1 of the
+        # root's and d of every other vertex's but the boundary's
+        s = vol.starts
+        for k in range(len(s) - 1):
+            counts = {len(kids[v]) for v in range(s[k], s[k + 1])}
+            if k == len(s) - 2:
+                assert counts == {0}
+            else:
+                assert counts == {vol.d + (k == 0)}
+                assert [c for v in range(s[k], s[k + 1]) for c in kids[v]] == list(
+                    range(s[k + 1], s[k + 2]))
 
     def test_configuration_orientation_lookup(self, ball2):
         zeta = bf.GradientConfiguration.from_map(ball2, {(0, 1): 3, (4, 1): 2})

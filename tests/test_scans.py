@@ -8,7 +8,13 @@ counts the interior vertices other than the pin, consistency reads the
 weight hanging below each rim vertex of the inner volume, the same from
 any pin inside it, and the conditional bound gives every inner vertex the d
 neighbours away from a pin outside it. So a certificate also bounds the
-scans pinned elsewhere, and the cases with ``pin1`` to ``pin4`` check that."""
+scans pinned elsewhere, and the cases with a ``pin`` in their id check that.
+
+The library takes the inner ball and the sub-ball below vertex 1 by their
+radius, and the oracles any vertex set. ``bf.consistency_bound`` and
+``bf.restricted_bound`` are the certificates summed vertex by vertex over
+any set, checked against the scans, and equal the library's on balls, bit
+for bit."""
 import gc
 import weakref
 
@@ -50,13 +56,13 @@ def solved_law(q):
     return op, min(find_branches(op, q, 2), key=lambda r: r.solution.a[1]).solution
 
 
-def build_model(q, factor):
+def build_model(q, factor, cutoff=CUTOFF):
     op, law = solved_law(q)
     if factor != 1.0:
         a = list(law.a)
         a[1] *= factor
         law = PeriodicBoundaryLaw.from_values(a)
-    kernel = build_layer_kernel(op, law, IncrementWindow.manual(op, CUTOFF, law))
+    kernel = build_layer_kernel(op, law, IncrementWindow.manual(op, cutoff, law))
     return kernel, fuzzy_transform(kernel)
 
 
@@ -80,9 +86,10 @@ def certified_model(request):
 def bounded(exact, bound):
     """The exact largest difference and the exact largest |ratio - 1| both
     lie within the certified bound, which includes the rounding
-    allowance."""
+    allowance. A probability is at most 1, so the difference is at most the
+    ratio."""
     difference, ratio = exact
-    return difference <= bound and ratio <= bound
+    return difference <= ratio <= bound
 
 
 @pytest.mark.parametrize("depth, pin", [(1, 0), (2, 1)], ids=["d1", "d2-pin1"])
@@ -128,36 +135,61 @@ def test_consistency_matches_enumeration(model, depth, inner, pin, mixture):
     kernel, chain = model
     spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), kernel.q - 1)
     want = bf.check_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin)
-    assert close(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin)[0],
-                 want)
+    difference, ratio = bf.scan_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin)
+    assert close(difference, want) and ratio >= difference
 
 
-@pytest.mark.parametrize("depth, inner, pin, mixture", [
-    (1, {0}, 0, False),
-    (1, {0}, 0, True),
-    (2, {0}, 0, False),
-    (2, {0}, 0, True),
-    (2, {0, 1}, 0, False),
-    (2, {0, 1}, 1, True),
-    (3, {0, 1}, 1, False),
-    (3, {0, 1, 4}, 4, True),
+# ball of depth 3: {0} and {0, 1, 2, 3} are the inner balls of radius 0 and
+# 1, the second's rim, level 2, being interior
+@pytest.mark.parametrize("depth, inner, radius, pin, mixture", [
+    (1, {0}, 0, 0, False),
+    (1, {0}, 0, 0, True),
+    (2, {0}, 0, 0, False),
+    (2, {0}, 0, 0, True),
+    (2, {0, 1}, None, 0, False),
+    (2, {0, 1}, None, 1, True),
+    (3, {0, 1}, None, 1, False),
+    (3, {0, 1, 4}, None, 4, True),
+    (3, {0}, 0, 0, False),
+    (3, {0}, 0, 0, True),
+    (3, {0, 1, 2, 3}, 1, 0, False),
+    (3, {0, 1, 2, 3}, 1, 0, True),
+    (3, {0, 1, 2, 3}, 1, 2, False),
+    (3, {0, 1, 2, 3}, 1, 3, True),
 ], ids=["d1", "d1-mixture", "d2", "d2-mixture", "d2-inner01", "d2-inner01-pin1-mixture",
-        "d3-inner01-pin1", "d3-inner014-pin4-mixture"])
-def test_consistency_certificate_bounds_the_scan(certified_model, depth, inner, pin, mixture):
+        "d3-inner01-pin1", "d3-inner014-pin4-mixture", "d3", "d3-mixture", "d3-inner0123",
+        "d3-inner0123-mixture", "d3-inner0123-pin2", "d3-inner0123-pin3-mixture"])
+def test_consistency_certificate_bounds_the_scan(certified_model, depth, inner, radius, pin,
+                                                 mixture):
     kernel, chain = certified_model
     spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), kernel.q - 1)
+    # the certificate summed over the rim of any connected inner set holding
+    # the centre; the library's takes the inner balls
+    bound = bf.consistency_bound(spec, inner)
+    if radius is not None:
+        assert inner == bf.descendants(spec.volume, 0, radius)
+        assert check_consistency(spec, radius) == bound
     # one bound for every pin class, so it bounds the mixture too
     assert bounded(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin),
-                   check_consistency(spec, inner))
+                   bound)
+
+
+def test_consistency_scan_skips_classes_without_configurations():
+    # q = 4 at cutoff 1 < q/2: the inner classes with an increment of
+    # residue 2 hold no windowed configuration, and the others still differ
+    kernel, _ = build_model(4, 1.1, cutoff=1)
+    spec = PinnedMeasureSpec(kernel, cayley_ball(2, 2), kernel.q - 1)
+    exact = bf.scan_consistency(spec, {0})
+    assert exact[0] > 0.0 and bounded(exact, check_consistency(spec, 0))
 
 
 def test_bounds_are_the_same_for_every_pin_class(certified_model):
     # normalization centres the pinned bounds, so neither reads the class
     kernel, _ = certified_model
     volume = cayley_ball(2, 2)
-    for inner in [{0}, {0, 1}]:
+    for radius in [0, 1]:
         specs = [PinnedMeasureSpec(kernel, volume, s) for s in range(kernel.q)]
-        assert len({check_consistency(spec, inner) for spec in specs}) == 1
+        assert len({check_consistency(spec, radius) for spec in specs}) == 1
         assert len({max_dual_gap_pinned(spec) for spec in specs}) == 1
 
 
@@ -170,9 +202,21 @@ def test_mixture_dual_bound_is_the_pinned_one_widened(certified_model, depth):
             >= max_dual_gap_pinned(PinnedMeasureSpec(kernel, volume, 0)))
 
 
-def test_consistency_needs_a_connected_inner_volume(kernel):
-    with pytest.raises(ValueError, match="connected"):
-        check_consistency(PinnedMeasureSpec(kernel, cayley_ball(2, 3), 0), {0, 4})
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_radii_lie_in_the_ball(kernel, depth):
+    # the inner ball's rim, level radius + 1, lies in the ball, and the
+    # sub-ball below vertex 1, levels 1 .. radius + 1, inside its interior
+    spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), 0)
+    for radius in range(depth):
+        check_consistency(spec, radius)
+    for radius in range(depth - 1):
+        check_restricted_dlr(spec, radius)
+    for radius in (-1, depth):
+        with pytest.raises(ValueError, match="inner radius"):
+            check_consistency(spec, radius)
+    for radius in (-1, depth - 1):
+        with pytest.raises(ValueError, match="sub-ball radius"):
+            check_restricted_dlr(spec, radius)
 
 
 # ball of depth 2: edge k joins vertex k + 1 to its parent; 1 -> 4, 5 are
@@ -194,25 +238,33 @@ def test_restricted_dlr_matches_enumeration(model, inner, pin, outside, referenc
 
 
 # ball of depth 3: vertex 1 has children 4, 5 and grandchildren 10 .. 13;
-# edge k joins vertex k + 1 to its parent
-@pytest.mark.parametrize("depth, inner, pin, outside, reference, mixture", [
-    (2, {1}, 0, None, None, False),
-    (2, {1}, 0, None, {4: 1}, False),
-    (2, {1}, 0, {1: 1, 5: -1}, None, True),
-    (2, {1, 2}, 3, {8: 1}, {0: 1, 5: -2}, True),
-    (3, {1, 4}, 0, None, {9: 2, 10: -1}, False),
-    (3, {1, 4, 5}, 2, {1: 1}, {3: 1, 11: -2}, True),
+# edge k joins vertex k + 1 to its parent. {1} and {1, 4, 5} are the
+# sub-balls of radius 0 and 1 below vertex 1
+@pytest.mark.parametrize("depth, inner, radius, pin, outside, reference, mixture", [
+    (2, {1}, 0, 0, None, None, False),
+    (2, {1}, 0, 0, None, {4: 1}, False),
+    (2, {1}, 0, 0, {1: 1, 5: -1}, None, True),
+    (2, {1, 2}, None, 3, {8: 1}, {0: 1, 5: -2}, True),
+    (3, {1, 4}, None, 0, None, {9: 2, 10: -1}, False),
+    (3, {1, 4, 5}, 1, 2, {1: 1}, {3: 1, 11: -2}, True),
+    (3, {1}, 0, 2, {1: 1}, None, False),
+    (3, {1, 4, 5}, 1, 0, None, None, False),
+    (3, {1, 4, 5}, 1, 10, {8: 1}, {4: -1}, True),
 ], ids=["d2-inner1", "d2-inner1-reference", "d2-inner1-outside-mixture",
-        "d2-inner12-pin3-mixture", "d3-inner14", "d3-inner145-pin2-mixture"])
-def test_restricted_certificate_bounds_the_scan(certified_model, depth, inner, pin, outside,
-                                                reference, mixture):
+        "d2-inner12-pin3-mixture", "d3-inner14", "d3-inner145-pin2-mixture",
+        "d3-inner1-pin2", "d3-inner145", "d3-inner145-pin10-mixture"])
+def test_restricted_certificate_bounds_the_scan(certified_model, depth, inner, radius, pin,
+                                                outside, reference, mixture):
     kernel, chain = certified_model
     volume = cayley_ball(2, depth)
     spec = PinnedMeasureSpec(kernel, volume, kernel.q - 1)
     kwargs = dict(outside=outside, reference=reference, mixture=mixture, chain=chain, pin=pin)
     # the bound holds for every outside assignment and boundary-height
-    # class, which only the oracles take
-    bound = check_restricted_dlr(spec, inner)
+    # class, which only the oracles take; the library's takes the sub-balls
+    bound = bf.restricted_bound(spec, inner)
+    if radius is not None:
+        assert inner == bf.descendants(volume, 1, radius)
+        assert check_restricted_dlr(spec, radius) == bound
     assert bf.scan_restricted_dlr(spec, inner, **kwargs) <= bound
     # the bound is rho - 1, rho bounding the range of p / b over the class
     # and reaching it for one inner vertex that takes every layer
