@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedPeriod,
 )
 from .model import (
+    FiniteTreeVolume,
     IncrementWindow,
     PeriodicBoundaryLaw,
     cayley_ball,
@@ -52,7 +53,7 @@ VERIFY_SCHEMA_VERSION = 6
 # 2 draws each sample from its own counters, so the rows of `--n k` are the
 # first rows of any larger --n
 SAMPLE_SCHEMA_VERSION = 2
-CHUNK_ROWS = 2**14  # CSV rows per write of `sample`
+CHUNK_ROWS = 2**13  # most CSV rows per write of `sample`
 MAX_BETAS = 10**6  # points of a solve-bl beta grid
 
 EXIT_OK = 0
@@ -256,28 +257,48 @@ def cmd_marginal(args) -> int:
     return EXIT_OK
 
 
-def _sample_rows(blocks: Iterable[np.ndarray], labels: list[str],
+def _edge_table(volume: FiniteTreeVolume) -> np.ndarray:
+    """``,x>y,`` for each edge x>y of the ball, in edge order, built a level
+    at a time from its level starts: level 1 hangs from vertex 0, and the
+    j-th vertex of level k >= 2 from the (j // d)-th of level k - 1."""
+    starts, d = volume.starts, volume.d
+    mids = np.empty(volume.n_edges, dtype=object)
+    mids[:d + 1] = [f",0>{v}," for v in range(1, d + 2)]
+    for k in range(2, len(starts) - 1):
+        s, above = starts[k], starts[k - 1]
+        mids[s - 1:starts[k + 1] - 1] = [f",{above + j // d}>{s + j},"
+                                         for j in range(starts[k + 1] - s)]
+    return mids
+
+
+def _sample_rows(blocks: Iterable[np.ndarray], volume: FiniteTreeVolume,
                  cutoff: int) -> Iterator[str]:
-    """The rows ``i,x>y,z`` of the blocks of consecutive samples, sample-major,
-    as text chunks of about ``CHUNK_ROWS`` rows. One table holds ``,x>y,``
-    per edge and one ``z\n`` per increment of the window, -cutoff to cutoff;
-    a chunk is one join of the sample numbers and table entries, so no row is
-    built as a Python object of its own."""
-    edges = len(labels)
-    mids = np.array([f",{label}," for label in labels], dtype=object)
+    """The rows ``i,x>y,z`` of the blocks of consecutive samples on
+    ``volume``, sample-major, as text chunks of at most ``CHUNK_ROWS`` rows:
+    as many whole samples as fit, or else runs of one sample's edges. One
+    table holds ``,x>y,`` per edge (``_edge_table``) and one ``z\n`` per
+    increment of the window, -cutoff to cutoff; a chunk is one join of the
+    sample numbers and table entries, so no row is built as a Python object
+    of its own."""
+    mids = _edge_table(volume)
     ends = np.array([f"{z}\n" for z in range(-cutoff, cutoff + 1)], dtype=object)
-    step = max(1, CHUNK_ROWS // edges)
+    span = min(len(mids), CHUNK_ROWS)  # edges per chunk
+    step = CHUNK_ROWS // span  # samples per chunk, 1 when a sample is split
+    cells = np.empty(3 * step * span, dtype=object)  # reused, as the sampler's buffers are
     first = 0
     for block in blocks:
         for a in range(0, len(block), step):
             part = block[a:a + step]
-            parts = np.empty((len(part), edges, 3), dtype=object)
-            parts[:, :, 0] = np.array([str(i) for i in range(first, first + len(part))],
-                                      dtype=object)[:, None]
-            parts[:, :, 1] = mids
-            parts[:, :, 2] = ends[np.add(part, cutoff, dtype=np.intp)]
+            numbers = np.array([str(i) for i in range(first, first + len(part))],
+                               dtype=object)[:, None]
             first += len(part)
-            yield "".join(parts.ravel().tolist())
+            for e0 in range(0, len(mids), span):
+                piece = part[:, e0:e0 + span]
+                parts = cells[:3 * piece.size].reshape(*piece.shape, 3)
+                parts[:, :, 0] = numbers
+                parts[:, :, 1] = mids[e0:e0 + span]
+                parts[:, :, 2] = ends.take(np.add(piece, cutoff, dtype=np.intp))
+                yield "".join(parts.ravel().tolist())
 
 
 def cmd_sample(args) -> int:
@@ -286,10 +307,12 @@ def cmd_sample(args) -> int:
     The rows are the bytes ``csv.writer`` wrote for the rows
     ``(i, "x>y", z)``: csv writes ints with ``str``, and digits, ``-`` and
     ``>`` never need quoting. The sampler yields blocks of consecutive
-    samples, ``_sample_rows`` encodes each from tables as it arrives, and
-    the text is written a chunk at a time, so the batch is never held:
-    memory is one block of samples plus one chunk of text, whatever n and
-    the depth. The meta line carries ``SAMPLE_SCHEMA_VERSION``.
+    samples, drawn in ranges of at most ``measures.DRAW_BLOCK`` uniforms,
+    ``_sample_rows`` encodes each from tables as it arrives, and the text
+    is written a chunk of at most ``CHUNK_ROWS`` rows at a time, so the
+    batch is never held: memory is O(DRAW_BLOCK + CHUNK_ROWS), plus one
+    byte per edge and per vertex of a level, plus the label table, whatever
+    n. The meta line carries ``SAMPLE_SCHEMA_VERSION``.
     """
     if args.n > 2**32:
         raise ConfigError(f"--n {args.n} is more than 2**32 samples; lower --n")
@@ -297,11 +320,9 @@ def cmd_sample(args) -> int:
     volume = _ball(d, args.depth, 2**32, "2**32 vertices, the sampler's counters")
     blocks = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
                                        args.n, args.seed)
-    labels = [f"{p}>{v}" for src, dst in volume.steps()
-              for p, v in zip(src.tolist(), range(dst.start, dst.stop))]
     head = _csv_text(_meta(config, SAMPLE_SCHEMA_VERSION),
                      ["sample", "edge", "increment"], [])
-    rows = _sample_rows(blocks, labels, kernel.window.cutoff)
+    rows = _sample_rows(blocks, volume, kernel.window.cutoff)
     _emit(itertools.chain([head], rows), args.out)
     return EXIT_OK
 

@@ -20,8 +20,10 @@ r + 1 of the pass, and the conditional structure is checked on the
 sub-ball of radius r below vertex 1. The sampler draws a level at a time,
 each vertex's layer repeated for its children, from counter-based
 uniforms, one SplitMix64 output per (sample, vertex) keyed by the seed,
-so it yields its samples a block at a time, in memory that does not grow
-with their number.
+so it yields its samples a block at a time, and draws each level in
+ranges of at most ``DRAW_BLOCK`` uniforms, in memory that grows with
+neither their number nor the ball beyond one byte per (sample, edge) of
+the block.
 
 No verifier check visits configurations or residue classes. Each returns a
 certified upper bound on the largest |ratio - 1| between the two forms it
@@ -167,10 +169,12 @@ class _Guide:
     bucket has the k of u = m / GUIDE, and the tables hold its increment and
     end layer. Elsewhere the increment table holds ``lost``, -cutoff - 1, and
     those few u are looked up by ``searchsorted`` itself, so the result is
-    that lookup's, bit for bit.
+    that lookup's, bit for bit. The tables are flat over (bucket, layer), so
+    the index m q + t is built in place.
     """
 
     def __init__(self, kernel: LayerKernel):
+        self.q = kernel.q
         self.cdf = np.cumsum(kernel.rows, axis=1)
         self.top = len(kernel.offsets) - 1
         # the narrowest signed type holding -cutoff - 1; a layer is below q
@@ -181,14 +185,18 @@ class _Guide:
         below = np.array([np.searchsorted(row, np.arange(GUIDE + 1) / GUIDE, side="right")
                           for row in self.cdf])
         k = np.minimum(below[:, :-1], self.top)
-        # flat over (layer, bucket)
-        self.steps = np.where(below[:, 1:] == below[:, :-1], self.increments[k], self.lost).ravel()
-        self.finals = np.take_along_axis(self.ends, k, axis=1).ravel()
+        # flat over (bucket, layer)
+        self.steps = np.where(below[:, 1:] == below[:, :-1], self.increments[k],
+                              self.lost).T.ravel()
+        self.finals = np.take_along_axis(self.ends, k, axis=1).T.ravel()
 
-    def __call__(self, t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Increments and end layers of the uniforms u at the layers t."""
-        key = (u * GUIDE).astype(np.intp)
-        key += t * np.intp(GUIDE)
+    def __call__(self, t: np.ndarray, u: np.ndarray,
+                 key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Increments and end layers of the uniforms u at the layers t; the
+        table indices are written to ``key``, an intp array of u's shape."""
+        np.multiply(u, GUIDE, out=key, casting="unsafe")  # floor, as u >= 0
+        key *= self.q
+        key += t
         z, end = self.steps[key], self.finals[key]
         miss = np.flatnonzero(z == self.lost)
         for layer in set(t.flat[miss].tolist()):
@@ -198,24 +206,26 @@ class _Guide:
         return z, end
 
 
-def _uniforms(x: np.ndarray) -> np.ndarray:
+def _uniforms(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The uniforms of the SplitMix64 states x (Steele, Lea & Flood 2014):
     its finalizer mixes each state, in place, and the top 53 bits of the
-    result times 2**-53 are the uniform in [0, 1)."""
-    x ^= x >> np.uint64(30)
+    result times 2**-53 are the uniform in [0, 1), written to ``out``, a
+    float array of x's shape that first holds the finalizer's shifts."""
+    shifted = out.view(np.uint64)
+    x ^= np.right_shift(x, np.uint64(30), out=shifted)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
     x >>= np.uint64(11)
-    return x * 2.0**-53
+    return np.multiply(x, 2.0**-53, out=out)
 
 
 def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> Iterator[np.ndarray]:
     """n independent configurations, as blocks of consecutive samples: each
-    block an (m, n_edges) array of increments, the transposed view of an
-    edge-major block, in the narrowest signed integer dtype that holds
-    -cutoff - 1, so one byte per (sample, edge) up to cutoff 127.
+    block an (m, n_edges) array of increments in the narrowest signed
+    integer dtype that holds -cutoff - 1, so one byte per (sample, edge) up
+    to cutoff 127.
 
     Counter-based draw (Salmon et al. 2011): the uniform of vertex v in
     sample i is the SplitMix64 output at counter p = i 2**32 + v, of the
@@ -231,34 +241,72 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> Iterator[np.ndarray]:
     counters are distinct while i and v stay below 2**32, so ``ggmtree
     sample`` refuses an n or a ball of more than 2**32.
 
-    A block holds at most ``DRAW_BLOCK`` uniforms and at least one sample.
-    Its states are one number per block, seed + (i 2**32 + 1) GOLDEN at its
-    first sample i, plus a table of (v + j 2**32) GOLDEN, built once, for
-    vertex v and the j-th sample of the block: a row per vertex, so each
-    level reads a run of rows and nothing is transposed. So memory is
-    O(DRAW_BLOCK) beside the tables.
+    A block holds as many samples as fit in ``DRAW_BLOCK`` uniforms, and at
+    least one, and is drawn a level at a time; a sample of more than
+    ``DRAW_BLOCK`` vertices draws each level in sub-ranges of at most
+    ``DRAW_BLOCK`` vertices. Consecutive ranges share one call to
+    ``_uniforms`` while together no wider than the widest, so the levels
+    near the root cost one call. A range's states come from its vertex
+    numbers, and its states, uniforms and table indices live in two buffers
+    of the widest range, reused from range to range and block to block. The
+    j-th vertex of level k is a child of the (j // fan)-th of level k - 1,
+    fan being d + 1 at level 1 and d below, so a range reads only the layers
+    of the level before it, one byte per vertex up to q = 256. So memory is
+    O(DRAW_BLOCK) plus the block, one byte per (sample, edge), and the
+    layers of two levels, whatever n and the ball.
     """
     volume = spec.volume
-    starts = volume.starts
+    starts, d = volume.starts, volume.d
     guide = _Guide(spec.kernel)
     root = np.cumsum(spec.chain.alpha)
-    top = spec.kernel.q - 1
     per_block = max(1, DRAW_BLOCK // volume.n_vertices)
-    table = np.arange(volume.n_vertices, dtype=np.uint64)[:, None] * np.uint64(GOLDEN)
-    table = table + np.arange(per_block, dtype=np.uint64) * np.uint64((GOLDEN << 32) % 2**64)
+    span = DRAW_BLOCK // per_block  # whole levels when a sample fits
+    # each level in ranges (k, x, y) of at most span vertices x .. y - 1, and
+    # runs of consecutive ranges drawn at once while no wider than the widest
+    ranges = [(k, x, min(x + span, starts[k + 1]))
+              for k in range(len(starts) - 1) for x in range(starts[k], starts[k + 1], span)]
+    widest = max(y - x for _, x, y in ranges)
+    runs = []
+    for piece in ranges:
+        if runs and piece[2] - runs[-1][0][1] <= widest:
+            runs[-1].append(piece)
+        else:
+            runs.append([piece])
+    multiples = np.arange(widest, dtype=np.uint64) * np.uint64(GOLDEN)
+    # kept for the whole batch: arrays this size freed and made again every
+    # block have their pages faulted in anew each time the heap is trimmed
+    states = np.empty(widest * min(n, per_block), dtype=np.uint64)
+    uniforms = np.empty(len(states))
     for c in range(0, n, per_block):
         m = min(per_block, n - c)
-        first = (int(seed) + ((c << 32) + 1) * GOLDEN) % 2**64
-        u = _uniforms(table[:, :m] + np.uint64(first))
-        out = np.empty((volume.n_edges, m), dtype=guide.increments.dtype)
-        layers = np.minimum(np.searchsorted(root, u[:1], side="right"), top)
-        # a level reads only the layers of the level before it, each of
-        # whose vertices is the parent of the next d (d + 1 at the root)
-        for k in range(len(starts) - 2):
-            dst = slice(starts[k + 1], starts[k + 2])
-            z, layers = guide(layers.repeat(volume.d + (k == 0), axis=0), u[dst])
-            out[dst.start - 1:dst.stop - 1] = z
-        yield out.T
+        # seed + (i 2**32 + 1) GOLDEN for the samples i of the block
+        first = np.arange(c, c + m, dtype=np.uint64)[:, None] * np.uint64((GOLDEN << 32) % 2**64)
+        first += np.uint64((int(seed) + GOLDEN) % 2**64)
+        out = np.empty((m, volume.n_edges), dtype=guide.increments.dtype)
+        for run in runs:
+            a, b = run[0][1], run[-1][2]
+            # the states of the vertices a .. b - 1, a column per vertex
+            drawn = states[:m * (b - a)].reshape(m, b - a)
+            np.add(first + np.uint64(a * GOLDEN % 2**64), multiples[:b - a], out=drawn)
+            u = _uniforms(drawn, uniforms[:drawn.size].reshape(drawn.shape))
+            for k, x, y in run:
+                if k == 0:  # the root's class
+                    layers = np.searchsorted(root, u[:, :1], side="right")
+                    layers = np.minimum(layers, len(root) - 1).astype(guide.ends.dtype)
+                    continue
+                s = starts[k]
+                if x == s:
+                    below = np.empty((m, starts[k + 1] - s), dtype=guide.ends.dtype)
+                fan = d + (k == 1)
+                j = x - s
+                src = layers[:, j // fan:(y - s - 1) // fan + 1].repeat(fan, axis=1)
+                # the mixed states are spent, so their buffer holds the table indices
+                keys = states[:m * (y - x)].view(np.intp).reshape(m, y - x)
+                out[:, x - 1:y - 1], below[:, j:y - s] = guide(
+                    src[:, j % fan:j % fan + y - x], u[:, x - a:y - a], keys)
+                if y == starts[k + 1]:
+                    layers = below
+        yield out
 
 
 def windowed_mass(spec: PinnedMeasureSpec) -> float:
@@ -266,7 +314,15 @@ def windowed_mass(spec: PinnedMeasureSpec) -> float:
     computed by the layer pass (equals one minus the truncated tail)."""
     W = _fold(spec.kernel, spec.kernel.probs)
     unit, log_total = _upward(spec.volume, W)
-    return float(unit[0][spec.pin_class] * math.exp(log_total))
+    unit = float(unit[0][spec.pin_class])
+    try:
+        return unit * math.exp(log_total)
+    except OverflowError:  # the scale alone is beyond the largest double
+        pass
+    try:
+        return math.exp(math.log(unit) + log_total) if unit > 0.0 else 0.0
+    except OverflowError:
+        return math.inf
 
 
 def single_bond_marginal(op: TransferOperator, law: PeriodicBoundaryLaw,

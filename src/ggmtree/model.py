@@ -14,9 +14,8 @@ lift at its own period, and otherwise by one certified summation.
 
 ``cayley_ball`` numbers the ball level by level from its centre, vertex 0,
 and the ball is its degree and the index range of each level, so the
-library walks it a level at a time. The step table
-``FiniteTreeVolume.steps``, one (src, dst) pair per level, dst being the
-next level's range, names every edge's parent and child.
+library walks it a level at a time: the parent of the j-th vertex of level
+k >= 2 is the (j // d)-th of level k - 1, and vertex 0 that of level 1.
 """
 from __future__ import annotations
 
@@ -432,15 +431,6 @@ class FiniteTreeVolume:
     @property
     def n_edges(self) -> int:
         return self.n_vertices - 1
-
-    def steps(self) -> list[tuple[np.ndarray, slice]]:
-        """The steps away from vertex 0, one (src, dst) pair per level k:
-        dst is level k + 1 as a slice, and src its parents, each vertex of
-        level k once per child, so d + 1 times at the root and d times
-        elsewhere. A step walks edge dst - 1 along its stored direction."""
-        s = self.starts
-        return [(np.repeat(np.arange(s[k], s[k + 1]), self.d + (k == 0)),
-                 slice(s[k + 1], s[k + 2])) for k in range(len(s) - 2)]
 
 
 def cayley_ball(d: int, radius: int) -> FiniteTreeVolume:

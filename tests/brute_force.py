@@ -55,10 +55,11 @@ boundary mask, ``tree`` reads a ball as one (its last level is the
 boundary), and ``path_volume`` is a chain of edges. The oracles that pin a
 measure take the pin vertex as ``pin``, the centre by default.
 
-The scalar tree walks are the references for the library's step table:
-``scalar_orientation`` is the one-step-at-a-time BFS from any vertex, as
-(edge, src, dst, sign) tuples, which from a ball's centre visits the steps
-of ``FiniteTreeVolume.steps`` in order, ``scalar_upward`` the upward pass
+``steps`` is a ball's step table, one array of parents and one range of
+children per level, read off its level starts. The scalar tree walks are
+its references: ``scalar_orientation`` is the one-step-at-a-time BFS from
+any vertex, as (edge, src, dst, sign) tuples, which from a ball's centre
+visits the steps of ``steps(ball)`` in order, ``scalar_upward`` the upward pass
 one vertex at a time, whose unit vector at every vertex is its level's row
 in the radial ``measures._upward``, bit for bit, ``scalar_heights`` the heights one
 step at a time, and ``step_product_probs`` the product form one step at a
@@ -176,17 +177,27 @@ class Tree:
 Volume = FiniteTreeVolume | Tree
 
 
+def steps(ball: FiniteTreeVolume) -> list[tuple[np.ndarray, slice]]:
+    """The steps away from vertex 0, one (src, dst) pair per level k: dst is
+    level k + 1 as a slice, and src its parents, each vertex of level k once
+    per child, so d + 1 times at the root and d times elsewhere. A step
+    walks edge dst - 1 along its stored direction."""
+    s = ball.starts
+    return [(np.repeat(np.arange(s[k], s[k + 1]), ball.d + (k == 0)),
+             slice(s[k + 1], s[k + 2])) for k in range(len(s) - 2)]
+
+
 @functools.lru_cache(maxsize=64)
 def _ball_tree(ball: FiniteTreeVolume) -> Tree:
     is_boundary = np.zeros(ball.n_vertices, dtype=bool)
     is_boundary[ball.starts[-2]:] = True
-    parents = np.concatenate([[-1], *(src for src, _ in ball.steps())])
+    parents = np.concatenate([[-1], *(src for src, _ in steps(ball))])
     return Tree(ball.d, parents, is_boundary)
 
 
 def tree(volume: Volume) -> Tree:
     """``volume`` as a ``Tree``: a ball's parents are the srcs of its step
-    table in order, and its boundary is its last level."""
+    table (``steps``) in order, and its boundary is its last level."""
     return volume if isinstance(volume, Tree) else _ball_tree(volume)
 
 
@@ -802,7 +813,7 @@ def vertex_uniforms(seed: int, n: int, v: int) -> np.ndarray:
     2**64, mixed by the library's finalizer."""
     step = np.uint64((measures.GOLDEN << 32) % 2**64)
     first = np.uint64((int(seed) + (int(v) + 1) * measures.GOLDEN) % 2**64)
-    return measures._uniforms(np.arange(n, dtype=np.uint64) * step + first)
+    return measures._uniforms(np.arange(n, dtype=np.uint64) * step + first, np.empty(n))
 
 
 def library_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from ggmtree import (
     find_branches,
     fuzzy_transform,
 )
-from ggmtree import bl_solver, cli
+from ggmtree import bl_solver, cli, measures
 from ggmtree.cli import main
 
 import brute_force as bf
@@ -512,6 +512,20 @@ class TestVerify:
         check = json.loads(out.read_text(), parse_constant=reject)["checks"]["windowed_mass"]
         assert check["tolerance"] == "inf" and check["pass"] is True
 
+    @pytest.mark.parametrize("depth", ["35", "40", "62"])
+    def test_overflowed_windowed_mass_is_a_failure_report(self, tmp_path, depth):
+        # the windowed mass of this law grows with the ball, to 4.5e9 at
+        # depth 35 and past the largest double from depth 39
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "verify.json"
+        model = _model(tmp_path, {"potential": {"kind": "sos", "beta": 3.0}, "q": 6, "d": 3})
+        assert main(["verify", "--model", model, "--depth", depth, "--out", str(out)]) == 1
+        check = json.loads(out.read_text(), parse_constant=reject)["checks"]["windowed_mass"]
+        assert check["pass"] is False
+        assert (check["violation"] == "inf") == (depth != "35")
+
     def test_report_names_method_and_relative_bounds(self, model_file, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["verify", "--model", model_file, "--out", str(out)]) == 0
@@ -644,6 +658,20 @@ class TestSample:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
 
+    def test_deep_ball_needs_little_more_than_its_label_table(self, model_file):
+        # one sample of 196605 edges: the ,x>y, table takes about 70 bytes
+        # an edge, the block one byte, and the draws and the text are bounded
+        # by DRAW_BLOCK and CHUNK_ROWS (the edge list and a whole-ball draw
+        # took about 220 bytes an edge)
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--model", model_file, "--n", "1", "--depth", "16",
+                         "--out", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * cayley_ball(2, 16).n_edges
+
     def test_sample_leaves_numpy_random_unloaded(self, model_file, tmp_path, fresh_python):
         # the counter-based stream needs no numpy.random
         script = ("import sys\n"
@@ -696,14 +724,21 @@ class TestSampleEncoding:
         # at cutoff 120, batch + cutoff overflows int8 for every increment
         # above 7; the sample numbers run on across the two blocks
         z = np.arange(-120, 121, dtype=np.int8)
-        batch = np.stack([z, z[::-1]]).T
-        labels = ["0>1", "0>2"]
+        batch = np.stack([z, z[::-1], z]).T
+        volume = cayley_ball(2, 1)
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             (i, label, v) for i, row in enumerate(batch.tolist())
-            for label, v in zip(labels, row))
-        assert "".join(cli._sample_rows([batch[:100], batch[100:]], labels, 120)) == \
+            for label, v in zip(["0>1", "0>2", "0>3"], row))
+        assert "".join(cli._sample_rows([batch[:100], batch[100:]], volume, 120)) == \
             buf.getvalue()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_edge_table_names_each_edges_parent(self, d):
+        for radius in range(1, 6):
+            volume = cayley_ball(d, radius)
+            assert cli._edge_table(volume).tolist() == [
+                f",{x}>{y}," for x, y in bf.directed_edges(volume)]
 
     def test_stdout_equals_out_file(self, model_file, tmp_path, capsys):
         argv = ["sample", "--model", model_file, "--n", "500", "--seed", "8"]
@@ -712,6 +747,46 @@ class TestSampleEncoding:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+# the d = 3 forms of the models above
+SOS_Q2_D3 = {"potential": {"kind": "sos", "beta": 2.0}, "q": 2, "d": 3}
+SOS_Q3_D3 = dict(SOS_Q3, d=3)
+POTTS_Q3_D3 = dict(POTTS_Q3, d=3)
+
+
+class TestSmallChunksAndRanges:
+    """With ``CHUNK_ROWS`` 5, a chunk holds part of one sample's edges, and
+    with ``DRAW_BLOCK`` 7, a block one sample, drawn in ranges of 7
+    vertices. On these balls some chunk ends at a level start (edge 45 at
+    d = 2, 160 at d = 3) and every split level ends a range between two
+    siblings, 7 being prime to d."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("model", [
+        {"potential": {"kind": "sos", "beta": 2.0}, "q": 2, "d": 2}, SOS_Q3, POTTS_Q3,
+        SOS_Q2_D3, SOS_Q3_D3, POTTS_Q3_D3,
+    ], ids=["sos-q2-d2", "sos-q3-d2", "potts-q3-d2", "sos-q2-d3", "sos-q3-d3", "potts-q3-d3"])
+    @pytest.mark.parametrize("depth", [4, 5, 6])
+    def test_bytes_equal_csv_writer_rows(self, tmp_path, monkeypatch, model, depth, n):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 5)
+        monkeypatch.setattr(measures, "DRAW_BLOCK", 7)
+        argv = ["--model", _model(tmp_path, model), "--n", str(n), "--depth", str(depth),
+                "--seed", "13"]
+        out = tmp_path / "rows.csv"
+        assert main(["sample", *argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == bf.sample_csv(argv).encode()
+
+    @pytest.mark.parametrize("d, edge", [(2, 45), (3, 160)])
+    def test_a_chunk_ends_at_a_level_start(self, d, edge):
+        starts = cayley_ball(d, 5).starts
+        assert edge % 5 == 0 and edge + 1 in starts
+
+    def test_chunks_hold_at_most_chunk_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 5)
+        block = np.zeros((3, 21), dtype=np.int8)
+        chunks = list(cli._sample_rows([block], cayley_ball(2, 3), 1))
+        assert [chunk.count("\n") for chunk in chunks] == [5, 5, 5, 5, 1] * 3
 
 
 class TestTables:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,31 @@ class TestScaledPass:
     def test_windowed_mass_agrees_with_unscaled_pass(self, kernel, depth):
         spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), 1)
         assert windowed_mass(spec) == pytest.approx(bf.windowed_mass(spec), rel=1e-13)
+
+    @pytest.mark.parametrize("unit, log_total, want", [
+        (0.5, 700.0, 0.5 * math.exp(700.0)),  # finite: the product, bit for bit
+        (0.5, 710.0, math.exp(math.log(0.5) + 710.0)),  # exp(710) alone overflows
+        (1.0, 800.0, math.inf),
+        (0.0, 800.0, 0.0),
+    ])
+    def test_windowed_mass_past_the_largest_double(self, kernel, monkeypatch,
+                                                   unit, log_total, want):
+        def scaled(volume, matrix, leaf=None):
+            return np.array([[unit, unit]]), log_total
+
+        monkeypatch.setattr(measures, "_upward", scaled)
+        assert windowed_mass(PinnedMeasureSpec(kernel, cayley_ball(2, 2), 1)) == want
+
+    def test_windowed_mass_of_a_deep_q6_ball_is_inf(self):
+        # rows of the folded matrix summing to 1 + 2.2e-16 add count * log(top)
+        # per level, so the log total passes 709.78 (5399 at depth 40)
+        op = SOS(3.0)
+        law = max((r.solution for r in find_branches(op, 6, 3)),
+                  key=lambda law: max(abs(v - 1.0) for v in law.a))
+        kernel = build_layer_kernel(op, law)
+        assert measures._upward(cayley_ball(3, 40), measures._fold(
+            kernel, kernel.probs))[1] > math.log(sys.float_info.max)
+        assert windowed_mass(PinnedMeasureSpec(kernel, cayley_ball(3, 40), 0)) == math.inf
 
     def test_deep_partition_stays_finite(self, kernel):
         # the unscaled partition overflows from depth 8 on
@@ -397,7 +423,7 @@ class TestCounterStream:
     def test_splitmix64_known_answers(self):
         assert [bf.splitmix64(0, p) for p in range(3)] == SPLITMIX_SEED_0
         states = np.array([k * measures.GOLDEN % 2**64 for k in (1, 2, 3)], dtype=np.uint64)
-        assert measures._uniforms(states).tolist() == [
+        assert measures._uniforms(states, np.empty(3)).tolist() == [
             (word >> 11) * 2.0**-53 for word in SPLITMIX_SEED_0]
 
     @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**63 + 12345, 2**70 + 3])
@@ -431,12 +457,29 @@ class TestCounterStream:
                                   deep[:, :ball.n_edges])
 
     def test_block_size_does_not_change_the_batch(self, spec_parts, monkeypatch):
+        # a depth-3 ball has 22 vertices: below 22 each level is drawn in
+        # sub-ranges (of 7, ending between two siblings, or of 1 vertex), from
+        # 22 on a block holds DRAW_BLOCK // 22 samples
         spec = GGMSpec(*spec_parts, cayley_ball(2, 3))
         whole = bf.library_batch(spec, 700, 12)
-        monkeypatch.setattr(measures, "DRAW_BLOCK", 1)
-        blocks = list(sample_ggm_batch(spec, 700, 12))
-        assert [len(block) for block in blocks] == [1] * 700
-        assert np.array_equal(np.concatenate(blocks), whole)
+        for draw_block in (1, 7, 21, 22, 23, 44, 100):
+            monkeypatch.setattr(measures, "DRAW_BLOCK", draw_block)
+            blocks = list(sample_ggm_batch(spec, 700, 12))
+            per_block = max(1, draw_block // 22)
+            assert [len(block) for block in blocks] == [per_block] * (700 // per_block) + (
+                [700 % per_block] if 700 % per_block else [])
+            assert np.array_equal(np.concatenate(blocks), whole)
+
+    @pytest.mark.parametrize("d, depth", [(2, 6), (3, 5), (4, 4)])
+    def test_sub_ranges_of_a_level_are_the_per_edge_sampler(self, spec_parts, monkeypatch,
+                                                            d, depth):
+        # ranges of 3 and 4 vertices split the root's d + 1 children at d = 3
+        # and 4, and ranges of 7 and 13 split later levels between siblings
+        spec = GGMSpec(*spec_parts, cayley_ball(d, depth))
+        want = bf.sample_ggm_batch(spec, 3, 21)
+        for draw_block in (3, 4, 7, 13):
+            monkeypatch.setattr(measures, "DRAW_BLOCK", draw_block)
+            assert np.array_equal(bf.library_batch(spec, 3, 21), want)
 
 
 class TestLevelBlockedSampler:
@@ -487,8 +530,8 @@ class TestGuideSampler:
         u = u[(u >= 0.0) & (u < 1.0)]
         top = len(kernel.offsets) - 1
         for t in range(q):
-            z, end = guide(np.full(u.shape, t, dtype=np.uint8), u)
             k = np.minimum(np.searchsorted(cdf[t], u, side="right"), top)
+            z, end = guide(np.full(u.shape, t, dtype=np.uint8), u, np.empty(u.shape, np.intp))
             assert np.array_equal(z, kernel.offsets[k])
             assert np.array_equal(end, kernel.ends[t, k])
         # both the table and the fallback answered
@@ -504,8 +547,8 @@ class TestGuideSampler:
         blocks = list(sample_ggm_batch(spec, n, 11))
         for block in blocks:
             assert block.dtype == dtype
-            # edge-major storage, one itemsize per (sample, edge)
-            assert block.T.flags.c_contiguous
+            # sample-major storage, one itemsize per (sample, edge)
+            assert block.flags.c_contiguous
             assert block.nbytes == len(block) * spec.volume.n_edges * block.itemsize
         assert np.array_equal(np.concatenate(blocks), bf.sample_ggm_batch(spec, n, 11))
 

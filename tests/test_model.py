@@ -263,7 +263,7 @@ def random_tree(n, seed=1):
 
 def dst_vertices(volume):
     """The dst slices of the step table, as one array of vertices."""
-    return np.concatenate([np.arange(dst.start, dst.stop) for _, dst in volume.steps()])
+    return np.concatenate([np.arange(dst.start, dst.stop) for _, dst in bf.steps(volume)])
 
 
 class TestVolumes:
@@ -273,7 +273,7 @@ class TestVolumes:
         for volume in [cayley_ball(2, 6), cayley_ball(3, 4), cayley_ball(4, 1),
                        cayley_ball(5, 3)]:
             kids = bf.children(volume)
-            for k, (src, dst) in enumerate(volume.steps()):
+            for k, (src, dst) in enumerate(bf.steps(volume)):
                 assert {len(bf.path(volume, 0, x)) for x in src.tolist()} == {k}
                 assert list(range(dst.start, dst.stop)) == [
                     c for x in dict.fromkeys(src.tolist()) for c in kids[x]]
@@ -296,7 +296,7 @@ class TestVolumes:
             depth = [len(bf.path(volume, w, src)) for _, src, _, _ in want]
             assert depth == sorted(depth)
         if not isinstance(volume, bf.Tree):
-            steps = [(x, y) for src, dst in volume.steps()
+            steps = [(x, y) for src, dst in bf.steps(volume)
                      for x, y in zip(src.tolist(), range(dst.start, dst.stop))]
             assert steps == [(src, dst) for _, src, dst, _ in bf.scalar_orientation(volume, 0)]
 
@@ -316,7 +316,7 @@ class TestVolumes:
             for _, src, dst, _ in bf.scalar_orientation(volume, 0):
                 by_distance.setdefault(len(bf.path(volume, 0, src)), []).append((src, dst))
             assert [list(zip(src.tolist(), range(dst.start, dst.stop)))
-                    for src, dst in volume.steps()] == list(by_distance.values())
+                    for src, dst in bf.steps(volume)] == list(by_distance.values())
 
     def test_binary_depth2_ball_shape(self, ball2):
         assert ball2.n_vertices == 10
@@ -328,7 +328,7 @@ class TestVolumes:
     def test_distances(self, ball2):
         # y lies at distance k + 1 from the centre when it is a dst of level k
         def distance(y):
-            return next((k + 1 for k, (_, dst) in enumerate(ball2.steps())
+            return next((k + 1 for k, (_, dst) in enumerate(bf.steps(ball2))
                          if dst.start <= y < dst.stop), 0)
 
         assert distance(9) == 2
@@ -351,7 +351,7 @@ class TestVolumes:
         assert not path_volume(3).full
 
     def test_orientation_reaches_every_edge(self, ball2):
-        src = np.concatenate([src for src, _ in ball2.steps()])
+        src = np.concatenate([src for src, _ in bf.steps(ball2)])
         assert len(src) == ball2.n_edges
         assert sorted(dst_vertices(ball2) - 1) == list(range(ball2.n_edges))
 
@@ -363,7 +363,7 @@ class TestVolumes:
         kids = bf.children(vol)
         assert sum(map(len, kids)) == vol.n_vertices - 1
         # numbered level by level, so the root's table steps to 1, 2, ... in turn
-        src = np.concatenate([src for src, _ in vol.steps()])
+        src = np.concatenate([src for src, _ in bf.steps(vol)])
         assert np.array_equal(dst_vertices(vol), np.arange(1, vol.n_vertices))
         parents = bf.tree(vol).parents
         assert np.array_equal(src, parents[1:])
