@@ -40,6 +40,8 @@ BRANCH_LOWER = "lower"
 BRANCH_OTHER = "other"
 BRANCHES = (BRANCH_TRIVIAL, BRANCH_UPPER, BRANCH_LOWER, BRANCH_OTHER)  # every branch_label
 
+DAMPING = 0.7  # the weight of G(a) in a damped update
+MAX_ITER = 5000  # updates each start may take before it counts as unconverged
 _LOWER_GUARD = 1e-12
 _UPPER_GUARD = 1e12
 # damped updates each row takes before Newton steps: they pull the far starts
@@ -218,12 +220,12 @@ def _distinct(C: np.ndarray, d: int, rows: np.ndarray, tol: float) -> list[int]:
 
 
 def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
-                  damping: float = 0.7, max_iter: int = 5000,
                   tol: float = 1e-10) -> list[SolveReport]:
     """Multi-start sweep; converged iterates and their symmetry images are
     merged into distinct branches.
 
-    The starts run as one batch through ``_damped``. Diverged and unconverged
+    The starts run as one batch through ``_damped``, with ``DAMPING`` and
+    at most ``MAX_ITER`` updates each. Diverged and unconverged
     starts are dropped silently; the trivial solution is always part of the
     result. C is circulant and symmetric, so every cyclic shift a(k + s) of a
     solution, and its reflection a(s - k), renormalized to a_0 = 1, solves
@@ -247,13 +249,13 @@ def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
             raise NonSummable(f"the boundary-law map of {op!r} overflows at q = {q}, "
                               f"d = {d}: (C 1)**d is not finite")
     a = _default_inits(q, n_starts)
-    iters, diverged, active = _damped(C, d, a, damping, max_iter, tol)
+    iters, diverged, active = _damped(C, d, a, DAMPING, MAX_ITER, tol)
     conv = ~(diverged | active)
     rows = [a[conv], _orbits(a[conv])]
     its = [iters[conv], np.repeat(iters[conv], 2 * q)]
     for p in range(2, q):
         if q % p == 0:
-            for rep in find_branches(op, p, d, n_starts, damping, max_iter, tol):
+            for rep in find_branches(op, p, d, n_starts, tol):
                 rows.append(np.tile(rep.solution.as_array(), q // p)[None])
                 its.append([rep.iterations])
     rows, its = np.vstack(rows), np.concatenate(its)
@@ -293,7 +295,7 @@ def closed_form_q2_sos(beta: float, d: int = 2) -> list[PeriodicBoundaryLaw]:
     return laws
 
 
-def critical_beta(q: int, d: int, family: str = "sos") -> float:
+def critical_beta(q: int, d: int) -> float:
     """Onset of multiple q-periodic boundary laws for the SOS family.
 
     Setting the effective temperature to the Ising threshold atanh(1/d), or
@@ -301,8 +303,6 @@ def critical_beta(q: int, d: int, family: str = "sos") -> float:
     gives cosh(beta) = (d + 1)/(d - 1) for q = 2, 1 + sqrt(2) for q = 3 and
     d/(d - 1) for q = 4 with the paired ansatz.
     """
-    if family != "sos":
-        raise ValueError("critical temperatures are implemented for the SOS family")
     if q not in (2, 3, 4):
         raise UnsupportedPeriod(f"no critical temperature for q = {q}")
     if d < 2:

@@ -51,7 +51,6 @@ class LayerKernel:
     error enters them.
     """
 
-    op: TransferOperator
     law: PeriodicBoundaryLaw
     window: IncrementWindow
     norms: np.ndarray = field(repr=False)
@@ -91,8 +90,7 @@ def build_layer_kernel(op: TransferOperator, law: PeriodicBoundaryLaw,
     norms = circ @ a
     weights = np.array([eval_q(op, int(z)) for z in window.offsets])
     ends = (np.arange(q)[:, None] + window.offsets) % q
-    kernel = LayerKernel(op, law, window, norms, weights * a[ends] / norms[:, None],
-                         ends, circ)
+    kernel = LayerKernel(law, window, norms, weights * a[ends] / norms[:, None], ends, circ)
     deficits = kernel.deficits
     if np.any(deficits > window.tail_mass_bound + 1e-13):
         raise NonSummable(
@@ -142,6 +140,14 @@ def _irreducible(matrix: np.ndarray) -> bool:
     return bool(power.all())
 
 
+def _same_period(kernel: LayerKernel, chain: FuzzyChain) -> None:
+    """Raise ``ValueError`` unless the chain has the kernel's period, as the
+    chain of another would index its layers and broadcast silently; every
+    public function of a kernel and a chain calls this first."""
+    if kernel.q != chain.q:
+        raise ValueError("kernel and chain periods disagree")
+
+
 def _balance_flows(kernel: LayerKernel, chain: FuzzyChain) -> tuple[np.ndarray, np.ndarray]:
     """The flows alpha(i) P(i, z) and alpha(i + z) P(i + z, -z) for layers i
     and the window increments z = offsets[k], P being the kernel table
@@ -154,6 +160,7 @@ def _balance_flows(kernel: LayerKernel, chain: FuzzyChain) -> tuple[np.ndarray, 
 def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
     """D[i, k] = alpha(i) P(i, z) - alpha(i + z) P(i + z, -z), the difference
     of the two flows of ``_balance_flows``."""
+    _same_period(kernel, chain)
     flow, back = _balance_flows(kernel, chain)
     return flow - back
 

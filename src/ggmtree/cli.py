@@ -220,13 +220,11 @@ def cmd_solve_bl(args) -> int:
         betas = [getattr(op, "beta", None)]
         ops = [op]
     config = {"command": "solve-bl", "model": model_to_json(op, q, d), "betas": betas,
-              "starts": args.starts, "damping": args.damping, "max_iter": args.max_iter,
-              "tol": args.tol}
+              "starts": args.starts, "damping": bl_solver.DAMPING,
+              "max_iter": bl_solver.MAX_ITER, "tol": args.tol}
     rows = []
     for beta, local in zip(betas, ops):
-        reports = bl_solver.find_branches(
-            local, q, d, n_starts=args.starts, damping=args.damping,
-            max_iter=args.max_iter, tol=args.tol)
+        reports = bl_solver.find_branches(local, q, d, n_starts=args.starts, tol=args.tol)
         for rep in reports:
             rows.append([beta if beta is not None else "", rep.branch_label,
                          *[float(v) for v in rep.solution.a],
@@ -237,9 +235,9 @@ def cmd_solve_bl(args) -> int:
 
 
 def cmd_critical_beta(args) -> int:
-    config = {"command": "critical-beta", "q": args.q, "d": args.d,
-              "family": args.family}
-    value = bl_solver.critical_beta(args.q, args.d, args.family)
+    # critical_beta covers the SOS family alone
+    config = {"command": "critical-beta", "q": args.q, "d": args.d, "family": "sos"}
+    value = bl_solver.critical_beta(args.q, args.d)
     payload = _meta(config) | {"critical_beta": value}
     _emit([_json_text(payload)], args.out)
     return EXIT_OK
@@ -318,8 +316,7 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"--n {args.n} is more than 2**32 samples; lower --n")
     op, d, label, kernel, chain, config = _setup(args, "sample", "n", "seed", "depth")
     volume = _ball(d, args.depth, 2**32, "2**32 vertices, the sampler's counters")
-    blocks = measures.sample_ggm_batch(measures.GGMSpec(kernel, chain, volume),
-                                       args.n, args.seed)
+    blocks = measures.sample_ggm_batch(kernel, chain, volume, args.n, args.seed)
     head = _csv_text(_meta(config, SAMPLE_SCHEMA_VERSION),
                      ["sample", "edge", "increment"], [])
     rows = _sample_rows(blocks, volume, kernel.window.cutoff)
@@ -344,8 +341,6 @@ def cmd_verify(args) -> int:
                                                  law_tol=1e-12)
     volume = _ball(d, args.depth, sys.float_info.max, "1.8e308 vertices, the largest double")
     tol = args.tol
-    pin = measures.PinnedMeasureSpec(kernel, volume, 0)
-    ggm = measures.GGMSpec(kernel, chain, volume)
     # the pins 0, 1 and 1's first child are the depths 0, 1 and 2 of one ray
     pins = list(range(min(args.depth, 2) + 1))
     exact, certified = "exact", "certificate"
@@ -354,16 +349,19 @@ def cmd_verify(args) -> int:
         "stationarity": (float(np.abs(chain.alpha @ chain.matrix - chain.alpha).max()),
                          tol, exact),
         "reversibility": (chains.check_reversibility(kernel, chain), tol, exact),
-        "dual_representation_pinned": (measures.max_dual_gap_pinned(pin), tol, certified),
-        "dual_representation_mixture": (measures.max_dual_gap_ggm(ggm), tol, certified),
-        "consistency": (measures.check_consistency(pin, 0), tol, certified),
-        "homogeneity": (measures.check_homogeneity(ggm, pins), tol, certified),
-        "windowed_mass": (abs(1.0 - measures.windowed_mass(pin)),
+        "dual_representation_pinned": (measures.max_dual_gap_pinned(kernel, volume), tol,
+                                       certified),
+        "dual_representation_mixture": (measures.max_dual_gap_ggm(kernel, chain, volume), tol,
+                                        certified),
+        "consistency": (measures.check_consistency(kernel, volume, 0), tol, certified),
+        "homogeneity": (measures.check_homogeneity(kernel, chain, volume, pins), tol,
+                        certified),
+        "windowed_mass": (abs(1.0 - measures.windowed_mass(kernel, volume, 0)),
                           max(tol, volume.n_edges * kernel.window.tail_mass_bound), exact),
     }
     if args.depth > 1:  # vertex 1, the sub-ball of radius 0, is interior
-        checks["restricted_conditional"] = (measures.check_restricted_dlr(pin, 0), tol,
-                                            certified)
+        checks["restricted_conditional"] = (measures.check_restricted_dlr(kernel, volume, 0),
+                                            tol, certified)
     report = {name: {"violation": float(v) if math.isfinite(v) else "inf",
                      "tolerance": float(t) if math.isfinite(t) else "inf",
                      "method": method, "pass": bool(v <= t)}
@@ -450,7 +448,6 @@ def _checked(kind, accept, what: str):
 _FINITE = _checked(float, math.isfinite, "finite")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and positive")
 _PERTURB = _checked(float, lambda v: math.isfinite(v) and v > -1.0, "finite and above -1")
-_DAMPING = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _COUNT = _checked(int, lambda v: v >= 0, "non-negative")
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
 
@@ -477,15 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=_FINITE, default=None)
     p.add_argument("--beta-step", type=_POSITIVE, default=0.05)
     p.add_argument("--starts", type=_COUNT, default=50)
-    p.add_argument("--damping", type=_DAMPING, default=0.7)
-    p.add_argument("--max-iter", type=_COUNT, default=5000)
     p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     p.set_defaults(func=cmd_solve_bl)
 
     p = sub.add_parser("critical-beta", help="onset of multiple boundary laws")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--family", default="sos", choices=["sos"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_critical_beta)
 

@@ -41,13 +41,13 @@ pass is never weaker than the exact check.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chains import FuzzyChain, LayerKernel, _balance_flows
+from .chains import FuzzyChain, LayerKernel, _balance_flows, _same_period
 from .model import (
     FiniteTreeVolume,
     IncrementWindow,
@@ -58,8 +58,6 @@ from .model import (
 )
 
 __all__ = [
-    "PinnedMeasureSpec",
-    "GGMSpec",
     "sample_ggm_batch",
     "check_consistency",
     "check_homogeneity",
@@ -75,32 +73,6 @@ GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, the odd integer nearest 2
 GUIDE = 2**12  # buckets of the sampler's guide tables; a power of two, so bucketing is exact
 SLACK = 16  # rounding allowance of the ratio bounds, in ulps per edge
 EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True, eq=False)
-class PinnedMeasureSpec:
-    """A layer kernel on a ball with the class pinned at its centre."""
-
-    kernel: LayerKernel
-    volume: FiniteTreeVolume
-    pin_class: int
-
-    def __post_init__(self):
-        if not 0 <= self.pin_class < self.kernel.q:
-            raise ValueError("pin class must lie in 0 .. q-1")
-
-
-@dataclass(frozen=True, eq=False)
-class GGMSpec:
-    """A layer kernel, its fuzzy chain, and the volume to evaluate on."""
-
-    kernel: LayerKernel
-    chain: FuzzyChain
-    volume: FiniteTreeVolume
-
-    def __post_init__(self):
-        if self.kernel.q != self.chain.q:
-            raise ValueError("kernel and chain periods disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +193,8 @@ def _uniforms(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(x, 2.0**-53, out=out)
 
 
-def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> Iterator[np.ndarray]:
+def sample_ggm_batch(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVolume,
+                     n: int, seed: int) -> Iterator[np.ndarray]:
     """n independent configurations, as blocks of consecutive samples: each
     block an (m, n_edges) array of increments in the narrowest signed
     integer dtype that holds -cutoff - 1, so one byte per (sample, edge) up
@@ -255,10 +228,16 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> Iterator[np.ndarray]:
     O(DRAW_BLOCK) plus the block, one byte per (sample, edge), and the
     layers of two levels, whatever n and the ball.
     """
-    volume = spec.volume
+    _same_period(kernel, chain)  # here, not at the first block
+    return _blocks(kernel, chain.alpha, volume, n, seed)
+
+
+def _blocks(kernel: LayerKernel, alpha: np.ndarray, volume: FiniteTreeVolume,
+            n: int, seed: int) -> Iterator[np.ndarray]:
+    """The blocks of ``sample_ggm_batch``, the root's class drawn by alpha."""
     starts, d = volume.starts, volume.d
-    guide = _Guide(spec.kernel)
-    root = np.cumsum(spec.chain.alpha)
+    guide = _Guide(kernel)
+    root = np.cumsum(alpha)
     per_block = max(1, DRAW_BLOCK // volume.n_vertices)
     span = DRAW_BLOCK // per_block  # whole levels when a sample fits
     # each level in ranges (k, x, y) of at most span vertices x .. y - 1, and
@@ -309,12 +288,15 @@ def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> Iterator[np.ndarray]:
         yield out
 
 
-def windowed_mass(spec: PinnedMeasureSpec) -> float:
-    """Total product-form probability of the windowed configuration space,
-    computed by the layer pass (equals one minus the truncated tail)."""
-    W = _fold(spec.kernel, spec.kernel.probs)
-    unit, log_total = _upward(spec.volume, W)
-    unit = float(unit[0][spec.pin_class])
+def windowed_mass(kernel: LayerKernel, volume: FiniteTreeVolume, pin_class: int) -> float:
+    """Total product-form probability of the windowed configuration space
+    with ``pin_class``, in 0 .. q - 1, at the pin, computed by the layer pass
+    (equals one minus the truncated tail)."""
+    if not 0 <= pin_class < kernel.q:
+        raise ValueError("pin class must lie in 0 .. q-1")
+    W = _fold(kernel, kernel.probs)
+    unit, log_total = _upward(volume, W)
+    unit = float(unit[0][pin_class])
     try:
         return unit * math.exp(log_total)
     except OverflowError:  # the scale alone is beyond the largest double
@@ -377,7 +359,7 @@ def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume) -> tuple[np.ndarr
     return -(volume.d + 1) * log_n, m * float(np.ptp(log_g))
 
 
-def max_dual_gap_pinned(spec: PinnedMeasureSpec) -> float:
+def max_dual_gap_pinned(kernel: LayerKernel, volume: FiniteTreeVolume) -> float:
     """Certified upper bound on the largest |product form / boundary-law
     form - 1| over every configuration. Both forms are probability
     measures, so the ratio has mean 1: it is 1 or more somewhere and 1 or
@@ -386,10 +368,10 @@ def max_dual_gap_pinned(spec: PinnedMeasureSpec) -> float:
     puts 0 in that interval and |log ratio| is at most its width. No
     partition sum is needed, and one bound serves every pin class.
     """
-    return _certified(spec.volume, _dual_parts(spec.kernel, spec.volume)[1])
+    return _certified(volume, _dual_parts(kernel, volume)[1])
 
 
-def max_dual_gap_ggm(spec: GGMSpec) -> float:
+def max_dual_gap_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVolume) -> float:
     """Certified upper bound on the largest |mixture form / class-summed
     boundary-law form - 1| over every configuration. With Z = sum_s z_s the
     forms are sum_s alpha_s P_s and sum_s B_s / Z, and P_s over B_s / z_s is
@@ -399,12 +381,13 @@ def max_dual_gap_ggm(spec: GGMSpec) -> float:
     ``max_dual_gap_pinned`` the constant Z puts 0 inside the log range,
     whose width is ptp(log c) + m ptp(log g).
     """
-    log_n_pin, width = _dual_parts(spec.kernel, spec.volume)
-    log_c = np.log(spec.chain.alpha) + log_n_pin
-    return _certified(spec.volume, float(np.ptp(log_c)) + width)
+    _same_period(kernel, chain)
+    log_n_pin, width = _dual_parts(kernel, volume)
+    log_c = np.log(chain.alpha) + log_n_pin
+    return _certified(volume, float(np.ptp(log_c)) + width)
 
 
-def check_consistency(spec: PinnedMeasureSpec, radius: int) -> float:
+def check_consistency(kernel: LayerKernel, volume: FiniteTreeVolume, radius: int) -> float:
     """Marginalize the volume's boundary-law measure onto the closed ball of
     radius ``radius + 1`` around the pin, vertex 0, whose interior is the
     inner ball of radius ``radius`` and whose boundary, the rim, is level
@@ -421,23 +404,24 @@ def check_consistency(spec: PinnedMeasureSpec, radius: int) -> float:
     pinned ratios. The radius lies in 0 .. the volume's radius - 1, so the
     rim is interior or the boundary.
     """
-    volume = spec.volume
     starts = volume.starts
     if not 0 <= radius < len(starts) - 2:
         raise ValueError("the inner radius must lie in 0 .. the radius - 1")
-    a = spec.kernel.law.as_array()
+    a = kernel.law.as_array()
     # the weight hanging below a rim vertex equals the boundary law itself
     # exactly when the law solves the fixed-point equation
-    hang = _upward(volume, spec.kernel.circulant, a)[0][radius + 1]
+    hang = _upward(volume, kernel.circulant, a)[0][radius + 1]
     width = float(np.ptp(np.log(hang) - np.log(a)))
-    return _certified(volume, sum([width] * (starts[radius + 2] - starts[radius + 1])))
+    rim = starts[radius + 2] - starts[radius + 1]
+    return _certified(volume, sum(itertools.repeat(width, rim)))
 
 
 # ---------------------------------------------------------------------------
 # verification: homogeneity and the restricted conditional structure
 
 
-def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
+def check_homogeneity(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVolume,
+                      pins: Iterable[int]) -> float:
     """Certified upper bound on the largest |ratio - 1| between the mixture
     probabilities of one windowed configuration under any two of ``pins``
     as the pin vertex, from the kernel table alone, the pins being depths
@@ -457,13 +441,14 @@ def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
     allowance covers the rounding of the k ratios and of the power, about
     one ulp each.
     """
+    _same_period(kernel, chain)
     pins = list(pins)
-    if not 0 <= min(pins) <= max(pins) <= len(spec.volume.starts) - 2:
+    if not 0 <= min(pins) <= max(pins) <= len(volume.starts) - 2:
         raise ValueError("pin depths must lie in 0 .. the radius")
     k = max(pins) - min(pins)
     if not k:
         return 0.0
-    flow, back = _balance_flows(spec.kernel, spec.chain)
+    flow, back = _balance_flows(kernel, chain)
     live = (flow > 0.0) | (back > 0.0)
     with np.errstate(divide="ignore"):
         r = float(np.abs(flow[live] / back[live] - 1.0).max())
@@ -474,7 +459,7 @@ def check_homogeneity(spec: GGMSpec, pins: Iterable[int]) -> float:
     return grown + (k + 2) * EPS * (1.0 + grown)
 
 
-def check_restricted_dlr(spec: PinnedMeasureSpec, radius: int) -> float:
+def check_restricted_dlr(kernel: LayerKernel, volume: FiniteTreeVolume, radius: int) -> float:
     """Conditional law inside the sub-ball of radius ``radius`` hanging
     below vertex 1, away from the pin, given the outside increments and the
     relative boundary heights, against the bare-weight prediction:
@@ -494,12 +479,10 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, radius: int) -> float:
     range, so the bound holds for the mixture too. The radius lies in
     0 .. the volume's radius - 2, so the sub-ball is interior.
     """
-    volume = spec.volume
     if not 0 <= radius < len(volume.starts) - 3:
         raise ValueError("the sub-ball radius must lie in 0 .. the radius - 2")
     # every vertex of the sub-ball has d neighbours away from the pin, its
     # children, so each adds the same width
-    width = float(np.ptp(np.log(spec.kernel.law.as_array())
-                         - volume.d * np.log(spec.kernel.norms)))
+    width = float(np.ptp(np.log(kernel.law.as_array()) - volume.d * np.log(kernel.norms)))
     count = sum(volume.d ** j for j in range(radius + 1))
-    return _certified(volume, sum([width] * count))
+    return _certified(volume, sum(itertools.repeat(width, count)))

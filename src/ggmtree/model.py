@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp(x) is finite
+WINDOW_BOUND = 1e-12  # the tail mass a certified window may drop from each kernel row
+MAX_CUTOFF = 100_000  # the widest certified window, past which a model is not summable
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +380,19 @@ class IncrementWindow:
         return np.arange(-self.cutoff, self.cutoff + 1)
 
     @classmethod
-    def for_model(cls, op: TransferOperator, law: PeriodicBoundaryLaw,
-                  bound: float = 1e-12, max_cutoff: int = 100_000) -> "IncrementWindow":
+    def for_model(cls, op: TransferOperator, law: PeriodicBoundaryLaw) -> "IncrementWindow":
         """Smallest window whose weighted tail mass is certified below
-        ``bound``; an untailed lifted Potts operator gets its whole support."""
+        ``WINDOW_BOUND``, of cutoff at most ``MAX_CUTOFF``; an untailed
+        lifted Potts operator gets its whole support."""
         if isinstance(op, LiftedPotts) and op.tail_beta is None:
-            return cls(op.q // 2, bound)
+            return cls(op.q // 2, WINDOW_BOUND)
         scale = _tail_scale(op, law)
         cutoff = 1
-        while tail_mass(op, cutoff + 1) * scale > bound:
+        while tail_mass(op, cutoff + 1) * scale > WINDOW_BOUND:
             cutoff += 1
-            if cutoff > max_cutoff:
-                raise NonSummable(f"no window of size <= {max_cutoff} certifies {bound}")
-        return cls(cutoff, bound)
+            if cutoff > MAX_CUTOFF:
+                raise NonSummable(f"no window of size <= {MAX_CUTOFF} certifies {WINDOW_BOUND}")
+        return cls(cutoff, WINDOW_BOUND)
 
     @classmethod
     def manual(cls, op: TransferOperator, cutoff: int,

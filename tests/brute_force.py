@@ -25,7 +25,8 @@ The kernel-table oracles (``kernel_prob``, ``balance_defect``,
 read ``LayerKernel.probs``: each writes Q(z) a(t + z) / N(t) out again, or
 loops over it, in the same order of operations, so they agree bit for bit.
 ``weights`` is the Q(z) row over the window that ``LayerKernel`` carried
-until no library code read it.
+until no library code read it. ``LayerKernel`` no longer carries the
+potential either, so every oracle that reads Q takes it first, as ``op``.
 
 ``sample_ggm_batch`` is the per-edge sampler, an int64 batch with one
 ``searchsorted`` per layer on the uniforms of one vertex at a time
@@ -52,8 +53,10 @@ exceed their state budget; the library enumerates nothing and never raises it.
 The library's volume is a ball pinned at its centre; the oracles walk any
 rooted tree from any pin. ``Tree`` is such a tree as ``parents`` and a
 boundary mask, ``tree`` reads a ball as one (its last level is the
-boundary), and ``path_volume`` is a chain of edges. The oracles that pin a
-measure take the pin vertex as ``pin``, the centre by default.
+boundary), and ``path_volume`` is a chain of edges. The oracles take the
+kernel, the chain and the volume they read, as the library does. Those that
+pin a measure take its class after the volume, and the pin vertex as
+``pin``, the centre by default.
 
 ``steps`` is a ball's step table, one array of parents and one range of
 children per level, read off its level starts. The scalar tree walks are
@@ -115,7 +118,7 @@ from ggmtree import cli, measures
 from ggmtree.chains import FuzzyChain, LayerKernel
 from ggmtree.diagnostics import CounterexampleChain, path_mixture_prob
 from ggmtree.errors import GGMError, UnsupportedPeriod
-from ggmtree.measures import GGMSpec, PinnedMeasureSpec, single_bond_marginal
+from ggmtree.measures import single_bond_marginal
 from ggmtree.model import (
     FiniteTreeVolume,
     IncrementWindow,
@@ -432,18 +435,18 @@ def step_product_probs(kernel: LayerKernel, volume: Volume, pin: int, s,
     return p
 
 
-def pinned_prob_product(spec: PinnedMeasureSpec, zeta: GradientConfiguration,
-                        pin: int = 0) -> float:
+def pinned_prob_product(kernel: LayerKernel, volume: Volume, pin_class: int,
+                        zeta: GradientConfiguration, pin: int = 0) -> float:
     """Probability of a full edge configuration as a product of kernel factors
     along the edges oriented away from the pin."""
-    return float(step_product_probs(spec.kernel, spec.volume, pin,
-                                    spec.pin_class, [zeta.increments])[0])
+    return float(step_product_probs(kernel, volume, pin, pin_class, [zeta.increments])[0])
 
 
-def sample_ggm(spec: GGMSpec, seed: int) -> GradientConfiguration:
+def sample_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: Volume,
+               seed: int) -> GradientConfiguration:
     """One configuration of the library's sampler, deterministic in the seed."""
-    arr = next(measures.sample_ggm_batch(spec, 1, seed))[0]
-    return GradientConfiguration(spec.volume, tuple(int(v) for v in arr))
+    arr = next(measures.sample_ggm_batch(kernel, chain, volume, 1, seed))[0]
+    return GradientConfiguration(volume, tuple(int(v) for v in arr))
 
 
 def event_prob_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: Volume,
@@ -524,34 +527,34 @@ def _hanging_factors(kernel: LayerKernel, volume: Volume, pin: int,
     return {v: f[v] for v in boundary_of_inner}
 
 
-def consistency_bound(spec: PinnedMeasureSpec, inner) -> float:
+def consistency_bound(kernel: LayerKernel, volume: Volume, inner) -> float:
     """The consistency certificate for any connected interior set ``inner``
     holding vertex 0: ``measures._certified`` of the width
     ptp(log hang_v - log a) summed over the rim vertices v in index order,
     each read from the library's radial pass at v's level."""
-    volume = spec.volume
-    a = spec.kernel.law.as_array()
-    unit = measures._upward(volume, spec.kernel.circulant, a)[0]
+    a = kernel.law.as_array()
+    unit = measures._upward(volume, kernel.circulant, a)[0]
     rim = sorted(adjacent_outside(volume, inner))
     return measures._certified(volume, sum(
         float(np.ptp(np.log(unit[len(path(volume, 0, v))]) - np.log(a))) for v in rim))
 
 
-def restricted_bound(spec: PinnedMeasureSpec, inner) -> float:
+def restricted_bound(kernel: LayerKernel, volume: Volume, inner) -> float:
     """The restricted conditional certificate for any interior set ``inner``
     avoiding the pin: ``measures._certified`` of the width
     ptp(log a - k_v log N) summed over its vertices v in index order, k_v
     counting the neighbours of v but the one towards the pin."""
-    log_a = np.log(spec.kernel.law.as_array())
-    log_n = np.log(spec.kernel.norms)
-    return measures._certified(spec.volume, sum(
-        float(np.ptp(log_a - (len(neighbors(spec.volume, v)) - 1) * log_n))
+    log_a = np.log(kernel.law.as_array())
+    log_n = np.log(kernel.norms)
+    return measures._certified(volume, sum(
+        float(np.ptp(log_a - (len(neighbors(volume, v)) - 1) * log_n))
         for v in sorted(inner)))
 
 
-def check_consistency(spec: PinnedMeasureSpec, inner,
-                      mixture: bool = False, chain: FuzzyChain | None = None,
-                      config_budget: int = 10**7, pin: int = 0) -> float:
+def check_consistency(op: TransferOperator, kernel: LayerKernel, volume: Volume,
+                      pin_class: int, inner, mixture: bool = False,
+                      chain: FuzzyChain | None = None, config_budget: int = 10**7,
+                      pin: int = 0) -> float:
     """Marginalize the volume's boundary-law measure, pinned at ``pin``, onto
     a smaller closed volume and compare with the directly computed
     smaller-volume measure.
@@ -559,10 +562,8 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     ``inner`` is the interior vertex set of the smaller volume; it must
     contain the pin.
     With ``mixture=True`` both sides are averaged over the stationary layer
-    distribution of ``chain``.
+    distribution of ``chain`` instead of pinned to ``pin_class``.
     """
-    volume = spec.volume
-    kernel = spec.kernel
     if not tree(volume).full:
         raise ValueError("consistency checks need a closed regular volume")
     q = kernel.q
@@ -588,7 +589,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
 
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
-    s_values = range(q) if mixture else [spec.pin_class]
+    s_values = range(q) if mixture else [pin_class]
     s_weights = chain.alpha if mixture else None
 
     count = (2 * kernel.window.cutoff + 1) ** len(inner_edges)
@@ -605,7 +606,7 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
             arr[e] = z
         heights = scalar_heights(volume, pin, 0, arr)
         layers_cache.append({v: int(heights[v]) for v in inner_boundary})
-        qprod_cache.append(float(np.prod([eval_q(kernel.op, z) for z in combo])))
+        qprod_cache.append(float(np.prod([eval_q(op, z) for z in combo])))
 
     worst = 0.0
     for lay, qp in zip(layers_cache, qprod_cache):
@@ -621,7 +622,8 @@ def check_consistency(spec: PinnedMeasureSpec, inner,
     return worst
 
 
-def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
+def check_restricted_dlr(op: TransferOperator, kernel: LayerKernel, volume: Volume,
+                         pin_class: int, inner,
                          outside: Mapping[int, int] | None = None,
                          reference: Mapping[int, int] | None = None,
                          mixture: bool = False, chain: FuzzyChain | None = None,
@@ -635,8 +637,6 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
     ``reference`` chooses the inner configuration whose boundary-height class
     is conditioned on (default all zeros).
     """
-    volume = spec.volume
-    kernel = spec.kernel
     ids = _interior_set(volume, inner)
     if pin in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
@@ -682,9 +682,9 @@ def check_restricted_dlr(spec: PinnedMeasureSpec, inner,
             p = sum(chain.alpha[s] * _product_prob(kernel, volume, pin, s, arr)
                     for s in range(kernel.q))
         else:
-            p = _product_prob(kernel, volume, pin, spec.pin_class, arr)
+            p = _product_prob(kernel, volume, pin, pin_class, arr)
         joint.append(float(p))
-        bare.append(float(np.prod([eval_q(kernel.op, int(arr[e])) for e in inner_edges])))
+        bare.append(float(np.prod([eval_q(op, int(arr[e])) for e in inner_edges])))
     joint = np.array(joint)
     bare = np.array(bare)
     if joint.sum() == 0.0:
@@ -700,18 +700,18 @@ def _residue_layers(volume: Volume, pin: int, q: int,
     return layer
 
 
-def _max_q_per_residue(kernel: LayerKernel) -> np.ndarray:
+def _max_q_per_residue(op: TransferOperator, kernel: LayerKernel) -> np.ndarray:
     q = kernel.q
     best = np.zeros(q)
     for z in kernel.offsets:
-        w = eval_q(kernel.op, int(z))
+        w = eval_q(op, int(z))
         r = int(z) % q
         best[r] = max(best[r], w)
     return best
 
 
-def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21,
-                        pin: int = 0) -> float:
+def max_dual_gap_pinned(op: TransferOperator, kernel: LayerKernel, volume: Volume,
+                        pin_class: int, residue_budget: int = 2**21, pin: int = 0) -> float:
     """Exact maximum of |product form - boundary-law form| over every windowed
     configuration.
 
@@ -720,8 +720,6 @@ def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21,
     splits as (residue-class gap) times (largest Q product within the class),
     and scanning the q**edges residue vectors is exhaustive.
     """
-    volume = spec.volume
-    kernel = spec.kernel
     if not tree(volume).full:
         raise ValueError("the boundary-law form needs a closed regular volume")
     q = kernel.q
@@ -729,14 +727,14 @@ def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21,
         raise VolumeTooLarge("residue scan exceeds its budget")
     a = kernel.law.as_array()
     norms = kernel.norms
-    maxq = _max_q_per_residue(kernel)
-    z_pin = _bl_partition(kernel, volume, pin)[spec.pin_class]
+    maxq = _max_q_per_residue(op, kernel)
+    z_pin = _bl_partition(kernel, volume, pin)[pin_class]
     orient = scalar_orientation(volume, pin)
     boundary = sorted(tree(volume).boundary)
     worst = 0.0
     for residues in itertools.product(range(q), repeat=volume.n_edges):
         layer = [0] * volume.n_vertices
-        layer[pin] = spec.pin_class
+        layer[pin] = pin_class
         h1 = 1.0
         wmax = 1.0
         for e, src, dst, sign in orient:
@@ -750,11 +748,10 @@ def max_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21,
     return worst
 
 
-def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
+def max_dual_gap_ggm(op: TransferOperator, kernel: LayerKernel, chain: FuzzyChain,
+                     volume: Volume, residue_budget: int = 2**21) -> float:
     """Exact maximum of |mixture form - class-summed boundary-law form| over
     every windowed configuration, by the same residue-class argument."""
-    volume = spec.volume
-    kernel = spec.kernel
     if not tree(volume).full:
         raise ValueError("the boundary-law form needs a closed regular volume")
     q = kernel.q
@@ -762,8 +759,8 @@ def max_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> float:
         raise VolumeTooLarge("residue scan exceeds its budget")
     a = kernel.law.as_array()
     norms = kernel.norms
-    alpha = spec.chain.alpha
-    maxq = _max_q_per_residue(kernel)
+    alpha = chain.alpha
+    maxq = _max_q_per_residue(op, kernel)
     parts = _bl_partition(kernel, volume, 0)
     z_alt = float(parts.sum())
     orient = scalar_orientation(volume, 0)
@@ -816,24 +813,24 @@ def vertex_uniforms(seed: int, n: int, v: int) -> np.ndarray:
     return measures._uniforms(np.arange(n, dtype=np.uint64) * step + first, np.empty(n))
 
 
-def library_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
+def library_batch(kernel: LayerKernel, chain: FuzzyChain, volume: Volume, n: int,
+                  seed: int) -> np.ndarray:
     """The blocks of the library's sampler stacked into one (n, n_edges)
     batch, for tests that read samples across blocks."""
-    return np.concatenate([*measures.sample_ggm_batch(spec, n, seed)])
+    return np.concatenate([*measures.sample_ggm_batch(kernel, chain, volume, n, seed)])
 
 
-def sample_ggm_batch(spec: GGMSpec, n: int, seed: int) -> np.ndarray:
+def sample_ggm_batch(kernel: LayerKernel, chain: FuzzyChain, volume: Volume, n: int,
+                     seed: int) -> np.ndarray:
     """The per-edge sampler: the uniforms of one vertex for all n samples
     (``vertex_uniforms``) and one inverse-CDF lookup per layer for each
     edge, in the BFS order of ``scalar_orientation(volume, 0)``, which on a
     ball is the order of its step table. Vertex 0 draws the root's class."""
-    volume = spec.volume
-    kernel = spec.kernel
     q = kernel.q
     out = np.empty((n, volume.n_edges), dtype=np.int64)
     if n == 0:
         return out
-    alpha_cdf = np.cumsum(spec.chain.alpha)
+    alpha_cdf = np.cumsum(chain.alpha)
     layers = np.empty((n, volume.n_vertices), dtype=np.int64)
     layers[:, 0] = np.minimum(
         np.searchsorted(alpha_cdf, vertex_uniforms(seed, n, 0), side="right"), q - 1)
@@ -860,7 +857,7 @@ def sample_csv(argv: list[str]) -> str:
     args = cli.build_parser().parse_args(["sample", *argv])
     op, d, label, kernel, chain, config = cli._setup(args, "sample", "n", "seed", "depth")
     volume = cayley_ball(d, args.depth)
-    batch = sample_ggm_batch(GGMSpec(kernel, chain, volume), args.n, args.seed)
+    batch = sample_ggm_batch(kernel, chain, volume, args.n, args.seed)
     labels = [f"{x}>{y}" for x, y in directed_edges(volume)]
     buf = io.StringIO()
     buf.write("# " + json.dumps(cli._meta(config, cli.SAMPLE_SCHEMA_VERSION),
@@ -930,7 +927,7 @@ def windowed_configs(volume: Volume, window: IncrementWindow,
         yield from block
 
 
-def _bl_weight(kernel: LayerKernel, volume: Volume, pin: int,
+def _bl_weight(op: TransferOperator, kernel: LayerKernel, volume: Volume, pin: int,
                s: int, zeta) -> float:
     q = kernel.q
     a = kernel.law.a
@@ -939,47 +936,47 @@ def _bl_weight(kernel: LayerKernel, volume: Volume, pin: int,
     for y in tree(volume).boundary:
         w *= a[int(heights[y]) % q]
     for e in range(volume.n_edges):
-        w *= eval_q(kernel.op, int(zeta[e]))
+        w *= eval_q(op, int(zeta[e]))
     return w
 
 
-def pinned_prob_bl(spec: PinnedMeasureSpec, zeta: GradientConfiguration,
-                   pin: int = 0) -> float:
+def pinned_prob_bl(op: TransferOperator, kernel: LayerKernel, volume: Volume,
+                   pin_class: int, zeta: GradientConfiguration, pin: int = 0) -> float:
     """Probability of a full edge configuration in the boundary-law form:
     boundary factors at the outer layer times bare edge weights, normalized by
     the exact partition sum."""
-    if not tree(spec.volume).full:
+    if not tree(volume).full:
         raise ValueError("the boundary-law form needs a closed regular volume")
-    z = _bl_partition(spec.kernel, spec.volume, pin)[spec.pin_class]
-    return _bl_weight(spec.kernel, spec.volume, pin,
-                      spec.pin_class, zeta.increments) / z
+    z = _bl_partition(kernel, volume, pin)[pin_class]
+    return _bl_weight(op, kernel, volume, pin, pin_class, zeta.increments) / z
 
 
-def ggm_prob(spec: GGMSpec, zeta: GradientConfiguration, pin: int | None = None) -> float:
+def ggm_prob(kernel: LayerKernel, chain: FuzzyChain, volume: Volume,
+             zeta: GradientConfiguration, pin: int | None = None) -> float:
     """Mixture of pinned product probabilities over the stationary layer
     distribution; the pin vertex is arbitrary (homogeneity is a testable
     property, not an input)."""
     w = 0 if pin is None else pin
-    alpha = spec.chain.alpha
     return float(sum(
-        alpha[s] * step_product_probs(spec.kernel, spec.volume, w, s, [zeta.increments])[0]
-        for s in range(spec.kernel.q)
+        chain.alpha[s] * step_product_probs(kernel, volume, w, s, [zeta.increments])[0]
+        for s in range(kernel.q)
     ))
 
 
-def alt_ggm_prob(kernel: LayerKernel, volume: Volume,
+def alt_ggm_prob(op: TransferOperator, kernel: LayerKernel, volume: Volume,
                  zeta: GradientConfiguration) -> float:
     """Class-summed boundary-law form of the homogeneous measure, which never
     references the stationary distribution."""
     if not tree(volume).full:
         raise ValueError("the boundary-law form needs a closed regular volume")
     parts = _bl_partition(kernel, volume, 0)
-    num = sum(_bl_weight(kernel, volume, 0, k, zeta.increments)
+    num = sum(_bl_weight(op, kernel, volume, 0, k, zeta.increments)
               for k in range(kernel.q))
     return float(num / parts.sum())
 
 
-def coupling_expectation(spec: GGMSpec, func: Callable[[GradientConfiguration, dict], float],
+def coupling_expectation(kernel: LayerKernel, chain: FuzzyChain, volume: Volume,
+                         func: Callable[[GradientConfiguration, dict], float],
                          config_budget: int = 10**7) -> float:
     """Expectation of a bounded function of (gradient configuration, layer
     labels) under the joint measure that draws the pin class from the
@@ -988,12 +985,11 @@ def coupling_expectation(spec: GGMSpec, func: Callable[[GradientConfiguration, d
     The labels handed to ``func`` are exactly the classes reached from the
     drawn pin class, so label and gradient arguments are always compatible.
     """
-    volume = spec.volume
-    alpha = spec.chain.alpha
-    q = spec.kernel.q
+    alpha = chain.alpha
+    q = kernel.q
     total = 0.0
-    for Z in _window_blocks(volume, spec.kernel.window, config_budget):
-        probs = [alpha[s] * step_product_probs(spec.kernel, volume, 0, s, Z) for s in range(q)]
+    for Z in _window_blocks(volume, kernel.window, config_budget):
+        probs = [alpha[s] * step_product_probs(kernel, volume, 0, s, Z) for s in range(q)]
         for i, arr in enumerate(Z):
             cfg = GradientConfiguration(volume, tuple(int(v) for v in arr))
             for s in range(q):
@@ -1035,9 +1031,10 @@ def _residue_layer_blocks(volume: Volume, pin: int, q: int,
         yield R, layers
 
 
-def scan_consistency(spec: PinnedMeasureSpec, inner,
-                     mixture: bool = False, chain: FuzzyChain | None = None,
-                     config_budget: int = 10**7, pin: int = 0) -> tuple[float, float]:
+def scan_consistency(op: TransferOperator, kernel: LayerKernel, volume: Volume,
+                     pin_class: int, inner, mixture: bool = False,
+                     chain: FuzzyChain | None = None, config_budget: int = 10**7,
+                     pin: int = 0) -> tuple[float, float]:
     """The largest difference between the two sides of ``check_consistency``
     over the windowed inner configurations and the largest
     |marginal / direct - 1|, by scanning the
@@ -1047,8 +1044,6 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
     layers, which only see residues, so a class's largest difference is its
     gap times the largest product, the product of per-edge maxima.
     """
-    volume = spec.volume
-    kernel = spec.kernel
     if not tree(volume).full:
         raise ValueError("consistency checks need a closed regular volume")
     q = kernel.q
@@ -1070,13 +1065,13 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
 
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
-    s_values = range(q) if mixture else [spec.pin_class]
+    s_values = range(q) if mixture else [pin_class]
 
     count = q ** len(inner_edges)
     if count > config_budget:
         raise VolumeTooLarge(f"{count} inner residue classes exceed {config_budget}")
 
-    maxq = _max_q_per_residue(kernel)
+    maxq = _max_q_per_residue(op, kernel)
     worst = ratio = 0.0
     for R, layers in _residue_layer_blocks(volume, pin, q, inner_edges):
         qp = np.prod(maxq[R], axis=0)
@@ -1095,8 +1090,8 @@ def scan_consistency(spec: PinnedMeasureSpec, inner,
     return worst, ratio
 
 
-def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
-                     seed: int = 7,
+def scan_homogeneity(kernel: LayerKernel, chain: FuzzyChain, volume: Volume,
+                     pins: Iterable[int], n_configs: int = 256, seed: int = 7,
                      enumerate_budget: int = 4096) -> tuple[float, float]:
     """Evaluate the mixture probability with several pin vertices on identical
     configurations; returns the largest pairwise difference and the largest
@@ -1107,16 +1102,14 @@ def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
     ``enumerate_budget``, otherwise a sample from the library's sampler plus
     the all-zero configuration. Each pin evaluates the whole batch at once.
     """
-    volume = spec.volume
-    kernel = spec.kernel
     total = (2 * kernel.window.cutoff + 1) ** volume.n_edges
     if total <= enumerate_budget:
         configs = np.concatenate(list(_window_blocks(volume, kernel.window, total)))
     else:
         # typical configurations, so the compared probabilities carry mass
-        configs = np.vstack([*measures.sample_ggm_batch(spec, n_configs, seed),
+        configs = np.vstack([*measures.sample_ggm_batch(kernel, chain, volume, n_configs, seed),
                              np.zeros((1, volume.n_edges), dtype=np.int64)])
-    alpha = spec.chain.alpha
+    alpha = chain.alpha
     probs = np.array([
         sum(alpha[s] * step_product_probs(kernel, volume, w, s, configs)
             for s in range(kernel.q))
@@ -1129,7 +1122,7 @@ def scan_homogeneity(spec: GGMSpec, pins: Iterable[int], n_configs: int = 256,
     return max(0.0, float(np.max(top - bottom))), ratio
 
 
-def _restricted_class(spec: PinnedMeasureSpec, inner,
+def _restricted_class(kernel: LayerKernel, volume: Volume, inner,
                       outside: Mapping[int, int] | None,
                       reference: Mapping[int, int] | None,
                       config_budget: int, pin: int) -> tuple[np.ndarray, list[int]]:
@@ -1143,8 +1136,6 @@ def _restricted_class(spec: PinnedMeasureSpec, inner,
     inner heights. The members are kept in the ``itertools.product`` order
     of their inner increments.
     """
-    volume = spec.volume
-    kernel = spec.kernel
     ids = _interior_set(volume, inner)
     if pin in ids:
         raise PinInsideInner("conditioning volume must avoid the pin vertex")
@@ -1184,48 +1175,48 @@ def _restricted_class(spec: PinnedMeasureSpec, inner,
     return Z[np.lexsort(Z[:, inner_edges[::-1]].T)], inner_edges
 
 
-def ratio_range(spec: PinnedMeasureSpec, inner,
+def ratio_range(op: TransferOperator, kernel: LayerKernel, volume: Volume,
+                pin_class: int, inner,
                 outside: Mapping[int, int] | None = None,
                 reference: Mapping[int, int] | None = None,
                 mixture: bool = False, chain: FuzzyChain | None = None,
                 pin: int = 0) -> float:
     """max / min over the boundary-height class of the joint probability p
     over the bare weight b."""
-    kernel = spec.kernel
-    Z, inner_edges = _restricted_class(spec, inner, outside, reference, 10**7, pin)
-    s_values = range(kernel.q) if mixture else [spec.pin_class]
+    Z, inner_edges = _restricted_class(kernel, volume, inner, outside, reference, 10**7, pin)
+    s_values = range(kernel.q) if mixture else [pin_class]
     joint = sum((chain.alpha[s] if mixture else 1.0)
-                * step_product_probs(kernel, spec.volume, pin, s, Z)
+                * step_product_probs(kernel, volume, pin, s, Z)
                 for s in s_values)
-    ratio = joint / np.prod(weights(kernel)[Z[:, inner_edges] + kernel.window.cutoff], axis=1)
+    ratio = joint / np.prod(weights(op, kernel)[Z[:, inner_edges] + kernel.window.cutoff], axis=1)
     return float(ratio.max() / ratio.min())
 
 
-def scan_restricted_dlr(spec: PinnedMeasureSpec, inner,
+def scan_restricted_dlr(op: TransferOperator, kernel: LayerKernel, volume: Volume,
+                        pin_class: int, inner,
                         outside: Mapping[int, int] | None = None,
                         reference: Mapping[int, int] | None = None,
                         mixture: bool = False, chain: FuzzyChain | None = None,
                         config_budget: int = 10**7, pin: int = 0) -> float:
     """``check_restricted_dlr``'s exact value over the members of
     ``_restricted_class``."""
-    kernel = spec.kernel
-    volume = spec.volume
     cutoff = kernel.window.cutoff
-    Z, inner_edges = _restricted_class(spec, inner, outside, reference, config_budget, pin)
+    Z, inner_edges = _restricted_class(kernel, volume, inner, outside, reference, config_budget,
+                                       pin)
     if mixture and chain is None:
         raise ValueError("mixture comparison needs the fuzzy chain")
     if mixture:
         joint = sum(chain.alpha[s] * step_product_probs(kernel, volume, pin, s, Z)
                     for s in range(kernel.q))
     else:
-        joint = step_product_probs(kernel, volume, pin, spec.pin_class, Z)
-    bare = np.prod(weights(kernel)[Z[:, inner_edges] + cutoff], axis=1)
+        joint = step_product_probs(kernel, volume, pin, pin_class, Z)
+    bare = np.prod(weights(op, kernel)[Z[:, inner_edges] + cutoff], axis=1)
     if joint.sum() == 0.0:
         raise ValueError("conditioning event has zero probability")
     return float(np.max(np.abs(joint / joint.sum() - bare / bare.sum())))
 
 
-def _scan_dual_gap(kernel: LayerKernel, volume: Volume, pin: int,
+def _scan_dual_gap(op: TransferOperator, kernel: LayerKernel, volume: Volume, pin: int,
                    alpha: Mapping[int, float], classes, z: float,
                    residue_budget: int) -> tuple[float, float]:
     """Largest |sum_s alpha[s] * (product form from class s at the pin)
@@ -1240,7 +1231,7 @@ def _scan_dual_gap(kernel: LayerKernel, volume: Volume, pin: int,
     a = kernel.law.as_array()
     orient = scalar_orientation(volume, pin)
     order = [e for e, src, dst, sign in orient]
-    maxq = _max_q_per_residue(kernel)
+    maxq = _max_q_per_residue(op, kernel)
     boundary = sorted(tree(volume).boundary)
     worst = ratio = 0.0
     for R, layers in _residue_layer_blocks(volume, pin, q, range(volume.n_edges)):
@@ -1259,7 +1250,8 @@ def _scan_dual_gap(kernel: LayerKernel, volume: Volume, pin: int,
     return worst, ratio
 
 
-def scan_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21,
+def scan_dual_gap_pinned(op: TransferOperator, kernel: LayerKernel, volume: Volume,
+                         pin_class: int, residue_budget: int = 2**21,
                          pin: int = 0) -> tuple[float, float]:
     """Exact maxima of |product form - boundary-law form| and of
     |ratio - 1| over every windowed configuration.
@@ -1270,31 +1262,31 @@ def scan_dual_gap_pinned(spec: PinnedMeasureSpec, residue_budget: int = 2**21,
     and scanning the q**edges residue vectors, in blocks, is exhaustive;
     ``residue_budget`` bounds that count.
     """
-    s = spec.pin_class
-    z = _bl_partition(spec.kernel, spec.volume, pin)[s]
-    return _scan_dual_gap(spec.kernel, spec.volume, pin, {s: 1.0}, [s], z,
+    z = _bl_partition(kernel, volume, pin)[pin_class]
+    return _scan_dual_gap(op, kernel, volume, pin, {pin_class: 1.0}, [pin_class], z,
                           residue_budget)
 
 
-def scan_dual_gap_ggm(spec: GGMSpec, residue_budget: int = 2**21) -> tuple[float, float]:
+def scan_dual_gap_ggm(op: TransferOperator, kernel: LayerKernel, chain: FuzzyChain,
+                      volume: Volume, residue_budget: int = 2**21) -> tuple[float, float]:
     """Exact maxima of |mixture form - class-summed boundary-law form| and
     of |ratio - 1| over every windowed configuration, by the same scan of
     the q**edges residue vectors."""
-    z = float(_bl_partition(spec.kernel, spec.volume, 0).sum())
-    return _scan_dual_gap(spec.kernel, spec.volume, 0, dict(enumerate(spec.chain.alpha)),
-                          range(spec.kernel.q), z, residue_budget)
+    z = float(_bl_partition(kernel, volume, 0).sum())
+    return _scan_dual_gap(op, kernel, volume, 0, dict(enumerate(chain.alpha)),
+                          range(kernel.q), z, residue_budget)
 
 
-def weights(kernel: LayerKernel) -> np.ndarray:
+def weights(op: TransferOperator, kernel: LayerKernel) -> np.ndarray:
     """Q(z) over the window increments, as ``build_layer_kernel`` computes
     them for its table."""
-    return np.array([eval_q(kernel.op, int(z)) for z in kernel.offsets])
+    return np.array([eval_q(op, int(z)) for z in kernel.offsets])
 
 
-def kernel_prob(kernel: LayerKernel, layer: int, zeta: int) -> float:
+def kernel_prob(op: TransferOperator, kernel: LayerKernel, layer: int, zeta: int) -> float:
     """Q(zeta) a(layer + zeta) / N(layer), written out."""
     q = kernel.q
-    return eval_q(kernel.op, zeta) * kernel.law.a[(layer + zeta) % q] / kernel.norms[layer % q]
+    return eval_q(op, zeta) * kernel.law.a[(layer + zeta) % q] / kernel.norms[layer % q]
 
 
 def table_prob(kernel: LayerKernel, layer: int, zeta: int) -> float:
@@ -1324,22 +1316,22 @@ def free_dimension(row: np.ndarray) -> int:
     return len(set(row.tolist())) - 1
 
 
-def balance_defect(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
+def balance_defect(op: TransferOperator, kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
     """``chains.balance_defect`` from the weights, the law and the norms."""
     q = kernel.q
     ends = (np.arange(q)[:, None] + kernel.offsets) % q
     flow = chain.alpha[:, None] * (
-        weights(kernel) * kernel.law.as_array()[ends] / kernel.norms[:, None])
+        weights(op, kernel) * kernel.law.as_array()[ends] / kernel.norms[:, None])
     return flow - flow[ends, np.arange(len(kernel.offsets))[::-1]]
 
 
-def product_probs(kernel: LayerKernel, volume: Volume, pin: int,
+def product_probs(op: TransferOperator, kernel: LayerKernel, volume: Volume, pin: int,
                   s: int, Z) -> np.ndarray:
     """``step_product_probs`` from the weights, the law and the norms."""
     Z = np.asarray(Z, dtype=np.int64)
     q = kernel.q
     a = kernel.law.as_array()
-    w = weights(kernel)
+    w = weights(op, kernel)
     layer = np.empty((volume.n_vertices, len(Z)), dtype=np.int64)
     layer[pin] = s % q
     p = np.ones(len(Z))
@@ -1351,7 +1343,7 @@ def product_probs(kernel: LayerKernel, volume: Volume, pin: int,
     return p
 
 
-def two_bond_marginal(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
+def two_bond_marginal(op: TransferOperator, kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
     """Exact joint marginal of two successive edges over the window, the sum
     over the first layer s of alpha(s) P(s, z1) P(s + z1, z2), by a loop over
     both increments and the first layer."""
@@ -1360,32 +1352,33 @@ def two_bond_marginal(kernel: LayerKernel, chain: FuzzyChain) -> np.ndarray:
     out = np.zeros((len(offs), len(offs)))
     for i, z1 in enumerate(offs):
         for s in range(q):
-            p1 = chain.alpha[s] * kernel_prob(kernel, s, int(z1))
+            p1 = chain.alpha[s] * kernel_prob(op, kernel, s, int(z1))
             t = (s + int(z1)) % q
             for j, z2 in enumerate(offs):
-                out[i, j] += p1 * kernel_prob(kernel, t, int(z2))
+                out[i, j] += p1 * kernel_prob(op, kernel, t, int(z2))
     return out
 
 
-def windowed_matrix(kernel: LayerKernel) -> np.ndarray:
+def windowed_matrix(op: TransferOperator, kernel: LayerKernel) -> np.ndarray:
     """W[t, t'] = the total kernel probability of the window steps from
     layer t to layer t', by a loop over the increments."""
     q = kernel.q
     W = np.zeros((q, q))
     for t in range(q):
         for z in kernel.offsets:
-            W[t, (t + int(z)) % q] += kernel_prob(kernel, t, int(z))
+            W[t, (t + int(z)) % q] += kernel_prob(op, kernel, t, int(z))
     return W
 
 
-def windowed_mass(spec: PinnedMeasureSpec) -> float:
+def windowed_mass(op: TransferOperator, kernel: LayerKernel, volume: Volume,
+                  pin_class: int) -> float:
     """``measures.windowed_mass`` by the unscaled layer pass."""
-    q = spec.kernel.q
-    W = windowed_matrix(spec.kernel)
-    f = [np.ones(q) for _ in range(spec.volume.n_vertices)]
-    for e, src, dst, sign in reversed(scalar_orientation(spec.volume, 0)):
+    q = kernel.q
+    W = windowed_matrix(op, kernel)
+    f = [np.ones(q) for _ in range(volume.n_vertices)]
+    for e, src, dst, sign in reversed(scalar_orientation(volume, 0)):
         f[src] = f[src] * (W @ f[dst])
-    return float(f[0][spec.pin_class])
+    return float(f[0][pin_class])
 
 
 def truncated_potts_row_value(q: int, beta_tilde: float, residue: int) -> float:

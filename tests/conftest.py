@@ -8,8 +8,6 @@ import pytest
 import ggmtree
 from ggmtree import (
     SOS,
-    GGMSpec,
-    PinnedMeasureSpec,
     build_layer_kernel,
     cayley_ball,
     closed_form_q2_sos,
@@ -46,16 +44,6 @@ def ball1():
 @pytest.fixture(scope="session")
 def ball2():
     return cayley_ball(2, 2)
-
-
-@pytest.fixture(scope="session")
-def pinned(kernel, ball2):
-    return PinnedMeasureSpec(kernel, ball2, 0)
-
-
-@pytest.fixture(scope="session")
-def ggm(kernel, chain, ball2):
-    return GGMSpec(kernel, chain, ball2)
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,9 @@ import pytest
 
 from ggmtree import (
     SOS,
-    GGMSpec,
     IncrementWindow,
     LiftedPotts,
     PeriodicBoundaryLaw,
-    PinnedMeasureSpec,
     build_layer_kernel,
     cayley_ball,
     closed_form_q2_sos,
@@ -117,11 +115,8 @@ def test_criterion_3_dual_representations(model_bits):
     chain = fuzzy_transform(kernel)
     volume = cayley_ball(2, 2)
     n_configs = (2 * 3 + 1) ** volume.n_edges
-    gap_pinned = max(
-        max_dual_gap_pinned(PinnedMeasureSpec(kernel, volume, s))
-        for s in range(2)
-    )
-    gap_ggm = max_dual_gap_ggm(GGMSpec(kernel, chain, volume))
+    gap_pinned = max_dual_gap_pinned(kernel, volume)  # one bound for every pin class
+    gap_ggm = max_dual_gap_ggm(kernel, chain, volume)
     elapsed = time.perf_counter() - t0
     ok = gap_pinned < 1e-9 and gap_ggm < 1e-10 and elapsed < 60.0
     report("criterion 3 dual representations", ok,
@@ -134,15 +129,13 @@ def test_criterion_4_consistency_and_conditional(model_bits):
     window = IncrementWindow.manual(op, 3, law)
     kernel = build_layer_kernel(op, law, window)
     volume = cayley_ball(2, 2)
-    spec = PinnedMeasureSpec(kernel, volume, 0)
-    cons = max(check_consistency(spec, 0), check_consistency(spec, 1))
-    dlr = check_restricted_dlr(spec, 0)
+    cons = max(check_consistency(kernel, volume, 0), check_consistency(kernel, volume, 1))
+    dlr = check_restricted_dlr(kernel, volume, 0)
     bad_law = PeriodicBoundaryLaw.from_values([1.0, law.a[1] * 1.1])
     bad_kernel = build_layer_kernel(op, bad_law,
                                     IncrementWindow.manual(op, 3, bad_law))
-    bad_spec = PinnedMeasureSpec(bad_kernel, volume, 0)
-    bad_cons = check_consistency(bad_spec, 0)
-    bad_dlr = check_restricted_dlr(bad_spec, 0)
+    bad_cons = check_consistency(bad_kernel, volume, 0)
+    bad_dlr = check_restricted_dlr(bad_kernel, volume, 0)
     ok = cons < 1e-9 and dlr < 1e-9 and bad_cons > 1e-3 and bad_dlr > 1e-3
     report("criterion 4 consistency and conditional structure", ok,
            f"solved {cons:.2e}/{dlr:.2e}, perturbed {bad_cons:.2e}/{bad_dlr:.2e}")
@@ -151,9 +144,8 @@ def test_criterion_4_consistency_and_conditional(model_bits):
 def test_criterion_5_homogeneity_and_reversibility(model_bits):
     _, _, kernel, chain = model_bits
     volume = cayley_ball(2, 2)
-    spec = GGMSpec(kernel, chain, volume)
     # the pins 0, 1 and 1's first child 4 are the depths 0, 1 and 2 of one ray
-    homog = check_homogeneity(spec, [0, 1, 2])
+    homog = check_homogeneity(kernel, chain, volume, [0, 1, 2])
     rev = check_reversibility(kernel, chain)
     ok = homog < 1e-9 and rev < 1e-9
     report("criterion 5 homogeneity and reversibility", ok,
@@ -180,8 +172,7 @@ def test_criterion_6_monte_carlo(model_bits):
     t0 = time.perf_counter()
     n = 10**6
     volume = cayley_ball(2, 2)
-    spec = GGMSpec(kernel, chain, volume)
-    batch = bf.library_batch(spec, n, seed=2024)
+    batch = bf.library_batch(kernel, chain, volume, n, seed=2024)
     # edge 0 runs from the centre to vertex 1, and the edge into vertex 1's
     # first child, the first vertex of level 2, goes on from there
     second = volume.starts[2] - 1
@@ -189,7 +180,7 @@ def test_criterion_6_monte_carlo(model_bits):
     single = single_bond_marginal(op, law, kernel.window)
     dev_single = pooled_sigma(np.array([np.count_nonzero(batch[:, 0] == z) for z in offs]),
                               single, n)
-    joint = bf.two_bond_marginal(kernel, chain)
+    joint = bf.two_bond_marginal(op, kernel, chain)
     K = len(offs)
     counts = np.zeros((K, K))
     # the batch is one byte per increment: index with intp, so nothing wraps

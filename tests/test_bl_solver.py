@@ -23,6 +23,8 @@ from ggmtree.bl_solver import (
     BRANCH_LOWER,
     BRANCH_TRIVIAL,
     BRANCH_UPPER,
+    DAMPING,
+    MAX_ITER,
     _damped,
     _fixed_point_map,
     _label,
@@ -33,9 +35,10 @@ import brute_force as bf
 from brute_force import effective_beta, is_normalizable, ising_type_solve, shifted
 
 
-def damped_solve(op, q, d, init, damping=0.7, max_iter=5000, tol=1e-12):
-    """``_damped`` on the one-row batch ``init``: the row it leaves, its
-    update count, and whether it diverged or ran out of budget."""
+def damped_solve(op, q, d, init, damping=DAMPING, max_iter=MAX_ITER, tol=1e-12):
+    """``_damped`` on the one-row batch ``init``, by default with the settings
+    of ``find_branches``: the row it leaves, its update count, and whether
+    it diverged or ran out of budget."""
     rows = np.array([init], dtype=float)
     iters, diverged, running = _damped(interaction_matrix(op, q), d, rows, damping,
                                        max_iter, tol)
@@ -131,12 +134,9 @@ class TestFixedPoint:
                 == residual(PeriodicBoundaryLaw.from_values(row), SOS(2.0), 2))
 
     @pytest.mark.parametrize("solve", [
-        lambda: find_branches(SOS(2.0), 2, 2, damping=0.0),
-        lambda: find_branches(SOS(2.0), 2, 2, max_iter=-1),
         lambda: damped_solve(SOS(2.0), 2, 2, [1.0, 9.0], damping=1.5),
         lambda: damped_solve(SOS(2.0), 2, 2, [1.0, 9.0], max_iter=-1),
-    ], ids=["branches-damping-0", "branches-max-iter-neg", "solve-damping-1.5",
-            "solve-max-iter-neg"])
+    ], ids=["solve-damping-1.5", "solve-max-iter-neg"])
     def test_bad_iteration_settings_raise(self, solve):
         with pytest.raises(ValueError):
             solve()

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ggmtree
 from ggmtree import (
     SOS,
     FuzzyChain,
@@ -22,6 +24,7 @@ from ggmtree import (
     wrapped_row,
     wrapped_sum,
 )
+from ggmtree import measures
 from ggmtree.chains import balance_defect, second_eigenvalue_modulus, tv_distance
 from brute_force import potts_boundary_laws, stationary_by_power_iteration, table_prob
 
@@ -164,6 +167,39 @@ class TestReversibility:
                 want = (alpha[i] * table_prob(kernel, i, int(z))
                         - alpha[j] * table_prob(kernel, j, -int(z)))
                 assert defect[i, k] == want
+
+
+# every public function of a layer kernel and a fuzzy chain, called with the
+# ball of depth 2 where it takes a volume
+PAIRED = {
+    "balance_defect": lambda kernel, chain, ball: balance_defect(kernel, chain),
+    "check_reversibility": lambda kernel, chain, ball: check_reversibility(kernel, chain),
+    "max_dual_gap_ggm": lambda kernel, chain, ball: measures.max_dual_gap_ggm(
+        kernel, chain, ball),
+    "check_homogeneity": lambda kernel, chain, ball: measures.check_homogeneity(
+        kernel, chain, ball, [0]),
+    "sample_ggm_batch": lambda kernel, chain, ball: measures.sample_ggm_batch(
+        kernel, chain, ball, 0, 1),
+}
+
+
+def test_paired_functions_are_every_kernel_and_chain_function():
+    functions = {name: getattr(ggmtree, name) for name in ggmtree.__all__}
+    paired = {name for name, f in functions.items() if inspect.isfunction(f)
+              and {"kernel", "chain"} <= set(inspect.signature(f).parameters)}
+    assert paired == set(PAIRED)
+
+
+@pytest.mark.parametrize("name", list(PAIRED))
+def test_chain_of_another_period_is_refused(kernel, ball2, name):
+    # a period-1 chain against the q = 2 kernel: its one alpha and 1 x 1
+    # matrix would broadcast against the kernel's two layers (the
+    # reversibility defect read 0.267), so the call refuses it at once,
+    # before a sample is drawn or a pin depth read
+    other = FuzzyChain(1, np.ones((1, 1)), np.ones(1))
+    with pytest.raises(ValueError, match="periods disagree"):
+        PAIRED[name](kernel, other, ball2)
+    PAIRED[name](kernel, fuzzy_transform(kernel), ball2)
 
 
 class TestMixing:

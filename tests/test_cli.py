@@ -12,7 +12,6 @@ import pytest
 
 from ggmtree import (
     FiniteTreeVolume,
-    GGMSpec,
     IncrementWindow,
     PeriodicBoundaryLaw,
     SOS,
@@ -110,6 +109,8 @@ class TestSolveBl:
     ["solve-bl", "--beta-min", "1.5", "--beta-max", "2.0", "--beta-step", "0"],
     ["solve-bl", "--beta-min", "1.5", "--beta-max", "2.0", "--beta-step", "-0.05"],
     ["solve-bl", "--beta-min", "2.0", "--beta-max", "1.5"],
+    # the damping and the update budget are no flags any more, so argparse
+    # refuses them as unrecognized, which exits 2 all the same
     ["solve-bl", "--damping", "0"],
     ["solve-bl", "--damping", "1.5"],
     ["solve-bl", "--max-iter", "-1"],
@@ -133,7 +134,7 @@ class TestSolveBl:
     ["marginal", "--perturb", "inf"],
     ["solve-bl", "--beta-min", "0", "--beta-max", "1"],
     ["solve-bl", "--beta-min", "-1", "--beta-max", "1"],
-    ["critical-beta", "--q", "2", "--d", "2", "--family", "potts"],
+    ["critical-beta", "--q", "2", "--d", "2", "--family", "potts"],  # no flag either
     ["verify", "--tol", "-1"],
     ["verify", "--tol", "nan"],
     ["verify", "--tol", "inf"],
@@ -368,6 +369,23 @@ class TestCriticalBeta:
 
     def test_unsupported_period_is_config_error(self):
         assert main(["critical-beta", "--q", "9", "--d", "2"]) == 2
+
+
+def test_fixed_settings_are_in_the_meta_lines(model_file, tmp_path, capsys):
+    # the solver's damping and update budget and the critical-beta family
+    # are fixed, and the meta lines record them as their flags did
+    out = tmp_path / "laws.csv"
+    assert main(["solve-bl", "--model", model_file, "--out", str(out)]) == 0
+    config = read_csv(out)[0]["config"]
+    assert (config["damping"], config["max_iter"]) == (bl_solver.DAMPING, bl_solver.MAX_ITER)
+    assert (repr(config["damping"]), repr(config["max_iter"])) == ("0.7", "5000")
+    assert main(["critical-beta", "--q", "2", "--d", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["family"] == "sos"
+    for argv in (["solve-bl", "--model", model_file, "--damping", "0.5"],
+                 ["solve-bl", "--model", model_file, "--max-iter", "10"],
+                 ["critical-beta", "--q", "2", "--d", "2", "--family", "sos"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -622,7 +640,7 @@ class TestSample:
                    if r.branch_label == "upper")
         kernel = build_layer_kernel(op, law, IncrementWindow.for_model(op, law))
         volume = cayley_ball(2, 1)
-        batch = bf.library_batch(GGMSpec(kernel, fuzzy_transform(kernel), volume), 3, 5)
+        batch = bf.library_batch(kernel, fuzzy_transform(kernel), volume, 3, 5)
         assert [(r["sample"], r["edge"], r["increment"]) for r in rows] == [
             (str(i), f"{bf.tree(volume).parents[e + 1]}>{e + 1}", str(batch[i, e]))
             for i in range(3) for e in range(volume.n_edges)]

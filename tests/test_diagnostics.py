@@ -6,7 +6,6 @@ import pytest
 from ggmtree import (
     SOS,
     CounterexampleChain,
-    GGMSpec,
     IncrementWindow,
     PeriodicBoundaryLaw,
     build_layer_kernel,
@@ -106,11 +105,10 @@ class TestCorrelation:
         chain = fuzzy_transform(kernel)
         n = 1
         vol = path_volume(n + 2)
-        spec = GGMSpec(kernel, chain, vol)
         cov, _ = correlation_and_bound(chain, *flat_bond_probs(kernel, n), n)
         tot_joint = tot_a = tot_b = 0.0
         for arr in windowed_configs(vol, window, 10**7):
-            p = ggm_prob(spec, GradientConfiguration(vol, tuple(map(int, arr))))
+            p = ggm_prob(kernel, chain, vol, GradientConfiguration(vol, tuple(map(int, arr))))
             if arr[0] == 0:
                 tot_a += p
             if arr[-1] == 0:

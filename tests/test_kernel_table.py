@@ -40,13 +40,13 @@ def model(request, tmp_path_factory):
     if window is not None:
         argv += ["--window", window]
     args = cli.build_parser().parse_args(argv)
-    _, _, _, kernel, chain, _ = cli._setup(args, "verify", "depth", "perturb", law_tol=1e-12)
-    return kernel, chain
+    op, _, _, kernel, chain, _ = cli._setup(args, "verify", "depth", "perturb", law_tol=1e-12)
+    return op, kernel, chain
 
 
 def test_table_is_the_written_out_kernel(model):
-    kernel, _ = model
-    want = np.array([[bf.kernel_prob(kernel, s, int(z)) for z in kernel.offsets]
+    op, kernel, _ = model
+    want = np.array([[bf.kernel_prob(op, kernel, s, int(z)) for z in kernel.offsets]
                      for s in range(kernel.q)])
     assert np.array_equal(kernel.probs, want)
     assert all(bf.table_prob(kernel, s, int(z)) == want[s, k] for s in range(kernel.q)
@@ -56,29 +56,29 @@ def test_table_is_the_written_out_kernel(model):
 
 
 def test_balance_defect_reads_the_table(model):
-    kernel, chain = model
-    assert np.array_equal(balance_defect(kernel, chain), bf.balance_defect(kernel, chain))
+    op, kernel, chain = model
+    assert np.array_equal(balance_defect(kernel, chain), bf.balance_defect(op, kernel, chain))
 
 
 def test_two_bond_marginal_reads_the_table(model):
     # two successive steps read off the table through its end layers
-    kernel, chain = model
+    op, kernel, chain = model
     first = chain.alpha[:, None] * kernel.probs
     assert np.array_equal((first[:, :, None] * kernel.probs[kernel.ends]).sum(axis=0),
-                          bf.two_bond_marginal(kernel, chain))
+                          bf.two_bond_marginal(op, kernel, chain))
 
 
 def test_folds(model):
-    kernel, _ = model
-    assert np.array_equal(measures._fold(kernel, kernel.probs), bf.windowed_matrix(kernel))
+    op, kernel, _ = model
+    assert np.array_equal(measures._fold(kernel, kernel.probs), bf.windowed_matrix(op, kernel))
 
 
 def test_product_form_reads_the_table(model):
-    kernel, _ = model
+    op, kernel, _ = model
     volume = cayley_ball(2, 2)
     rng = np.random.default_rng(3)
     cutoff = kernel.window.cutoff
     Z = rng.integers(-cutoff, cutoff + 1, size=(64, volume.n_edges))
     for pin, s in ((0, 0), (4, kernel.q - 1)):
         assert np.array_equal(bf.step_product_probs(kernel, volume, pin, s, Z),
-                              bf.product_probs(kernel, volume, pin, s, Z))
+                              bf.product_probs(op, kernel, volume, pin, s, Z))

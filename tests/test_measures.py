@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -8,10 +9,8 @@ import pytest
 from ggmtree import (
     SOS,
     FuzzyChain,
-    GGMSpec,
     IncrementWindow,
     PeriodicBoundaryLaw,
-    PinnedMeasureSpec,
     build_layer_kernel,
     cayley_ball,
     check_consistency,
@@ -67,17 +66,18 @@ def small_chain(small_kernel):
 
 class TestScaledPass:
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_partition_agrees_with_unscaled_pass(self, spec_parts, depth):
-        kernel, _ = spec_parts
+    def test_partition_agrees_with_unscaled_pass(self, far_model, depth):
+        kernel, _ = far_model
         volume = cayley_ball(2, depth)
         got = np.exp(bf.log_bl_partition(kernel, volume))
         want = bf._bl_partition(kernel, volume, 0)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_windowed_mass_agrees_with_unscaled_pass(self, kernel, depth):
-        spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), 1)
-        assert windowed_mass(spec) == pytest.approx(bf.windowed_mass(spec), rel=1e-13)
+    def test_windowed_mass_agrees_with_unscaled_pass(self, sos2, kernel, depth):
+        volume = cayley_ball(2, depth)
+        assert windowed_mass(kernel, volume, 1) == pytest.approx(
+            bf.windowed_mass(sos2, kernel, volume, 1), rel=1e-13)
 
     @pytest.mark.parametrize("unit, log_total, want", [
         (0.5, 700.0, 0.5 * math.exp(700.0)),  # finite: the product, bit for bit
@@ -91,7 +91,7 @@ class TestScaledPass:
             return np.array([[unit, unit]]), log_total
 
         monkeypatch.setattr(measures, "_upward", scaled)
-        assert windowed_mass(PinnedMeasureSpec(kernel, cayley_ball(2, 2), 1)) == want
+        assert windowed_mass(kernel, cayley_ball(2, 2), 1) == want
 
     def test_windowed_mass_of_a_deep_q6_ball_is_inf(self):
         # rows of the folded matrix summing to 1 + 2.2e-16 add count * log(top)
@@ -102,7 +102,13 @@ class TestScaledPass:
         kernel = build_layer_kernel(op, law)
         assert measures._upward(cayley_ball(3, 40), measures._fold(
             kernel, kernel.probs))[1] > math.log(sys.float_info.max)
-        assert windowed_mass(PinnedMeasureSpec(kernel, cayley_ball(3, 40), 0)) == math.inf
+        assert windowed_mass(kernel, cayley_ball(3, 40), 0) == math.inf
+
+    def test_windowed_mass_refuses_a_class_outside_the_period(self, kernel, ball1):
+        # -1 would read the last layer's entry, as numpy indexes from the end
+        for pin_class in (-1, kernel.q):
+            with pytest.raises(ValueError, match="pin class"):
+                windowed_mass(kernel, ball1, pin_class)
 
     def test_deep_partition_stays_finite(self, kernel):
         # the unscaled partition overflows from depth 8 on
@@ -177,174 +183,157 @@ class TestPinnedProduct:
         op = SOS(1.0)
         kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(2))
         vol = path_volume(1)
-        spec = PinnedMeasureSpec(kernel, vol, 0)
         zeta = GradientConfiguration(vol, (0,))
-        assert pinned_prob_product(spec, zeta) == pytest.approx(
+        assert pinned_prob_product(kernel, vol, 0, zeta) == pytest.approx(
             1.0 / wrapped_sum(op, 1, 0), abs=1e-13)
 
     def test_two_edge_path_unrolls_kernel_factors(self, kernel):
         vol = path_volume(2)
-        spec = PinnedMeasureSpec(kernel, vol, 0)
         zeta = GradientConfiguration(vol, (1, 1))
         want = bf.table_prob(kernel, 0, 1) * bf.table_prob(kernel, 1, 1)
-        assert pinned_prob_product(spec, zeta) == pytest.approx(want, abs=1e-15)
+        assert pinned_prob_product(kernel, vol, 0, zeta) == pytest.approx(want, abs=1e-15)
 
     def test_star_volume_sums_to_one(self, kernel, ball1):
         # enumeration over the certified window captures all but the tail
-        spec = PinnedMeasureSpec(kernel, ball1, 0)
         tot = sum(
-            pinned_prob_product(spec, GradientConfiguration(ball1, tuple(map(int, arr))))
+            pinned_prob_product(kernel, ball1, 0,
+                                GradientConfiguration(ball1, tuple(map(int, arr))))
             for arr in windowed_configs(ball1, kernel.window, 10**6)
         )
         assert tot == pytest.approx(1.0, abs=1e-10)
 
     def test_windowed_mass_matches_enumeration(self, small_kernel, ball1):
-        spec = PinnedMeasureSpec(small_kernel, ball1, 0)
         tot = sum(
-            pinned_prob_product(spec, GradientConfiguration(ball1, tuple(map(int, arr))))
+            pinned_prob_product(small_kernel, ball1, 0,
+                                GradientConfiguration(ball1, tuple(map(int, arr))))
             for arr in windowed_configs(ball1, small_kernel.window, 10**6)
         )
-        assert windowed_mass(spec) == pytest.approx(tot, abs=1e-13)
+        assert windowed_mass(small_kernel, ball1, 0) == pytest.approx(tot, abs=1e-13)
 
     def test_stored_orientation_does_not_matter(self, kernel):
         # the same physical path stored with the opposite root: walking from
         # the same physical pin gives identical probabilities
         fwd = path_volume(2)
         rev = path_volume(2)  # vertex j here plays the role of vertex 2 - j
-        spec_f = PinnedMeasureSpec(kernel, fwd, 0)
-        spec_r = PinnedMeasureSpec(kernel, rev, 0)
         for z1 in (-2, 0, 1):
             for z2 in (-1, 0, 3):
-                p_f = pinned_prob_product(spec_f, GradientConfiguration(fwd, (z1, z2)))
-                p_r = pinned_prob_product(spec_r, GradientConfiguration(rev, (-z2, -z1)), pin=2)
+                p_f = pinned_prob_product(kernel, fwd, 0, GradientConfiguration(fwd, (z1, z2)))
+                p_r = pinned_prob_product(kernel, rev, 0,
+                                          GradientConfiguration(rev, (-z2, -z1)), pin=2)
                 assert p_f == pytest.approx(p_r, abs=1e-16)
 
     def test_increment_outside_window_rejected(self, small_kernel, ball1):
-        spec = PinnedMeasureSpec(small_kernel, ball1, 0)
         zeta = GradientConfiguration.from_map(ball1, {(0, 1): 4})
         with pytest.raises(ValueError, match="exceeds cutoff"):
-            pinned_prob_product(spec, zeta)
+            pinned_prob_product(small_kernel, ball1, 0, zeta)
 
 
 class TestDualRepresentation:
-    def test_pointwise_agreement_on_depth2(self, small_kernel, ball2):
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
+    def test_pointwise_agreement_on_depth2(self, sos2, small_kernel, ball2):
         rng = np.random.default_rng(11)
         for _ in range(300):
             arr = rng.integers(-3, 4, size=ball2.n_edges)
             zeta = GradientConfiguration(ball2, tuple(map(int, arr)))
-            p1 = pinned_prob_product(spec, zeta)
-            p2 = pinned_prob_bl(spec, zeta)
+            p1 = pinned_prob_product(small_kernel, ball2, 0, zeta)
+            p2 = pinned_prob_bl(sos2, small_kernel, ball2, 0, zeta)
             assert abs(p1 - p2) < 1e-9
 
     def test_exact_maximum_gap_matches_enumeration(self, sos2, upper_law, ball1):
         kernel = build_layer_kernel(sos2, upper_law, IncrementWindow.manual(sos2, 2, upper_law))
-        spec = PinnedMeasureSpec(kernel, ball1, 0)
         brute = 0.0
         for arr in windowed_configs(ball1, kernel.window, 10**6):
             zeta = GradientConfiguration(ball1, tuple(map(int, arr)))
-            brute = max(brute, abs(pinned_prob_product(spec, zeta) - pinned_prob_bl(spec, zeta)))
-        assert bf.scan_dual_gap_pinned(spec)[0] == pytest.approx(brute, rel=1e-9, abs=1e-18)
-        assert brute <= max_dual_gap_pinned(spec)
+            brute = max(brute, abs(pinned_prob_product(kernel, ball1, 0, zeta)
+                                   - pinned_prob_bl(sos2, kernel, ball1, 0, zeta)))
+        assert bf.scan_dual_gap_pinned(sos2, kernel, ball1, 0)[0] == pytest.approx(
+            brute, rel=1e-9, abs=1e-18)
+        assert brute <= max_dual_gap_pinned(kernel, ball1)
 
     def test_uniform_law_reduces_to_bare_weights(self, ball1):
         op = SOS(1.3)
         kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(2))
         for s in range(2):
-            spec = PinnedMeasureSpec(kernel, ball1, s)
             zeta = GradientConfiguration.from_map(ball1, {(0, 1): 1, (0, 2): -2})
             want = (eval_q(op, 1) * eval_q(op, -2) * eval_q(op, 0)) / wrapped_sum(op, 1, 0) ** 3
-            assert pinned_prob_bl(spec, zeta) == pytest.approx(want, abs=1e-13)
+            assert pinned_prob_bl(op, kernel, ball1, s, zeta) == pytest.approx(want, abs=1e-13)
 
     def test_class_shift_relabelling_identity(self, sos2, upper_law, ball1):
         # pinning class 1 with the law equals pinning class 0 with its shift
         k1 = build_layer_kernel(sos2, upper_law)
         k2 = build_layer_kernel(sos2, bf.shifted(upper_law, 1))
-        s1 = PinnedMeasureSpec(k1, ball1, 1)
-        s2 = PinnedMeasureSpec(k2, ball1, 0)
         for zmap in ({(0, 1): 0}, {(0, 1): 1, (0, 2): -1}, {(0, 3): 2}):
             zeta = GradientConfiguration.from_map(ball1, zmap)
-            assert pinned_prob_bl(s1, zeta) == pytest.approx(
-                pinned_prob_bl(s2, zeta), abs=1e-13)
+            assert pinned_prob_bl(sos2, k1, ball1, 1, zeta) == pytest.approx(
+                pinned_prob_bl(sos2, k2, ball1, 0, zeta), abs=1e-13)
 
-    def test_bl_form_requires_closed_volume(self, kernel):
+    def test_bl_form_requires_closed_volume(self, sos2, kernel):
         vol = path_volume(2)
-        spec = PinnedMeasureSpec(kernel, vol, 0)
         with pytest.raises(ValueError):
-            pinned_prob_bl(spec, GradientConfiguration.zeros(vol))
+            pinned_prob_bl(sos2, kernel, vol, 0, GradientConfiguration.zeros(vol))
 
 
 class TestMixtures:
-    def test_single_edge_matches_overlap_formula(self, kernel, chain):
+    def test_single_edge_matches_overlap_formula(self, sos2, kernel, chain):
         # one-bond probability is Q(z) sum_s l(s) l(s+z) over a constant
         vol = path_volume(1)
-        spec = GGMSpec(kernel, chain, vol)
-        marg = single_bond_marginal(kernel.op, kernel.law, kernel.window)
+        marg = single_bond_marginal(sos2, kernel.law, kernel.window)
         for z, want in zip(kernel.offsets, marg):
-            got = ggm_prob(spec, GradientConfiguration(vol, (int(z),)))
+            got = ggm_prob(kernel, chain, vol, GradientConfiguration(vol, (int(z),)))
             assert got == pytest.approx(want, abs=1e-13)
 
     def test_uniform_law_factorizes(self, ball1):
         op = SOS(1.1)
         kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(2))
-        chain = fuzzy_transform(kernel)
-        spec = GGMSpec(kernel, chain, ball1)
         zeta = GradientConfiguration.from_map(ball1, {(0, 1): 2, (0, 2): -1})
         want = (eval_q(op, 2) * eval_q(op, -1) * eval_q(op, 0)) / wrapped_sum(op, 1, 0) ** 3
-        assert ggm_prob(spec, zeta) == pytest.approx(want, abs=1e-14)
+        assert ggm_prob(kernel, fuzzy_transform(kernel), ball1, zeta) == pytest.approx(
+            want, abs=1e-14)
 
-    def test_agreement_with_class_summed_form(self, small_kernel, small_chain, ball2):
-        spec = GGMSpec(small_kernel, small_chain, ball2)
+    def test_agreement_with_class_summed_form(self, sos2, small_kernel, small_chain, ball2):
         rng = np.random.default_rng(5)
         for _ in range(200):
             arr = rng.integers(-3, 4, size=ball2.n_edges)
             zeta = GradientConfiguration(ball2, tuple(map(int, arr)))
-            assert abs(ggm_prob(spec, zeta) - alt_ggm_prob(small_kernel, ball2, zeta)) < 1e-10
+            assert abs(ggm_prob(small_kernel, small_chain, ball2, zeta)
+                       - alt_ggm_prob(sos2, small_kernel, ball2, zeta)) < 1e-10
 
     def test_exact_maximum_mixture_gap(self, small_kernel, small_chain, ball2):
-        spec = GGMSpec(small_kernel, small_chain, ball2)
-        assert max_dual_gap_ggm(spec) < 1e-10
+        assert max_dual_gap_ggm(small_kernel, small_chain, ball2) < 1e-10
 
     def test_period_one_collapses_to_bare_weights(self, ball1):
         op = SOS(0.9)
         kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(1))
         zeta = GradientConfiguration.from_map(ball1, {(0, 1): 1})
         want = eval_q(op, 1) * eval_q(op, 0) ** 2 / wrapped_sum(op, 1, 0) ** 3
-        assert alt_ggm_prob(kernel, ball1, zeta) == pytest.approx(want, abs=1e-14)
+        assert alt_ggm_prob(op, kernel, ball1, zeta) == pytest.approx(want, abs=1e-14)
 
     def test_shift_orbit_gives_identical_mixture(self, sos2, upper_law, ball1):
         k1 = build_layer_kernel(sos2, upper_law)
         k2 = build_layer_kernel(sos2, bf.shifted(upper_law, 1))
-        g1 = GGMSpec(k1, fuzzy_transform(k1), ball1)
-        g2 = GGMSpec(k2, fuzzy_transform(k2), ball1)
+        c1, c2 = fuzzy_transform(k1), fuzzy_transform(k2)
         for zmap in ({(0, 1): 0}, {(0, 1): 1}, {(0, 1): 1, (0, 2): -1, (0, 3): 2}):
             zeta = GradientConfiguration.from_map(ball1, zmap)
-            assert ggm_prob(g1, zeta) == pytest.approx(ggm_prob(g2, zeta), abs=1e-13)
+            assert ggm_prob(k1, c1, ball1, zeta) == pytest.approx(
+                ggm_prob(k2, c2, ball1, zeta), abs=1e-13)
 
 
 class TestCoupling:
     def test_total_mass_one(self, kernel, chain, ball1):
-        spec = GGMSpec(kernel, chain, ball1)
-        got = coupling_expectation(spec, lambda cfg, labels: 1.0)
-        want = sum(
-            chain.alpha[s] * windowed_mass(PinnedMeasureSpec(kernel, ball1, s))
-            for s in range(kernel.q)
-        )
+        got = coupling_expectation(kernel, chain, ball1, lambda cfg, labels: 1.0)
+        want = sum(chain.alpha[s] * windowed_mass(kernel, ball1, s) for s in range(kernel.q))
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_root_label_marginal_is_alpha(self, kernel, chain, ball1):
-        spec = GGMSpec(kernel, chain, ball1)
         for s0 in range(2):
             got = coupling_expectation(
-                spec, lambda cfg, labels, s0=s0: 1.0 if labels[0] == s0 else 0.0)
+                kernel, chain, ball1, lambda cfg, labels, s0=s0: 1.0 if labels[0] == s0 else 0.0)
             assert got == pytest.approx(chain.alpha[s0], abs=1e-9)
 
     def test_edge_label_pattern_matches_finite_state_marginal(
             self, sos2, upper_law, kernel, chain, ball1):
         # independent route: the two-site marginal of the wrapped finite-state
         # model with boundary law l, evaluated on a closed one-site volume
-        spec = GGMSpec(kernel, chain, ball1)
         row = wrapped_row(sos2, 2)
         a = np.array(upper_law.a)
         norms = np.array([row[0] + row[1] * a[1], row[1] + row[0] * a[1]])
@@ -356,32 +345,29 @@ class TestCoupling:
         for i in range(2):
             for j in range(2):
                 got = coupling_expectation(
-                    spec,
+                    kernel, chain, ball1,
                     lambda cfg, labels, i=i, j=j: 1.0 if labels[0] == i and labels[1] == j else 0.0)
                 assert got == pytest.approx(pair[i, j], abs=1e-9)
 
 
 class TestSampling:
     def test_fixed_seed_reproduces_configuration(self, kernel, chain, ball2):
-        spec = GGMSpec(kernel, chain, ball2)
-        one = sample_ggm(spec, seed=42)
-        two = sample_ggm(spec, seed=42)
-        other = sample_ggm(spec, seed=43)
+        one = sample_ggm(kernel, chain, ball2, seed=42)
+        two = sample_ggm(kernel, chain, ball2, seed=42)
+        other = sample_ggm(kernel, chain, ball2, seed=43)
         assert one.increments == two.increments
         assert one.increments != other.increments
 
     def test_batch_deterministic(self, kernel, chain, ball1):
-        spec = GGMSpec(kernel, chain, ball1)
-        b1 = bf.library_batch(spec, 4096, seed=9)
-        b2 = bf.library_batch(spec, 4096, seed=9)
+        b1 = bf.library_batch(kernel, chain, ball1, 4096, seed=9)
+        b2 = bf.library_batch(kernel, chain, ball1, 4096, seed=9)
         assert np.array_equal(b1, b2)
 
-    def test_empirical_single_bond_within_four_sigma(self, kernel, chain, ball1):
+    def test_empirical_single_bond_within_four_sigma(self, sos2, kernel, chain, ball1):
         # every edge of the homogeneous measure has the single-bond marginal
-        spec = GGMSpec(kernel, chain, ball1)
         n = 200_000
-        batch = bf.library_batch(spec, n, seed=1234)
-        marg = single_bond_marginal(kernel.op, kernel.law, kernel.window)
+        batch = bf.library_batch(kernel, chain, ball1, n, seed=1234)
+        marg = single_bond_marginal(sos2, kernel.law, kernel.window)
         emp = np.array([(batch[:, 0] == z).mean() for z in kernel.offsets])
         se = np.sqrt(np.maximum(marg * (1 - marg), 1e-12) / n)
         assert np.max(np.abs(emp - marg) / se) < 4.0
@@ -389,10 +375,8 @@ class TestSampling:
     def test_uniform_law_increment_distribution(self, ball1):
         op = SOS(1.5)
         kernel = build_layer_kernel(op, PeriodicBoundaryLaw.trivial(2))
-        chain = fuzzy_transform(kernel)
-        spec = GGMSpec(kernel, chain, ball1)
         n = 200_000
-        batch = bf.library_batch(spec, n, seed=77)
+        batch = bf.library_batch(kernel, fuzzy_transform(kernel), ball1, n, seed=77)
         mass = wrapped_sum(op, 1, 0)
         for z in (-1, 0, 1, 2):
             want = eval_q(op, z) / mass
@@ -409,7 +393,7 @@ def far_kernel(beta, q):
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["q2", "q3"])
-def spec_parts(request):
+def far_model(request):
     q = request.param
     kernel = far_kernel(2.0 if q == 2 else 3.0, q)
     return kernel, fuzzy_transform(kernel)
@@ -435,51 +419,51 @@ class TestCounterStream:
             for i in [0, 1, n - 1, *rng.integers(0, n, size=20).tolist()]:
                 assert got[i] == bf.uniform(seed, i, v)
 
-    def test_seed_is_masked_to_64_bits(self, spec_parts):
-        spec = GGMSpec(*spec_parts, cayley_ball(2, 2))
+    def test_seed_is_masked_to_64_bits(self, far_model):
+        ball = cayley_ball(2, 2)
         assert bf.uniform(-1, 3, 5) == bf.uniform(2**64 - 1, 3, 5)
-        assert np.array_equal(bf.library_batch(spec, 50, -1),
-                              bf.library_batch(spec, 50, 2**64 - 1))
+        assert np.array_equal(bf.library_batch(*far_model, ball, 50, -1),
+                              bf.library_batch(*far_model, ball, 50, 2**64 - 1))
 
-    def test_fewer_samples_are_a_prefix(self, spec_parts):
+    def test_fewer_samples_are_a_prefix(self, far_model):
         # a block of 2**16 uniforms holds 6553 samples of the 10 vertices of
         # a depth-2 ball
-        spec = GGMSpec(*spec_parts, cayley_ball(2, 2))
-        whole = bf.library_batch(spec, 14000, 4)
+        ball = cayley_ball(2, 2)
+        whole = bf.library_batch(*far_model, ball, 14000, 4)
         for n in (1, 7, 6553, 6554, 13999):
-            assert np.array_equal(bf.library_batch(spec, n, 4), whole[:n])
+            assert np.array_equal(bf.library_batch(*far_model, ball, n, 4), whole[:n])
 
-    def test_smaller_ball_is_the_restriction(self, spec_parts):
-        deep = bf.library_batch(GGMSpec(*spec_parts, cayley_ball(2, 6)), 300, 8)
+    def test_smaller_ball_is_the_restriction(self, far_model):
+        deep = bf.library_batch(*far_model, cayley_ball(2, 6), 300, 8)
         for radius in (1, 2, 5):
             ball = cayley_ball(2, radius)
-            assert np.array_equal(bf.library_batch(GGMSpec(*spec_parts, ball), 300, 8),
+            assert np.array_equal(bf.library_batch(*far_model, ball, 300, 8),
                                   deep[:, :ball.n_edges])
 
-    def test_block_size_does_not_change_the_batch(self, spec_parts, monkeypatch):
+    def test_block_size_does_not_change_the_batch(self, far_model, monkeypatch):
         # a depth-3 ball has 22 vertices: below 22 each level is drawn in
         # sub-ranges (of 7, ending between two siblings, or of 1 vertex), from
         # 22 on a block holds DRAW_BLOCK // 22 samples
-        spec = GGMSpec(*spec_parts, cayley_ball(2, 3))
-        whole = bf.library_batch(spec, 700, 12)
+        ball = cayley_ball(2, 3)
+        whole = bf.library_batch(*far_model, ball, 700, 12)
         for draw_block in (1, 7, 21, 22, 23, 44, 100):
             monkeypatch.setattr(measures, "DRAW_BLOCK", draw_block)
-            blocks = list(sample_ggm_batch(spec, 700, 12))
+            blocks = list(sample_ggm_batch(*far_model, ball, 700, 12))
             per_block = max(1, draw_block // 22)
             assert [len(block) for block in blocks] == [per_block] * (700 // per_block) + (
                 [700 % per_block] if 700 % per_block else [])
             assert np.array_equal(np.concatenate(blocks), whole)
 
     @pytest.mark.parametrize("d, depth", [(2, 6), (3, 5), (4, 4)])
-    def test_sub_ranges_of_a_level_are_the_per_edge_sampler(self, spec_parts, monkeypatch,
+    def test_sub_ranges_of_a_level_are_the_per_edge_sampler(self, far_model, monkeypatch,
                                                             d, depth):
         # ranges of 3 and 4 vertices split the root's d + 1 children at d = 3
         # and 4, and ranges of 7 and 13 split later levels between siblings
-        spec = GGMSpec(*spec_parts, cayley_ball(d, depth))
-        want = bf.sample_ggm_batch(spec, 3, 21)
+        ball = cayley_ball(d, depth)
+        want = bf.sample_ggm_batch(*far_model, ball, 3, 21)
         for draw_block in (3, 4, 7, 13):
             monkeypatch.setattr(measures, "DRAW_BLOCK", draw_block)
-            assert np.array_equal(bf.library_batch(spec, 3, 21), want)
+            assert np.array_equal(bf.library_batch(*far_model, ball, 3, 21), want)
 
 
 class TestLevelBlockedSampler:
@@ -487,32 +471,33 @@ class TestLevelBlockedSampler:
     # (300, 10), of 344 samples at (2000, 6) and of 6553 samples at
     # (10**5, 2), each run ending in a partial block
     @pytest.mark.parametrize("n, depth", [(1, 1), (300, 10), (2000, 6), (10**5, 2)])
-    def test_equals_per_edge_sampler(self, spec_parts, n, depth):
-        spec = GGMSpec(*spec_parts, cayley_ball(2, depth))
-        assert np.array_equal(bf.library_batch(spec, n, 5), bf.sample_ggm_batch(spec, n, 5))
+    def test_equals_per_edge_sampler(self, far_model, n, depth):
+        ball = cayley_ball(2, depth)
+        assert np.array_equal(bf.library_batch(*far_model, ball, n, 5),
+                              bf.sample_ggm_batch(*far_model, ball, n, 5))
 
-    def test_memory_does_not_grow_with_n(self, spec_parts):
+    def test_memory_does_not_grow_with_n(self, far_model):
         # the blocks are drawn and dropped one at a time, so ten times the
         # samples need no more memory
-        spec = GGMSpec(*spec_parts, cayley_ball(2, 2))
+        ball = cayley_ball(2, 2)
         peaks = []
         for n in (10**5, 10**6):
             tracemalloc.start()
             try:
-                for _ in sample_ggm_batch(spec, n, 5):
+                for _ in sample_ggm_batch(*far_model, ball, n, 5):
                     pass
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
 
-    def test_homogeneity_unchanged(self, spec_parts, monkeypatch):
+    def test_homogeneity_unchanged(self, far_model, monkeypatch):
         # depth 2 with cutoff >= 1 has over 4096 windowed configurations, so
         # the sampled homogeneity scan samples
-        spec = GGMSpec(*spec_parts, cayley_ball(2, 2))
-        got = bf.scan_homogeneity(spec, [0, 1, 4])
+        ball = cayley_ball(2, 2)
+        got = bf.scan_homogeneity(*far_model, ball, [0, 1, 4])
         monkeypatch.setattr(measures, "sample_ggm_batch", bf.sample_ggm_batch)
-        assert bf.scan_homogeneity(spec, [0, 1, 4]) == got
+        assert bf.scan_homogeneity(*far_model, ball, [0, 1, 4]) == got
 
 
 class TestGuideSampler:
@@ -542,15 +527,16 @@ class TestGuideSampler:
                                                 (1.0, 2, np.int8)])
     def test_compact_batch_equals_per_edge_sampler(self, beta, q, dtype):
         kernel = far_kernel(beta, q)
-        spec = GGMSpec(kernel, fuzzy_transform(kernel), cayley_ball(2, 3))
+        chain, ball = fuzzy_transform(kernel), cayley_ball(2, 3)
         n = 700
-        blocks = list(sample_ggm_batch(spec, n, 11))
+        blocks = list(sample_ggm_batch(kernel, chain, ball, n, 11))
         for block in blocks:
             assert block.dtype == dtype
             # sample-major storage, one itemsize per (sample, edge)
             assert block.flags.c_contiguous
-            assert block.nbytes == len(block) * spec.volume.n_edges * block.itemsize
-        assert np.array_equal(np.concatenate(blocks), bf.sample_ggm_batch(spec, n, 11))
+            assert block.nbytes == len(block) * ball.n_edges * block.itemsize
+        assert np.array_equal(np.concatenate(blocks),
+                              bf.sample_ggm_batch(kernel, chain, ball, n, 11))
 
 
 def random_balls(count, seed):
@@ -570,7 +556,6 @@ class TestStepTableWalks:
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
         for _, volume in random_balls(40, seed=5):
-            spec = PinnedMeasureSpec(kernel, volume, 0)
             starts = volume.starts
             for r in range(len(starts) - 2):
                 part = bf.descendants(volume, 0, r)
@@ -579,7 +564,8 @@ class TestStepTableWalks:
                 assert rim == [dst for _, src, dst, _ in bf.scalar_orientation(volume, 0)
                                if src in part and dst not in part]
                 assert rim == sorted(bf.adjacent_outside(volume, part))
-                assert check_consistency(spec, r) == bf.consistency_bound(spec, part)
+                assert (check_consistency(kernel, volume, r)
+                        == bf.consistency_bound(kernel, volume, part))
 
     def test_homogeneity_counts_the_edges_spanning_the_pins(self, sos2, upper_law):
         # r = 1e-3, as in TestHomogeneity, so the bound is 1.001**k - 1 for
@@ -602,7 +588,7 @@ class TestStepTableWalks:
                 volume.starts[-2], volume.n_vertices)))]
             depths = rng.choice(len(ray), size=rng.integers(1, 5)).tolist()
             k = bf.spanning_edges(volume, [ray[j] for j in depths])
-            got = check_homogeneity(GGMSpec(kernel, chain, volume), depths)
+            got = check_homogeneity(kernel, chain, volume, depths)
             assert got == (pytest.approx(1.001**k - 1, rel=1e-9) if k else 0.0)
 
     def test_restricted_exponents_are_the_neighbour_counts(self, sos2, upper_law):
@@ -611,66 +597,83 @@ class TestStepTableWalks:
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
         for _, volume in random_balls(60, seed=7):
-            spec = PinnedMeasureSpec(kernel, volume, 0)
             for r in range(len(volume.starts) - 3):
                 inner = bf.descendants(volume, 1, r)
                 assert len(inner) == sum(volume.d**j for j in range(r + 1))
-                assert check_restricted_dlr(spec, r) == bf.restricted_bound(spec, inner)
+                assert (check_restricted_dlr(kernel, volume, r)
+                        == bf.restricted_bound(kernel, volume, inner))
 
 
 class TestConsistency:
     def test_one_site_growth(self, small_kernel, ball2):
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
-        assert check_consistency(spec, 0) < 1e-9
-        assert check_consistency(spec, 1) < 1e-9
+        assert check_consistency(small_kernel, ball2, 0) < 1e-9
+        assert check_consistency(small_kernel, ball2, 1) < 1e-9
 
-    def test_mixture_consistency(self, small_kernel, ball2):
+    def test_mixture_consistency(self, sos2, small_kernel, small_chain, ball2):
         # one bound for every pin class, so it bounds their mixture too
-        bounds = {check_consistency(PinnedMeasureSpec(small_kernel, ball2, s), 0)
-                  for s in range(small_kernel.q)}
-        assert len(bounds) == 1 and bounds.pop() < 1e-9
+        bound = check_consistency(small_kernel, ball2, 0)
+        assert bound < 1e-9
+        for s in range(small_kernel.q):
+            assert bf.scan_consistency(sos2, small_kernel, ball2, s, {0})[1] <= bound
+        assert bf.scan_consistency(sos2, small_kernel, ball2, 0, {0}, mixture=True,
+                                   chain=small_chain)[1] <= bound
 
     def test_uniform_law_is_product(self, ball2):
         law = PeriodicBoundaryLaw.trivial(2)
         kernel = build_layer_kernel(SOS(2.0), law, IncrementWindow.manual(SOS(2.0), 3, law))
-        spec = PinnedMeasureSpec(kernel, ball2, 0)
-        assert check_consistency(spec, 0) < 1e-12
+        assert check_consistency(kernel, ball2, 0) < 1e-12
 
     def test_perturbed_law_fails(self, sos2, upper_law, ball2):
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
-        spec = PinnedMeasureSpec(kernel, ball2, 0)
-        assert check_consistency(spec, 0) > 1e-3
+        assert check_consistency(kernel, ball2, 0) > 1e-3
+
+    def test_repeated_width_sums_as_its_list(self):
+        # the widths summed one at a time from an iterator, as from the list
+        # of count copies they once were, in the same order, so bit for bit
+        rng = np.random.default_rng(23)
+        for width, count in zip(rng.random(500) * 10.0 ** rng.integers(-18, 3, 500),
+                                rng.integers(0, 3000, 500).tolist()):
+            width = float(width)
+            assert sum(itertools.repeat(width, count)) == sum([width] * count)
+
+    def test_deep_rim_sums_in_no_memory(self, kernel):
+        # the rim of the inner ball of radius 23 has 3 * 2**23 vertices, whose
+        # list of widths took 192 MiB
+        volume = cayley_ball(2, 24)
+        tracemalloc.start()
+        try:
+            got = check_consistency(kernel, volume, 23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert math.isfinite(got)
 
 
 class TestHomogeneity:
     def test_adjacent_pins_on_single_edge(self, kernel, chain, ball1):
-        spec = GGMSpec(kernel, chain, ball1)
-        assert check_homogeneity(spec, [0, 1]) < 1e-10
+        assert check_homogeneity(kernel, chain, ball1, [0, 1]) < 1e-10
 
-    def test_three_pins_on_depth2(self, ggm):
-        assert check_homogeneity(ggm, [0, 1, 2]) < 1e-9
+    def test_three_pins_on_depth2(self, kernel, chain, ball2):
+        assert check_homogeneity(kernel, chain, ball2, [0, 1, 2]) < 1e-9
 
     def test_uniform_law_exact(self, ball2):
         kernel = build_layer_kernel(SOS(1.0), PeriodicBoundaryLaw.trivial(2))
-        chain = fuzzy_transform(kernel)
-        spec = GGMSpec(kernel, chain, ball2)
-        assert check_homogeneity(spec, [0, 1, 2]) < 1e-14
+        assert check_homogeneity(kernel, fuzzy_transform(kernel), ball2, [0, 1, 2]) < 1e-14
 
     def test_holds_for_any_positive_law(self, sos2, upper_law, ball2):
         # pin switching telescopes through detailed balance, which is
         # structural; homogeneity cannot detect off-manifold laws
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law)
-        spec = GGMSpec(kernel, fuzzy_transform(kernel), ball2)
-        assert check_homogeneity(spec, [0, 1, 2]) < 1e-12
+        assert check_homogeneity(kernel, fuzzy_transform(kernel), ball2, [0, 1, 2]) < 1e-12
 
     def test_pin_depths_lie_in_the_ball(self, chain, kernel, ball2):
         # a vertex number past the radius is no depth, so it is refused
-        spec = GGMSpec(kernel, chain, ball2)
         for pins in ([0, 3], [-1, 1], [4]):
             with pytest.raises(ValueError, match="pin depths"):
-                check_homogeneity(spec, pins)
+                check_homogeneity(kernel, chain, ball2, pins)
 
     @pytest.mark.parametrize("depth", [2, 10, 14])
     def test_unbalanced_alpha_fails_at_every_depth(self, sos2, upper_law, depth):
@@ -680,12 +683,11 @@ class TestHomogeneity:
         chain = fuzzy_transform(kernel)
         alpha = chain.alpha.copy()
         alpha[0] *= 1.0 + 1e-3
-        spec = GGMSpec(kernel, FuzzyChain(2, chain.matrix, alpha / alpha.sum()),
-                       cayley_ball(2, depth))
-        assert check_homogeneity(spec, [0, 1, 2]) >= 1e-3
+        parts = kernel, FuzzyChain(2, chain.matrix, alpha / alpha.sum()), cayley_ball(2, depth)
+        assert check_homogeneity(*parts, [0, 1, 2]) >= 1e-3
         # r = 1e-3, and the pins span k = 2 edges
-        assert check_homogeneity(spec, [0, 1, 2]) == pytest.approx(1.001**2 - 1, rel=1e-9)
-        assert check_homogeneity(spec, [2]) == 0.0
+        assert check_homogeneity(*parts, [0, 1, 2]) == pytest.approx(1.001**2 - 1, rel=1e-9)
+        assert check_homogeneity(*parts, [2]) == 0.0
 
     def test_layer_without_weight_fails(self, kernel, chain, ball1):
         # alpha(0) = 0 leaves one flow of each odd pair at 0 and the other
@@ -693,39 +695,36 @@ class TestHomogeneity:
         # configurations differently, so the pair must count, not be skipped
         alpha = np.zeros(kernel.q)
         alpha[1] = 1.0
-        spec = GGMSpec(kernel, FuzzyChain(kernel.q, chain.matrix, alpha), ball1)
-        assert check_homogeneity(spec, [0, 1]) == math.inf
+        chain = FuzzyChain(kernel.q, chain.matrix, alpha)
+        assert check_homogeneity(kernel, chain, ball1, [0, 1]) == math.inf
 
 
 class TestRestrictedConditional:
     def test_inner_star_inside_depth2(self, small_kernel, ball2):
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
-        assert check_restricted_dlr(spec, 0) < 1e-9
+        assert check_restricted_dlr(small_kernel, ball2, 0) < 1e-9
 
-    def test_mixture_conditional_agrees(self, small_kernel, small_chain, ball2):
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
-        got = check_restricted_dlr(spec, 0)
+    def test_mixture_conditional_agrees(self, sos2, small_kernel, small_chain, ball2):
+        got = check_restricted_dlr(small_kernel, ball2, 0)
         assert got < 1e-9
+        assert bf.scan_restricted_dlr(sos2, small_kernel, ball2, 0, {1}, mixture=True,
+                                      chain=small_chain) <= got
 
     def test_period_one_uniform_law(self, ball2):
         law = PeriodicBoundaryLaw.trivial(1)
         kernel = build_layer_kernel(SOS(2.0), law, IncrementWindow.manual(SOS(2.0), 3, law))
-        spec = PinnedMeasureSpec(kernel, ball2, 0)
-        assert check_restricted_dlr(spec, 0) < 1e-12
+        assert check_restricted_dlr(kernel, ball2, 0) < 1e-12
 
-    def test_pin_inside_inner_rejected(self, small_kernel, ball2):
+    def test_pin_inside_inner_rejected(self, sos2, small_kernel, ball2):
         # a sub-ball below vertex 1 never holds the pin; the oracles, which
         # take any vertex set, refuse one that does
-        spec = PinnedMeasureSpec(small_kernel, ball2, 0)
         for oracle in (bf.check_restricted_dlr, bf.scan_restricted_dlr, bf.ratio_range):
             with pytest.raises(bf.PinInsideInner):
-                oracle(spec, {0, 1})
+                oracle(sos2, small_kernel, ball2, 0, {0, 1})
 
     def test_perturbed_law_fails(self, sos2, upper_law, ball2):
         law = perturbed(upper_law)
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
-        spec = PinnedMeasureSpec(kernel, ball2, 0)
-        assert check_restricted_dlr(spec, 0) > 1e-3
+        assert check_restricted_dlr(kernel, ball2, 0) > 1e-3
 
 
 class TestPinForgetting:

@@ -22,6 +22,7 @@ from ggmtree import (
     wrapped_row,
     wrapped_sum,
 )
+from ggmtree import model
 from ggmtree.model import (
     _certified_wrapped_sum,
     interaction_matrix,
@@ -235,19 +236,23 @@ class TestIncrementWindow:
         weighted = tail_mass(sos2, window.cutoff + 1) * a.max() / norms.min()
         assert weighted <= window.tail_mass_bound
 
-    def test_smaller_bound_needs_larger_cutoff(self, sos2, upper_law):
-        loose = IncrementWindow.for_model(sos2, upper_law, bound=1e-6)
-        tight = IncrementWindow.for_model(sos2, upper_law, bound=1e-14)
-        assert tight.cutoff > loose.cutoff
+    def test_smaller_bound_needs_larger_cutoff(self, sos2, upper_law, monkeypatch):
+        cutoffs = []
+        for bound in (1e-6, 1e-14):
+            monkeypatch.setattr(model, "WINDOW_BOUND", bound)
+            window = IncrementWindow.for_model(sos2, upper_law)
+            assert window.tail_mass_bound == bound
+            cutoffs.append(window.cutoff)
+        assert cutoffs[1] > cutoffs[0]
 
     def test_lifted_potts_window_is_support(self):
         window = IncrementWindow.for_model(LiftedPotts(7, 1.0), PeriodicBoundaryLaw.trivial(7))
         assert window.cutoff == 3
 
-    def test_unreachable_bound_raises(self):
-        with pytest.raises(NonSummable):
-            IncrementWindow.for_model(SOS(0.001), PeriodicBoundaryLaw.trivial(1),
-                                      bound=1e-12, max_cutoff=10)
+    def test_unreachable_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(model, "MAX_CUTOFF", 10)
+        with pytest.raises(NonSummable, match="size <= 10"):
+            IncrementWindow.for_model(SOS(0.001), PeriodicBoundaryLaw.trivial(1))
 
 
 # index order is not BFS order: vertex 3, a child of the root, comes after

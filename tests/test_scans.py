@@ -25,10 +25,8 @@ from brute_force import VolumeTooLarge
 from ggmtree import (
     SOS,
     FuzzyChain,
-    GGMSpec,
     IncrementWindow,
     PeriodicBoundaryLaw,
-    PinnedMeasureSpec,
     build_layer_kernel,
     cayley_ball,
     check_consistency,
@@ -63,7 +61,7 @@ def build_model(q, factor, cutoff=CUTOFF):
         a[1] *= factor
         law = PeriodicBoundaryLaw.from_values(a)
     kernel = build_layer_kernel(op, law, IncrementWindow.manual(op, cutoff, law))
-    return kernel, fuzzy_transform(kernel)
+    return op, kernel, fuzzy_transform(kernel)
 
 
 MODELS = {"q1": (1, 1.0), "q2": (2, 1.0), "q2-perturbed": (2, 1.1), "q3": (3, 1.0),
@@ -94,22 +92,22 @@ def bounded(exact, bound):
 
 @pytest.mark.parametrize("depth, pin", [(1, 0), (2, 1)], ids=["d1", "d2-pin1"])
 def test_dual_gaps_match_residue_loops(model, depth, pin):
-    kernel, chain = model
+    op, kernel, chain = model
     volume = cayley_ball(2, depth)
-    spec = PinnedMeasureSpec(kernel, volume, kernel.q - 1)
-    assert close(bf.scan_dual_gap_pinned(spec, pin=pin)[0],
-                 bf.max_dual_gap_pinned(spec, pin=pin))
-    ggm = GGMSpec(kernel, chain, volume)
-    assert close(bf.scan_dual_gap_ggm(ggm)[0], bf.max_dual_gap_ggm(ggm))
+    pinned = op, kernel, volume, kernel.q - 1
+    assert close(bf.scan_dual_gap_pinned(*pinned, pin=pin)[0],
+                 bf.max_dual_gap_pinned(*pinned, pin=pin))
+    assert close(bf.scan_dual_gap_ggm(op, kernel, chain, volume)[0],
+                 bf.max_dual_gap_ggm(op, kernel, chain, volume))
 
 
-def check_dual_gaps(kernel, chain, depth, pin):
+def check_dual_gaps(op, kernel, chain, depth, pin):
     volume = cayley_ball(2, depth)
-    spec = PinnedMeasureSpec(kernel, volume, kernel.q - 1)
-    assert bounded(bf.scan_dual_gap_pinned(spec, pin=pin), max_dual_gap_pinned(spec))
+    assert bounded(bf.scan_dual_gap_pinned(op, kernel, volume, kernel.q - 1, pin=pin),
+                   max_dual_gap_pinned(kernel, volume))
     if pin == 0:
-        ggm = GGMSpec(kernel, chain, volume)
-        assert bounded(bf.scan_dual_gap_ggm(ggm), max_dual_gap_ggm(ggm))
+        assert bounded(bf.scan_dual_gap_ggm(op, kernel, chain, volume),
+                       max_dual_gap_ggm(kernel, chain, volume))
 
 
 @pytest.mark.parametrize("depth, pin", [(1, 0), (2, 0), (2, 1)], ids=["d1", "d2", "d2-pin1"])
@@ -132,10 +130,11 @@ def test_dual_gap_certificates_bound_the_depth3_scans(name):
     (2, {0, 1}, 1, True),
 ], ids=["d1", "d1-mixture", "d2", "d2-inner01", "d2-inner01-pin1", "d2-inner01-pin1-mixture"])
 def test_consistency_matches_enumeration(model, depth, inner, pin, mixture):
-    kernel, chain = model
-    spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), kernel.q - 1)
-    want = bf.check_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin)
-    difference, ratio = bf.scan_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin)
+    op, kernel, chain = model
+    pinned = op, kernel, cayley_ball(2, depth), kernel.q - 1
+    want = bf.check_consistency(*pinned, inner, mixture=mixture, chain=chain, pin=pin)
+    difference, ratio = bf.scan_consistency(*pinned, inner, mixture=mixture, chain=chain,
+                                            pin=pin)
     assert close(difference, want) and ratio >= difference
 
 
@@ -161,62 +160,67 @@ def test_consistency_matches_enumeration(model, depth, inner, pin, mixture):
         "d3-inner0123-mixture", "d3-inner0123-pin2", "d3-inner0123-pin3-mixture"])
 def test_consistency_certificate_bounds_the_scan(certified_model, depth, inner, radius, pin,
                                                  mixture):
-    kernel, chain = certified_model
-    spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), kernel.q - 1)
+    op, kernel, chain = certified_model
+    volume = cayley_ball(2, depth)
     # the certificate summed over the rim of any connected inner set holding
     # the centre; the library's takes the inner balls
-    bound = bf.consistency_bound(spec, inner)
+    bound = bf.consistency_bound(kernel, volume, inner)
     if radius is not None:
-        assert inner == bf.descendants(spec.volume, 0, radius)
-        assert check_consistency(spec, radius) == bound
+        assert inner == bf.descendants(volume, 0, radius)
+        assert check_consistency(kernel, volume, radius) == bound
     # one bound for every pin class, so it bounds the mixture too
-    assert bounded(bf.scan_consistency(spec, inner, mixture=mixture, chain=chain, pin=pin),
-                   bound)
+    assert bounded(bf.scan_consistency(op, kernel, volume, kernel.q - 1, inner,
+                                       mixture=mixture, chain=chain, pin=pin), bound)
 
 
 def test_consistency_scan_skips_classes_without_configurations():
     # q = 4 at cutoff 1 < q/2: the inner classes with an increment of
     # residue 2 hold no windowed configuration, and the others still differ
-    kernel, _ = build_model(4, 1.1, cutoff=1)
-    spec = PinnedMeasureSpec(kernel, cayley_ball(2, 2), kernel.q - 1)
-    exact = bf.scan_consistency(spec, {0})
-    assert exact[0] > 0.0 and bounded(exact, check_consistency(spec, 0))
+    op, kernel, _ = build_model(4, 1.1, cutoff=1)
+    volume = cayley_ball(2, 2)
+    exact = bf.scan_consistency(op, kernel, volume, kernel.q - 1, {0})
+    assert exact[0] > 0.0 and bounded(exact, check_consistency(kernel, volume, 0))
 
 
 def test_bounds_are_the_same_for_every_pin_class(certified_model):
-    # normalization centres the pinned bounds, so neither reads the class
-    kernel, _ = certified_model
+    # normalization centres the pinned bounds, so none reads the class: the
+    # one bound covers the exact scan pinned to each class
+    op, kernel, _ = certified_model
     volume = cayley_ball(2, 2)
-    for radius in [0, 1]:
-        specs = [PinnedMeasureSpec(kernel, volume, s) for s in range(kernel.q)]
-        assert len({check_consistency(spec, radius) for spec in specs}) == 1
-        assert len({max_dual_gap_pinned(spec) for spec in specs}) == 1
+    gap = max_dual_gap_pinned(kernel, volume)
+    restricted = check_restricted_dlr(kernel, volume, 0)
+    for s in range(kernel.q):
+        assert bounded(bf.scan_dual_gap_pinned(op, kernel, volume, s), gap)
+        assert bf.scan_restricted_dlr(op, kernel, volume, s, {1}) <= restricted
+        for radius in [0, 1]:
+            assert bounded(bf.scan_consistency(op, kernel, volume, s,
+                                               bf.descendants(volume, 0, radius)),
+                           check_consistency(kernel, volume, radius))
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_mixture_dual_bound_is_the_pinned_one_widened(certified_model, depth):
     # its width adds ptp(log c) to the pinned width
-    kernel, chain = certified_model
+    _, kernel, chain = certified_model
     volume = cayley_ball(2, depth)
-    assert (max_dual_gap_ggm(GGMSpec(kernel, chain, volume))
-            >= max_dual_gap_pinned(PinnedMeasureSpec(kernel, volume, 0)))
+    assert max_dual_gap_ggm(kernel, chain, volume) >= max_dual_gap_pinned(kernel, volume)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_radii_lie_in_the_ball(kernel, depth):
     # the inner ball's rim, level radius + 1, lies in the ball, and the
     # sub-ball below vertex 1, levels 1 .. radius + 1, inside its interior
-    spec = PinnedMeasureSpec(kernel, cayley_ball(2, depth), 0)
+    volume = cayley_ball(2, depth)
     for radius in range(depth):
-        check_consistency(spec, radius)
+        check_consistency(kernel, volume, radius)
     for radius in range(depth - 1):
-        check_restricted_dlr(spec, radius)
+        check_restricted_dlr(kernel, volume, radius)
     for radius in (-1, depth):
         with pytest.raises(ValueError, match="inner radius"):
-            check_consistency(spec, radius)
+            check_consistency(kernel, volume, radius)
     for radius in (-1, depth - 1):
         with pytest.raises(ValueError, match="sub-ball radius"):
-            check_restricted_dlr(spec, radius)
+            check_restricted_dlr(kernel, volume, radius)
 
 
 # ball of depth 2: edge k joins vertex k + 1 to its parent; 1 -> 4, 5 are
@@ -230,11 +234,11 @@ def test_radii_lie_in_the_ball(kernel, depth):
 ], ids=["inner1", "inner1-reference", "inner1-outside-mixture", "inner0-pin1",
         "inner12-pin3-mixture"])
 def test_restricted_dlr_matches_enumeration(model, inner, pin, outside, reference, mixture):
-    kernel, chain = model
-    spec = PinnedMeasureSpec(kernel, cayley_ball(2, 2), kernel.q - 1)
+    op, kernel, chain = model
+    pinned = op, kernel, cayley_ball(2, 2), kernel.q - 1
     kwargs = dict(outside=outside, reference=reference, mixture=mixture, chain=chain, pin=pin)
-    want = bf.check_restricted_dlr(spec, inner, **kwargs)
-    assert close(bf.scan_restricted_dlr(spec, inner, **kwargs), want)
+    want = bf.check_restricted_dlr(*pinned, inner, **kwargs)
+    assert close(bf.scan_restricted_dlr(*pinned, inner, **kwargs), want)
 
 
 # ball of depth 3: vertex 1 has children 4, 5 and grandchildren 10 .. 13;
@@ -255,20 +259,20 @@ def test_restricted_dlr_matches_enumeration(model, inner, pin, outside, referenc
         "d3-inner1-pin2", "d3-inner145", "d3-inner145-pin10-mixture"])
 def test_restricted_certificate_bounds_the_scan(certified_model, depth, inner, radius, pin,
                                                 outside, reference, mixture):
-    kernel, chain = certified_model
+    op, kernel, chain = certified_model
     volume = cayley_ball(2, depth)
-    spec = PinnedMeasureSpec(kernel, volume, kernel.q - 1)
+    pinned = op, kernel, volume, kernel.q - 1
     kwargs = dict(outside=outside, reference=reference, mixture=mixture, chain=chain, pin=pin)
     # the bound holds for every outside assignment and boundary-height
     # class, which only the oracles take; the library's takes the sub-balls
-    bound = bf.restricted_bound(spec, inner)
+    bound = bf.restricted_bound(kernel, volume, inner)
     if radius is not None:
         assert inner == bf.descendants(volume, 1, radius)
-        assert check_restricted_dlr(spec, radius) == bound
-    assert bf.scan_restricted_dlr(spec, inner, **kwargs) <= bound
+        assert check_restricted_dlr(kernel, volume, radius) == bound
+    assert bf.scan_restricted_dlr(*pinned, inner, **kwargs) <= bound
     # the bound is rho - 1, rho bounding the range of p / b over the class
     # and reaching it for one inner vertex that takes every layer
-    exact = bf.ratio_range(spec, inner, **kwargs) - 1.0
+    exact = bf.ratio_range(*pinned, inner, **kwargs) - 1.0
     assert exact <= bound
     if len(inner) == 1 and not mixture:
         assert exact == pytest.approx(bound, rel=1e-9, abs=1e-12)
@@ -282,30 +286,27 @@ def test_restricted_certificate_bounds_the_scan(certified_model, depth, inner, r
 def test_homogeneity_certificate_bounds_enumeration(certified_model, alpha_factor,
                                                     depth, pins, depths, cutoff):
     # every windowed configuration: 5**3 at depth 1, 3**9 at depth 2
-    kernel, chain = certified_model
+    op, kernel, chain = certified_model
     if cutoff != CUTOFF:
-        kernel = build_layer_kernel(kernel.op, kernel.law,
-                                    IncrementWindow.manual(kernel.op, cutoff, kernel.law))
+        kernel = build_layer_kernel(op, kernel.law, IncrementWindow.manual(op, cutoff, kernel.law))
         chain = fuzzy_transform(kernel)
     alpha = chain.alpha.copy()
     alpha[0] *= alpha_factor
-    spec = GGMSpec(kernel, FuzzyChain(kernel.q, chain.matrix, alpha / alpha.sum()),
-                   cayley_ball(2, depth))
-    assert bounded(bf.scan_homogeneity(spec, pins, enumerate_budget=3**9),
-                   check_homogeneity(spec, depths))
+    parts = kernel, FuzzyChain(kernel.q, chain.matrix, alpha / alpha.sum()), cayley_ball(2, depth)
+    assert bounded(bf.scan_homogeneity(*parts, pins, enumerate_budget=3**9),
+                   check_homogeneity(*parts, depths))
 
 
-def test_budgets_bound_the_scanned_classes(kernel, chain, ball2):
+def test_budgets_bound_the_scanned_classes(sos2, kernel, chain, ball2):
     # q = 2: 2**3 inner residue classes around the root, 2**9 residue
     # vectors, and 2 * cutoff + 1 heights for vertex 1
-    spec = PinnedMeasureSpec(kernel, ball2, 0)
-    ggm = GGMSpec(kernel, chain, ball2)
+    pinned = sos2, kernel, ball2, 0
     heights = 2 * kernel.window.cutoff + 1
     scans = [
-        (lambda b: bf.scan_consistency(spec, {0}, config_budget=b), 2**3),
-        (lambda b: bf.scan_restricted_dlr(spec, {1}, config_budget=b), heights),
-        (lambda b: bf.scan_dual_gap_pinned(spec, residue_budget=b), 2**9),
-        (lambda b: bf.scan_dual_gap_ggm(ggm, residue_budget=b), 2**9),
+        (lambda b: bf.scan_consistency(*pinned, {0}, config_budget=b), 2**3),
+        (lambda b: bf.scan_restricted_dlr(*pinned, {1}, config_budget=b), heights),
+        (lambda b: bf.scan_dual_gap_pinned(*pinned, residue_budget=b), 2**9),
+        (lambda b: bf.scan_dual_gap_ggm(sos2, kernel, chain, ball2, residue_budget=b), 2**9),
     ]
     for scan, count in scans:
         scan(count)
@@ -315,9 +316,8 @@ def test_budgets_bound_the_scanned_classes(kernel, chain, ball2):
 
 def test_partition_keeps_no_kernel_alive(sos2, upper_law, ball1):
     kernel = build_layer_kernel(sos2, upper_law)
-    spec = PinnedMeasureSpec(kernel, ball1, 0)
-    max_dual_gap_pinned(spec)
+    max_dual_gap_pinned(kernel, ball1)
     ref = weakref.ref(kernel)
-    del kernel, spec
+    del kernel
     gc.collect()
     assert ref() is None
