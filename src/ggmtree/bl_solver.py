@@ -2,13 +2,14 @@
 
 A q-periodic law a solves the tree recursion when a_k is proportional to
 (sum_m C[k, m] a_m)**d for the wrapped interaction matrix C, with the constant
-eliminated by the a_0 = 1 normalization. This module provides:
+eliminated by the a_0 = 1 normalization. Laws span many decades at large q
+and beta, so the solver works in x = log a, x_0 = 0, where the equation is
+x = g(x), g_k(x) = d (log S_k - log S_0), S = C e**x. This module provides:
 
-- the residual of that equation;
+- the scale-free residual max_k |x_k - g_k(x)|, the one residual of the
+  solver, its merge, its labels and its reports;
 - one batched iteration loop, ``_damped``, behind the multi-start branch
-  search. It starts with a few damped updates, then takes Newton steps on
-  a - F(a)/F_0(a) (analytic (q-1) x (q-1) Jacobian) wherever they lower the
-  residual, and polishes each converged row with Newton;
+  search: damped updates, then Newton steps on x - g(x), then a Newton polish;
 - the branch search's closure under the cyclic shifts and the reflection of
   C, and its merge rule, which folds the rows lying in one flat residual well
   onto one branch;
@@ -40,10 +41,9 @@ BRANCH_LOWER = "lower"
 BRANCH_OTHER = "other"
 BRANCHES = (BRANCH_TRIVIAL, BRANCH_UPPER, BRANCH_LOWER, BRANCH_OTHER)  # every branch_label
 
-DAMPING = 0.7  # the weight of G(a) in a damped update
+DAMPING = 0.7  # the weight of e**g(x) in a damped update
 MAX_ITER = 5000  # updates each start may take before it counts as unconverged
-_LOWER_GUARD = 1e-12
-_UPPER_GUARD = 1e12
+TOL = 1e-10  # the residual every law is solved to
 # damped updates each row takes before Newton steps: they pull the far starts
 # (1e-4 and 1e4) towards a solution
 _WARMUP = 8
@@ -51,7 +51,8 @@ _WARMUP = 8
 _POLISH = 2
 # updates without the residual halving after which a row stops trying Newton
 _STALL = 20
-_ATOL = 1e-6  # laws this close in every entry are one branch
+_MERGE = 1e-6  # laws this close in every entry of log a are one branch
+_SEGMENT = (0.5, 0.25, 0.75)  # where a flat residual well joins two rows
 
 
 @dataclass(frozen=True)
@@ -63,64 +64,68 @@ class SolveReport:
 
 
 def residual(law: PeriodicBoundaryLaw, op: TransferOperator, d: int) -> float:
-    """Max-norm violation of the normalized boundary-law fixed point."""
-    a = law.as_array()[None, :]
-    return float(_fixed_point_map(interaction_matrix(op, law.q), d, a)[2][0])
+    """Max-norm violation of the boundary-law equation in x = log a."""
+    x = np.log(law.as_array())[None, :]
+    return float(_log_map(interaction_matrix(op, law.q), d, x)[1][0])
 
 
-def _fixed_point_map(C: np.ndarray, d: int, rows: np.ndarray):
-    """G(a) = F(a)/F_0(a) with F = (C a)**d for each row a, returned with the
-    sums S = C a and the residuals max |a - G(a)|."""
-    S = rows @ C.T
-    F = S ** d
-    G = F / F[:, :1]
-    return S, G, np.max(np.abs(rows - G), axis=1)
+def _log_map(C: np.ndarray, d: int, x: np.ndarray):
+    """g(x) = d (log S - log S_0), S = C e**x, for each row x (x_0 = 0), with
+    the residuals max |x - g(x)|, w = e**(x - max x) and S = C w. Shifting by
+    the row's largest entry cancels in g, so no law overflows, and S is
+    summed term by term, not by a matrix product, so a row gives the same
+    bits alone and in any batch."""
+    w = np.exp(x - x.max(axis=1, keepdims=True))
+    S = sum(C[:, j] * w[:, j, None] for j in range(len(C)))
+    log_s = np.log(S)
+    g = d * (log_s - log_s[:, :1])
+    return g, np.abs(x - g).max(axis=1), w, S
 
 
-def _newton(C: np.ndarray, d: int, rows: np.ndarray, S: np.ndarray,
-            G: np.ndarray) -> np.ndarray:
-    """One Newton step on a - G(a) in a_1 .. a_{q-1} for each row, with a_0 = 1
-    held. Rows whose Jacobian is singular, or whose step leaves the guards,
-    come back as NaN."""
-    q = C.shape[0]
-    # dG_k/da_j = d G_k (C[k, j]/S_k - C[0, j]/S_0)
-    J = np.eye(q - 1) - d * G[:, 1:, None] * (
-        C[1:, 1:] / S[:, 1:, None] - C[0, 1:] / S[:, :1, None])
+def _newton(C: np.ndarray, d: int, x: np.ndarray, g: np.ndarray, w: np.ndarray,
+            S: np.ndarray) -> np.ndarray:
+    """One Newton step on x - g(x) in x_1 .. x_{q-1} for each row, x_0 = 0
+    held, from ``_log_map``'s g, w and S; NaN where the Jacobian is singular."""
+    P = C * w[:, None, :] / S[:, :, None]  # C[k, j] a_j / S_k
+    # dg_k/dx_j = d (P[k, j] - P[0, j])
+    J = np.eye(len(C) - 1) - d * (P[:, 1:, 1:] - P[:, :1, 1:])
     singular = ~(np.abs(np.linalg.det(J)) > 0.0)
-    J[singular] = np.eye(q - 1)
-    out = rows.copy()
-    out[:, 1:] += np.linalg.solve(J, (G - rows)[:, 1:, None])[..., 0]
-    inside = np.all((out > _LOWER_GUARD) & (out < _UPPER_GUARD), axis=1)
-    out[singular | ~inside] = np.nan
+    J[singular] = np.eye(len(C) - 1)
+    out = x.copy()
+    out[:, 1:] += np.linalg.solve(J, (g - x)[:, 1:, None])[..., 0]
+    out[singular] = np.nan
     return out
 
 
-def _label(a: np.ndarray) -> str:
-    if np.max(np.abs(a - 1.0)) <= _ATOL:
+def _label(x: np.ndarray) -> str:
+    if np.max(np.abs(x)) <= _MERGE:
         return BRANCH_TRIVIAL
-    if len(a) == 2:
-        return BRANCH_UPPER if a[1] > 1.0 else BRANCH_LOWER
+    if len(x) == 2:
+        return BRANCH_UPPER if x[1] > 0.0 else BRANCH_LOWER
     return BRANCH_OTHER
 
 
+@np.errstate(all="ignore")  # non-finite rows diverge, and non-finite trials never win
 def _damped(C: np.ndarray, d: int, rows: np.ndarray, damping: float,
             max_iter: int, tol: float):
-    """Damped iteration finished by Newton, on a batch of a_0 = 1 normalized
-    starts, in place.
+    """Damped iteration finished by Newton, on a batch of starts x = log a
+    with x_0 = 0, in place.
 
     Each row first takes ``_WARMUP`` damped updates
-    a <- (1 - damping) a + damping G(a), which pull far starts towards a
-    solution. After that, each update is the Newton step on a - G(a) in
-    a_1 .. a_{q-1} (analytic Jacobian, solved for the whole batch) where that
-    step stays inside the guards and lowers the residual, and the damped
-    update elsewhere. Newton also lowers the residual towards a minimum that
-    is not a root (the ghost of a solution pair just past a fold), where it
-    would hold a row for the whole budget; so a row whose residual has not
-    halved within ``_STALL`` updates takes damped updates alone until it
-    does. A row stops once its residual is at most ``tol``, and then takes up
-    to ``_POLISH`` more Newton steps, each kept only if the residual does not
-    grow: next to a bifurcation the Jacobian is nearly singular, and a
-    residual of 1e-10 can still leave an error of about 1e-7 in the law.
+    a <- (1 - damping) a + damping e**g, which pull far starts towards a
+    solution. After that, each update is the Newton step on x - g(x) in
+    x_1 .. x_{q-1} where it lowers the residual, else half that step where
+    that does, else the damped update. g is bounded (g_k lies within d times
+    the range of log(C[k, m] / C[0, m])), so no update runs away, and a row
+    diverges only when it stops being finite. Newton also lowers the
+    residual towards a minimum that is not a root (the ghost of a solution
+    pair just past a fold), where it would hold a row for the whole budget;
+    so a row whose residual has not halved within ``_STALL`` updates takes
+    damped updates alone until it does. A row stops once its residual is at
+    most ``tol``, and then takes up to ``_POLISH`` more Newton steps, each
+    kept only if the residual does not grow: next to a bifurcation the
+    Jacobian is nearly singular, and a residual of 1e-10 can still leave an
+    error of about 1e-7 in the law.
 
     Returns per-row update counts (damped and Newton updates before the row
     reached ``tol``; polish steps are not counted) and the diverged and
@@ -130,7 +135,7 @@ def _damped(C: np.ndarray, d: int, rows: np.ndarray, damping: float,
         raise ValueError("damping must lie in (0, 1]")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    n = len(rows)
+    n, q = rows.shape
     iters = np.full(n, max_iter + 1)
     converged = np.zeros(n, dtype=bool)
     diverged = np.zeros(n, dtype=bool)
@@ -141,20 +146,24 @@ def _damped(C: np.ndarray, d: int, rows: np.ndarray, damping: float,
     for step in range(max_iter + 1):
         if not idx.size:
             break
-        S, G, res = _fixed_point_map(C, d, cur)
+        g, res, w, S = _log_map(C, d, cur)
         done = res <= tol
         halved = res <= 0.5 * ref
         ref = np.where(halved, res, ref)
         since = np.where(halved, step, since)
-        nxt = (1.0 - damping) * cur + damping * G
-        nxt /= nxt[:, :1]
+        # a <- (1 - damping) a + damping e**g, put back to a_0 = 1
+        nxt = np.logaddexp(math.log1p(-damping) + cur, math.log(damping) + g)
+        nxt -= nxt[:, :1]
         if step >= _WARMUP:
             live = np.flatnonzero(~done & (step - since < _STALL))
             if live.size:
-                trial = _newton(C, d, cur[live], S[live], G[live])
-                better = _fixed_point_map(C, d, trial)[2] < res[live]
-                nxt[live[better]] = trial[better]
-        bad = ~done & np.any((nxt <= _LOWER_GUARD) | (nxt >= _UPPER_GUARD), axis=1)
+                full = _newton(C, d, cur[live], g[live], w[live], S[live])
+                trials = np.stack([full, 0.5 * (cur[live] + full)])
+                lower = _log_map(C, d, trials.reshape(-1, q))[1].reshape(2, -1) < res[live]
+                lower[1] &= ~lower[0]  # the half step where the whole one fails
+                for trial, ok in zip(trials, lower):
+                    nxt[live[ok]] = trial[ok]
+        bad = ~done & ~np.isfinite(nxt).all(axis=1)
         stop = done | bad
         if stop.any():
             rows[idx[stop]] = np.where(done[:, None], cur, nxt)[stop]
@@ -168,9 +177,9 @@ def _damped(C: np.ndarray, d: int, rows: np.ndarray, damping: float,
     conv = np.flatnonzero(converged)
     for _ in range(_POLISH):
         cur = rows[conv]
-        S, G, res = _fixed_point_map(C, d, cur)
-        trial = _newton(C, d, cur, S, G)
-        keep = _fixed_point_map(C, d, trial)[2] <= res
+        g, res, w, S = _log_map(C, d, cur)
+        trial = _newton(C, d, cur, g, w, S)
+        keep = _log_map(C, d, trial)[1] <= res
         rows[conv[keep]] = trial[keep]
     return iters, diverged, ~(converged | diverged)
 
@@ -194,78 +203,83 @@ def _default_inits(q: int, n_starts: int) -> np.ndarray:
 
 
 def _orbits(rows: np.ndarray) -> np.ndarray:
-    """The 2q images a(k + s) and a(s - k) of each row, renormalized to
-    a_0 = 1, row by row (2q consecutive images per source row)."""
+    """The 2q images x(k + s) and x(s - k) of each row of log a, put back to
+    x_0 = 0, row by row (2q consecutive images per source row)."""
     q = rows.shape[1]
     k = np.arange(q)
     perm = np.vstack([(k + s) % q for s in range(q)] + [(s - k) % q for s in range(q)])
     images = rows[:, perm].reshape(-1, q)
-    return images / images[:, :1]
+    return images - images[:, :1]
 
 
 def _distinct(C: np.ndarray, d: int, rows: np.ndarray, tol: float) -> list[int]:
-    """Indices of the rows that stand for distinct branches. In row order, a
-    row is dropped when it lies within ``_ATOL`` of an earlier kept row, or
-    when the residual at their midpoint is at most ``tol``; the scan is one
-    array comparison per kept row."""
+    """Indices of the rows of log a that stand for distinct branches. In row
+    order, a row is dropped when it lies within ``_MERGE`` of an earlier kept
+    row in every entry, or when the residual is at most ``tol`` at each of
+    the points ``_SEGMENT`` of the way between them. The midpoint alone
+    would not do: the midpoint in x of a law and its image under a -> 1/a,
+    such as the q = 2 pair (1, u) and (1, 1/u), is the trivial law."""
     keep = []
     left = np.arange(len(rows))
     while left.size:
         first, rest = left[0], left[1:]
         keep.append(int(first))
-        near = np.max(np.abs(rows[rest] - rows[first]), axis=1) <= _ATOL
-        mid = _fixed_point_map(C, d, 0.5 * (rows[rest] + rows[first]))[2]
-        left = rest[~(near | (mid <= tol))]
+        rest = rest[np.abs(rows[rest] - rows[first]).max(axis=1) > _MERGE]
+        joined = rest
+        for t in _SEGMENT:
+            if joined.size:
+                point = rows[first] + t * (rows[joined] - rows[first])
+                joined = joined[_log_map(C, d, point)[1] <= tol]
+        left = rest[~np.isin(rest, joined)]
     return keep
 
 
 def find_branches(op: TransferOperator, q: int, d: int, n_starts: int = 50,
-                  tol: float = 1e-10) -> list[SolveReport]:
+                  tol: float = TOL) -> list[SolveReport]:
     """Multi-start sweep; converged iterates and their symmetry images are
     merged into distinct branches.
 
-    The starts run as one batch through ``_damped``, with ``DAMPING`` and
-    at most ``MAX_ITER`` updates each. Diverged and unconverged
-    starts are dropped silently; the trivial solution is always part of the
-    result. C is circulant and symmetric, so every cyclic shift a(k + s) of a
-    solution, and its reflection a(s - k), renormalized to a_0 = 1, solves
-    the same equation: these images join the converged rows (with the
-    ``iterations`` of their source), pass the same residual filter (at most
-    ``tol``) and are merged with them. So do the laws ``find_branches`` finds
-    at each proper divisor p of q, tiled to period q: the q-wrapped sums of a
-    p-periodic law are its p-wrapped sums, so it solves the q-periodic
-    equation too. Two rows count as one branch when they lie within
-    ``_ATOL`` of each other or the residual at their midpoint is at most
-    ``tol``, which folds the rows Newton leaves in the flat residual well at a
-    critical point onto one; the first row (starts, then their images, then
-    the tiled laws) stands for its branch, and its ``iterations`` are the
-    damped and Newton updates its start took (see ``_damped``). Reports are
-    sorted by the law's values. ``NonSummable`` reports a map that overflows
-    at the trivial law: (C 1)**d is not finite.
+    The starts run as one batch through ``_damped``, in x = log a, with
+    ``DAMPING`` and at most ``MAX_ITER`` updates each. Diverged and
+    unconverged starts are dropped silently; the trivial solution is always
+    part of the result. C is circulant and symmetric, so every cyclic shift
+    a(k + s) of a solution, and its reflection a(s - k), renormalized to
+    a_0 = 1, solves the same equation: these images join the converged rows
+    (with the ``iterations`` of their source). So do the laws
+    ``find_branches`` finds at each proper divisor p of q, tiled to period q:
+    the q-wrapped sums of a p-periodic law are its p-wrapped sums. Each row
+    is judged as the law e**x it reports, at its log, so its residual is
+    ``residual`` of the printed law: rows above ``tol`` are dropped, and
+    ``_distinct`` merges the rest. The first row (starts, then their images,
+    then the tiled laws) stands for its branch, and its ``iterations`` are
+    the damped and Newton updates its start took. Reports are sorted by the
+    law's values. ``NonSummable`` reports a map that overflows at the
+    trivial law: (C 1)**d is not finite.
     """
     C = interaction_matrix(op, q)
     with np.errstate(over="ignore"):
         if not np.isfinite(C.sum(axis=1) ** d).all():
             raise NonSummable(f"the boundary-law map of {op!r} overflows at q = {q}, "
                               f"d = {d}: (C 1)**d is not finite")
-    a = _default_inits(q, n_starts)
-    iters, diverged, active = _damped(C, d, a, DAMPING, MAX_ITER, tol)
+    x = np.log(_default_inits(q, n_starts))
+    iters, diverged, active = _damped(C, d, x, DAMPING, MAX_ITER, tol)
     conv = ~(diverged | active)
-    rows = [a[conv], _orbits(a[conv])]
+    rows = [x[conv], _orbits(x[conv])]
     its = [iters[conv], np.repeat(iters[conv], 2 * q)]
     for p in range(2, q):
         if q % p == 0:
             for rep in find_branches(op, p, d, n_starts, tol):
-                rows.append(np.tile(rep.solution.as_array(), q // p)[None])
+                rows.append(np.tile(np.log(rep.solution.as_array()), q // p)[None])
                 its.append([rep.iterations])
-    rows, its = np.vstack(rows), np.concatenate(its)
-    res = _fixed_point_map(C, d, rows)[2]
+    laws, its = np.exp(np.vstack(rows)), np.concatenate(its)
+    x = np.log(laws)
+    res = _log_map(C, d, x)[1]
     ok = res <= tol
-    rows, its, res = rows[ok], its[ok], res[ok]
-    keep = sorted(_distinct(C, d, rows, tol), key=lambda i: tuple(rows[i]))
+    laws, x, its, res = laws[ok], x[ok], its[ok], res[ok]
+    keep = sorted(_distinct(C, d, x, tol), key=lambda i: tuple(laws[i]))
     return [
-        SolveReport(PeriodicBoundaryLaw.from_values(rows[i]), float(res[i]), int(its[i]),
-                    _label(rows[i]))
+        SolveReport(PeriodicBoundaryLaw.from_values(laws[i]), float(res[i]), int(its[i]),
+                    _label(x[i]))
         for i in keep
     ]
 

@@ -46,10 +46,10 @@ __all__ = ["build_parser", "main", "console_entry"]
 
 SCHEMA_VERSION = 1
 # each certified verify check reports one bound, on the largest |ratio - 1|;
-# 4 centred the dual and consistency bounds by normalization, 5 reads
-# consistency off one log scale and writes a non-finite bound as "inf", and 6
-# sums the windowed mass's log scales per level and may write "inf" tolerances
-VERIFY_SCHEMA_VERSION = 6
+# 4 centred the bounds by normalization, 5 reads consistency off one log
+# scale and writes a non-finite bound as "inf", 6 sums the windowed mass's
+# log scales per level, and 7 reads the residual in log a and count * width
+VERIFY_SCHEMA_VERSION = 7
 # 2 draws each sample from its own counters, so the rows of `--n k` are the
 # first rows of any larger --n
 SAMPLE_SCHEMA_VERSION = 2
@@ -127,10 +127,10 @@ def _meta(config: dict, version: int = SCHEMA_VERSION) -> dict:
     return {"schema_version": version, "config": config}
 
 
-def _select_law(op, q, d, branch: str, tol: float) -> tuple[PeriodicBoundaryLaw, str]:
+def _select_law(op, q, d, branch: str) -> tuple[PeriodicBoundaryLaw, str]:
     if branch == bl_solver.BRANCH_TRIVIAL:
         return PeriodicBoundaryLaw.trivial(q), branch
-    reports = bl_solver.find_branches(op, q, d, tol=tol)
+    reports = bl_solver.find_branches(op, q, d)
     if branch == "auto":
         # the members of a symmetry orbit tie in max |a - 1|, so a tie within
         # a relative 1e-9 goes to the first law in sorted order, not to
@@ -146,21 +146,22 @@ def _select_law(op, q, d, branch: str, tol: float) -> tuple[PeriodicBoundaryLaw,
                       f"{sorted(set(r.branch_label for r in reports))}")
 
 
-def _setup(args, command: str, *keys: str, law_tol: float | None = None):
+def _setup(args, command: str, *keys: str):
     """The model pipeline shared by the model commands: load the model, select
-    the law (solved at ``law_tol``, default ``--tol``), multiply its entry 1 by
+    the law (solved to ``bl_solver.TOL``), multiply its entry 1 by
     1 + ``--perturb`` where the command has that option, build the window
     (certified, or ``--window``), the layer kernel and its fuzzy chain.
     Returns the potential, the degree, the branch label, the kernel and the
     chain with the base config, to which ``keys`` adds the command's own
-    arguments. So every model command rejects a model that one of them
-    rejects. A model whose Q(1) underflows to 0 is a configuration error:
-    its layers never change, so its fuzzy chain is reducible."""
+    arguments. So every model command picks the same law for the same
+    ``--branch`` and rejects a model that one of them rejects. A model whose
+    Q(1) underflows to 0 is a configuration error: its layers never change,
+    so its fuzzy chain is reducible."""
     op, q, d = _load_model(args.model)
     if q >= 2 and eval_q(op, 1) == 0.0:
         raise ConfigError("Q(1) underflows to 0, so the layers never change and the "
                           "fuzzy chain is reducible")
-    law, label = _select_law(op, q, d, args.branch, args.tol if law_tol is None else law_tol)
+    law, label = _select_law(op, q, d, args.branch)
     perturb = getattr(args, "perturb", 0.0)
     if perturb != 0.0:
         if q < 2:
@@ -173,7 +174,7 @@ def _setup(args, command: str, *keys: str, law_tol: float | None = None):
     else:
         window = IncrementWindow.manual(op, args.window, law)
     config = {"command": command, "model": model_to_json(op, q, d), "branch": args.branch,
-              "window": window.cutoff, "tol": args.tol}
+              "window": window.cutoff, "tol": bl_solver.TOL}
     config.update((key, getattr(args, key)) for key in keys)
     kernel = chains.build_layer_kernel(op, law, window)
     return op, d, label, kernel, chains.fuzzy_transform(kernel), config
@@ -221,10 +222,10 @@ def cmd_solve_bl(args) -> int:
         ops = [op]
     config = {"command": "solve-bl", "model": model_to_json(op, q, d), "betas": betas,
               "starts": args.starts, "damping": bl_solver.DAMPING,
-              "max_iter": bl_solver.MAX_ITER, "tol": args.tol}
+              "max_iter": bl_solver.MAX_ITER, "tol": bl_solver.TOL}
     rows = []
     for beta, local in zip(betas, ops):
-        reports = bl_solver.find_branches(local, q, d, n_starts=args.starts, tol=args.tol)
+        reports = bl_solver.find_branches(local, q, d, n_starts=args.starts)
         for rep in reports:
             rows.append([beta if beta is not None else "", rep.branch_label,
                          *[float(v) for v in rep.solution.a],
@@ -337,8 +338,7 @@ def cmd_verify(args) -> int:
     Consistency marginalizes the volume's measure onto the ball of radius
     1, and the restricted conditional structure is checked on vertex 1
     alone, the sub-ball of radius 0 below it."""
-    op, d, label, kernel, chain, config = _setup(args, "verify", "depth", "perturb",
-                                                 law_tol=1e-12)
+    op, d, label, kernel, chain, config = _setup(args, "verify", "depth", "perturb", "tol")
     volume = _ball(d, args.depth, sys.float_info.max, "1.8e308 vertices, the largest double")
     tol = args.tol
     # the pins 0, 1 and 1's first child are the depths 0, 1 and 2 of one ray
@@ -462,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--model", required=True, help="JSON model description")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=_POSITIVE, default=1e-10)
         p.add_argument("--window", type=_AT_LEAST_1, default=None,
                        help="increment cutoff (default: certified automatically)")
         p.add_argument("--branch", default="auto", choices=["auto", *bl_solver.BRANCHES])
@@ -474,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=_FINITE, default=None)
     p.add_argument("--beta-step", type=_POSITIVE, default=0.05)
     p.add_argument("--starts", type=_COUNT, default=50)
-    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     p.set_defaults(func=cmd_solve_bl)
 
     p = sub.add_parser("critical-beta", help="onset of multiple boundary laws")
@@ -499,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--depth", type=_AT_LEAST_1, default=2)
     p.add_argument("--perturb", type=_PERTURB, default=0.0)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-9, help="the checks' tolerance")
     p.set_defaults(func=cmd_verify)
-    p.set_defaults(tol=1e-9)
 
     p = sub.add_parser("correlation", help="covariance decay along a path")
     add_common(p)

@@ -41,21 +41,14 @@ pass is never weaker than the exact check.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chains import FuzzyChain, LayerKernel, _balance_flows, _same_period
-from .model import (
-    FiniteTreeVolume,
-    IncrementWindow,
-    PeriodicBoundaryLaw,
-    TransferOperator,
-    eval_q,
-    wrapped_row,
-)
+from .chains import (FuzzyChain, LayerKernel, _balance_flows, _same_period, build_layer_kernel,
+                     fuzzy_transform)
+from .model import FiniteTreeVolume, IncrementWindow, PeriodicBoundaryLaw, TransferOperator
 
 __all__ = [
     "sample_ggm_batch",
@@ -309,15 +302,11 @@ def windowed_mass(kernel: LayerKernel, volume: FiniteTreeVolume, pin_class: int)
 
 def single_bond_marginal(op: TransferOperator, law: PeriodicBoundaryLaw,
                          window: IncrementWindow) -> np.ndarray:
-    """Exact one-edge marginal of the homogeneous measure over the window:
-    proportional to Q(z) * sum_s l(s) l(s + z)."""
-    q = law.q
-    a = law.as_array()
-    overlap = np.array([float(np.dot(a, np.roll(a, -r))) for r in range(q)])
-    z_total = float(np.dot(wrapped_row(op, q), overlap))
-    offs = window.offsets
-    vals = np.array([eval_q(op, int(z)) * overlap[int(z) % q] for z in offs])
-    return vals / z_total
+    """Exact one-edge marginal of the homogeneous measure over the window,
+    proportional to Q(z) * sum_s l(s) l(s + z): the stationary layer
+    distribution times the kernel table, sum_s alpha(s) P(s, z)."""
+    kernel = build_layer_kernel(op, law, window)
+    return fuzzy_transform(kernel).alpha @ kernel.probs
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +335,16 @@ def _certified(volume: FiniteTreeVolume, width: float) -> float:
 # verification: the two representations
 
 
-def _dual_parts(kernel: LayerKernel, volume: FiniteTreeVolume) -> tuple[np.ndarray, float]:
-    """log N(s)**-(d+1) by pin class s, and m ptp(log g): pinned to class s,
-    the ratio of the product form to the boundary-law form is
-    z_s N(s)**-(d+1) prod_v g(t_v) over the m interior vertices v other than
-    the pin, g = a / N**d. Each such v is the head of one edge (a factor a)
-    and the tail of d (a factor 1/N), the pin is the tail of d + 1, and the
-    boundary factors a cancel."""
+def _dual_parts(kernel: LayerKernel, d: int) -> tuple[np.ndarray, float]:
+    """log N(s)**-(d+1) by pin class s, and the per-vertex width ptp(log g):
+    pinned to class s, the ratio of the product form to the boundary-law form
+    is z_s N(s)**-(d+1) prod_v g(t_v) over the m = starts[-2] - 1 interior
+    vertices v other than the pin, g = a / N**d. Each such v is the head of
+    one edge (a factor a) and the tail of d (a factor 1/N), the pin is the
+    tail of d + 1, and the boundary factors a cancel."""
     log_n = np.log(kernel.norms)
-    log_g = np.log(kernel.law.as_array()) - volume.d * log_n
-    m = volume.starts[-2] - 1
-    return -(volume.d + 1) * log_n, m * float(np.ptp(log_g))
+    log_g = np.log(kernel.law.as_array()) - d * log_n
+    return -(d + 1) * log_n, float(np.ptp(log_g))
 
 
 def max_dual_gap_pinned(kernel: LayerKernel, volume: FiniteTreeVolume) -> float:
@@ -368,7 +356,7 @@ def max_dual_gap_pinned(kernel: LayerKernel, volume: FiniteTreeVolume) -> float:
     puts 0 in that interval and |log ratio| is at most its width. No
     partition sum is needed, and one bound serves every pin class.
     """
-    return _certified(volume, _dual_parts(kernel, volume)[1])
+    return _certified(volume, (volume.starts[-2] - 1) * _dual_parts(kernel, volume.d)[1])
 
 
 def max_dual_gap_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeVolume) -> float:
@@ -382,9 +370,9 @@ def max_dual_gap_ggm(kernel: LayerKernel, chain: FuzzyChain, volume: FiniteTreeV
     whose width is ptp(log c) + m ptp(log g).
     """
     _same_period(kernel, chain)
-    log_n_pin, width = _dual_parts(kernel, volume)
+    log_n_pin, width = _dual_parts(kernel, volume.d)
     log_c = np.log(chain.alpha) + log_n_pin
-    return _certified(volume, float(np.ptp(log_c)) + width)
+    return _certified(volume, float(np.ptp(log_c)) + (volume.starts[-2] - 1) * width)
 
 
 def check_consistency(kernel: LayerKernel, volume: FiniteTreeVolume, radius: int) -> float:
@@ -413,7 +401,7 @@ def check_consistency(kernel: LayerKernel, volume: FiniteTreeVolume, radius: int
     hang = _upward(volume, kernel.circulant, a)[0][radius + 1]
     width = float(np.ptp(np.log(hang) - np.log(a)))
     rim = starts[radius + 2] - starts[radius + 1]
-    return _certified(volume, sum(itertools.repeat(width, rim)))
+    return _certified(volume, rim * width)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +470,6 @@ def check_restricted_dlr(kernel: LayerKernel, volume: FiniteTreeVolume, radius: 
     if not 0 <= radius < len(volume.starts) - 3:
         raise ValueError("the sub-ball radius must lie in 0 .. the radius - 2")
     # every vertex of the sub-ball has d neighbours away from the pin, its
-    # children, so each adds the same width
-    width = float(np.ptp(np.log(kernel.law.as_array()) - volume.d * np.log(kernel.norms)))
+    # children, so each adds the same width ptp(log g)
     count = sum(volume.d ** j for j in range(radius + 1))
-    return _certified(volume, sum(itertools.repeat(width, count)))
+    return _certified(volume, count * _dual_parts(kernel, volume.d)[1])

@@ -110,6 +110,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -1120,6 +1121,49 @@ def scan_homogeneity(kernel: LayerKernel, chain: FuzzyChain, volume: Volume,
     with np.errstate(divide="ignore"):
         ratio = float(np.max(top[live] / bottom[live] - 1.0, initial=0.0))
     return max(0.0, float(np.max(top - bottom))), ratio
+
+
+def exact_homogeneity_ratio(kernel: LayerKernel, chain: FuzzyChain, volume: Volume,
+                            pins: Iterable[int]) -> Fraction:
+    """``scan_homogeneity``'s largest pairwise |ratio - 1| over every windowed
+    configuration, with no rounding: the kernel table and alpha are read as
+    the rationals their floats are, n / 2**k, so the product along a
+    configuration is one integer product and one sum of exponents, and the
+    sum over the pin's class shifts each term onto the largest exponent."""
+    def dyadic(values):
+        pairs = [float(v).as_integer_ratio() for v in np.ravel(values)]
+        nums = np.empty(len(pairs), dtype=object)
+        nums[:] = [n for n, _ in pairs]
+        logs = np.array([k.bit_length() - 1 for _, k in pairs])
+        return nums.reshape(np.shape(values)), logs.reshape(np.shape(values))
+
+    p_num, p_log = dyadic(kernel.probs)
+    a_num, a_log = dyadic(chain.alpha)
+    cutoff = kernel.window.cutoff
+    Z = np.concatenate(list(_window_blocks(volume, kernel.window,
+                                           (2 * cutoff + 1) ** volume.n_edges)))
+    probs = []
+    for w in pins:
+        nums, logs = [], []
+        for s in range(kernel.q):
+            num, log = np.full(len(Z), a_num[s], dtype=object), np.full(len(Z), a_log[s])
+            layer = {w: np.full(len(Z), s)}
+            for e, src, dst, sign in scalar_orientation(volume, w):
+                k = sign * Z[:, e] + cutoff
+                t = layer[src]
+                layer[dst] = kernel.ends[t, k]
+                num, log = num * p_num[t, k], log + p_log[t, k]
+            nums.append(num)
+            logs.append(log)
+        top = np.max(logs, axis=0)
+        total = sum(num * np.array([1 << int(v) for v in top - log], dtype=object)
+                    for num, log in zip(nums, logs))
+        probs.append([Fraction(int(n), 1 << int(k)) for n, k in zip(total, top)])
+    worst = Fraction(0)
+    for values in zip(*probs):
+        if max(values) > 0:
+            worst = max(worst, max(values) / min(values) - 1)
+    return worst
 
 
 def _restricted_class(kernel: LayerKernel, volume: Volume, inner,

@@ -25,9 +25,11 @@ from ggmtree.bl_solver import (
     BRANCH_UPPER,
     DAMPING,
     MAX_ITER,
+    TOL,
     _damped,
-    _fixed_point_map,
+    _distinct,
     _label,
+    _log_map,
 )
 from ggmtree.model import interaction_matrix
 
@@ -36,13 +38,13 @@ from brute_force import effective_beta, is_normalizable, ising_type_solve, shift
 
 
 def damped_solve(op, q, d, init, damping=DAMPING, max_iter=MAX_ITER, tol=1e-12):
-    """``_damped`` on the one-row batch ``init``, by default with the settings
-    of ``find_branches``: the row it leaves, its update count, and whether
-    it diverged or ran out of budget."""
-    rows = np.array([init], dtype=float)
+    """``_damped`` on the one-row batch log ``init``, by default with the
+    settings of ``find_branches``: the law e**x of the row it leaves, its
+    update count, and whether it diverged or ran out of budget."""
+    rows = np.log(np.array([init], dtype=float))
     iters, diverged, running = _damped(interaction_matrix(op, q), d, rows, damping,
                                        max_iter, tol)
-    return rows[0], int(iters[0]), bool(diverged[0]), bool(running[0])
+    return np.exp(rows[0]), int(iters[0]), bool(diverged[0]), bool(running[0])
 
 
 class TestResidual:
@@ -59,6 +61,83 @@ class TestResidual:
         # cosh(1) < 3, so (1, 4) is far from any solution
         law = PeriodicBoundaryLaw.from_values([1.0, 4.0])
         assert residual(law, SOS(1.0), 2) > 0.1
+
+    def test_residual_is_scale_free(self):
+        # SOS beta=8, q=4, d=2: an absolute residual of 3.4e-11 once passed
+        # this row, whose a_2 is 660 times the law's; in log a it reads 6.5
+        row = PeriodicBoundaryLaw(4, (1.0, 1.1264513523081156e-07, 3.340572141204158e-11,
+                                      1.1264513523081156e-07))
+        assert residual(row, SOS(8.0), 2) > 6.0
+
+
+# the grids of the benchmark's solve-bl sweeps: q, d, first beta, step
+BENCH_GRIDS = [(2, 2, 1.74, 0.003), (2, 3, 0.8, 0.06), (3, 2, 1.5, 0.12)]
+
+
+def relative_violation(law, op, d):
+    """max_k |a_k (S_0 / S_k)**d - 1| for S = C a, by a matrix product: a
+    check of the law that shares nothing with the solver's log-sum-exp."""
+    a = law.as_array()
+    S = interaction_matrix(op, law.q) @ a
+    return float(np.max(np.abs(a * (S[0] / S) ** d - 1.0)))
+
+
+class TestLogCoordinates:
+    def test_tiny_entries_are_solved_to_their_own_scale(self):
+        # the law's entries span 13 decades, and each is right to 1e-12 of
+        # itself: a_2 = 5.07e-14, not the 3.34e-11 an absolute residual left
+        op = SOS(8.0)
+        reports = find_branches(op, 4, 2)
+        assert all(relative_violation(rep.solution, op, 2) <= 1e-12 for rep in reports)
+        tiny = [rep.solution.a for rep in reports if rep.solution.a[2] < 1e-12]
+        assert len(tiny) == 1
+        assert tiny[0] == pytest.approx((1.0, 1.126107661e-07, 5.06907004e-14, 1.126107661e-07),
+                                        rel=1e-9)
+
+    @pytest.mark.parametrize("beta, q, d", [(3.0, 6, 3), (4.0, 6, 3), (5.0, 6, 3), (8.0, 4, 2)])
+    def test_reported_laws_hold_relatively(self, beta, q, d):
+        # laws spanning 6 to 19 decades, where an absolute residual both
+        # passed rows that are no laws and dropped genuine rotations
+        op = SOS(beta)
+        reports = find_branches(op, q, d)
+        for rep in reports:
+            assert rep.residual <= TOL
+            assert relative_violation(rep.solution, op, d) <= 1e-12, rep.solution.a
+        _assert_orbits_closed(beta, q, d)
+
+    def test_merge_is_scale_free(self):
+        # two rows 3.3e-11 apart in a_2, which differ by 6.5 in log a_2: an
+        # absolute merge at 1e-6 would fold them, the merge in log a keeps both
+        op = SOS(8.0)
+        law = next(rep.solution for rep in find_branches(op, 4, 2) if rep.solution.a[2] < 1e-12)
+        rows = np.log([law.a, (*law.a[:2], 3.340572141204158e-11, law.a[3])])
+        assert np.max(np.abs(np.exp(rows[0]) - np.exp(rows[1]))) < 1e-10
+        assert _distinct(interaction_matrix(op, 4), 2, rows, TOL) == [0, 1]
+
+    def test_reflected_pair_is_not_merged_through_its_midpoint(self):
+        # (1, u) and (1, 1/u) have the trivial law as their midpoint in log a
+        op = SOS(2.0)
+        rows = np.log([law.a for law in closed_form_q2_sos(2.0)[1:]])
+        assert _distinct(interaction_matrix(op, 2), 2, rows, TOL) == [0, 1]
+
+    @pytest.mark.parametrize("q, d, lo, step", BENCH_GRIDS)
+    def test_row_residual_is_batch_independent(self, q, d, lo, step):
+        # each printed law's residual, alone or in any batch of rows, is the
+        # one residual() recomputes from the printed law, bit for bit
+        rng = np.random.default_rng(q + 10 * d)
+        for i in range(17):
+            op = SOS(lo + (0.5 + i) * step)
+            C = interaction_matrix(op, q)
+            for rep in find_branches(op, q, d):
+                want = residual(rep.solution, op, d)
+                assert rep.residual == want
+                x = np.log(rep.solution.as_array())
+                for size in (1, 7, 50):
+                    batch = rng.normal(scale=3.0, size=(size, q))
+                    batch[:, 0] = 0.0
+                    at = int(rng.integers(size))
+                    batch[at] = x
+                    assert _log_map(C, d, batch)[1][at] == want
 
 
 class TestClosedForm:
@@ -87,7 +166,7 @@ class TestFixedPoint:
         row, _, diverged, running = damped_solve(SOS(2.0), 2, 2, [1.0, 9.0], tol=1e-12)
         want = closed_form_q2_sos(2.0)[1].a[1]
         assert not diverged and not running
-        assert _label(row) == BRANCH_UPPER
+        assert _label(np.log(row)) == BRANCH_UPPER
         assert residual(PeriodicBoundaryLaw.from_values(row), SOS(2.0), 2) < 1e-10
         assert row[1] == pytest.approx(want, abs=1e-8)
         assert row[1] == pytest.approx(5.44611, abs=1e-5)
@@ -95,7 +174,7 @@ class TestFixedPoint:
     def test_subcritical_flows_to_trivial(self):
         for init in ([1.0, 9.0], [1.0, 0.02], [1.0, 1.7]):
             row, _, _, _ = damped_solve(SOS(1.0), 2, 2, init, tol=1e-11)
-            assert _label(row) == BRANCH_TRIVIAL
+            assert _label(np.log(row)) == BRANCH_TRIVIAL
 
     def test_trivial_init_returns_immediately(self):
         row, iters, _, _ = damped_solve(SOS(2.0), 2, 2, [1.0, 1.0])
@@ -104,14 +183,22 @@ class TestFixedPoint:
 
     def test_residual_recomputes_to_report_value(self):
         for rep in find_branches(SOS(2.0), 2, 2, tol=1e-11):
-            assert residual(rep.solution, SOS(2.0), 2) == pytest.approx(rep.residual,
-                                                                        abs=1e-13)
+            assert residual(rep.solution, SOS(2.0), 2) == rep.residual
 
-    def test_runaway_iterate_raises_diverged(self):
-        # high degree amplifies the class imbalance past the guard rails
+    def test_tiny_law_converges(self):
+        # at degree 7 the class imbalance gives a_1 = 8.07e-14, a law that a
+        # guard at 1e-12 in linear coordinates once counted as diverged
         row, _, diverged, running = damped_solve(SOS(5.0), 2, 7, [1.0, 1e-6], max_iter=2000)
-        assert diverged and not running
-        assert not 1e-12 < row[1] < 1e12
+        assert not diverged and not running
+        assert row[1] == pytest.approx(8.0679851e-14, rel=1e-7)
+        law = PeriodicBoundaryLaw.from_values(row)
+        assert residual(law, SOS(5.0), 7) <= 1e-12
+        assert law in [rep.solution for rep in find_branches(SOS(5.0), 2, 7)]
+
+    def test_non_finite_iterate_diverges(self):
+        row, iters, diverged, running = damped_solve(SOS(2.0), 2, 2, [1.0, np.inf])
+        assert diverged and not running and iters == 1
+        assert not np.isfinite(row).all()
 
     def test_budget_exhaustion_carries_best_iterate(self):
         row, _, diverged, running = damped_solve(SOS(2.0), 2, 2, [1.0, 9.0],
@@ -130,7 +217,7 @@ class TestFixedPoint:
         assert running
         assert row[1] == pytest.approx(a[1], rel=1e-12)
         # the residual a report would carry is the one its law recomputes
-        assert (_fixed_point_map(C, 2, row[None])[2][0]
+        assert (_log_map(C, 2, np.log(row)[None])[1][0]
                 == residual(PeriodicBoundaryLaw.from_values(row), SOS(2.0), 2))
 
     @pytest.mark.parametrize("solve", [

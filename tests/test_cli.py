@@ -20,6 +20,7 @@ from ggmtree import (
     correlation_and_bound,
     find_branches,
     fuzzy_transform,
+    model_from_json,
 )
 from ggmtree import bl_solver, cli, measures
 from ggmtree.cli import main
@@ -345,7 +346,7 @@ def test_auto_branch_ignores_report_order_and_rounding(monkeypatch):
     # SOS beta=3, q=3: (1, 1, 324.9) and (1, 324.9, 1) tie in max |a - 1|
     op = SOS(3.0)
     reports = find_branches(op, 3, 2)
-    want, _ = cli._select_law(op, 3, 2, "auto", 1e-10)
+    want, _ = cli._select_law(op, 3, 2, "auto")
     far = [max(abs(v - 1.0) for v in rep.solution.a) for rep in reports]
     tied = [k for k, f in enumerate(far) if f >= max(far) * (1.0 - 1e-9)]
     assert len(tied) == 2
@@ -356,7 +357,7 @@ def test_auto_branch_ignores_report_order_and_rounding(monkeypatch):
             shown = [dataclasses.replace(rep, solution=noisy) if rep is reports[k] else rep
                      for rep in permuted]
             monkeypatch.setattr(bl_solver, "find_branches", lambda *_, **__: shown)
-            got, _ = cli._select_law(op, 3, 2, "auto", 1e-10)
+            got, _ = cli._select_law(op, 3, 2, "auto")
             assert got.a == pytest.approx(want.a, rel=1e-9)
 
 
@@ -386,6 +387,53 @@ def test_fixed_settings_are_in_the_meta_lines(model_file, tmp_path, capsys):
                  ["critical-beta", "--q", "2", "--d", "2", "--family", "sos"]):
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_solve_tolerance_is_fixed_and_in_the_meta_lines(model_file, tmp_path, capsys):
+    # every command solves to bl_solver.TOL; --tol is verify's check
+    # tolerance alone, and an unknown option of every other command
+    out = tmp_path / "laws.csv"
+    assert main(["solve-bl", "--model", model_file, "--out", str(out)]) == 0
+    assert read_csv(out)[0]["config"]["tol"] == bl_solver.TOL == 1e-10
+    assert main(["marginal", "--model", model_file]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == bl_solver.TOL
+    assert main(["verify", "--model", model_file, "--tol", "1e-8"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-8
+    for argv in (["solve-bl"], ["marginal"], ["sample", "--n", "2"], ["correlation"],
+                 ["chain", "dump"]):
+        assert main([*argv, "--model", model_file, "--tol", "1e-10"]) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+# laws spanning 4 to 19 decades, whose branches an absolute residual once
+# resolved differently from command to command
+WIDE_LAWS = [({"potential": {"kind": "sos", "beta": 8.0}, "q": 4, "d": 2}, "other"),
+             ({"potential": {"kind": "sos", "beta": 3.0}, "q": 6, "d": 3}, "auto"),
+             ({"potential": {"kind": "sos", "beta": 5.0}, "q": 6, "d": 3}, "auto"),
+             ({"potential": {"kind": "lifted_potts", "q": 4, "beta_tilde": 2.0}, "q": 4,
+               "d": 2}, "auto")]
+
+
+@pytest.mark.parametrize("doc, branch", WIDE_LAWS, ids=lambda v: json.dumps(v))
+def test_every_model_command_picks_one_law(tmp_path, capsys, doc, branch):
+    model = _model(tmp_path, doc)
+    laws = set()
+    for argv in (["marginal"], ["sample", "--n", "2"], ["verify"], ["correlation"],
+                 ["chain", "dump"]):
+        args = cli.build_parser().parse_args([*argv, "--model", model, "--branch", branch])
+        laws.add(cli._setup(args, argv[0])[3].law)
+    for argv in (["marginal"], ["chain", "dump"]):
+        assert main([*argv, "--model", model, "--branch", branch]) == 0
+        laws.add(PeriodicBoundaryLaw.from_values(json.loads(capsys.readouterr().out)["law"]))
+    assert len(laws) == 1
+    law = laws.pop()
+    op, q, d = model_from_json(doc)
+    assert law in [rep.solution for rep in find_branches(op, q, d)]
+    # and verify passes it, the boundary-law residual included
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--model", model, "--branch", branch, "--out", str(out)]) == 0
+    check = json.loads(out.read_text())["checks"]["boundary_law_residual"]
+    assert check["pass"] and check["violation"] <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [
@@ -548,7 +596,7 @@ class TestVerify:
         out = tmp_path / "verify.json"
         assert main(["verify", "--model", model_file, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 6
+        assert payload["schema_version"] == cli.VERIFY_SCHEMA_VERSION == 7
         methods = {name: c["method"] for name, c in payload["checks"].items()}
         assert {name for name, m in methods.items() if m == "exact"} == {
             "boundary_law_residual", "stationarity", "reversibility", "windowed_mass"}
@@ -607,7 +655,7 @@ class TestVerify:
         assert main(["verify", "--model", model_file, "--window", "3",
                      "--out", str(out)]) == 0
         check = json.loads(out.read_text())["checks"]["windowed_mass"]
-        law = cli._select_law(SOS(2.0), 2, 2, "auto", 1e-12)[0]
+        law = cli._select_law(SOS(2.0), 2, 2, "auto")[0]
         window = IncrementWindow.manual(SOS(2.0), 3, law)
         assert check["tolerance"] == 9 * window.tail_mass_bound
 

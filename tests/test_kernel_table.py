@@ -40,7 +40,7 @@ def model(request, tmp_path_factory):
     if window is not None:
         argv += ["--window", window]
     args = cli.build_parser().parse_args(argv)
-    op, _, _, kernel, chain, _ = cli._setup(args, "verify", "depth", "perturb", law_tol=1e-12)
+    op, _, _, kernel, chain, _ = cli._setup(args, "verify", "depth", "perturb", "tol")
     return op, kernel, chain
 
 

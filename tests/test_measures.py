@@ -1,4 +1,3 @@
-import itertools
 import math
 import sys
 import tracemalloc
@@ -628,14 +627,29 @@ class TestConsistency:
         kernel = build_layer_kernel(sos2, law, IncrementWindow.manual(sos2, 3, law))
         assert check_consistency(kernel, ball2, 0) > 1e-3
 
-    def test_repeated_width_sums_as_its_list(self):
-        # the widths summed one at a time from an iterator, as from the list
-        # of count copies they once were, in the same order, so bit for bit
-        rng = np.random.default_rng(23)
-        for width, count in zip(rng.random(500) * 10.0 ** rng.integers(-18, 3, 500),
-                                rng.integers(0, 3000, 500).tolist()):
-            width = float(width)
-            assert sum(itertools.repeat(width, count)) == sum([width] * count)
+    def test_equal_widths_sum_as_one_rounded_product(self, sos2, upper_law):
+        # every rim or sub-ball vertex adds the same width, so both bounds
+        # take count * width, rounded once, not count - 1 rounded additions
+        law = perturbed(upper_law)
+        kernel = build_layer_kernel(sos2, law)
+        volume = cayley_ball(2, 12)
+        a = law.as_array()
+        unit = measures._upward(volume, kernel.circulant, a)[0]
+        differs = set()
+        for r in range(11):
+            width = float(np.ptp(np.log(unit[r + 1]) - np.log(a)))
+            rim = volume.starts[r + 2] - volume.starts[r + 1]
+            want = measures._certified(volume, rim * width)
+            assert check_consistency(kernel, volume, r) == want
+            differs.add(("consistency", want != measures._certified(volume, sum([width] * rim))))
+        width = float(np.ptp(np.log(a) - 2 * np.log(kernel.norms)))
+        for r in range(10):
+            count = 2 ** (r + 1) - 1
+            want = measures._certified(volume, count * width)
+            assert check_restricted_dlr(kernel, volume, r) == want
+            differs.add(("restricted", want != measures._certified(volume, sum([width] * count))))
+        # on some radii the product and the repeated sum give other bounds
+        assert {("consistency", True), ("restricted", True)} <= differs
 
     def test_deep_rim_sums_in_no_memory(self, kernel):
         # the rim of the inner ball of radius 23 has 3 * 2**23 vertices, whose

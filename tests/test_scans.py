@@ -293,8 +293,24 @@ def test_homogeneity_certificate_bounds_enumeration(certified_model, alpha_facto
     alpha = chain.alpha.copy()
     alpha[0] *= alpha_factor
     parts = kernel, FuzzyChain(kernel.q, chain.matrix, alpha / alpha.sum()), cayley_ball(2, depth)
-    assert bounded(bf.scan_homogeneity(*parts, pins, enumerate_budget=3**9),
-                   check_homogeneity(*parts, depths))
+    bound = check_homogeneity(*parts, depths)
+    difference, ratio = bf.scan_homogeneity(*parts, pins, enumerate_budget=3**9)
+    if not ratio <= bound:
+        # the float scan rounds too, by a few ulps of its products: where it
+        # reads above the bound, the exact ratio decides
+        ratio = bf.exact_homogeneity_ratio(*parts, pins)
+    assert bounded((difference, ratio), bound)
+
+
+@pytest.mark.parametrize("alpha_factor", [1.0, 1.0 + 1e-3], ids=["alpha", "alpha-perturbed"])
+def test_exact_homogeneity_ratio_is_the_scan_without_rounding(certified_model, alpha_factor):
+    op, kernel, chain = certified_model
+    alpha = chain.alpha.copy()
+    alpha[0] *= alpha_factor
+    parts = kernel, FuzzyChain(kernel.q, chain.matrix, alpha / alpha.sum()), cayley_ball(2, 1)
+    exact = bf.exact_homogeneity_ratio(*parts, [0, 1])
+    assert float(exact) == pytest.approx(bf.scan_homogeneity(*parts, [0, 1])[1], rel=1e-12,
+                                         abs=1e-14)
 
 
 def test_budgets_bound_the_scanned_classes(sos2, kernel, chain, ball2):
